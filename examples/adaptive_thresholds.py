@@ -1,8 +1,10 @@
 """Incremental threshold tuning and online per-stream adaptation.
 
-Two halves.  Offline: the incremental coordinate-descent tuner finds the
-same (θL, θU) optimum as the exhaustive grid while re-matching an order
-of magnitude fewer frames.  Online: the same tuner runs *inside* a
+Two halves.  Offline: the incremental tuner (``coordinate_descent_search``
+— the exact grid optimum read off an incrementally maintained score
+table) finds the same (θL, θU) as the exhaustive grid with an order of
+magnitude fewer full-frame label matches (``frame_rescores`` vs
+``evaluations × frames``).  Online: the same tuner runs *inside* a
 cluster simulation, periodically retuning each camera stream's
 thresholds from its validated history, and is compared against the
 static-threshold and feedback-controller runs.
@@ -38,12 +40,12 @@ def offline(video_key: str, target: float) -> None:
     rows = [
         [name, str(result.thresholds), result.best.bandwidth_utilization,
          result.best.f_score, result.evaluations, result.frame_rescores]
-        for name, result in (("brute force", brute), ("coordinate descent", descent))
+        for name, result in (("brute force", brute), ("incremental table", descent))
     ]
     print(format_table(
         ["method", "(θL, θU)", "BU", "F-score", "evaluations", "frame rescores"], rows
     ))
-    assert descent.best == brute.best, "descent must land on the grid optimum"
+    assert descent.best == brute.best, "the table search must land on the grid optimum"
     reduction = brute.frame_rescores / max(descent.frame_rescores, 1)
     print(
         f"\nSame optimum, {reduction:.1f}x fewer full-frame label matches — "

@@ -26,14 +26,18 @@ Two controller modes (:data:`ADAPTATION_MODES`):
     the incremental scorer: every validated frame (the only frames
     whose cloud labels the edge actually observes) is appended to a
     per-stream :class:`~repro.core.incremental.IncrementalThresholdScorer`,
-    and each adaptation tick re-runs
-    :func:`~repro.core.incremental.coordinate_descent_search` over the
-    stream's accumulated history.  The tuner work is metered:
-    ``tuner_evaluations`` counts scored pairs, ``tuner_frame_rescores``
-    counts full-frame label matches actually performed, and
-    ``tuner_grid_rescores`` what the non-incremental evaluator would
-    have paid for the same pairs — the ≥10× reduction the benchmark
-    artifact gates.
+    and each adaptation tick calls
+    :func:`~repro.core.incremental.coordinate_descent_search` — the
+    exact grid optimum read off the scorer's running per-pair table,
+    which folds in only the frames validated since the previous tick
+    (so a tick costs O(new frames), not O(history)).  The tuner work is
+    metered: ``tuner_evaluations`` counts scored grid pairs,
+    ``tuner_frame_rescores`` counts full-frame label matches actually
+    performed (charged at the tick that folds a frame, never at
+    ``observe``), and ``tuner_grid_rescores`` is ``evaluations ×
+    frames``, what the non-incremental evaluator would have paid in
+    label matches for the same pairs — the ≥10× reduction the
+    benchmark artifact gates.
 
 Everything here is deterministic (no RNG draws), and nothing is built
 unless a deployment opts in — static-threshold runs never construct a
@@ -71,7 +75,7 @@ class AdaptationConfig:
         feasibility constraint of the retune mode's search.
     step:
         Grid step: the feedback controller's drift quantum and the
-        retune controller's coordinate-descent resolution.
+        retune controller's search-grid resolution.
     min_samples:
         Validated frames a stream must accumulate before its first
         retune (the feedback mode adapts from the first window).
@@ -195,7 +199,7 @@ class _FeedbackController(_WindowedController):
 
 
 class _RetuneController(_WindowedController):
-    """Periodic coordinate-descent retune over the stream's validated history."""
+    """Periodic exact-grid retune over the stream's validated history."""
 
     mode = "retune"
 

@@ -1,4 +1,4 @@
-"""Incremental threshold scoring and coordinate-descent search.
+"""Incremental threshold scoring and the exact ordered-grid search.
 
 :class:`~repro.core.optimizer.ThresholdEvaluator` re-runs label matching
 over every profiled frame for every candidate ``(θL, θU)`` pair.  But a
@@ -9,39 +9,45 @@ inside ``[θL, θU]`` (which fixes the sent bit).  Both are found by
 bisecting the frame's *sorted* confidence array — the breakpoints at
 which the frame's VALIDATE/KEEP/DISCARD partition changes.
 
-:class:`IncrementalThresholdScorer` exploits this: it computes each
-frame's confusion-matrix contribution once per distinct
-``(discard-count, sent)`` state and reuses it for every threshold pair
-that lands the frame in the same state.  Moving a threshold by one grid
-cell therefore re-matches only the frames whose decision actually
-changed, instead of all frames.  A frame with ``k`` detections has at
-most ``2·(k + 1)`` states, so a full grid sweep costs
-``O(frames · min(k, grid))`` label matches instead of
-``O(frames · grid²)``.
+:class:`IncrementalThresholdScorer` exploits this twice:
 
-:func:`coordinate_descent_search` builds the fast multi-pass tuner on
-top: alternating full-axis sweeps over ``θL`` and ``θU`` (the shape of
-KenMeSH's incremental micro-F tuner and StormPhase2's paired-threshold
-descent) until a fixed point, with the final winner chosen over every
-examined pair in grid order so ties break exactly as
-:func:`~repro.core.optimizer.brute_force_search` breaks them.
+* it computes each frame's confusion-matrix contribution once per
+  distinct ``(discard-count, sent)`` state and reuses it for every
+  threshold pair that lands the frame in the same state.  A frame with
+  ``k`` detections has at most ``2·(k + 1)`` states, so scoring a whole
+  grid costs ``O(frames · min(k, grid))`` label matches
+  (``frame_rescores``) instead of ``O(frames · grid²)``;
+* for a fixed grid it keeps a running table of integer
+  ``(tp, fp, fn, sent)`` totals per grid pair, and a search folds in
+  only the frames added since the previous search — so re-searching a
+  growing history (the runtime retune loop) costs O(new frames), not
+  O(history), per tick.
+
+:func:`coordinate_descent_search` is the search on top: it reads every
+grid pair's score off the table and picks the winner over all of them
+in ``(θL, θU)`` grid order — :func:`~repro.core.optimizer.brute_force_search`
+over the table, hence its exact optimum at the same step, tie-breaks
+included.
 
 Scores are **bit-identical** to ``ThresholdEvaluator.evaluate()``:
 confusion counts are integers (order-free), and latency averages are
-re-summed in trace order from per-frame sent bits, reproducing the
-evaluator's float accumulation exactly.
+re-summed in trace order from per-frame sent bits with the builtin
+``sum``, reproducing the evaluator's float accumulation exactly (a
+running float total would not: ``sum`` is compensated from Python 3.12).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+import numpy as np
+
 from repro.core.optimizer import (
     OptimizationResult,
     ThresholdEvaluator,
     ThresholdScore,
     _grid,
-    _select_best,
+    brute_force_search,
     hypothetical_observed,
 )
 from repro.core.results import FrameTrace
@@ -84,6 +90,35 @@ class _FrameEntry:
         self.stats: dict[tuple[int, bool], tuple[int, int, int]] = {}
 
 
+class _GridTable:
+    """Running score totals of one scorer over one threshold grid.
+
+    ``pairs`` lists the grid's ``(θL index, θU index)`` pairs in
+    ``(θL, θU)`` order — the order ``brute_force_search`` scores them
+    in, so ties break identically.  ``totals[p]`` is pair ``p``'s
+    integer ``[tp, fp, fn, sent]`` over the first ``len(discarded)``
+    frames of the scorer; ``discarded[f]`` / ``below_upper[f]`` keep
+    frame ``f``'s bisect position per grid value, from which a search
+    rebuilds the per-pair sent bits for the latency averages.
+    """
+
+    __slots__ = ("step", "values", "pairs", "lower_index", "upper_index",
+                 "totals", "discarded", "below_upper")
+
+    def __init__(self, step: float) -> None:
+        self.step = step
+        self.values = _grid(step)
+        # Row-major upper triangle: low <= up, sorted by (low, up).
+        self.lower_index, self.upper_index = np.triu_indices(len(self.values))
+        self.pairs = list(zip(self.lower_index.tolist(), self.upper_index.tolist()))
+        for low, up in self.pairs:
+            # Validate bounds exactly like the evaluator does per pair.
+            ThresholdPolicy(self.values[low], self.values[up])
+        self.totals = [[0, 0, 0, 0] for _ in self.pairs]
+        self.discarded: list[list[int]] = []
+        self.below_upper: list[list[int]] = []
+
+
 class IncrementalThresholdScorer:
     """Scores threshold pairs in O(frames whose decision changed).
 
@@ -92,6 +127,8 @@ class IncrementalThresholdScorer:
     :class:`ThresholdScore` equal field-for-field (bit-for-bit floats)
     to the evaluator's — it just avoids re-matching labels for frames
     whose send/keep/discard decision it has already seen.
+    :meth:`evaluate_grid` returns the same scores for a whole grid from a
+    running table that only ever visits a frame once.
 
     The scorer may start empty and grow via :meth:`add_frame`, which is
     how the runtime adapter feeds it freshly validated frames.
@@ -101,6 +138,7 @@ class IncrementalThresholdScorer:
         self._frames = [_FrameEntry(trace) for trace in (traces or [])]
         self._match_overlap = match_overlap
         self._cache: dict[tuple[float, float], ThresholdScore] = {}
+        self._table: _GridTable | None = None
         self._evaluations = 0
         self._frame_rescores = 0
 
@@ -119,7 +157,7 @@ class IncrementalThresholdScorer:
 
     @property
     def evaluations(self) -> int:
-        """Threshold pairs actually scored (cache hits do no work)."""
+        """Threshold pairs scored (:meth:`evaluate` cache hits do no work)."""
         return self._evaluations
 
     @property
@@ -136,7 +174,9 @@ class IncrementalThresholdScorer:
         """Append one profiled frame and invalidate cached pair scores.
 
         Per-frame decision states already computed for *other* frames
-        stay cached; only the aggregated ``ThresholdScore``s are stale.
+        stay cached, and the grid table is untouched: the frame is
+        folded into it (and its label matching paid for) by the next
+        :meth:`evaluate_grid`, not here.
         """
         self._frames.append(_FrameEntry(trace))
         self._cache.clear()
@@ -165,12 +205,7 @@ class IncrementalThresholdScorer:
             below_upper = bisect_right(confidences, upper)
             sent = below_upper > discarded
 
-            state = (discarded, sent)
-            stats = frame.stats.get(state)
-            if stats is None:
-                stats = self._frame_stats(frame, discarded, sent)
-                frame.stats[state] = stats
-                self._frame_rescores += 1
+            stats = self._frame_stats(frame, discarded, sent)
             true_positives += stats[0]
             false_positives += stats[1]
             false_negatives += stats[2]
@@ -194,7 +229,69 @@ class IncrementalThresholdScorer:
         self._cache[key] = score
         return score
 
+    def evaluate_grid(self, step: float) -> list[ThresholdScore]:
+        """Score every pair of the ``step`` grid, in ``(θL, θU)`` order.
+
+        Equal, score for score, to ``[evaluate(l, u) for each pair]`` —
+        but only the frames added since the previous call are visited:
+        each is bisected once per grid value and added to the running
+        per-pair totals.  The table is kept for one grid; asking for
+        another ``step`` rebuilds it from the (memoised) frame states.
+        """
+        table = self._table
+        if table is None or table.step != step:
+            table = self._table = _GridTable(step)
+        frames = self._frames
+        if not frames:
+            raise ValueError("cannot evaluate thresholds without any frame traces")
+        for frame in frames[len(table.discarded):]:
+            self._fold(table, frame)
+        self._evaluations += len(table.pairs)
+
+        # Latency averages must be sum() of a trace-ordered list, like the
+        # evaluator's; one (frames x pairs) select builds all the lists.
+        sent = (
+            np.array(table.below_upper)[:, table.upper_index]
+            > np.array(table.discarded)[:, table.lower_index]
+        )
+        final_latencies = np.where(
+            sent,
+            np.array([frame.sent_latency for frame in frames])[:, None],
+            np.array([frame.unsent_latency for frame in frames])[:, None],
+        ).T.tolist()
+        count = len(frames)
+        average_initial = sum([frame.initial_latency for frame in frames]) / count
+        values = table.values
+        return [
+            ThresholdScore(
+                lower=values[low],
+                upper=values[up],
+                bandwidth_utilization=sent_count / count,
+                f_score=AccuracyReport(tp, fp, fn).f_score,
+                average_final_latency=sum(latencies) / count,
+                average_initial_latency=average_initial,
+            )
+            for (low, up), (tp, fp, fn, sent_count), latencies in zip(
+                table.pairs, table.totals, final_latencies
+            )
+        ]
+
     # -- internal -----------------------------------------------------------
+    def _fold(self, table: _GridTable, frame: _FrameEntry) -> None:
+        """Add one frame's contribution to every grid pair's totals."""
+        confidences = frame.confidences
+        discarded = [bisect_left(confidences, value) for value in table.values]
+        below_upper = [bisect_right(confidences, value) for value in table.values]
+        for totals, (low, up) in zip(table.totals, table.pairs):
+            sent = below_upper[up] > discarded[low]
+            stats = self._frame_stats(frame, discarded[low], sent)
+            totals[0] += stats[0]
+            totals[1] += stats[1]
+            totals[2] += stats[2]
+            totals[3] += sent
+        table.discarded.append(discarded)
+        table.below_upper.append(below_upper)
+
     def _frame_stats(self, frame: _FrameEntry, discarded: int, sent: bool) -> tuple[int, int, int]:
         """Confusion-matrix contribution of one frame in one decision state.
 
@@ -202,7 +299,12 @@ class IncrementalThresholdScorer:
         ``θL``; because the confidences are sorted and the bisect
         boundary is strict, it uniquely determines the surviving label
         set (every detection with confidence ≥ the first survivor's).
+        Memoised per state on the frame; a miss is one ``frame_rescores``.
         """
+        state = (discarded, sent)
+        stats = frame.stats.get(state)
+        if stats is not None:
+            return stats
         detections = frame.labels.detections
         if not detections:
             survivors = frame.labels
@@ -219,7 +321,10 @@ class IncrementalThresholdScorer:
             survivors, frame.cloud_labels, sent, frame.frame_id, self._match_overlap
         )
         report = evaluate_detections(observed, frame.cloud_labels, min_overlap=self._match_overlap)
-        return (report.true_positives, report.false_positives, report.false_negatives)
+        stats = (report.true_positives, report.false_positives, report.false_negatives)
+        frame.stats[state] = stats
+        self._frame_rescores += 1
+        return stats
 
 
 def _scorer_for(evaluator: ThresholdEvaluator | IncrementalThresholdScorer) -> IncrementalThresholdScorer:
@@ -237,68 +342,25 @@ def coordinate_descent_search(
     evaluator: ThresholdEvaluator | IncrementalThresholdScorer,
     target_f_score: float,
     step: float = 0.05,
-    max_sweeps: int = 10,
 ) -> OptimizationResult:
-    """Multi-start, multi-pass coordinate descent over ``(θL, θU)``.
+    """The exact grid optimum, from an incrementally maintained table.
 
-    One descent runs per ``θU`` grid line: starting wide at
-    ``(0, θU)``, alternately sweep every grid value of one threshold
-    with the other fixed — moving to the sweep's best pair under the
-    same selection rule as :func:`~repro.core.optimizer.brute_force_search`
-    — until neither axis moves.  The single-start version stalls in
-    local optima (a narrow low-bandwidth band elsewhere in the grid is
-    unreachable one axis at a time), so the starts fan out across the
-    ``θU`` axis; their first sweeps jointly cover every grid pair, and
-    the final winner is chosen over all examined pairs in grid order —
-    **exactly** the brute-force optimum, tie-breaks included.
+    This is :func:`~repro.core.optimizer.brute_force_search` run on the
+    evaluator's incremental scorer: every pair of the ``step`` grid is
+    scored (:meth:`IncrementalThresholdScorer.evaluate_grid`) and the
+    winner is chosen over all of them in ``(θL, θU)`` order — the same
+    optimum, tie-breaks included; ``evaluations`` is the number of grid
+    pairs.  No descent is run (the public name predates the table).
 
     The work is not in the pairs but in the label matching, and that is
     where the incremental scorer wins: each frame is re-matched only
     once per distinct decision state (at most ``2·(detections + 1)``
     regardless of grid resolution), so the default grid here is twice
-    as fine as the brute-force default at ≥10× fewer full-frame
-    label-match operations (tracked in ``frame_rescores``).  Pass the
-    same ``step`` to both searches when comparing optima directly.
+    as fine as the brute-force default while ``frame_rescores`` — the
+    full-frame label matches actually performed — stays ≥10× below the
+    ``evaluations × frames`` the evaluator would pay.  A repeated search
+    over a history that grew (the online retune loop) only visits the
+    new frames.  Pass the same ``step`` to both searches when comparing
+    optima directly.
     """
-    scorer = _scorer_for(evaluator)
-    values = _grid(step)
-    rescores_before = scorer.frame_rescores
-    examined: dict[tuple[float, float], ThresholdScore] = {}
-
-    def score_of(pair_lower: float, pair_upper: float) -> ThresholdScore:
-        key = (round(pair_lower, 6), round(pair_upper, 6))
-        if key not in examined:
-            examined[key] = scorer.evaluate(*key)
-        return examined[key]
-
-    for start_upper in reversed(values):
-        lower, upper = values[0], start_upper
-        for _ in range(max_sweeps):
-            moved = False
-
-            column = [score_of(value, upper) for value in values if value <= upper]
-            best = _select_best(column, target_f_score)
-            if best.lower != lower:
-                lower = best.lower
-                moved = True
-
-            row = [score_of(lower, value) for value in values if value >= lower]
-            best = _select_best(row, target_f_score)
-            if best.upper != upper:
-                upper = best.upper
-                moved = True
-
-            if not moved:
-                break
-
-    ordered = sorted(examined.values(), key=lambda s: (s.lower, s.upper))
-    best = _select_best(ordered, target_f_score)
-    feasible = best.f_score >= target_f_score
-    return OptimizationResult(
-        best=best,
-        evaluations=len(examined),
-        target_f_score=target_f_score,
-        feasible=feasible,
-        scores=tuple(ordered),
-        frame_rescores=scorer.frame_rescores - rescores_before,
-    )
+    return brute_force_search(_scorer_for(evaluator), target_f_score, step=step)

@@ -16,6 +16,7 @@ search — are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.config import CroesusConfig
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
@@ -25,6 +26,9 @@ from repro.detection.labels import Detection, LabelSet
 from repro.detection.matching import match_labels
 from repro.detection.metrics import aggregate_reports, evaluate_detections
 from repro.video.library import make_video
+
+if TYPE_CHECKING:
+    from repro.core.incremental import IncrementalThresholdScorer
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,7 @@ def hypothetical_observed(
 
 
 def brute_force_search(
-    evaluator: ThresholdEvaluator,
+    evaluator: ThresholdEvaluator | IncrementalThresholdScorer,
     target_f_score: float,
     step: float = 0.1,
 ) -> OptimizationResult:
@@ -252,6 +256,8 @@ def brute_force_search(
     Among pairs meeting the F-score floor, the pair with the lowest
     bandwidth utilisation wins; latency breaks ties.  When no pair is
     feasible, the highest-F-score pair is returned with ``feasible=False``.
+    Only ``evaluate_grid`` and ``frame_rescores`` are used, so the
+    incremental scorer's grid table is searched by the same code.
     """
     rescores_before = evaluator.frame_rescores
     scores = evaluator.evaluate_grid(step=step)

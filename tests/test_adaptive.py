@@ -168,6 +168,23 @@ class TestRetuneController:
         manager.adapt_all(now=2.0)  # nothing observed since the last tick
         assert manager.tuner_evaluations == evaluations
 
+    def test_frames_are_charged_at_the_tick_that_folds_them(self):
+        """Label matching is paid lazily, by the search — frames observed
+        after the last tick of a run cost nothing."""
+        manager = _manager("retune", min_samples=2)
+        for i in range(4):
+            manager.observe_frame("cam0", sent=True, corrections=0, trace=_trace(i, (0.5,)))
+        manager.adapt_all(now=1.0)
+        rescores = manager.tuner_frame_rescores
+        assert rescores > 0
+        for i in range(4, 8):
+            manager.observe_frame(
+                "cam0", sent=True, corrections=0, trace=_trace(i, (0.2, 0.6, 0.8))
+            )
+        assert manager.tuner_frame_rescores == rescores
+        manager.adapt_all(now=2.0)
+        assert manager.tuner_frame_rescores > rescores
+
     def test_unsent_frames_do_not_feed_the_scorer(self):
         """Only validated frames carry cloud labels the edge can learn from."""
         manager = _manager("retune", min_samples=2)
@@ -193,6 +210,36 @@ class TestAdaptiveScenario:
         assert len(report.adaptation["stream_thresholds"]) == report.scenario["streams"]
         # The artifact-gated bound: incremental rescores >= 10x under grid cost.
         assert report.tuner_frame_rescores * 10 <= report.adaptation["tuner_grid_rescores"]
+
+    @pytest.mark.parametrize(
+        "overrides, updates, evaluations, rescores, grid_rescores, thresholds",
+        [
+            (
+                {},
+                52, 15750, 1175, 283920,
+                {"cam0-v1": [0.0, 0.2], "cam1-v2": [0.2, 0.3],
+                 "cam2-v3": [0.65, 0.9], "cam3-v4": [0.3, 0.35]},
+            ),
+            (
+                {"deployment": "single", "num_edges": 1},
+                10, 2310, 134, 25410,
+                {"v1": [0.15, 0.25]},
+            ),
+        ],
+        ids=["cluster", "single-edge"],
+    )
+    def test_retune_trajectory_is_pinned(
+        self, overrides, updates, evaluations, rescores, grid_rescores, thresholds
+    ):
+        """The tuner's choices and metered work on both deployments, as
+        recorded before the search moved onto the running grid table:
+        same optimum at every tick, same label-match count."""
+        report = run_scenario(get_scenario("adaptive-thresholds").with_(**overrides))
+        assert report.threshold_updates == updates
+        assert report.tuner_evaluations == evaluations
+        assert report.tuner_frame_rescores == rescores
+        assert report.adaptation["tuner_grid_rescores"] == grid_rescores
+        assert report.adaptation["stream_thresholds"] == thresholds
 
     def test_static_run_reports_no_adaptation(self):
         spec = get_scenario("adaptive-thresholds").with_(threshold_adaptation=None)

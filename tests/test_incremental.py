@@ -2,13 +2,17 @@
 
 The contract under test is exactness: ``IncrementalThresholdScorer`` is
 a *performance* rewrite of ``ThresholdEvaluator.evaluate`` — every score
-it returns must be bit-identical to the evaluator's, and
-``coordinate_descent_search`` must land on the same optimum as
-``brute_force_search`` (same grid, same tie-breaks) while re-matching
-far fewer frames.
+it returns, pair by pair or off its running grid table, must be
+bit-identical to the evaluator's, and ``coordinate_descent_search`` must
+return the same optimum as ``brute_force_search`` (same grid, same
+tie-breaks) while re-matching far fewer frames.
 """
 
 from __future__ import annotations
+
+import math
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +135,86 @@ class TestScorerMatchesEvaluator:
         scorer = IncrementalThresholdScorer.from_evaluator(evaluator)
         for reference in evaluator.evaluate_grid(step=0.1):
             assert scorer.evaluate(reference.lower, reference.upper) == reference
+
+
+# -- the running grid table ----------------------------------------------------
+
+#: A search point: (history length to grow to, grid step, F-score target).
+search_points = st.tuples(
+    st.integers(1, 12), st.sampled_from([0.05, 0.1]), st.sampled_from([0.5, 0.8, 1.01])
+)
+
+
+class TestGridTable:
+    @given(trace_lists, st.lists(search_points, min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_interleaved_adds_and_searches_match_brute_force(self, contents, points):
+        """Any interleaving of ``add_frame`` and searches (the step may
+        change between them): the table's scores, and the search result,
+        are those of a from-scratch brute force over the same history."""
+        traces = _build_traces(contents)
+        scorer = IncrementalThresholdScorer()
+        for length, step, target in points:
+            length = min(length, len(traces))
+            for trace in traces[scorer.num_frames:length]:
+                scorer.add_frame(trace)
+            history = traces[:scorer.num_frames]  # never shrinks
+
+            result = coordinate_descent_search(scorer, target_f_score=target, step=step)
+            brute = brute_force_search(ThresholdEvaluator(history), target, step=step)
+            assert result.scores == brute.scores
+            assert result.best == brute.best
+            assert result.feasible == brute.feasible
+            assert result.evaluations == brute.evaluations
+            for score in result.scores:
+                assert scorer.evaluate(score.lower, score.upper) == score
+
+    def test_latency_averages_keep_the_builtin_sum_semantics(self):
+        """Ill-conditioned latencies, where a running ``+=`` total, the
+        builtin ``sum`` of Python >= 3.12 (compensated) and the exact sum
+        disagree: the table must reproduce whatever ``sum()`` of the
+        trace-ordered list gives the evaluator on this interpreter."""
+        latencies = [1e16, 1.0, -1e16, 1.0, 3.0, 1e16, 1.0, -1e16]
+        assert reduce(add, latencies) != math.fsum(latencies)  # the case discriminates
+        traces = [
+            FrameTrace(
+                frame_id=frame_id,
+                edge_labels=_label_set(frame_id, [(0, 0.1 * frame_id), (1, 0.5)], "edge"),
+                cloud_labels=_label_set(frame_id, [(0, 0.99)], "cloud"),
+                observed_labels=_label_set(frame_id, [], "edge"),
+                sent_to_cloud=True,
+                latency=LatencyBreakdown(edge_detection=value, cloud_detection=value / 3),
+                accuracy=AccuracyReport(0, 0, 0),
+            )
+            for frame_id, value in enumerate(latencies)
+        ]
+        evaluator = ThresholdEvaluator(traces)
+        scorer = IncrementalThresholdScorer()
+        for trace in traces[:5]:
+            scorer.add_frame(trace)
+        coordinate_descent_search(scorer, target_f_score=0.8, step=0.1)
+        for trace in traces[5:]:
+            scorer.add_frame(trace)
+        result = coordinate_descent_search(scorer, target_f_score=0.8, step=0.1)
+        assert list(result.scores) == evaluator.evaluate_grid(step=0.1)
+        # Sent and unsent frames carry different latencies, so the
+        # per-pair averages really are re-summed per sent pattern.
+        assert len({score.average_final_latency for score in result.scores}) > 1
+
+    def test_searching_an_empty_scorer_raises_like_evaluate(self):
+        message = "cannot evaluate thresholds without any frame traces"
+        with pytest.raises(ValueError, match=message):
+            IncrementalThresholdScorer().evaluate(0.3, 0.7)
+        with pytest.raises(ValueError, match=message):
+            coordinate_descent_search(IncrementalThresholdScorer(), target_f_score=0.8)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, 0.6])
+    def test_invalid_step_is_rejected_before_any_table_exists(self, step):
+        scorer = IncrementalThresholdScorer(_build_traces([([(0, 0.5)], [0], 0.1, 0.1)]))
+        with pytest.raises(ValueError, match="grid step"):
+            coordinate_descent_search(scorer, target_f_score=0.8, step=step)
+        # A failed search leaves no half-built table behind.
+        assert coordinate_descent_search(scorer, target_f_score=0.8, step=0.1).evaluations == 55
 
 
 # -- coordinate descent vs brute force ----------------------------------------
