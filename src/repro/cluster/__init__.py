@@ -5,15 +5,21 @@ transactions (paper Section 4.5).
 * :mod:`repro.cluster.node` — an edge replica owning a slice of the
   shared partitioned store;
 * :mod:`repro.cluster.router` — stream-to-edge placement policies;
-* :mod:`repro.cluster.scheduler` — frame interleaving onto one global
-  timeline (queueing is modelled by :mod:`repro.sim.engine` servers);
+* :mod:`repro.cluster.scheduler` — frame arrival timing (queueing is
+  modelled by :mod:`repro.sim.engine` servers);
+* :mod:`repro.cluster.config` — :class:`ClusterConfig`, the validated
+  description of one deployment;
 * :mod:`repro.cluster.system` — the :class:`ClusterSystem` deployment
-  mirroring :class:`~repro.core.system.CroesusSystem`'s run API;
+  mirroring :class:`~repro.core.system.CroesusSystem`'s run API: one
+  lazy driver per stream, one frame body, a sink for what is retained;
+* :mod:`repro.cluster.results` — :class:`ClusterRunResult` and the
+  per-edge / per-frame records it aggregates;
 * :mod:`repro.cluster.failure` — scheduled replica failure/recovery and
   runtime partition re-sharding, executed as engine events over the
   write-ahead-log durability seam of :mod:`repro.storage`.
 """
 
+from repro.cluster.config import ClusterConfig
 from repro.cluster.failure import (
     FailureRecord,
     FailureSpec,
@@ -21,6 +27,7 @@ from repro.cluster.failure import (
     ReshardSpec,
 )
 from repro.cluster.node import EdgeReplica
+from repro.cluster.results import ClusterRunResult, EdgeMetrics, MigrationRecord
 from repro.cluster.router import (
     ROUTER_POLICIES,
     ConsistentHashRouter,
@@ -33,15 +40,8 @@ from repro.cluster.router import (
     StreamRouter,
     make_router,
 )
-from repro.cluster.scheduler import FrameArrival, FrameScheduler
-from repro.cluster.system import (
-    ClusterConfig,
-    ClusterRunResult,
-    ClusterSystem,
-    EdgeMetrics,
-    MigrationRecord,
-    hotspot_bank_factory,
-)
+from repro.cluster.scheduler import FrameScheduler
+from repro.cluster.system import ClusterSystem, empty_bank_factory, hotspot_bank_factory
 
 __all__ = [
     "ClusterConfig",
@@ -49,7 +49,6 @@ __all__ = [
     "ClusterSystem",
     "EdgeMetrics",
     "EdgeReplica",
-    "FrameArrival",
     "FrameScheduler",
     "ROUTER_POLICIES",
     "StreamRouter",
@@ -62,6 +61,7 @@ __all__ = [
     "MigrationRecord",
     "RoutingError",
     "make_router",
+    "empty_bank_factory",
     "hotspot_bank_factory",
     "FailureSpec",
     "FailureRecord",

@@ -1,7 +1,7 @@
 """Replica failure/recovery and partition re-sharding as engine events.
 
 The availability scenarios are driven by two declarative schedules on
-:class:`~repro.cluster.system.ClusterConfig`:
+:class:`~repro.cluster.config.ClusterConfig`:
 
 * a **failure schedule** — :class:`FailureSpec` entries naming which
   edge fails when and when its host restarts.  At ``fail_at`` the

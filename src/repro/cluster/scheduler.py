@@ -1,103 +1,38 @@
-"""Frame interleaving: many camera streams onto one global timeline.
+"""Frame arrival timing: when each stream's frames reach the cluster.
 
-Many camera streams feed one cluster concurrently.  The scheduler merges
-their frames into one global arrival order (each stream captures a frame
-every ``frame_interval`` seconds, phase-shifted so streams do not tick in
-lockstep).  Each arrival becomes one process on the discrete-event
-engine (:mod:`repro.sim.engine`); the per-edge queueing itself is
-modelled by the engine's finite-capacity :class:`~repro.sim.engine.Server`
-resources, which serve each frame's measured detection + transaction
-cost, so a slow or overloaded edge accumulates backlog and the waiting
-time shows up in the latency of every queued frame.
+Many camera streams feed one cluster concurrently; each captures a frame
+every ``frame_interval`` seconds.  The scheduler is the single owner of
+that arithmetic: where a closed-loop stream starts (phase-shifted so
+streams do not tick in lockstep) and when each of its frames arrives.
+The cluster's per-stream driver asks :meth:`FrameScheduler.arrival_time`
+for one frame at a time and starts one engine process per frame at its
+arrival instant; merging all streams into one global timeline is the
+event heap's job, and the per-edge queueing is modelled by the engine's
+finite-capacity :class:`~repro.sim.engine.Server` resources.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-from repro.video.frames import Frame
-from repro.video.synthetic import SyntheticVideo
-
-
-@dataclass(frozen=True, slots=True)
-class FrameArrival:
-    """One frame of one stream arriving at the cluster.
-
-    ``edge_id`` is the stream's *placement-time* home.  The cluster
-    routes each arrival through its current placement map at processing
-    time, so after a runtime migration the frame may actually be served
-    by a different edge — read the serving edge off
-    :attr:`~repro.core.results.FrameTrace.edge_id`, not from here.
-    """
-
-    arrival_time: float
-    stream_index: int
-    stream_name: str
-    edge_id: int
-    frame: Frame
-
 
 class FrameScheduler:
-    """Merges the frames of many streams into one global arrival order."""
+    """Arrival instants of every stream's frames."""
 
     def __init__(self, frame_interval: float = 1.0 / 30.0) -> None:
         if frame_interval <= 0:
             raise ValueError("frame_interval must be positive")
         self.frame_interval = float(frame_interval)
 
-    def interleave(
-        self,
-        streams: Sequence[SyntheticVideo],
-        placements: Sequence[int],
-    ) -> list[FrameArrival]:
-        """Arrival-ordered frames of all streams, tagged with their edge.
+    def phase_offsets(self, num_streams: int) -> list[float]:
+        """Start instants of ``num_streams`` closed-loop streams.
 
-        Stream ``i`` captures frame ``k`` at
-        ``k * frame_interval + i * frame_interval / len(streams)``; the
-        phase offset staggers the streams so arrivals interleave instead
-        of colliding on the same instant.
+        Stream ``i`` starts at ``i * frame_interval / num_streams``; the
+        phase offset staggers the streams so arrivals alternate instead
+        of colliding on the same instant.  Open-loop streams need none —
+        they start at their own admission instant, and the arrival
+        process already staggers them in time.
         """
-        if len(streams) != len(placements):
-            raise ValueError("need one placement per stream")
-        arrivals: list[FrameArrival] = []
-        for index, (video, edge_id) in enumerate(zip(streams, placements)):
-            offset = index * self.frame_interval / max(1, len(streams))
-            for frame in video.frames():
-                arrivals.append(
-                    FrameArrival(
-                        arrival_time=frame.frame_id * self.frame_interval + offset,
-                        stream_index=index,
-                        stream_name=video.name,
-                        edge_id=edge_id,
-                        frame=frame,
-                    )
-                )
-        arrivals.sort(key=lambda a: (a.arrival_time, a.stream_index, a.frame.frame_id))
-        return arrivals
+        return [index * self.frame_interval / num_streams for index in range(num_streams)]
 
-    def stream_arrivals(
-        self,
-        video: SyntheticVideo,
-        start: float,
-        edge_id: int,
-        stream_index: int = 0,
-    ) -> list[FrameArrival]:
-        """Arrivals of one stream that starts capturing at ``start``.
-
-        The open-loop counterpart of :meth:`interleave`: a stream minted
-        at runtime (by a :class:`~repro.traffic.source.TrafficSource`)
-        ticks from its own arrival instant, frame ``k`` arriving at
-        ``start + k * frame_interval``.  No phase offset is needed —
-        the arrival process already staggers streams in time.
-        """
-        return [
-            FrameArrival(
-                arrival_time=start + frame.frame_id * self.frame_interval,
-                stream_index=stream_index,
-                stream_name=video.name,
-                edge_id=edge_id,
-                frame=frame,
-            )
-            for frame in video.frames()
-        ]
+    def arrival_time(self, start: float, frame_id: int) -> float:
+        """Instant frame ``frame_id`` of a stream that began at ``start`` arrives."""
+        return start + frame_id * self.frame_interval

@@ -7,18 +7,22 @@ hash-partitioned datastore (paper Section 4.5):
 1. a router places every stream on an edge replica (round-robin,
    consistent-hash, least-loaded, a deliberately skewed hotspot
    placement, or the runtime-adaptive migrating policy);
-2. the scheduler interleaves all streams' frames into one global
-   timeline and every frame becomes one process on the shared
-   discrete-event engine (:mod:`repro.sim.engine`); each replica is a
+2. every stream gets one lazy driver on the shared discrete-event engine
+   (:mod:`repro.sim.engine`) that sleeps to each frame's arrival instant
+   (:mod:`repro.cluster.scheduler` owns the timing) and starts that
+   frame's body as its own process, so all streams' frames merge into
+   one global timeline and a stream's frames overlap whenever one is
+   still in flight when the next arrives; each replica is a
    finite-capacity server whose waiting time — driven by the replica's
    measured detection+transaction service times — shows up in frame
    latency, making overload visible;
-3. every frame runs the full Croesus flow on its home replica (edge
-   detection, initial sections, thresholding, cloud validation, final
-   sections), but transactions execute through the distributed
-   controllers of :mod:`repro.transactions.distributed`: lock requests
-   for keys hashed to another replica's partitions are routed there, and
-   commits run two-phase commit across the participating partitions;
+3. every frame runs the one frame body on its home replica — route →
+   shed → transfer → edge admit → detect → initial section → threshold →
+   cloud validate → final section → account — with transactions
+   executing through the distributed controllers of
+   :mod:`repro.transactions.distributed`: lock requests for keys hashed
+   to another replica's partitions are routed there, and commits run
+   two-phase commit across the participating partitions;
 4. the cloud itself can be a finite-capacity server
    (:attr:`ClusterConfig.cloud_servers`): validated frames from every
    edge contend for the cloud's model servers, and the time they queue
@@ -27,7 +31,11 @@ hash-partitioned datastore (paper Section 4.5):
    fed back into routing: when an edge's observed utilization crosses a
    threshold, the arriving stream's remaining frames are re-routed to
    the least-utilized edge (recorded as ``stream_migrated`` events);
-6. the run returns per-stream :class:`~repro.core.results.RunResult`\\ s
+6. each frame's outcome goes to the run's *sink* — the only thing
+   :attr:`ClusterConfig.record_frames` selects: per-frame traces, client
+   responses and labelled transfers when recording, streaming
+   aggregates otherwise.  What is simulated is the same either way;
+7. the run returns per-stream :class:`~repro.core.results.RunResult`\\ s
    plus cluster-level metrics: per-edge utilization and queue delay, the
    cross-edge transaction fraction, the 2PC abort rate, cloud queueing,
    and any migrations.
@@ -42,10 +50,10 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from statistics import mean
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.cluster.config import ClusterConfig
 from repro.cluster.failure import (
     FAILURE_DETECT_SECONDS,
     FailureInjector,
@@ -54,43 +62,41 @@ from repro.cluster.failure import (
     PromotionRecord,
     ReshardRecord,
     ReshardSpec,
-    normalize_failure_schedule,
-    normalize_resharding,
     recovery_time,
-    validate_failure_schedule,
 )
 from repro.cluster.node import EdgeReplica
-from repro.cluster.replication import REPLICATION_MODES, ReplicationManager
-from repro.cluster.router import (
-    ROUTER_POLICIES,
-    MigratingRouter,
-    MigrationTrigger,
-    make_router,
+from repro.cluster.replication import ReplicationManager
+from repro.cluster.results import (
+    ClusterRunResult,
+    EdgeMetrics,
+    FrameStatsAccumulator,
+    MigrationRecord,
 )
-from repro.cluster.scheduler import FrameArrival, FrameScheduler
-from repro.core.adaptive import ADAPTATION_MODES, AdaptationConfig, AdaptationManager
+from repro.cluster.router import MigratingRouter, MigrationTrigger, make_router
+from repro.cluster.scheduler import FrameScheduler
+from repro.core.adaptive import AdaptationConfig, AdaptationManager
 from repro.core.client import Client, ClientResponse
 from repro.core.cloud import CloudNode
-from repro.core.config import ConsistencyLevel, CroesusConfig
+from repro.core.config import ConsistencyLevel
 from repro.core.edge import FinalStageOutcome, InitialStageOutcome
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
 from repro.core.system import LABELS_MESSAGE_BYTES, observed_labels
-from repro.core.thresholds import ConfidenceInterval, ThresholdPolicy
-from repro.detection.metrics import AccuracyReport, aggregate_reports, evaluate_detections
-from repro.analysis.streaming import QuantileAccumulator
+from repro.core.thresholds import ThresholdPolicy
+from repro.detection.labels import LabelSet
+from repro.detection.metrics import AccuracyReport, evaluate_detections
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
-from repro.network.topology import MachineProfile
 from repro.sim.engine import At, Engine, ReferenceServer, Server
 from repro.sim.events import EventLog
 from repro.sim.rng import RngRegistry
 from repro.storage.partition import PartitionedStore
 from repro.traffic.admission import AdmissionController, make_admission
 from repro.traffic.shedding import SHED_APOLOGY, ApologyBudget, LoadShedder
-from repro.traffic.source import TrafficConfig, TrafficSource, TrafficStats, percentile
+from repro.traffic.source import TrafficConfig, TrafficSource, TrafficStats
 from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.ms_sr import ControllerStats
 from repro.transactions.policy import PolicyStats
+from repro.video.frames import Frame
 from repro.video.synthetic import SyntheticVideo
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
@@ -100,22 +106,22 @@ from repro.workloads.ycsb import YCSBWorkload
 #: partitions) never collide across replicas.
 BankFactory = Callable[[int], TransactionBank]
 
-#: Event objects retained by a fast-path (``record_frames=False``) run;
-#: per-kind counts stay exact for the whole run regardless.
+#: Event objects retained by a ``record_frames=False`` run; per-kind
+#: counts stay exact for the whole run regardless.
 FAST_PATH_EVENT_CAPACITY = 4096
 
-#: Busy intervals each fast-path server keeps; older intervals fold into
-#: a running busy-time total (whole-run utilization stays exact, only
-#: deep-history windowed loads lose resolution).
+#: Busy intervals each ``record_frames=False`` server keeps; older
+#: intervals fold into a running busy-time total (whole-run utilization
+#: stays exact, only deep-history windowed loads lose resolution).
 FAST_PATH_INTERVAL_RETENTION = 4096
 
 
 @contextmanager
 def _gc_suspended(active: bool):
-    """Suspend the cycle collector for the duration of a fast-path run.
+    """Suspend the cycle collector for the duration of a non-recording run.
 
-    The fast path allocates only short-lived, acyclic records (events,
-    admissions, label tuples) that reference counting reclaims the
+    Such a run allocates only short-lived, acyclic records (events,
+    label tuples, frame generators) that reference counting reclaims the
     moment they drop out of the frame pipeline — the collector finds
     nothing, but its generation scans are a double-digit share of a
     million-frame run's wall clock.  No-op when the collector is already
@@ -131,851 +137,143 @@ def _gc_suspended(active: bool):
         gc.enable()
 
 
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Everything that defines one cluster deployment.
+class _FrameSink:
+    """Where a run's per-frame outcomes go — what ``record_frames`` selects.
 
-    Attributes
-    ----------
-    base:
-        The per-edge Croesus configuration (models, thresholds, links,
-        safety level, seed).  The master seed of the whole cluster.
-    num_edges:
-        Number of edge replicas.
-    partitions_per_edge:
-        Partitions each replica hosts; the shared store has
-        ``num_edges * partitions_per_edge`` partitions in total.
-    router_policy:
-        Stream placement policy (see :data:`~repro.cluster.router.ROUTER_POLICIES`).
-    hotspot_fraction:
-        Skew of the ``"hotspot"`` policy (ignored by the others).
-    frame_interval:
-        Seconds between consecutive frames of one stream (1/30 ≈ 30 fps).
-    edge_machines:
-        Machine profiles cycled over the replicas; empty means every
-        replica runs on ``base.topology.edge_machine``.  Mixing profiles
-        models a heterogeneous cluster.
-    cloud_servers:
-        Number of concurrent validations the cloud can serve; ``None``
-        models an infinite cloud (no validation ever queues, the
-        original behaviour).  With a finite value, validated frames from
-        every edge contend for the cloud and their waiting time is
-        reported as ``cloud_queue_delay``.
-    migration_high, migration_low:
-        Hysteresis band of the ``"migrating"`` router: a stream migrates
-        off its edge when the edge's observed utilization reaches
-        ``migration_high``, and that edge's trigger re-arms only once
-        utilization falls back to ``migration_low``.
-    migration_window:
-        Length (seconds) of the sliding window over which the migrating
-        router observes edge utilization; a short window reacts to
-        recent overload instead of the whole run's average.
-    edge_discipline:
-        Admission discipline of the edge servers: ``"fifo"`` (the
-        default, arrival-ordered) or ``"priority"``, under which a
-        frame's initial stage overtakes queued final stages — the
-        fast-response path the engine's priority servers exist for.
-    failure_schedule:
-        Scheduled replica failures, as
-        :class:`~repro.cluster.failure.FailureSpec` entries or plain
-        ``(edge_id, fail_at, recover_at)`` tuples.  At ``fail_at`` the
-        edge's streams re-route, its in-flight transactions resolve
-        through the transaction-policy seam, and its partitions lose
-        their volatile stores; at ``recover_at`` the replica replays
-        its write-ahead logs and rejoins once the replay is done.
-    checkpoint_interval_s:
-        Period of the cluster-wide checkpointer; ``None`` (the default)
-        takes no periodic checkpoints, so a recovery replays the whole
-        log.  Shorter intervals buy faster recovery with more
-        checkpoint work — the availability sweeps' axis.
-    resharding:
-        Scheduled runtime partition moves, as
-        :class:`~repro.cluster.failure.ReshardSpec` entries or plain
-        ``(at, partition_id, to_edge)`` tuples; each move is a
-        checkpoint-copy plus a log-shipped tail.
-    failback:
-        When True, streams that failed over away from a crashed edge
-        migrate *back* once it rejoins, paced by the migration
-        machinery's hysteresis (a stream returns only when its interim
-        host is hot and the recovered edge has headroom).  Off by
-        default so existing seeded failure runs stay bit-for-bit.
-    failure_hazard_rate:
-        Expected failures per second of the probabilistic failure mode
-        (see :class:`~repro.cluster.failure.FailureInjector`); ``None``
-        (the default) uses only the explicit ``failure_schedule``.
-        Mutually exclusive with a non-empty schedule.
-    failure_outage_s:
-        Outage length of each hazard-drawn failure (the gap between
-        ``fail_at`` and the scheduled restart).
-    record_frames:
-        True (the default) keeps one :class:`~repro.core.results.FrameTrace`
-        per frame plus full client-response and event histories — the
-        exact, memory-hungry path every golden pin runs on.  False is
-        the **fast path**: per-frame results fold into streaming
-        accumulators (:class:`FrameStatsAccumulator`), the event log is
-        bounded, edge servers use streaming wait statistics and interval
-        retention, and open-loop streams run on one batched driver
-        process each — memory stays bounded at 10⁶+ frames.  Aggregate
-        metrics (means, rates, F-score) are computed from exact running
-        sums; latency percentiles are exact up to the accumulator's
-        buffer and within 1% beyond it.
-    reference_engine:
-        Run every server on the preserved pre-optimization
-        :class:`~repro.sim.engine.ReferenceServer` implementation.  The
-        scale-stress benchmark's yardstick; mutually exclusive with the
-        fast path.
-
-    The commit policy of the consistency layer comes from
-    ``base.transaction_policy`` (see
-    :data:`repro.transactions.policy.TXN_POLICIES`).
+    The frame body reports the same outcomes to either sink; a sink only
+    decides what is *retained*.
     """
 
-    base: CroesusConfig = field(default_factory=CroesusConfig)
-    num_edges: int = 2
-    partitions_per_edge: int = 1
-    router_policy: str = "round-robin"
-    hotspot_fraction: float = 0.75
-    frame_interval: float = 1.0 / 30.0
-    edge_machines: tuple[MachineProfile, ...] = ()
-    cloud_servers: int | None = None
-    migration_high: float = 0.85
-    migration_low: float = 0.5
-    migration_window: float = 1.0
-    edge_discipline: str = "fifo"
-    failure_schedule: tuple[FailureSpec, ...] = ()
-    checkpoint_interval_s: float | None = None
-    resharding: tuple[ReshardSpec, ...] = ()
-    failback: bool = False
-    failure_hazard_rate: float | None = None
-    failure_outage_s: float = 1.0
-    record_frames: bool = True
-    reference_engine: bool = False
-    #: Replicas per partition: 1 (the default) keeps the single-owner
-    #: behaviour bit-for-bit; ``k >= 2`` gives every partition ``k - 1``
-    #: warm backups fed by log shipping, and a crashed primary's
-    #: partitions fail over by *promotion* instead of checkpoint replay.
-    replication_factor: int = 1
-    #: Log-shipping ack discipline: ``"sync"`` (ack after all backups
-    #: apply), ``"quorum"`` (ack after a majority), or ``"async"``
-    #: (fire-and-forget with bounded staleness).  Inert at factor 1.
-    replication_mode: str = "sync"
-    #: Group-commit window (seconds) for each replica's local log
-    #: appends; ``None`` keeps the flush-per-append discipline.
-    wal_group_commit_window_s: float | None = None
-    #: Online threshold adaptation mode (``"feedback"`` or ``"retune"``,
-    #: see :data:`repro.core.adaptive.ADAPTATION_MODES`); ``None`` (the
-    #: default) keeps the static ``(θL, θU)`` pair on every stream and
-    #: builds no adaptation machinery at all.
-    threshold_adaptation: str | None = None
-    #: Simulated seconds between adaptation ticks (inert when
-    #: ``threshold_adaptation`` is ``None``).
-    adaptation_interval_s: float = 1.0
-    #: F-score floor the per-stream controllers steer towards.
-    adaptation_target_f: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.reference_engine and not self.record_frames:
-            raise ValueError(
-                "reference_engine requires record_frames=True (the reference "
-                "implementation is the full-recording pre-optimization path)"
-            )
-        if self.num_edges < 1:
-            raise ValueError("num_edges must be at least 1")
-        if self.partitions_per_edge < 1:
-            raise ValueError("partitions_per_edge must be at least 1")
-        if self.router_policy not in ROUTER_POLICIES:
-            known = ", ".join(ROUTER_POLICIES)
-            raise ValueError(
-                f"unknown router_policy {self.router_policy!r}; known policies: {known}"
-            )
-        if not 0.0 <= self.hotspot_fraction <= 1.0:
-            raise ValueError("hotspot_fraction must be in [0, 1]")
-        if self.frame_interval <= 0:
-            raise ValueError("frame_interval must be positive")
-        if self.cloud_servers is not None and self.cloud_servers < 1:
-            raise ValueError("cloud_servers must be at least 1 (or None for unbounded)")
-        if not 0.0 < self.migration_low <= self.migration_high:
-            raise ValueError(
-                "need 0 < migration_low <= migration_high, got "
-                f"({self.migration_low}, {self.migration_high})"
-            )
-        if self.migration_window <= 0:
-            raise ValueError("migration_window must be positive")
-        if self.edge_discipline not in Server.DISCIPLINES:
-            known = ", ".join(Server.DISCIPLINES)
-            raise ValueError(
-                f"unknown edge_discipline {self.edge_discipline!r}; expected one of {known}"
-            )
-        # The schedules arrive as plain tuples from the spec layer; the
-        # dataclass is frozen, so normalisation goes through __setattr__.
-        object.__setattr__(
-            self, "failure_schedule", normalize_failure_schedule(self.failure_schedule)
-        )
-        object.__setattr__(self, "resharding", normalize_resharding(self.resharding))
-        validate_failure_schedule(self.failure_schedule, self.num_edges)
-        for move in self.resharding:
-            if move.partition_id >= self.num_partitions:
-                raise ValueError(
-                    f"resharding names partition {move.partition_id}, but there are "
-                    f"{self.num_partitions} partitions"
-                )
-            if move.to_edge >= self.num_edges:
-                raise ValueError(
-                    f"resharding names edge {move.to_edge}, but there are {self.num_edges} edges"
-                )
-        if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
-            raise ValueError(
-                f"checkpoint_interval_s must be positive (or None), got "
-                f"{self.checkpoint_interval_s}"
-            )
-        if self.failure_hazard_rate is not None:
-            if self.num_edges < 2:
-                raise ValueError(
-                    "failure_hazard_rate needs at least 2 edges "
-                    "(streams must have a live edge to fail over to)"
-                )
-            # Range/exclusivity checks (including outage_s) live in the
-            # injector, which both failure modes flow through.
-            FailureInjector(
-                schedule=self.failure_schedule,
-                hazard_rate=self.failure_hazard_rate,
-                outage_s=self.failure_outage_s,
-            )
-        elif self.failure_outage_s <= 0:
-            raise ValueError(
-                f"failure_outage_s must be positive, got {self.failure_outage_s}"
-            )
-        if self.replication_mode not in REPLICATION_MODES:
-            known = ", ".join(REPLICATION_MODES)
-            raise ValueError(
-                f"unknown replication_mode {self.replication_mode!r}; known modes: {known}"
-            )
-        if self.replication_factor < 1:
-            raise ValueError(
-                f"replication_factor must be at least 1, got {self.replication_factor}"
-            )
-        if self.replication_factor > self.num_edges:
-            raise ValueError(
-                f"replication_factor {self.replication_factor} exceeds the "
-                f"{self.num_edges} edge(s) available (backups live on distinct edges)"
-            )
-        if self.replication_factor > 1 and self.resharding:
-            raise ValueError(
-                "replication and scheduled re-sharding are mutually exclusive "
-                "(a promotion re-homes partitions through its own protocol)"
-            )
-        if self.wal_group_commit_window_s is not None and self.wal_group_commit_window_s <= 0:
-            raise ValueError(
-                f"wal_group_commit_window_s must be positive (or None), got "
-                f"{self.wal_group_commit_window_s}"
-            )
-        if (
-            self.threshold_adaptation is not None
-            and self.threshold_adaptation not in ADAPTATION_MODES
-        ):
-            known = ", ".join(ADAPTATION_MODES)
-            raise ValueError(
-                f"unknown threshold_adaptation {self.threshold_adaptation!r}; "
-                f"expected one of {known}"
-            )
-        if self.adaptation_interval_s <= 0:
-            raise ValueError(
-                f"adaptation_interval_s must be positive, got {self.adaptation_interval_s}"
-            )
-        if not 0.0 < self.adaptation_target_f <= 1.0:
-            raise ValueError(
-                f"adaptation_target_f must be in (0, 1], got {self.adaptation_target_f}"
-            )
-
-    @property
-    def num_partitions(self) -> int:
-        """Total partitions of the shared store."""
-        return self.num_edges * self.partitions_per_edge
-
-    @property
-    def seed(self) -> int:
-        """Master seed of the cluster (the base config's seed)."""
-        return self.base.seed
-
-    @property
-    def transaction_policy(self) -> str:
-        """Commit policy of the consistency layer (from the base config)."""
-        return self.base.transaction_policy
-
-    def with_edges(self, num_edges: int) -> "ClusterConfig":
-        """Copy of this config with a different cluster size."""
-        return replace(self, num_edges=num_edges)
-
-    def with_router(self, policy: str) -> "ClusterConfig":
-        """Copy of this config with a different placement policy."""
-        return replace(self, router_policy=policy)
-
-    def with_cloud_servers(self, cloud_servers: int | None) -> "ClusterConfig":
-        """Copy of this config with a different cloud capacity."""
-        return replace(self, cloud_servers=cloud_servers)
-
-
-@dataclass(frozen=True)
-class EdgeMetrics:
-    """Per-edge outcome of one cluster run.
-
-    Queue-delay statistics cover every admission to the edge's queue —
-    each frame queues twice, once for its initial stage and once for
-    its final stage — so ``queue_jobs`` is about twice
-    ``frames_processed``.
-    """
-
-    edge_id: int
-    machine_name: str
-    owned_partitions: tuple[int, ...]
-    streams: tuple[str, ...]
-    frames_processed: int
-    queue_jobs: int
-    busy_time: float
-    utilization: float
-    mean_queue_delay: float
-    max_queue_delay: float
-
-
-@dataclass(frozen=True)
-class MigrationRecord:
-    """One stream re-routed at runtime by the ``"migrating"`` policy."""
-
-    time: float
-    stream: str
-    from_edge: int
-    to_edge: int
-    utilization: float
-
-
-class FrameStatsAccumulator:
-    """Streaming per-frame aggregates of a fast-path cluster run.
-
-    The ``record_frames=False`` path folds every served frame into this
-    accumulator instead of building a :class:`~repro.core.results.FrameTrace`,
-    so run memory stays bounded at 10⁶+ frames.  Counts, sums, and the
-    derived means/rates are exact; the final-latency percentiles come
-    from a :class:`~repro.analysis.streaming.QuantileAccumulator` — exact
-    nearest-rank up to its buffer, within 1% relative error beyond it.
-    """
-
-    __slots__ = (
-        "frames",
-        "sent_to_cloud",
-        "bytes_sent",
-        "latency_sums",
-        "true_positives",
-        "false_positives",
-        "false_negatives",
-        "transactions",
-        "corrections",
-        "apologies",
-        "cloud_queue_delay_sum",
-        "final_latency_ms",
-    )
-
-    #: Component order mirrors LatencyBreakdown.to_dict().
-    LATENCY_COMPONENTS = (
-        "edge_transfer",
-        "edge_detection",
-        "initial_txn",
-        "cloud_transfer",
-        "cloud_detection",
-        "final_txn",
-        "queue_delay",
-        "final_queue_delay",
-        "cloud_queue_delay",
-        "commit_protocol",
-        "commit_overlap_saved",
-    )
+    #: Streaming aggregates, when the sink keeps those instead of traces.
+    frame_stats: FrameStatsAccumulator | None = None
 
     def __init__(self) -> None:
-        self.frames = 0
-        self.sent_to_cloud = 0
-        self.bytes_sent = 0
-        self.latency_sums = [0.0] * len(self.LATENCY_COMPONENTS)
-        self.true_positives = 0
-        self.false_positives = 0
-        self.false_negatives = 0
-        self.transactions = 0
-        self.corrections = 0
-        self.apologies = 0
-        self.cloud_queue_delay_sum = 0.0
-        self.final_latency_ms = QuantileAccumulator()
+        self.results: dict[str, RunResult] = {}
 
-    def record(
+    def open(self, video: SyntheticVideo) -> RunResult:
+        """Register a stream; returns the result its frames account to."""
+        result = RunResult(system_name="croesus-cluster", video_key=video.name)
+        self.results[video.name] = result
+        return result
+
+
+class _StatsSink(_FrameSink):
+    """Sink of a ``record_frames=False`` run: streaming aggregates only.
+
+    Every served frame folds into one :class:`FrameStatsAccumulator`
+    and bumps its stream's frame count; nothing per-frame is retained,
+    so run memory stays bounded at 10⁶+ frames.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.frame_stats = FrameStatsAccumulator()
+
+    def describe(self, stream: str, frame_id: int) -> tuple[str, str]:
+        """Descriptions of a frame's upload and of its label download."""
+        return "", ""
+
+    def shed(self, stream: str, frame_id: int, when: float) -> None:
+        """A frame was shed at ``when``: its client gets the apology only."""
+
+    def record_frame(
         self,
-        latency: LatencyBreakdown,
-        accuracy,
+        result: RunResult,
+        edge_id: int,
+        initial: InitialStageOutcome,
+        initial_done: float,
+        final: FinalStageOutcome,
+        final_done: float,
+        cloud_labels: LabelSet,
+        observed: LabelSet,
+        latency: tuple[float, ...],
+        accuracy: AccuracyReport,
         sent_to_cloud: bool,
         bytes_sent: int,
-        transactions: int,
-        corrections: int,
-        apologies: int,
     ) -> None:
-        """Fold one served frame's outcome into the running aggregates."""
-        self.record_frame(
-            latency.edge_transfer,
-            latency.edge_detection,
-            latency.initial_txn,
-            latency.cloud_transfer,
-            latency.cloud_detection,
-            latency.final_txn,
-            latency.queue_delay,
-            latency.final_queue_delay,
-            latency.cloud_queue_delay,
-            latency.commit_protocol,
-            latency.commit_overlap_saved,
+        """Account one served frame: its two client responses (at
+        ``initial_done`` / ``final_done``) and its measured outcome."""
+        result.frames_streamed += 1
+        self.frame_stats.record_frame(
+            latency,
             accuracy,
             sent_to_cloud,
             bytes_sent,
-            transactions,
-            corrections,
-            apologies,
+            len(initial.triggered),
+            final.corrections,
+            len(final.apologies),
+        )
+
+
+class _TraceSink(_FrameSink):
+    """Sink of a ``record_frames=True`` run: keep everything.
+
+    One :class:`~repro.core.results.FrameTrace` per served frame, every
+    response a stream's client saw, and a description on every channel
+    transfer — the exact, memory-hungry retention every golden pin runs
+    on.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clients: dict[str, Client] = {}
+
+    def open(self, video: SyntheticVideo) -> RunResult:
+        self.clients[video.name] = Client(video)
+        return super().open(video)
+
+    def describe(self, stream: str, frame_id: int) -> tuple[str, str]:
+        return f"{stream}-frame-{frame_id}", f"{stream}-labels-{frame_id}"
+
+    def shed(self, stream: str, frame_id: int, when: float) -> None:
+        self.clients[stream].render(
+            ClientResponse(frame_id, "final", None, apologies=(SHED_APOLOGY,), timestamp=when)
         )
 
     def record_frame(
         self,
-        edge_transfer: float,
-        edge_detection: float,
-        initial_txn: float,
-        cloud_transfer: float,
-        cloud_detection: float,
-        final_txn: float,
-        queue_delay: float,
-        final_queue_delay: float,
-        cloud_queue_delay: float,
-        commit_protocol: float,
-        commit_overlap_saved: float,
-        accuracy,
+        result: RunResult,
+        edge_id: int,
+        initial: InitialStageOutcome,
+        initial_done: float,
+        final: FinalStageOutcome,
+        final_done: float,
+        cloud_labels: LabelSet,
+        observed: LabelSet,
+        latency: tuple[float, ...],
+        accuracy: AccuracyReport,
         sent_to_cloud: bool,
         bytes_sent: int,
-        transactions: int,
-        corrections: int,
-        apologies: int,
     ) -> None:
-        """Unboxed :meth:`record`: latency components as bare floats.
-
-        The inlined fast-path driver records every served frame through
-        this entry, skipping the per-frame :class:`LatencyBreakdown`
-        construction; the summation order matches
-        :attr:`LatencyBreakdown.final_latency` term for term, so the
-        accumulated values are bit-identical to the boxed path.
-        """
-        self.frames += 1
-        if sent_to_cloud:
-            self.sent_to_cloud += 1
-            self.cloud_queue_delay_sum += cloud_queue_delay
-        self.bytes_sent += bytes_sent
-        # Unrolled over LATENCY_COMPONENTS order: one add per component.
-        sums = self.latency_sums
-        sums[0] += edge_transfer
-        sums[1] += edge_detection
-        sums[2] += initial_txn
-        sums[3] += cloud_transfer
-        sums[4] += cloud_detection
-        sums[5] += final_txn
-        sums[6] += queue_delay
-        sums[7] += final_queue_delay
-        sums[8] += cloud_queue_delay
-        sums[9] += commit_protocol
-        sums[10] += commit_overlap_saved
-        self.true_positives += accuracy.true_positives
-        self.false_positives += accuracy.false_positives
-        self.false_negatives += accuracy.false_negatives
-        self.transactions += transactions
-        self.corrections += corrections
-        self.apologies += apologies
-        # Same association order as LatencyBreakdown.final_latency
-        # (initial_latency first), so the float sum is bit-identical.
-        final_latency = (
-            edge_transfer + queue_delay + edge_detection + initial_txn
-        ) + cloud_transfer + cloud_queue_delay + cloud_detection + final_queue_delay + final_txn + commit_protocol
-        self.final_latency_ms.add(final_latency * 1000.0)
-
-    @property
-    def average_latency(self) -> LatencyBreakdown:
-        """Component-wise mean breakdown over the recorded frames."""
-        if not self.frames:
-            return LatencyBreakdown()
-        means = {
-            component: self.latency_sums[index] / self.frames
-            for index, component in enumerate(self.LATENCY_COMPONENTS)
-        }
-        return LatencyBreakdown(**means)
-
-    @property
-    def bandwidth_utilization(self) -> float:
-        """Fraction of recorded frames validated at the cloud."""
-        return self.sent_to_cloud / self.frames if self.frames else 0.0
-
-    @property
-    def mean_cloud_queue_delay(self) -> float:
-        """Mean cloud queueing over validated frames only."""
-        if not self.sent_to_cloud:
-            return 0.0
-        return self.cloud_queue_delay_sum / self.sent_to_cloud
-
-    @property
-    def f_score(self) -> float:
-        """Corpus-level F-score from the exact running tp/fp/fn counts."""
-        return AccuracyReport(
-            true_positives=self.true_positives,
-            false_positives=self.false_positives,
-            false_negatives=self.false_negatives,
-        ).f_score
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 of per-frame final latency, in milliseconds."""
-        return {
-            "p50_ms": self.final_latency_ms.percentile(50.0),
-            "p95_ms": self.final_latency_ms.percentile(95.0),
-            "p99_ms": self.final_latency_ms.percentile(99.0),
-        }
-
-
-@dataclass
-class ClusterRunResult:
-    """Aggregated outcome of one multi-stream cluster run.
-
-    ``placements`` holds the router's placement-time assignments; when
-    the ``"migrating"`` policy re-routed streams mid-run, every move is
-    in ``migrations`` and ``final_placements`` gives the end state.
-    """
-
-    router_policy: str
-    placements: dict[str, int]
-    per_stream: dict[str, RunResult]
-    edges: list[EdgeMetrics]
-    makespan: float
-    stats: ControllerStats
-    total_transactions: int = 0
-    cross_edge_transactions: int = 0
-    multi_partition_transactions: int = 0
-    cloud_servers: int | None = None
-    migrations: tuple[MigrationRecord, ...] = ()
-    transaction_policy: str = "immediate-2pc"
-    policy_stats: PolicyStats = field(default_factory=PolicyStats)
-    failures: tuple[FailureRecord, ...] = ()
-    reshards: tuple[ReshardRecord, ...] = ()
-    downtime_s: float = 0.0
-    recovery_time_s: float = 0.0
-    wal_records_replayed: int = 0
-    transactions_replayed: int = 0
-    txns_aborted_by_failure: int = 0
-    checkpoints: int = 0
-    #: Offered/admitted/shed accounting of an open-loop run (None for
-    #: the closed-loop path, which serves everything it is given).
-    traffic: TrafficStats | None = None
-    #: Streaming per-frame aggregates of a fast-path run (None on the
-    #: default full-recording path, which derives the same metrics from
-    #: the retained traces).
-    frame_stats: FrameStatsAccumulator | None = None
-    #: Warm failovers performed under replication (empty at factor 1).
-    promotions: tuple[PromotionRecord, ...] = ()
-    log_records_shipped: int = 0
-    replication_lag_s: float = 0.0
-    replication_ack_wait_s: float = 0.0
-    replication_factor: int = 1
-    replication_mode: str = "sync"
-    #: Online-adaptation accounting (all zero/empty under static thresholds).
-    adaptation_mode: str | None = None
-    threshold_updates: int = 0
-    tuner_evaluations: int = 0
-    tuner_frame_rescores: int = 0
-    tuner_grid_rescores: int = 0
-    #: Stream -> its final (θL, θU) after any runtime drift.
-    stream_thresholds: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    @property
-    def final_placements(self) -> dict[str, int]:
-        """Stream placements after any runtime migrations."""
-        placements = dict(self.placements)
-        for record in self.migrations:
-            placements[record.stream] = record.to_edge
-        return placements
-
-    @property
-    def num_migrations(self) -> int:
-        return len(self.migrations)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def num_frames(self) -> int:
-        """Frames processed across all streams."""
-        return sum(result.num_frames for result in self.per_stream.values())
-
-    @property
-    def throughput_fps(self) -> float:
-        """Cluster-wide frames per second of simulated time."""
-        return self.num_frames / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def cross_partition_fraction(self) -> float:
-        """Fraction of transactions that touched a remote replica's partition."""
-        if not self.total_transactions:
-            return 0.0
-        return self.cross_edge_transactions / self.total_transactions
-
-    @property
-    def two_phase_abort_rate(self) -> float:
-        """Fraction of attempted transactions aborted cluster-wide."""
-        return self.stats.abort_rate
-
-    @property
-    def coordinator_round_trips(self) -> int:
-        """Modelled coordinator round trips across all replicas."""
-        return self.policy_stats.coordinator_round_trips
-
-    @property
-    def round_trips_per_cross_edge_txn(self) -> float:
-        """Mean coordinator round trips per cross-edge transaction —
-        the number the batched policy exists to drive down."""
-        if not self.cross_edge_transactions:
-            return 0.0
-        return self.policy_stats.coordinator_round_trips / self.cross_edge_transactions
-
-    def policy_summary(self) -> dict[str, float]:
-        """Headline coordinator metrics of the active transaction policy.
-
-        Kept out of :meth:`summary` — whose key set is pinned by the
-        golden determinism tests — so policy experiments get their
-        numbers without disturbing the legacy trajectory schema.
-        """
-        return {
-            "coordinator_round_trips": float(self.policy_stats.coordinator_round_trips),
-            "cross_partition_commits": float(self.policy_stats.cross_partition_commits),
-            "commit_batches": float(self.policy_stats.commit_batches),
-            "coordinator_time_ms": self.policy_stats.coordinator_time_s * 1000.0,
-            "overlap_saved_ms": self.policy_stats.overlap_saved_s * 1000.0,
-            "prepare_vote_time_ms": self.policy_stats.prepare_vote_time_s * 1000.0,
-            "round_trips_per_cross_edge_txn": self.round_trips_per_cross_edge_txn,
-        }
-
-    @property
-    def num_failures(self) -> int:
-        return len(self.failures)
-
-    @property
-    def frames_replayed(self) -> int:
-        """Committed transactions re-applied from the WAL during recoveries."""
-        return self.transactions_replayed
-
-    def availability_summary(self) -> dict[str, float]:
-        """Failure/recovery/re-sharding metrics of one run.
-
-        A separate dictionary for the same reason as
-        :meth:`policy_summary`: the legacy :meth:`summary` key set is
-        pinned by the golden determinism tests.
-        """
-        return {
-            "failures": float(self.num_failures),
-            "downtime_ms": self.downtime_s * 1000.0,
-            "recovery_time_ms": self.recovery_time_s * 1000.0,
-            "wal_records_replayed": float(self.wal_records_replayed),
-            "frames_replayed": float(self.frames_replayed),
-            "txns_aborted_by_failure": float(self.txns_aborted_by_failure),
-            "checkpoints": float(self.checkpoints),
-            "reshards": float(len(self.reshards)),
-        }
-
-    def replication_summary(self) -> dict[str, float]:
-        """Log-shipping and warm-failover metrics of one run.
-
-        A third separate dictionary (alongside :meth:`policy_summary`
-        and :meth:`availability_summary`) because both of those key sets
-        are pinned by existing tests; at ``replication_factor == 1``
-        every value is zero.
-        """
-        return {
-            "replication_factor": float(self.replication_factor),
-            "promotions": float(len(self.promotions)),
-            "log_records_shipped": float(self.log_records_shipped),
-            "replication_lag_ms": self.replication_lag_s * 1000.0,
-            "replication_ack_wait_ms": self.replication_ack_wait_s * 1000.0,
-            "records_caught_up": float(
-                sum(record.records_caught_up for record in self.promotions)
-            ),
-        }
-
-    def adaptation_summary(self) -> dict[str, float]:
-        """Online threshold-adaptation metrics of one run.
-
-        A separate dictionary for the same reason as
-        :meth:`policy_summary`: the legacy :meth:`summary` key set is
-        pinned by the golden determinism tests.  ``tuner_grid_rescores``
-        is the label-match cost a non-incremental grid evaluator would
-        have paid for the same tuner invocations — the denominator of
-        the ≥10× reduction the benchmark artifact gates.
-        """
-        return {
-            "threshold_updates": float(self.threshold_updates),
-            "tuner_evaluations": float(self.tuner_evaluations),
-            "tuner_frame_rescores": float(self.tuner_frame_rescores),
-            "tuner_grid_rescores": float(self.tuner_grid_rescores),
-            "adapted_streams": float(len(self.stream_thresholds)),
-        }
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 of per-frame final latency, in milliseconds.
-
-        Computed over every served frame's arrival-to-final-commit time;
-        the tail (p99) is the number overload control exists to bound —
-        a mean hides exactly the frames that queued.
-        """
-        if self.frame_stats is not None:
-            return self.frame_stats.latency_percentiles()
-        totals = [
-            trace.latency.final_latency * 1000.0
-            for result in self.per_stream.values()
-            for trace in result.traces
-        ]
-        return {
-            "p50_ms": percentile(totals, 50.0),
-            "p95_ms": percentile(totals, 95.0),
-            "p99_ms": percentile(totals, 99.0),
-        }
-
-    @property
-    def goodput_fps(self) -> float:
-        """Frames fully served per second of simulated time.
-
-        For a closed-loop run this equals :attr:`throughput_fps`; in an
-        open-loop run shed and rejected frames are excluded — goodput is
-        what the clients actually got, not what the system touched.
-        """
-        if self.makespan <= 0:
-            return 0.0
-        if self.traffic is None:
-            return self.throughput_fps
-        return self.traffic.completed_frames / self.makespan
-
-    def traffic_summary(self) -> dict[str, float]:
-        """Offered-vs-admitted load, goodput, shedding and tail latency.
-
-        A separate dictionary for the same reason as
-        :meth:`policy_summary`: the legacy :meth:`summary` key set is
-        pinned by the golden determinism tests.  Empty when the run was
-        closed-loop.
-        """
-        if self.traffic is None:
-            return {}
-        span = self.makespan
-        percentiles = self.latency_percentiles()
-        return {
-            "offered_streams": float(self.traffic.offered_streams),
-            "admitted_streams": float(self.traffic.admitted_streams),
-            "rejected_streams": float(self.traffic.rejected_streams),
-            "offered_frames": float(self.traffic.offered_frames),
-            "admitted_frames": float(self.traffic.admitted_frames),
-            "shed_frames": float(self.traffic.shed_frames),
-            "completed_frames": float(self.traffic.completed_frames),
-            "offered_load_fps": self.traffic.offered_frames / span if span > 0 else 0.0,
-            "admitted_load_fps": self.traffic.admitted_frames / span if span > 0 else 0.0,
-            "goodput_fps": self.goodput_fps,
-            "shed_rate": self.traffic.shed_rate,
-            "rejection_rate": self.traffic.rejection_rate,
-            "apologies_spent": float(self.traffic.apologies_spent),
-            "p50_latency_ms": percentiles["p50_ms"],
-            "p95_latency_ms": percentiles["p95_ms"],
-            "p99_latency_ms": percentiles["p99_ms"],
-        }
-
-    @property
-    def mean_queue_delay(self) -> float:
-        """Mean queue delay per admission, over all edges' queues.
-
-        Every frame is admitted twice (initial and final stage), so this
-        averages over ``2 × num_frames`` waits cluster-wide.
-        """
-        jobs = sum(edge.queue_jobs for edge in self.edges)
-        if not jobs:
-            return 0.0
-        weighted = sum(edge.mean_queue_delay * edge.queue_jobs for edge in self.edges)
-        return weighted / jobs
-
-    @property
-    def max_utilization(self) -> float:
-        """Utilization of the busiest edge (1.0 means saturated)."""
-        return max((edge.utilization for edge in self.edges), default=0.0)
-
-    @property
-    def bandwidth_utilization(self) -> float:
-        """Cluster-wide fraction of frames validated at the cloud (the
-        paper's BU, aggregated over every stream's traces)."""
-        if self.frame_stats is not None:
-            return self.frame_stats.bandwidth_utilization
-        traces = [trace for result in self.per_stream.values() for trace in result.traces]
-        if not traces:
-            return 0.0
-        return sum(1 for trace in traces if trace.sent_to_cloud) / len(traces)
-
-    @property
-    def average_latency(self) -> LatencyBreakdown:
-        """Component-wise mean breakdown over every stream's frames."""
-        if self.frame_stats is not None:
-            return self.frame_stats.average_latency
-        return LatencyBreakdown.average(
-            [trace.latency for result in self.per_stream.values() for trace in result.traces]
+        frame_id = initial.frame_id
+        client = self.clients[result.video_key]
+        client.render(
+            ClientResponse(
+                frame_id,
+                "initial",
+                [entry.initial_result for entry in initial.committed],
+                timestamp=initial_done,
+            )
         )
-
-    @property
-    def mean_cloud_queue_delay(self) -> float:
-        """Mean time validated frames queued at the cloud.
-
-        Averaged over validated frames only (unvalidated frames never
-        visit the cloud); 0.0 when nothing was validated or the cloud
-        is unbounded.
-        """
-        if self.frame_stats is not None:
-            return self.frame_stats.mean_cloud_queue_delay
-        delays = [
-            trace.latency.cloud_queue_delay
-            for result in self.per_stream.values()
-            for trace in result.traces
-            if trace.sent_to_cloud
-        ]
-        return mean(delays) if delays else 0.0
-
-    @property
-    def f_score(self) -> float:
-        """Corpus-level F-score over every stream's observed labels."""
-        if self.frame_stats is not None:
-            return self.frame_stats.f_score
-        reports = [
-            trace.accuracy
-            for result in self.per_stream.values()
-            for trace in result.traces
-        ]
-        return aggregate_reports(reports).f_score
-
-    def summary(self) -> dict[str, float]:
-        """Compact dictionary of the headline cluster metrics.
-
-        ``num_cross_partition_txns`` is the absolute count behind
-        ``cross_partition_fraction`` and the 2PC abort rate: a 50% abort
-        rate over two cross-partition transactions means something very
-        different from one over two thousand, so the denominator ships
-        with the rates.
-        """
-        return {
-            "edges": float(self.num_edges),
-            "streams": float(len(self.per_stream)),
-            "frames": float(self.num_frames),
-            "makespan_s": self.makespan,
-            "throughput_fps": self.throughput_fps,
-            "mean_queue_delay_ms": self.mean_queue_delay * 1000.0,
-            "mean_cloud_queue_delay_ms": self.mean_cloud_queue_delay * 1000.0,
-            "max_utilization": self.max_utilization,
-            "cross_partition_fraction": self.cross_partition_fraction,
-            "num_cross_partition_txns": float(self.cross_edge_transactions),
-            "two_phase_abort_rate": self.two_phase_abort_rate,
-            "f_score": self.f_score,
-            "migrations": float(self.num_migrations),
-        }
+        client.render(
+            ClientResponse(frame_id, "final", None, final.apologies, timestamp=final_done)
+        )
+        result.add(
+            FrameTrace(
+                frame_id=frame_id,
+                edge_labels=initial.labels,
+                cloud_labels=cloud_labels,
+                observed_labels=observed,
+                sent_to_cloud=sent_to_cloud,
+                latency=LatencyBreakdown(*latency),
+                accuracy=accuracy,
+                transactions_triggered=len(initial.triggered),
+                corrections=final.corrections,
+                apologies=len(final.apologies),
+                frame_bytes_sent=bytes_sent,
+                edge_id=edge_id,
+            )
+        )
 
 
 @dataclass
@@ -984,9 +282,17 @@ class _RunState:
 
     engine: Engine
     cloud_server: Server
-    #: Current home edge of every stream (mutated by runtime migration).
-    current_edge: dict[str, int]
+    #: Where per-frame outcomes go (what ``record_frames`` selects).
+    sink: _StatsSink | _TraceSink
+    #: Controller/policy counters before the run (a run reports only its own work).
+    baseline: tuple
     frames_on_edge: list[int]
+    #: Placement-time home edge of every stream, in admission order.
+    placements: dict[str, int] = field(default_factory=dict)
+    #: Current home edge of every stream (mutated by runtime migration).
+    current_edge: dict[str, int] = field(default_factory=dict)
+    #: The run's frame body (see ``ClusterSystem._frame_pipeline``).
+    frame_body: Callable | None = None
     makespan: float = 0.0
     migrations: list[MigrationRecord] = field(default_factory=list)
     #: Per-edge failure flag (True from fail_at until the replica rejoins).
@@ -1016,9 +322,6 @@ class _RunState:
     admission: AdmissionController | None = None
     #: Per-frame load shedder of an open-loop run (None: never shed).
     shedder: LoadShedder | None = None
-    #: Streaming per-frame aggregates of a fast-path run (None on the
-    #: default full-recording path).
-    frame_stats: FrameStatsAccumulator | None = None
     #: Per-stream threshold controllers of an adaptive run (None when
     #: ``threshold_adaptation`` is off — the static-policy path).
     adaptation: AdaptationManager | None = None
@@ -1042,8 +345,8 @@ class ClusterSystem:
         self.config = config
         base = config.base
         self.rngs = RngRegistry(base.seed)
-        # The fast path bounds the event log: per-kind counts stay exact,
-        # only the retained window of event objects is capped.  When no
+        # A non-recording run bounds the event log: per-kind counts stay
+        # exact, only the retained window of event objects is capped.  When no
         # configured machinery needs the retained window (failure /
         # re-sharding timelines, batch-flush profiles), the log drops to
         # count-only and per-frame records cost two dict increments.
@@ -1191,8 +494,8 @@ class ClusterSystem:
         """Server builder for one replica, honouring the engine knobs.
 
         ``None`` (the default full-recording :class:`Server`) unless the
-        config selects the preserved reference implementation or the
-        fast path's streaming statistics + interval retention.
+        config selects the preserved reference implementation or, when
+        not recording, streaming statistics + interval retention.
         """
         config = self.config
         discipline = config.edge_discipline
@@ -1282,22 +585,23 @@ class ClusterSystem:
     def run(self, streams: Sequence[SyntheticVideo]) -> ClusterRunResult:
         """Run every stream to completion and return the cluster result.
 
-        Streams are placed on edges by the configured router, their
-        frames interleaved onto one global timeline, and every frame
-        becomes one process on the discrete-event engine: the initial
-        stage runs on the frame's (possibly migrated) home replica, the
-        cloud round trip — contending for the finite cloud servers when
-        :attr:`ClusterConfig.cloud_servers` is set — overlaps with other
-        frames on the same edge, and the final stage queues again at the
-        replica.  Each call starts from fresh servers and a clean event
-        log, and reports only its own transactions; note that reusing a
-        system continues the random streams, so build a fresh
-        :class:`ClusterSystem` when two runs must reproduce each other
-        bit for bit.  The *durable* state — the partitioned store and
-        its write-ahead logs — intentionally persists across runs: a
-        crash in a later run recovers everything earlier runs committed,
-        so that run's replay metrics cover the accumulated log tail, and
-        a re-shard that already ran is a no-op the second time.
+        Streams are placed on edges by the configured router and each
+        gets one lazy driver on the discrete-event engine that starts
+        one process per frame at the frame's (phase-shifted) arrival
+        instant: the initial stage runs on the frame's (possibly
+        migrated) home replica, the cloud round trip — contending for
+        the finite cloud servers when :attr:`ClusterConfig.cloud_servers`
+        is set — overlaps with other frames on the same edge, and the
+        final stage queues again at the replica.  Each call starts from
+        fresh servers and a clean event log, and reports only its own
+        transactions; note that reusing a system continues the random
+        streams, so build a fresh :class:`ClusterSystem` when two runs
+        must reproduce each other bit for bit.  The *durable* state —
+        the partitioned store and its write-ahead logs — intentionally
+        persists across runs: a crash in a later run recovers everything
+        earlier runs committed, so that run's replay metrics cover the
+        accumulated log tail, and a re-shard that already ran is a no-op
+        the second time.
         """
         if not streams:
             raise ValueError("need at least one stream")
@@ -1305,86 +609,18 @@ class ClusterSystem:
         if len(set(names)) != len(names):
             raise ValueError("stream names must be unique")
 
-        self.events.clear()
-        for replica in self.replicas:
-            replica.reset_run_state()
+        state = self._begin_run()
         placements = self.router.assign(names)
-        for name, edge_id in zip(names, placements):
-            self.replicas[edge_id].assign_stream(name)
-
-        record_frames = self.config.record_frames
-        clients: list[Client | None]
-        if record_frames:
-            clients = [Client(video) for video in streams]
-        else:
-            # Fast path: no client-response accretion; per-frame results
-            # fold into the streaming accumulator instead of traces.
-            clients = [None] * len(streams)
-        results = {
-            name: RunResult(system_name="croesus-cluster", video_key=name) for name in names
-        }
-
-        pre_stats, pre_records, pre_policy, pre_failure_aborts = self._pre_snapshot()
-
-        # Per-run execution state shared by the frame processes.
-        state = _RunState(
-            engine=Engine(),
-            cloud_server=self._make_cloud_server(),
-            current_edge=dict(zip(names, placements)),
-            frames_on_edge=[0] * len(self.replicas),
-            failed=[False] * len(self.replicas),
-            wake_at=[0.0] * len(self.replicas),
-        )
-        self._bind_run_engine(state)
-        state.adaptation = self._make_adaptation_manager()
-        if not record_frames:
-            state.frame_stats = FrameStatsAccumulator()
-        state.frames_left = {video.name: video.num_frames for video in streams}
-        if record_frames:
-            arrivals = list(self.scheduler.interleave(streams, placements))
-            state.frames_remaining = len(arrivals)
-            for arrival in arrivals:
-                state.engine.spawn(
-                    self._frame_process(state, arrival, clients[arrival.stream_index], results),
-                    at=arrival.arrival_time,
-                    name=f"{arrival.stream_name}-frame-{arrival.frame.frame_id}",
+        starts = self.scheduler.phase_offsets(len(streams))
+        horizon = 0.0
+        for video, edge_id, start in zip(streams, placements, starts, strict=True):
+            self._start_stream(state, video, edge_id, start)
+            if video.num_frames:
+                horizon = max(
+                    horizon, self.scheduler.arrival_time(start, video.num_frames - 1)
                 )
-            horizon = arrivals[-1].arrival_time if arrivals else 0.0
-        else:
-            # Fast path: one driver process per stream instead of one
-            # suspended generator per frame; the drivers reproduce the
-            # interleaver's phase-shifted per-stream timing.
-            state.frames_remaining = sum(video.num_frames for video in streams)
-            interval = self.scheduler.frame_interval
-            horizon = 0.0
-            for index, (video, edge_id) in enumerate(zip(streams, placements)):
-                offset = index * interval / max(1, len(streams))
-                if video.num_frames:
-                    horizon = max(horizon, offset + (video.num_frames - 1) * interval)
-                state.engine.spawn(
-                    self._stream_process(state, video, offset, edge_id, clients[index], results),
-                    at=offset,
-                    name=f"{video.name}-driver",
-                )
-        self._configure_load_tracking(state)
         self._spawn_run_processes(state, horizon)
-        with _gc_suspended(not self.config.record_frames):
-            state.engine.run()
-        # Flush any coordinator batches still open at the end of the run
-        # (latency lands in the policy stats; no frame is left waiting).
-        for replica in self.replicas:
-            replica.policy.commit(now=state.makespan)
-
-        return self._collect(
-            names,
-            placements,
-            results,
-            state,
-            pre_stats,
-            pre_records,
-            pre_policy,
-            pre_failure_aborts,
-        )
+        return self._finish_run(state)
 
     def run_open_loop(self, traffic: TrafficConfig) -> ClusterRunResult:
         """Serve an open-loop arrival process instead of a finite list.
@@ -1401,81 +637,76 @@ class ClusterSystem:
         offered/admitted/shed accounting; everything else reads exactly
         like a closed-loop result.
         """
-        self.events.clear()
-        for replica in self.replicas:
-            replica.reset_run_state()
-
-        names: list[str] = []
-        placements: list[int] = []
-        clients: dict[str, Client | None] = {}
-        results: dict[str, RunResult] = {}
-
-        pre_stats, pre_records, pre_policy, pre_failure_aborts = self._pre_snapshot()
-
-        state = _RunState(
-            engine=Engine(),
-            cloud_server=self._make_cloud_server(),
-            current_edge={},
-            frames_on_edge=[0] * len(self.replicas),
-            failed=[False] * len(self.replicas),
-            wake_at=[0.0] * len(self.replicas),
-        )
-        self._bind_run_engine(state)
-        state.adaptation = self._make_adaptation_manager()
-        if not self.config.record_frames:
-            state.frame_stats = FrameStatsAccumulator()
-        state.traffic = TrafficStats()
-        state.source_active = True
-        state.admission = make_admission(traffic.admission, rate=traffic.admission_rate)
-        if traffic.apology_budget is not None:
-            state.shedder = LoadShedder(
-                traffic.shed_threshold, ApologyBudget(traffic.apology_budget)
-            )
-
+        state = self._begin_run(traffic)
         source = TrafficSource(traffic, self.rngs)
 
-        def deliver(video: SyntheticVideo) -> None:
-            self._admit_stream(state, video, names, placements, clients, results)
-
         def source_process():
-            yield from source.drive(state.engine, deliver)
+            yield from source.drive(state.engine, lambda video: self._admit_stream(state, video))
             state.source_active = False
 
         state.engine.spawn(source_process(), at=0.0, name="traffic-source")
-        self._configure_load_tracking(state)
         self._spawn_run_processes(state, horizon=traffic.duration_s)
-        with _gc_suspended(not self.config.record_frames):
-            state.engine.run()
-        for replica in self.replicas:
-            replica.policy.commit(now=state.makespan)
-
-        return self._collect(
-            names,
-            placements,
-            results,
-            state,
-            pre_stats,
-            pre_records,
-            pre_policy,
-            pre_failure_aborts,
-        )
+        return self._finish_run(state)
 
     # -- shared run setup ---------------------------------------------------
-    def _bind_run_engine(self, state: "_RunState") -> None:
-        """Point the WAL ship hook at this run's engine, reset ship stats."""
+    def _begin_run(self, traffic: TrafficConfig | None = None) -> "_RunState":
+        """Fresh execution state over clean servers and a clean event log.
+
+        ``traffic`` switches on the open-loop controls (admission, the
+        apology-budgeted shedder, offered/admitted accounting).
+        """
+        self.events.clear()
+        for replica in self.replicas:
+            replica.reset_run_state()
+        state = _RunState(
+            engine=Engine(),
+            cloud_server=self._make_cloud_server(),
+            sink=_TraceSink() if self.config.record_frames else _StatsSink(),
+            baseline=self._pre_snapshot(),
+            frames_on_edge=[0] * len(self.replicas),
+            failed=[False] * len(self.replicas),
+            wake_at=[0.0] * len(self.replicas),
+            adaptation=self._make_adaptation_manager(),
+        )
+        if traffic is not None:
+            state.traffic = TrafficStats()
+            state.source_active = True
+            state.admission = make_admission(traffic.admission, rate=traffic.admission_rate)
+            if traffic.apology_budget is not None:
+                state.shedder = LoadShedder(
+                    traffic.shed_threshold, ApologyBudget(traffic.apology_budget)
+                )
+        # The WAL ship hook reads ``now`` off this run's engine.
         self._run_engine = state.engine
         if self._replication is not None:
             self._replication.begin_run(state.engine)
+        self._configure_load_tracking(state)
+        state.frame_body = self._frame_pipeline(state)
+        return state
+
+    def _finish_run(self, state: "_RunState") -> ClusterRunResult:
+        """Drain the engine and assemble the run's result."""
+        with _gc_suspended(not self.config.record_frames):
+            state.engine.run()
+        # The body closes over the state that holds it; drop the cycle
+        # instead of leaving a run's state to the cycle collector.
+        state.frame_body = None
+        # Flush any coordinator batches still open at the end of the run
+        # (latency lands in the policy stats; no frame is left waiting).
+        for replica in self.replicas:
+            replica.policy.commit(now=state.makespan)
+        return self._collect(state)
 
     def _configure_load_tracking(self, state: "_RunState") -> None:
         """Switch off per-server interval retention when nothing reads load.
 
         Windowed :meth:`~repro.sim.engine.Server.load` queries are
         consumed by the load shedder, the migrating router and the
-        failure/failover machinery.  A fast-path run with none of those
-        configured never calls ``load``, so the per-completion interval
-        bookkeeping is pure overhead; the recorded and reference paths
-        keep it on, exactly as the pre-optimization engine did.
+        failure/failover machinery.  A ``record_frames=False`` run with
+        none of those configured never calls ``load``, so the
+        per-completion interval bookkeeping is pure overhead; recording
+        and reference runs keep it on, exactly as the pre-optimization
+        engine did.
         """
         config = self.config
         if config.record_frames:
@@ -1577,28 +808,19 @@ class ClusterSystem:
                 name="threshold-adapter",
             )
 
-    def _admit_stream(
-        self,
-        state: "_RunState",
-        video: SyntheticVideo,
-        names: list[str],
-        placements: list[int],
-        clients: dict[str, Client | None],
-        results: dict[str, RunResult],
-    ) -> None:
-        """Admission-control one arriving stream; spawn its frames if it enters."""
-        engine = state.engine
+    def _admit_stream(self, state: "_RunState", video: SyntheticVideo) -> None:
+        """Admission-control one arriving stream; start its driver if it enters."""
         stats = state.traffic
-        now = engine.now
+        now = state.engine.now
         frames = video.num_frames
         stats.offered_streams += 1
         stats.offered_frames += frames
         # Best-case backlog: the wait a frame would face at the least
         # backlogged live edge right now (the queue-threshold signal).
-        # Probing it is a scan over every live edge, so fast-path runs
-        # skip it when the controller ignores the signal; recorded runs
-        # always compute it — the stream_arrival payload carries it.
-        if self.config.record_frames or state.admission.needs_backlog:
+        # Probing it is a scan over every live edge, so it is skipped
+        # when neither the controller nor a retained stream_arrival
+        # event would read it.
+        if self.events.capacity != 0 or state.admission.needs_backlog:
             backlog = min(
                 (
                     replica.server.backlog(now)
@@ -1624,125 +846,114 @@ class ClusterSystem:
         edge_id = self.router.place(video.name)
         if state.failed[edge_id]:
             edge_id = self._failover_target(state, now)
-        self.replicas[edge_id].assign_stream(video.name)
-        names.append(video.name)
-        placements.append(edge_id)
-        state.current_edge[video.name] = edge_id
-        state.frames_left[video.name] = frames
-        state.frames_remaining += frames
         stats.admitted_streams += 1
         stats.admitted_frames += frames
-        client = Client(video) if self.config.record_frames else None
-        clients[video.name] = client
-        results[video.name] = RunResult(system_name="croesus-cluster", video_key=video.name)
-        if self.config.record_frames:
-            for arrival in self.scheduler.stream_arrivals(video, start=now, edge_id=edge_id):
-                engine.spawn(
-                    self._frame_process(state, arrival, client, results),
-                    at=arrival.arrival_time,
-                    name=f"{arrival.stream_name}-frame-{arrival.frame.frame_id}",
-                )
-        else:
-            # Fast path: one driver process per stream walks the frame
-            # sequence and delegates into the per-frame pipeline, instead
-            # of materialising one suspended generator per frame up
-            # front — generator lifetime is bounded by one frame, not by
-            # the whole stream's span.
-            engine.spawn(
-                self._stream_process(state, video, now, edge_id, client, results),
-                at=now,
-                name=f"{video.name}-driver",
-            )
+        self._start_stream(state, video, edge_id, start=now)
 
-    def _stream_process(
-        self,
-        state: "_RunState",
-        video: SyntheticVideo,
-        start: float,
-        edge_id: int,
-        client: Client | None,
-        results: dict[str, RunResult],
+    # -- the frame pipeline: one driver per stream, one body per frame -------
+    def _start_stream(
+        self, state: "_RunState", video: SyntheticVideo, edge_id: int, start: float
+    ) -> None:
+        """Home a stream on ``edge_id`` and start its driver at ``start``."""
+        name = video.name
+        self.replicas[edge_id].assign_stream(name)
+        state.placements[name] = edge_id
+        state.current_edge[name] = edge_id
+        state.frames_left[name] = video.num_frames
+        state.frames_remaining += video.num_frames
+        result = state.sink.open(video)
+        state.engine.start(
+            self._stream_driver(state, video, start, result), name=f"{name}-driver"
+        )
+
+    def _stream_driver(
+        self, state: "_RunState", video: SyntheticVideo, start: float, result: RunResult
     ):
-        """Fast-path driver: one engine process runs a whole stream's frames.
+        """Lazy per-stream driver: sleep to each arrival, start that frame.
 
-        Walks the stream's frame sequence, sleeps until each arrival
-        instant, and runs the whole per-frame pipeline *inline* — the
-        specialised twin of :meth:`_frame_process` for the
-        ``record_frames=False`` configuration (``client`` is always
-        ``None`` here).  One generator per stream instead of one per
-        frame, no :class:`FrameArrival` boxing, loop-invariant lookups
-        hoisted out of the frame loop, and the one-shot
-        ``Server.acquire``/``finish`` admission path instead of
-        :class:`~repro.sim.engine.Admission` records.  Every simulated
-        quantity — and every RNG draw — is computed in the same order
-        and with the same float arithmetic as :meth:`_frame_process`,
-        which the fast-vs-recorded agreement tests in
-        ``tests/test_fast_path.py`` pin down.
-
-        Frames of one stream run back-to-back: exact whenever a frame
-        finishes before the next arrives (the pure-edge regime the
-        scale-stress scenario exercises, where the per-frame pipeline
-        never suspends), and a serialising approximation when a frame's
-        cloud round trip overlaps its successor's arrival.
+        Each frame's body starts as its own process *at* the arrival
+        instant, so a stream's frames overlap whenever one is still in
+        flight (cloud round trip, queued final) when its successor
+        arrives — an open-loop source stays open-loop.  Only one frame
+        generator per stream exists ahead of time, whatever the stream's
+        length.  Arrivals wake at event priority -1: a frame arriving at
+        the very instant of a failure, checkpoint or adaptation tick is
+        admitted before it, as if every arrival had been scheduled
+        before the run began.
         """
         engine = state.engine
-        stats = state.frame_stats
+        body = state.frame_body
+        name = video.name
+        arrival_time = self.scheduler.arrival_time
+        for frame in video.frames():
+            yield At(arrival_time(start, frame.frame_id), -1)
+            engine.start(body(name, result, frame), name)
+
+    def _frame_pipeline(self, state: "_RunState"):
+        """The frame body of one run, closed over the run's invariants.
+
+        Returns the generator function every driver starts once per
+        frame: route → shed → transfer → edge admit → detect → initial
+        section → threshold → cloud validate → (park / priority wait) →
+        final section → account.  What the run retains is the sink's
+        business; the body simulates the same thing either way.
+        """
+        engine = state.engine
+        sink = state.sink
         traffic = state.traffic
-        events = self.events
-        counting = events.capacity == 0
-        policy = self.policy
+        shedder = state.shedder
         adaptation = state.adaptation
-        cloud = self.cloud
-        replicas = self.replicas
         cloud_server = state.cloud_server
         current_edge = state.current_edge
         failed = state.failed
+        wake_at = state.wake_at
         frames_left = state.frames_left
         frames_on_edge = state.frames_on_edge
-        shedder = state.shedder
+        aborted_txns = state.aborted_txns
+        events = self.events
+        #: A count-only log never builds an event: bump the counter and
+        #: skip assembling the payload.
+        counting = events.capacity == 0
+        cloud = self.cloud
+        static_policy = self.policy
+        route = self._route_arrival
         migrating = isinstance(self.router, MigratingRouter)
         migration_window = self.config.migration_window
         match_overlap = self.config.base.match_overlap
         min_confidence = self.config.base.min_confidence
-        interval = self.scheduler.frame_interval
-        name = video.name
-        result = results[name]
+        priority_serving = self.config.edge_discipline == "priority"
+        # Under the priority discipline initial stages reserve eagerly
+        # (priority 1) while final stages defer their admission until the
+        # server is really free — an arriving initial always overtakes
+        # queued finals.
+        initial_priority = 1 if priority_serving else 0
+        # Per-edge bindings.  An idle node (no trigger rules, no feedback
+        # loop) makes both TPC stages pure label plumbing.
+        lanes = [
+            (
+                replica.server,
+                replica.node,
+                replica.policy,
+                self._client_edge[replica.edge_id],
+                self._edge_cloud[replica.edge_id],
+                not replica.node.bank.rules
+                and replica.node.smoother is None
+                and replica.node.feedback is None,
+            )
+            for replica in self.replicas
+        ]
 
-        # Per-edge bindings, refreshed only when routing moves the stream.
-        bound_edge = -1
-        replica = server = node = rpolicy = channel = edge_cloud = None
-        priority_serving = False
-        node_idle = False
-
-        for frame in video.frames():
-            arrival_time = start + frame.frame_id * interval
-            if arrival_time > engine.now:
-                yield At(arrival_time)
-
-            # -- routing (identical to _route_arrival) ------------------
-            if migrating:
-                edge_id = self._route_arrival(state, name)
-            else:
-                edge_id = current_edge[name]
-            if edge_id != bound_edge:
-                bound_edge = edge_id
-                replica = replicas[edge_id]
-                server = replica.server
-                node = replica.node
-                rpolicy = replica.policy
-                channel = self._client_edge[edge_id]
-                edge_cloud = self._edge_cloud[edge_id]
-                priority_serving = server.priority_serving
-                # An idle node (no trigger rules, no feedback loop) makes
-                # both TPC stages pure label plumbing — inlined below.
-                node_idle = (
-                    not node.bank.rules
-                    and node.smoother is None
-                    and node.feedback is None
-                )
-
+        def frame_body(name: str, result: RunResult, frame: Frame):
+            frame_id = frame.frame_id
+            edge_id = route(state, name) if migrating else current_edge[name]
+            server, node, rpolicy, client_edge, edge_cloud, node_idle = lanes[edge_id]
             now = engine.now
+
             if shedder is not None:
+                # Overload control: on a saturated edge, degrade this
+                # frame's initial stage to an apology (if the budget pays
+                # for it) instead of queueing it.  The client hears back
+                # immediately; the edge never sees the frame.
                 load = server.load(now, window=migration_window)
                 if shedder.should_shed(now, load):
                     traffic.shed_frames += 1
@@ -1753,59 +964,55 @@ class ClusterSystem:
                         events.record(
                             now,
                             "frame_shed",
-                            frame_id=frame.frame_id,
+                            frame_id=frame_id,
                             stream=name,
                             edge=edge_id,
                             load=load,
                         )
+                    sink.shed(name, frame_id, now)
                     if now > state.makespan:
                         state.makespan = now
                     state.frames_remaining -= 1
-                    left = frames_left.get(name)
-                    if left is not None:
-                        frames_left[name] = left - 1
-                    continue
+                    frames_left[name] -= 1
+                    return
 
             # -- initial stage ------------------------------------------
-            edge_transfer = channel.send(frame.size_bytes, now, "")
-            start_t, queue_delay = server.acquire(
-                now + edge_transfer, 1 if priority_serving else 0
-            )
-            edge_labels_raw, edge_detection = node.detect(frame)
+            # The frame holds its place in the edge's queue from the
+            # moment it arrives; service cannot start before the
+            # client->edge transfer lands (the admission's ready time).
+            frame_label, labels_label = sink.describe(name, frame_id)
+            edge_transfer = client_edge.send(frame.size_bytes, now, frame_label)
+            start, queue_delay = server.acquire(now + edge_transfer, initial_priority)
+            raw_labels, edge_detection = node.detect(frame)
             if node_idle:
                 # process_initial_stage with an empty bank and no
                 # feedback: filter, wrap, trigger nothing.
                 initial = InitialStageOutcome(
-                    frame_id=frame.frame_id,
-                    raw_labels=edge_labels_raw,
-                    labels=edge_labels_raw.filter_confidence(min_confidence),
+                    frame_id=frame_id,
+                    raw_labels=raw_labels,
+                    labels=raw_labels.filter_confidence(min_confidence),
                     detection_latency=edge_detection,
                 )
             else:
                 initial = node.process_initial_stage(
                     frame,
-                    edge_labels_raw,
-                    now=start_t + edge_detection,
+                    raw_labels,
+                    now=start + edge_detection,
                     detection_latency=edge_detection,
                 )
             initial_charge, _ = rpolicy.drain_frame_costs()
             initial_done = server.finish(
-                start_t, edge_detection + initial.txn_latency + initial_charge
+                start, edge_detection + initial.txn_latency + initial_charge
             )
             frames_on_edge[edge_id] += 1
             if counting:
                 events.bump("initial_commit")
             else:
                 events.record(
-                    initial_done,
-                    "initial_commit",
-                    frame_id=frame.frame_id,
-                    stream=name,
-                    edge=edge_id,
+                    initial_done, "initial_commit", frame_id=frame_id, stream=name, edge=edge_id
                 )
 
-            if adaptation is not None:
-                policy = adaptation.policy_for(name)
+            policy = static_policy if adaptation is None else adaptation.policy_for(name)
             send_to_cloud = policy.should_validate(initial.labels)
 
             # The cloud model always runs for ground truth; its cost is
@@ -1818,13 +1025,15 @@ class ClusterSystem:
             frame_bytes_sent = 0
             if send_to_cloud:
                 uplink, downlink = edge_cloud.round_trip(
-                    frame.size_bytes, LABELS_MESSAGE_BYTES, timestamp=initial_done
+                    frame.size_bytes, LABELS_MESSAGE_BYTES, initial_done, frame_label, labels_label
                 )
                 cloud_transfer = uplink + downlink
                 cloud_detection = cloud_detection_raw
                 frame_bytes_sent = frame.size_bytes
                 # Request a cloud server only once the frame is actually
-                # at the cloud (see _frame_process).
+                # at the cloud: frames reaching it first are served first,
+                # and a frame stuck behind a backlogged edge cannot hold a
+                # place in the cloud queue while the cloud sits idle.
                 yield At(initial_done + uplink)
                 cloud_start, cloud_queue_delay = cloud_server.acquire(engine.now)
                 cloud_server.finish(cloud_start, cloud_detection)
@@ -1834,14 +1043,16 @@ class ClusterSystem:
                     events.record(
                         cloud_start,
                         "cloud_validate",
-                        frame_id=frame.frame_id,
+                        frame_id=frame_id,
                         stream=name,
                         edge=edge_id,
                         queue_delay=cloud_queue_delay,
                     )
-                final_ready = (
-                    initial_done + cloud_transfer + cloud_detection + cloud_queue_delay
-                )
+                # Summed in this order (waiting time last) so that with an
+                # unbounded cloud the arithmetic — and therefore every
+                # seeded run — is bit-for-bit what the pre-engine model
+                # produced.
+                final_ready = initial_done + cloud_transfer + cloud_detection + cloud_queue_delay
             else:
                 final_ready = initial_done
 
@@ -1849,99 +1060,79 @@ class ClusterSystem:
             # keeps serving other frames meanwhile.
             yield At(final_ready)
 
+            # -- final stage --------------------------------------------
             # Resolve failure-aborted transactions before the final
-            # sections run (see _frame_process).
+            # sections run: the crash removed their pending finals from
+            # the controller, and each carries the apology the failure
+            # recorded.
             failure_apologies: tuple[str, ...] = ()
-            if state.aborted_txns:
+            if aborted_txns:
                 aborted_here = [
                     entry
                     for entry in initial.triggered
-                    if not entry.aborted
-                    and entry.transaction.transaction_id in state.aborted_txns
+                    if not entry.aborted and entry.transaction.transaction_id in aborted_txns
                 ]
                 for entry in aborted_here:
                     entry.aborted = True
                 failure_apologies = tuple(
-                    apology
-                    for entry in aborted_here
-                    for apology in entry.transaction.apologies
+                    apology for entry in aborted_here for apology in entry.transaction.apologies
                 )
 
-            frame_aborted = False
-            if failed[edge_id] and not initial.committed:
-                frame_aborted = True
+            frame_aborted = failed[edge_id] and not initial.committed
+            if frame_aborted:
+                # Home replica down and nothing left to finalise (the
+                # failure aborted this frame's transactions, or it
+                # triggered none): the client gets the apologies now
+                # instead of a correction.
                 final = FinalStageOutcome(
-                    frame_id=frame.frame_id, match_report=None, apologies=failure_apologies
+                    frame_id=frame_id, match_report=None, apologies=failure_apologies
                 )
-                final_wait = 0.0
-                final_charge = 0.0
-                overlap_saved = 0.0
+                final_wait = final_charge = overlap_saved = 0.0
                 final_done = engine.now
-                if final_done > state.makespan:
-                    state.makespan = final_done
-                if counting:
-                    events.bump("final_aborted")
-                else:
-                    events.record(
-                        final_done,
-                        "final_aborted",
-                        frame_id=frame.frame_id,
-                        stream=name,
-                        edge=edge_id,
-                    )
+                final_kind = "final_aborted"
             else:
                 while failed[edge_id]:
-                    # Park until the replica has replayed its log and
-                    # rejoined (low event priority: same-instant recovery
-                    # flips the flag first).
-                    wake = state.wake_at[edge_id]
-                    yield At(wake if wake > engine.now else engine.now, 2)
+                    # This frame's finals await the coordinator
+                    # (async-2pc): park until the replica has replayed its
+                    # log and rejoined.  Low event priority lets the
+                    # same-instant recovery event flip the flag first.
+                    yield At(max(engine.now, wake_at[edge_id]), 2)
                 final_ready_at = engine.now
                 if priority_serving:
-                    # A queued final does not hold a reservation (see
-                    # _frame_process).
-                    while True:
-                        next_free = server.next_free()
-                        if next_free <= engine.now:
-                            break
-                        yield At(next_free, 1)
+                    # A queued final does not hold a reservation: it
+                    # sleeps until the server's next free instant and
+                    # contends again, waking at low event priority so that
+                    # same-instant initial-stage events reserve first.
+                    # Every initial that arrives while the edge is
+                    # backlogged therefore preempts this final; the time
+                    # lost shows up in the final queue delay below.
+                    while server.next_free() > engine.now:
+                        yield At(server.next_free(), 1)
                 final_start, final_wait = server.acquire(final_ready_at)
                 if node_idle and not send_to_cloud:
                     # process_final_stage with nothing to finalise and no
                     # cloud correction is a frame-id wrapper.
-                    final = FinalStageOutcome(
-                        frame_id=frame.frame_id, match_report=None
-                    )
+                    final = FinalStageOutcome(frame_id=frame_id, match_report=None)
                 else:
                     final = node.process_final_stage(
-                        initial,
-                        cloud_labels if send_to_cloud else None,
-                        now=final_start,
+                        initial, cloud_labels if send_to_cloud else None, now=final_start
                     )
                 if failure_apologies:
                     final.apologies = final.apologies + failure_apologies
                 final_charge, overlap_saved = rpolicy.drain_frame_costs()
                 final_done = server.finish(final_start, final.txn_latency + final_charge)
-                if final_done > state.makespan:
-                    state.makespan = final_done
-                if counting:
-                    events.bump("final_commit")
-                else:
-                    events.record(
-                        final_done,
-                        "final_commit",
-                        frame_id=frame.frame_id,
-                        stream=name,
-                        edge=edge_id,
-                    )
+                final_kind = "final_commit"
+            if final_done > state.makespan:
+                state.makespan = final_done
+            if counting:
+                events.bump(final_kind)
+            else:
+                events.record(final_done, final_kind, frame_id=frame_id, stream=name, edge=edge_id)
 
-            observed = observed_labels(
-                policy, initial, cloud_labels, send_to_cloud, match_overlap
-            )
-            accuracy = evaluate_detections(
-                observed, cloud_labels, min_overlap=match_overlap
-            )
-            stats.record_frame(
+            # -- account ------------------------------------------------
+            observed = observed_labels(policy, initial, cloud_labels, send_to_cloud, match_overlap)
+            accuracy = evaluate_detections(observed, cloud_labels, min_overlap=match_overlap)
+            latency = (
                 edge_transfer,
                 edge_detection,
                 initial.txn_latency,
@@ -1953,12 +1144,20 @@ class ClusterSystem:
                 cloud_queue_delay,
                 initial_charge + final_charge,
                 overlap_saved,
+            )
+            sink.record_frame(
+                result,
+                edge_id,
+                initial,
+                initial_done,
+                final,
+                final_done,
+                cloud_labels,
+                observed,
+                latency,
                 accuracy,
                 send_to_cloud,
                 frame_bytes_sent,
-                len(initial.triggered),
-                final.corrections,
-                len(final.apologies),
             )
             if adaptation is not None:
                 trace = None
@@ -1967,353 +1166,22 @@ class ClusterSystem:
                     # validated frames whose cloud labels the stream's
                     # controller legitimately observed.
                     trace = FrameTrace(
-                        frame_id=frame.frame_id,
+                        frame_id=frame_id,
                         edge_labels=initial.labels,
                         cloud_labels=cloud_labels,
                         observed_labels=observed,
                         sent_to_cloud=True,
-                        latency=LatencyBreakdown(
-                            edge_transfer=edge_transfer,
-                            edge_detection=edge_detection,
-                            initial_txn=initial.txn_latency,
-                            cloud_transfer=cloud_transfer,
-                            cloud_detection=cloud_detection,
-                            final_txn=final.txn_latency,
-                            queue_delay=queue_delay,
-                            final_queue_delay=final_wait,
-                            cloud_queue_delay=cloud_queue_delay,
-                            commit_protocol=initial_charge + final_charge,
-                            commit_overlap_saved=overlap_saved,
-                        ),
+                        latency=LatencyBreakdown(*latency),
                         accuracy=accuracy,
                         edge_id=edge_id,
                     )
                 adaptation.observe_frame(name, send_to_cloud, final.corrections, trace)
-            result.frames_streamed += 1
             if traffic is not None and not frame_aborted:
                 traffic.completed_frames += 1
             state.frames_remaining -= 1
-            left = frames_left.get(name)
-            if left is not None:
-                frames_left[name] = left - 1
+            frames_left[name] -= 1
 
-    # -- per-frame pipeline -------------------------------------------------
-    def _frame_process(
-        self,
-        state: "_RunState",
-        arrival: FrameArrival,
-        client: Client | None,
-        results: dict[str, RunResult],
-    ):
-        """Engine process running one frame through the two-stage flow.
-
-        ``client`` is ``None`` on the fast path (``record_frames=False``):
-        no client responses are rendered and the frame's outcome folds
-        into ``state.frame_stats`` instead of a retained trace.
-        """
-        engine = state.engine
-        edge_id = self._route_arrival(state, arrival.stream_name)
-        replica = self.replicas[edge_id]
-        frame = arrival.frame
-
-        if state.shedder is not None:
-            # Overload control: on a saturated edge, degrade this frame's
-            # initial stage to an apology (if the budget pays for it)
-            # instead of queueing it.  The client hears back immediately;
-            # the edge never sees the frame.
-            load = replica.server.load(engine.now, window=self.config.migration_window)
-            if state.shedder.should_shed(engine.now, load):
-                state.traffic.shed_frames += 1
-                state.traffic.apologies_spent += 1
-                self.events.record(
-                    engine.now,
-                    "frame_shed",
-                    frame_id=frame.frame_id,
-                    stream=arrival.stream_name,
-                    edge=edge_id,
-                    load=load,
-                )
-                if client is not None:
-                    client.render(
-                        ClientResponse(
-                            frame_id=frame.frame_id,
-                            stage="final",
-                            payload=None,
-                            apologies=(SHED_APOLOGY,),
-                            timestamp=engine.now,
-                        )
-                    )
-                state.makespan = max(state.makespan, engine.now)
-                self._finish_frame(state, arrival.stream_name)
-                return
-
-        recording = client is not None
-        edge_transfer = self._client_edge[edge_id].send(
-            frame.size_bytes,
-            timestamp=engine.now,
-            description=f"{arrival.stream_name}-frame-{frame.frame_id}" if recording else "",
-        )
-        # The frame holds its place in the edge's queue from the moment it
-        # arrives; service cannot start before the client->edge transfer
-        # lands (the admission's ready time).  Under the priority
-        # discipline, initial stages reserve eagerly (priority 1) while
-        # final stages defer their admission until the server is really
-        # free — so an arriving initial always overtakes queued finals.
-        priority_serving = replica.server.discipline == "priority"
-        admission = replica.server.admit(
-            engine.now + edge_transfer, priority=1 if priority_serving else 0
-        )
-        queue_delay = admission.wait
-
-        edge_labels_raw, edge_detection = replica.node.detect(frame)
-        initial = replica.node.process_initial_stage(
-            frame,
-            edge_labels_raw,
-            now=admission.start + edge_detection,
-            detection_latency=edge_detection,
-        )
-        initial_charge, _ = replica.policy.drain_frame_costs()
-        initial_done = replica.server.complete(
-            admission, edge_detection + initial.txn_latency + initial_charge
-        )
-        state.frames_on_edge[edge_id] += 1
-        if client is not None:
-            client.render(
-                ClientResponse(
-                    frame_id=frame.frame_id,
-                    stage="initial",
-                    payload=[entry.initial_result for entry in initial.committed],
-                    timestamp=initial_done,
-                )
-            )
-        self.events.record(
-            initial_done,
-            "initial_commit",
-            frame_id=frame.frame_id,
-            stream=arrival.stream_name,
-            edge=edge_id,
-        )
-
-        adaptation = state.adaptation
-        policy = (
-            self.policy
-            if adaptation is None
-            else adaptation.policy_for(arrival.stream_name)
-        )
-        send_to_cloud = policy.should_validate(initial.labels)
-
-        # The cloud model always runs for ground truth; its cost is only
-        # charged when the frame is actually validated.
-        cloud_labels, cloud_detection_raw = self.cloud.detect(frame)
-
-        cloud_transfer = 0.0
-        cloud_detection = 0.0
-        cloud_queue_delay = 0.0
-        frame_bytes_sent = 0
-        if send_to_cloud:
-            uplink, downlink = self._edge_cloud[edge_id].round_trip(
-                frame.size_bytes,
-                LABELS_MESSAGE_BYTES,
-                timestamp=initial_done,
-                up_description=f"{arrival.stream_name}-frame-{frame.frame_id}" if recording else "",
-                down_description=f"{arrival.stream_name}-labels-{frame.frame_id}" if recording else "",
-            )
-            cloud_transfer = uplink + downlink
-            cloud_detection = cloud_detection_raw
-            frame_bytes_sent = frame.size_bytes
-            # Request a cloud server only once the frame is actually at
-            # the cloud: frames reaching it first are served first, and a
-            # frame stuck behind a backlogged edge cannot hold a place in
-            # the cloud queue while the cloud sits idle.
-            yield engine.at(initial_done + uplink)
-            cloud_start, cloud_queue_delay = state.cloud_server.reserve(
-                engine.now, cloud_detection
-            )
-            self.events.record(
-                cloud_start,
-                "cloud_validate",
-                frame_id=frame.frame_id,
-                stream=arrival.stream_name,
-                edge=edge_id,
-                queue_delay=cloud_queue_delay,
-            )
-            # Summed in this order (waiting time last) so that with an
-            # unbounded cloud the arithmetic — and therefore every seeded
-            # run — is bit-for-bit what the pre-engine model produced.
-            final_ready = initial_done + cloud_transfer + cloud_detection + cloud_queue_delay
-        else:
-            final_ready = initial_done
-
-        # Suspend until the corrected labels are back; the replica keeps
-        # serving other frames meanwhile.
-        yield engine.at(final_ready)
-
-        # Resolve failure-aborted transactions before the final sections
-        # run: the crash removed their pending finals from the controller,
-        # and each carries the apology the failure recorded.
-        failure_apologies: tuple[str, ...] = ()
-        if state.aborted_txns:
-            aborted_here = [
-                entry
-                for entry in initial.triggered
-                if not entry.aborted
-                and entry.transaction.transaction_id in state.aborted_txns
-            ]
-            for entry in aborted_here:
-                entry.aborted = True
-            failure_apologies = tuple(
-                apology
-                for entry in aborted_here
-                for apology in entry.transaction.apologies
-            )
-
-        frame_aborted = False
-        if state.failed[edge_id] and not initial.committed:
-            # Home replica down and nothing left to finalise (the failure
-            # aborted this frame's transactions, or it triggered none):
-            # the client gets the apologies now instead of a correction.
-            frame_aborted = True
-            final = FinalStageOutcome(
-                frame_id=frame.frame_id, match_report=None, apologies=failure_apologies
-            )
-            final_wait = 0.0
-            final_charge = 0.0
-            overlap_saved = 0.0
-            final_done = engine.now
-            state.makespan = max(state.makespan, final_done)
-            self.events.record(
-                final_done,
-                "final_aborted",
-                frame_id=frame.frame_id,
-                stream=arrival.stream_name,
-                edge=edge_id,
-            )
-        else:
-            while state.failed[edge_id]:
-                # This frame's finals await the coordinator (async-2pc):
-                # park until the replica has replayed its log and
-                # rejoined.  Low event priority lets the same-instant
-                # recovery event flip the flag first.
-                yield engine.at(max(engine.now, state.wake_at[edge_id]), priority=2)
-            final_ready_at = engine.now
-            if priority_serving:
-                # A queued final does not hold a reservation: it sleeps until
-                # the server's next free instant and contends again, waking
-                # at low event priority so that same-instant initial-stage
-                # events reserve first.  Every initial that arrives while the
-                # edge is backlogged therefore preempts this final; the time
-                # lost shows up in the final queue delay below.
-                while replica.server.next_free() > engine.now:
-                    yield engine.at(replica.server.next_free(), priority=1)
-            final_admission = replica.server.admit(final_ready_at, priority=0)
-            final = replica.node.process_final_stage(
-                initial,
-                cloud_labels if send_to_cloud else None,
-                now=final_admission.start,
-            )
-            if failure_apologies:
-                final.apologies = final.apologies + failure_apologies
-            final_charge, overlap_saved = replica.policy.drain_frame_costs()
-            final_done = replica.server.complete(
-                final_admission, final.txn_latency + final_charge
-            )
-            final_wait = final_admission.wait
-            state.makespan = max(state.makespan, final_done)
-            self.events.record(
-                final_done,
-                "final_commit",
-                frame_id=frame.frame_id,
-                stream=arrival.stream_name,
-                edge=edge_id,
-            )
-        if client is not None:
-            client.render(
-                ClientResponse(
-                    frame_id=frame.frame_id,
-                    stage="final",
-                    payload=None,
-                    apologies=final.apologies,
-                    timestamp=final_done,
-                )
-            )
-
-        observed = observed_labels(
-            policy,
-            initial,
-            cloud_labels,
-            send_to_cloud,
-            self.config.base.match_overlap,
-        )
-        accuracy = evaluate_detections(
-            observed, cloud_labels, min_overlap=self.config.base.match_overlap
-        )
-        latency = LatencyBreakdown(
-            edge_transfer=edge_transfer,
-            edge_detection=edge_detection,
-            initial_txn=initial.txn_latency,
-            cloud_transfer=cloud_transfer,
-            cloud_detection=cloud_detection,
-            final_txn=final.txn_latency,
-            queue_delay=queue_delay,
-            final_queue_delay=final_wait,
-            cloud_queue_delay=cloud_queue_delay,
-            commit_protocol=initial_charge + final_charge,
-            commit_overlap_saved=overlap_saved,
-        )
-        if state.frame_stats is not None:
-            state.frame_stats.record(
-                latency=latency,
-                accuracy=accuracy,
-                sent_to_cloud=send_to_cloud,
-                bytes_sent=frame_bytes_sent,
-                transactions=len(initial.triggered),
-                corrections=final.corrections,
-                apologies=len(final.apologies),
-            )
-            results[arrival.stream_name].count_frame()
-        else:
-            results[arrival.stream_name].add(
-                FrameTrace(
-                    frame_id=frame.frame_id,
-                    edge_labels=initial.labels,
-                    cloud_labels=cloud_labels,
-                    observed_labels=observed,
-                    sent_to_cloud=send_to_cloud,
-                    latency=latency,
-                    accuracy=accuracy,
-                    transactions_triggered=len(initial.triggered),
-                    corrections=final.corrections,
-                    apologies=len(final.apologies),
-                    frame_bytes_sent=frame_bytes_sent,
-                    edge_id=edge_id,
-                )
-            )
-        if adaptation is not None:
-            feedback_trace = None
-            if send_to_cloud and adaptation.wants_traces:
-                feedback_trace = FrameTrace(
-                    frame_id=frame.frame_id,
-                    edge_labels=initial.labels,
-                    cloud_labels=cloud_labels,
-                    observed_labels=observed,
-                    sent_to_cloud=True,
-                    latency=latency,
-                    accuracy=accuracy,
-                    edge_id=edge_id,
-                )
-            adaptation.observe_frame(
-                arrival.stream_name, send_to_cloud, final.corrections, feedback_trace
-            )
-        if state.traffic is not None and not frame_aborted:
-            state.traffic.completed_frames += 1
-        self._finish_frame(state, arrival.stream_name)
-
-    def _finish_frame(self, state: "_RunState", stream_name: str) -> None:
-        """Bookkeeping shared by served, shed, and aborted frames."""
-        state.frames_remaining -= 1
-        left = state.frames_left.get(stream_name)
-        if left is not None:
-            state.frames_left[stream_name] = left - 1
+        return frame_body
 
     # -- failure, recovery, re-sharding -------------------------------------
     def _failure_process(self, state: "_RunState", spec: FailureSpec):
@@ -2722,17 +1590,15 @@ class ClusterSystem:
 
     # -- runtime routing ----------------------------------------------------
     def _route_arrival(self, state: "_RunState", stream_name: str) -> int:
-        """Current home edge of the arriving frame's stream.
+        """Home edge of an arriving frame under the ``"migrating"`` policy.
 
-        With the ``"migrating"`` policy this is where the engine's
-        runtime visibility feeds back into routing: the router watches
-        the observed (windowed) utilization of the stream's edge and,
-        when its hysteresis trigger fires, re-routes the stream's
-        remaining frames to the least-utilized edge.
+        This is where the engine's runtime visibility feeds back into
+        routing: the router watches the observed (windowed) utilization
+        of the stream's edge and, when its hysteresis trigger fires,
+        re-routes the stream's remaining frames to the least-utilized
+        edge.  (Every other policy keeps ``state.current_edge`` as is.)
         """
         edge_id = state.current_edge[stream_name]
-        if not isinstance(self.router, MigratingRouter):
-            return edge_id
         now = state.engine.now
         # A failed edge's drained server reports a near-zero load; it
         # must never look like a migration target, so its load is
@@ -2769,17 +1635,8 @@ class ClusterSystem:
         return target
 
     # -- result assembly ----------------------------------------------------
-    def _collect(
-        self,
-        names: list[str],
-        placements: list[int],
-        results: dict[str, RunResult],
-        state: _RunState,
-        pre_stats: list[tuple[int, int, int]],
-        pre_records: list[frozenset[str]],
-        pre_policy: list[PolicyStats],
-        pre_failure_aborts: int,
-    ) -> ClusterRunResult:
+    def _collect(self, state: _RunState) -> ClusterRunResult:
+        pre_stats, pre_records, pre_policy, pre_failure_aborts = state.baseline
         stats = ControllerStats()
         policy_stats = PolicyStats()
         total = cross_edge = multi_partition = 0
@@ -2813,8 +1670,8 @@ class ClusterSystem:
             )
         return ClusterRunResult(
             router_policy=self.config.router_policy,
-            placements=dict(zip(names, placements)),
-            per_stream=results,
+            placements=state.placements,
+            per_stream=state.sink.results,
             edges=edges,
             makespan=state.makespan,
             stats=stats,
@@ -2835,7 +1692,7 @@ class ClusterSystem:
             + (self.store.failure_aborts - pre_failure_aborts),
             checkpoints=state.checkpoints,
             traffic=state.traffic,
-            frame_stats=state.frame_stats,
+            frame_stats=state.sink.frame_stats,
             promotions=tuple(state.promotions),
             log_records_shipped=(
                 self._replication.records_shipped if self._replication is not None else 0

@@ -31,7 +31,7 @@ class LatencyBreakdown:
     ``cloud_queue_delay`` is the time a validated frame queued at the
     cloud before a cloud server picked it up.  It is 0 unless the
     deployment caps the cloud's capacity
-    (:attr:`~repro.cluster.system.ClusterConfig.cloud_servers`), in
+    (:attr:`~repro.cluster.config.ClusterConfig.cloud_servers`), in
     which case concurrent validations contend for the cloud just like
     frames contend for their edge.
 

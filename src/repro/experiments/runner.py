@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable
 
 from repro.analysis.timeline import batch_flush_profile, cloud_queue_profile, migration_timeline
-from repro.cluster.system import (
+from repro.cluster import (
     ClusterConfig,
     ClusterSystem,
     empty_bank_factory,

@@ -203,11 +203,12 @@ class ScenarioSpec:
         ``failure_outage_s`` seconds.  Mutually exclusive with
         ``failure_schedule``.
     record_frames:
-        Cluster result fidelity: true (the default) retains one
-        ``FrameTrace`` per frame — the exact path every golden pin runs
-        on — while false selects the bounded-memory fast path (streaming
-        accumulators, bounded event log, batched per-stream drivers; see
-        :attr:`repro.cluster.system.ClusterConfig.record_frames`).
+        What a cluster run retains, never what it simulates: true (the
+        default) keeps one ``FrameTrace`` per frame plus client,
+        transfer and event histories — what every golden pin reads —
+        while false folds the same frames into bounded-memory streaming
+        accumulators and a bounded event log (see
+        :attr:`repro.cluster.config.ClusterConfig.record_frames`).
     reference_engine:
         Run the cluster's servers on the preserved pre-optimization
         reference implementation — the scale-stress benchmark's

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cluster.system import ClusterConfig, ClusterSystem
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.geo.placement import GeoRouter, PlacementTracker
 from repro.geo.reconcile import Reconciler, ShipStamp, WriteShip
 from repro.geo.wan import (

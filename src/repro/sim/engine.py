@@ -88,7 +88,9 @@ class Process:
         self.done = False
         #: The generator's ``return`` value once :attr:`done` is True.
         self.value: Any = None
-        self._waiters: list[Process] = []
+        #: Processes blocked on this one; allocated by the first waiter
+        #: (almost every process — one per simulated frame — has none).
+        self._waiters: list[Process] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "done" if self.done else "running"
@@ -103,18 +105,19 @@ class Process:
         except StopIteration as stop:
             self.done = True
             self.value = stop.value
-            for waiter in self._waiters:
-                engine.schedule(engine.now, waiter._step)
-            self._waiters.clear()
+            if self._waiters:
+                for waiter in self._waiters:
+                    engine.schedule(engine.now, waiter._step)
+                self._waiters = None
             return
 
         if isinstance(target, At):
-            # Inlined Engine.schedule: this branch fires twice per
-            # simulated frame on the cluster fast path, so it pays one
-            # guard and one heap push instead of a method call that
-            # re-checks both.
+            # Inlined Engine.schedule: this branch fires at least twice
+            # per simulated frame on the cluster (the arrival, then the
+            # frame's resume), so it pays one guard and one heap push
+            # instead of a method call that re-checks both.
             when = target.time
-            now = engine.now
+            now = engine._now
             if when < now - 1e-12:
                 raise SimulationError(
                     f"process {self.name!r} yielded a resume time in the past "
@@ -128,6 +131,8 @@ class Process:
         elif isinstance(target, Process):
             if target.done:
                 engine.schedule(engine.now, self._step)
+            elif target._waiters is None:
+                target._waiters = [self]
             else:
                 target._waiters.append(self)
         elif isinstance(target, (int, float)):
@@ -189,6 +194,18 @@ class Engine:
         """Create a :class:`Process` whose first step runs at ``at`` (default: now)."""
         process = Process(self, generator, name)
         self.schedule(self._now if at is None else at, process._step, priority=priority)
+        return process
+
+    def start(self, generator: Generator[Any, Any, Any], name: str = "process") -> Process:
+        """Create a :class:`Process` and run its first step *now*.
+
+        The synchronous form of :meth:`spawn` for a caller that is
+        itself running at the instant the process should begin: no heap
+        event, so nothing else scheduled for this instant can slip in
+        between the caller and the new process's first step.
+        """
+        process = Process(self, generator, name)
+        process._step()
         return process
 
     def step(self) -> bool:
@@ -675,6 +692,13 @@ class ReferenceServer(Server):
         self._sequence += 1
         self._pending.append(admission)
         return admission
+
+    def acquire(self, ready: float, priority: int = 0) -> tuple[float, float]:
+        # Always the two-phase path: the inherited one-shot form would
+        # bypass this class's admit/_resolve, i.e. the reference algorithm.
+        admission = self.admit(ready, priority=priority)
+        start = admission.start
+        return start, start - admission.ready
 
     def _resolve(self, admission: Admission) -> None:
         while self._pending:

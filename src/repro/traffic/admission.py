@@ -28,9 +28,9 @@ class AdmissionController:
 
     #: Whether :meth:`admit` reads the ``backlog_s`` signal at all.  The
     #: cluster's backlog probe is a min-scan over every live edge per
-    #: arriving stream; fast-path runs skip it for controllers that
-    #: ignore the signal (recorded runs always compute it, because the
-    #: ``stream_arrival`` event payload carries it).
+    #: arriving stream; runs with a count-only event log skip it for
+    #: controllers that ignore the signal (a log that retains events
+    #: always gets it, because the ``stream_arrival`` payload carries it).
     needs_backlog = False
 
     def admit(self, now: float, backlog_s: float) -> bool:

@@ -8,7 +8,7 @@ from repro.cluster.failure import (
     recovery_time,
     validate_failure_schedule,
 )
-from repro.cluster.system import ClusterConfig, ClusterSystem
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.config import ConsistencyLevel, CroesusConfig
 from repro.experiments import ScenarioSpec, run, validate_report
 from repro.video.library import make_camera_streams

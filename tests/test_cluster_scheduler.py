@@ -1,9 +1,10 @@
-"""Tests for frame interleaving and the per-edge server model."""
+"""Tests for frame arrival timing and the per-edge server model."""
 
 import pytest
 
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.cluster.scheduler import FrameScheduler
-from repro.sim.engine import Server
+from repro.sim.engine import At, Engine, Server
 from repro.video.library import make_camera_streams
 
 
@@ -11,38 +12,69 @@ def make_streams(count: int, frames: int = 5):
     return make_camera_streams(count, num_frames=frames, seed=0, keys=("v1",))
 
 
+def merged_timeline(scheduler: FrameScheduler, streams) -> list[tuple[float, int, int]]:
+    """Drive one lazy per-stream walker per stream on an engine and log
+    ``(time, stream_index, frame_id)`` as each arrival fires — the way
+    the cluster's stream drivers merge streams into one timeline."""
+    engine = Engine()
+    fired: list[tuple[float, int, int]] = []
+
+    def walker(index, video, start):
+        for frame in video.frames():
+            yield At(scheduler.arrival_time(start, frame.frame_id), -1)
+            fired.append((engine.now, index, frame.frame_id))
+
+    starts = scheduler.phase_offsets(len(streams))
+    for index, (video, start) in enumerate(zip(streams, starts)):
+        engine.start(walker(index, video, start))
+    engine.run()
+    return fired
+
+
 class TestFrameScheduler:
     def test_arrivals_are_time_ordered(self):
         scheduler = FrameScheduler(frame_interval=0.1)
-        streams = make_streams(3)
-        arrivals = scheduler.interleave(streams, [0, 1, 0])
-        times = [a.arrival_time for a in arrivals]
+        fired = merged_timeline(scheduler, make_streams(3))
+        times = [time for time, _, _ in fired]
         assert times == sorted(times)
-        assert len(arrivals) == 3 * 5
+        assert len(fired) == 3 * 5
+        # Same total order the eager interleaver produced.
+        assert fired == sorted(fired)
 
     def test_per_stream_spacing_is_the_frame_interval(self):
         scheduler = FrameScheduler(frame_interval=0.5)
-        arrivals = scheduler.interleave(make_streams(2), [0, 1])
-        first = [a.arrival_time for a in arrivals if a.stream_index == 0]
+        fired = merged_timeline(scheduler, make_streams(2))
+        first = [time for time, index, _ in fired if index == 0]
         spacing = [b - a for a, b in zip(first, first[1:])]
+        assert len(first) == 5
         assert all(delta == pytest.approx(0.5) for delta in spacing)
 
     def test_streams_are_phase_shifted(self):
         scheduler = FrameScheduler(frame_interval=0.3)
-        arrivals = scheduler.interleave(make_streams(3), [0, 1, 2])
-        starts = {a.stream_index: a.arrival_time for a in reversed(arrivals) if a.frame.frame_id == 0}
+        assert scheduler.phase_offsets(3) == [0.0, 0.3 / 3, 2 * 0.3 / 3]
+        fired = merged_timeline(scheduler, make_streams(3))
+        starts = {index: time for time, index, frame_id in fired if frame_id == 0}
         assert len(set(starts.values())) == 3
+        assert max(starts.values()) < 0.3  # every offset inside one interval
+
+    def test_open_loop_stream_ticks_from_its_own_start(self):
+        """No phase offset: frame ``k`` arrives at ``start + k * interval``."""
+        scheduler = FrameScheduler(frame_interval=0.25)
+        assert [scheduler.arrival_time(2.5, k) for k in range(4)] == [2.5, 2.75, 3.0, 3.25]
 
     def test_arrivals_carry_their_placement(self):
-        scheduler = FrameScheduler(frame_interval=0.1)
-        arrivals = scheduler.interleave(make_streams(2), [1, 0])
-        by_stream = {a.stream_name: a.edge_id for a in arrivals}
-        assert by_stream == {"cam0-v1": 1, "cam1-v1": 0}
+        """Every frame is served where its stream was placed (no migration)."""
+        config = ClusterConfig(num_edges=2, frame_interval=0.1)
+        result = ClusterSystem(config).run(make_streams(2, frames=3))
+        assert result.placements == {"cam0-v1": 0, "cam1-v1": 1}
+        for name, edge_id in result.placements.items():
+            assert [trace.edge_id for trace in result.per_stream[name].traces] == [edge_id] * 3
 
     def test_placement_count_must_match(self):
-        scheduler = FrameScheduler(frame_interval=0.1)
+        system = ClusterSystem(ClusterConfig(num_edges=2, frame_interval=0.1))
+        system.router.assign = lambda names: [0]
         with pytest.raises(ValueError):
-            scheduler.interleave(make_streams(2), [0])
+            system.run(make_streams(2))
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):

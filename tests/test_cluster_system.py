@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.system import ClusterConfig, ClusterSystem, hotspot_bank_factory
+from repro.cluster import ClusterConfig, ClusterSystem, hotspot_bank_factory
 from repro.core.config import ConsistencyLevel, CroesusConfig
 from repro.video.library import make_camera_streams, make_uneven_camera_streams, make_video
 
@@ -256,6 +256,85 @@ class TestStreamMigration:
             cluster_config(migration_high=0.4, migration_low=0.6)
         with pytest.raises(ValueError):
             cluster_config(migration_window=0.0)
+
+
+class TestArrivalTieRule:
+    """Arrivals win same-instant ties — what bit-identity with the
+    eagerly scheduled timeline rests on.
+
+    The lazy stream drivers push each arrival one frame ahead, long
+    after the failure/checkpoint/adaptation processes were spawned, so
+    only the drivers' event priority keeps a frame arriving at the very
+    instant of one of those admitted *before* it, as when every arrival
+    was scheduled up front.
+    """
+
+    def test_frame_at_the_failure_checkpoint_and_tick_instant_is_admitted_first(
+        self, monkeypatch
+    ):
+        from repro.core.adaptive import AdaptationManager
+
+        config = cluster_config(
+            frame_interval=1.0,
+            failure_schedule=((0, 3.0, 5.0),),
+            checkpoint_interval_s=1.0,
+            threshold_adaptation="feedback",
+            adaptation_interval_s=1.0,
+        )
+        system = ClusterSystem(config)
+        adapt_all = AdaptationManager.adapt_all
+
+        def logged_tick(manager, now):
+            system.events.record(now, "adaptation_tick")
+            return adapt_all(manager, now)
+
+        monkeypatch.setattr(AdaptationManager, "adapt_all", logged_tick)
+        result = system.run(make_streams(2, frames=6))
+        assert result.placements["cam0-v1"] == 0  # arrives at 0.0, 1.0, ... on the failing edge
+
+        log = list(system.events)  # append order == execution order
+        admitted = next(
+            index
+            for index, event in enumerate(log)
+            if event.kind == "initial_commit"
+            and event.payload["stream"] == "cam0-v1"
+            and event.payload["frame_id"] == 3
+        )
+        # Admitted on its home edge: the failure had not re-routed it yet.
+        assert log[admitted].payload["edge"] == 0
+        for kind in ("edge_failed", "checkpoint", "adaptation_tick"):
+            at_three = next(
+                index
+                for index, event in enumerate(log)
+                if event.kind == kind and event.timestamp == 3.0
+            )
+            assert admitted < at_three, kind
+        # The next frame of the stream is served by the failover target.
+        assert result.per_stream["cam0-v1"].traces[4].edge_id == 1
+
+    def test_open_loop_stream_starts_frame_zero_at_its_admission_instant(self):
+        from repro.traffic.source import TrafficConfig
+
+        system = ClusterSystem(cluster_config())
+        traffic = TrafficConfig(
+            offered_rate=2.0, duration_s=4.0, mean_frames=3, frame_interval=0.25
+        )
+        result = system.run_open_loop(traffic)
+        admitted_at = {
+            event.payload["stream"]: event.timestamp
+            for event in system.events.of_kind("stream_arrival")
+            if event.payload["admitted"]
+        }
+        assert len(admitted_at) == result.traffic.admitted_streams >= 3
+        uploads = {
+            transfer.description: transfer.timestamp
+            for channel in system._client_edge
+            for transfer in channel.transfers
+        }
+        interval = system.config.frame_interval
+        for stream, now in admitted_at.items():
+            assert uploads[f"{stream}-frame-0"] == now
+            assert uploads[f"{stream}-frame-2"] == now + 2 * interval
 
 
 class TestDeterminismPin:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cluster.system import ClusterConfig, ClusterSystem
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.baselines import run_croesus
 from repro.core.config import CroesusConfig
 from repro.experiments import (

@@ -35,6 +35,20 @@ class TestPublicApi:
         for name in getattr(package, "__all__", []):
             assert hasattr(package, name), f"{package_name}.{name} missing"
 
+    def test_cluster_exports_come_from_their_owning_modules(self):
+        """The pure-data half of the cluster package lives in its own
+        modules, exported through ``repro.cluster`` only."""
+        import repro.cluster as cluster
+
+        assert cluster.ClusterConfig.__module__ == "repro.cluster.config"
+        for name in ("ClusterRunResult", "EdgeMetrics", "MigrationRecord"):
+            assert getattr(cluster, name).__module__ == "repro.cluster.results", name
+        assert cluster.ClusterSystem.__module__ == "repro.cluster.system"
+        assert "empty_bank_factory" in cluster.__all__
+        # The eager interleaver's arrival record went with it.
+        assert "FrameArrival" not in cluster.__all__
+        assert not hasattr(cluster, "FrameArrival")
+
     def test_top_level_exports_are_documented(self):
         for name in repro.__all__:
             if name == "__version__":

@@ -11,7 +11,7 @@ from repro.cluster.replication import (
     REPLICATION_MODES,
     ReplicationGroup,
 )
-from repro.cluster.system import ClusterConfig, ClusterSystem
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.config import ConsistencyLevel, CroesusConfig
 from repro.experiments import ScenarioSpec
 from repro.storage.kvstore import KeyValueStore

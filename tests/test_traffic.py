@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.timeline import traffic_profile
 from repro.cluster.failure import FailureInjector
-from repro.cluster.system import ClusterConfig, ClusterSystem
+from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.config import CroesusConfig
 from repro.core.system import CroesusSystem
 from repro.experiments import ScenarioSpec, build_traffic_config, run, validate_report

@@ -363,7 +363,7 @@ class TestPolicyApi:
         assert check_ms_ia(system.history).ok
 
     def test_cluster_policy_summary_matches_the_report(self):
-        from repro.cluster.system import ClusterConfig, ClusterSystem
+        from repro.cluster import ClusterConfig, ClusterSystem
         from repro.core.config import ConsistencyLevel, CroesusConfig
         from repro.video.library import make_camera_streams
 
