@@ -17,7 +17,11 @@ Every command is a thin spec-builder over the declarative experiment
 layer (:mod:`repro.experiments`): it constructs a
 :class:`~repro.experiments.spec.ScenarioSpec`, hands it to the unified
 runner, and renders the returned
-:class:`~repro.experiments.report.RunReport`.  Every command accepts
+:class:`~repro.experiments.report.RunReport`.  The flags that set spec
+axes are declared once, in ``_AXIS_FLAGS``: ``cluster`` and ``scenario``
+generate their arguments from it and apply them in one loop, and the
+values are validated by the spec (hence by the subsystem configs), never
+here.  Every command accepts
 ``--json`` (emit the machine-readable report instead of tables) and
 ``--output FILE`` (write wherever the output would have been printed);
 invalid inputs exit with status 2, success with 0.  The commands that
@@ -33,7 +37,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from types import NoneType
+from typing import Any, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from repro.analysis.tables import format_table
 from repro.cluster.replication import REPLICATION_MODES
@@ -47,6 +52,7 @@ from repro.core.adaptive import ADAPTATION_MODES
 from repro.core.incremental import coordinate_descent_search
 from repro.core.optimizer import ThresholdEvaluator, brute_force_search, gradient_step_search
 from repro.experiments import (
+    CONSISTENCY_LEVELS,
     ScenarioSpec,
     Sweep,
     build_single_config,
@@ -57,7 +63,223 @@ from repro.experiments import (
     run as run_scenario,
 )
 from repro.experiments.report import RunReport
+from repro.sim.engine import Server
 from repro.video.library import VIDEO_LIBRARY
+
+
+class _AxisFlag(NamedTuple):
+    """One flag that sets one :class:`ScenarioSpec` axis — its only declaration.
+
+    ``cluster`` adds every row, ``scenario`` the rows with an ``override``
+    help.  The argparse ``type`` and the ``cluster`` default are read off
+    the spec field; ``none`` is the flag value that stands for ``None``.
+    """
+
+    option: str
+    field: str
+    help: str
+    override: str | None = None
+    choices: Sequence[str] | None = None
+    metavar: str | None = None
+    none: Any = None
+
+
+_AXIS_FLAGS = (
+    _AxisFlag("--edges", "num_edges", "number of edge replicas"),
+    _AxisFlag("--streams", "streams", "number of concurrent camera streams"),
+    _AxisFlag("--frames", "frames", "frames per stream"),
+    _AxisFlag("--router", "router", "placement policy", choices=ROUTER_POLICIES),
+    _AxisFlag("--partitions-per-edge", "partitions_per_edge", "store partitions per edge"),
+    _AxisFlag("--fps", "fps", "capture rate of each stream (frames/second)"),
+    _AxisFlag(
+        "--cloud-servers",
+        "cloud_servers",
+        "concurrent validations the cloud can serve (0 = unbounded)",
+        none=0,
+    ),
+    _AxisFlag(
+        "--consistency", "consistency", "multi-stage safety level", choices=CONSISTENCY_LEVELS
+    ),
+    _AxisFlag(
+        "--txn-policy",
+        "transaction_policy",
+        "commit policy of the consistency layer",
+        override="override the scenario's commit policy",
+        choices=TXN_POLICIES,
+    ),
+    _AxisFlag(
+        "--discipline",
+        "edge_discipline",
+        "edge-server admission discipline (priority lets initial stages preempt finals)",
+        choices=Server.DISCIPLINES,
+    ),
+    _AxisFlag(
+        "--fail",
+        "failure_schedule",
+        "schedule a replica failure (repeatable), e.g. --fail 1:2.5:4.0",
+        metavar="EDGE:FAIL_AT:RECOVER_AT",
+    ),
+    _AxisFlag(
+        "--checkpoint-interval",
+        "checkpoint_interval_s",
+        "periodic WAL checkpoint interval (0 = no periodic checkpoints)",
+        metavar="SECONDS",
+        none=0.0,
+    ),
+    _AxisFlag(
+        "--reshard",
+        "resharding",
+        "schedule a runtime partition move (repeatable), e.g. --reshard 2.0:0:1",
+        metavar="AT:PARTITION:TO_EDGE",
+    ),
+    _AxisFlag(
+        "--traffic",
+        "traffic",
+        "open-loop arrival process injecting streams at runtime "
+        "(none = the closed-loop finite workload of --streams x --frames)",
+        choices=("none", *ARRIVAL_PROCESSES),
+        none="none",
+    ),
+    _AxisFlag(
+        "--offered-rate",
+        "offered_rate",
+        "time-averaged arrival rate of the open-loop traffic",
+        metavar="STREAMS_PER_S",
+    ),
+    _AxisFlag(
+        "--duration", "duration_s", "arrival horizon of the open-loop traffic", metavar="SECONDS"
+    ),
+    _AxisFlag(
+        "--admission",
+        "admission",
+        "stream admission control of open-loop runs",
+        choices=ADMISSION_POLICIES,
+    ),
+    _AxisFlag(
+        "--apology-budget",
+        "apology_budget",
+        "apologies/s the load shedder may spend degrading frames "
+        "under overload (omit = no shedding)",
+        metavar="PER_SECOND",
+    ),
+    _AxisFlag(
+        "--replication-factor",
+        "replication_factor",
+        "copies of each partition: 1 primary + N-1 warm backups on "
+        "distinct edges (1 = no replication)",
+        override="override the scenario's partition replication factor",
+        metavar="N",
+    ),
+    _AxisFlag(
+        "--replication-mode",
+        "replication_mode",
+        "log-shipping acknowledgement discipline (sync = all backups, "
+        "quorum = majority, async = fire-and-forget)",
+        override="override the scenario's log-shipping acknowledgement discipline",
+        choices=REPLICATION_MODES,
+    ),
+    _AxisFlag(
+        "--regions",
+        "regions",
+        "geo regions the edges are split into (1 = single-region cluster)",
+        override="override the scenario's geo region count",
+        metavar="N",
+    ),
+    _AxisFlag(
+        "--wan-link",
+        "wan_link",
+        "multi-hop WAN path connecting the regions",
+        override="override the scenario's WAN path between regions",
+        choices=sorted(WAN_LINKS),
+    ),
+    _AxisFlag(
+        "--cross-region-policy",
+        "cross_region_policy",
+        "commit variant of cross-region transactions",
+        override="override the scenario's cross-region commit variant",
+        choices=CROSS_REGION_POLICIES,
+    ),
+    _AxisFlag(
+        "--placement",
+        "placement",
+        "partition placement across regions (dominant-region re-homes "
+        "partitions toward the region that uses them most)",
+        override="override the scenario's geo partition placement",
+        choices=PLACEMENTS,
+    ),
+    _AxisFlag(
+        "--adaptation",
+        "threshold_adaptation",
+        "online per-stream threshold adaptation (feedback = windowed "
+        "proportional controller, retune = incremental re-optimisation; "
+        "none = the static profiled thresholds)",
+        override="override the scenario's threshold adaptation mode (none = disable adaptation)",
+        choices=("none", *ADAPTATION_MODES),
+        none="none",
+    ),
+    _AxisFlag(
+        "--adaptation-interval",
+        "adaptation_interval_s",
+        "simulated seconds between adaptation ticks",
+        override="override the scenario's adaptation tick interval",
+        metavar="SECONDS",
+    ),
+    _AxisFlag(
+        "--adaptation-target",
+        "adaptation_target_f",
+        "F-score floor µ the controllers must hold while cutting bandwidth",
+        override="override the scenario's adaptation F-score floor",
+        metavar="F",
+    ),
+    _AxisFlag("--seed", "seed", "experiment seed"),
+)
+
+#: The spec ``cluster`` starts from: its flag defaults are this spec's
+#: field values (``--frames 40`` is the one departure from the spec default).
+_CLUSTER_BASE = ScenarioSpec(deployment="cluster", frames=40)
+
+
+def _add_axis_flags(parser: argparse.ArgumentParser, base: ScenarioSpec | None) -> None:
+    """Add the axis flags: all of them defaulting to ``base``'s values, or,
+    without a base, the override rows defaulting to ``None`` (= keep)."""
+    hints = get_type_hints(ScenarioSpec)
+    for flag in _AXIS_FLAGS:
+        if base is None and flag.override is None:
+            continue
+        hint = hints[flag.field]
+        default = None if base is None else getattr(base, flag.field)
+        if get_origin(hint) is tuple:
+            # A schedule axis: repeatable A:B:C triples, parsed on apply.
+            kind: dict[str, Any] = {"action": "append"}
+            default = None if default is None else list(default)
+        else:
+            kind = {"type": next(t for t in get_args(hint) or (hint,) if t is not NoneType)}
+            if base is not None and default is None:
+                default = flag.none
+        parser.add_argument(
+            flag.option,
+            dest=flag.field,
+            default=default,
+            choices=flag.choices,
+            metavar=flag.metavar,
+            help=flag.help if base is not None else flag.override,
+            **kind,
+        )
+
+
+def _apply_axis_flags(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
+    """``spec`` with every axis flag ``args`` carries a value for applied."""
+    overrides: dict[str, Any] = {}
+    for flag in _AXIS_FLAGS:
+        value = getattr(args, flag.field, None)
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = tuple(_parse_triple(text, flag.option) for text in value)
+        elif value == flag.none:
+            value = None
+        overrides[flag.field] = value
+    return spec.with_(**overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,164 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[output, profiling],
         help="run many camera streams on a multi-edge cluster",
     )
-    cluster_parser.add_argument("--edges", type=int, default=2, help="number of edge replicas")
-    cluster_parser.add_argument(
-        "--streams", type=int, default=4, help="number of concurrent camera streams"
-    )
-    cluster_parser.add_argument("--frames", type=int, default=40, help="frames per stream")
-    cluster_parser.add_argument(
-        "--router", choices=list(ROUTER_POLICIES), default="round-robin", help="placement policy"
-    )
-    cluster_parser.add_argument(
-        "--partitions-per-edge", type=int, default=1, help="store partitions per edge"
-    )
-    cluster_parser.add_argument(
-        "--fps", type=float, default=30.0, help="capture rate of each stream (frames/second)"
-    )
-    cluster_parser.add_argument(
-        "--cloud-servers",
-        type=int,
-        default=0,
-        help="concurrent validations the cloud can serve (0 = unbounded)",
-    )
-    cluster_parser.add_argument(
-        "--consistency",
-        choices=["ms-ia", "ms-sr"],
-        default="ms-ia",
-        help="multi-stage safety level",
-    )
-    cluster_parser.add_argument(
-        "--txn-policy",
-        choices=list(TXN_POLICIES),
-        default="immediate-2pc",
-        help="commit policy of the consistency layer",
-    )
-    cluster_parser.add_argument(
-        "--discipline",
-        choices=["fifo", "priority"],
-        default="fifo",
-        help="edge-server admission discipline (priority lets initial stages preempt finals)",
-    )
-    cluster_parser.add_argument(
-        "--fail",
-        action="append",
-        default=[],
-        metavar="EDGE:FAIL_AT:RECOVER_AT",
-        help="schedule a replica failure (repeatable), e.g. --fail 1:2.5:4.0",
-    )
-    cluster_parser.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="periodic WAL checkpoint interval (0 = no periodic checkpoints)",
-    )
-    cluster_parser.add_argument(
-        "--reshard",
-        action="append",
-        default=[],
-        metavar="AT:PARTITION:TO_EDGE",
-        help="schedule a runtime partition move (repeatable), e.g. --reshard 2.0:0:1",
-    )
-    cluster_parser.add_argument(
-        "--traffic",
-        choices=["none", *ARRIVAL_PROCESSES],
-        default="none",
-        help="open-loop arrival process injecting streams at runtime "
-        "(none = the closed-loop finite workload of --streams x --frames)",
-    )
-    cluster_parser.add_argument(
-        "--offered-rate",
-        type=float,
-        default=1.0,
-        metavar="STREAMS_PER_S",
-        help="time-averaged arrival rate of the open-loop traffic",
-    )
-    cluster_parser.add_argument(
-        "--duration",
-        type=float,
-        default=8.0,
-        metavar="SECONDS",
-        help="arrival horizon of the open-loop traffic",
-    )
-    cluster_parser.add_argument(
-        "--admission",
-        choices=list(ADMISSION_POLICIES),
-        default="none",
-        help="stream admission control of open-loop runs",
-    )
-    cluster_parser.add_argument(
-        "--apology-budget",
-        type=float,
-        default=None,
-        metavar="PER_SECOND",
-        help="apologies/s the load shedder may spend degrading frames "
-        "under overload (omit = no shedding)",
-    )
-    cluster_parser.add_argument(
-        "--replication-factor",
-        type=int,
-        default=1,
-        metavar="N",
-        help="copies of each partition: 1 primary + N-1 warm backups on "
-        "distinct edges (1 = no replication)",
-    )
-    cluster_parser.add_argument(
-        "--replication-mode",
-        choices=list(REPLICATION_MODES),
-        default="sync",
-        help="log-shipping acknowledgement discipline (sync = all backups, "
-        "quorum = majority, async = fire-and-forget)",
-    )
-    cluster_parser.add_argument(
-        "--regions",
-        type=int,
-        default=1,
-        metavar="N",
-        help="geo regions the edges are split into (1 = single-region cluster)",
-    )
-    cluster_parser.add_argument(
-        "--wan-link",
-        choices=sorted(WAN_LINKS),
-        default="cross-country",
-        help="multi-hop WAN path connecting the regions",
-    )
-    cluster_parser.add_argument(
-        "--cross-region-policy",
-        choices=list(CROSS_REGION_POLICIES),
-        default="global-2pc",
-        help="commit variant of cross-region transactions",
-    )
-    cluster_parser.add_argument(
-        "--placement",
-        choices=list(PLACEMENTS),
-        default="static",
-        help="partition placement across regions (dominant-region re-homes "
-        "partitions toward the region that uses them most)",
-    )
-    cluster_parser.add_argument(
-        "--adaptation",
-        choices=["none", *ADAPTATION_MODES],
-        default="none",
-        help="online per-stream threshold adaptation (feedback = windowed "
-        "proportional controller, retune = incremental re-optimisation; "
-        "none = the static profiled thresholds)",
-    )
-    cluster_parser.add_argument(
-        "--adaptation-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="simulated seconds between adaptation ticks",
-    )
-    cluster_parser.add_argument(
-        "--adaptation-target",
-        type=float,
-        default=0.8,
-        metavar="F",
-        help="F-score floor µ the controllers must hold while cutting bandwidth",
-    )
-    cluster_parser.add_argument("--seed", type=int, default=0, help="experiment seed")
+    _add_axis_flags(cluster_parser, _CLUSTER_BASE)
 
     scenario_parser = subparsers.add_parser(
         "scenario", parents=[output, profiling], help="run a registered scenario by name"
@@ -307,71 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_parser.add_argument(
         "--list", action="store_true", help="list the registered scenarios"
     )
-    scenario_parser.add_argument(
-        "--txn-policy",
-        choices=list(TXN_POLICIES),
-        default=None,
-        help="override the scenario's commit policy",
-    )
-    scenario_parser.add_argument(
-        "--replication-factor",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the scenario's partition replication factor",
-    )
-    scenario_parser.add_argument(
-        "--replication-mode",
-        choices=list(REPLICATION_MODES),
-        default=None,
-        help="override the scenario's log-shipping acknowledgement discipline",
-    )
-    scenario_parser.add_argument(
-        "--regions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the scenario's geo region count",
-    )
-    scenario_parser.add_argument(
-        "--wan-link",
-        choices=sorted(WAN_LINKS),
-        default=None,
-        help="override the scenario's WAN path between regions",
-    )
-    scenario_parser.add_argument(
-        "--cross-region-policy",
-        choices=list(CROSS_REGION_POLICIES),
-        default=None,
-        help="override the scenario's cross-region commit variant",
-    )
-    scenario_parser.add_argument(
-        "--placement",
-        choices=list(PLACEMENTS),
-        default=None,
-        help="override the scenario's geo partition placement",
-    )
-    scenario_parser.add_argument(
-        "--adaptation",
-        choices=["none", *ADAPTATION_MODES],
-        default=None,
-        help="override the scenario's threshold adaptation mode "
-        "(none = disable adaptation)",
-    )
-    scenario_parser.add_argument(
-        "--adaptation-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="override the scenario's adaptation tick interval",
-    )
-    scenario_parser.add_argument(
-        "--adaptation-target",
-        type=float,
-        default=None,
-        metavar="F",
-        help="override the scenario's adaptation F-score floor",
-    )
+    _add_axis_flags(scenario_parser, None)
 
     sweep_parser = subparsers.add_parser(
         "sweep", parents=[output], help="run a sweep over any ScenarioSpec axes"
@@ -619,53 +620,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    for name, value in (
-        ("--edges", args.edges),
-        ("--streams", args.streams),
-        ("--frames", args.frames),
-        ("--partitions-per-edge", args.partitions_per_edge),
-        ("--fps", args.fps),
-    ):
-        if value <= 0:
-            return _fail("cluster", f"{name} must be positive, got {value}")
-    if args.cloud_servers < 0:
-        return _fail("cluster", f"--cloud-servers must be >= 0, got {args.cloud_servers}")
-    if args.checkpoint_interval < 0:
-        return _fail(
-            "cluster", f"--checkpoint-interval must be >= 0, got {args.checkpoint_interval}"
-        )
     try:
-        spec = ScenarioSpec(
-            deployment="cluster",
-            seed=args.seed,
-            consistency=args.consistency,
-            streams=args.streams,
-            frames=args.frames,
-            num_edges=args.edges,
-            partitions_per_edge=args.partitions_per_edge,
-            router=args.router,
-            fps=args.fps,
-            cloud_servers=args.cloud_servers or None,
-            transaction_policy=args.txn_policy,
-            edge_discipline=args.discipline,
-            failure_schedule=tuple(_parse_triple(text, "--fail") for text in args.fail),
-            checkpoint_interval_s=args.checkpoint_interval or None,
-            resharding=tuple(_parse_triple(text, "--reshard") for text in args.reshard),
-            traffic=None if args.traffic == "none" else args.traffic,
-            offered_rate=args.offered_rate,
-            duration_s=args.duration,
-            admission=args.admission,
-            apology_budget=args.apology_budget,
-            replication_factor=args.replication_factor,
-            replication_mode=args.replication_mode,
-            regions=args.regions,
-            wan_link=args.wan_link,
-            cross_region_policy=args.cross_region_policy,
-            placement=args.placement,
-            threshold_adaptation=None if args.adaptation == "none" else args.adaptation,
-            adaptation_interval_s=args.adaptation_interval,
-            adaptation_target_f=args.adaptation_target,
-        )
+        spec = _apply_axis_flags(_CLUSTER_BASE, args)
     except ValueError as error:
         return _fail("cluster", str(error))
     report = _profiled(args, lambda: run_scenario(spec))
@@ -896,32 +852,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if not args.name:
         return _fail("scenario", "a scenario name is required (or use --list)")
     try:
-        spec = get_scenario(args.name)
+        spec = _apply_axis_flags(get_scenario(args.name), args)
     except KeyError as error:
         return _fail("scenario", str(error.args[0]))
-    if args.txn_policy is not None:
-        spec = spec.with_(transaction_policy=args.txn_policy)
-    try:
-        if args.replication_factor is not None:
-            spec = spec.with_(replication_factor=args.replication_factor)
-        if args.replication_mode is not None:
-            spec = spec.with_(replication_mode=args.replication_mode)
-        if args.regions is not None:
-            spec = spec.with_(regions=args.regions)
-        if args.wan_link is not None:
-            spec = spec.with_(wan_link=args.wan_link)
-        if args.cross_region_policy is not None:
-            spec = spec.with_(cross_region_policy=args.cross_region_policy)
-        if args.placement is not None:
-            spec = spec.with_(placement=args.placement)
-        if args.adaptation is not None:
-            spec = spec.with_(
-                threshold_adaptation=None if args.adaptation == "none" else args.adaptation
-            )
-        if args.adaptation_interval is not None:
-            spec = spec.with_(adaptation_interval_s=args.adaptation_interval)
-        if args.adaptation_target is not None:
-            spec = spec.with_(adaptation_target_f=args.adaptation_target)
     except ValueError as error:
         return _fail("scenario", str(error))
     report = _profiled(args, lambda: run_scenario(spec))

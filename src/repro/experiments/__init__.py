@@ -43,13 +43,7 @@ from repro.experiments.registry import (
     register_scenario,
     register_sweep,
 )
-from repro.experiments.runner import (
-    build_cluster_config,
-    build_single_config,
-    build_streams,
-    build_traffic_config,
-    run,
-)
+from repro.experiments.runner import build_streams, run
 from repro.experiments.spec import (
     CLUSTER_FIELDS,
     CONSISTENCY_LEVELS,
@@ -57,6 +51,9 @@ from repro.experiments.spec import (
     SINGLE_SYSTEMS,
     WORKLOADS,
     ScenarioSpec,
+    build_cluster_config,
+    build_single_config,
+    build_traffic_config,
     spec_field_names,
 )
 from repro.experiments.sweep import Sweep, SweepAxis, SweepCell, SweepResult

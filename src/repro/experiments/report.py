@@ -12,31 +12,29 @@ CI pipes the CLI's JSON through it on every commit.
 Metrics a deployment cannot produce are reported as their zero value
 rather than omitted (a single-edge run has no makespan, queueing, 2PC
 aborts, or migrations), so consumers never branch on key presence.
+
+A report key is declared once, as a :class:`RunReport` dataclass field:
+``to_dict``, ``from_dict``, :data:`REQUIRED_KEYS` and the type checks of
+:func:`validate_report` are all read off ``fields(RunReport)`` and the
+field annotations (``| None`` marks a nullable block).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, fields
+from types import NoneType, UnionType
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
+from repro.core.results import LatencyBreakdown
 from repro.experiments.spec import ScenarioSpec
 
-#: Keys of the per-frame latency breakdown, all in milliseconds.
+#: Keys of the per-frame latency breakdown, all in milliseconds: the two
+#: response latencies plus one key per :class:`LatencyBreakdown` component.
 LATENCY_KEYS = (
     "initial_ms",
     "final_ms",
-    "edge_transfer_ms",
-    "edge_detection_ms",
-    "initial_txn_ms",
-    "cloud_transfer_ms",
-    "cloud_detection_ms",
-    "final_txn_ms",
-    "queue_delay_ms",
-    "final_queue_delay_ms",
-    "cloud_queue_delay_ms",
-    "commit_protocol_ms",
-    "commit_overlap_saved_ms",
+    *(f"{component.name}_ms" for component in fields(LatencyBreakdown)),
 )
 
 #: Keys of each entry in a cluster report's ``edges`` list.
@@ -50,57 +48,6 @@ EDGE_KEYS = (
     "mean_queue_delay_ms",
     "max_queue_delay_ms",
 )
-
-#: Top-level keys every report must carry, with their required types.
-REQUIRED_KEYS: dict[str, type | tuple[type, ...]] = {
-    "scenario": dict,
-    "deployment": str,
-    "system": str,
-    "frames": int,
-    "streams": int,
-    "f_score": (int, float),
-    "bandwidth_utilization": (int, float),
-    "latency": dict,
-    "throughput_fps": (int, float),
-    "queue_delay_ms": (int, float),
-    "cloud_queue_delay_ms": (int, float),
-    "transactions": int,
-    "aborts": int,
-    "abort_rate": (int, float),
-    "cross_partition_txns": int,
-    "cross_partition_fraction": (int, float),
-    "migrations": int,
-    "makespan_s": (int, float),
-    "transaction_policy": str,
-    "coordinator_round_trips": int,
-    "coordinator_batches": int,
-    "overlap_saved_ms": (int, float),
-    "downtime_ms": (int, float),
-    "recovery_time_ms": (int, float),
-    "frames_replayed": int,
-    "txns_aborted_by_failure": int,
-    "checkpoints": int,
-    "offered_load_fps": (int, float),
-    "admitted_load_fps": (int, float),
-    "goodput_fps": (int, float),
-    "shed_rate": (int, float),
-    "p50_latency_ms": (int, float),
-    "p95_latency_ms": (int, float),
-    "p99_latency_ms": (int, float),
-    "replication_lag_ms": (int, float),
-    "promotions": int,
-    "log_records_shipped": int,
-    "log_flushes": int,
-    "cross_region_txn_fraction": (int, float),
-    "wan_round_trips_per_txn": (int, float),
-    "threshold_updates": int,
-    "tuner_evaluations": int,
-    "tuner_frame_rescores": int,
-    "edges": list,
-    "migration_events": list,
-    "failure_events": list,
-    "reshard_events": list,
-}
 
 
 class ReportSchemaError(ValueError):
@@ -221,66 +168,10 @@ class RunReport:
 
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
+        """Plain-JSON dictionary: one key per dataclass field, in field order."""
         return {
-            "scenario": dict(self.scenario),
-            "deployment": self.deployment,
-            "system": self.system,
-            "frames": self.frames,
-            "streams": self.streams,
-            "f_score": self.f_score,
-            "bandwidth_utilization": self.bandwidth_utilization,
-            "latency": dict(self.latency),
-            "throughput_fps": self.throughput_fps,
-            "queue_delay_ms": self.queue_delay_ms,
-            "cloud_queue_delay_ms": self.cloud_queue_delay_ms,
-            "transactions": self.transactions,
-            "aborts": self.aborts,
-            "abort_rate": self.abort_rate,
-            "cross_partition_txns": self.cross_partition_txns,
-            "cross_partition_fraction": self.cross_partition_fraction,
-            "migrations": self.migrations,
-            "makespan_s": self.makespan_s,
-            "transaction_policy": self.transaction_policy,
-            "coordinator_round_trips": self.coordinator_round_trips,
-            "coordinator_batches": self.coordinator_batches,
-            "overlap_saved_ms": self.overlap_saved_ms,
-            "downtime_ms": self.downtime_ms,
-            "recovery_time_ms": self.recovery_time_ms,
-            "frames_replayed": self.frames_replayed,
-            "txns_aborted_by_failure": self.txns_aborted_by_failure,
-            "checkpoints": self.checkpoints,
-            "offered_load_fps": self.offered_load_fps,
-            "admitted_load_fps": self.admitted_load_fps,
-            "goodput_fps": self.goodput_fps,
-            "shed_rate": self.shed_rate,
-            "p50_latency_ms": self.p50_latency_ms,
-            "p95_latency_ms": self.p95_latency_ms,
-            "p99_latency_ms": self.p99_latency_ms,
-            "replication_lag_ms": self.replication_lag_ms,
-            "promotions": self.promotions,
-            "log_records_shipped": self.log_records_shipped,
-            "log_flushes": self.log_flushes,
-            "cross_region_txn_fraction": self.cross_region_txn_fraction,
-            "wan_round_trips_per_txn": self.wan_round_trips_per_txn,
-            "threshold_updates": self.threshold_updates,
-            "tuner_evaluations": self.tuner_evaluations,
-            "tuner_frame_rescores": self.tuner_frame_rescores,
-            "edges": [dict(edge) for edge in self.edges],
-            "migration_events": [dict(event) for event in self.migration_events],
-            "failure_events": [dict(event) for event in self.failure_events],
-            "reshard_events": [dict(event) for event in self.reshard_events],
-            "cloud_queue": dict(self.cloud_queue) if self.cloud_queue is not None else None,
-            "batch_flushes": (
-                dict(self.batch_flushes) if self.batch_flushes is not None else None
-            ),
-            "traffic": dict(self.traffic) if self.traffic is not None else None,
-            "replication": (
-                dict(self.replication) if self.replication is not None else None
-            ),
-            "geo": dict(self.geo) if self.geo is not None else None,
-            "adaptation": (
-                dict(self.adaptation) if self.adaptation is not None else None
-            ),
+            report_field.name: _copied(getattr(self, report_field.name), list)
+            for report_field in fields(self)
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -292,76 +183,39 @@ class RunReport:
         """Rebuild a report from validated :meth:`to_dict` output."""
         validate_report(payload)
         return cls(
-            scenario=dict(payload["scenario"]),
-            deployment=payload["deployment"],
-            system=payload["system"],
-            frames=payload["frames"],
-            streams=payload["streams"],
-            f_score=payload["f_score"],
-            bandwidth_utilization=payload["bandwidth_utilization"],
-            latency=dict(payload["latency"]),
-            throughput_fps=payload["throughput_fps"],
-            queue_delay_ms=payload["queue_delay_ms"],
-            cloud_queue_delay_ms=payload["cloud_queue_delay_ms"],
-            transactions=payload["transactions"],
-            aborts=payload["aborts"],
-            abort_rate=payload["abort_rate"],
-            cross_partition_txns=payload["cross_partition_txns"],
-            cross_partition_fraction=payload["cross_partition_fraction"],
-            migrations=payload["migrations"],
-            makespan_s=payload["makespan_s"],
-            transaction_policy=payload["transaction_policy"],
-            coordinator_round_trips=payload["coordinator_round_trips"],
-            coordinator_batches=payload["coordinator_batches"],
-            overlap_saved_ms=payload["overlap_saved_ms"],
-            downtime_ms=payload["downtime_ms"],
-            recovery_time_ms=payload["recovery_time_ms"],
-            frames_replayed=payload["frames_replayed"],
-            txns_aborted_by_failure=payload["txns_aborted_by_failure"],
-            checkpoints=payload["checkpoints"],
-            offered_load_fps=payload["offered_load_fps"],
-            admitted_load_fps=payload["admitted_load_fps"],
-            goodput_fps=payload["goodput_fps"],
-            shed_rate=payload["shed_rate"],
-            p50_latency_ms=payload["p50_latency_ms"],
-            p95_latency_ms=payload["p95_latency_ms"],
-            p99_latency_ms=payload["p99_latency_ms"],
-            replication_lag_ms=payload["replication_lag_ms"],
-            promotions=payload["promotions"],
-            log_records_shipped=payload["log_records_shipped"],
-            log_flushes=payload["log_flushes"],
-            cross_region_txn_fraction=payload["cross_region_txn_fraction"],
-            wan_round_trips_per_txn=payload["wan_round_trips_per_txn"],
-            threshold_updates=payload["threshold_updates"],
-            tuner_evaluations=payload["tuner_evaluations"],
-            tuner_frame_rescores=payload["tuner_frame_rescores"],
-            edges=tuple(dict(edge) for edge in payload["edges"]),
-            migration_events=tuple(dict(event) for event in payload["migration_events"]),
-            failure_events=tuple(dict(event) for event in payload["failure_events"]),
-            reshard_events=tuple(dict(event) for event in payload["reshard_events"]),
-            cloud_queue=(
-                dict(payload["cloud_queue"]) if payload.get("cloud_queue") is not None else None
-            ),
-            batch_flushes=(
-                dict(payload["batch_flushes"])
-                if payload.get("batch_flushes") is not None
-                else None
-            ),
-            traffic=(
-                dict(payload["traffic"]) if payload.get("traffic") is not None else None
-            ),
-            replication=(
-                dict(payload["replication"])
-                if payload.get("replication") is not None
-                else None
-            ),
-            geo=(dict(payload["geo"]) if payload.get("geo") is not None else None),
-            adaptation=(
-                dict(payload["adaptation"])
-                if payload.get("adaptation") is not None
-                else None
-            ),
+            **{
+                report_field.name: _copied(payload[report_field.name], tuple)
+                for report_field in fields(cls)
+                if report_field.name in payload
+            }
         )
+
+
+def _copied(value: Any, sequence: type) -> Any:
+    """Copy one field value between its dataclass and JSON shapes: blocks
+    become fresh dicts, event lists a ``sequence`` (tuple ⇄ list) of them."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    if isinstance(value, (list, tuple)):
+        return sequence(dict(item) for item in value)
+    return value
+
+
+def _json_type(hint: Any) -> tuple[type | tuple[type, ...], bool]:
+    """``(JSON type, nullable)`` of one annotated :class:`RunReport` field."""
+    options = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    (kind,) = (get_origin(option) or option for option in options if option is not NoneType)
+    return {float: (int, float), tuple: list}.get(kind, kind), NoneType in options
+
+
+#: The schema, read off the dataclass: field name -> (JSON type, nullable).
+_SCHEMA = {name: _json_type(hint) for name, hint in get_type_hints(RunReport).items()}
+
+#: Top-level keys every report must carry, with their required types (the
+#: fields not annotated ``| None``; those blocks may be absent or null).
+REQUIRED_KEYS: dict[str, type | tuple[type, ...]] = {
+    name: kind for name, (kind, nullable) in _SCHEMA.items() if not nullable
+}
 
 
 def validate_report(payload: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -373,12 +227,16 @@ def validate_report(payload: Mapping[str, Any]) -> Mapping[str, Any]:
     problems: list[str] = []
     if not isinstance(payload, Mapping):
         raise ReportSchemaError(f"report must be a mapping, got {type(payload).__name__}")
-    for key, expected in REQUIRED_KEYS.items():
+    for key, (expected, nullable) in _SCHEMA.items():
         if key not in payload:
-            problems.append(f"missing required key {key!r}")
+            if not nullable:
+                problems.append(f"missing required key {key!r}")
+        elif nullable and payload[key] is None:
+            continue
         elif not isinstance(payload[key], expected) or isinstance(payload[key], bool):
             problems.append(
-                f"key {key!r} must be {expected}, got {type(payload[key]).__name__}"
+                f"key {key!r} must be {expected}{' or None' if nullable else ''}, "
+                f"got {type(payload[key]).__name__}"
             )
     if isinstance(payload.get("latency"), dict):
         for key in LATENCY_KEYS:

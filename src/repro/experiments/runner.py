@@ -17,12 +17,7 @@ from functools import partial
 from typing import Callable
 
 from repro.analysis.timeline import batch_flush_profile, cloud_queue_profile, migration_timeline
-from repro.cluster import (
-    ClusterConfig,
-    ClusterSystem,
-    empty_bank_factory,
-    hotspot_bank_factory,
-)
+from repro.cluster import ClusterSystem, empty_bank_factory, hotspot_bank_factory
 from repro.core.baselines import (
     BaselineResult,
     run_cloud_only,
@@ -31,14 +26,17 @@ from repro.core.baselines import (
     run_hybrid_cloud,
     run_hybrid_croesus,
 )
-from repro.core.adaptive import AdaptationConfig
-from repro.core.config import ConsistencyLevel, CroesusConfig
-from repro.detection.profiles import MODEL_LIBRARY
-from repro.geo.system import GeoConfig, GeoSystem
 from repro.core.results import LatencyBreakdown
 from repro.experiments.report import RunReport
-from repro.experiments.spec import ScenarioSpec
-from repro.traffic.source import TrafficConfig
+from repro.experiments.spec import (
+    ScenarioSpec,
+    build_adaptation_config,
+    build_cluster_config,
+    build_geo_config,
+    build_single_config,
+    build_traffic_config,
+)
+from repro.geo.system import GeoSystem
 from repro.video.library import make_camera_streams, make_uneven_camera_streams
 from repro.video.synthetic import SyntheticVideo
 
@@ -52,75 +50,6 @@ _SINGLE_RUNNERS: dict[str, Callable[..., BaselineResult]] = {
     "croesus-compression": partial(run_hybrid_croesus, use_difference=False),
     "croesus-difference": partial(run_hybrid_croesus, use_difference=True),
 }
-
-
-def build_single_config(spec: ScenarioSpec) -> CroesusConfig:
-    """The ``CroesusConfig`` a single-edge scenario translates to."""
-    return CroesusConfig(
-        seed=spec.seed,
-        lower_threshold=spec.lower_threshold,
-        upper_threshold=spec.upper_threshold,
-        consistency=_consistency(spec),
-        transaction_policy=spec.transaction_policy,
-        edge_profile=MODEL_LIBRARY[spec.edge_model],
-        cloud_profile=MODEL_LIBRARY[spec.cloud_model],
-    )
-
-
-def build_cluster_config(spec: ScenarioSpec) -> ClusterConfig:
-    """The ``ClusterConfig`` a cluster scenario translates to."""
-    return ClusterConfig(
-        base=build_single_config(spec),
-        num_edges=spec.num_edges,
-        partitions_per_edge=spec.partitions_per_edge,
-        router_policy=spec.router,
-        frame_interval=spec.frame_interval,
-        cloud_servers=spec.cloud_servers,
-        edge_discipline=spec.edge_discipline,
-        failure_schedule=spec.failure_schedule,
-        checkpoint_interval_s=spec.checkpoint_interval_s,
-        resharding=spec.resharding,
-        failback=spec.failback,
-        failure_hazard_rate=spec.failure_hazard_rate,
-        failure_outage_s=spec.failure_outage_s,
-        record_frames=spec.record_frames,
-        reference_engine=spec.reference_engine,
-        replication_factor=spec.replication_factor,
-        replication_mode=spec.replication_mode,
-        wal_group_commit_window_s=(
-            spec.wal_group_commit_window_ms / 1000.0
-            if spec.wal_group_commit_window_ms is not None
-            else None
-        ),
-        threshold_adaptation=spec.threshold_adaptation,
-        adaptation_interval_s=spec.adaptation_interval_s,
-        adaptation_target_f=spec.adaptation_target_f,
-    )
-
-
-def build_traffic_config(spec: ScenarioSpec) -> TrafficConfig:
-    """The open-loop :class:`TrafficConfig` of a ``spec.traffic`` scenario."""
-    if spec.traffic is None:
-        raise ValueError("spec has no traffic process (closed-loop scenario)")
-    kwargs: dict = {}
-    if spec.traffic_video is not None:
-        # Only set when asked for: the TrafficConfig default cycles the
-        # standard presets, which every existing open-loop pin relies on.
-        kwargs["video_keys"] = (spec.traffic_video,)
-    return TrafficConfig(
-        process=spec.traffic,
-        offered_rate=spec.offered_rate,
-        duration_s=spec.duration_s,
-        peak_factor=spec.peak_factor,
-        stream_length=spec.stream_length,
-        mean_frames=spec.frames,
-        frame_interval=spec.frame_interval,
-        admission=spec.admission,
-        admission_rate=spec.admission_rate,
-        shed_threshold=spec.shed_threshold,
-        apology_budget=spec.apology_budget,
-        **kwargs,
-    )
 
 
 def build_streams(spec: ScenarioSpec) -> list[SyntheticVideo]:
@@ -149,7 +78,7 @@ def _run_single(spec: ScenarioSpec) -> RunReport:
     if spec.threshold_adaptation is not None:
         # Spec validation restricts single-deployment adaptation to the
         # croesus system, the only baseline with a validate interval.
-        runner = partial(run_croesus, adaptation=_adaptation_config(spec))
+        runner = partial(run_croesus, adaptation=build_adaptation_config(spec))
     result = runner(build_single_config(spec), spec.video, num_frames=spec.frames)
     breakdown = result.average_breakdown
     latency = _latency_ms(breakdown)
@@ -210,16 +139,7 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         # The geo tier only exists when asked for: regions=1 takes the
         # plain ClusterSystem construction below, so single-region seeded
         # runs stay bit-for-bit on their golden pins.
-        geo_system = GeoSystem(
-            config,
-            GeoConfig(
-                regions=spec.regions,
-                wan_link=spec.wan_link,
-                cross_region_policy=spec.cross_region_policy,
-                placement=spec.placement,
-            ),
-            bank_factory=bank_factory,
-        )
+        geo_system = GeoSystem(config, build_geo_config(spec), bank_factory=bank_factory)
         system: ClusterSystem = geo_system
     else:
         system = ClusterSystem(config, bank_factory=bank_factory)
@@ -399,15 +319,6 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
 
 
 # -- shared ------------------------------------------------------------------
-def _adaptation_config(spec: ScenarioSpec) -> AdaptationConfig:
-    """The controller configuration an adaptive scenario translates to."""
-    return AdaptationConfig(
-        mode=spec.threshold_adaptation,
-        interval_s=spec.adaptation_interval_s,
-        target_f=spec.adaptation_target_f,
-    )
-
-
 def _adaptation_block(
     spec: ScenarioSpec,
     tuner_grid_rescores: int,
@@ -424,10 +335,6 @@ def _adaptation_block(
             for stream, (lower, upper) in sorted(stream_thresholds.items())
         },
     }
-
-
-def _consistency(spec: ScenarioSpec) -> ConsistencyLevel:
-    return ConsistencyLevel.MS_SR if spec.consistency == "ms-sr" else ConsistencyLevel.MS_IA
 
 
 def _latency_ms(breakdown: LatencyBreakdown) -> dict[str, float]:

@@ -8,10 +8,17 @@ the cloud capacity, the seed — as one frozen, hashable value with a
 lossless ``to_dict()``/``from_dict()`` round trip.
 
 The spec is deliberately a *description*, not a configuration object:
-:func:`repro.experiments.runner.run` translates it into the concrete
-``CroesusConfig``/``ClusterConfig`` the systems consume, so adding a new
-axis to the evaluation grid means adding a field here instead of a new
-CLI subcommand or benchmark loop.
+the ``build_*_config`` functions below translate it into the concrete
+``CroesusConfig``/``ClusterConfig``/``TrafficConfig``/``GeoConfig`` the
+systems consume, so adding a new axis to the evaluation grid means
+adding a field here instead of a new CLI subcommand or benchmark loop.
+
+Validation has one owner per axis.  A subsystem axis is checked by the
+config that consumes it — ``__post_init__`` builds those configs and
+lets their errors through — so this module checks only the axes nothing
+else consumes (deployment, system, video, stream shape, workload,
+models) and the rules that span subsystems.  Serialisation is
+``dataclasses.asdict`` over the fields.
 """
 
 from __future__ import annotations
@@ -19,21 +26,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
-from repro.cluster.failure import (
-    FailureInjector,
-    normalize_failure_schedule,
-    normalize_resharding,
-    validate_failure_schedule,
-)
-from repro.cluster.replication import REPLICATION_MODES
-from repro.cluster.router import ROUTER_POLICIES
-from repro.core.adaptive import ADAPTATION_MODES
+from repro.cluster.config import ClusterConfig
+from repro.cluster.failure import normalize_failure_schedule, normalize_resharding
+from repro.core.adaptive import AdaptationConfig
+from repro.core.config import ConsistencyLevel, CroesusConfig
 from repro.detection.profiles import MODEL_LIBRARY
-from repro.geo.wan import CROSS_REGION_POLICIES, PLACEMENTS
-from repro.network.topology import WAN_LINKS
-from repro.traffic.admission import ADMISSION_POLICIES
-from repro.traffic.arrivals import ARRIVAL_PROCESSES, STREAM_LENGTHS
-from repro.transactions.policy import TXN_POLICIES
+from repro.geo.system import GeoConfig
+from repro.traffic.source import TrafficConfig
 from repro.video.library import VIDEO_LIBRARY
 
 #: The two deployment shapes the runner knows how to execute.
@@ -58,9 +57,6 @@ WORKLOADS = ("ycsb", "hotspot", "none")
 
 #: Multi-stage safety levels, by their paper names.
 CONSISTENCY_LEVELS = ("ms-ia", "ms-sr")
-
-#: Edge-server admission disciplines a cluster scenario can run.
-EDGE_DISCIPLINES = ("fifo", "priority")
 
 #: Spec fields that only affect ``deployment="cluster"`` runs.
 CLUSTER_FIELDS = frozenset(
@@ -333,33 +329,14 @@ class ScenarioSpec:
             raise ValueError(f"unknown video {self.video!r}; known videos: {known}")
         if self.frames <= 0:
             raise ValueError(f"frames must be positive, got {self.frames}")
-        if not 0.0 <= self.lower_threshold <= self.upper_threshold < 1.0 + 1e-9:
-            raise ValueError(
-                "thresholds must satisfy 0 <= lower <= upper < 1, got "
-                f"({self.lower_threshold}, {self.upper_threshold})"
-            )
         if self.consistency not in CONSISTENCY_LEVELS:
             raise ValueError(
                 f"unknown consistency {self.consistency!r}; expected one of {CONSISTENCY_LEVELS}"
             )
         if self.streams <= 0:
             raise ValueError(f"streams must be positive, got {self.streams}")
-        if self.num_edges < 1:
-            raise ValueError(f"num_edges must be at least 1, got {self.num_edges}")
-        if self.partitions_per_edge < 1:
-            raise ValueError(
-                f"partitions_per_edge must be at least 1, got {self.partitions_per_edge}"
-            )
-        if self.router not in ROUTER_POLICIES:
-            known = ", ".join(ROUTER_POLICIES)
-            raise ValueError(f"unknown router {self.router!r}; known policies: {known}")
         if self.fps <= 0:
             raise ValueError(f"fps must be positive, got {self.fps}")
-        if self.cloud_servers is not None and self.cloud_servers < 1:
-            raise ValueError(
-                "cloud_servers must be at least 1 (or None for unbounded), got "
-                f"{self.cloud_servers}"
-            )
         if self.workload not in WORKLOADS:
             raise ValueError(
                 f"unknown workload {self.workload!r}; expected one of {WORKLOADS}"
@@ -373,97 +350,32 @@ class ScenarioSpec:
                 f"num_long must be in [0, streams], got {self.num_long} with "
                 f"{self.streams} streams"
             )
-        if self.transaction_policy not in TXN_POLICIES:
-            known = ", ".join(TXN_POLICIES)
-            raise ValueError(
-                f"unknown transaction_policy {self.transaction_policy!r}; "
-                f"known policies: {known}"
-            )
-        if self.edge_discipline not in EDGE_DISCIPLINES:
-            raise ValueError(
-                f"unknown edge_discipline {self.edge_discipline!r}; "
-                f"expected one of {EDGE_DISCIPLINES}"
-            )
         # The schedules accept lists (a JSON round trip yields lists) and
         # are normalised to plain float/int tuples, so ``from_dict`` of a
         # serialised spec compares equal to the original.
-        failures = normalize_failure_schedule(self.failure_schedule)
-        validate_failure_schedule(failures, self.num_edges)
         object.__setattr__(
-            self, "failure_schedule", tuple(spec.to_tuple() for spec in failures)
+            self,
+            "failure_schedule",
+            tuple(spec.to_tuple() for spec in normalize_failure_schedule(self.failure_schedule)),
         )
-        moves = normalize_resharding(self.resharding)
-        num_partitions = self.num_edges * self.partitions_per_edge
-        for move in moves:
-            if move.partition_id >= num_partitions:
-                raise ValueError(
-                    f"resharding names partition {move.partition_id}, but there are "
-                    f"{num_partitions} partitions"
-                )
-            if move.to_edge >= self.num_edges:
-                raise ValueError(
-                    f"resharding names edge {move.to_edge}, but there are "
-                    f"{self.num_edges} edges"
-                )
-        object.__setattr__(self, "resharding", tuple(move.to_tuple() for move in moves))
-        if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
-            raise ValueError(
-                "checkpoint_interval_s must be positive (or None), got "
-                f"{self.checkpoint_interval_s}"
-            )
-        if self.traffic is not None:
-            if self.traffic not in ARRIVAL_PROCESSES:
-                known = ", ".join(ARRIVAL_PROCESSES)
-                raise ValueError(
-                    f"unknown traffic process {self.traffic!r}; known processes: {known}"
-                )
-            if self.deployment != "cluster":
-                raise ValueError(
-                    "open-loop traffic requires deployment='cluster' "
-                    "(the single deployment runs one finite video)"
-                )
-        if self.offered_rate <= 0:
-            raise ValueError(f"offered_rate must be positive, got {self.offered_rate}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.peak_factor < 1.0:
-            raise ValueError(f"peak_factor must be at least 1, got {self.peak_factor}")
-        if self.stream_length not in STREAM_LENGTHS:
-            raise ValueError(
-                f"unknown stream_length {self.stream_length!r}; "
-                f"expected one of {STREAM_LENGTHS}"
-            )
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission {self.admission!r}; "
-                f"expected one of {ADMISSION_POLICIES}"
-            )
-        if self.admission_rate <= 0:
-            raise ValueError(f"admission_rate must be positive, got {self.admission_rate}")
-        if not 0.0 < self.shed_threshold <= 1.0:
-            raise ValueError(
-                f"shed_threshold must be in (0, 1], got {self.shed_threshold}"
-            )
-        if self.apology_budget is not None and self.apology_budget <= 0:
-            raise ValueError(
-                f"apology_budget must be positive (or None), got {self.apology_budget}"
-            )
-        # FailureInjector owns the hazard-mode invariants (positive rate,
-        # exclusivity with the schedule, positive outage).
-        FailureInjector(
-            schedule=failures,
-            hazard_rate=self.failure_hazard_rate,
-            outage_s=self.failure_outage_s,
+        object.__setattr__(
+            self,
+            "resharding",
+            tuple(move.to_tuple() for move in normalize_resharding(self.resharding)),
         )
-        if self.failure_hazard_rate is not None and self.num_edges < 2:
+        # Every subsystem axis is validated by the config that consumes it,
+        # whether or not this deployment (or a feature's on-switch) uses it:
+        # thresholds and commit policy by CroesusConfig, topology, failures,
+        # replication and adaptation by ClusterConfig, the open-loop shape by
+        # TrafficConfig, the geo tier by GeoConfig.
+        build_cluster_config(self)
+        _traffic_config(self)
+        build_geo_config(self)
+        # What follows are the rules no single subsystem can see.
+        if self.traffic is not None and self.deployment != "cluster":
             raise ValueError(
-                "failure_hazard_rate needs at least 2 edges "
-                "(streams must have a live edge to fail over to)"
-            )
-        if self.reference_engine and not self.record_frames:
-            raise ValueError(
-                "reference_engine requires record_frames=True (the reference "
-                "implementation is the full-recording pre-optimization path)"
+                "open-loop traffic requires deployment='cluster' "
+                "(the single deployment runs one finite video)"
             )
         if not self.record_frames and self.deployment != "cluster":
             raise ValueError(
@@ -479,52 +391,6 @@ class ScenarioSpec:
                 raise ValueError(
                     "traffic_video only applies to open-loop runs (set traffic)"
                 )
-        if self.replication_mode not in REPLICATION_MODES:
-            raise ValueError(
-                f"unknown replication_mode {self.replication_mode!r}; "
-                f"expected one of {REPLICATION_MODES}"
-            )
-        if self.replication_factor < 1:
-            raise ValueError(
-                f"replication_factor must be at least 1, got {self.replication_factor}"
-            )
-        if self.replication_factor > self.num_edges:
-            raise ValueError(
-                f"replication_factor {self.replication_factor} exceeds num_edges "
-                f"{self.num_edges} (backups live on distinct edges)"
-            )
-        if self.replication_factor > 1 and self.resharding:
-            raise ValueError(
-                "replication and scheduled re-sharding are mutually exclusive "
-                "(a promotion re-homes partitions through its own protocol)"
-            )
-        if self.wal_group_commit_window_ms is not None and self.wal_group_commit_window_ms <= 0:
-            raise ValueError(
-                "wal_group_commit_window_ms must be positive (or None), got "
-                f"{self.wal_group_commit_window_ms}"
-            )
-        if self.regions < 1:
-            raise ValueError(f"regions must be at least 1, got {self.regions}")
-        if self.wan_link not in WAN_LINKS:
-            known = ", ".join(sorted(WAN_LINKS))
-            raise ValueError(f"unknown wan_link {self.wan_link!r}; known links: {known}")
-        if self.cross_region_policy not in CROSS_REGION_POLICIES:
-            known = ", ".join(CROSS_REGION_POLICIES)
-            raise ValueError(
-                f"unknown cross_region_policy {self.cross_region_policy!r}; "
-                f"known policies: {known}"
-            )
-        if self.placement not in PLACEMENTS:
-            known = ", ".join(PLACEMENTS)
-            raise ValueError(
-                f"unknown placement {self.placement!r}; known placements: {known}"
-            )
-        if self.threshold_adaptation is not None and self.threshold_adaptation not in ADAPTATION_MODES:
-            known = ", ".join(ADAPTATION_MODES)
-            raise ValueError(
-                f"unknown threshold_adaptation {self.threshold_adaptation!r}; "
-                f"expected one of {known}"
-            )
         if (
             self.threshold_adaptation is not None
             and self.deployment == "single"
@@ -533,14 +399,6 @@ class ScenarioSpec:
             raise ValueError(
                 "threshold_adaptation on the single deployment requires "
                 "system='croesus' (the baselines run fixed validate intervals)"
-            )
-        if self.adaptation_interval_s <= 0:
-            raise ValueError(
-                f"adaptation_interval_s must be positive, got {self.adaptation_interval_s}"
-            )
-        if not 0.0 < self.adaptation_target_f <= 1.0:
-            raise ValueError(
-                f"adaptation_target_f must be in (0, 1], got {self.adaptation_target_f}"
             )
         if self.regions > 1:
             if self.deployment != "cluster":
@@ -612,3 +470,74 @@ class ScenarioSpec:
 def spec_field_names() -> tuple[str, ...]:
     """All :class:`ScenarioSpec` field names (the sweepable axes)."""
     return tuple(spec_field.name for spec_field in fields(ScenarioSpec))
+
+
+# -- spec -> subsystem configs -------------------------------------------------
+def _shared_axes(spec: ScenarioSpec, config_type: type) -> dict[str, Any]:
+    """The spec axes ``config_type`` declares under the same field name."""
+    return {
+        config_field.name: getattr(spec, config_field.name)
+        for config_field in fields(config_type)
+        if config_field.name in spec.__dataclass_fields__
+    }
+
+
+def build_single_config(spec: ScenarioSpec) -> CroesusConfig:
+    """The ``CroesusConfig`` a single-edge scenario translates to."""
+    return CroesusConfig(
+        seed=spec.seed,
+        lower_threshold=spec.lower_threshold,
+        upper_threshold=spec.upper_threshold,
+        consistency=(
+            ConsistencyLevel.MS_SR if spec.consistency == "ms-sr" else ConsistencyLevel.MS_IA
+        ),
+        transaction_policy=spec.transaction_policy,
+        edge_profile=MODEL_LIBRARY[spec.edge_model],
+        cloud_profile=MODEL_LIBRARY[spec.cloud_model],
+    )
+
+
+def build_cluster_config(spec: ScenarioSpec) -> ClusterConfig:
+    """The ``ClusterConfig`` a cluster scenario translates to."""
+    window_ms = spec.wal_group_commit_window_ms
+    return ClusterConfig(
+        base=build_single_config(spec),
+        router_policy=spec.router,
+        frame_interval=spec.frame_interval,
+        wal_group_commit_window_s=window_ms / 1000.0 if window_ms is not None else None,
+        **_shared_axes(spec, ClusterConfig),
+    )
+
+
+def _traffic_config(spec: ScenarioSpec) -> TrafficConfig:
+    """The traffic axes as a ``TrafficConfig``; a closed-loop spec keeps the
+    config's default process, so its shape axes are validated all the same."""
+    axes = _shared_axes(spec, TrafficConfig)
+    if spec.traffic is not None:
+        axes["process"] = spec.traffic
+    if spec.traffic_video is not None:
+        # Only set when asked for: the TrafficConfig default cycles the
+        # standard presets, which every existing open-loop pin relies on.
+        axes["video_keys"] = (spec.traffic_video,)
+    return TrafficConfig(mean_frames=spec.frames, frame_interval=spec.frame_interval, **axes)
+
+
+def build_traffic_config(spec: ScenarioSpec) -> TrafficConfig:
+    """The open-loop :class:`TrafficConfig` of a ``spec.traffic`` scenario."""
+    if spec.traffic is None:
+        raise ValueError("spec has no traffic process (closed-loop scenario)")
+    return _traffic_config(spec)
+
+
+def build_geo_config(spec: ScenarioSpec) -> GeoConfig:
+    """The ``GeoConfig`` of the spec's geo axes (inert at ``regions == 1``)."""
+    return GeoConfig(**_shared_axes(spec, GeoConfig))
+
+
+def build_adaptation_config(spec: ScenarioSpec) -> AdaptationConfig:
+    """The controller configuration an adaptive scenario translates to."""
+    return AdaptationConfig(
+        mode=spec.threshold_adaptation,
+        interval_s=spec.adaptation_interval_s,
+        target_f=spec.adaptation_target_f,
+    )

@@ -90,7 +90,7 @@ class TrafficConfig:
     def __post_init__(self) -> None:
         if self.process not in ARRIVAL_PROCESSES:
             known = ", ".join(ARRIVAL_PROCESSES)
-            raise ValueError(f"unknown arrival process {self.process!r}; known: {known}")
+            raise ValueError(f"unknown traffic process {self.process!r}; known processes: {known}")
         if self.offered_rate <= 0:
             raise ValueError(f"offered_rate must be positive, got {self.offered_rate}")
         if self.duration_s <= 0:

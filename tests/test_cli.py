@@ -1,11 +1,43 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _AXIS_FLAGS, build_parser, main
+from repro.experiments import ScenarioSpec
 from repro.experiments.report import REQUIRED_KEYS, validate_report
+
+#: Every subcommand's option strings, as they stood before the axis flags
+#: were declared once in ``_AXIS_FLAGS``: no flag may be gained or lost.
+OPTION_STRINGS = {
+    "run": "--consistency --frames --json --lower --output --profile --seed --txn-policy "
+    "--upper --video",
+    "tune": "--frames --json --method --output --seed --step --target --video",
+    "compare": "--frames --json --output --seed --target --video",
+    "cluster": "--adaptation --adaptation-interval --adaptation-target --admission "
+    "--apology-budget --checkpoint-interval --cloud-servers --consistency "
+    "--cross-region-policy --discipline --duration --edges --fail --fps --frames --json "
+    "--offered-rate --output --partitions-per-edge --placement --profile --regions "
+    "--replication-factor --replication-mode --reshard --router --seed --streams --traffic "
+    "--txn-policy --wan-link",
+    "scenario": "--adaptation --adaptation-interval --adaptation-target --cross-region-policy "
+    "--json --list --output --placement --profile --regions --replication-factor "
+    "--replication-mode --txn-policy --wan-link",
+    "sweep": "--axis --base --json --list --output --workers",
+    "videos": "--json --output",
+}
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices
 
 
 class TestParser:
@@ -29,6 +61,48 @@ class TestParser:
         for command in ("run", "tune", "compare", "cluster", "scenario", "sweep", "videos"):
             args = build_parser().parse_args([command, "--json"])
             assert args.json is True, command
+
+
+    def test_no_subcommand_gained_or_lost_a_flag(self):
+        found = {
+            name: " ".join(
+                sorted(
+                    option
+                    for action in parser._actions
+                    for option in action.option_strings
+                    if option not in ("-h", "--help")
+                )
+            )
+            for name, parser in subcommand_parsers().items()
+        }
+        assert found == OPTION_STRINGS
+
+    def test_axis_flags_are_read_off_the_spec_fields(self):
+        """Each row names a real axis; ``cluster`` defaults to the spec
+        field's default (or the row's stand-in for ``None``) — except
+        ``--frames``, the one stated departure."""
+        spec_fields = {spec_field.name: spec_field for spec_field in fields(ScenarioSpec)}
+        cluster = subcommand_parsers()["cluster"]
+        assert len(_AXIS_FLAGS) == 28
+        assert sum(flag.override is not None for flag in _AXIS_FLAGS) == 10
+        for flag in _AXIS_FLAGS:
+            assert flag.field in spec_fields, flag.option
+            expected = spec_fields[flag.field].default
+            if flag.option == "--frames":
+                expected = 40
+            elif expected is None:
+                expected = flag.none
+            elif isinstance(expected, tuple):
+                expected = list(expected)
+            assert cluster.get_default(flag.field) == expected, flag.option
+
+    def test_scenario_overrides_default_to_keep(self):
+        args = build_parser().parse_args(["scenario", "cluster-small"])
+        for flag in _AXIS_FLAGS:
+            if flag.override is not None:
+                assert getattr(args, flag.field) is None, flag.option
+            else:
+                assert not hasattr(args, flag.field), flag.option
 
 
 class TestCommands:
@@ -307,6 +381,7 @@ class TestInvalidInput:
             ["cluster", "--adaptation", "retune", "--adaptation-interval", "0"],
             ["cluster", "--adaptation", "feedback", "--adaptation-target", "0"],
             ["scenario", "adaptive-thresholds", "--adaptation-target", "1.5"],
+            ["scenario", "geo-baseline", "--txn-policy", "batched-2pc"],
             ["scenario"],
             ["scenario", "no-such-scenario"],
             ["sweep"],

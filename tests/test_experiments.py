@@ -1,6 +1,7 @@
 """Tests for the declarative experiment layer (spec, runner, sweeps, registry)."""
 
 import json
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.baselines import run_croesus
 from repro.core.config import CroesusConfig
 from repro.experiments import (
+    REQUIRED_KEYS,
     ReportSchemaError,
     RunReport,
     ScenarioSpec,
@@ -106,6 +108,57 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(**overrides)
 
+    @pytest.mark.parametrize("deployment", ["single", "cluster"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lower_threshold": 0.9, "upper_threshold": 0.2},
+            {"transaction_policy": "x"},
+            {"num_edges": 0},
+            {"partitions_per_edge": 0},
+            {"router": "x"},
+            {"cloud_servers": 0},
+            {"edge_discipline": "x"},
+            {"failure_schedule": ((9, 1.0, 2.0),)},
+            {"resharding": ((1.0, 9, 0),)},
+            {"resharding": ((1.0, 0, 9),)},
+            {"checkpoint_interval_s": 0.0},
+            {"failure_hazard_rate": -1.0},
+            {"failure_hazard_rate": 0.5, "failure_schedule": ((1, 1.0, 2.0),)},
+            {"failure_hazard_rate": 0.5, "num_edges": 1},
+            {"failure_outage_s": 0.0},
+            {"reference_engine": True, "record_frames": False},
+            {"replication_mode": "x"},
+            {"replication_factor": 0},
+            {"replication_factor": 3},
+            {"replication_factor": 2, "resharding": ((1.0, 0, 1),)},
+            {"wal_group_commit_window_ms": 0.0},
+            {"traffic": "x"},
+            {"offered_rate": 0.0},
+            {"duration_s": 0.0},
+            {"peak_factor": 0.5},
+            {"stream_length": "x"},
+            {"admission": "x"},
+            {"admission_rate": 0.0},
+            {"shed_threshold": 0.0},
+            {"apology_budget": 0.0},
+            {"regions": 0},
+            {"wan_link": "x"},
+            {"cross_region_policy": "x"},
+            {"placement": "x"},
+            {"threshold_adaptation": "x"},
+            {"adaptation_interval_s": 0.0},
+            {"adaptation_target_f": 1.5},
+        ],
+    )
+    def test_subsystem_axes_are_rejected_by_their_owning_config(self, deployment, overrides):
+        """The spec validates these axes by building the config that
+        consumes them (CroesusConfig, ClusterConfig, TrafficConfig,
+        GeoConfig) — on either deployment, and with traffic, geo and
+        adaptation off, exactly as when it checked them itself."""
+        with pytest.raises(ValueError):
+            ScenarioSpec(deployment=deployment, **overrides)
+
     def test_failure_axes_round_trip_through_json(self):
         spec = cluster_spec(
             failure_schedule=((1, 1.0, 2.0),),
@@ -170,6 +223,51 @@ class TestRunReportSchema:
         payload["scenario"] = {"video": "v99"}
         with pytest.raises(ReportSchemaError, match="scenario"):
             validate_report(payload)
+
+    @pytest.mark.parametrize(
+        "block", ["cloud_queue", "batch_flushes", "traffic", "replication", "geo", "adaptation"]
+    )
+    def test_nullable_block_must_be_null_or_a_mapping(self, cluster_report, block):
+        payload = cluster_report.to_dict()
+        validate_report({**payload, block: None})
+        with pytest.raises(ReportSchemaError, match=block):
+            validate_report({**payload, block: 5})
+        with pytest.raises(ReportSchemaError, match=block):
+            RunReport.from_dict({**payload, block: 5})
+
+    def test_serialisation_is_derived_from_the_dataclass_fields(self, cluster_report):
+        names = [report_field.name for report_field in fields(RunReport)]
+        assert list(cluster_report.to_dict()) == names
+        json_types = {
+            "str": str,
+            "int": int,
+            "float": (int, float),
+            "dict[str, Any]": dict,
+            "dict[str, float]": dict,
+            "tuple[dict[str, Any], ...]": list,
+        }
+        assert REQUIRED_KEYS == {
+            report_field.name: json_types[report_field.type]
+            for report_field in fields(RunReport)
+            if not report_field.type.endswith("| None")
+        }
+        assert len(names) == 53 and len(REQUIRED_KEYS) == 47
+
+    def test_a_new_report_field_is_a_one_line_declaration(self, cluster_report):
+        """A field added to the dataclass serialises, validates and
+        round-trips without any edit to ``report.py``."""
+
+        @dataclass(frozen=True)
+        class ExtendedReport(RunReport):
+            energy_joules: float = 0.0
+
+        extended = ExtendedReport(**vars(cluster_report), energy_joules=12.5)
+        payload = extended.to_dict()
+        assert list(payload)[-1] == "energy_joules" and payload["energy_joules"] == 12.5
+        validate_report(payload)
+        assert ExtendedReport.from_dict(payload) == extended
+        del payload["energy_joules"]
+        assert ExtendedReport.from_dict(payload).energy_joules == 0.0
 
     def test_report_is_replayable_from_embedded_scenario(self, cluster_report):
         """A stored report names its own scenario; re-running it reproduces it."""

@@ -20,6 +20,9 @@ PACKAGES = [
     "repro.workloads",
     "repro.analysis",
     "repro.sim",
+    "repro.experiments",
+    "repro.geo",
+    "repro.traffic",
 ]
 
 
