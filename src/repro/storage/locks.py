@@ -7,12 +7,17 @@ to abort (MS-SR under contention, Figure 6b) or to queue the transaction
 behind a sequencer (MS-IA, which the paper reports as abort-free).
 
 The manager also tracks, per holder, when each lock was acquired so the
-benchmark for Figure 6a can measure average lock-hold latency.
+benchmark for Figure 6a can measure average lock-hold latency.  Every
+release on the transaction path completes a tenure, so tenures are kept
+as rows in one flat list — no object, not even a tuple, survives per
+release for the garbage collector to track — and rendered into
+:class:`LockHoldRecord` objects only when :attr:`LockManager.hold_records`
+is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -34,14 +39,6 @@ class LockRequestDenied(RuntimeError):
         self.requester = requester
 
 
-@dataclass
-class _LockEntry:
-    """Current grants on one key."""
-
-    mode: LockMode
-    holders: dict[str, float] = field(default_factory=dict)  # holder -> acquire time
-
-
 @dataclass(frozen=True)
 class LockHoldRecord:
     """A completed lock tenure, used for contention statistics."""
@@ -56,13 +53,21 @@ class LockHoldRecord:
         return self.released_at - self.acquired_at
 
 
+#: The grants on one key are a two-slot list ``[mode, {holder: acquire time}]``
+#: (built per grant, so a literal rather than a class).
+_MODE, _HOLDERS = 0, 1
+_NO_KEYS: frozenset[str] = frozenset()
+
+
 class LockManager:
     """Grants and releases S/X locks and records hold durations."""
 
     def __init__(self) -> None:
-        self._table: dict[str, _LockEntry] = {}
+        self._table: dict[str, list] = {}
+        #: holder -> keys it holds; an entry exists only while non-empty.
         self._held_by: dict[str, set[str]] = {}
-        self._hold_records: list[LockHoldRecord] = []
+        #: Completed tenures, flat: key, holder, acquired_at, released_at, key, ...
+        self._holds: list = []
 
     def try_acquire(
         self,
@@ -80,23 +85,23 @@ class LockManager:
         """
         entry = self._table.get(key)
         if entry is None:
-            self._table[key] = _LockEntry(mode=mode, holders={holder: now})
-            self._held_by.setdefault(holder, set()).add(key)
+            self._table[key] = [mode, {holder: now}]
+        elif holder in entry[_HOLDERS]:
+            if mode is LockMode.EXCLUSIVE and entry[_MODE] is LockMode.SHARED:
+                if len(entry[_HOLDERS]) > 1:
+                    return False
+                entry[_MODE] = LockMode.EXCLUSIVE
             return True
-
-        if holder in entry.holders:
-            if mode is LockMode.EXCLUSIVE and entry.mode is LockMode.SHARED:
-                if len(entry.holders) == 1:
-                    entry.mode = LockMode.EXCLUSIVE
-                    return True
-                return False
-            return True
-
-        if entry.mode is LockMode.SHARED and mode is LockMode.SHARED:
-            entry.holders[holder] = now
-            self._held_by.setdefault(holder, set()).add(key)
-            return True
-        return False
+        elif entry[_MODE] is LockMode.SHARED and mode is LockMode.SHARED:
+            entry[_HOLDERS][holder] = now
+        else:
+            return False
+        held = self._held_by.get(holder)
+        if held is None:
+            self._held_by[holder] = {key}
+        else:
+            held.add(key)
+        return True
 
     def acquire_all(
         self,
@@ -110,10 +115,14 @@ class LockManager:
         if any lock is unavailable, the locks acquired so far in this call
         are rolled back and ``False`` is returned.
         """
+        # The holder's live key set when it has one (it grows as this call
+        # grants); a holder with none held nothing before the call.
+        held = self._held_by.get(holder, _NO_KEYS)
+        try_acquire = self.try_acquire
         newly_acquired: list[str] = []
         for key, mode in requests:
-            already_held = key in self._held_by.get(holder, set())
-            if self.try_acquire(holder, key, mode, now=now):
+            already_held = key in held
+            if try_acquire(holder, key, mode, now):
                 if not already_held:
                     newly_acquired.append(key)
             else:
@@ -125,22 +134,26 @@ class LockManager:
     def release(self, holder: str, key: str, now: float = 0.0, record: bool = True) -> None:
         """Release ``holder``'s lock on ``key`` (no-op when not held)."""
         entry = self._table.get(key)
-        if entry is None or holder not in entry.holders:
+        if entry is None or holder not in entry[_HOLDERS]:
             return
-        acquired_at = entry.holders.pop(holder)
+        acquired_at = entry[_HOLDERS].pop(holder)
         if record:
-            self._hold_records.append(
-                LockHoldRecord(key=key, holder=holder, acquired_at=acquired_at, released_at=now)
-            )
-        self._held_by.get(holder, set()).discard(key)
-        if not entry.holders:
+            self._holds += (key, holder, acquired_at, now)
+        held = self._held_by[holder]
+        held.discard(key)
+        if not held:
+            del self._held_by[holder]
+        if not entry[_HOLDERS]:
             del self._table[key]
 
     def release_all(self, holder: str, now: float = 0.0) -> None:
         """Release every lock held by ``holder``."""
-        for key in list(self._held_by.get(holder, set())):
-            self.release(holder, key, now=now)
-        self._held_by.pop(holder, None)
+        table, holds = self._table, self._holds
+        for key in self._held_by.pop(holder, _NO_KEYS):
+            holders = table[key][_HOLDERS]
+            holds += (key, holder, holders.pop(holder), now)
+            if not holders:
+                del table[key]
 
     def transfer_key(self, key: str, target: "LockManager") -> bool:
         """Move the live grant on ``key`` (if any) to ``target``.
@@ -155,31 +168,42 @@ class LockManager:
         if entry is None:
             return False
         target._table[key] = entry
-        for holder in entry.holders:
-            self._held_by.get(holder, set()).discard(key)
+        for holder in entry[_HOLDERS]:
+            held = self._held_by[holder]
+            held.discard(key)
+            if not held:
+                del self._held_by[holder]
             target._held_by.setdefault(holder, set()).add(key)
         return True
 
     def holds(self, holder: str, key: str) -> bool:
         """True when ``holder`` currently holds a lock on ``key``."""
         entry = self._table.get(key)
-        return bool(entry and holder in entry.holders)
+        return entry is not None and holder in entry[_HOLDERS]
 
     def held_keys(self, holder: str) -> frozenset[str]:
         """Keys currently locked by ``holder``."""
-        return frozenset(self._held_by.get(holder, set()))
+        return frozenset(self._held_by.get(holder, _NO_KEYS))
 
     def locked_keys(self) -> frozenset[str]:
         """All keys currently locked by anyone."""
         return frozenset(self._table.keys())
 
     @property
+    def is_quiescent(self) -> bool:
+        """True when no lock is granted and no holder book-keeping is left."""
+        return not self._table and not self._held_by
+
+    @property
     def hold_records(self) -> tuple[LockHoldRecord, ...]:
         """Completed lock tenures (for Figure 6a's contention metric)."""
-        return tuple(self._hold_records)
+        holds = self._holds
+        return tuple(LockHoldRecord(*holds[i : i + 4]) for i in range(0, len(holds), 4))
 
     def average_hold_time(self) -> float:
         """Mean duration of completed lock tenures (0 when none)."""
-        if not self._hold_records:
+        holds = self._holds
+        if not holds:
             return 0.0
-        return sum(record.duration for record in self._hold_records) / len(self._hold_records)
+        durations = (released - acquired for acquired, released in zip(holds[2::4], holds[3::4]))
+        return sum(durations) / (len(holds) // 4)

@@ -300,6 +300,28 @@ class PartitionedStore:
         )
 
 
+class SectionRoutes(dict):
+    """``key -> Partition`` routes resolved while one section runs.
+
+    A miss hashes the key through :meth:`PartitionedStore.partition_for`
+    and keeps the answer, so a section's lock acquisition, reads, lock
+    release and 2PC grouping route each distinct key once.  Build one per
+    section execution and drop it with the section: ``split`` / ``merge``
+    / ``transfer_partition`` / promotion re-home slots between a
+    transaction's sections, so a plan must never be kept on a
+    transaction, controller or store.
+    """
+
+    __slots__ = ("_partition_for",)
+
+    def __init__(self, store: PartitionedStore) -> None:
+        self._partition_for = store.partition_for
+
+    def __missing__(self, key: str) -> Partition:
+        partition = self[key] = self._partition_for(key)
+        return partition
+
+
 class VoteOutcome(Enum):
     """A participant's vote in the prepare phase."""
 
@@ -334,41 +356,48 @@ class TwoPhaseCommitCoordinator:
         transaction_id: str,
         writes: dict[str, Any],
         now: float = 0.0,
+        routes: SectionRoutes | None = None,
     ) -> TwoPhaseCommitResult:
-        """Run 2PC for ``writes`` on behalf of ``transaction_id``."""
-        by_partition: dict[int, dict[str, Any]] = {}
-        for key, value in writes.items():
-            partition = self._store.partition_for(key)
-            by_partition.setdefault(partition.partition_id, {})[key] = value
+        """Run 2PC for ``writes`` on behalf of ``transaction_id``.
 
-        participants = frozenset(by_partition)
+        ``routes`` is the calling section's routing plan, so keys it has
+        already routed are not hashed again.
+        """
+        if routes is None:
+            routes = SectionRoutes(self._store)
+        groups: dict[int, tuple[Partition, dict[str, Any]]] = {}
+        for key, value in writes.items():
+            partition = routes[key]
+            group = groups.get(partition.partition_id)
+            if group is None:
+                group = groups[partition.partition_id] = (partition, {})
+            group[1][key] = value
+
         votes: dict[int, VoteOutcome] = {}
+        exclusive = LockMode.EXCLUSIVE
+        decision = True
 
         # Phase 1: prepare (grab exclusive locks on every key).
-        for partition_id, partition_writes in by_partition.items():
-            partition = self._store.partition(partition_id)
-            if not partition.available:
+        for partition_id, (partition, partition_writes) in groups.items():
+            if partition.available and partition.locks.acquire_all(
+                transaction_id, [(key, exclusive) for key in partition_writes], now
+            ):
+                votes[partition_id] = VoteOutcome.YES
+            else:
                 votes[partition_id] = VoteOutcome.NO
-                continue
-            requests = [(key, LockMode.EXCLUSIVE) for key in partition_writes]
-            granted = partition.locks.acquire_all(transaction_id, requests, now=now)
-            votes[partition_id] = VoteOutcome.YES if granted else VoteOutcome.NO
+                decision = False
 
-        decision = all(vote is VoteOutcome.YES for vote in votes.values())
-        if not decision and any(
-            not self._store.partition(pid).available for pid in by_partition
-        ):
+        if not decision and any(not partition.available for partition, _ in groups.values()):
             self._store.record_failure_abort()
 
         # Phase 2: commit or abort everywhere.
-        for partition_id, partition_writes in by_partition.items():
-            partition = self._store.partition(partition_id)
+        for partition, partition_writes in groups.values():
             if decision:
                 for key, value in partition_writes.items():
                     partition.commit_write(key, value, writer=transaction_id)
-            partition.locks.release_all(transaction_id, now=now)
+            partition.locks.release_all(transaction_id, now)
 
-        return TwoPhaseCommitResult(committed=decision, votes=votes, participants=participants)
+        return TwoPhaseCommitResult(decision, votes, frozenset(groups))
 
 
 def _stable_bucket(key: str, buckets: int) -> int:

@@ -121,13 +121,11 @@ class TransactionBank:
         detections = list(detections)
 
         for rule in self._rules:
-            if rule.label_class is None or rule.label_class:
-                for detection in detections:
-                    if rule.matches(detection, auxiliary_input):
-                        txn_id = self.next_transaction_id(prefix=f"{rule.name}-")
-                        triggered.append((rule.factory(detection, txn_id), detection))
-            else:
-                if rule.matches(None, auxiliary_input):
-                    txn_id = self.next_transaction_id(prefix=f"{rule.name}-")
-                    triggered.append((rule.factory(None, txn_id), None))
+            prefix, matches, factory = f"{rule.name}-", rule.matches, rule.factory
+            # A rule with an empty label class is a pure input trigger.
+            candidates = detections if rule.label_class is None or rule.label_class else (None,)
+            for detection in candidates:
+                if matches(detection, auxiliary_input):
+                    transaction = factory(detection, self.next_transaction_id(prefix))
+                    triggered.append((transaction, detection))
         return triggered

@@ -14,6 +14,16 @@ commit at the end of a section to make the distributed commit atomic:
 The controllers below implement that extension on top of the
 single-partition controllers' semantics, buffering each section's writes
 and applying them through the :class:`TwoPhaseCommitCoordinator`.
+
+Each ``process_initial`` / ``process_final`` call routes its keys through
+one :class:`~repro.storage.partition.SectionRoutes` plan — filled while
+the section's locks are taken, then shared by the body's reads, the lock
+release and the 2PC grouping — so a key is hashed once per section.  The
+plan dies with the call and is rebuilt for the next section: re-sharding
+or a promotion may re-home a slot between a transaction's two sections.
+The section context keeps executed operations as ``(kind, key, value)``
+rows and renders :class:`Operation` objects only when ``.operations`` is
+read, which the controllers do only for an attached :class:`History`.
 """
 
 from __future__ import annotations
@@ -21,16 +31,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.storage.locks import LockMode
-from repro.storage.partition import PartitionedStore, TwoPhaseCommitCoordinator
+from repro.storage.partition import (
+    PartitionedStore,
+    SectionRoutes,
+    TwoPhaseCommitCoordinator,
+)
 from repro.transactions.exceptions import SectionOrderError, TransactionAborted
 from repro.transactions.history import History
-from repro.transactions.model import MultiStageTransaction, SectionKind, TransactionStatus
+from repro.transactions.model import (
+    MultiStageTransaction,
+    SectionContext,
+    SectionKind,
+    TransactionStatus,
+)
 from repro.transactions.ms_sr import ControllerStats
-from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
+from repro.transactions.ops import OperationKind, ReadWriteSet
 
 
-class _BufferedSectionContext:
+class _BufferedSectionContext(SectionContext):
     """Section context over a partitioned store with buffered writes.
 
     Reads see the transaction's own pending writes first (read-your-own-
@@ -42,58 +60,28 @@ class _BufferedSectionContext:
         self,
         transaction_id: str,
         section: SectionKind,
-        store: PartitionedStore,
+        routes: SectionRoutes,
         labels: Any = None,
+        initial_labels: Any = None,
         handoff: dict[str, Any] | None = None,
     ) -> None:
-        self.transaction_id = transaction_id
-        self.section = section
-        self.labels = labels
-        self._store = store
-        self._handoff = dict(handoff or {})
-        self._writes: dict[str, Any] = {}
-        self._operations: list[Operation] = []
-        self._apologies: list[str] = []
+        # No single store: reads route per key through the section's plan.
+        super().__init__(transaction_id, section, None, labels, initial_labels, handoff)
+        self._routes = routes
+        #: Buffered writes, in write order; the controller hands them to 2PC.
+        self.pending_writes: dict[str, Any] = {}
 
     def read(self, key: str, default: Any = None) -> Any:
-        if key in self._writes:
-            value = self._writes[key]
+        if key in self.pending_writes:
+            value = self.pending_writes[key]
         else:
-            value = self._store.read(key, default=default)
-        self._operations.append(Operation(OperationKind.READ, key, value))
+            value = self._routes[key].store.read(key, default=default)
+        self._operations.append((OperationKind.READ, key, value))
         return value
 
     def write(self, key: str, value: Any) -> None:
-        self._writes[key] = value
-        self._operations.append(Operation(OperationKind.WRITE, key, value))
-
-    def delete(self, key: str) -> None:
-        self.write(key, None)
-
-    def put_handoff(self, key: str, value: Any) -> None:
-        self._handoff[key] = value
-
-    def get_handoff(self, key: str, default: Any = None) -> Any:
-        return self._handoff.get(key, default)
-
-    @property
-    def handoff(self) -> dict[str, Any]:
-        return dict(self._handoff)
-
-    def apologize(self, message: str) -> None:
-        self._apologies.append(message)
-
-    @property
-    def apologies(self) -> tuple[str, ...]:
-        return tuple(self._apologies)
-
-    @property
-    def operations(self) -> tuple[Operation, ...]:
-        return tuple(self._operations)
-
-    @property
-    def pending_writes(self) -> dict[str, Any]:
-        return dict(self._writes)
+        self.pending_writes[key] = value
+        self._operations.append((OperationKind.WRITE, key, value))
 
 
 @dataclass
@@ -146,16 +134,16 @@ class DistributedMSIAController:
         holder = transaction.transaction_id
 
         try:
-            self._acquire_section_locks(holder, transaction.initial.rwset, now)
+            routes = self._acquire_section_locks(holder, transaction.initial.rwset, now)
         except TransactionAborted:
             transaction.mark_aborted()
             self.stats.aborts += 1
             raise
-        context = _BufferedSectionContext(holder, SectionKind.INITIAL, self._store, labels=labels)
+        context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels=labels)
         result = transaction.initial.body(context)
-        self._release_section_locks(holder, transaction.initial.rwset, now)
+        self._release_section_locks(holder, transaction.initial.rwset, routes, now)
 
-        committed = self._atomic_commit(holder, context.pending_writes, now)
+        committed = self._atomic_commit(holder, context.pending_writes, routes, now)
         if not committed:
             transaction.mark_aborted()
             self.stats.aborts += 1
@@ -176,19 +164,14 @@ class DistributedMSIAController:
             raise SectionOrderError(f"transaction {holder} has no pending final section")
         _, initial_labels = self._pending.pop(holder)
 
-        self._acquire_section_locks(holder, transaction.final.rwset, now)
+        routes = self._acquire_section_locks(holder, transaction.final.rwset, now)
         context = _BufferedSectionContext(
-            holder,
-            SectionKind.FINAL,
-            self._store,
-            labels=labels,
-            handoff=transaction.handoff,
+            holder, SectionKind.FINAL, routes, labels, initial_labels, transaction.handoff
         )
-        context.initial_labels = initial_labels
         result = transaction.final.body(context)
-        self._release_section_locks(holder, transaction.final.rwset, now)
+        self._release_section_locks(holder, transaction.final.rwset, routes, now)
 
-        committed = self._atomic_commit(holder, context.pending_writes, now)
+        committed = self._atomic_commit(holder, context.pending_writes, routes, now)
         if not committed:
             # The final section must commit; surface the contention so the
             # caller can retry after the conflicting holder finishes.
@@ -230,43 +213,52 @@ class DistributedMSIAController:
         locks were released when the initial section committed)."""
 
     # -- internals ---------------------------------------------------------
-    def _acquire_section_locks(self, holder: str, rwset: ReadWriteSet, now: float) -> None:
+    def _acquire_section_locks(
+        self, holder: str, rwset: ReadWriteSet, now: float
+    ) -> SectionRoutes:
         """Route lock requests to the owning partitions (all-or-nothing).
 
         A partition whose hosting replica is failed denies every request:
         the transaction aborts and is counted against the failure.
+        Returns the section's routing plan, covering every locked key.
         """
-        acquired: list[tuple[int, str]] = []
+        routes = SectionRoutes(self._store)
         for key, mode in rwset.lock_requests():
-            partition = self._store.partition_for(key)
-            if not partition.available:
-                for partition_id, acquired_key in acquired:
-                    self._store.partition(partition_id).locks.release(holder, acquired_key, now=now)
-                self._store.record_failure_abort()
-                raise TransactionAborted(
-                    holder, f"partition {partition.partition_id} unavailable (edge failed)"
-                )
-            if partition.locks.try_acquire(holder, key, mode, now=now):
-                acquired.append((partition.partition_id, key))
-            else:
-                for partition_id, acquired_key in acquired:
-                    self._store.partition(partition_id).locks.release(holder, acquired_key, now=now)
+            partition = routes[key]
+            if partition.available and partition.locks.try_acquire(holder, key, mode, now):
+                continue
+            # All-or-nothing: give back what this call was granted so far.
+            del routes[key]
+            for granted_key, owner in routes.items():
+                owner.locks.release(holder, granted_key, now)
+            if partition.available:
                 raise TransactionAborted(holder, f"remote lock denied on {key!r}")
+            self._store.record_failure_abort()
+            raise TransactionAborted(
+                holder, f"partition {partition.partition_id} unavailable (edge failed)"
+            )
+        return routes
 
-    def _release_section_locks(self, holder: str, rwset: ReadWriteSet, now: float) -> None:
-        for key in rwset.keys:
-            self._store.partition_for(key).locks.release(holder, key, now=now)
+    def _release_section_locks(
+        self, holder: str, rwset: ReadWriteSet, routes: SectionRoutes, now: float
+    ) -> None:
+        for key, _mode in rwset.lock_requests():
+            routes[key].locks.release(holder, key, now)
 
-    def _atomic_commit(self, holder: str, writes: dict[str, Any], now: float) -> bool:
+    def _atomic_commit(
+        self, holder: str, writes: dict[str, Any], routes: SectionRoutes, now: float
+    ) -> bool:
         if not writes:
             self._record_round(holder, frozenset())
             return True
-        result = self._coordinator.commit(holder, writes, now=now)
+        result = self._coordinator.commit(holder, writes, now=now, routes=routes)
         self._record_round(holder, result.participants)
         return result.committed
 
     def _record_round(self, holder: str, participants: frozenset[int]) -> None:
-        record = self.commit_records.setdefault(holder, DistributedCommitRecord(holder))
+        record = self.commit_records.get(holder)
+        if record is None:
+            record = self.commit_records[holder] = DistributedCommitRecord(holder)
         record.rounds.append(participants)
         if self.commit_listener is not None:
             self.commit_listener(holder, participants)
@@ -288,7 +280,9 @@ class DistributedTwoStage2PL(DistributedMSIAController):
     ) -> None:
         """A failure-aborted MS-SR final releases the locks held since the
         initial section and discards its buffered (never-applied) writes."""
-        self._release_section_locks(holder, transaction.combined_rwset(), now)
+        self._release_section_locks(
+            holder, transaction.combined_rwset(), SectionRoutes(self._store), now
+        )
         self._buffered_writes.pop(holder, None)
 
     def process_initial(
@@ -298,15 +292,14 @@ class DistributedTwoStage2PL(DistributedMSIAController):
             raise SectionOrderError(f"transaction {transaction.transaction_id} already processed")
         holder = transaction.transaction_id
 
-        combined = transaction.combined_rwset()
         try:
-            self._acquire_section_locks(holder, combined, now)
+            routes = self._acquire_section_locks(holder, transaction.combined_rwset(), now)
         except TransactionAborted:
             transaction.mark_aborted()
             self.stats.aborts += 1
             raise
 
-        context = _BufferedSectionContext(holder, SectionKind.INITIAL, self._store, labels=labels)
+        context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels=labels)
         result = transaction.initial.body(context)
 
         transaction.mark_initial_committed(result, context.handoff, now)
@@ -325,16 +318,13 @@ class DistributedTwoStage2PL(DistributedMSIAController):
             raise SectionOrderError(f"transaction {holder} has no pending final section")
         _, initial_labels = self._pending.pop(holder)
 
+        # A fresh plan: a slot may have been re-homed since the initial section.
+        routes = SectionRoutes(self._store)
         context = _BufferedSectionContext(
-            holder,
-            SectionKind.FINAL,
-            self._store,
-            labels=labels,
-            handoff=transaction.handoff,
+            holder, SectionKind.FINAL, routes, labels, initial_labels, transaction.handoff
         )
-        context.initial_labels = initial_labels
         # Reads must observe the initial section's buffered writes.
-        context._writes.update(self._buffered_writes.get(holder, {}))
+        context.pending_writes.update(self._buffered_writes.get(holder, {}))
         result = transaction.final.body(context)
 
         writes = {**self._buffered_writes.pop(holder, {}), **context.pending_writes}
@@ -342,8 +332,8 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         # only be denied when a participating partition failed between the
         # sections — the one way the single 2PC round at the end of the
         # final section does not succeed.
-        self._release_section_locks(holder, transaction.combined_rwset(), now)
-        committed = self._atomic_commit(holder, writes, now)
+        self._release_section_locks(holder, transaction.combined_rwset(), routes, now)
+        committed = self._atomic_commit(holder, writes, routes, now)
         if not committed:
             self.stats.aborts += 1
             raise TransactionAborted(holder, "final atomic commit failed: participant unavailable")

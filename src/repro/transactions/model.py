@@ -89,7 +89,9 @@ class SectionContext:
         self._store = store
         self._undo_log = undo_log
         self._handoff = dict(handoff or {})
-        self._operations: list[Operation] = []
+        #: Executed operations as (kind, key, value) rows; ``operations``
+        #: renders them on demand.
+        self._operations: list[tuple[OperationKind, str, Any]] = []
         self._apologies: list[str] = []
         self._retracted = False
 
@@ -97,7 +99,7 @@ class SectionContext:
     def read(self, key: str, default: Any = None) -> Any:
         """Read ``key`` from the store, recording the operation."""
         value = self._store.read(key, default=default)
-        self._operations.append(Operation(OperationKind.READ, key, value))
+        self._operations.append((OperationKind.READ, key, value))
         return value
 
     def write(self, key: str, value: Any) -> None:
@@ -105,7 +107,7 @@ class SectionContext:
         if self._undo_log is not None:
             self._undo_log.log_write(self.transaction_id, key, value)
         self._store.write(key, value, writer=self.transaction_id)
-        self._operations.append(Operation(OperationKind.WRITE, key, value))
+        self._operations.append((OperationKind.WRITE, key, value))
 
     def delete(self, key: str) -> None:
         """Delete ``key`` (tombstone write)."""
@@ -148,7 +150,7 @@ class SectionContext:
     @property
     def operations(self) -> tuple[Operation, ...]:
         """Operations executed so far in this section."""
-        return tuple(self._operations)
+        return tuple(Operation(*row) for row in self._operations)
 
     @property
     def apologies(self) -> tuple[str, ...]:
@@ -160,7 +162,7 @@ class SectionContext:
 
     def executed_rwset(self) -> ReadWriteSet:
         """Read/write set actually touched by the section body."""
-        return ReadWriteSet.from_operations(self._operations)
+        return ReadWriteSet.from_operations(self.operations)
 
 
 #: A section body takes the context and returns an application-level result.
@@ -213,6 +215,8 @@ class MultiStageTransaction:
     handoff: dict[str, Any] = field(default_factory=dict)
     initial_commit_time: float | None = None
     final_commit_time: float | None = None
+    #: :meth:`combined_rwset`, once merged (a class-level marker, not a field).
+    _combined = None
 
     # -- lifecycle helpers used by the controllers ------------------------
     def mark_initial_committed(self, result: Any, handoff: dict[str, Any], now: float) -> None:
@@ -269,8 +273,14 @@ class MultiStageTransaction:
         return self.status is TransactionStatus.ABORTED
 
     def combined_rwset(self) -> ReadWriteSet:
-        """Union of the declared initial and final read/write sets."""
-        return self.initial.rwset.merged(self.final.rwset)
+        """Union of the declared initial and final read/write sets.
+
+        Both declarations are frozen, so the union is merged once.
+        """
+        combined = self._combined
+        if combined is None:
+            combined = self._combined = self.initial.rwset.merged(self.final.rwset)
+        return combined
 
     def conflicts_with(self, other: "MultiStageTransaction") -> bool:
         """Paper §4.1: two transactions conflict when at least one

@@ -19,7 +19,6 @@ the :class:`~repro.transactions.sequencer.Sequencer` — never aborts
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.storage.kvstore import KeyValueStore
@@ -37,17 +36,11 @@ from repro.transactions.model import (
     SectionKind,
     TransactionStatus,
 )
-from repro.transactions.ms_sr import ControllerStats
+from repro.transactions.ms_sr import ControllerStats, _PendingFinal
 
 
 #: An invariant is a named predicate over the store's current snapshot.
 Invariant = Callable[[KeyValueStore], bool]
-
-
-@dataclass
-class _PendingFinal:
-    transaction: MultiStageTransaction
-    initial_labels: Any
 
 
 class MSIAController:

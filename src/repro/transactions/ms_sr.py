@@ -59,7 +59,6 @@ class _PendingFinal:
     """Book-keeping between the initial commit and the final section."""
 
     transaction: MultiStageTransaction
-    initial_operations: tuple
     initial_labels: Any
 
 
@@ -144,11 +143,7 @@ class TwoStage2PL:
             self._abort(transaction, now, "final-section lock denied")
 
         transaction.mark_initial_committed(result, context.handoff, now)
-        self._pending[holder] = _PendingFinal(
-            transaction=transaction,
-            initial_operations=context.operations,
-            initial_labels=labels,
-        )
+        self._pending[holder] = _PendingFinal(transaction=transaction, initial_labels=labels)
         self.stats.initial_commits += 1
         if self._history is not None:
             self._history.record_section(holder, SectionKind.INITIAL, now, context.operations)

@@ -46,22 +46,39 @@ class Operation:
 
 @dataclass(frozen=True)
 class ReadWriteSet:
-    """Declared read and write sets of a section (``get_rwsets``)."""
+    """Declared read and write sets of a section (``get_rwsets``).
+
+    The value is frozen, so what derives from it — :attr:`keys` and
+    :meth:`lock_requests` — is computed on first use and kept on the
+    instance (the two class attributes below are the "not yet" markers,
+    not dataclass fields).
+    """
 
     reads: frozenset[str] = frozenset()
     writes: frozenset[str] = frozenset()
+    _keys = None
+    _requests = None
 
     @property
     def keys(self) -> frozenset[str]:
-        return self.reads | self.writes
+        keys = self._keys
+        if keys is None:
+            keys = self.reads | self.writes
+            object.__setattr__(self, "_keys", keys)
+        return keys
 
-    def lock_requests(self) -> list[tuple[str, LockMode]]:
+    def lock_requests(self) -> tuple[tuple[str, LockMode], ...]:
         """Lock requests covering the set; write locks win on overlap."""
-        requests: list[tuple[str, LockMode]] = []
-        for key in sorted(self.writes):
-            requests.append((key, LockMode.EXCLUSIVE))
-        for key in sorted(self.reads - self.writes):
-            requests.append((key, LockMode.SHARED))
+        requests = self._requests
+        if requests is None:
+            exclusive, shared = LockMode.EXCLUSIVE, LockMode.SHARED
+            pairs = []
+            for key in sorted(self.writes):
+                pairs.append((key, exclusive))
+            for key in sorted(self.reads - self.writes):
+                pairs.append((key, shared))
+            requests = tuple(pairs)
+            object.__setattr__(self, "_requests", requests)
         return requests
 
     def merged(self, other: "ReadWriteSet") -> "ReadWriteSet":

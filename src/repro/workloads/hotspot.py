@@ -58,6 +58,9 @@ class HotspotWorkload:
             raise ValueError("key_range must be at least 1")
         if not 0 <= self.final_updates <= self.updates_per_transaction:
             raise ValueError("final_updates must be within updates_per_transaction")
+        # Fixed per workload instance.
+        self._id_prefix = f"{self.txn_prefix or self.key_prefix}-"
+        self._initial_updates = self.updates_per_transaction - self.final_updates
 
     def build_batch(self) -> list[MultiStageTransaction]:
         """Create one batch of hotspot transactions."""
@@ -66,10 +69,10 @@ class HotspotWorkload:
     def build_transaction(self) -> MultiStageTransaction:
         """Create one transaction updating random keys in the hot spot."""
         self._counter += 1
-        transaction_id = f"{self.txn_prefix or self.key_prefix}-{self._counter}"
+        transaction_id = f"{self._id_prefix}{self._counter}"
         keys = [self._hot_key() for _ in range(self.updates_per_transaction)]
-        initial_keys = keys[: self.updates_per_transaction - self.final_updates]
-        final_keys = keys[self.updates_per_transaction - self.final_updates:]
+        initial_keys = keys[: self._initial_updates]
+        final_keys = keys[self._initial_updates :]
 
         def initial_body(ctx: SectionContext) -> int:
             for key in initial_keys:

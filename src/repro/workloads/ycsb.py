@@ -48,6 +48,11 @@ class YCSBWorkload:
             raise ValueError("need at least one read and one write per transaction")
         if not 0.0 <= self.final_write_fraction <= 1.0:
             raise ValueError("final_write_fraction must be in [0, 1]")
+        # The operation mix is fixed per workload instance.
+        self._num_writes = self.operations_per_transaction // 2
+        self._num_reads = self.operations_per_transaction - self._num_writes
+        num_final_writes = max(1, int(round(self._num_writes * self.final_write_fraction)))
+        self._num_initial_writes = max(0, self._num_writes - num_final_writes)
 
     def build_transaction(
         self,
@@ -55,15 +60,10 @@ class YCSBWorkload:
         detection: Detection | None = None,
     ) -> MultiStageTransaction:
         """Create one YCSB-A transaction triggered by ``detection``."""
-        num_writes = self.operations_per_transaction // 2
-        num_reads = self.operations_per_transaction - num_writes
-        num_final_writes = max(1, int(round(num_writes * self.final_write_fraction)))
-        num_initial_writes = max(0, num_writes - num_final_writes)
-
-        write_keys = [self._fresh_key() for _ in range(num_writes)]
-        read_keys = [self._existing_key() for _ in range(num_reads)]
-        initial_writes = write_keys[:num_initial_writes]
-        final_writes = write_keys[num_initial_writes:]
+        write_keys = [self._fresh_key() for _ in range(self._num_writes)]
+        read_keys = [self._existing_key() for _ in range(self._num_reads)]
+        initial_writes = write_keys[: self._num_initial_writes]
+        final_writes = write_keys[self._num_initial_writes :]
         label_name = detection.name if detection is not None else "none"
 
         def initial_body(ctx: SectionContext) -> dict:

@@ -1,6 +1,10 @@
 """Tests for the lock manager."""
 
-from repro.storage.locks import LockManager, LockMode
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from repro.storage.locks import LockHoldRecord, LockManager, LockMode
 
 
 class TestLockManager:
@@ -102,3 +106,66 @@ class TestLockManager:
 
     def test_average_hold_time_empty(self):
         assert LockManager().average_hold_time() == 0.0
+
+    def test_hold_records_render_on_demand(self):
+        """Tenures are kept as rows; each read renders equal frozen records."""
+        locks = LockManager()
+        locks.try_acquire("t1", "x", LockMode.EXCLUSIVE, now=1.0)
+        locks.try_acquire("t1", "y", LockMode.SHARED, now=1.5)
+        locks.release("t1", "x", now=2.0)
+        locks.release("t1", "y", now=4.0, record=False)
+        assert locks.hold_records == (LockHoldRecord("x", "t1", 1.0, 2.0),)
+        assert locks.hold_records == locks.hold_records
+        with pytest.raises(FrozenInstanceError):
+            locks.hold_records[0].key = "z"
+
+
+class TestLockTableResidue:
+    """Dropping a holder's locks key by key must leave nothing behind —
+    ``is_quiescent`` is the "lock table empty at quiescence" rule."""
+
+    def test_fresh_manager_is_quiescent(self):
+        assert LockManager().is_quiescent
+
+    def test_held_lock_is_not_quiescent(self):
+        locks = LockManager()
+        locks.try_acquire("t1", "x", LockMode.SHARED)
+        assert not locks.is_quiescent
+
+    def test_key_by_key_release_leaves_no_holder_entry(self):
+        locks = LockManager()
+        locks.acquire_all("t1", [("x", LockMode.EXCLUSIVE), ("y", LockMode.SHARED)])
+        locks.release("t1", "x")
+        assert not locks.is_quiescent
+        locks.release("t1", "y")
+        assert locks.is_quiescent
+        assert locks.held_keys("t1") == frozenset()
+
+    def test_denied_acquire_all_rolls_back_without_residue(self):
+        locks = LockManager()
+        locks.try_acquire("other", "y", LockMode.EXCLUSIVE)
+        assert not locks.acquire_all("t1", [("x", LockMode.EXCLUSIVE), ("y", LockMode.EXCLUSIVE)])
+        locks.release_all("other")
+        assert locks.is_quiescent
+
+    def test_many_aborted_holders_leave_no_residue(self):
+        """One entry per aborted transaction used to pile up for a whole run."""
+        locks = LockManager()
+        locks.try_acquire("winner", "hot", LockMode.EXCLUSIVE)
+        for index in range(100):
+            holder = f"t{index}"
+            assert locks.try_acquire(holder, f"cold-{index}", LockMode.EXCLUSIVE)
+            assert not locks.try_acquire(holder, "hot", LockMode.EXCLUSIVE)
+            locks.release(holder, f"cold-{index}")
+        locks.release("winner", "hot")
+        assert locks.is_quiescent
+
+    def test_transferred_grant_leaves_no_residue_at_the_source(self):
+        source, target = LockManager(), LockManager()
+        source.try_acquire("t1", "x", LockMode.EXCLUSIVE, now=1.0)
+        assert source.transfer_key("x", target)
+        assert source.is_quiescent
+        assert target.holds("t1", "x")
+        target.release("t1", "x", now=3.0)
+        assert target.is_quiescent
+        assert target.hold_records[0].duration == 2.0

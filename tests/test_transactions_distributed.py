@@ -8,7 +8,9 @@ from repro.transactions.distributed import (
     DistributedMSIAController,
     DistributedTwoStage2PL,
 )
+from repro.transactions.checker import check_ms_ia, check_ms_sr
 from repro.transactions.exceptions import SectionOrderError, TransactionAborted
+from repro.transactions.history import History
 from repro.transactions.model import MultiStageTransaction, SectionSpec, TransactionStatus
 from repro.transactions.ops import ReadWriteSet
 
@@ -189,3 +191,60 @@ class TestDistributedTwoStage2PL:
         controller.process_initial(txn)
         controller.process_final(txn)
         assert observed["value"] == "from-initial"
+
+
+class TestRoutesNeverOutliveASection:
+    """A section routes its keys afresh: re-sharding between a transaction's
+    two sections must re-home the final section's locks, reads and writes."""
+
+    @pytest.mark.parametrize(
+        "controller_cls, check",
+        [(DistributedMSIAController, check_ms_ia), (DistributedTwoStage2PL, check_ms_sr)],
+    )
+    def test_final_section_follows_a_rehomed_slot(self, controller_cls, check):
+        store = PartitionedStore(num_partitions=2)
+        key_of_slot: dict[int, str] = {}
+        index = 0
+        while len(key_of_slot) < 2:
+            key = f"key-{index}"
+            key_of_slot.setdefault(store.partition_for(key).partition_id, key)
+            index += 1
+        stay, moved = key_of_slot[0], key_of_slot[1]
+        keys = frozenset({stay, moved})
+
+        def initial(ctx):
+            for key in (stay, moved):
+                ctx.write(key, (ctx.read(key, default=0) or 0) + 1)
+
+        def final(ctx):
+            for key in (stay, moved):
+                ctx.write(key, ctx.read(key) + 10)
+
+        rwset = ReadWriteSet(reads=keys, writes=keys)
+        txn = MultiStageTransaction(
+            transaction_id="t1",
+            initial=SectionSpec(body=initial, rwset=rwset),
+            final=SectionSpec(body=final, rwset=rwset),
+        )
+        history = History()
+        controller = controller_cls(store, history=history)
+        controller.process_initial(txn, now=1.0)
+
+        # Slot 0 folds into partition 1, then partition 1's upper slot (slot 1)
+        # splits off to a brand-new partition 2.
+        store.merge(0, 1)
+        new_partition = store.split(1)
+        assert new_partition.partition_id == 2
+        assert store.partition_for(stay).partition_id == 1
+        assert store.partition_for(moved).partition_id == 2
+
+        controller.process_final(txn, now=2.0)
+        assert txn.is_committed
+        assert new_partition.store.read(moved) == 11
+        assert store.partition(1).store.read(stay) == 11
+        assert ("t1", moved, 11) in [
+            (record.transaction_id, record.key, record.value)
+            for record in new_partition.wal.records()
+        ]
+        assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
+        assert check(history)
