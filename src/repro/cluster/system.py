@@ -83,7 +83,7 @@ from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
 from repro.core.system import LABELS_MESSAGE_BYTES, observed_labels
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.labels import LabelSet
-from repro.detection.metrics import AccuracyReport, evaluate_detections
+from repro.detection.metrics import AccuracyReport
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
 from repro.sim.engine import At, Engine, ReferenceServer, Server
@@ -1013,7 +1013,7 @@ class ClusterSystem:
                 )
 
             policy = static_policy if adaptation is None else adaptation.policy_for(name)
-            send_to_cloud = policy.should_validate(initial.labels)
+            surviving_rows, send_to_cloud = policy.partition(initial.labels)
 
             # The cloud model always runs for ground truth; its cost is
             # only charged when the frame is actually validated.
@@ -1084,9 +1084,7 @@ class ClusterSystem:
                 # failure aborted this frame's transactions, or it
                 # triggered none): the client gets the apologies now
                 # instead of a correction.
-                final = FinalStageOutcome(
-                    frame_id=frame_id, match_report=None, apologies=failure_apologies
-                )
+                final = FinalStageOutcome(frame_id=frame_id, apologies=failure_apologies)
                 final_wait = final_charge = overlap_saved = 0.0
                 final_done = engine.now
                 final_kind = "final_aborted"
@@ -1112,7 +1110,7 @@ class ClusterSystem:
                 if node_idle and not send_to_cloud:
                     # process_final_stage with nothing to finalise and no
                     # cloud correction is a frame-id wrapper.
-                    final = FinalStageOutcome(frame_id=frame_id, match_report=None)
+                    final = FinalStageOutcome(frame_id=frame_id)
                 else:
                     final = node.process_final_stage(
                         initial, cloud_labels if send_to_cloud else None, now=final_start
@@ -1130,8 +1128,9 @@ class ClusterSystem:
                 events.record(final_done, final_kind, frame_id=frame_id, stream=name, edge=edge_id)
 
             # -- account ------------------------------------------------
-            observed = observed_labels(policy, initial, cloud_labels, send_to_cloud, match_overlap)
-            accuracy = evaluate_detections(observed, cloud_labels, min_overlap=match_overlap)
+            observed, accuracy = observed_labels(
+                initial, cloud_labels, final, surviving_rows, send_to_cloud, match_overlap
+            )
             latency = (
                 edge_transfer,
                 edge_detection,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.detection.feedback import CorrectionMemory, TemporalSmoother
 from repro.detection.labels import Detection, LabelSet
-from repro.detection.matching import MatchReport, match_labels
+from repro.detection.matching import FrameOverlaps
 from repro.detection.models import SimulatedDetector
 from repro.detection.profiles import ModelProfile
 from repro.network.topology import MachineProfile
@@ -68,7 +68,8 @@ class FinalStageOutcome:
     """Result of running the final sections for one frame."""
 
     frame_id: int
-    match_report: MatchReport | None
+    #: The frame's edge-vs-cloud geometry (``None`` when it was not validated).
+    overlaps: FrameOverlaps | None = None
     txn_latency: float = 0.0
     apologies: tuple[str, ...] = ()
     corrections: int = 0
@@ -196,7 +197,7 @@ class EdgeNode:
         trigger fresh transactions whose initial and final sections both
         run now (§3.3.2, last paragraph).
         """
-        outcome = FinalStageOutcome(frame_id=initial.frame_id, match_report=None)
+        outcome = FinalStageOutcome(frame_id=initial.frame_id)
 
         if cloud_labels is None:
             # Iterate triggered directly: the `committed` property builds a
@@ -206,25 +207,29 @@ class EdgeNode:
                     self._finalize(entry, entry.trigger_detection, outcome, now)
             return outcome
 
-        report = match_labels(initial.labels, cloud_labels, min_overlap=self._match_overlap)
-        outcome.match_report = report
+        detections = initial.labels.detections
+        overlaps = FrameOverlaps(detections, cloud_labels.detections, self._match_overlap)
+        outcome.overlaps = overlaps
         if self.feedback is not None:
-            self.feedback.observe(report)
-        corrected_by_edge: dict[Detection, Detection | None] = {
-            match.edge: match.corrected_label for match in report.matches
-        }
-        outcome.corrections = report.corrections_needed
+            self.feedback.observe(overlaps.match_report())
+        outcome.corrections = overlaps.confirmed.count(False)
 
+        # Triggers are the label set's own detection objects (the bank
+        # hands back what it was given), so identity finds their row.
+        row_of = {id(detection): row for row, detection in enumerate(detections)}
         for entry in initial.triggered:
             if entry.aborted:
                 continue
             trigger = entry.trigger_detection
-            corrected = corrected_by_edge.get(trigger, trigger) if trigger is not None else None
+            row = row_of.get(id(trigger))
+            corrected = trigger if row is None else overlaps.corrected(row)
             self._finalize(entry, corrected, outcome, now)
 
         # Cloud labels no edge label claimed: they should have triggered
         # transactions but their labels were missing from Le.
-        missed_pairs = self._bank.transactions_for(report.unmatched_cloud, auxiliary_input=False)
+        missed_pairs = self._bank.transactions_for(
+            overlaps.unmatched_cloud(), auxiliary_input=False
+        )
         for transaction, detection in missed_pairs:
             try:
                 self.policy.process_initial(transaction, labels=detection, now=now)

@@ -48,45 +48,43 @@ from repro.core.optimizer import (
     ThresholdScore,
     _grid,
     brute_force_search,
-    hypothetical_observed,
 )
 from repro.core.results import FrameTrace
 from repro.core.thresholds import ThresholdPolicy
-from repro.detection.labels import LabelSet
-from repro.detection.metrics import AccuracyReport, evaluate_detections
+from repro.detection.matching import FrameOverlaps
+from repro.detection.metrics import AccuracyReport
 
 
 class _FrameEntry:
     """Sufficient statistics for one profiled frame.
 
     ``confidences`` holds the frame's edge-label confidences sorted
-    ascending — the breakpoints of its decision function.  ``stats``
-    memoises the frame's ``(tp, fp, fn)`` contribution per distinct
-    ``(discard_count, sent)`` state.
+    ascending — the breakpoints of its decision function — and
+    ``row_confidences`` the same values in label order.  ``overlaps`` is
+    the frame's box geometry, built once and shared by every state;
+    ``stats`` memoises the frame's ``(tp, fp, fn)`` contribution per
+    distinct ``(discard_count, sent)`` state.
     """
 
     __slots__ = (
-        "frame_id",
-        "labels",
-        "cloud_labels",
         "confidences",
+        "row_confidences",
         "initial_latency",
         "sent_latency",
         "unsent_latency",
+        "overlaps",
         "stats",
     )
 
-    def __init__(self, trace: FrameTrace) -> None:
-        self.frame_id = trace.frame_id
-        self.labels = trace.edge_labels
-        self.cloud_labels = trace.cloud_labels
-        self.confidences = tuple(
-            sorted(detection.confidence for detection in trace.edge_labels.detections)
-        )
+    def __init__(self, trace: FrameTrace, match_overlap: float) -> None:
+        detections = trace.edge_labels.detections
+        self.row_confidences = [detection.confidence for detection in detections]
+        self.confidences = tuple(sorted(self.row_confidences))
         latency = trace.latency
         self.initial_latency = latency.initial_latency
         self.sent_latency = latency.final_latency
         self.unsent_latency = latency.initial_latency + latency.final_txn
+        self.overlaps = FrameOverlaps(detections, trace.cloud_labels.detections, match_overlap)
         self.stats: dict[tuple[int, bool], tuple[int, int, int]] = {}
 
 
@@ -135,7 +133,7 @@ class IncrementalThresholdScorer:
     """
 
     def __init__(self, traces: list[FrameTrace] | None = None, match_overlap: float = 0.10) -> None:
-        self._frames = [_FrameEntry(trace) for trace in (traces or [])]
+        self._frames = [_FrameEntry(trace, match_overlap) for trace in (traces or [])]
         self._match_overlap = match_overlap
         self._cache: dict[tuple[float, float], ThresholdScore] = {}
         self._table: _GridTable | None = None
@@ -174,11 +172,12 @@ class IncrementalThresholdScorer:
         """Append one profiled frame and invalidate cached pair scores.
 
         Per-frame decision states already computed for *other* frames
-        stay cached, and the grid table is untouched: the frame is
-        folded into it (and its label matching paid for) by the next
-        :meth:`evaluate_grid`, not here.
+        stay cached, and the grid table is untouched: only the frame's
+        box geometry is built here; its decision states are scored (and
+        metered as ``frame_rescores``) when the next :meth:`evaluate_grid`
+        folds it in.
         """
-        self._frames.append(_FrameEntry(trace))
+        self._frames.append(_FrameEntry(trace, self._match_overlap))
         self._cache.clear()
 
     def evaluate(self, lower: float, upper: float) -> ThresholdScore:
@@ -305,23 +304,17 @@ class IncrementalThresholdScorer:
         stats = frame.stats.get(state)
         if stats is not None:
             return stats
-        detections = frame.labels.detections
-        if not detections:
-            survivors = frame.labels
-        elif discarded >= len(frame.confidences):
-            survivors = LabelSet(frame.labels.frame_id, (), frame.labels.model_name)
+        confidences = frame.confidences
+        if discarded >= len(confidences):
+            rows: list[int] = []
         else:
-            cutoff = frame.confidences[discarded]
-            survivors = LabelSet(
-                frame.labels.frame_id,
-                tuple(d for d in detections if d.confidence >= cutoff),
-                frame.labels.model_name,
-            )
-        observed = hypothetical_observed(
-            survivors, frame.cloud_labels, sent, frame.frame_id, self._match_overlap
-        )
-        report = evaluate_detections(observed, frame.cloud_labels, min_overlap=self._match_overlap)
-        stats = (report.true_positives, report.false_positives, report.false_negatives)
+            cutoff = confidences[discarded]
+            rows = [
+                row
+                for row, confidence in enumerate(frame.row_confidences)
+                if confidence >= cutoff
+            ]
+        stats = frame.overlaps.client_view(rows, sent)[1]
         frame.stats[state] = stats
         self._frame_rescores += 1
         return stats

@@ -21,10 +21,9 @@ from typing import TYPE_CHECKING
 from repro.core.config import CroesusConfig
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
 from repro.core.system import CroesusSystem
-from repro.core.thresholds import ConfidenceInterval, ThresholdPolicy
-from repro.detection.labels import Detection, LabelSet
-from repro.detection.matching import match_labels
-from repro.detection.metrics import aggregate_reports, evaluate_detections
+from repro.core.thresholds import ThresholdPolicy
+from repro.detection.matching import FrameOverlaps
+from repro.detection.metrics import AccuracyReport, aggregate_reports
 from repro.video.library import make_video
 
 if TYPE_CHECKING:
@@ -82,6 +81,7 @@ class ThresholdEvaluator:
         self._traces = list(traces)
         self._match_overlap = match_overlap
         self._cache: dict[tuple[float, float], ThresholdScore] = {}
+        self._overlaps: list[FrameOverlaps] | None = None
         self._evaluations = 0
         self._frame_rescores = 0
 
@@ -147,14 +147,20 @@ class ThresholdEvaluator:
         initial_latencies = []
         self._evaluations += 1
 
-        for trace in self._traces:
-            survivors, sent = _partition_frame(policy, trace.edge_labels)
+        if self._overlaps is None:
+            # The boxes do not depend on the pair: one table per trace.
+            self._overlaps = [
+                FrameOverlaps(
+                    trace.edge_labels.detections,
+                    trace.cloud_labels.detections,
+                    self._match_overlap,
+                )
+                for trace in self._traces
+            ]
+        for trace, overlaps in zip(self._traces, self._overlaps):
+            rows, sent = policy.partition(trace.edge_labels)
             self._frame_rescores += 1
-
-            observed = self._observed(survivors, trace.cloud_labels, sent, trace.frame_id)
-            reports.append(
-                evaluate_detections(observed, trace.cloud_labels, min_overlap=self._match_overlap)
-            )
+            reports.append(AccuracyReport(*overlaps.client_view(rows, sent)[1]))
 
             latency = trace.latency
             initial_latencies.append(latency.initial_latency)
@@ -185,65 +191,6 @@ class ThresholdEvaluator:
             for upper in values
             if lower <= upper
         ]
-
-    # -- internal -----------------------------------------------------------
-    def _observed(
-        self,
-        survivors: LabelSet,
-        cloud_labels: LabelSet,
-        sent: bool,
-        frame_id: int,
-    ) -> LabelSet:
-        """Client-visible labels under a hypothetical threshold decision."""
-        return hypothetical_observed(
-            survivors, cloud_labels, sent, frame_id, self._match_overlap
-        )
-
-
-def _partition_frame(policy: ThresholdPolicy, labels: LabelSet) -> tuple[LabelSet, bool]:
-    """Survivors and the sent bit from ONE pass over a frame's edge labels.
-
-    Classifying each confidence once replaces the former
-    ``surviving_labels`` + ``classify_labels`` double partition while
-    producing the identical surviving :class:`LabelSet` (original
-    detection order, empty-frame passthrough) and sent decision.
-    """
-    if not labels.detections:
-        return labels, False
-    kept: list[Detection] = []
-    sent = False
-    for detection in labels:
-        interval = policy.classify(detection.confidence)
-        if interval is ConfidenceInterval.DISCARD:
-            continue
-        kept.append(detection)
-        if interval is ConfidenceInterval.VALIDATE:
-            sent = True
-    return LabelSet(labels.frame_id, tuple(kept), labels.model_name), sent
-
-
-def hypothetical_observed(
-    survivors: LabelSet,
-    cloud_labels: LabelSet,
-    sent: bool,
-    frame_id: int,
-    match_overlap: float,
-) -> LabelSet:
-    """Client-visible labels under a hypothetical threshold decision.
-
-    Unsent frames show the surviving edge labels; sent frames show the
-    cloud-corrected view (matched labels corrected, unmatched cloud
-    labels added) — the same rule the live system applies, replayed
-    against recorded traces.
-    """
-    if not sent:
-        return survivors
-    report = match_labels(survivors, cloud_labels, min_overlap=match_overlap)
-    corrected: list[Detection] = [
-        match.corrected_label for match in report.matches if match.corrected_label is not None
-    ]
-    corrected.extend(report.unmatched_cloud)
-    return LabelSet(frame_id, tuple(corrected), model_name="hypothetical")
 
 
 def brute_force_search(

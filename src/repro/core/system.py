@@ -24,17 +24,18 @@ latency and bandwidth are only charged for validated frames).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.adaptive import AdaptationConfig, AdaptationManager
 from repro.core.client import Client, ClientResponse
 from repro.core.cloud import CloudNode
 from repro.core.config import ConsistencyLevel, CroesusConfig
-from repro.core.edge import EdgeNode, InitialStageOutcome
+from repro.core.edge import EdgeNode, FinalStageOutcome, InitialStageOutcome
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
-from repro.core.thresholds import ConfidenceInterval, ThresholdPolicy
-from repro.detection.labels import Detection, LabelSet
-from repro.detection.matching import match_labels
-from repro.detection.metrics import evaluate_detections
+from repro.core.thresholds import ThresholdPolicy
+from repro.detection.labels import LabelSet
+from repro.detection.matching import FrameOverlaps
+from repro.detection.metrics import AccuracyReport, evaluate_detections
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
 from repro.sim.engine import Engine, Server
@@ -58,31 +59,43 @@ LABELS_MESSAGE_BYTES = 2_048
 
 
 def observed_labels(
-    policy: ThresholdPolicy,
     initial: InitialStageOutcome,
     cloud_labels: LabelSet,
+    final: FinalStageOutcome,
+    rows: Sequence[int],
     sent: bool,
     match_overlap: float,
-) -> LabelSet:
-    """What the client ends up seeing for one frame.
+) -> tuple[LabelSet, AccuracyReport]:
+    """What the client ends up seeing for one frame, and how accurate it is.
 
-    Unvalidated frames show the surviving edge labels.  Validated frames
-    show the corrected labels: confirmed/corrected edge labels plus any
-    cloud labels the edge missed, with spurious edge labels dropped —
-    exactly what the final sections render.  Shared by the single-edge
-    :class:`CroesusSystem` and the multi-edge cluster system.
+    ``rows`` are the edge labels (rows of ``initial.labels``) that
+    survived thresholding.  Unvalidated frames show those; validated
+    frames show the corrected view the final sections rendered (see
+    :meth:`~repro.detection.matching.FrameOverlaps.client_view`).  The
+    view is scored against the cloud labels on the table the final stage
+    built, or — for a frame the cloud never answered — on one built here.
+    Shared by the single-edge :class:`CroesusSystem` and the multi-edge
+    cluster system.
     """
-    survivors = policy.surviving_labels(initial.labels)
-    if not sent:
-        return survivors
-
-    report = match_labels(survivors, cloud_labels, min_overlap=match_overlap)
-    corrected: list[Detection] = []
-    for match in report.matches:
-        if match.corrected_label is not None:
-            corrected.append(match.corrected_label)
-    corrected.extend(report.unmatched_cloud)
-    return LabelSet(initial.frame_id, tuple(corrected), model_name="croesus-observed")
+    labels = initial.labels
+    if not rows and not sent:
+        # Nothing survived and the cloud never answered: an empty view,
+        # which is scored without any geometry.
+        observed = (
+            LabelSet(labels.frame_id, (), labels.model_name) if labels.detections else labels
+        )
+        return observed, evaluate_detections(observed, cloud_labels, match_overlap)
+    overlaps = final.overlaps
+    if overlaps is None:
+        overlaps = FrameOverlaps(labels.detections, cloud_labels.detections, match_overlap)
+    view, counts = overlaps.client_view(rows, sent)
+    if sent:
+        observed = LabelSet(initial.frame_id, tuple(view), model_name="croesus-observed")
+    elif len(view) == len(labels):
+        observed = labels
+    else:
+        observed = LabelSet(labels.frame_id, tuple(view), labels.model_name)
+    return observed, AccuracyReport(*counts)
 
 
 @dataclass
@@ -402,9 +415,7 @@ class CroesusSystem:
                 if adaptation is None
                 else adaptation.policy_for(result.video_key)
             )
-            partition = policy.classify_labels(initial.labels)
-            validate = partition[ConfidenceInterval.VALIDATE]
-            send_to_cloud = bool(validate)
+            surviving_rows, send_to_cloud = policy.partition(initial.labels)
 
             # The cloud model always runs for ground truth; its cost is only
             # charged when the frame is actually validated.
@@ -451,11 +462,9 @@ class CroesusSystem:
             )
             self.events.record(engine.now, "final_commit", frame_id=frame.frame_id)
 
-            observed = observed_labels(
-                policy, initial, cloud_labels, send_to_cloud, self.config.match_overlap
-            )
-            accuracy = evaluate_detections(
-                observed, cloud_labels, min_overlap=self.config.match_overlap
+            observed, accuracy = observed_labels(
+                initial, cloud_labels, final, surviving_rows, send_to_cloud,
+                self.config.match_overlap,
             )
             latency = LatencyBreakdown(
                 edge_transfer=edge_transfer,
@@ -521,14 +530,3 @@ class CroesusSystem:
                     upper=update.upper,
                 )
             yield interval
-
-    def _observed_labels(
-        self,
-        initial: InitialStageOutcome,
-        cloud_labels: LabelSet,
-        sent: bool,
-    ) -> LabelSet:
-        """What the client ends up seeing for this frame."""
-        return observed_labels(
-            self.policy, initial, cloud_labels, sent, self.config.match_overlap
-        )

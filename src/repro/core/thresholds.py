@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.detection.labels import Detection, LabelSet
 
@@ -65,6 +65,31 @@ class ThresholdPolicy:
         for detection in labels:
             partition[self.classify(detection.confidence)].append(detection)
         return partition
+
+    def partition(self, labels: LabelSet) -> tuple[Sequence[int], bool]:
+        """Surviving rows and the sent bit from ONE pass over a frame's labels.
+
+        The rows index ``labels.detections`` (validate + keep, in
+        detection order); the frame is sent when any of them falls in the
+        validate interval.  Same decisions as :meth:`surviving_labels` +
+        :meth:`should_validate`, each confidence classified once.
+        """
+        detections = labels.detections
+        if not detections:
+            # A frame body holds its rows across its cloud wait: an empty
+            # frame shares the empty tuple instead of owning a list.
+            return (), False
+        lower, upper = self.lower, self.upper
+        rows: list[int] = []
+        sent = False
+        for row, detection in enumerate(detections):
+            confidence = detection.confidence
+            if confidence < lower:
+                continue
+            rows.append(row)
+            if confidence <= upper:
+                sent = True
+        return rows, sent
 
     def should_validate(self, labels: Iterable[Detection]) -> bool:
         """Whether a frame with these detections must be sent to the cloud."""

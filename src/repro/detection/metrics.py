@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.detection.geometry import overlap_ratio
 from repro.detection.labels import LabelSet
+from repro.detection.matching import FrameOverlaps
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,39 +66,16 @@ def evaluate_detections(
 
     A prediction counts as a true positive when some unclaimed truth label
     overlaps it by at least ``min_overlap`` and carries the same name —
-    the same 10%-overlap rule the paper uses for its F-score.
+    the same 10%-overlap rule the paper uses for its F-score, stated once
+    in :mod:`repro.detection.matching`.
     """
     if not observed.detections:
         truth_count = len(truth)
         if truth_count == 0:
             return _EMPTY_REPORT
         return AccuracyReport(0, 0, truth_count)
-    claimed: set[int] = set()
-    true_positives = 0
-    false_positives = 0
-
-    for prediction in observed:
-        matched = False
-        for index, truth_label in enumerate(truth):
-            if index in claimed:
-                continue
-            if truth_label.name != prediction.name:
-                continue
-            if overlap_ratio(prediction.box, truth_label.box) >= min_overlap:
-                claimed.add(index)
-                matched = True
-                break
-        if matched:
-            true_positives += 1
-        else:
-            false_positives += 1
-
-    false_negatives = len(truth) - len(claimed)
-    return AccuracyReport(
-        true_positives=true_positives,
-        false_positives=false_positives,
-        false_negatives=false_negatives,
-    )
+    overlaps = FrameOverlaps(observed.detections, truth.detections, min_overlap)
+    return AccuracyReport(*overlaps.client_view(range(len(observed)), sent=False)[1])
 
 
 def aggregate_reports(reports: list[AccuracyReport]) -> AccuracyReport:

@@ -126,13 +126,21 @@ class SimulatedDetector:
         noise = self._profile.box_noise
         if noise <= 0:
             return box
-        dx = self._rng.normal(0.0, noise * box.width)
-        dy = self._rng.normal(0.0, noise * box.height)
+        rng = self._rng
+        x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
+        dx = rng.normal(0.0, noise * (x_max - x_min))
+        dy = rng.normal(0.0, noise * (y_max - y_min))
         # Plain float clamp: np.clip on a scalar pays ufunc dispatch on a
         # per-detection path, for the identical IEEE result.
-        scale = float(self._rng.normal(1.0, noise))
+        scale = float(rng.normal(1.0, noise))
         scale = 0.5 if scale < 0.5 else (1.5 if scale > 1.5 else scale)
-        return box.translated(dx, dy).scaled(scale)
+        # box.translated(dx, dy).scaled(scale), term for term, as one box.
+        x_min, y_min, x_max, y_max = x_min + dx, y_min + dy, x_max + dx, y_max + dy
+        center_x = (x_min + x_max) / 2.0
+        center_y = (y_min + y_max) / 2.0
+        half_w = (x_max - x_min) * scale / 2.0
+        half_h = (y_max - y_min) * scale / 2.0
+        return BoundingBox(center_x - half_w, center_y - half_h, center_x + half_w, center_y + half_h)
 
     def _draw_confidence(self, correct: bool, difficulty: float) -> float:
         profile = self._profile

@@ -8,7 +8,7 @@ YOLOv3 output as truth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.detection.geometry import BoundingBox
 
@@ -57,12 +57,26 @@ class SceneObject:
         dx, dy = self.velocity
         if dx == 0.0 and dy == 0.0:
             return self
-        moved = self.box.translated(dx, dy).clipped(frame_width, frame_height)
-        if moved.area <= 0.0:
+        # box.translated(dx, dy).clipped(frame_width, frame_height) on
+        # plain floats, so a step builds one box and one object.
+        box = self.box
+        x_min = min(max(box.x_min + dx, 0.0), frame_width)
+        y_min = min(max(box.y_min + dy, 0.0), frame_height)
+        x_max = min(max(box.x_max + dx, 0.0), frame_width)
+        y_max = min(max(box.y_max + dy, 0.0), frame_height)
+        if (x_max - x_min) * (y_max - y_min) <= 0.0:
             # The object left the frame entirely; park it on the border as
             # a degenerate-but-valid sliver so generators can cull it.
-            moved = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        return replace(self, box=moved)
+            x_min, y_min, x_max, y_max = 0.0, 0.0, 1.0, 1.0
+        return SceneObject(
+            object_id=self.object_id,
+            name=self.name,
+            box=BoundingBox(x_min, y_min, x_max, y_max),
+            visibility=self.visibility,
+            difficulty=self.difficulty,
+            confusable_name=self.confusable_name,
+            velocity=self.velocity,
+        )
 
     @property
     def is_visible_in_frame(self) -> bool:

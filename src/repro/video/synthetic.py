@@ -186,7 +186,8 @@ class SyntheticVideo:
         angle = self.rng.uniform(0, 2 * np.pi)
         speed = max(0.0, self.rng.normal(spec.speed, spec.speed / 3))
         velocity = (speed * float(np.cos(angle)), speed * float(np.sin(angle)))
-        visibility = float(np.clip(self.rng.normal(spec.visibility, 0.05), 0.05, 1.0))
+        visibility = float(self.rng.normal(spec.visibility, 0.05))
+        visibility = 0.05 if visibility < 0.05 else (1.0 if visibility > 1.0 else visibility)
         difficulty = float(max(1.0, self.rng.normal(spec.difficulty, 0.1)))
         obj = SceneObject(
             object_id=self._next_object_id,

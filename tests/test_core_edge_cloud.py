@@ -99,7 +99,7 @@ class TestEdgeNode:
         labels = make_label_set(0, make_detection("a"))
         outcome = edge.process_initial_stage(frame, labels, now=0.0)
         final = edge.process_final_stage(outcome, None, now=1.0)
-        assert final.match_report is None
+        assert final.overlaps is None
         assert final.corrections == 0
         assert all(entry.transaction.is_committed for entry in outcome.committed)
 

@@ -57,6 +57,18 @@ class TestThresholdPolicy:
         )
         assert policy.surviving_labels(labels).names() == ["mid", "high"]
 
+    def test_partition_is_survivors_and_sent_bit_in_one_pass(self):
+        """Boundary confidences included: θL and θU both validate."""
+        confidences = (0.1, 0.3, 0.5, 0.7, 0.9, 0.3)
+        labels = make_label_set(0, *(make_detection(confidence=c) for c in confidences))
+        for lower, upper in ((0.3, 0.7), (0.0, 0.0), (0.31, 0.49), (0.95, 1.0), (0.0, 1.0)):
+            policy = ThresholdPolicy(lower, upper)
+            rows, sent = policy.partition(labels)
+            survivors = policy.surviving_labels(labels).detections
+            assert [labels.detections[row] for row in rows] == list(survivors)
+            assert sent == policy.should_validate(labels)
+        assert ThresholdPolicy(0.3, 0.7).partition(make_label_set(0)) == ((), False)
+
     def test_validate_width(self):
         assert ThresholdPolicy(0.2, 0.6).validate_width == pytest.approx(0.4)
 

@@ -56,6 +56,19 @@ class TestMatchLabels:
         report = match_labels(edge, cloud)
         assert report.matches[0].cloud.name == "close"
 
+    def test_first_cloud_label_wins_an_exact_tie(self):
+        """An edge box nested in two cloud boxes overlaps both by exactly
+        1.0: the earlier cloud label is the match, the later one stays
+        unmatched."""
+        edge = make_label_set(0, make_detection("person", x=110, y=110, size=20))
+        wide = make_detection("wide", x=100, y=100, size=50)
+        wider = make_detection("wider", x=90, y=90, size=80)
+        for first, second in ((wide, wider), (wider, wide)):
+            report = match_labels(edge, make_label_set(0, first, second))
+            assert report.matches[0].overlap == 1.0
+            assert report.matches[0].cloud is first
+            assert report.unmatched_cloud == (second,)
+
     def test_overlap_threshold_respected(self):
         edge = make_label_set(0, make_detection("person", x=100, size=50))
         cloud = make_label_set(0, make_detection("person", x=148, size=50))  # ~4% overlap

@@ -89,6 +89,21 @@ class TestEvaluateDetections:
         assert report.true_positives == 1
         assert report.false_positives == 1
 
+    def test_predictions_claim_truth_labels_greedily_in_order(self):
+        """A prediction takes the *first* unclaimed same-name truth label it
+        overlaps, not the best one — so order decides who is left over."""
+        left = make_detection("person", x=100, size=50)
+        right = make_detection("person", x=130, size=50)
+        truth = make_label_set(0, left, right)
+        straddling = make_detection("person", x=115, size=50)  # overlaps both
+        only_left = make_detection("person", x=70, size=50)  # overlaps `left` alone
+        # `straddling` goes first and takes `left`; nothing remains for `only_left`.
+        report = evaluate_detections(make_label_set(0, straddling, only_left), truth)
+        assert (report.true_positives, report.false_positives, report.false_negatives) == (1, 1, 1)
+        # The other way round both find a truth label.
+        report = evaluate_detections(make_label_set(0, only_left, straddling), truth)
+        assert (report.true_positives, report.false_positives, report.false_negatives) == (2, 0, 0)
+
     def test_overlap_threshold(self):
         observed = make_label_set(0, make_detection("person", x=100, size=50))
         truth = make_label_set(0, make_detection("person", x=145, size=50))
