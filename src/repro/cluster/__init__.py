@@ -10,8 +10,9 @@ transactions (paper Section 4.5).
 * :mod:`repro.cluster.config` — :class:`ClusterConfig`, the validated
   description of one deployment;
 * :mod:`repro.cluster.system` — the :class:`ClusterSystem` deployment
-  mirroring :class:`~repro.core.system.CroesusSystem`'s run API: one
-  lazy driver per stream, one frame body, a sink for what is retained;
+  mirroring :class:`~repro.core.system.CroesusSystem`'s run API over
+  the same frame pipeline (:mod:`repro.core.pipeline`): one lazy
+  arrival driver per stream, a sink for what is retained;
 * :mod:`repro.cluster.results` — :class:`ClusterRunResult` and the
   per-edge / per-frame records it aggregates;
 * :mod:`repro.cluster.failure` — scheduled replica failure/recovery and

@@ -13,6 +13,8 @@ implement.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.core.edge import EdgeNode
@@ -58,15 +60,11 @@ class EdgeReplica:
         :data:`repro.transactions.policy.TXN_POLICIES`).  The batched
         and async policies need ``coordinator_channel`` to draw their
         round-trip durations from.
-    discipline:
-        Admission discipline of this replica's server: ``"fifo"`` (the
-        default) or ``"priority"``, under which initial stages overtake
-        queued final stages.
     server_factory:
         Builds this replica's :class:`~repro.sim.engine.Server` (and the
-        fresh one of every :meth:`reset_run_state`).  The cluster fast
-        path passes a factory wiring up streaming wait statistics,
-        interval retention, or the preserved reference implementation.
+        fresh one of every :meth:`reset_run_state`): the cluster's one
+        choice of admission discipline, wait-statistics retention and
+        engine implementation.
     """
 
     def __init__(
@@ -83,17 +81,14 @@ class EdgeReplica:
         match_overlap: float = 0.10,
         transaction_policy: str = "immediate-2pc",
         coordinator_channel: Channel | None = None,
-        discipline: str = "fifo",
         vote_channel_for=None,
-        server_factory=None,
+        *,
+        server_factory: Callable[[], Server],
     ) -> None:
         self.edge_id = edge_id
         self.owned_partitions = frozenset(owned_partitions)
-        self.discipline = discipline
         self._store = store
-        self._server_factory = server_factory or (
-            lambda: Server(capacity=1, name=f"edge-{self.edge_id}", discipline=self.discipline)
-        )
+        self._server_factory = server_factory
         #: Finite-capacity server modelling this edge's processor: every
         #: frame stage is admitted here and served for its measured cost.
         self.server = self._server_factory()

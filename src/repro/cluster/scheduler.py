@@ -4,7 +4,7 @@ Many camera streams feed one cluster concurrently; each captures a frame
 every ``frame_interval`` seconds.  The scheduler is the single owner of
 that arithmetic: where a closed-loop stream starts (phase-shifted so
 streams do not tick in lockstep) and when each of its frames arrives.
-The cluster's per-stream driver asks :meth:`FrameScheduler.arrival_time`
+Each stream's arrival driver asks :meth:`FrameScheduler.arrival_time`
 for one frame at a time and starts one engine process per frame at its
 arrival instant; merging all streams into one global timeline is the
 event heap's job, and the per-edge queueing is modelled by the engine's

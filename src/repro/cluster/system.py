@@ -1,25 +1,24 @@
 """The multi-edge cluster deployment.
 
-:class:`ClusterSystem` scales the single-edge Croesus pipeline out to
-many edge replicas serving many concurrent camera streams against one
-hash-partitioned datastore (paper Section 4.5):
+:class:`ClusterSystem` scales the Croesus deployment out to many edge
+replicas serving many concurrent camera streams against one
+hash-partitioned datastore (paper Section 4.5).  What happens to a frame
+is the one frame pipeline of :mod:`repro.core.pipeline` — the body the
+single-edge :class:`~repro.core.system.CroesusSystem` drives closed-loop
+— run here on the frame's home replica, one
+:func:`~repro.core.pipeline.arrival_driver` per stream.  This module
+owns what makes a deployment a *cluster*:
 
 1. a router places every stream on an edge replica (round-robin,
    consistent-hash, least-loaded, a deliberately skewed hotspot
    placement, or the runtime-adaptive migrating policy);
-2. every stream gets one lazy driver on the shared discrete-event engine
-   (:mod:`repro.sim.engine`) that sleeps to each frame's arrival instant
-   (:mod:`repro.cluster.scheduler` owns the timing) and starts that
-   frame's body as its own process, so all streams' frames merge into
-   one global timeline and a stream's frames overlap whenever one is
-   still in flight when the next arrives; each replica is a
-   finite-capacity server whose waiting time — driven by the replica's
-   measured detection+transaction service times — shows up in frame
-   latency, making overload visible;
-3. every frame runs the one frame body on its home replica — route →
-   shed → transfer → edge admit → detect → initial section → threshold →
-   cloud validate → final section → account — with transactions
-   executing through the distributed controllers of
+2. frames arrive on :mod:`repro.cluster.scheduler`'s timing whether or
+   not their predecessors have answered, so all streams' frames merge
+   into one global timeline; each replica is a finite-capacity server
+   whose waiting time — driven by the replica's measured
+   detection+transaction service times — shows up in frame latency,
+   making overload visible;
+3. transactions execute through the distributed controllers of
    :mod:`repro.transactions.distributed`: lock requests for keys hashed
    to another replica's partitions are routed there, and commits run
    two-phase commit across the participating partitions;
@@ -31,10 +30,9 @@ hash-partitioned datastore (paper Section 4.5):
    fed back into routing: when an edge's observed utilization crosses a
    threshold, the arriving stream's remaining frames are re-routed to
    the least-utilized edge (recorded as ``stream_migrated`` events);
-6. each frame's outcome goes to the run's *sink* — the only thing
-   :attr:`ClusterConfig.record_frames` selects: per-frame traces, client
-   responses and labelled transfers when recording, streaming
-   aggregates otherwise.  What is simulated is the same either way;
+6. :attr:`ClusterConfig.record_frames` selects the run's *sink* and
+   nothing else: per-frame traces, client responses and labelled
+   transfers when recording, streaming aggregates otherwise;
 7. the run returns per-stream :class:`~repro.core.results.RunResult`\\ s
    plus cluster-level metrics: per-edge utilization and queue delay, the
    cross-edge transaction fraction, the 2PC abort rate, cloud queueing,
@@ -51,6 +49,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.cluster.config import ClusterConfig
@@ -75,28 +74,30 @@ from repro.cluster.results import (
 from repro.cluster.router import MigratingRouter, MigrationTrigger, make_router
 from repro.cluster.scheduler import FrameScheduler
 from repro.core.adaptive import AdaptationConfig, AdaptationManager
-from repro.core.client import Client, ClientResponse
 from repro.core.cloud import CloudNode
 from repro.core.config import ConsistencyLevel
-from repro.core.edge import FinalStageOutcome, InitialStageOutcome
-from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
-from repro.core.system import LABELS_MESSAGE_BYTES, observed_labels
+from repro.core.pipeline import (
+    Lane,
+    PipelineState,
+    StatsSink,
+    TraceSink,
+    arrival_driver,
+    frame_pipeline,
+    start_adaptation,
+)
 from repro.core.thresholds import ThresholdPolicy
-from repro.detection.labels import LabelSet
-from repro.detection.metrics import AccuracyReport
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
-from repro.sim.engine import At, Engine, ReferenceServer, Server
+from repro.sim.engine import Engine, ReferenceServer, Server
 from repro.sim.events import EventLog
 from repro.sim.rng import RngRegistry
 from repro.storage.partition import PartitionedStore
 from repro.traffic.admission import AdmissionController, make_admission
-from repro.traffic.shedding import SHED_APOLOGY, ApologyBudget, LoadShedder
+from repro.traffic.shedding import ApologyBudget, LoadShedder
 from repro.traffic.source import TrafficConfig, TrafficSource, TrafficStats
 from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.ms_sr import ControllerStats
 from repro.transactions.policy import PolicyStats
-from repro.video.frames import Frame
 from repro.video.synthetic import SyntheticVideo
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
@@ -137,173 +138,19 @@ def _gc_suspended(active: bool):
         gc.enable()
 
 
-class _FrameSink:
-    """Where a run's per-frame outcomes go — what ``record_frames`` selects.
-
-    The frame body reports the same outcomes to either sink; a sink only
-    decides what is *retained*.
-    """
-
-    #: Streaming aggregates, when the sink keeps those instead of traces.
-    frame_stats: FrameStatsAccumulator | None = None
-
-    def __init__(self) -> None:
-        self.results: dict[str, RunResult] = {}
-
-    def open(self, video: SyntheticVideo) -> RunResult:
-        """Register a stream; returns the result its frames account to."""
-        result = RunResult(system_name="croesus-cluster", video_key=video.name)
-        self.results[video.name] = result
-        return result
-
-
-class _StatsSink(_FrameSink):
-    """Sink of a ``record_frames=False`` run: streaming aggregates only.
-
-    Every served frame folds into one :class:`FrameStatsAccumulator`
-    and bumps its stream's frame count; nothing per-frame is retained,
-    so run memory stays bounded at 10⁶+ frames.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.frame_stats = FrameStatsAccumulator()
-
-    def describe(self, stream: str, frame_id: int) -> tuple[str, str]:
-        """Descriptions of a frame's upload and of its label download."""
-        return "", ""
-
-    def shed(self, stream: str, frame_id: int, when: float) -> None:
-        """A frame was shed at ``when``: its client gets the apology only."""
-
-    def record_frame(
-        self,
-        result: RunResult,
-        edge_id: int,
-        initial: InitialStageOutcome,
-        initial_done: float,
-        final: FinalStageOutcome,
-        final_done: float,
-        cloud_labels: LabelSet,
-        observed: LabelSet,
-        latency: tuple[float, ...],
-        accuracy: AccuracyReport,
-        sent_to_cloud: bool,
-        bytes_sent: int,
-    ) -> None:
-        """Account one served frame: its two client responses (at
-        ``initial_done`` / ``final_done``) and its measured outcome."""
-        result.frames_streamed += 1
-        self.frame_stats.record_frame(
-            latency,
-            accuracy,
-            sent_to_cloud,
-            bytes_sent,
-            len(initial.triggered),
-            final.corrections,
-            len(final.apologies),
-        )
-
-
-class _TraceSink(_FrameSink):
-    """Sink of a ``record_frames=True`` run: keep everything.
-
-    One :class:`~repro.core.results.FrameTrace` per served frame, every
-    response a stream's client saw, and a description on every channel
-    transfer — the exact, memory-hungry retention every golden pin runs
-    on.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.clients: dict[str, Client] = {}
-
-    def open(self, video: SyntheticVideo) -> RunResult:
-        self.clients[video.name] = Client(video)
-        return super().open(video)
-
-    def describe(self, stream: str, frame_id: int) -> tuple[str, str]:
-        return f"{stream}-frame-{frame_id}", f"{stream}-labels-{frame_id}"
-
-    def shed(self, stream: str, frame_id: int, when: float) -> None:
-        self.clients[stream].render(
-            ClientResponse(frame_id, "final", None, apologies=(SHED_APOLOGY,), timestamp=when)
-        )
-
-    def record_frame(
-        self,
-        result: RunResult,
-        edge_id: int,
-        initial: InitialStageOutcome,
-        initial_done: float,
-        final: FinalStageOutcome,
-        final_done: float,
-        cloud_labels: LabelSet,
-        observed: LabelSet,
-        latency: tuple[float, ...],
-        accuracy: AccuracyReport,
-        sent_to_cloud: bool,
-        bytes_sent: int,
-    ) -> None:
-        frame_id = initial.frame_id
-        client = self.clients[result.video_key]
-        client.render(
-            ClientResponse(
-                frame_id,
-                "initial",
-                [entry.initial_result for entry in initial.committed],
-                timestamp=initial_done,
-            )
-        )
-        client.render(
-            ClientResponse(frame_id, "final", None, final.apologies, timestamp=final_done)
-        )
-        result.add(
-            FrameTrace(
-                frame_id=frame_id,
-                edge_labels=initial.labels,
-                cloud_labels=cloud_labels,
-                observed_labels=observed,
-                sent_to_cloud=sent_to_cloud,
-                latency=LatencyBreakdown(*latency),
-                accuracy=accuracy,
-                transactions_triggered=len(initial.triggered),
-                corrections=final.corrections,
-                apologies=len(final.apologies),
-                frame_bytes_sent=bytes_sent,
-                edge_id=edge_id,
-            )
-        )
-
-
 @dataclass
-class _RunState:
-    """Mutable execution state of one cluster run, shared by frame processes."""
+class _RunState(PipelineState):
+    """Execution state of one cluster run: what the frame pipeline shares
+    (:class:`~repro.core.pipeline.PipelineState`) plus the cluster's own
+    placement, failure and re-sharding bookkeeping."""
 
-    engine: Engine
-    cloud_server: Server
-    #: Where per-frame outcomes go (what ``record_frames`` selects).
-    sink: _StatsSink | _TraceSink
     #: Controller/policy counters before the run (a run reports only its own work).
-    baseline: tuple
-    frames_on_edge: list[int]
+    baseline: tuple = ()
     #: Placement-time home edge of every stream, in admission order.
     placements: dict[str, int] = field(default_factory=dict)
-    #: Current home edge of every stream (mutated by runtime migration).
-    current_edge: dict[str, int] = field(default_factory=dict)
-    #: The run's frame body (see ``ClusterSystem._frame_pipeline``).
+    #: The run's frame body (see :func:`~repro.core.pipeline.frame_pipeline`).
     frame_body: Callable | None = None
-    makespan: float = 0.0
     migrations: list[MigrationRecord] = field(default_factory=list)
-    #: Per-edge failure flag (True from fail_at until the replica rejoins).
-    failed: list[bool] = field(default_factory=list)
-    #: Next instant a process waiting on a failed edge should re-check:
-    #: the scheduled restart at first, then the computed rejoin time.
-    wake_at: list[float] = field(default_factory=list)
-    #: Frames whose final stage has not finished yet (stops the checkpointer).
-    frames_remaining: int = 0
-    #: Ids of transactions aborted by a failure; frames skip their finals.
-    aborted_txns: set[str] = field(default_factory=set)
     failures: list[FailureRecord] = field(default_factory=list)
     reshards: list[ReshardRecord] = field(default_factory=list)
     promotions: list[PromotionRecord] = field(default_factory=list)
@@ -312,19 +159,8 @@ class _RunState:
     records_replayed: int = 0
     transactions_replayed: int = 0
     checkpoints: int = 0
-    #: Frames each stream has not finished yet (failback skips drained streams).
-    frames_left: dict[str, int] = field(default_factory=dict)
-    #: True while an open-loop traffic source may still mint streams.
-    source_active: bool = False
-    #: Open-loop accounting; None on the closed-loop path.
-    traffic: TrafficStats | None = None
     #: Per-stream admission control of an open-loop run.
     admission: AdmissionController | None = None
-    #: Per-frame load shedder of an open-loop run (None: never shed).
-    shedder: LoadShedder | None = None
-    #: Per-stream threshold controllers of an adaptive run (None when
-    #: ``threshold_adaptation`` is off — the static-policy path).
-    adaptation: AdaptationManager | None = None
 
 
 class ClusterSystem:
@@ -419,9 +255,10 @@ class ClusterSystem:
                 match_overlap=base.match_overlap,
                 transaction_policy=base.transaction_policy,
                 coordinator_channel=self._coordinator_channels[edge_id],
-                discipline=config.edge_discipline,
                 vote_channel_for=self._vote_channel_for,
-                server_factory=self._edge_server_factory(edge_id),
+                server_factory=partial(
+                    self._make_server, 1, f"edge-{edge_id}", config.edge_discipline
+                ),
             )
             replica.policy.on_flush = self._make_flush_recorder(edge_id)
             self.replicas.append(replica)
@@ -490,40 +327,22 @@ class ClusterSystem:
                     partition_id
                 )
 
-    def _edge_server_factory(self, edge_id: int):
-        """Server builder for one replica, honouring the engine knobs.
-
-        ``None`` (the default full-recording :class:`Server`) unless the
-        config selects the preserved reference implementation or, when
-        not recording, streaming statistics + interval retention.
-        """
+    def _make_server(
+        self, capacity: int | None, name: str, discipline: str = "fifo"
+    ) -> Server:
+        """One edge or cloud server, honouring the engine knobs: the
+        preserved reference implementation when the config selects it;
+        otherwise full per-job records when recording, streaming wait
+        statistics + bounded interval retention when not."""
         config = self.config
-        discipline = config.edge_discipline
-        name = f"edge-{edge_id}"
         if config.reference_engine:
-            return lambda: ReferenceServer(capacity=1, name=name, discipline=discipline)
-        if config.record_frames:
-            return None
-        return lambda: Server(
-            capacity=1,
+            return ReferenceServer(capacity=capacity, name=name, discipline=discipline)
+        return Server(
+            capacity=capacity,
             name=name,
             discipline=discipline,
-            record_jobs=False,
-            interval_retention=FAST_PATH_INTERVAL_RETENTION,
-        )
-
-    def _make_cloud_server(self) -> Server:
-        """Cloud server of one run, on the same engine variant as the edges."""
-        config = self.config
-        if config.reference_engine:
-            return ReferenceServer(capacity=config.cloud_servers, name="cloud")
-        if config.record_frames:
-            return Server(capacity=config.cloud_servers, name="cloud")
-        return Server(
-            capacity=config.cloud_servers,
-            name="cloud",
-            record_jobs=False,
-            interval_retention=FAST_PATH_INTERVAL_RETENTION,
+            record_jobs=config.record_frames,
+            interval_retention=None if config.record_frames else FAST_PATH_INTERVAL_RETENTION,
         )
 
     def _vote_channel_for(self, partition_id: int) -> Channel | None:
@@ -586,22 +405,17 @@ class ClusterSystem:
         """Run every stream to completion and return the cluster result.
 
         Streams are placed on edges by the configured router and each
-        gets one lazy driver on the discrete-event engine that starts
-        one process per frame at the frame's (phase-shifted) arrival
-        instant: the initial stage runs on the frame's (possibly
-        migrated) home replica, the cloud round trip — contending for
-        the finite cloud servers when :attr:`ClusterConfig.cloud_servers`
-        is set — overlaps with other frames on the same edge, and the
-        final stage queues again at the replica.  Each call starts from
-        fresh servers and a clean event log, and reports only its own
-        transactions; note that reusing a system continues the random
-        streams, so build a fresh :class:`ClusterSystem` when two runs
-        must reproduce each other bit for bit.  The *durable* state —
-        the partitioned store and its write-ahead logs — intentionally
-        persists across runs: a crash in a later run recovers everything
-        earlier runs committed, so that run's replay metrics cover the
-        accumulated log tail, and a re-shard that already ran is a no-op
-        the second time.
+        gets one arrival driver, phase-shifted against the others (what
+        a frame then does is :mod:`repro.core.pipeline`'s business).
+        Each call starts from fresh servers and a clean event log, and
+        reports only its own transactions; note that reusing a system
+        continues the random streams, so build a fresh
+        :class:`ClusterSystem` when two runs must reproduce each other
+        bit for bit.  The *durable* state — the partitioned store and
+        its write-ahead logs — intentionally persists across runs: a
+        crash in a later run recovers everything earlier runs committed,
+        so that run's replay metrics cover the accumulated log tail, and
+        a re-shard that already ran is a no-op the second time.
         """
         if not streams:
             raise ValueError("need at least one stream")
@@ -660,8 +474,12 @@ class ClusterSystem:
             replica.reset_run_state()
         state = _RunState(
             engine=Engine(),
-            cloud_server=self._make_cloud_server(),
-            sink=_TraceSink() if self.config.record_frames else _StatsSink(),
+            cloud_server=self._make_server(self.config.cloud_servers, "cloud"),
+            sink=(
+                TraceSink("croesus-cluster")
+                if self.config.record_frames
+                else StatsSink("croesus-cluster", FrameStatsAccumulator())
+            ),
             baseline=self._pre_snapshot(),
             frames_on_edge=[0] * len(self.replicas),
             failed=[False] * len(self.replicas),
@@ -681,7 +499,25 @@ class ClusterSystem:
         if self._replication is not None:
             self._replication.begin_run(state.engine)
         self._configure_load_tracking(state)
-        state.frame_body = self._frame_pipeline(state)
+        state.frame_body = frame_pipeline(
+            state,
+            [
+                Lane(replica.server, replica.node, client_edge, edge_cloud)
+                for replica, client_edge, edge_cloud in zip(
+                    self.replicas, self._client_edge, self._edge_cloud
+                )
+            ],
+            self.cloud,
+            self.policy,
+            self.events,
+            self.config.base,
+            route=(
+                partial(self._route_arrival, state)
+                if isinstance(self.router, MigratingRouter)
+                else None
+            ),
+            load_window=self.config.migration_window,
+        )
         return state
 
     def _finish_run(self, state: "_RunState") -> ClusterRunResult:
@@ -738,22 +574,6 @@ class ClusterSystem:
             match_overlap=config.base.match_overlap,
         )
 
-    def _adaptation_process(self, state: "_RunState"):
-        """Periodic engine process ticking every stream's controller."""
-        manager = state.adaptation
-        interval = self.config.adaptation_interval_s
-        while state.frames_remaining > 0 or state.source_active:
-            for update in manager.adapt_all(state.engine.now):
-                self.events.record(
-                    state.engine.now,
-                    "threshold_adapted",
-                    stream=update.stream,
-                    mode=update.mode,
-                    lower=update.lower,
-                    upper=update.upper,
-                )
-            yield interval
-
     def _pre_snapshot(self):
         """Snapshot controller state so a run reports only its own work."""
         pre_stats = [
@@ -801,12 +621,7 @@ class ClusterSystem:
                 at=self.config.checkpoint_interval_s,
                 name="checkpointer",
             )
-        if state.adaptation is not None:
-            state.engine.spawn(
-                self._adaptation_process(state),
-                at=self.config.adaptation_interval_s,
-                name="threshold-adapter",
-            )
+        start_adaptation(state, self.events)
 
     def _admit_stream(self, state: "_RunState", video: SyntheticVideo) -> None:
         """Admission-control one arriving stream; start its driver if it enters."""
@@ -850,337 +665,24 @@ class ClusterSystem:
         stats.admitted_frames += frames
         self._start_stream(state, video, edge_id, start=now)
 
-    # -- the frame pipeline: one driver per stream, one body per frame -------
     def _start_stream(
         self, state: "_RunState", video: SyntheticVideo, edge_id: int, start: float
     ) -> None:
-        """Home a stream on ``edge_id`` and start its driver at ``start``."""
+        """Home a stream on ``edge_id`` and start its arrival driver at ``start``."""
         name = video.name
         self.replicas[edge_id].assign_stream(name)
         state.placements[name] = edge_id
-        state.current_edge[name] = edge_id
-        state.frames_left[name] = video.num_frames
-        state.frames_remaining += video.num_frames
-        result = state.sink.open(video)
+        state.add_stream(name, edge_id, video.num_frames)
         state.engine.start(
-            self._stream_driver(state, video, start, result), name=f"{name}-driver"
+            arrival_driver(
+                state.engine,
+                state.frame_body,
+                video,
+                state.sink.open(video),
+                partial(self.scheduler.arrival_time, start),
+            ),
+            name=f"{name}-driver",
         )
-
-    def _stream_driver(
-        self, state: "_RunState", video: SyntheticVideo, start: float, result: RunResult
-    ):
-        """Lazy per-stream driver: sleep to each arrival, start that frame.
-
-        Each frame's body starts as its own process *at* the arrival
-        instant, so a stream's frames overlap whenever one is still in
-        flight (cloud round trip, queued final) when its successor
-        arrives — an open-loop source stays open-loop.  Only one frame
-        generator per stream exists ahead of time, whatever the stream's
-        length.  Arrivals wake at event priority -1: a frame arriving at
-        the very instant of a failure, checkpoint or adaptation tick is
-        admitted before it, as if every arrival had been scheduled
-        before the run began.
-        """
-        engine = state.engine
-        body = state.frame_body
-        name = video.name
-        arrival_time = self.scheduler.arrival_time
-        for frame in video.frames():
-            yield At(arrival_time(start, frame.frame_id), -1)
-            engine.start(body(name, result, frame), name)
-
-    def _frame_pipeline(self, state: "_RunState"):
-        """The frame body of one run, closed over the run's invariants.
-
-        Returns the generator function every driver starts once per
-        frame: route → shed → transfer → edge admit → detect → initial
-        section → threshold → cloud validate → (park / priority wait) →
-        final section → account.  What the run retains is the sink's
-        business; the body simulates the same thing either way.
-        """
-        engine = state.engine
-        sink = state.sink
-        traffic = state.traffic
-        shedder = state.shedder
-        adaptation = state.adaptation
-        cloud_server = state.cloud_server
-        current_edge = state.current_edge
-        failed = state.failed
-        wake_at = state.wake_at
-        frames_left = state.frames_left
-        frames_on_edge = state.frames_on_edge
-        aborted_txns = state.aborted_txns
-        events = self.events
-        #: A count-only log never builds an event: bump the counter and
-        #: skip assembling the payload.
-        counting = events.capacity == 0
-        cloud = self.cloud
-        static_policy = self.policy
-        route = self._route_arrival
-        migrating = isinstance(self.router, MigratingRouter)
-        migration_window = self.config.migration_window
-        match_overlap = self.config.base.match_overlap
-        min_confidence = self.config.base.min_confidence
-        priority_serving = self.config.edge_discipline == "priority"
-        # Under the priority discipline initial stages reserve eagerly
-        # (priority 1) while final stages defer their admission until the
-        # server is really free — an arriving initial always overtakes
-        # queued finals.
-        initial_priority = 1 if priority_serving else 0
-        # Per-edge bindings.  An idle node (no trigger rules, no feedback
-        # loop) makes both TPC stages pure label plumbing.
-        lanes = [
-            (
-                replica.server,
-                replica.node,
-                replica.policy,
-                self._client_edge[replica.edge_id],
-                self._edge_cloud[replica.edge_id],
-                not replica.node.bank.rules
-                and replica.node.smoother is None
-                and replica.node.feedback is None,
-            )
-            for replica in self.replicas
-        ]
-
-        def frame_body(name: str, result: RunResult, frame: Frame):
-            frame_id = frame.frame_id
-            edge_id = route(state, name) if migrating else current_edge[name]
-            server, node, rpolicy, client_edge, edge_cloud, node_idle = lanes[edge_id]
-            now = engine.now
-
-            if shedder is not None:
-                # Overload control: on a saturated edge, degrade this
-                # frame's initial stage to an apology (if the budget pays
-                # for it) instead of queueing it.  The client hears back
-                # immediately; the edge never sees the frame.
-                load = server.load(now, window=migration_window)
-                if shedder.should_shed(now, load):
-                    traffic.shed_frames += 1
-                    traffic.apologies_spent += 1
-                    if counting:
-                        events.bump("frame_shed")
-                    else:
-                        events.record(
-                            now,
-                            "frame_shed",
-                            frame_id=frame_id,
-                            stream=name,
-                            edge=edge_id,
-                            load=load,
-                        )
-                    sink.shed(name, frame_id, now)
-                    if now > state.makespan:
-                        state.makespan = now
-                    state.frames_remaining -= 1
-                    frames_left[name] -= 1
-                    return
-
-            # -- initial stage ------------------------------------------
-            # The frame holds its place in the edge's queue from the
-            # moment it arrives; service cannot start before the
-            # client->edge transfer lands (the admission's ready time).
-            frame_label, labels_label = sink.describe(name, frame_id)
-            edge_transfer = client_edge.send(frame.size_bytes, now, frame_label)
-            start, queue_delay = server.acquire(now + edge_transfer, initial_priority)
-            raw_labels, edge_detection = node.detect(frame)
-            if node_idle:
-                # process_initial_stage with an empty bank and no
-                # feedback: filter, wrap, trigger nothing.
-                initial = InitialStageOutcome(
-                    frame_id=frame_id,
-                    raw_labels=raw_labels,
-                    labels=raw_labels.filter_confidence(min_confidence),
-                    detection_latency=edge_detection,
-                )
-            else:
-                initial = node.process_initial_stage(
-                    frame,
-                    raw_labels,
-                    now=start + edge_detection,
-                    detection_latency=edge_detection,
-                )
-            initial_charge, _ = rpolicy.drain_frame_costs()
-            initial_done = server.finish(
-                start, edge_detection + initial.txn_latency + initial_charge
-            )
-            frames_on_edge[edge_id] += 1
-            if counting:
-                events.bump("initial_commit")
-            else:
-                events.record(
-                    initial_done, "initial_commit", frame_id=frame_id, stream=name, edge=edge_id
-                )
-
-            policy = static_policy if adaptation is None else adaptation.policy_for(name)
-            surviving_rows, send_to_cloud = policy.partition(initial.labels)
-
-            # The cloud model always runs for ground truth; its cost is
-            # only charged when the frame is actually validated.
-            cloud_labels, cloud_detection_raw = cloud.detect(frame)
-
-            cloud_transfer = 0.0
-            cloud_detection = 0.0
-            cloud_queue_delay = 0.0
-            frame_bytes_sent = 0
-            if send_to_cloud:
-                uplink, downlink = edge_cloud.round_trip(
-                    frame.size_bytes, LABELS_MESSAGE_BYTES, initial_done, frame_label, labels_label
-                )
-                cloud_transfer = uplink + downlink
-                cloud_detection = cloud_detection_raw
-                frame_bytes_sent = frame.size_bytes
-                # Request a cloud server only once the frame is actually
-                # at the cloud: frames reaching it first are served first,
-                # and a frame stuck behind a backlogged edge cannot hold a
-                # place in the cloud queue while the cloud sits idle.
-                yield At(initial_done + uplink)
-                cloud_start, cloud_queue_delay = cloud_server.acquire(engine.now)
-                cloud_server.finish(cloud_start, cloud_detection)
-                if counting:
-                    events.bump("cloud_validate")
-                else:
-                    events.record(
-                        cloud_start,
-                        "cloud_validate",
-                        frame_id=frame_id,
-                        stream=name,
-                        edge=edge_id,
-                        queue_delay=cloud_queue_delay,
-                    )
-                # Summed in this order (waiting time last) so that with an
-                # unbounded cloud the arithmetic — and therefore every
-                # seeded run — is bit-for-bit what the pre-engine model
-                # produced.
-                final_ready = initial_done + cloud_transfer + cloud_detection + cloud_queue_delay
-            else:
-                final_ready = initial_done
-
-            # Suspend until the corrected labels are back; the replica
-            # keeps serving other frames meanwhile.
-            yield At(final_ready)
-
-            # -- final stage --------------------------------------------
-            # Resolve failure-aborted transactions before the final
-            # sections run: the crash removed their pending finals from
-            # the controller, and each carries the apology the failure
-            # recorded.
-            failure_apologies: tuple[str, ...] = ()
-            if aborted_txns:
-                aborted_here = [
-                    entry
-                    for entry in initial.triggered
-                    if not entry.aborted and entry.transaction.transaction_id in aborted_txns
-                ]
-                for entry in aborted_here:
-                    entry.aborted = True
-                failure_apologies = tuple(
-                    apology for entry in aborted_here for apology in entry.transaction.apologies
-                )
-
-            frame_aborted = failed[edge_id] and not initial.committed
-            if frame_aborted:
-                # Home replica down and nothing left to finalise (the
-                # failure aborted this frame's transactions, or it
-                # triggered none): the client gets the apologies now
-                # instead of a correction.
-                final = FinalStageOutcome(frame_id=frame_id, apologies=failure_apologies)
-                final_wait = final_charge = overlap_saved = 0.0
-                final_done = engine.now
-                final_kind = "final_aborted"
-            else:
-                while failed[edge_id]:
-                    # This frame's finals await the coordinator
-                    # (async-2pc): park until the replica has replayed its
-                    # log and rejoined.  Low event priority lets the
-                    # same-instant recovery event flip the flag first.
-                    yield At(max(engine.now, wake_at[edge_id]), 2)
-                final_ready_at = engine.now
-                if priority_serving:
-                    # A queued final does not hold a reservation: it
-                    # sleeps until the server's next free instant and
-                    # contends again, waking at low event priority so that
-                    # same-instant initial-stage events reserve first.
-                    # Every initial that arrives while the edge is
-                    # backlogged therefore preempts this final; the time
-                    # lost shows up in the final queue delay below.
-                    while server.next_free() > engine.now:
-                        yield At(server.next_free(), 1)
-                final_start, final_wait = server.acquire(final_ready_at)
-                if node_idle and not send_to_cloud:
-                    # process_final_stage with nothing to finalise and no
-                    # cloud correction is a frame-id wrapper.
-                    final = FinalStageOutcome(frame_id=frame_id)
-                else:
-                    final = node.process_final_stage(
-                        initial, cloud_labels if send_to_cloud else None, now=final_start
-                    )
-                if failure_apologies:
-                    final.apologies = final.apologies + failure_apologies
-                final_charge, overlap_saved = rpolicy.drain_frame_costs()
-                final_done = server.finish(final_start, final.txn_latency + final_charge)
-                final_kind = "final_commit"
-            if final_done > state.makespan:
-                state.makespan = final_done
-            if counting:
-                events.bump(final_kind)
-            else:
-                events.record(final_done, final_kind, frame_id=frame_id, stream=name, edge=edge_id)
-
-            # -- account ------------------------------------------------
-            observed, accuracy = observed_labels(
-                initial, cloud_labels, final, surviving_rows, send_to_cloud, match_overlap
-            )
-            latency = (
-                edge_transfer,
-                edge_detection,
-                initial.txn_latency,
-                cloud_transfer,
-                cloud_detection,
-                final.txn_latency,
-                queue_delay,
-                final_wait,
-                cloud_queue_delay,
-                initial_charge + final_charge,
-                overlap_saved,
-            )
-            sink.record_frame(
-                result,
-                edge_id,
-                initial,
-                initial_done,
-                final,
-                final_done,
-                cloud_labels,
-                observed,
-                latency,
-                accuracy,
-                send_to_cloud,
-                frame_bytes_sent,
-            )
-            if adaptation is not None:
-                trace = None
-                if send_to_cloud and adaptation.wants_traces:
-                    # Boxed only for the retune tuner, and only for the
-                    # validated frames whose cloud labels the stream's
-                    # controller legitimately observed.
-                    trace = FrameTrace(
-                        frame_id=frame_id,
-                        edge_labels=initial.labels,
-                        cloud_labels=cloud_labels,
-                        observed_labels=observed,
-                        sent_to_cloud=True,
-                        latency=LatencyBreakdown(*latency),
-                        accuracy=accuracy,
-                        edge_id=edge_id,
-                    )
-                adaptation.observe_frame(name, send_to_cloud, final.corrections, trace)
-            if traffic is not None and not frame_aborted:
-                traffic.completed_frames += 1
-            state.frames_remaining -= 1
-            frames_left[name] -= 1
-
-        return frame_body
 
     # -- failure, recovery, re-sharding -------------------------------------
     def _failure_process(self, state: "_RunState", spec: FailureSpec):

@@ -18,13 +18,13 @@ from typing import Any
 from repro.core.adaptive import AdaptationConfig
 from repro.core.config import CroesusConfig
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
-from repro.core.system import LABELS_MESSAGE_BYTES, CroesusSystem
+from repro.core.pipeline import LABELS_MESSAGE_BYTES
+from repro.core.system import CroesusSystem
 from repro.detection.metrics import evaluate_detections
 from repro.detection.models import SimulatedDetector
 from repro.network.channel import Channel
 from repro.sim.rng import RngRegistry
 from repro.video.library import make_video
-from repro.video.synthetic import SyntheticVideo
 
 #: Fraction of the original frame size left after compression; matches a
 #: typical JPEG re-encode of an already-compressed surveillance frame.

@@ -150,7 +150,8 @@ class FrameTrace:
     corrections: int = 0
     apologies: int = 0
     frame_bytes_sent: int = 0
-    #: Edge node that processed the frame (``None`` outside cluster runs).
+    #: Edge that processed the frame: 0 on the single-edge deployment,
+    #: ``None`` for baselines that run no edge pipeline.
     edge_id: int | None = None
 
 
@@ -161,16 +162,12 @@ class RunResult:
     system_name: str
     video_key: str
     traces: list[FrameTrace] = field(default_factory=list)
-    #: Frames counted without a per-frame trace (the cluster fast path
+    #: Frames counted without a per-frame trace (a ``StatsSink`` run
     #: aggregates into streaming accumulators instead of FrameTraces).
     frames_streamed: int = 0
 
     def add(self, trace: FrameTrace) -> None:
         self.traces.append(trace)
-
-    def count_frame(self) -> None:
-        """Count one frame processed without retaining its trace."""
-        self.frames_streamed += 1
 
     # -- aggregates --------------------------------------------------------
     @property

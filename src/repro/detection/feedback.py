@@ -147,7 +147,10 @@ class TemporalSmoother:
                 continue
             history = self._history[detection.object_id]
             history.append(detection.name)
-            majority = max(set(history), key=list(history).count)
+            # Ties go to the label seen earliest in the window (a set of
+            # names would order them by PYTHONHASHSEED).
+            names = list(history)
+            majority = max(dict.fromkeys(names), key=names.count)
             smoothed.append(detection.with_name(majority))
         return LabelSet(labels.frame_id, tuple(smoothed), labels.model_name)
 

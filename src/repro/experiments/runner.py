@@ -2,8 +2,9 @@
 
 :func:`run` takes a :class:`~repro.experiments.spec.ScenarioSpec` and
 returns a :class:`~repro.experiments.report.RunReport`, dispatching to
-the single-edge pipeline (``CroesusSystem`` via the baseline runners) or
-the multi-edge :class:`~repro.cluster.system.ClusterSystem` and
+the single-edge deployment (``CroesusSystem`` via the baseline runners)
+or the multi-edge :class:`~repro.cluster.system.ClusterSystem` — two
+drivers of the one frame pipeline (:mod:`repro.core.pipeline`) — and
 normalising their disjoint result objects into the one shared schema.
 
 Every run builds a fresh system from the spec's seed, so two ``run()``

@@ -343,13 +343,15 @@ class ScenarioSpec:
             )
         if self.hot_key_range < 1:
             raise ValueError(f"hot_key_range must be at least 1, got {self.hot_key_range}")
-        if self.long_frames is not None and self.long_frames <= 0:
-            raise ValueError(f"long_frames must be positive, got {self.long_frames}")
-        if not 0 <= self.num_long <= self.streams:
-            raise ValueError(
-                f"num_long must be in [0, streams], got {self.num_long} with "
-                f"{self.streams} streams"
-            )
+        if self.long_frames is not None:
+            # ``num_long`` is inert until this makes stream lengths uneven.
+            if self.long_frames <= 0:
+                raise ValueError(f"long_frames must be positive, got {self.long_frames}")
+            if not 0 <= self.num_long <= self.streams:
+                raise ValueError(
+                    f"num_long must be in [0, streams], got {self.num_long} with "
+                    f"{self.streams} streams"
+                )
         # The schedules accept lists (a JSON round trip yields lists) and
         # are normalised to plain float/int tuples, so ``from_dict`` of a
         # serialised spec compares equal to the original.

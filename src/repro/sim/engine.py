@@ -423,7 +423,8 @@ class Server:
 
         The one-shot form of :meth:`admit` + :attr:`Admission.start` for
         callers that resolve every admission before the next one can be
-        requested — the cluster's per-frame pipeline.  Produces
+        requested — the one frame pipeline
+        (:mod:`repro.core.pipeline`), on both deployments.  Produces
         bit-for-bit the same start/wait as the two-phase path without
         materialising an :class:`Admission` or touching the pending
         queue; pair it with :meth:`finish`.  When other admissions *are*

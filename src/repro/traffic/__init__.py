@@ -9,9 +9,9 @@ decides which admitted frames to degrade when an edge saturates
 (:mod:`repro.traffic.shedding`).
 
 Entry points: :meth:`repro.cluster.system.ClusterSystem.run_open_loop`
-and :meth:`repro.core.system.CroesusSystem.run_open_loop`, or — at the
-experiment layer — a :class:`~repro.experiments.spec.ScenarioSpec` with
-its ``traffic`` axis set.
+(a one-edge open loop is a one-edge cluster), or — at the experiment
+layer — a :class:`~repro.experiments.spec.ScenarioSpec` with its
+``traffic`` axis set.
 """
 
 from repro.traffic.admission import (

@@ -220,10 +220,17 @@ class TestAdaptiveScenario:
                 {"cam0-v1": [0.0, 0.2], "cam1-v2": [0.2, 0.3],
                  "cam2-v3": [0.65, 0.9], "cam3-v4": [0.3, 0.35]},
             ),
+            # Re-pinned once (was 10, 2310, 134, 25410, [0.15, 0.25]) when
+            # CroesusSystem moved onto the shared frame body: like the
+            # cluster, a frame now reads its stream's thresholds at
+            # *arrival* and feeds the tuner when its final stage is
+            # computed, where the old single-edge loop read them after the
+            # initial response and fed the tuner after the final one — so
+            # a tick falling between those instants sees one more frame.
             (
                 {"deployment": "single", "num_edges": 1},
-                10, 2310, 134, 25410,
-                {"v1": [0.15, 0.25]},
+                10, 2730, 156, 32760,
+                {"v1": [0.3, 0.35]},
             ),
         ],
         ids=["cluster", "single-edge"],

@@ -287,6 +287,15 @@ class TestJsonOutput:
         assert payload["deployment"] == "cluster"
         assert len(payload["edges"]) == 2
 
+    def test_one_stream_cluster_json_is_a_valid_report(self, capsys):
+        """No ``--num-long`` flag exists, so the inert default must not
+        reject ``--streams 1``."""
+        assert main(
+            ["cluster", "--edges", "1", "--streams", "1", "--frames", "5", "--json"]
+        ) == 0
+        payload = validate_report(json.loads(capsys.readouterr().out))
+        assert (payload["streams"], payload["frames"]) == (1, 5)
+
     def test_scenario_json_is_a_valid_report(self, capsys):
         assert main(["scenario", "cluster-small", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

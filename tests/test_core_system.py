@@ -120,13 +120,27 @@ class TestCroesusSystem:
         config = CroesusConfig(seed=3)
         system = CroesusSystem(config)
         num_frames = 10
-        system.run(make_video("v1", num_frames=num_frames, seed=3))
-        history_after_first = len(system.history)
-        # one initial_commit + one final_commit event per frame, per run
-        assert len(system.events) == 2 * num_frames
 
-        system.run(make_video("v1", num_frames=num_frames, seed=4))
-        assert len(system.events) == 2 * num_frames
+        def event_counts() -> dict[str, int]:
+            events = system.events
+            assert len(events) == sum(events.count_of_kind(kind) for kind in events.kinds())
+            return {kind: events.count_of_kind(kind) for kind in events.kinds()}
+
+        def expected(result) -> dict[str, int]:
+            # one initial_commit + one final_commit event per frame, per
+            # run, and one cloud_validate per validated frame
+            return {
+                "initial_commit": num_frames,
+                "final_commit": num_frames,
+                "cloud_validate": sum(trace.sent_to_cloud for trace in result.traces),
+            }
+
+        first = system.run(make_video("v1", num_frames=num_frames, seed=3))
+        history_after_first = len(system.history)
+        assert event_counts() == expected(first)
+
+        second = system.run(make_video("v1", num_frames=num_frames, seed=4))
+        assert event_counts() == expected(second)
         # the history restarts too (same order of magnitude as one run,
         # not the concatenation of both)
         assert history_after_first > 0

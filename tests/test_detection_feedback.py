@@ -92,6 +92,16 @@ class TestTemporalSmoother:
         flickered = smoother.smooth(make_label_set(3, make_detection("cat", object_id=1)))
         assert flickered.detections[0].name == "dog"
 
+    def test_a_tie_keeps_the_label_seen_first(self):
+        """A one-frame flicker on a two-frame history is a 1-1 tie; it must
+        resolve the same way under every PYTHONHASHSEED (the earlier label
+        stays), for any pair of names."""
+        for first, second in [("dog", "cat"), ("cat", "dog"), ("car", "truck"), ("truck", "car")]:
+            smoother = TemporalSmoother(window=5)
+            smoother.smooth(make_label_set(0, make_detection(first, object_id=1)))
+            tied = smoother.smooth(make_label_set(1, make_detection(second, object_id=1)))
+            assert tied.detections[0].name == first
+
     def test_persistent_change_eventually_wins(self):
         smoother = TemporalSmoother(window=3)
         smoother.smooth(make_label_set(0, make_detection("dog", object_id=1)))

@@ -89,7 +89,8 @@ class TestScenarioSpec:
             {"workload": "tpcc"},
             {"hot_key_range": 0},
             {"long_frames": -1},
-            {"num_long": 99},
+            {"long_frames": 30, "num_long": 99},
+            {"long_frames": 30, "streams": 1},
             {"failure_schedule": ((0, 2.0, 1.0),)},
             {"failure_schedule": ((9, 1.0, 2.0),)},
             {"failure_schedule": ((0, 1.0),)},
@@ -107,6 +108,15 @@ class TestScenarioSpec:
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             ScenarioSpec(**overrides)
+
+    def test_num_long_is_inert_without_long_frames(self):
+        """The default ``num_long=2`` must not forbid a one-stream cluster
+        whose stream lengths are even (``long_frames`` unset)."""
+        spec = cluster_spec(num_edges=1, streams=1)
+        assert spec.long_frames is None and spec.num_long > spec.streams
+        report = run(spec)
+        assert (report.streams, report.frames) == (1, spec.frames)
+        assert ScenarioSpec(num_long=99).num_long == 99
 
     @pytest.mark.parametrize("deployment", ["single", "cluster"])
     @pytest.mark.parametrize(

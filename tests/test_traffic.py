@@ -2,7 +2,7 @@
 
 Covers the arrival-process generators (shape, seeding, the golden pin,
 and a hypothesis property on the empirical rate), admission control and
-apology-budgeted shedding, the open-loop entry points of both systems,
+apology-budgeted shedding, the open-loop entry point (many edges and one),
 the hazard-mode failure injector, failback migration, and the
 sustained-overload acceptance criteria.
 """
@@ -18,7 +18,6 @@ from repro.analysis.timeline import traffic_profile
 from repro.cluster.failure import FailureInjector
 from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.config import CroesusConfig
-from repro.core.system import CroesusSystem
 from repro.experiments import ScenarioSpec, build_traffic_config, run, validate_report
 from repro.sim.rng import RngRegistry
 from repro.traffic import (
@@ -304,29 +303,35 @@ class TestOpenLoopCluster:
 
 
 class TestOpenLoopSingle:
+    """A one-edge open loop is a ``ClusterSystem(num_edges=1)``: every
+    concurrent stream contends for the one edge server."""
+
+    @staticmethod
+    def _one_edge(frame_interval: float) -> ClusterSystem:
+        return ClusterSystem(
+            ClusterConfig(base=CroesusConfig(seed=9), num_edges=1, frame_interval=frame_interval)
+        )
+
     def test_single_deployment_open_loop(self):
         def go():
-            system = CroesusSystem(CroesusConfig(seed=9))
             traffic = TrafficConfig(
                 offered_rate=0.5, duration_s=8.0, mean_frames=5, frame_interval=0.5
             )
-            result = system.run_open_loop(traffic)
-            return result
+            return self._one_edge(0.5).run_open_loop(traffic)
 
         first, second = go(), go()
         assert first.traffic.offered_streams > 0
         assert first.traffic.completed_frames > 0
         assert first.makespan == second.makespan
-        assert first.goodput_fps == second.goodput_fps
+        assert first.goodput_fps == second.goodput_fps > 0
         assert first.latency_percentiles()["p99_ms"] >= first.latency_percentiles()["p50_ms"]
 
     def test_single_admission_rejects_under_backlog(self):
-        system = CroesusSystem(CroesusConfig(seed=9))
         traffic = TrafficConfig(
             offered_rate=3.0, duration_s=8.0, mean_frames=8, frame_interval=0.25,
             admission="queue-threshold",
         )
-        result = system.run_open_loop(traffic)
+        result = self._one_edge(0.25).run_open_loop(traffic)
         assert result.traffic.rejected_streams > 0
 
 
