@@ -46,8 +46,6 @@ the cluster reproduces the paper's contention behaviour at scale.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -82,6 +80,7 @@ from repro.core.pipeline import (
     StatsSink,
     TraceSink,
     arrival_driver,
+    drain,
     frame_pipeline,
     start_adaptation,
 )
@@ -115,27 +114,6 @@ FAST_PATH_EVENT_CAPACITY = 4096
 #: intervals fold into a running busy-time total (whole-run utilization
 #: stays exact, only deep-history windowed loads lose resolution).
 FAST_PATH_INTERVAL_RETENTION = 4096
-
-
-@contextmanager
-def _gc_suspended(active: bool):
-    """Suspend the cycle collector for the duration of a non-recording run.
-
-    Such a run allocates only short-lived, acyclic records (events,
-    label tuples, frame generators) that reference counting reclaims the
-    moment they drop out of the frame pipeline — the collector finds
-    nothing, but its generation scans are a double-digit share of a
-    million-frame run's wall clock.  No-op when the collector is already
-    off (respects an outer policy), and re-enabled even on error.
-    """
-    if not active or not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
 
 
 @dataclass
@@ -522,8 +500,7 @@ class ClusterSystem:
 
     def _finish_run(self, state: "_RunState") -> ClusterRunResult:
         """Drain the engine and assemble the run's result."""
-        with _gc_suspended(not self.config.record_frames):
-            state.engine.run()
+        drain(state.engine)
         # The body closes over the state that holds it; drop the cycle
         # instead of leaving a run's state to the cycle collector.
         state.frame_body = None
@@ -1233,9 +1210,7 @@ class ClusterSystem:
         )
         bank = TransactionBank()
         bank.register(
-            name=f"e{edge_id}-detection",
-            label_class=ANY_LABEL,
-            factory=lambda detection, txn_id: workload.build_transaction(txn_id, detection),
+            f"e{edge_id}-detection", ANY_LABEL, frame_factory=workload.build_transactions
         )
         return bank
 
@@ -1278,9 +1253,9 @@ def hotspot_bank_factory(
         )
         bank = TransactionBank()
         bank.register(
-            name=f"e{edge_id}-hotspot",
-            label_class=ANY_LABEL,
-            factory=lambda detection, txn_id: workload.build_transaction(),
+            f"e{edge_id}-hotspot",
+            ANY_LABEL,
+            frame_factory=lambda detections, ids: workload.build_transactions(len(ids)),
         )
         return bank
 

@@ -256,5 +256,5 @@ class EdgeNode:
 
     def _transaction_cost(self, transaction: MultiStageTransaction) -> float:
         """Simulated processing cost of one section batch of operations."""
-        operations = len(transaction.combined_rwset().keys)
+        operations = transaction.combined_rwset().key_count
         return max(operations, 1) * self._machine.txn_overhead

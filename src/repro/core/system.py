@@ -22,6 +22,7 @@ from repro.core.pipeline import (
     PipelineState,
     TraceSink,
     closed_loop_driver,
+    drain,
     frame_pipeline,
     start_adaptation,
 )
@@ -89,11 +90,7 @@ class CroesusSystem:
                 operations_per_transaction=config.operations_per_transaction,
             )
             bank = TransactionBank()
-            bank.register(
-                name="detection",
-                label_class=ANY_LABEL,
-                factory=lambda detection, txn_id: workload.build_transaction(txn_id, detection),
-            )
+            bank.register("detection", ANY_LABEL, frame_factory=workload.build_transactions)
         self.bank = bank
 
         consistency = "ms-sr" if config.consistency is ConsistencyLevel.MS_SR else "ms-ia"
@@ -190,7 +187,7 @@ class CroesusSystem:
         body = frame_pipeline(state, [lane], self.cloud, self.policy, self.events, self.config)
         engine.spawn(closed_loop_driver(body, client, result), name=f"video-{video.name}")
         start_adaptation(state, self.events)
-        makespan = engine.run()
+        makespan = drain(engine)
         # Flush any coordinator work the commit policy deferred (a no-op
         # under the default immediate policy).
         self.edge.policy.commit(now=makespan)

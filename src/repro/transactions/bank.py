@@ -3,22 +3,31 @@
 The bank is "a data structure that maintains the application transactions
 and what triggers each transaction": each row maps a *class of labels*
 (e.g. "Buildings") — and optionally an auxiliary-input requirement — to a
-factory that builds the transaction to run for a matching detection.
+factory.  A rule's factory is called once per frame with every detection
+that fired it (the workload generators draw a frame's keys in one call
+that way); an application that thinks one detection at a time registers a
+per-detection ``factory`` and ``register`` wraps it into the per-frame
+form, so :meth:`TransactionBank.transactions_for` has one path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from repro.detection.labels import Detection
 from repro.transactions.model import MultiStageTransaction
 
 
-#: A factory receives the triggering detection (or ``None`` for pure
-#: auxiliary-input triggers) and a fresh transaction id.
+#: A per-detection factory receives the triggering detection (or ``None``
+#: for pure auxiliary-input triggers) and a fresh transaction id.
 TransactionFactory = Callable[[Detection | None, str], MultiStageTransaction]
 
+#: The per-frame form: the detections that fired the rule on one frame and
+#: as many fresh ids in; one transaction per detection, in order, out.
+FrameFactory = Callable[
+    [Sequence[Detection | None], Sequence[str]], Sequence[MultiStageTransaction]
+]
 
 #: Pass as ``label_class`` to make a rule fire for *every* detected label,
 #: whatever its class (used by the default YCSB workload bank).
@@ -39,7 +48,7 @@ class TriggerRule:
         an empty set means the rule does not require a label at all
         (pure auxiliary-input trigger).
     factory:
-        Builds the transaction when the rule fires.
+        Builds a frame's transactions when the rule fires (per-frame form).
     requires_auxiliary_input:
         When True, the rule only fires on frames where the auxiliary
         device was clicked (Task 2 in the example application).
@@ -47,22 +56,19 @@ class TriggerRule:
 
     name: str
     label_class: frozenset[str] | None
-    factory: TransactionFactory
+    factory: FrameFactory
     requires_auxiliary_input: bool = False
 
-    def matches(self, detection: Detection | None, auxiliary_input: bool) -> bool:
-        """Does this rule fire for the given detection / input combination?"""
+    def fired_by(self, detections: Sequence[Detection], auxiliary_input: bool) -> Sequence:
+        """The detections of one frame this rule fires for, in order."""
         if self.requires_auxiliary_input and not auxiliary_input:
-            return False
+            return ()
         if self.label_class is None:
-            # Wildcard rule: fires for any detection.
-            return detection is not None
+            return detections
         if not self.label_class:
             # Pure input-triggered rule (e.g. "menu button shows the menu").
-            return True
-        if detection is None:
-            return False
-        return detection.name in self.label_class
+            return (None,)
+        return [d for d in detections if d.name in self.label_class]
 
 
 class TransactionBank:
@@ -76,19 +82,31 @@ class TransactionBank:
         self,
         name: str,
         label_class: Iterable[str] | None,
-        factory: TransactionFactory,
+        factory: TransactionFactory | None = None,
         requires_auxiliary_input: bool = False,
+        *,
+        frame_factory: FrameFactory | None = None,
     ) -> TriggerRule:
         """Add a row to the bank and return it.
 
         Pass ``label_class=ANY_LABEL`` (``None``) for a rule that fires for
         every detection, or an empty iterable for a rule that only needs
-        the auxiliary input.
+        the auxiliary input.  Give exactly one of ``factory`` (called per
+        detection) and ``frame_factory`` (called once per frame with all
+        the rule's detections and their ids); the rule stores the
+        per-frame form either way.
         """
+        if (factory is None) == (frame_factory is None):
+            raise ValueError("register needs exactly one of factory and frame_factory")
+        if frame_factory is None:
+
+            def frame_factory(detections, transaction_ids):
+                return [factory(*trigger) for trigger in zip(detections, transaction_ids)]
+
         rule = TriggerRule(
             name=name,
             label_class=None if label_class is None else frozenset(label_class),
-            factory=factory,
+            factory=frame_factory,
             requires_auxiliary_input=requires_auxiliary_input,
         )
         self._rules.append(rule)
@@ -110,22 +128,19 @@ class TransactionBank:
     ) -> list[tuple[MultiStageTransaction, Detection | None]]:
         """Build the transactions triggered by a frame's detections.
 
-        Returns ``(transaction, triggering_detection)`` pairs; a pure
-        auxiliary-input rule fires at most once per frame with
-        ``triggering_detection=None`` when no label of its class is
-        present.
+        Each rule's factory is called at most once, with all the
+        detections that fired it.  Returns ``(transaction,
+        triggering_detection)`` pairs; a pure auxiliary-input rule fires
+        at most once per frame with ``triggering_detection=None``.
         """
         triggered: list[tuple[MultiStageTransaction, Detection | None]] = []
         if not self._rules:
             return triggered
         detections = list(detections)
-
         for rule in self._rules:
-            prefix, matches, factory = f"{rule.name}-", rule.matches, rule.factory
-            # A rule with an empty label class is a pure input trigger.
-            candidates = detections if rule.label_class is None or rule.label_class else (None,)
-            for detection in candidates:
-                if matches(detection, auxiliary_input):
-                    transaction = factory(detection, self.next_transaction_id(prefix))
-                    triggered.append((transaction, detection))
+            fired = rule.fired_by(detections, auxiliary_input)
+            if fired:
+                prefix = f"{rule.name}-"
+                ids = [self.next_transaction_id(prefix) for _ in fired]
+                triggered.extend(zip(rule.factory(fired, ids), fired))
         return triggered

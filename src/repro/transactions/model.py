@@ -187,6 +187,28 @@ class SectionSpec:
         return cls(body=lambda ctx: None, rwset=ReadWriteSet())
 
 
+class RowSection(ReadWriteSet):
+    """A section that is data: two spans of its transaction's key row.
+
+    The workload generators build transactions whose bodies differ only
+    in their keys, so their sections carry no closure: a workload
+    subclasses this once per kind of section, builds ``Kind(read_span,
+    write_span, row)`` and writes :meth:`body` against ``self.row``
+    (``self._read_keys`` / ``self._write_keys`` are the two spans).  The
+    section *is* its declaration (``rwset`` returns it), so controllers
+    use it exactly as a :class:`SectionSpec`.
+    """
+
+    __slots__ = ()
+
+    @property
+    def rwset(self) -> ReadWriteSet:
+        return self
+
+    def body(self, context: SectionContext) -> Any:
+        raise NotImplementedError
+
+
 @dataclass
 class MultiStageTransaction:
     """A transaction with an initial and a final section.
@@ -205,8 +227,8 @@ class MultiStageTransaction:
     """
 
     transaction_id: str
-    initial: SectionSpec
-    final: SectionSpec
+    initial: SectionSpec | RowSection
+    final: SectionSpec | RowSection
     trigger: str = ""
     status: TransactionStatus = TransactionStatus.PENDING
     initial_result: Any = None
@@ -215,8 +237,9 @@ class MultiStageTransaction:
     handoff: dict[str, Any] = field(default_factory=dict)
     initial_commit_time: float | None = None
     final_commit_time: float | None = None
-    #: :meth:`combined_rwset`, once merged (a class-level marker, not a field).
-    _combined = None
+    #: Union of both declarations: handed over by a builder that already
+    #: holds it, merged by :meth:`combined_rwset` on first use otherwise.
+    combined: ReadWriteSet | None = field(default=None, repr=False, compare=False)
 
     # -- lifecycle helpers used by the controllers ------------------------
     def mark_initial_committed(self, result: Any, handoff: dict[str, Any], now: float) -> None:
@@ -275,11 +298,11 @@ class MultiStageTransaction:
     def combined_rwset(self) -> ReadWriteSet:
         """Union of the declared initial and final read/write sets.
 
-        Both declarations are frozen, so the union is merged once.
+        Both declarations are immutable, so the union is merged once.
         """
-        combined = self._combined
+        combined = self.combined
         if combined is None:
-            combined = self._combined = self.initial.rwset.merged(self.final.rwset)
+            combined = self.combined = self.initial.rwset.merged(self.final.rwset)
         return combined
 
     def conflicts_with(self, other: "MultiStageTransaction") -> bool:

@@ -44,41 +44,103 @@ class Operation:
         return LockMode.EXCLUSIVE if self.kind is OperationKind.WRITE else LockMode.SHARED
 
 
-@dataclass(frozen=True)
 class ReadWriteSet:
     """Declared read and write sets of a section (``get_rwsets``).
 
-    The value is frozen, so what derives from it — :attr:`keys` and
-    :meth:`lock_requests` — is computed on first use and kept on the
-    instance (the two class attributes below are the "not yet" markers,
-    not dataclass fields).
+    An immutable value, equal and hashed by its two sets.  It is built
+    from two key collections — or, when ``row`` is given, from two spans
+    (slices) of that key row: a workload transaction is one row of drawn
+    keys, and each of its sections, and their union, reads ``row[reads]``
+    and writes ``row[writes]``.  Everything else is derived on first use:
+    the frozensets :attr:`reads` / :attr:`writes` / :attr:`keys` (one set
+    for all three when one collection or span is both read and written)
+    and, without building a set that is kept, :attr:`key_count` and the
+    sorted :meth:`lock_requests`.
     """
 
-    reads: frozenset[str] = frozenset()
-    writes: frozenset[str] = frozenset()
-    _keys = None
-    _requests = None
+    __slots__ = (
+        "row",
+        "_read_keys",
+        "_write_keys",
+        # Derived on first use:
+        "_reads",
+        "_writes",
+        "_keys",
+        "_key_count",
+        "_requests",
+    )
+
+    def __init__(
+        self,
+        reads: Iterable[str] | slice = frozenset(),
+        writes: Iterable[str] | slice = frozenset(),
+        row: tuple | None = None,
+    ) -> None:
+        self.row = row
+        self._read_keys = reads
+        self._write_keys = writes
+        self._reads = self._writes = self._keys = self._key_count = self._requests = None
+
+    @property
+    def read_keys(self) -> Iterable[str]:
+        """The keys read, as declared (a row repeats a key drawn twice)."""
+        row = self.row
+        return self._read_keys if row is None else row[self._read_keys]
+
+    @property
+    def write_keys(self) -> Iterable[str]:
+        row = self.row
+        return self._write_keys if row is None else row[self._write_keys]
+
+    @property
+    def reads(self) -> frozenset[str]:
+        reads = self._reads
+        if reads is None:
+            same = self._read_keys is self._write_keys
+            reads = self._reads = self.writes if same else frozenset(self.read_keys)
+        return reads
+
+    @property
+    def writes(self) -> frozenset[str]:
+        writes = self._writes
+        if writes is None:
+            writes = self._writes = frozenset(self.write_keys)
+        return writes
 
     @property
     def keys(self) -> frozenset[str]:
         keys = self._keys
         if keys is None:
-            keys = self.reads | self.writes
-            object.__setattr__(self, "_keys", keys)
+            reads, writes = self.reads, self.writes
+            keys = self._keys = reads if reads is writes else reads | writes
         return keys
 
+    @property
+    def key_count(self) -> int:
+        """Number of distinct keys declared."""
+        count = self._key_count
+        if count is None:
+            row, reads, writes = self.row, self._read_keys, self._write_keys
+            keys = set(writes if row is None else row[writes])
+            if reads is not writes:
+                keys.update(reads if row is None else row[reads])
+            count = self._key_count = len(keys)
+        return count
+
     def lock_requests(self) -> tuple[tuple[str, LockMode], ...]:
-        """Lock requests covering the set; write locks win on overlap."""
+        """Lock requests covering the set, in key order; write locks win on overlap."""
         requests = self._requests
         if requests is None:
             exclusive, shared = LockMode.EXCLUSIVE, LockMode.SHARED
+            row, reads, writes = self.row, self._read_keys, self._write_keys
+            written = set(writes if row is None else row[writes])
             pairs = []
-            for key in sorted(self.writes):
+            for key in sorted(written):
                 pairs.append((key, exclusive))
-            for key in sorted(self.reads - self.writes):
-                pairs.append((key, shared))
-            requests = tuple(pairs)
-            object.__setattr__(self, "_requests", requests)
+            if reads is not writes:
+                for key in sorted(set(reads if row is None else row[reads]) - written):
+                    pairs.append((key, shared))
+            requests = self._requests = tuple(pairs)
         return requests
 
     def merged(self, other: "ReadWriteSet") -> "ReadWriteSet":
@@ -88,6 +150,17 @@ class ReadWriteSet:
     def conflicts_with(self, other: "ReadWriteSet") -> bool:
         """True when some key is written by one set and touched by the other."""
         return bool(self.writes & other.keys or other.writes & self.keys)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReadWriteSet):
+            return NotImplemented
+        return self.reads == other.reads and self.writes == other.writes
+
+    def __hash__(self) -> int:
+        return hash((self.reads, self.writes))
+
+    def __repr__(self) -> str:
+        return f"ReadWriteSet(reads={self.reads!r}, writes={self.writes!r})"
 
     @classmethod
     def from_operations(cls, operations: Iterable[Operation]) -> "ReadWriteSet":

@@ -4,16 +4,35 @@
 each transaction has 5 update operations" over a hot spot whose key range
 is varied from tens of keys to 100K keys — small ranges produce heavy
 lock conflicts under MS-SR.
+
+A transaction is one row of drawn keys, its two sections spans of that
+row sharing one body (:class:`_Increment`).  A frame's transactions draw
+all their keys in one ``rng.integers`` call — exactly the keys, in the
+order one-at-a-time draws produce them, so the generator's state does not
+depend on how transactions are grouped (``tests/test_workload_pins.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.transactions.model import MultiStageTransaction, SectionContext, SectionSpec
+from repro.transactions.model import MultiStageTransaction, RowSection, SectionContext
 from repro.transactions.ops import ReadWriteSet
+
+
+class _Increment(RowSection):
+    """Read-increment-write each of the section's keys, in draw order."""
+
+    __slots__ = ()
+
+    def body(self, ctx: SectionContext) -> int:
+        keys = self.row[self._write_keys]
+        for key in keys:
+            current = ctx.read(key, default=0) or 0
+            ctx.write(key, current + 1)
+        return len(keys)
 
 
 @dataclass
@@ -51,53 +70,47 @@ class HotspotWorkload:
     final_updates: int = 1
     key_prefix: str = "hot"
     txn_prefix: str = ""
-    _counter: int = 0
+    _counter: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.key_range < 1:
             raise ValueError("key_range must be at least 1")
         if not 0 <= self.final_updates <= self.updates_per_transaction:
             raise ValueError("final_updates must be within updates_per_transaction")
-        # Fixed per workload instance.
+        # Fixed per workload instance: the id prefix and the spans of a
+        # transaction's row that its initial / final section / both update.
         self._id_prefix = f"{self.txn_prefix or self.key_prefix}-"
-        self._initial_updates = self.updates_per_transaction - self.final_updates
+        split = self.updates_per_transaction - self.final_updates
+        self._spans = slice(0, split), slice(split, None), slice(None)
 
     def build_batch(self) -> list[MultiStageTransaction]:
         """Create one batch of hotspot transactions."""
-        return [self.build_transaction() for _ in range(self.batch_size)]
+        return self.build_transactions(self.batch_size)
 
     def build_transaction(self) -> MultiStageTransaction:
         """Create one transaction updating random keys in the hot spot."""
-        self._counter += 1
-        transaction_id = f"{self._id_prefix}{self._counter}"
-        keys = [self._hot_key() for _ in range(self.updates_per_transaction)]
-        initial_keys = keys[: self._initial_updates]
-        final_keys = keys[self._initial_updates :]
+        return self.build_transactions(1)[0]
 
-        def initial_body(ctx: SectionContext) -> int:
-            for key in initial_keys:
-                current = ctx.read(key, default=0) or 0
-                ctx.write(key, current + 1)
-            return len(initial_keys)
-
-        def final_body(ctx: SectionContext) -> int:
-            for key in final_keys:
-                current = ctx.read(key, default=0) or 0
-                ctx.write(key, current + 1)
-            return len(final_keys)
-
-        return MultiStageTransaction(
-            transaction_id=transaction_id,
-            initial=SectionSpec(
-                body=initial_body,
-                rwset=ReadWriteSet(reads=frozenset(initial_keys), writes=frozenset(initial_keys)),
-            ),
-            final=SectionSpec(
-                body=final_body,
-                rwset=ReadWriteSet(reads=frozenset(final_keys), writes=frozenset(final_keys)),
-            ),
-            trigger="hotspot",
-        )
-
-    def _hot_key(self) -> str:
-        return f"{self.key_prefix}-{int(self.rng.integers(0, self.key_range))}"
+    def build_transactions(self, count: int) -> list[MultiStageTransaction]:
+        """Create ``count`` transactions (a frame's worth) from one key draw."""
+        if count <= 0:
+            return []
+        updates = self.updates_per_transaction
+        draws = self.rng.integers(0, self.key_range, size=count * updates).tolist()
+        key_prefix, id_prefix, first = self.key_prefix, self._id_prefix, self._counter + 1
+        initial_span, final_span, row_span = self._spans
+        self._counter += count
+        transactions = []
+        for index in range(count):
+            start = index * updates
+            row = tuple([f"{key_prefix}-{draw}" for draw in draws[start : start + updates]])
+            transactions.append(
+                MultiStageTransaction(
+                    transaction_id=f"{id_prefix}{first + index}",
+                    initial=_Increment(initial_span, initial_span, row),
+                    final=_Increment(final_span, final_span, row),
+                    trigger="hotspot",
+                    combined=ReadWriteSet(row_span, row_span, row),
+                )
+            )
+        return transactions

@@ -4,17 +4,57 @@
 operations, half of these mutate the state of the database by inserting
 data items, and the other half read from previously added items. This
 mimics a write-heavy workload of YCSB (Workload A)." — paper §5.1.
+
+A transaction is one row — its label, its insert keys, its read keys —
+and its sections are spans of that row
+(:class:`~repro.transactions.model.RowSection`).  A frame's transactions
+draw all their keys in one ``rng.integers`` call with per-element
+bounds: exactly the draws one scalar call per key makes, bit for bit and
+generator state included (``tests/test_workloads.py`` pins that NumPy
+fact), so keys do not depend on how transactions are grouped into frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.detection.labels import Detection
-from repro.transactions.model import MultiStageTransaction, SectionContext, SectionSpec
+from repro.transactions.model import MultiStageTransaction, RowSection, SectionContext
 from repro.transactions.ops import ReadWriteSet
+
+
+class _InsertAndRead(RowSection):
+    """Initial section: read the existing items, insert the new ones."""
+
+    __slots__ = ()
+
+    def body(self, ctx: SectionContext) -> dict:
+        row = self.row
+        label = row[0]
+        values = {key: ctx.read(key, default=0) for key in row[self._read_keys]}
+        for key in row[self._write_keys]:
+            ctx.write(key, {"label": label, "stage": "initial"})
+        ctx.put_handoff("observed", values)
+        ctx.put_handoff("label", label)
+        return {"read": values, "label": label}
+
+
+class _InsertCorrected(RowSection):
+    """Final section: insert the deferred items under the corrected label."""
+
+    __slots__ = ()
+
+    def body(self, ctx: SectionContext) -> dict:
+        corrected = getattr(ctx.labels, "name", None) if ctx.labels is not None else None
+        original = ctx.get_handoff("label")
+        if corrected is not None and corrected != original:
+            ctx.apologize(f"label corrected from {original!r} to {corrected!r}")
+        for key in self.row[self._write_keys]:
+            ctx.write(key, {"label": corrected or original, "stage": "final"})
+        return {"corrected": corrected, "original": original}
 
 
 @dataclass
@@ -30,10 +70,12 @@ class YCSBWorkload:
     key_space:
         Number of distinct keys new inserts are spread over.
     final_write_fraction:
-        Fraction of the writes deferred to the final section; the initial
-        section performs the rest.  The paper's transactions do their
-        visible work in the initial section and corrections in the final
-        one, so the default keeps one write for the final section.
+        Fraction of the writes deferred to the final section, rounded,
+        with a floor of one: the final section always inserts at least
+        one item (``0.0`` still defers one) and the initial section
+        performs the rest.  The paper's transactions do their visible
+        work in the initial section and corrections in the final one, so
+        the default keeps one write for the final section.
     """
 
     rng: np.random.Generator
@@ -41,7 +83,7 @@ class YCSBWorkload:
     key_space: int = 100_000
     final_write_fraction: float = 0.34
 
-    _inserted: int = 0
+    _inserted: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.operations_per_transaction < 2:
@@ -49,10 +91,25 @@ class YCSBWorkload:
         if not 0.0 <= self.final_write_fraction <= 1.0:
             raise ValueError("final_write_fraction must be in [0, 1]")
         # The operation mix is fixed per workload instance.
-        self._num_writes = self.operations_per_transaction // 2
-        self._num_reads = self.operations_per_transaction - self._num_writes
-        num_final_writes = max(1, int(round(self._num_writes * self.final_write_fraction)))
-        self._num_initial_writes = max(0, self._num_writes - num_final_writes)
+        writes = self._num_writes = self.operations_per_transaction // 2
+        reads = self.operations_per_transaction - writes
+        final_writes = max(1, int(round(writes * self.final_write_fraction)))
+        split = 1 + max(0, writes - final_writes)
+        # A row is (label, insert keys..., read keys...); its spans:
+        self._spans = (
+            slice(0, 0),  # nothing (the final section reads no item)
+            slice(1 + writes, None),  # the items read
+            slice(1, split),  # the items the initial section inserts
+            slice(split, 1 + writes),  # the items the final section inserts
+            slice(1, 1 + writes),  # every item inserted
+        )
+        # Lower bounds of one transaction's draws, in draw order: a bucket
+        # in [0, key_space) per insert, then per read an insert number in
+        # [1, inserted] and a bucket.
+        self._lows = np.array([0] * writes + [1, 0] * reads, dtype=np.int64)
+        #: Transactions in a frame -> the frame's tiled lower bounds and its
+        #: upper bounds before the insert numbers go in (frames repeat sizes).
+        self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def build_transaction(
         self,
@@ -60,51 +117,52 @@ class YCSBWorkload:
         detection: Detection | None = None,
     ) -> MultiStageTransaction:
         """Create one YCSB-A transaction triggered by ``detection``."""
-        write_keys = [self._fresh_key() for _ in range(self._num_writes)]
-        read_keys = [self._existing_key() for _ in range(self._num_reads)]
-        initial_writes = write_keys[: self._num_initial_writes]
-        final_writes = write_keys[self._num_initial_writes :]
-        label_name = detection.name if detection is not None else "none"
+        return self.build_transactions([detection], [transaction_id])[0]
 
-        def initial_body(ctx: SectionContext) -> dict:
-            values = {key: ctx.read(key, default=0) for key in read_keys}
-            for key in initial_writes:
-                ctx.write(key, {"label": label_name, "stage": "initial"})
-            ctx.put_handoff("observed", values)
-            ctx.put_handoff("label", label_name)
-            return {"read": values, "label": label_name}
+    def build_transactions(
+        self,
+        detections: Sequence[Detection | None],
+        transaction_ids: Sequence[str],
+    ) -> list[MultiStageTransaction]:
+        """Create one transaction per detection (a frame's worth) from one
+        key draw; the signature is the bank's per-frame factory."""
+        count = len(transaction_ids)
+        if count == 0:
+            return []
+        writes = self._num_writes
+        per_transaction = len(self._lows)
+        # Transaction t reads among the items inserted up to and including its own.
+        bounds = self._bounds.get(count)
+        if bounds is None:
+            highs = np.full((count, per_transaction), self.key_space, dtype=np.int64)
+            bounds = self._bounds[count] = np.tile(self._lows, count), highs
+        lows, highs = bounds[0], bounds[1].copy()
+        inserted = self._inserted + writes * np.arange(1, count + 1)
+        highs[:, writes::2] = inserted[:, None] + 1
+        draws = self.rng.integers(lows, highs.ravel()).tolist()
 
-        def final_body(ctx: SectionContext) -> dict:
-            corrected = getattr(ctx.labels, "name", None) if ctx.labels is not None else None
-            original = ctx.get_handoff("label")
-            if corrected is not None and corrected != original:
-                ctx.apologize(f"label corrected from {original!r} to {corrected!r}")
-            for key in final_writes:
-                ctx.write(key, {"label": corrected or original, "stage": "final"})
-            return {"corrected": corrected, "original": original}
-
-        return MultiStageTransaction(
-            transaction_id=transaction_id,
-            initial=SectionSpec(
-                body=initial_body,
-                rwset=ReadWriteSet(reads=frozenset(read_keys), writes=frozenset(initial_writes)),
-            ),
-            final=SectionSpec(
-                body=final_body,
-                rwset=ReadWriteSet(writes=frozenset(final_writes)),
-            ),
-            trigger=f"ycsb:{label_name}",
-        )
-
-    # -- key selection -----------------------------------------------------
-    def _fresh_key(self) -> str:
-        """Key for an insert; spread over the key space."""
-        self._inserted += 1
-        return f"item-{int(self.rng.integers(0, self.key_space))}-{self._inserted}"
-
-    def _existing_key(self) -> str:
-        """Key for a read of a previously added item (or a cold key early on)."""
-        if self._inserted == 0:
-            return f"item-{int(self.rng.integers(0, self.key_space))}-0"
-        pick = int(self.rng.integers(1, self._inserted + 1))
-        return f"item-{int(self.rng.integers(0, self.key_space))}-{pick}"
+        no_span, read_span, initial_write_span, final_write_span, write_span = self._spans
+        number = self._inserted
+        self._inserted += writes * count
+        transactions = []
+        for index, (transaction_id, detection) in enumerate(zip(transaction_ids, detections)):
+            label = detection.name if detection is not None else "none"
+            start = index * per_transaction
+            inserts = draws[start : start + writes]
+            picks = draws[start + writes : start + per_transaction]
+            row = (
+                label,
+                *[f"item-{bucket}-{number + i}" for i, bucket in enumerate(inserts, 1)],
+                *[f"item-{bucket}-{pick}" for pick, bucket in zip(picks[::2], picks[1::2])],
+            )
+            number += writes
+            transactions.append(
+                MultiStageTransaction(
+                    transaction_id=transaction_id,
+                    initial=_InsertAndRead(read_span, initial_write_span, row),
+                    final=_InsertCorrected(no_span, final_write_span, row),
+                    trigger=f"ycsb:{label}",
+                    combined=ReadWriteSet(read_span, write_span, row),
+                )
+            )
+        return transactions

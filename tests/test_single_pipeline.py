@@ -15,10 +15,7 @@ that fold:
   after frame ``k``'s final commit" means for responses, queue delays
   and the transaction history, with and without online adaptation;
 * **source scan** — each pipeline stage has exactly one call site under
-  ``src/repro``;
-* **release order** — a finished frame's transactions are released once
-  the next frame has built its own, the allocation order the host-time
-  benchmark's ``single-edge`` row is steady on.
+  ``src/repro``.
 """
 
 from __future__ import annotations
@@ -27,10 +24,8 @@ import ast
 import hashlib
 import json
 import re
-import weakref
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptationConfig
@@ -38,10 +33,8 @@ from repro.core.client import Client
 from repro.core.system import CroesusSystem
 from repro.experiments import get_scenario, run
 from repro.experiments.spec import build_single_config
-from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.checker import check_ms_ia, check_ms_sr
 from repro.video.library import make_video
-from repro.workloads.ycsb import YCSBWorkload
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -193,51 +186,6 @@ def test_one_stream_is_served_closed_loop(consistency, adaptation):
     if adaptation is not None and adaptation.mode == "retune":
         assert system.last_adaptation.threshold_updates > 0
         assert len(system.events.of_kind("threshold_adapted")) > 0
-
-
-# -- release order ---------------------------------------------------------------------
-def test_a_finished_frames_transactions_go_once_the_next_frame_built_its_own():
-    """Frame ``k``'s transactions outlive its body and die after frame
-    ``k+1``'s initial stage, as they did when one generator walked the
-    video.  Released with the body instead (right after the final
-    sections freed their pending state) they leave in one burst on a
-    near-zero young-generation counter, CPython forgets the frees, and
-    the collector runs 16% more often: a fourth full collection on some
-    seeds of ``bench``'s ``single-edge`` workload and not on others.
-    """
-    spec = _spec("fig4-ms-sr", frames=12, seed=3)
-    config = build_single_config(spec)
-    video = make_video(spec.video, num_frames=spec.frames, seed=config.seed)
-
-    class CountingClient(Client):
-        captured = -1
-
-        def frames(self):
-            for frame in super().frames():
-                self.captured = frame.frame_id
-                yield frame
-
-    client = CountingClient(video)
-    workload = YCSBWorkload(rng=np.random.default_rng(3))
-    born: list[tuple[int, weakref.ref]] = []
-    #: frame -> frames with live transactions when it built its first one.
-    alive_at_first_build: dict[int, set[int]] = {}
-
-    def factory(detection, txn_id):
-        frame_id = client.captured
-        if frame_id not in alive_at_first_build:
-            alive_at_first_build[frame_id] = {f for f, ref in born if ref() is not None}
-        transaction = workload.build_transaction(txn_id, detection)
-        born.append((frame_id, weakref.ref(transaction)))
-        return transaction
-
-    bank = TransactionBank()
-    bank.register(name="detection", label_class=ANY_LABEL, factory=factory)
-    CroesusSystem(config, bank=bank).run(video, client=client)
-
-    assert alive_at_first_build == {
-        frame_id: ({frame_id - 1} if frame_id else set()) for frame_id in range(spec.frames)
-    }
 
 
 # -- one call site per pipeline stage --------------------------------------------------

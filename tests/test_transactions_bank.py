@@ -1,5 +1,7 @@
 """Tests for the transactions bank."""
 
+import pytest
+
 from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.model import MultiStageTransaction, SectionSpec
 
@@ -71,3 +73,47 @@ class TestTransactionBank:
         bank = TransactionBank()
         rule = bank.register("r", {"x"}, _factory)
         assert bank.rules == (rule,)
+
+    def test_a_frame_factory_is_called_once_per_frame_with_every_match(self):
+        bank = TransactionBank()
+        calls = []
+
+        def frame_factory(detections, transaction_ids):
+            calls.append((list(detections), list(transaction_ids)))
+            return [_factory(*trigger) for trigger in zip(detections, transaction_ids)]
+
+        bank.register("buildings", {"Engineering", "Library"}, frame_factory=frame_factory)
+        detections = [make_detection(name) for name in ("Engineering", "car", "Library")]
+        triggered = bank.transactions_for(detections)
+        assert calls == [([detections[0], detections[2]], ["buildings-1", "buildings-2"])]
+        assert [(txn.transaction_id, det) for txn, det in triggered] == [
+            ("buildings-1", detections[0]),
+            ("buildings-2", detections[2]),
+        ]
+        # A frame that fires nothing does not call the factory at all.
+        assert bank.transactions_for([make_detection("car")]) == []
+        assert len(calls) == 1
+
+    def test_a_per_detection_factory_is_stored_in_the_per_frame_form(self):
+        bank = TransactionBank()
+        rule = bank.register("any", ANY_LABEL, _factory)
+        detections = [make_detection("a"), make_detection("b")]
+        built = rule.factory(detections, ["x1", "x2"])
+        assert [(txn.transaction_id, txn.trigger) for txn in built] == [("x1", "a"), ("x2", "b")]
+
+    def test_register_takes_exactly_one_factory_form(self):
+        bank = TransactionBank()
+        with pytest.raises(ValueError):
+            bank.register("none", ANY_LABEL)
+        with pytest.raises(ValueError):
+            bank.register("both", ANY_LABEL, _factory, frame_factory=lambda ds, ids: [])
+        assert bank.rules == ()
+
+    def test_ids_are_allocated_rule_by_rule_in_detection_order(self):
+        bank = TransactionBank()
+        bank.register("info", ANY_LABEL, _factory)
+        bank.register("menu", (), _factory, requires_auxiliary_input=True)
+        bank.register("audit", {"b"}, _factory)
+        detections = [make_detection("a"), make_detection("b")]
+        ids = [txn.transaction_id for txn, _ in bank.transactions_for(detections, True)]
+        assert ids == ["info-1", "info-2", "menu-3", "audit-4"]

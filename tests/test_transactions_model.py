@@ -6,6 +6,7 @@ from repro.storage.wal import UndoLog
 from repro.transactions.exceptions import SectionOrderError
 from repro.transactions.model import (
     MultiStageTransaction,
+    RowSection,
     SectionContext,
     SectionKind,
     SectionSpec,
@@ -152,3 +153,35 @@ class TestMultiStageTransactionLifecycle:
         spec = SectionSpec.noop()
         assert spec.body(SectionContext("t", SectionKind.FINAL, store)) is None
         assert spec.rwset.keys == frozenset()
+
+    def test_a_row_section_is_its_own_declaration_and_its_class_is_the_body(self, store):
+        class Copy(RowSection):
+            __slots__ = ()
+
+            def body(self, ctx):
+                for source, target in zip(self.read_keys, self.write_keys):
+                    ctx.write(target, ctx.read(source))
+                return self.row
+
+        store.write("a", 1)
+        row = ("a", "b", "c")
+        txn = MultiStageTransaction(
+            transaction_id="t1",
+            initial=Copy(slice(0, 1), slice(1, 2), row),
+            final=Copy(slice(1, 2), slice(2, 3), row),
+        )
+        assert txn.initial.rwset is txn.initial
+        assert txn.initial.rwset == ReadWriteSet(reads=frozenset({"a"}), writes=frozenset({"b"}))
+        assert txn.combined_rwset() == ReadWriteSet(
+            reads=frozenset({"a", "b"}), writes=frozenset({"b", "c"})
+        )
+        assert txn.initial.body(SectionContext("t1", SectionKind.INITIAL, store)) == row
+        assert txn.final.body(SectionContext("t1", SectionKind.FINAL, store)) == row
+        assert store.read("c") == 1
+
+    def test_a_builder_can_hand_over_the_combined_declaration(self):
+        declared = ReadWriteSet(writes=frozenset({"b", "c"}))
+        txn = _transaction(writes={"b"}, final_writes={"c"})
+        assert txn.combined_rwset() == declared and txn.combined_rwset() is txn.combined_rwset()
+        handed = MultiStageTransaction("t2", txn.initial, txn.final, combined=declared)
+        assert handed.combined_rwset() is declared

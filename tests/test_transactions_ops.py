@@ -1,5 +1,9 @@
 """Tests for operations and read/write sets."""
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.storage.locks import LockMode
 from repro.transactions.ops import (
     Operation,
@@ -86,3 +90,69 @@ class TestReadWriteSet:
         busy = ReadWriteSet(reads=frozenset({"a"}), writes=frozenset({"b"}))
         assert not empty.conflicts_with(busy)
         assert not busy.conflicts_with(empty)
+
+    def test_is_an_immutable_value(self):
+        left = ReadWriteSet(reads=frozenset({"a"}), writes=frozenset({"b"}))
+        same = ReadWriteSet(reads=frozenset({"a"}), writes=frozenset({"b"}))
+        assert left == same and hash(left) == hash(same)
+        assert left != ReadWriteSet(reads=frozenset({"a"}))
+        assert "reads=frozenset({'a'})" in repr(left)
+        with pytest.raises(AttributeError):
+            left.reads = frozenset()
+        with pytest.raises(AttributeError):
+            left.extra = 1
+
+    def test_read_modify_write_shares_one_key_set(self):
+        keys = frozenset({"a", "b"})
+        rwset = ReadWriteSet(reads=keys, writes=keys)
+        assert rwset.keys is keys
+        assert rwset.key_count == 2
+
+
+keys = st.text(alphabet="abcde", min_size=1, max_size=2)
+
+
+class TestRowBackedReadWriteSet:
+    """A declaration over spans of a key row is the frozenset declaration
+    of the same keys: same sets, same lock requests, same key count."""
+
+    @given(
+        row=st.lists(keys, max_size=8).map(tuple),
+        cuts=st.lists(st.integers(min_value=0, max_value=8), min_size=4, max_size=4),
+    )
+    def test_equals_the_frozenset_declaration(self, row, cuts):
+        reads, writes = slice(*sorted(cuts[:2])), slice(*sorted(cuts[2:]))
+        derived = ReadWriteSet(reads, writes, row)
+        declared = ReadWriteSet(reads=frozenset(row[reads]), writes=frozenset(row[writes]))
+        assert derived.lock_requests() == declared.lock_requests()
+        assert derived.lock_requests() is derived.lock_requests()
+        assert derived.key_count == declared.key_count == len(declared.keys)
+        assert derived == declared and declared == derived
+        assert (derived.reads, derived.writes, derived.keys) == (
+            declared.reads,
+            declared.writes,
+            declared.keys,
+        )
+        assert derived.merged(declared) == declared
+        assert derived.read_keys == row[reads] and derived.write_keys == row[writes]
+
+    @given(row=st.lists(keys, min_size=1, max_size=8).map(tuple))
+    def test_one_span_is_one_set_and_exclusive_locks_only(self, row):
+        span = slice(0, None)
+        derived = ReadWriteSet(span, span, row)
+        assert derived.reads is derived.writes is derived.keys
+        assert derived.lock_requests() == tuple(
+            (key, LockMode.EXCLUSIVE) for key in sorted(set(row))
+        )
+        assert derived.key_count == len(set(row))
+
+    def test_nothing_is_built_before_it_is_asked_for(self):
+        derived = ReadWriteSet(slice(0, 1), slice(1, 3), ("a", "b", "a"))
+        assert derived._reads is derived._writes is derived._requests is None
+        assert derived.key_count == 2
+        assert derived._reads is derived._writes is None
+        assert derived.lock_requests() == (
+            ("a", LockMode.EXCLUSIVE),
+            ("b", LockMode.EXCLUSIVE),
+        )
+        assert derived._reads is derived._writes is None

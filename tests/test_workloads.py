@@ -1,5 +1,7 @@
 """Tests for the YCSB-A and hotspot workload generators."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,19 @@ from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
 from helpers import make_detection
+
+
+class _CountingRng:
+    """Records how many integers each ``integers`` call drew."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.draws: list[int] = []
+
+    def integers(self, *args, **kwargs):
+        drawn = self._rng.integers(*args, **kwargs)
+        self.draws.append(np.size(drawn))
+        return drawn
 
 
 class TestYCSBWorkload:
@@ -65,6 +80,27 @@ class TestYCSBWorkload:
     def test_handles_missing_detection(self):
         txn = self._workload().build_transaction("t1", None)
         assert txn.trigger == "ycsb:none"
+
+    @pytest.mark.parametrize("fraction, final_writes", [(0.0, 1), (0.34, 1), (0.5, 2), (1.0, 3)])
+    def test_final_write_fraction_keeps_a_floor_of_one_final_write(self, fraction, final_writes):
+        """The fraction is rounded, and ``0.0`` still defers one insert."""
+        txn = self._workload(final_write_fraction=fraction).build_transaction("t1", None)
+        assert len(txn.final.rwset.writes) == final_writes
+        assert len(txn.initial.rwset.writes) == 3 - final_writes
+
+    def test_the_insert_counter_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            YCSBWorkload(np.random.default_rng(0), _inserted=7)
+        assert "_inserted" not in repr(self._workload())
+
+    def test_a_frame_is_one_draw_of_exactly_its_keys(self):
+        rng = _CountingRng(np.random.default_rng(0))
+        workload = YCSBWorkload(rng=rng)
+        detections = [make_detection("person")] * 7
+        assert len(workload.build_transactions(detections, [f"t{i}" for i in range(7)])) == 7
+        assert workload.build_transactions([], []) == []
+        # Per transaction: a bucket per insert, an insert number and a bucket per read.
+        assert rng.draws == [7 * (3 + 2 * 3)]
 
 
 class TestHotspotWorkload:
@@ -131,3 +167,114 @@ class TestHotspotWorkload:
         workload = self._workload()
         ids = [txn.transaction_id for txn in workload.build_batch() + workload.build_batch()]
         assert len(set(ids)) == len(ids)
+
+    def test_a_frame_is_one_draw_of_exactly_its_keys(self):
+        rng = _CountingRng(np.random.default_rng(0))
+        workload = HotspotWorkload(rng=rng, key_range=10, batch_size=50)
+        assert len(workload.build_transactions(7)) == 7
+        assert workload.build_transactions(0) == []
+        assert len(workload.build_batch()) == 50
+        assert rng.draws == [7 * 5, 50 * 5]
+
+    def test_the_id_counter_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            HotspotWorkload(np.random.default_rng(0), 10, _counter=5)
+        assert "_counter" not in repr(self._workload())
+
+    def test_a_section_updates_a_key_once_per_draw(self):
+        """A key drawn twice is incremented twice but locked and declared once."""
+        txn = self._workload(key_range=1, final_updates=2).build_transaction()
+        store = KeyValueStore()
+        controller = MSIAController(store)
+        controller.process_initial(txn)
+        assert txn.initial_result == 3 and store.read("hot-0") == 3
+        controller.process_final(txn)
+        assert txn.final_result == 2 and store.read("hot-0") == 5
+        assert len(txn.initial.rwset.lock_requests()) == len(txn.combined_rwset().keys) == 1
+
+
+# -- the NumPy fact the per-frame draws rest on ---------------------------------------
+def _same_state(left: np.random.Generator, right: np.random.Generator) -> bool:
+    return left.bit_generator.state == right.bit_generator.state
+
+
+#: Bounds on both sides of 2**32: NumPy switches from 32-bit to 64-bit draws there.
+BOUNDS = [(0, 200), (0, 100_000), (1, 8), (0, 2**32 - 1), (0, 2**32), (0, 2**32 + 1), (5, 2**40)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("low, high", BOUNDS)
+def test_numpy_sized_integers_are_the_scalar_draws(seed, low, high):
+    """``integers(lo, hi, size=k)`` is k ``integers(lo, hi)`` calls, bit for
+    bit, and leaves the generator where they leave it.  ``HotspotWorkload``
+    draws a frame's keys in one call on the strength of this; a NumPy that
+    breaks it must fail here, not as a moved digest somewhere else."""
+    for count in (0, 1, 5, 50):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        # One odd draw first, so half of a 64-bit word is still buffered.
+        assert batched.integers(0, 10) == scalar.integers(0, 10)
+        drawn = batched.integers(low, high, size=count).tolist()
+        assert drawn == [int(scalar.integers(low, high)) for _ in range(count)]
+        assert _same_state(batched, scalar)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("key_space", [100_000, 2**32 - 1, 2**33])
+def test_numpy_per_element_bounds_are_the_scalar_draws(seed, key_space):
+    """The same for ``integers(lows, highs)`` with YCSB's alternating
+    bounds: a bucket in ``[0, key_space)`` per insert, then per read an
+    insert number in ``[1, inserted]`` followed by a bucket."""
+    lows, highs, inserted = [], [], 0
+    for _ in range(12):
+        inserted += 3
+        lows += [0, 0, 0] + [1, 0] * 3
+        highs += [key_space] * 3 + [inserted + 1, key_space] * 3
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = batched.integers(np.array(lows), np.array(highs)).tolist()
+    assert drawn == [int(scalar.integers(low, high)) for low, high in zip(lows, highs)]
+    assert _same_state(batched, scalar)
+
+
+# -- the allocation budget ------------------------------------------------------------
+def _containers_per_transaction(build) -> tuple[float, float]:
+    """GC-tracked containers one transaction keeps alive once built, and
+    once its merged declaration and both sections' lock requests exist."""
+    count = 500
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()  # nothing may reset the young-generation counter while we read it
+    try:
+        before = gc.get_count()[0]
+        transactions = build(count)
+        built = gc.get_count()[0] - before
+        for txn in transactions:
+            txn.combined_rwset()
+            txn.initial.rwset.lock_requests()
+            txn.final.rwset.lock_requests()
+        locked = gc.get_count()[0] - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    return built / count, locked / count
+
+
+def test_a_ycsb_transaction_stays_within_its_allocation_budget():
+    """Two closures with four cells, three key lists, two ``SectionSpec``,
+    three ``ReadWriteSet`` and six frozensets made a YCSB transaction 20
+    containers built and 31 with its lock requests and merged set (commit
+    57dd2cf); the bound is half of that."""
+    workload = YCSBWorkload(rng=np.random.default_rng(0))
+    built, locked = _containers_per_transaction(
+        lambda count: workload.build_transactions([None] * count, [f"t{i}" for i in range(count)])
+    )
+    assert built <= 20 / 2
+    assert locked <= 31 / 2
+
+
+def test_a_hotspot_transaction_stays_within_its_allocation_budget():
+    """18 built and 28 locked at commit 57dd2cf (five distinct keys: the
+    range is wide so that no draw repeats); the bound is half of that."""
+    workload = HotspotWorkload(rng=np.random.default_rng(0), key_range=10**9)
+    built, locked = _containers_per_transaction(workload.build_transactions)
+    assert built <= 18 / 2
+    assert locked <= 28 / 2
