@@ -30,9 +30,13 @@ class Channel:
 
     ``record_transfers=False`` keeps only the scalar totals
     (:attr:`total_bytes`, :attr:`transfer_count`) and skips the per-call
-    :class:`TransferRecord` — the fast-path configuration, where a
-    million frames would otherwise accrete a million records per link.
-    The totals stay exact either way.
+    rows — the fast-path configuration, where a million frames would
+    otherwise accrete a million rows per link.  The totals stay exact
+    either way.
+
+    A recorded transfer is four slots of one flat list — ``timestamp,
+    size_bytes, duration, description`` — so :meth:`send` builds no
+    object; :attr:`transfers` renders each as a :class:`TransferRecord`.
     """
 
     def __init__(
@@ -43,7 +47,7 @@ class Channel:
     ) -> None:
         self._profile = profile
         self._rng = rng
-        self._transfers: list[TransferRecord] | None = [] if record_transfers else None
+        self._transfers: list | None = [] if record_transfers else None
         self._total_bytes = 0
         self._count = 0
 
@@ -57,14 +61,7 @@ class Channel:
         self._total_bytes += size_bytes
         self._count += 1
         if self._transfers is not None:
-            self._transfers.append(
-                TransferRecord(
-                    timestamp=timestamp,
-                    size_bytes=size_bytes,
-                    duration=duration,
-                    description=description,
-                )
-            )
+            self._transfers += (timestamp, size_bytes, duration, description)
         return duration
 
     def round_trip(
@@ -88,8 +85,9 @@ class Channel:
 
     @property
     def transfers(self) -> tuple[TransferRecord, ...]:
-        """Retained per-transfer records (empty when recording is off)."""
-        return tuple(self._transfers or ())
+        """Retained per-transfer records, rendered (empty when recording is off)."""
+        rows = self._transfers or ()
+        return tuple(map(TransferRecord, rows[0::4], rows[1::4], rows[2::4], rows[3::4]))
 
     @property
     def total_bytes(self) -> int:

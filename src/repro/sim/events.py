@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Any, Iterator
 
 
@@ -44,9 +45,13 @@ class EventLog:
     whole run — the fast-path configuration for million-frame runs,
     where per-frame event objects would otherwise dominate memory.
     :meth:`of_kind` then returns only the retained window (in order).
-    ``capacity=0`` goes one step further and counts without ever
-    building an :class:`Event` — two per-frame records on a hot path
-    become two dictionary increments.
+    ``capacity=0`` goes one step further and counts without keeping
+    anything — two per-frame records on a hot path become two dictionary
+    increments.
+
+    A retained event is a ``(timestamp, kind, payload)`` tuple, in the
+    timeline and in the per-kind index alike, so :meth:`record` builds no
+    :class:`Event`; iteration and :meth:`of_kind` render them.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -54,21 +59,20 @@ class EventLog:
             raise ValueError(f"capacity must be non-negative (or None), got {capacity}")
         self.capacity = capacity
         self._events: Any = [] if capacity is None else deque(maxlen=capacity)
-        self._by_kind: dict[str, list[Event]] | None = {} if capacity is None else None
+        self._by_kind: dict[str, list[tuple]] | None = {} if capacity is None else None
         self._counts: dict[str, int] = {}
         self._total = 0
 
-    def record(self, timestamp: float, kind: str, **payload: Any) -> Event | None:
-        """Append an event and return it (``None`` in count-only mode)."""
+    def record(self, timestamp: float, kind: str, **payload: Any) -> None:
+        """Append an event (count it only, in count-only mode)."""
         self._total += 1
         self._counts[kind] = self._counts.get(kind, 0) + 1
         if self.capacity == 0:
-            return None
-        event = Event(timestamp=timestamp, kind=kind, payload=payload)
-        self._events.append(event)
+            return
+        row = (timestamp, kind, payload)
+        self._events.append(row)
         if self._by_kind is not None:
-            self._by_kind.setdefault(kind, []).append(event)
-        return event
+            self._by_kind.setdefault(kind, []).append(row)
 
     def bump(self, kind: str) -> None:
         """Count one event of ``kind`` without building a record.
@@ -90,8 +94,10 @@ class EventLog:
         :meth:`count_of_kind` for the exact whole-run count).
         """
         if self._by_kind is not None:
-            return list(self._by_kind.get(kind, ()))
-        return [event for event in self._events if event.kind == kind]
+            rows = self._by_kind.get(kind, ())
+        else:
+            rows = [row for row in self._events if row[1] == kind]
+        return list(starmap(Event, rows))
 
     def count_of_kind(self, kind: str) -> int:
         """Exact number of events of ``kind`` recorded over the whole run."""
@@ -107,7 +113,7 @@ class EventLog:
         return self._total
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return starmap(Event, self._events)
 
     def __len__(self) -> int:
         """Number of *retained* events."""

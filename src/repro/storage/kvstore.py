@@ -4,6 +4,12 @@ The store keeps every committed version of a key.  Versions let the
 final (apology) section of a transaction inspect what the initial
 section wrote, and let the undo machinery retract a write precisely even
 if later transactions touched the same key.
+
+A key's versions are one flat list of rows — ``value, writer, sequence,
+value, writer, sequence, ...`` in commit order — so a write appends three
+slots and builds no object.  :class:`Version` is the read API:
+:meth:`KeyValueStore.history` and :meth:`KeyValueStore.read_version`
+render it from the rows; every other method reads the rows directly.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ class KeyValueStore:
     paper's single edge-node prototype.
     """
 
-    _data: dict[str, list[Version]] = field(default_factory=dict)
+    #: key -> flat ``value, writer, sequence`` rows, oldest version first.
+    _data: dict[str, list] = field(default_factory=dict)
     _sequence: int = 0
 
     def read(self, key: str, default: Any = ...) -> Any:
@@ -43,26 +50,29 @@ class KeyValueStore:
         Raises :class:`KeyNotFound` when the key does not exist and no
         ``default`` is supplied.
         """
-        versions = self._data.get(key)
-        if not versions:
+        rows = self._data.get(key)
+        if not rows:
             if default is ...:
                 raise KeyNotFound(key)
             return default
-        return versions[-1].value
+        return rows[-3]
 
     def read_version(self, key: str, index: int = -1) -> Version:
-        """Return a specific version record of ``key`` (default: latest)."""
-        versions = self._data.get(key)
-        if not versions:
+        """Render a specific version record of ``key`` (default: latest)."""
+        rows = self._data.get(key)
+        if not rows:
             raise KeyNotFound(key)
-        return versions[index]
+        start = range(0, len(rows), 3)[index]  # list indexing: negatives, IndexError
+        return Version(*rows[start : start + 3])
 
-    def write(self, key: str, value: Any, writer: str = "system") -> Version:
-        """Append a new version of ``key`` and return it."""
-        self._sequence += 1
-        version = Version(value=value, writer=writer, sequence=self._sequence)
-        self._data.setdefault(key, []).append(version)
-        return version
+    def write(self, key: str, value: Any, writer: str = "system") -> None:
+        """Append a new version of ``key``."""
+        self._sequence = sequence = self._sequence + 1
+        rows = self._data.get(key)
+        if rows is None:
+            self._data[key] = [value, writer, sequence]
+        else:
+            rows += (value, writer, sequence)
 
     def delete(self, key: str, writer: str = "system") -> None:
         """Delete a key by writing a tombstone (``None``) version."""
@@ -70,12 +80,13 @@ class KeyValueStore:
 
     def exists(self, key: str) -> bool:
         """True when the key has a non-tombstone latest version."""
-        versions = self._data.get(key)
-        return bool(versions) and versions[-1].value is not None
+        rows = self._data.get(key)
+        return bool(rows) and rows[-3] is not None
 
     def history(self, key: str) -> tuple[Version, ...]:
-        """All committed versions of ``key`` in commit order."""
-        return tuple(self._data.get(key, ()))
+        """All committed versions of ``key`` in commit order, rendered."""
+        rows = self._data.get(key, ())
+        return tuple(map(Version, rows[0::3], rows[1::3], rows[2::3]))
 
     def keys(self) -> Iterator[str]:
         """Iterate over all keys that have ever been written."""
@@ -83,11 +94,7 @@ class KeyValueStore:
 
     def snapshot(self) -> dict[str, Any]:
         """Latest value of every live (non-tombstone) key."""
-        return {
-            key: versions[-1].value
-            for key, versions in self._data.items()
-            if versions and versions[-1].value is not None
-        }
+        return {key: rows[-3] for key, rows in self._data.items() if rows[-3] is not None}
 
     def rollback_writer(self, key: str, writer: str) -> bool:
         """Restore ``key`` to the value it had before ``writer`` last wrote it.
@@ -96,12 +103,11 @@ class KeyValueStore:
         Used by MS-IA apologies to retract the effect of an erroneous
         initial section.
         """
-        versions = self._data.get(key)
-        if not versions:
-            return False
-        for index in range(len(versions) - 1, -1, -1):
-            if versions[index].writer == writer:
-                prior_value = versions[index - 1].value if index > 0 else None
+        rows = self._data.get(key, ())
+        # Writers sit at 1, 4, 7, ...; the version before one is four slots back.
+        for at in range(len(rows) - 2, -1, -3):
+            if rows[at] == writer:
+                prior_value = rows[at - 4] if at > 1 else None
                 self.write(key, prior_value, writer=f"undo:{writer}")
                 return True
         return False

@@ -21,6 +21,7 @@ Two logs with two different jobs live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
 from repro.storage.kvstore import KeyValueStore
@@ -38,35 +39,46 @@ class UndoRecord:
 
 @dataclass
 class UndoLog:
-    """Per-transaction undo records over a :class:`KeyValueStore`."""
+    """Per-transaction undo images over a :class:`KeyValueStore`.
+
+    A transaction's images are one flat list of rows — ``key, before,
+    after, key, before, after, ...`` oldest first — so logging a write
+    builds no object.  :class:`UndoRecord` is the read API:
+    :meth:`records_for` and :meth:`undo` render it from the rows;
+    :meth:`touched_keys` and :meth:`dependents` slice the key column.
+    """
 
     store: KeyValueStore
-    _records: dict[str, list[UndoRecord]] = field(default_factory=dict)
+    _records: dict[str, list] = field(default_factory=dict)
 
-    def log_write(self, transaction_id: str, key: str, new_value: Any) -> UndoRecord:
+    def log_write(self, transaction_id: str, key: str, new_value: Any) -> None:
         """Record that ``transaction_id`` is about to write ``key``.
 
         The *current* value of the key is captured as the before-image.
         """
         before = self.store.read(key, default=None)
-        record = UndoRecord(transaction_id=transaction_id, key=key, before=before, after=new_value)
-        self._records.setdefault(transaction_id, []).append(record)
-        return record
+        rows = self._records.get(transaction_id)
+        if rows is None:
+            self._records[transaction_id] = [key, before, new_value]
+        else:
+            rows += (key, before, new_value)
 
     def records_for(self, transaction_id: str) -> tuple[UndoRecord, ...]:
-        """Undo records of one transaction, oldest first."""
-        return tuple(self._records.get(transaction_id, ()))
+        """Undo records of one transaction, oldest first, rendered."""
+        rows = self._records.get(transaction_id, ())
+        return tuple(map(UndoRecord, repeat(transaction_id), rows[0::3], rows[1::3], rows[2::3]))
 
     def undo(self, transaction_id: str) -> list[UndoRecord]:
         """Restore the before-image of every write of ``transaction_id``.
 
-        Writes are undone newest-first.  Returns the undone records.
-        Undoing an unknown transaction is a no-op.
+        Writes are undone newest-first.  Returns the undone records,
+        rendered.  Undoing an unknown transaction is a no-op.
         """
-        records = self._records.pop(transaction_id, [])
-        for record in reversed(records):
+        undone = list(reversed(self.records_for(transaction_id)))
+        self._records.pop(transaction_id, None)
+        for record in undone:
             self.store.write(record.key, record.before, writer=f"undo:{transaction_id}")
-        return list(reversed(records))
+        return undone
 
     def forget(self, transaction_id: str) -> None:
         """Drop records of a transaction whose effects are now final."""
@@ -74,7 +86,7 @@ class UndoLog:
 
     def touched_keys(self, transaction_id: str) -> frozenset[str]:
         """Keys written by ``transaction_id`` so far."""
-        return frozenset(record.key for record in self._records.get(transaction_id, ()))
+        return frozenset(self._records.get(transaction_id, ())[0::3])
 
     def dependents(self, transaction_id: str) -> frozenset[str]:
         """Other transactions that later wrote keys this transaction wrote.
@@ -84,13 +96,11 @@ class UndoLog:
         built on the keys t1 touched may need to be compensated too.
         """
         keys = self.touched_keys(transaction_id)
-        dependent_ids: set[str] = set()
-        for other_id, records in self._records.items():
-            if other_id == transaction_id:
-                continue
-            if any(record.key in keys for record in records):
-                dependent_ids.add(other_id)
-        return frozenset(dependent_ids)
+        return frozenset(
+            other_id
+            for other_id, rows in self._records.items()
+            if other_id != transaction_id and not keys.isdisjoint(rows[0::3])
+        )
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ release and the 2PC grouping — so a key is hashed once per section.  The
 plan dies with the call and is rebuilt for the next section: re-sharding
 or a promotion may re-home a slot between a transaction's two sections.
 The section context keeps executed operations as ``(kind, key, value)``
-rows and renders :class:`Operation` objects only when ``.operations`` is
-read, which the controllers do only for an attached :class:`History`.
+rows; an attached :class:`History` is handed the row list itself and
+renders :class:`Operation` objects when it is read.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ class _BufferedSectionContext(SectionContext):
             value = self.pending_writes[key]
         else:
             value = self._routes[key].store.read(key, default=default)
-        self._operations.append((OperationKind.READ, key, value))
+        self.operation_rows.append((OperationKind.READ, key, value))
         return value
 
     def write(self, key: str, value: Any) -> None:
         self.pending_writes[key] = value
-        self._operations.append((OperationKind.WRITE, key, value))
+        self.operation_rows.append((OperationKind.WRITE, key, value))
 
 
 @dataclass
@@ -152,7 +152,7 @@ class DistributedMSIAController:
         transaction.mark_initial_committed(result, context.handoff, now)
         self.stats.initial_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.INITIAL, now, context.operations)
+            self._history.record_section(holder, SectionKind.INITIAL, now, context.operation_rows)
         self._pending[holder] = (transaction, labels)
         return result
 
@@ -181,7 +181,7 @@ class DistributedMSIAController:
         transaction.mark_committed(result, context.apologies, now)
         self.stats.final_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.FINAL, now, context.operations)
+            self._history.record_section(holder, SectionKind.FINAL, now, context.operation_rows)
         return result
 
     @property
@@ -305,7 +305,7 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         transaction.mark_initial_committed(result, context.handoff, now)
         self.stats.initial_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.INITIAL, now, context.operations)
+            self._history.record_section(holder, SectionKind.INITIAL, now, context.operation_rows)
         self._pending[holder] = (transaction, labels)
         self._buffered_writes[holder] = context.pending_writes
         return result
@@ -341,5 +341,5 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         transaction.mark_committed(result, context.apologies, now)
         self.stats.final_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.FINAL, now, context.operations)
+            self._history.record_section(holder, SectionKind.FINAL, now, context.operation_rows)
         return result

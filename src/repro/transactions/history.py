@@ -6,12 +6,23 @@ The :class:`History` records each executed section with its commit
 timestamp and its executed operations; checkers
 (:mod:`repro.transactions.checker`) then validate the MS-SR / MS-IA
 conditions over the recorded order.
+
+A committed section is kept as four slots of one flat list —
+``transaction_id, section, commit_time, operations`` — where
+``operations`` is the section context's own ``(kind, key, value)`` row
+list, handed over as it is.  :class:`SectionRecord` (with its tuple of
+:class:`Operation`) is the read API: iteration, ``sections_of``,
+``section`` and, through them, the checkers read one rendered list that
+grows by the sections committed since the last read and is kept, so
+walking the history many times renders each section once; a record's
+``sequence`` is its position.  ``len`` and ``transaction_ids`` read the
+rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.transactions.ops import Operation, operations_conflict
 from repro.transactions.model import SectionKind
@@ -42,62 +53,68 @@ class SectionRecord:
 class History:
     """Append-only log of committed sections, ordered by commitment."""
 
-    _records: list[SectionRecord] = field(default_factory=list)
-    _sequence: int = 0
+    #: Flat ``transaction_id, section, commit_time, operations`` rows.
+    _rows: list = field(default_factory=list)
+    #: The rows rendered so far (a prefix), grown by :meth:`_sections`.
+    _rendered: list[SectionRecord] = field(default_factory=list, repr=False, compare=False)
 
     def record_section(
         self,
         transaction_id: str,
         section: SectionKind,
         commit_time: float,
-        operations: tuple[Operation, ...] = (),
-    ) -> SectionRecord:
-        """Append a committed section to the history."""
-        self._sequence += 1
-        record = SectionRecord(
-            transaction_id=transaction_id,
-            section=section,
-            commit_time=commit_time,
-            sequence=self._sequence,
-            operations=operations,
-        )
-        self._records.append(record)
-        return record
+        operations: Sequence[Operation | tuple] = (),
+    ) -> None:
+        """Append a committed section to the history.
+
+        ``operations`` holds ``(kind, key, value)`` rows (what the
+        controllers pass) or already-rendered :class:`Operation` objects.
+        """
+        self._rows += (transaction_id, section, commit_time, operations)
+
+    def _sections(self) -> list[SectionRecord]:
+        """Every committed section, rendered; only new rows are built."""
+        rendered, rows = self._rendered, self._rows
+        for at in range(4 * len(rendered), len(rows), 4):
+            transaction_id, section, commit_time, operations = rows[at : at + 4]
+            operations = tuple(
+                op if isinstance(op, Operation) else Operation(*op) for op in operations
+            )
+            rendered.append(
+                SectionRecord(transaction_id, section, commit_time, at // 4 + 1, operations)
+            )
+        return rendered
 
     def __iter__(self) -> Iterator[SectionRecord]:
-        return iter(self._records)
+        return iter(self._sections())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows) // 4
 
     def clear(self) -> None:
-        """Drop all recorded sections and restart the sequence counter.
+        """Drop all recorded sections and restart the sequence.
 
         Controllers keep a reference to the history they were built with,
         so clearing in place (rather than swapping in a new object) starts
         a fresh history for every component at once.
         """
-        self._records.clear()
-        self._sequence = 0
+        self._rows.clear()
+        self._rendered.clear()
 
     def sections_of(self, transaction_id: str) -> list[SectionRecord]:
         """Committed sections of one transaction, in commit order."""
-        return [record for record in self._records if record.transaction_id == transaction_id]
+        return [record for record in self._sections() if record.transaction_id == transaction_id]
 
     def section(self, transaction_id: str, kind: SectionKind) -> SectionRecord | None:
         """A specific section of a transaction, or None if not committed."""
-        for record in self._records:
+        for record in self._sections():
             if record.transaction_id == transaction_id and record.section is kind:
                 return record
         return None
 
     def transaction_ids(self) -> list[str]:
         """Distinct transaction ids in first-commit order."""
-        seen: list[str] = []
-        for record in self._records:
-            if record.transaction_id not in seen:
-                seen.append(record.transaction_id)
-        return seen
+        return list(dict.fromkeys(self._rows[0::4]))
 
     def ordered_before(self, first: SectionRecord, second: SectionRecord) -> bool:
         """The ``<h`` relation: ``first`` committed before ``second``.

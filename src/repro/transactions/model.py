@@ -89,9 +89,9 @@ class SectionContext:
         self._store = store
         self._undo_log = undo_log
         self._handoff = dict(handoff or {})
-        #: Executed operations as (kind, key, value) rows; ``operations``
-        #: renders them on demand.
-        self._operations: list[tuple[OperationKind, str, Any]] = []
+        #: Executed operations as (kind, key, value) rows: what the
+        #: controllers hand to a :class:`History`; ``operations`` renders them.
+        self.operation_rows: list[tuple[OperationKind, str, Any]] = []
         self._apologies: list[str] = []
         self._retracted = False
 
@@ -99,7 +99,7 @@ class SectionContext:
     def read(self, key: str, default: Any = None) -> Any:
         """Read ``key`` from the store, recording the operation."""
         value = self._store.read(key, default=default)
-        self._operations.append((OperationKind.READ, key, value))
+        self.operation_rows.append((OperationKind.READ, key, value))
         return value
 
     def write(self, key: str, value: Any) -> None:
@@ -107,7 +107,7 @@ class SectionContext:
         if self._undo_log is not None:
             self._undo_log.log_write(self.transaction_id, key, value)
         self._store.write(key, value, writer=self.transaction_id)
-        self._operations.append((OperationKind.WRITE, key, value))
+        self.operation_rows.append((OperationKind.WRITE, key, value))
 
     def delete(self, key: str) -> None:
         """Delete ``key`` (tombstone write)."""
@@ -150,7 +150,7 @@ class SectionContext:
     @property
     def operations(self) -> tuple[Operation, ...]:
         """Operations executed so far in this section."""
-        return tuple(Operation(*row) for row in self._operations)
+        return tuple(Operation(*row) for row in self.operation_rows)
 
     @property
     def apologies(self) -> tuple[str, ...]:
@@ -162,7 +162,11 @@ class SectionContext:
 
     def executed_rwset(self) -> ReadWriteSet:
         """Read/write set actually touched by the section body."""
-        return ReadWriteSet.from_operations(self.operations)
+        rows = self.operation_rows
+        return ReadWriteSet(
+            reads=frozenset(key for kind, key, _ in rows if kind is OperationKind.READ),
+            writes=frozenset(key for kind, key, _ in rows if kind is OperationKind.WRITE),
+        )
 
 
 #: A section body takes the context and returns an application-level result.

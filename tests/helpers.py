@@ -64,3 +64,17 @@ def make_frame(frame_id: int = 0, *objects: SceneObject, query: str = "person") 
         objects=tuple(objects),
         query_class=query,
     )
+
+
+def count_constructions(monkeypatch, *classes) -> dict[str, int]:
+    """Count ``__init__`` calls per class name from now on (a live dict)."""
+    built = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        original = cls.__init__
+
+        def counting_init(self, *args, _original=original, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built

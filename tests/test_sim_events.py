@@ -6,7 +6,8 @@ from repro.sim.events import Event, EventLog
 class TestEventLog:
     def test_record_returns_event(self):
         log = EventLog()
-        event = log.record(1.0, "detected", frame_id=3)
+        assert log.record(1.0, "detected", frame_id=3) is None
+        (event,) = log  # the write keeps a row; reading it back renders the Event
         assert isinstance(event, Event)
         assert event.timestamp == 1.0
         assert event.kind == "detected"

@@ -30,8 +30,9 @@ class TestKeyValueStore:
         assert [v.writer for v in history] == ["t1", "t2"]
 
     def test_sequence_numbers_increase(self, store):
-        v1 = store.write("a", 1)
-        v2 = store.write("b", 2)
+        assert store.write("a", 1) is None
+        store.write("b", 2)
+        v1, v2 = store.read_version("a"), store.read_version("b")
         assert v2.sequence > v1.sequence
 
     def test_read_version_by_index(self, store):

@@ -8,13 +8,15 @@ class TestUndoLog:
     def test_log_write_captures_before_image(self, store):
         store.write("k", "before")
         log = UndoLog(store)
-        record = log.log_write("t1", "k", "after")
+        assert log.log_write("t1", "k", "after") is None
+        (record,) = log.records_for("t1")
         assert record.before == "before"
         assert record.after == "after"
 
     def test_before_image_of_new_key_is_none(self, store):
         log = UndoLog(store)
-        assert log.log_write("t1", "new", 1).before is None
+        log.log_write("t1", "new", 1)
+        assert log.records_for("t1")[0].before is None
 
     def test_undo_restores_values_in_reverse_order(self, store):
         log = UndoLog(store)

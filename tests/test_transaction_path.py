@@ -37,6 +37,8 @@ from repro.transactions.ms_ia import MSIAController
 from repro.transactions.ms_sr import TwoStage2PL
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 
+from helpers import count_constructions
+
 
 # -- state pins ---------------------------------------------------------------
 def _run_cluster(spec) -> ClusterSystem:
@@ -90,15 +92,7 @@ STATE_PINS = {
 @pytest.mark.parametrize("name", sorted(STATE_PINS))
 def test_wal_and_controller_state_is_pinned(name, monkeypatch):
     build_spec, expected_digest, expected_aborts = STATE_PINS[name]
-    rendered = {"LockHoldRecord": 0, "Operation": 0}
-    for cls in (LockHoldRecord, Operation):
-        original = cls.__init__
-
-        def counting_init(self, *args, _original=original, _name=cls.__name__, **kwargs):
-            rendered[_name] += 1
-            _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting_init)
+    rendered = count_constructions(monkeypatch, LockHoldRecord, Operation)
 
     system = _run_cluster(build_spec())
 

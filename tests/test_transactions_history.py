@@ -42,16 +42,20 @@ class TestHistory:
 
     def test_ordered_before_by_commit_time(self):
         history = History()
-        first = history.record_section("t1", SectionKind.INITIAL, 1.0)
-        second = history.record_section("t2", SectionKind.INITIAL, 5.0)
+        assert history.record_section("t1", SectionKind.INITIAL, 1.0) is None
+        history.record_section("t2", SectionKind.INITIAL, 5.0)
+        first, second = history
         assert history.ordered_before(first, second)
         assert not history.ordered_before(second, first)
 
     def test_ordered_before_ties_broken_by_sequence(self):
         history = History()
-        first = history.record_section("t1", SectionKind.INITIAL, 1.0)
-        second = history.record_section("t2", SectionKind.INITIAL, 1.0)
+        history.record_section("t1", SectionKind.INITIAL, 1.0)
+        history.record_section("t2", SectionKind.INITIAL, 1.0)
+        first, second = history
+        assert (first.sequence, second.sequence) == (1, 2)
         assert history.ordered_before(first, second)
+        assert not history.ordered_before(second, first)
 
     def test_conflicting_pairs_detects_rw_conflicts(self):
         history = History()
@@ -64,8 +68,8 @@ class TestHistory:
 
     def test_section_record_labels(self):
         history = History()
-        record = history.record_section("t9", SectionKind.FINAL, 1.0)
-        assert record.label == "s^f_t9"
+        history.record_section("t9", SectionKind.FINAL, 1.0)
+        assert history.section("t9", SectionKind.FINAL).label == "s^f_t9"
 
     def test_conflicts_across_sections(self):
         history = History()
