@@ -52,7 +52,7 @@ from repro.core.optimizer import (
 from repro.core.results import FrameTrace
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.matching import FrameOverlaps
-from repro.detection.metrics import AccuracyReport
+from repro.detection.metrics import f_score_of_counts
 
 
 class _FrameEntry:
@@ -216,12 +216,11 @@ class IncrementalThresholdScorer:
             else:
                 final_latencies.append(frame.unsent_latency)
 
-        accuracy = AccuracyReport(true_positives, false_positives, false_negatives)
         score = ThresholdScore(
             lower=lower,
             upper=upper,
             bandwidth_utilization=sent_count / len(self._frames),
-            f_score=accuracy.f_score,
+            f_score=f_score_of_counts(true_positives, false_positives, false_negatives),
             average_final_latency=sum(final_latencies) / len(final_latencies),
             average_initial_latency=sum(initial_latencies) / len(initial_latencies),
         )
@@ -266,7 +265,7 @@ class IncrementalThresholdScorer:
                 lower=values[low],
                 upper=values[up],
                 bandwidth_utilization=sent_count / count,
-                f_score=AccuracyReport(tp, fp, fn).f_score,
+                f_score=f_score_of_counts(tp, fp, fn),
                 average_final_latency=sum(latencies) / count,
                 average_initial_latency=average_initial,
             )

@@ -30,9 +30,10 @@ if TYPE_CHECKING:
     from repro.core.incremental import IncrementalThresholdScorer
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThresholdScore:
-    """Metrics of one threshold pair on a profiled video."""
+    """Metrics of one threshold pair on a profiled video (immutable by
+    convention, not frozen: a retune builds one per grid pair)."""
 
     lower: float
     upper: float

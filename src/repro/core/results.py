@@ -17,9 +17,12 @@ from repro.detection.labels import LabelSet
 from repro.detection.metrics import AccuracyReport, aggregate_reports
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LatencyBreakdown:
     """Latency components (seconds) of one frame, or their averages.
+
+    Immutable by convention and hashed by value (one is built per
+    recorded frame, and a frozen ``__init__`` costs ~3x).
 
     ``queue_delay`` is the time a frame waited in an edge node's input
     queue before the edge started processing it, and
@@ -135,9 +138,10 @@ class LatencyBreakdown:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FrameTrace:
-    """Everything recorded about one processed frame."""
+    """Everything recorded about one processed frame (immutable by
+    convention, like its :class:`LatencyBreakdown`)."""
 
     frame_id: int
     edge_labels: LabelSet

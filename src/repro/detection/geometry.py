@@ -11,12 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoundingBox:
     """An axis-aligned bounding box in pixel coordinates.
 
     Coordinates follow the usual image convention: ``(x_min, y_min)`` is
     the top-left corner and ``(x_max, y_max)`` the bottom-right corner.
+
+    Immutable by convention and hashed by value — not frozen, because a
+    frozen ``__init__`` pays one ``object.__setattr__`` per field (~3x) and
+    one box is built per detection and per scene step.  Never assign to a
+    field; build a new box.
     """
 
     x_min: float
@@ -25,7 +30,8 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self) -> None:
-        if self.x_max < self.x_min or self.y_max < self.y_min:
+        # Written so that a NaN coordinate (every comparison false) is refused.
+        if not (self.x_min <= self.x_max and self.y_min <= self.y_max):
             raise ValueError(f"degenerate bounding box: {self}")
 
     @property

@@ -14,9 +14,13 @@ from typing import Iterable, Iterator
 from repro.detection.geometry import BoundingBox
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Detection:
     """One detected object.
+
+    Immutable by convention and hashed by value, like
+    :class:`~repro.detection.geometry.BoundingBox`; use
+    :meth:`with_confidence` / :meth:`with_name` instead of assigning.
 
     Attributes
     ----------
@@ -51,9 +55,10 @@ class Detection:
         return replace(self, name=name)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LabelSet:
-    """The detections produced by one model for one frame."""
+    """The detections produced by one model for one frame (immutable by
+    convention, like :class:`Detection`; the filters return new sets)."""
 
     frame_id: int
     detections: tuple[Detection, ...] = field(default_factory=tuple)

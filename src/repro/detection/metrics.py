@@ -52,6 +52,11 @@ def f_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def f_score_of_counts(tp: int, fp: int, fn: int) -> float:
+    """``AccuracyReport(tp, fp, fn).f_score``, term for term, without the report."""
+    return f_score(tp / (tp + fp) if tp + fp else 0.0, tp / (tp + fn) if tp + fn else 0.0)
+
+
 #: Shared zero report for frames with no predictions and no truth labels.
 #: AccuracyReport is frozen, so one instance can serve every such frame.
 _EMPTY_REPORT = AccuracyReport(0, 0, 0)

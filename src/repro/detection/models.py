@@ -30,6 +30,7 @@ from repro.detection.geometry import BoundingBox
 from repro.detection.labels import Detection, LabelSet
 from repro.detection.profiles import ModelProfile
 from repro.video.frames import Frame
+from repro.video.scene import SceneObject
 
 
 class DetectionModel(Protocol):
@@ -84,23 +85,11 @@ class SimulatedDetector:
         Returns the produced label set and the simulated inference latency
         in seconds.
         """
-        detections: list[Detection] = []
         profile = self._profile
         rng = self._rng
-        recall = profile.recall
-        mislabel_rate = profile.mislabel_rate
-        for obj in frame.objects:
-            if rng.random() > recall * obj.visibility:
-                continue
-            difficulty = obj.difficulty
-            mislabel_prob = min(1.0, mislabel_rate * difficulty)
-            mislabelled = rng.random() < mislabel_prob
-            name = obj.confusable_name if mislabelled else obj.name
-            box = self._jitter_box(obj.box)
-            confidence = self._draw_confidence(correct=not mislabelled, difficulty=difficulty)
-            detections.append(
-                Detection(name=name, confidence=confidence, box=box, object_id=obj.object_id)
-            )
+        # An empty frame (every frame of the content-free stress workloads,
+        # twice) pays for none of the object loop's set-up.
+        detections = self._detect_objects(frame.objects) if frame.objects else []
 
         # The Poisson draw must happen whenever hallucination is possible,
         # even when it yields zero — it advances the RNG stream that
@@ -122,31 +111,63 @@ class SimulatedDetector:
         )
         return labels, latency
 
-    def _jitter_box(self, box: BoundingBox) -> BoundingBox:
-        noise = self._profile.box_noise
-        if noise <= 0:
-            return box
-        rng = self._rng
-        x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
-        dx = rng.normal(0.0, noise * (x_max - x_min))
-        dy = rng.normal(0.0, noise * (y_max - y_min))
-        # Plain float clamp: np.clip on a scalar pays ufunc dispatch on a
-        # per-detection path, for the identical IEEE result.
-        scale = float(rng.normal(1.0, noise))
-        scale = 0.5 if scale < 0.5 else (1.5 if scale > 1.5 else scale)
-        # box.translated(dx, dy).scaled(scale), term for term, as one box.
-        x_min, y_min, x_max, y_max = x_min + dx, y_min + dy, x_max + dx, y_max + dy
-        center_x = (x_min + x_max) / 2.0
-        center_y = (y_min + y_max) / 2.0
-        half_w = (x_max - x_min) * scale / 2.0
-        half_h = (y_max - y_min) * scale / 2.0
-        return BoundingBox(center_x - half_w, center_y - half_h, center_x + half_w, center_y + half_h)
+    def _detect_objects(self, objects: tuple[SceneObject, ...]) -> list[Detection]:
+        """Detections of the ground-truth objects the model finds."""
+        detections: list[Detection] = []
+        profile, rng = self._profile, self._rng
+        random, standard_normal = rng.random, rng.standard_normal
+        recall, mislabel_rate, noise = profile.recall, profile.mislabel_rate, profile.box_noise
+        correct_mean, error_mean = profile.confidence_correct, profile.confidence_error
+        spread = profile.confidence_spread
+        for obj in objects:
+            if random() > recall * obj.visibility:
+                continue
+            difficulty = obj.difficulty
+            # random() < 1, so a probability above 1 needs no clamp.
+            mislabelled = random() < mislabel_rate * difficulty
+            box = obj.box
+            # An object's normals are consecutive in the bit stream, so one
+            # standard_normal(4) draws them: rng.normal(loc, scale) is
+            # loc + scale * z, applied here term for term (a zero loc adds
+            # nothing), and the generator ends where four calls leave it.
+            if noise > 0:
+                jitter_x, jitter_y, jitter_scale, jitter = standard_normal(4).tolist()
+                x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
+                dx = (noise * (x_max - x_min)) * jitter_x
+                dy = (noise * (y_max - y_min)) * jitter_y
+                # Plain float clamp: np.clip on a scalar pays ufunc dispatch
+                # on a per-detection path, for the identical IEEE result.
+                scale = 1.0 + noise * jitter_scale
+                scale = 0.5 if scale < 0.5 else (1.5 if scale > 1.5 else scale)
+                # box.translated(dx, dy).scaled(scale), term for term, as one box.
+                x_min, y_min, x_max, y_max = x_min + dx, y_min + dy, x_max + dx, y_max + dy
+                center_x = (x_min + x_max) / 2.0
+                center_y = (y_min + y_max) / 2.0
+                half_w = (x_max - x_min) * scale / 2.0
+                half_h = (y_max - y_min) * scale / 2.0
+                box = BoundingBox(
+                    center_x - half_w, center_y - half_h, center_x + half_w, center_y + half_h
+                )
+            else:
+                jitter = standard_normal()
+            mean = error_mean if mislabelled else correct_mean
+            # Harder objects yield lower confidence even when correctly labelled.
+            if difficulty > 1.0:
+                mean = mean / difficulty
+            confidence = mean + spread * jitter
+            confidence = 0.01 if confidence < 0.01 else (0.999 if confidence > 0.999 else confidence)
+            detections.append(
+                Detection(
+                    obj.confusable_name if mislabelled else obj.name, confidence, box, obj.object_id
+                )
+            )
+        return detections
 
     def _draw_confidence(self, correct: bool, difficulty: float) -> float:
         profile = self._profile
         mean = profile.confidence_correct if correct else profile.confidence_error
         # Harder objects yield lower confidence even when correctly labelled.
-        mean = mean / max(difficulty, 1.0) if difficulty > 1.0 else mean
+        mean = mean / difficulty if difficulty > 1.0 else mean
         value = float(self._rng.normal(mean, profile.confidence_spread))
         return 0.01 if value < 0.01 else (0.999 if value > 0.999 else value)
 

@@ -137,6 +137,10 @@ class PartitionedStore:
     re-sharding the mapping is the identity — routing is bit-for-bit the
     original direct hash — while ``split``/``merge``/``transfer`` only
     touch the indirection, so elasticity never reshuffles unrelated keys.
+
+    A key's slot is hashed once per store and kept (``_key_slot``): the
+    slot space is fixed at construction and re-sharding only rewrites
+    ``_slot_owner``, so the memo is never invalidated.
     """
 
     def __init__(self, num_partitions: int = 1) -> None:
@@ -147,6 +151,7 @@ class PartitionedStore:
             i: Partition(partition_id=i) for i in range(num_partitions)
         }
         self._slot_owner: list[int] = list(range(num_partitions))
+        self._key_slot: dict[str, int] = {}
         self._next_partition_id = num_partitions
         #: Transactions aborted because they touched an unavailable
         #: (crashed) partition; the cluster reports the per-run delta as
@@ -163,8 +168,13 @@ class PartitionedStore:
 
     def partition_for(self, key: str) -> Partition:
         """Partition that owns ``key`` (stable hash-slot routing)."""
-        slot = _stable_bucket(key, self._slot_count)
-        return self._partitions[self._slot_owner[slot]]
+        return self._partitions[self._slot_owner[self._slot_of(key)]]
+
+    def _slot_of(self, key: str) -> int:
+        slot = self._key_slot.get(key)
+        if slot is None:
+            slot = self._key_slot[key] = _stable_bucket(key, self._slot_count)
+        return slot
 
     def partition(self, partition_id: int) -> Partition:
         """Partition by id."""
@@ -251,7 +261,7 @@ class PartitionedStore:
         moved_keys = sorted(
             key
             for key in checkpoint.state
-            if _stable_bucket(key, self._slot_count) in moved
+            if self._slot_of(key) in moved
         )
         for key in moved_keys:
             target.commit_write(key, checkpoint.state[key], writer=f"split:{partition_id}")
@@ -260,7 +270,7 @@ class PartitionedStore:
         # grants on keys with no committed write yet (MS-SR buffers
         # writes while holding the locks), which the snapshot cannot see.
         for key in sorted(source.locks.locked_keys()):
-            if _stable_bucket(key, self._slot_count) in moved:
+            if self._slot_of(key) in moved:
                 source.locks.transfer_key(key, target.locks)
         target.take_checkpoint()
 

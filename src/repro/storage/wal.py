@@ -103,9 +103,10 @@ class UndoLog:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LogRecord:
-    """One committed write in the redo log."""
+    """One committed write in the redo log (immutable by convention, not
+    frozen: one is built per committed write)."""
 
     lsn: int
     transaction_id: str

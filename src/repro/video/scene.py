@@ -13,9 +13,13 @@ from dataclasses import dataclass
 from repro.detection.geometry import BoundingBox
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SceneObject:
     """One real object present in a frame.
+
+    Immutable by convention and hashed by value, like its box (frozen
+    would cost ~3x on ``__init__``, once per object per frame);
+    :meth:`advanced` returns the next frame's object.
 
     Attributes
     ----------
@@ -81,4 +85,5 @@ class SceneObject:
     @property
     def is_visible_in_frame(self) -> bool:
         """Whether the object still occupies a meaningful area."""
-        return self.box.area > 4.0
+        box = self.box
+        return (box.x_max - box.x_min) * (box.y_max - box.y_min) > 4.0

@@ -8,8 +8,9 @@ the controllers' commit/abort counters for three seeded cluster runs
 through interleaved, contended sections and checks what the path must
 keep true — valid histories, dense recoverable logs, quiescent lock
 tables, audit records that render to exactly what was executed — and the
-counting rule the routing plan exists for: a section hashes each key it
-locks at most once.
+counting rule the routing plan and the store's key -> slot memo exist for:
+a section hashes each key it locks at most once, and a store hashes each
+distinct key once, whatever is split, merged or transferred meanwhile.
 """
 
 from __future__ import annotations
@@ -186,6 +187,19 @@ def _hot_transaction(txn_id, rng, executed):
     )
 
 
+def _record_fnv_evaluations(monkeypatch) -> list[str]:
+    """The keys ``_stable_bucket`` is evaluated on from here on, in order."""
+    fnv = partition_module._stable_bucket
+    hashed: list[str] = []
+
+    def recording_fnv(key, buckets):
+        hashed.append(key)
+        return fnv(key, buckets)
+
+    monkeypatch.setattr(partition_module, "_stable_bucket", recording_fnv)
+    return hashed
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", sorted(CONTROLLERS))
 def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
@@ -193,25 +207,18 @@ def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
     history = History()
     controller, store, managers = build(history)
 
-    hashes = [0]
-    fnv = partition_module._stable_bucket
-
-    def counting_fnv(key, buckets):
-        hashes[0] += 1
-        return fnv(key, buckets)
-
-    monkeypatch.setattr(partition_module, "_stable_bucket", counting_fnv)
+    hashed = _record_fnv_evaluations(monkeypatch)
 
     def run_section(process, transaction, locked: ReadWriteSet, now):
         """One section; it may hash each key of the rwset it locks at most once."""
-        before = hashes[0]
+        before = len(hashed)
         try:
             process(transaction, now=now)
             return True
         except TransactionAborted:
             return False
         finally:
-            assert hashes[0] - before <= len(locked.keys)
+            assert len(hashed) - before <= len(locked.keys)
 
     rng = random.Random(seed)
     executed: dict[tuple[str, SectionKind], list[Operation]] = {}
@@ -263,9 +270,12 @@ def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
         assert all(isinstance(row, LockHoldRecord) for row in manager.hold_records)
 
     if store is None:
-        assert hashes[0] == 0
+        assert not hashed
         snapshots = [controller.store.snapshot()]
     else:
+        # One FNV evaluation per distinct key per store, not per section.
+        touched = {operation.key for operations in executed.values() for operation in operations}
+        assert touched <= set(hashed) and len(hashed) == len(set(hashed)) <= 8
         partitions = [store.partition(pid) for pid in store.partition_ids()]
         snapshots = [partition.store.snapshot() for partition in partitions]
         for partition, snapshot in zip(partitions, snapshots):
@@ -276,3 +286,33 @@ def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
             assert replayed.snapshot() == snapshot
     # Every committed increment is in the store exactly once, no aborted one is.
     assert sum(sum(snapshot.values()) for snapshot in snapshots) == 4 * len(committed)
+
+
+def test_a_store_hashes_each_key_once_across_split_merge_and_transfer(monkeypatch):
+    """The slot space is fixed at construction and re-sharding only rewrites
+    the slot -> partition table, so the key -> slot memo is never stale:
+    after a split, a merge and a transfer every key still routes where a
+    fresh hash sends it, and none was hashed twice."""
+    fnv = partition_module._stable_bucket
+    hashed = _record_fnv_evaluations(monkeypatch)
+    store = PartitionedStore(num_partitions=4)
+    keys = [f"key-{index}" for index in range(64)]
+
+    def routes_match_a_fresh_hash():
+        for key in keys:
+            owner = store.partition_for(key)
+            assert fnv(key, 4) in store.slots_of(owner.partition_id)
+            assert store.read(key, default=None) == (key.upper() if key in written else None)
+
+    written = set(keys[::2])
+    for key in sorted(written):
+        store.write(key, key.upper())
+    assert sorted(hashed) == sorted(written)  # half the keys routed so far, once each
+    store.merge(1, 0)  # partition 0 now owns two slots ...
+    routes_match_a_fresh_hash()
+    target = store.split(0)  # ... and gives one away: split() scans through the memo
+    assert target.store.snapshot() and store.partition(0).store.snapshot()
+    routes_match_a_fresh_hash()
+    store.transfer_partition(target.partition_id)
+    routes_match_a_fresh_hash()
+    assert sorted(hashed) == sorted(keys)

@@ -235,6 +235,28 @@ def test_numpy_per_element_bounds_are_the_scalar_draws(seed, key_space):
     assert _same_state(batched, scalar)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("loc", [0.0, 1.0, 0.62])
+def test_numpy_four_standard_normals_are_the_scalar_normal_draws(seed, loc):
+    """``standard_normal(4)`` followed by ``loc + scale * z`` is four
+    ``normal(loc, scale)`` calls, bit for bit, and leaves the generator
+    where they leave it.  ``SimulatedDetector`` draws a detection's box
+    jitter and confidence in one call on the strength of this."""
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert isinstance(batched.bit_generator, np.random.PCG64)
+    for round_ in range(50):
+        # The detector's two uniform gates sit between one object's normals and the next's.
+        assert batched.random() == scalar.random()
+        scales = [0.03 * (round_ + 1), 7.5, 0.05, 0.12]
+        drawn = [loc + scale * z for scale, z in zip(scales, batched.standard_normal(4).tolist())]
+        assert drawn == [scalar.normal(loc, scale) for scale in scales]
+        assert all(type(value) is float for value in drawn)
+        assert _same_state(batched, scalar)
+    # One scalar standard_normal() (the box_noise = 0 profiles) is one normal() too.
+    assert 0.62 + 0.12 * batched.standard_normal() == scalar.normal(0.62, 0.12)
+    assert _same_state(batched, scalar)
+
+
 # -- the allocation budget ------------------------------------------------------------
 def _containers_per_transaction(build) -> tuple[float, float]:
     """GC-tracked containers one transaction keeps alive once built, and
