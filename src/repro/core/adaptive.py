@@ -25,13 +25,19 @@ Two controller modes (:data:`ADAPTATION_MODES`):
     The full offline optimiser, made cheap enough to run in the loop by
     the incremental scorer: every validated frame (the only frames
     whose cloud labels the edge actually observes) is appended to a
-    per-stream :class:`~repro.core.incremental.IncrementalThresholdScorer`,
-    and each adaptation tick calls
-    :func:`~repro.core.incremental.coordinate_descent_search` — the
-    exact grid optimum read off the scorer's running per-pair table,
-    which folds in only the frames validated since the previous tick
-    (so a tick costs O(new frames), not O(history)).  The tuner work is
-    metered: ``tuner_evaluations`` counts scored grid pairs,
+    per-stream :class:`~repro.core.incremental.IncrementalThresholdScorer`
+    — with the overlap table its final stage already built — and each
+    adaptation tick calls
+    :meth:`~repro.core.incremental.IncrementalThresholdScorer.best_of_grid`:
+    the exact grid optimum (``brute_force_search``'s, tie-breaks
+    included) read off the scorer's running per-pair table.  A tick
+    folds in the frames validated since the previous tick, O(those
+    frames), and picks the winner from the table's integer totals in
+    one vectorised pass over the grid pairs; what remains O(history) is
+    a latency average — one ``sum()`` over the stream's validated
+    frames — for each feasible pair tied on the least bandwidth, and
+    the winner's initial-latency average.  The tuner work is metered:
+    ``tuner_evaluations`` counts grid pairs searched,
     ``tuner_frame_rescores`` counts full-frame label matches actually
     performed (charged at the tick that folds a frame, never at
     ``observe``), and ``tuner_grid_rescores`` is ``evaluations ×
@@ -50,6 +56,7 @@ from dataclasses import dataclass
 
 from repro.core.results import FrameTrace
 from repro.core.thresholds import ThresholdPolicy
+from repro.detection.matching import FrameOverlaps
 
 #: Supported values of the ``threshold_adaptation`` axis.
 ADAPTATION_MODES = ("feedback", "retune")
@@ -133,7 +140,13 @@ class _WindowedController:
         self._window_sent = 0
         self._window_corrected = 0
 
-    def observe(self, sent: bool, corrections: int, trace: FrameTrace | None = None) -> None:
+    def observe(
+        self,
+        sent: bool,
+        corrections: int,
+        trace: FrameTrace | None = None,
+        overlaps: FrameOverlaps | None = None,
+    ) -> None:
         """Fold one served frame's outcome into the current window."""
         self._window_frames += 1
         if sent:
@@ -214,30 +227,35 @@ class _RetuneController(_WindowedController):
         self._scorer = IncrementalThresholdScorer(match_overlap=match_overlap)
         self._tuned_at_frames = 0
 
-    def observe(self, sent: bool, corrections: int, trace: FrameTrace | None = None) -> None:
-        super().observe(sent, corrections, trace)
+    def observe(
+        self,
+        sent: bool,
+        corrections: int,
+        trace: FrameTrace | None = None,
+        overlaps: FrameOverlaps | None = None,
+    ) -> None:
+        super().observe(sent, corrections)
         if sent and trace is not None:
-            self._scorer.add_frame(trace)
+            self._scorer.add_frame(trace, overlaps)
 
     def adapt(self, now: float) -> ThresholdUpdate | None:
-        from repro.core.incremental import coordinate_descent_search
-
         self._drain_window()
-        num_frames = self._scorer.num_frames
+        scorer = self._scorer
+        num_frames = scorer.num_frames
         if num_frames < self.config.min_samples or num_frames == self._tuned_at_frames:
             # Too little evidence, or nothing new since the last tune —
             # re-running the search would return the same optimum.
             return None
         self._tuned_at_frames = num_frames
-        result = coordinate_descent_search(
-            self._scorer, self.config.target_f, step=self.config.step
-        )
-        self.tuner_evaluations += result.evaluations
-        self.tuner_frame_rescores += result.frame_rescores
+        evaluated, rescored = scorer.evaluations, scorer.frame_rescores
+        best = scorer.best_of_grid(self.config.step, self.config.target_f)
+        evaluations = scorer.evaluations - evaluated
+        self.tuner_evaluations += evaluations
+        self.tuner_frame_rescores += scorer.frame_rescores - rescored
         # What ThresholdEvaluator.evaluate() would have cost for the same
         # pairs: one full label-match pass over every frame per pair.
-        self.tuner_grid_rescores += result.evaluations * num_frames
-        return self._move_to(now, *result.thresholds)
+        self.tuner_grid_rescores += evaluations * num_frames
+        return self._move_to(now, best.lower, best.upper)
 
 
 class AdaptationManager:
@@ -288,14 +306,18 @@ class AdaptationManager:
         sent: bool,
         corrections: int,
         trace: FrameTrace | None = None,
+        overlaps: FrameOverlaps | None = None,
     ) -> None:
         """Record one served frame's feedback for its stream's controller.
 
         ``trace`` carries the validated frame's labels for the retune
         mode; callers may skip building it when :attr:`wants_traces` is
-        False or the frame was not validated.
+        False or the frame was not validated.  ``overlaps`` is the
+        overlap table of the trace's ``(edge, cloud)`` labels when the
+        frame's final stage built one, so the tuner does not build it
+        again.
         """
-        self.controller(stream).observe(sent, corrections, trace)
+        self.controller(stream).observe(sent, corrections, trace, overlaps)
 
     def adapt_all(self, now: float) -> list[ThresholdUpdate]:
         """Run one adaptation tick over every stream; return the moves."""

@@ -19,21 +19,30 @@ which the frame's VALIDATE/KEEP/DISCARD partition changes.
   (``frame_rescores``) instead of ``O(frames · grid²)``;
 * for a fixed grid it keeps a running table of integer
   ``(tp, fp, fn, sent)`` totals per grid pair, and a search folds in
-  only the frames added since the previous search — so re-searching a
-  growing history (the runtime retune loop) costs O(new frames), not
-  O(history), per tick.
+  only the frames added since the previous search — a frame is folded by
+  *runs* (along a ``θL`` row its pairs split at one bisect into an
+  unsent run and a sent run), not pair by pair.  Re-searching a growing
+  history (the runtime retune loop,
+  :meth:`IncrementalThresholdScorer.best_of_grid`) then reads the winner
+  off the totals: the fold costs O(new frames), the selection one
+  vectorised pass over the grid pairs, and the only O(history) work left
+  per tick is one latency ``sum()`` for each feasible pair tied on the
+  least bandwidth plus the winner's initial-latency average.
 
-:func:`coordinate_descent_search` is the search on top: it reads every
-grid pair's score off the table and picks the winner over all of them
-in ``(θL, θU)`` grid order — :func:`~repro.core.optimizer.brute_force_search`
-over the table, hence its exact optimum at the same step, tie-breaks
-included.
+:func:`coordinate_descent_search` is the offline search on top: it reads
+every grid pair's score off the table (each with its own O(history)
+latency sum) and picks the winner over all of them in ``(θL, θU)`` grid
+order — :func:`~repro.core.optimizer.brute_force_search` over the
+table, hence its exact optimum at the same step, tie-breaks included.
 
 Scores are **bit-identical** to ``ThresholdEvaluator.evaluate()``:
-confusion counts are integers (order-free), and latency averages are
-re-summed in trace order from per-frame sent bits with the builtin
-``sum``, reproducing the evaluator's float accumulation exactly (a
-running float total would not: ``sum`` is compensated from Python 3.12).
+confusion counts are integers (order-free), the table's F-scores are
+the scalar formula's operations on int64 arrays
+(:func:`~repro.detection.metrics.f_scores_of_counts`), and latency
+averages are re-summed in trace order from per-frame sent bits with the
+builtin ``sum``, reproducing the evaluator's float accumulation exactly
+(a running float total would not: ``sum`` is compensated from Python
+3.12).
 """
 
 from __future__ import annotations
@@ -48,11 +57,12 @@ from repro.core.optimizer import (
     ThresholdScore,
     _grid,
     brute_force_search,
+    select_pair,
 )
 from repro.core.results import FrameTrace
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.matching import FrameOverlaps
-from repro.detection.metrics import f_score_of_counts
+from repro.detection.metrics import f_score_of_counts, f_scores_of_counts
 
 
 class _FrameEntry:
@@ -61,7 +71,8 @@ class _FrameEntry:
     ``confidences`` holds the frame's edge-label confidences sorted
     ascending — the breakpoints of its decision function — and
     ``row_confidences`` the same values in label order.  ``overlaps`` is
-    the frame's box geometry, built once and shared by every state;
+    the frame's box geometry — the table the frame's final stage built,
+    when the caller has it, else one built here — shared by every state;
     ``stats`` memoises the frame's ``(tp, fp, fn)`` contribution per
     distinct ``(discard_count, sent)`` state.
     """
@@ -76,7 +87,9 @@ class _FrameEntry:
         "stats",
     )
 
-    def __init__(self, trace: FrameTrace, match_overlap: float) -> None:
+    def __init__(
+        self, trace: FrameTrace, match_overlap: float, overlaps: FrameOverlaps | None = None
+    ) -> None:
         detections = trace.edge_labels.detections
         self.row_confidences = [detection.confidence for detection in detections]
         self.confidences = tuple(sorted(self.row_confidences))
@@ -84,37 +97,120 @@ class _FrameEntry:
         self.initial_latency = latency.initial_latency
         self.sent_latency = latency.final_latency
         self.unsent_latency = latency.initial_latency + latency.final_txn
-        self.overlaps = FrameOverlaps(detections, trace.cloud_labels.detections, match_overlap)
+        if overlaps is None:
+            overlaps = FrameOverlaps(detections, trace.cloud_labels.detections, match_overlap)
+        self.overlaps = overlaps
         self.stats: dict[tuple[int, bool], tuple[int, int, int]] = {}
+
+
+#: What an empty run of pairs adds to the totals.
+_EMPTY_RUN = (0, 0, 0)
 
 
 class _GridTable:
     """Running score totals of one scorer over one threshold grid.
 
-    ``pairs`` lists the grid's ``(θL index, θU index)`` pairs in
-    ``(θL, θU)`` order — the order ``brute_force_search`` scores them
-    in, so ties break identically.  ``totals[p]`` is pair ``p``'s
-    integer ``[tp, fp, fn, sent]`` over the first ``len(discarded)``
-    frames of the scorer; ``discarded[f]`` / ``below_upper[f]`` keep
-    frame ``f``'s bisect position per grid value, from which a search
-    rebuilds the per-pair sent bits for the latency averages.
+    Pairs are the grid's ``(θL index, θU index)`` upper triangle in
+    row-major order (``lower_index`` / ``upper_index``) — the order
+    ``brute_force_search`` scores them in, so ties break identically.
+    ``totals[low, up]`` is a pair's integer ``[tp, fp, fn, sent]`` over
+    the ``frames`` frames folded so far (the lower triangle stays zero).
+    Per folded frame the table also keeps one column: the frame's bisect
+    position per grid value (:attr:`discarded`, :attr:`below_upper`) and
+    its three latencies, from which one pair's sent bits — and so its
+    latency average — are rebuilt on demand.
     """
 
-    __slots__ = ("step", "values", "pairs", "lower_index", "upper_index",
-                 "totals", "discarded", "below_upper")
+    __slots__ = ("step", "values", "lower_index", "upper_index", "totals", "frames",
+                 "_upper_indices", "_in_grid", "_columns")
 
     def __init__(self, step: float) -> None:
         self.step = step
         self.values = _grid(step)
-        # Row-major upper triangle: low <= up, sorted by (low, up).
-        self.lower_index, self.upper_index = np.triu_indices(len(self.values))
-        self.pairs = list(zip(self.lower_index.tolist(), self.upper_index.tolist()))
-        for low, up in self.pairs:
-            # Validate bounds exactly like the evaluator does per pair.
-            ThresholdPolicy(self.values[low], self.values[up])
-        self.totals = [[0, 0, 0, 0] for _ in self.pairs]
-        self.discarded: list[list[int]] = []
-        self.below_upper: list[list[int]] = []
+        size = len(self.values)
+        self.lower_index, self.upper_index = np.triu_indices(size)
+        self.totals = np.zeros((size, size, 4), dtype=np.int64)
+        self._upper_indices = np.arange(size)
+        # 1 on the pairs of the grid (θL <= θU), 0 below the diagonal.
+        self._in_grid = np.triu(np.ones((size, size), dtype=np.int64))[..., None]
+        self.frames = 0
+        # One column per folded frame: ``size`` discarded counts, ``size``
+        # below-upper counts (small integers, exact as floats), then the
+        # initial / sent / unsent latency.  Capacity doubles when full.
+        self._columns = np.empty((2 * size + 3, 64))
+
+    @property
+    def discarded(self) -> np.ndarray:
+        """Per grid value (row) and frame (column): confidences below it."""
+        return self._columns[: len(self.values), : self.frames]
+
+    @property
+    def below_upper(self) -> np.ndarray:
+        """Per grid value (row) and frame (column): confidences at or below it."""
+        size = len(self.values)
+        return self._columns[size : 2 * size, : self.frames]
+
+    def fold(self, frame: _FrameEntry, frame_stats) -> None:
+        """Add one frame's contribution to every grid pair's totals.
+
+        ``below_upper`` never decreases along a ``θL`` row, so one bisect
+        splits the row's pairs into an unsent run and a sent run, each in
+        a single decision state.  ``frame_stats(frame, discarded, sent)``
+        is asked only for the runs that are not empty — the states a pair
+        of the grid really lands the frame in — and the rows' runs are
+        added to the totals in one array operation.
+        """
+        confidences = frame.confidences
+        discarded = [bisect_left(confidences, value) for value in self.values]
+        below_upper = [bisect_right(confidences, value) for value in self.values]
+        size = len(discarded)
+        cuts, unsent_stats, sent_stats = [], [], []
+        for low, count in enumerate(discarded):
+            cut = bisect_right(below_upper, count, low)  # first θU that sends the frame
+            cuts.append(cut)
+            unsent_stats.append(frame_stats(frame, count, False) if cut > low else _EMPTY_RUN)
+            sent_stats.append(frame_stats(frame, count, True) if cut < size else _EMPTY_RUN)
+        sends = self._upper_indices >= np.array(cuts)[:, None]
+        self.totals[..., :3] += self._in_grid * np.where(
+            sends[..., None], np.array(sent_stats)[:, None], np.array(unsent_stats)[:, None]
+        )
+        self.totals[..., 3] += sends
+
+        if self.frames == self._columns.shape[1]:
+            self._columns = np.concatenate([self._columns, np.empty_like(self._columns)], axis=1)
+        self._columns[:, self.frames] = (
+            *discarded, *below_upper,
+            frame.initial_latency, frame.sent_latency, frame.unsent_latency,
+        )
+        self.frames += 1
+
+    def f_scores_and_sent(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair's F-score and sent count, in grid order."""
+        tp, fp, fn, sent = self.totals[self.lower_index, self.upper_index].T
+        return f_scores_of_counts(tp, fp, fn), sent
+
+    def average_initial_latency(self) -> float:
+        return sum(self._columns[-3, : self.frames].tolist()) / self.frames
+
+    def average_final_latency(self, pair: int) -> float:
+        """One pair's latency average: ``sum()`` of its trace-ordered list,
+        like the evaluator's — O(frames), so asked for as few pairs as the
+        caller can do with."""
+        sent = self.below_upper[self.upper_index[pair]] > self.discarded[self.lower_index[pair]]
+        _, sent_latency, unsent_latency = self._columns[-3:, : self.frames]
+        return sum(np.where(sent, sent_latency, unsent_latency).tolist()) / self.frames
+
+    def score(
+        self, pair: int, f_score: float, sent: int, final_latency: float, initial_latency: float
+    ) -> ThresholdScore:
+        return ThresholdScore(
+            lower=self.values[self.lower_index[pair]],
+            upper=self.values[self.upper_index[pair]],
+            bandwidth_utilization=sent / self.frames,
+            f_score=f_score,
+            average_final_latency=final_latency,
+            average_initial_latency=initial_latency,
+        )
 
 
 class IncrementalThresholdScorer:
@@ -125,8 +221,9 @@ class IncrementalThresholdScorer:
     :class:`ThresholdScore` equal field-for-field (bit-for-bit floats)
     to the evaluator's — it just avoids re-matching labels for frames
     whose send/keep/discard decision it has already seen.
-    :meth:`evaluate_grid` returns the same scores for a whole grid from a
-    running table that only ever visits a frame once.
+    :meth:`evaluate_grid` returns the same scores for a whole grid, and
+    :meth:`best_of_grid` the search's winner among them, from a running
+    table that only ever visits a frame once.
 
     The scorer may start empty and grow via :meth:`add_frame`, which is
     how the runtime adapter feeds it freshly validated frames.
@@ -168,21 +265,24 @@ class IncrementalThresholdScorer:
         """
         return self._frame_rescores
 
-    def add_frame(self, trace: FrameTrace) -> None:
+    def add_frame(self, trace: FrameTrace, overlaps: FrameOverlaps | None = None) -> None:
         """Append one profiled frame and invalidate cached pair scores.
 
-        Per-frame decision states already computed for *other* frames
-        stay cached, and the grid table is untouched: only the frame's
-        box geometry is built here; its decision states are scored (and
-        metered as ``frame_rescores``) when the next :meth:`evaluate_grid`
-        folds it in.
+        ``overlaps`` is the frame's ``(edge, cloud)`` overlap table at
+        this scorer's ``match_overlap`` when the caller already holds it
+        (the live pipeline's final stage builds exactly that); without
+        it the table is built here.  Per-frame decision states already
+        computed for *other* frames stay cached, and the grid table is
+        untouched: the frame's decision states are scored (and metered
+        as ``frame_rescores``) when the next grid search folds it in.
         """
-        self._frames.append(_FrameEntry(trace, self._match_overlap))
+        self._frames.append(_FrameEntry(trace, self._match_overlap, overlaps))
         self._cache.clear()
 
     def evaluate(self, lower: float, upper: float) -> ThresholdScore:
-        """Score one ``(θL, θU)`` pair, bit-identical to the evaluator."""
-        key = (round(lower, 6), round(upper, 6))
+        """Score one ``(θL, θU)`` pair (rounded to 6 places like the
+        evaluator's), bit-identical to the evaluator."""
+        lower, upper = key = (round(lower, 6), round(upper, 6))
         if key in self._cache:
             return self._cache[key]
 
@@ -231,10 +331,46 @@ class IncrementalThresholdScorer:
         """Score every pair of the ``step`` grid, in ``(θL, θU)`` order.
 
         Equal, score for score, to ``[evaluate(l, u) for each pair]`` —
-        but only the frames added since the previous call are visited:
-        each is bisected once per grid value and added to the running
-        per-pair totals.  The table is kept for one grid; asking for
-        another ``step`` rebuilds it from the (memoised) frame states.
+        but the confusion counts come off the running table, which visits
+        only the frames added since the previous grid search.  Every
+        pair's latency average is still one O(frames) sum: this is the
+        offline callers' entry; a loop that only needs the winner calls
+        :meth:`best_of_grid`.
+        """
+        table = self._folded_table(step)
+        f_scores, sent = table.f_scores_and_sent()
+        initial_latency = table.average_initial_latency()
+        return [
+            table.score(pair, f_score, sent_count, table.average_final_latency(pair),
+                        initial_latency)
+            for pair, (f_score, sent_count) in enumerate(zip(f_scores.tolist(), sent.tolist()))
+        ]
+
+    def best_of_grid(self, step: float, target_f_score: float) -> ThresholdScore:
+        """The pair :func:`~repro.core.optimizer.brute_force_search` picks
+        on the ``step`` grid, without scoring the others.
+
+        ``_select_best(evaluate_grid(step), target_f_score)``, exactly —
+        the same rule (:func:`~repro.core.optimizer.select_pair`) read
+        off the table's integer totals: F-scores for all pairs in one
+        vectorised pass, then a latency average (O(frames) each) only for
+        the feasible pairs tied on the fewest sent frames.  Counts
+        ``len(grid pairs)`` evaluations like the full grid does.
+        """
+        table = self._folded_table(step)
+        f_scores, sent = table.f_scores_and_sent()
+        best = select_pair(f_scores, sent, table.average_final_latency, target_f_score)
+        return table.score(
+            best, f_scores[best].item(), sent[best].item(),
+            table.average_final_latency(best), table.average_initial_latency(),
+        )
+
+    # -- internal -----------------------------------------------------------
+    def _folded_table(self, step: float) -> _GridTable:
+        """The ``step`` grid's table with every frame folded in.
+
+        The table is kept for one grid; asking for another ``step``
+        rebuilds it from the (memoised) frame states.
         """
         table = self._table
         if table is None or table.step != step:
@@ -242,53 +378,10 @@ class IncrementalThresholdScorer:
         frames = self._frames
         if not frames:
             raise ValueError("cannot evaluate thresholds without any frame traces")
-        for frame in frames[len(table.discarded):]:
-            self._fold(table, frame)
-        self._evaluations += len(table.pairs)
-
-        # Latency averages must be sum() of a trace-ordered list, like the
-        # evaluator's; one (frames x pairs) select builds all the lists.
-        sent = (
-            np.array(table.below_upper)[:, table.upper_index]
-            > np.array(table.discarded)[:, table.lower_index]
-        )
-        final_latencies = np.where(
-            sent,
-            np.array([frame.sent_latency for frame in frames])[:, None],
-            np.array([frame.unsent_latency for frame in frames])[:, None],
-        ).T.tolist()
-        count = len(frames)
-        average_initial = sum([frame.initial_latency for frame in frames]) / count
-        values = table.values
-        return [
-            ThresholdScore(
-                lower=values[low],
-                upper=values[up],
-                bandwidth_utilization=sent_count / count,
-                f_score=f_score_of_counts(tp, fp, fn),
-                average_final_latency=sum(latencies) / count,
-                average_initial_latency=average_initial,
-            )
-            for (low, up), (tp, fp, fn, sent_count), latencies in zip(
-                table.pairs, table.totals, final_latencies
-            )
-        ]
-
-    # -- internal -----------------------------------------------------------
-    def _fold(self, table: _GridTable, frame: _FrameEntry) -> None:
-        """Add one frame's contribution to every grid pair's totals."""
-        confidences = frame.confidences
-        discarded = [bisect_left(confidences, value) for value in table.values]
-        below_upper = [bisect_right(confidences, value) for value in table.values]
-        for totals, (low, up) in zip(table.totals, table.pairs):
-            sent = below_upper[up] > discarded[low]
-            stats = self._frame_stats(frame, discarded[low], sent)
-            totals[0] += stats[0]
-            totals[1] += stats[1]
-            totals[2] += stats[2]
-            totals[3] += sent
-        table.discarded.append(discarded)
-        table.below_upper.append(below_upper)
+        for frame in frames[table.frames:]:
+            table.fold(frame, self._frame_stats)
+        self._evaluations += len(table.lower_index)
+        return table
 
     def _frame_stats(self, frame: _FrameEntry, discarded: int, sent: bool) -> tuple[int, int, int]:
         """Confusion-matrix contribution of one frame in one decision state.
@@ -351,8 +444,9 @@ def coordinate_descent_search(
     as fine as the brute-force default while ``frame_rescores`` — the
     full-frame label matches actually performed — stays ≥10× below the
     ``evaluations × frames`` the evaluator would pay.  A repeated search
-    over a history that grew (the online retune loop) only visits the
-    new frames.  Pass the same ``step`` to both searches when comparing
-    optima directly.
+    over a history that grew only re-matches the new frames; the online
+    retune loop, which needs the winner and not every score, calls
+    :meth:`IncrementalThresholdScorer.best_of_grid` instead.  Pass the
+    same ``step`` to both searches when comparing optima directly.
     """
     return brute_force_search(_scorer_for(evaluator), target_f_score, step=step)

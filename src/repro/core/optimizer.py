@@ -16,7 +16,9 @@ search — are built on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from repro.core.config import CroesusConfig
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
@@ -136,8 +138,10 @@ class ThresholdEvaluator:
         return self._frame_rescores
 
     def evaluate(self, lower: float, upper: float) -> ThresholdScore:
-        """Score one ``(θL, θU)`` pair (cached)."""
-        key = (round(lower, 6), round(upper, 6))
+        """Score one ``(θL, θU)`` pair, rounded to 6 places (cached)."""
+        # The rounded pair is what is cached *and* what is scored: two
+        # spellings of one key must not answer for each other's thresholds.
+        lower, upper = key = (round(lower, 6), round(upper, 6))
         if key in self._cache:
             return self._cache[key]
 
@@ -302,14 +306,38 @@ def gradient_step_search(
     )
 
 
+def select_pair(
+    f_scores: np.ndarray,
+    bandwidths: np.ndarray,
+    final_latency: Callable[[int], float],
+    target_f_score: float,
+) -> int:
+    """The search's selection rule, over pairs listed in grid order.
+
+    Of the pairs meeting the F-score floor, the least bandwidth wins
+    (``bandwidths`` may be utilisations or the sent counts behind them —
+    any measure that orders the pairs alike); ``final_latency(pair)``
+    breaks ties and is asked only for the pairs tied on that minimum,
+    then the higher F-score, then grid order.  When no pair is feasible:
+    the first pair of the highest F-score.
+    """
+    feasible = np.flatnonzero(f_scores >= target_f_score)
+    if not feasible.size:
+        return int(f_scores.argmax())
+    feasible_bandwidths = bandwidths[feasible]
+    tied = feasible[feasible_bandwidths == feasible_bandwidths.min()]
+    return min(tied.tolist(), key=lambda pair: (final_latency(pair), -f_scores[pair]))
+
+
 def _select_best(scores: list[ThresholdScore], target_f_score: float) -> ThresholdScore:
-    feasible = [score for score in scores if score.f_score >= target_f_score]
-    if feasible:
-        return min(
-            feasible,
-            key=lambda s: (s.bandwidth_utilization, s.average_final_latency, -s.f_score),
+    return scores[
+        select_pair(
+            np.array([score.f_score for score in scores]),
+            np.array([score.bandwidth_utilization for score in scores]),
+            lambda pair: scores[pair].average_final_latency,
+            target_f_score,
         )
-    return max(scores, key=lambda s: s.f_score)
+    ]
 
 
 def _grid(step: float) -> list[float]:

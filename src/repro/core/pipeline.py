@@ -150,7 +150,8 @@ class StatsSink(_FrameSink):
         bytes_sent: int,
     ) -> None:
         """Account one served frame: its two client responses (at
-        ``initial_done`` / ``final_done``) and its measured outcome."""
+        ``initial_done`` / ``final_done``) and its measured outcome.
+        Returns the :class:`FrameTrace` the sink kept for it — here, none."""
         result.frames_streamed += 1
         self.frame_stats.record_frame(
             latency,
@@ -204,7 +205,7 @@ class TraceSink(_FrameSink):
         accuracy: AccuracyReport,
         sent_to_cloud: bool,
         bytes_sent: int,
-    ) -> None:
+    ) -> FrameTrace:
         frame_id = initial.frame_id
         client = self.clients[result.video_key]
         client.render(
@@ -218,22 +219,22 @@ class TraceSink(_FrameSink):
         client.render(
             ClientResponse(frame_id, "final", None, final.apologies, timestamp=final_done)
         )
-        result.add(
-            FrameTrace(
-                frame_id=frame_id,
-                edge_labels=initial.labels,
-                cloud_labels=cloud_labels,
-                observed_labels=observed,
-                sent_to_cloud=sent_to_cloud,
-                latency=LatencyBreakdown(*latency),
-                accuracy=accuracy,
-                transactions_triggered=len(initial.triggered),
-                corrections=final.corrections,
-                apologies=len(final.apologies),
-                frame_bytes_sent=bytes_sent,
-                edge_id=edge_id,
-            )
+        trace = FrameTrace(
+            frame_id=frame_id,
+            edge_labels=initial.labels,
+            cloud_labels=cloud_labels,
+            observed_labels=observed,
+            sent_to_cloud=sent_to_cloud,
+            latency=LatencyBreakdown(*latency),
+            accuracy=accuracy,
+            transactions_triggered=len(initial.triggered),
+            corrections=final.corrections,
+            apologies=len(final.apologies),
+            frame_bytes_sent=bytes_sent,
+            edge_id=edge_id,
         )
+        result.add(trace)
+        return trace
 
 
 # -- run state and per-edge bindings ---------------------------------------------
@@ -548,7 +549,7 @@ def frame_pipeline(
             initial_charge + final_charge,
             overlap_saved,
         )
-        sink.record_frame(
+        trace = sink.record_frame(
             result,
             edge_id,
             initial,
@@ -563,11 +564,13 @@ def frame_pipeline(
             frame_bytes_sent,
         )
         if adaptation is not None:
-            trace = None
-            if send_to_cloud and adaptation.wants_traces:
-                # Boxed only for the retune tuner, and only for the
-                # validated frames whose cloud labels the stream's
-                # controller legitimately observed.
+            if not (send_to_cloud and adaptation.wants_traces):
+                # The retune tuner learns only from the validated frames
+                # whose cloud labels the stream's controller legitimately
+                # observed.
+                trace = None
+            elif trace is None:
+                # A sink that keeps no traces: boxed for the tuner alone.
                 trace = FrameTrace(
                     frame_id=frame_id,
                     edge_labels=initial.labels,
@@ -578,7 +581,9 @@ def frame_pipeline(
                     accuracy=accuracy,
                     edge_id=edge_id,
                 )
-            adaptation.observe_frame(name, send_to_cloud, final.corrections, trace)
+            adaptation.observe_frame(
+                name, send_to_cloud, final.corrections, trace, final.overlaps
+            )
         if traffic is not None and not frame_aborted:
             traffic.completed_frames += 1
         state.frames_remaining -= 1

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.detection.labels import LabelSet
 from repro.detection.matching import FrameOverlaps
 
@@ -55,6 +57,21 @@ def f_score(precision: float, recall: float) -> float:
 def f_score_of_counts(tp: int, fp: int, fn: int) -> float:
     """``AccuracyReport(tp, fp, fn).f_score``, term for term, without the report."""
     return f_score(tp / (tp + fp) if tp + fp else 0.0, tp / (tp + fn) if tp + fn else 0.0)
+
+
+def f_scores_of_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """:func:`f_score_of_counts` over int64 arrays, operand for operand.
+
+    int64 -> float64 is exact for any count a run can reach and every
+    step is the scalar's IEEE operation in the scalar's order, so each
+    element is bit-identical to the scalar function's result.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(tp + fp, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn, tp / (tp + fn), 0.0)
+        return np.where(
+            precision + recall == 0.0, 0.0, 2.0 * precision * recall / (precision + recall)
+        )
 
 
 #: Shared zero report for frames with no predictions and no truth labels.

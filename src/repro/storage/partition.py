@@ -313,22 +313,28 @@ class PartitionedStore:
 class SectionRoutes(dict):
     """``key -> Partition`` routes resolved while one section runs.
 
-    A miss hashes the key through :meth:`PartitionedStore.partition_for`
-    and keeps the answer, so a section's lock acquisition, reads, lock
-    release and 2PC grouping route each distinct key once.  Build one per
-    section execution and drop it with the section: ``split`` / ``merge``
-    / ``transfer_partition`` / promotion re-home slots between a
-    transaction's sections, so a plan must never be kept on a
-    transaction, controller or store.
+    A miss routes the key the way :meth:`PartitionedStore.partition_for`
+    does — slot memo, slot owner, partition — but in this one call (the
+    YCSB workloads mint fresh keys, so a section misses on nearly every
+    key it touches) and keeps the answer: a section's lock acquisition,
+    reads, lock release and 2PC grouping route each distinct key once.
+    Build one per section execution and drop it with the section:
+    ``split`` / ``merge`` / ``transfer_partition`` / promotion re-home
+    slots between a transaction's sections, so a plan must never be kept
+    on a transaction, controller or store.
     """
 
-    __slots__ = ("_partition_for",)
+    __slots__ = ("_store",)
 
     def __init__(self, store: PartitionedStore) -> None:
-        self._partition_for = store.partition_for
+        self._store = store
 
     def __missing__(self, key: str) -> Partition:
-        partition = self[key] = self._partition_for(key)
+        store = self._store
+        slot = store._key_slot.get(key)
+        if slot is None:
+            slot = store._key_slot[key] = _stable_bucket(key, store._slot_count)
+        partition = self[key] = store._partitions[store._slot_owner[slot]]
         return partition
 
 

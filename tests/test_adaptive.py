@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from helpers import count_constructions
 
 from repro.core.adaptive import (
     ADAPTATION_MODES,
@@ -10,10 +11,13 @@ from repro.core.adaptive import (
     AdaptationManager,
     MAX_THRESHOLD,
 )
+from repro.core.incremental import IncrementalThresholdScorer, coordinate_descent_search
+from repro.core.optimizer import ThresholdScore
 from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.geometry import BoundingBox
 from repro.detection.labels import Detection, LabelSet
+from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport
 from repro.experiments import get_scenario, run as run_scenario
 
@@ -184,6 +188,53 @@ class TestRetuneController:
         assert manager.tuner_frame_rescores == rescores
         manager.adapt_all(now=2.0)
         assert manager.tuner_frame_rescores > rescores
+
+    def test_a_tick_builds_one_score_per_retuned_stream(self, monkeypatch):
+        """A tick reads the winner off the scorer's table: one
+        ``ThresholdScore`` per stream searched, not one per grid pair —
+        while still metering the whole grid as searched."""
+        manager = _manager("retune", min_samples=4)
+        for i in range(6):
+            for stream in ("cam0", "cam1"):
+                manager.observe_frame(
+                    stream, sent=True, corrections=0, trace=_trace(i, (0.3, 0.5, 0.9))
+                )
+        built = count_constructions(monkeypatch, ThresholdScore)
+        manager.adapt_all(now=1.0)
+        assert built["ThresholdScore"] == 2
+        assert manager.tuner_evaluations == 2 * 210
+        manager.adapt_all(now=2.0)  # nothing new: no search, no score
+        assert built["ThresholdScore"] == 2
+
+    def test_a_tick_moves_to_the_offline_search_optimum(self):
+        """The in-loop selection and the offline search over every score
+        are the same optimiser."""
+        config = AdaptationConfig(mode="retune", min_samples=4, target_f=0.9)
+        manager = AdaptationManager(config, ThresholdPolicy(0.3, 0.7))
+        traces = [_trace(i, (0.05 + 0.1 * (i % 4), 0.45, 0.9)) for i in range(9)]
+        for trace in traces:
+            manager.observe_frame("cam0", sent=True, corrections=0, trace=trace)
+        manager.adapt_all(now=1.0)
+        offline = coordinate_descent_search(
+            IncrementalThresholdScorer(traces), config.target_f, step=config.step
+        )
+        assert manager.final_thresholds() == {"cam0": offline.thresholds}
+        assert manager.tuner_evaluations == offline.evaluations
+        assert manager.tuner_frame_rescores == offline.frame_rescores
+
+    def test_the_tuner_shares_the_overlap_table_it_is_handed(self, monkeypatch):
+        manager = _manager("retune", min_samples=2)
+        traces = [_trace(i, (0.3, 0.5, 0.9)) for i in range(4)]
+        tables = [
+            FrameOverlaps(trace.edge_labels.detections, trace.cloud_labels.detections, 0.10)
+            for trace in traces
+        ]
+        built = count_constructions(monkeypatch, FrameOverlaps)
+        for trace, table in zip(traces, tables):
+            manager.observe_frame("cam0", sent=True, corrections=0, trace=trace, overlaps=table)
+        manager.adapt_all(now=1.0)
+        assert manager.tuner_frame_rescores > 0
+        assert built["FrameOverlaps"] == 0
 
     def test_unsent_frames_do_not_feed_the_scorer(self):
         """Only validated frames carry cloud labels the edge can learn from."""

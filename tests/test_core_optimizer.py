@@ -1,10 +1,14 @@
 """Tests for the threshold evaluator and the two search strategies."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.config import CroesusConfig
 from repro.core.optimizer import (
     ThresholdEvaluator,
+    ThresholdScore,
+    _select_best,
     brute_force_search,
     gradient_step_search,
 )
@@ -74,6 +78,32 @@ class TestBruteForceSearch:
     def test_evaluation_count_matches_grid(self, evaluator):
         result = brute_force_search(evaluator, target_f_score=0.7, step=0.2)
         assert result.evaluations == len(result.scores)
+
+
+#: Few distinct values per field, so ties on every key of the rule occur.
+_coarse = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_scores = st.lists(
+    st.builds(ThresholdScore, _coarse, _coarse, _coarse, _coarse, _coarse, st.just(0.1)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestSelectionRule:
+    @given(_scores, st.sampled_from([0.0, 0.5, 0.75, 1.01]))
+    def test_is_the_rule_as_first_written(self, scores, target):
+        """Least bandwidth among the feasible pairs, then latency, then
+        the higher F-score, then list order; infeasible: the first pair of
+        the highest F-score — the same *object* the plain min / max picks."""
+        feasible = [score for score in scores if score.f_score >= target]
+        if feasible:
+            expected = min(
+                feasible,
+                key=lambda s: (s.bandwidth_utilization, s.average_final_latency, -s.f_score),
+            )
+        else:
+            expected = max(scores, key=lambda s: s.f_score)
+        assert _select_best(scores, target) is expected
 
 
 class TestGradientStepSearch:

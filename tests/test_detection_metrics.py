@@ -1,12 +1,17 @@
 """Tests for accuracy metrics."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.detection.metrics import (
     AccuracyReport,
     aggregate_reports,
     evaluate_detections,
     f_score,
+    f_score_of_counts,
+    f_scores_of_counts,
 )
 
 from helpers import make_detection, make_label_set
@@ -24,6 +29,26 @@ class TestFScore:
 
     def test_symmetric(self):
         assert f_score(0.3, 0.9) == f_score(0.9, 0.3)
+
+
+class TestFScoresOfCounts:
+    counts = st.integers(0, 10**7)
+
+    @given(st.lists(st.tuples(counts, counts, counts), min_size=1, max_size=40))
+    def test_array_form_is_the_scalar_form_bit_for_bit(self, triples):
+        """The threshold table selects on the array form and the
+        evaluator scores with the scalar one: ``>=`` against a target and
+        every tie must compare identically, zero denominators included."""
+        tp, fp, fn = np.array(triples, dtype=np.int64).T
+        scalar = [f_score_of_counts(*triple) for triple in triples]
+        assert f_scores_of_counts(tp, fp, fn).tolist() == scalar
+        assert scalar == [AccuracyReport(*triple).f_score for triple in triples]
+
+    def test_zero_denominators_score_zero(self):
+        zeros = np.zeros(3, dtype=np.int64)
+        assert f_scores_of_counts(zeros, np.array([0, 2, 0]), np.array([0, 0, 3])).tolist() == [
+            0.0, 0.0, 0.0
+        ]
 
 
 class TestAccuracyReport:

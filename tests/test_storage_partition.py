@@ -6,6 +6,7 @@ from repro.storage.locks import LockMode
 from repro.storage.partition import (
     PartitionedStore,
     PartitionError,
+    SectionRoutes,
     TwoPhaseCommitCoordinator,
     VoteOutcome,
 )
@@ -203,6 +204,26 @@ class TestResharding:
         assert {key: store.read(key) for key in keys} == before
         # The split actually moved keys onto the new partition.
         assert any(store.partition_for(k).partition_id == 2 for k in keys)
+
+    def test_a_section_plan_routes_like_partition_for_across_resharding(self):
+        """``SectionRoutes`` resolves a miss itself (memo, slot owner,
+        partition): a plan built after each re-homing must agree with the
+        store's one-key path, for keys the store has and has not seen."""
+        store = PartitionedStore(num_partitions=3)
+        keys = self._spanning_keys(store) + [f"fresh-{i}" for i in range(20)]
+
+        def agree():
+            routes = SectionRoutes(store)
+            assert all(routes[key] is store.partition_for(key) for key in reversed(keys))
+            assert set(routes) == set(keys)  # every miss was kept
+
+        agree()
+        store.merge(0, 1)
+        agree()
+        store.split(1)
+        agree()
+        store.transfer_partition(2)
+        agree()
 
     def test_split_requires_two_slots(self):
         store = PartitionedStore(num_partitions=2)
