@@ -6,6 +6,12 @@ These helpers read those event kinds off the per-kind index of
 :class:`~repro.sim.events.EventLog` and reduce them to the series the
 benchmarks and the CLI report, so consumers never rescan the raw
 timeline themselves.
+
+Every reduction but :func:`stage_commit_counts` needs a log that keeps
+its events (a ``record_frames=True`` run's): a count-only log raises
+:class:`~repro.sim.events.EventsNotRetained` rather than reduce to an
+empty timeline.  A run's report does not come from here — it reads the
+records the run kept.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ class CloudQueueProfile:
 
 
 def cloud_queue_profile(events: EventLog) -> CloudQueueProfile:
-    """Summarise the ``cloud_validate`` events of one run."""
+    """Summarise the ``cloud_validate`` events of one run (retaining log)."""
     delays = [event.payload["queue_delay"] for event in events.of_kind("cloud_validate")]
     return CloudQueueProfile(
         validations=len(delays),
@@ -62,7 +68,7 @@ class MigrationTimeline:
 
 
 def migration_timeline(events: EventLog) -> MigrationTimeline:
-    """Collect the ``stream_migrated`` events of one run, in time order."""
+    """Collect the ``stream_migrated`` events of one run in time order (retaining log)."""
     moves = tuple(
         (
             event.timestamp,
@@ -76,7 +82,7 @@ def migration_timeline(events: EventLog) -> MigrationTimeline:
 
 
 def stage_commit_counts(events: EventLog) -> dict[str, int]:
-    """Initial/final commit totals, straight off the per-kind index."""
+    """Initial/final commit totals, straight off the per-kind counts (any log)."""
     return {
         "initial": events.count_of_kind("initial_commit"),
         "final": events.count_of_kind("final_commit"),
@@ -99,7 +105,7 @@ class BatchFlushProfile:
 
 
 def batch_flush_profile(events: EventLog) -> BatchFlushProfile:
-    """Summarise the ``txn_batch_flush`` events of one run."""
+    """Summarise the ``txn_batch_flush`` events of one run (retaining log)."""
     flushes = events.of_kind("txn_batch_flush")
     durations = [event.payload["duration"] for event in flushes]
     return BatchFlushProfile(
@@ -206,7 +212,7 @@ class TrafficProfile:
 
 
 def traffic_profile(events: EventLog) -> TrafficProfile:
-    """Collect the ``stream_arrival``/``frame_shed`` events of one run."""
+    """Collect the ``stream_arrival``/``frame_shed`` events of one run (retaining log)."""
     arrivals = tuple(
         (
             event.timestamp,
@@ -271,7 +277,7 @@ class GeoProfile:
 
 
 def geo_profile(events: EventLog) -> GeoProfile:
-    """Collect the ``wan_ship``/``partition_placed`` events of one run."""
+    """Collect the ``wan_ship``/``partition_placed`` events of one run (retaining log)."""
     ships = tuple(
         (
             event.timestamp,
@@ -298,7 +304,7 @@ def geo_profile(events: EventLog) -> GeoProfile:
 
 
 def availability_timeline(events: EventLog) -> AvailabilityTimeline:
-    """Pair the ``edge_failed``/``edge_recovered`` events of one run."""
+    """Pair the ``edge_failed``/``edge_recovered`` events of one run (retaining log)."""
     recoveries: dict[int, list] = {}
     for event in events.of_kind("edge_recovered"):
         recoveries.setdefault(event.payload["edge"], []).append(event)

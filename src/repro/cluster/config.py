@@ -104,7 +104,7 @@ class ClusterConfig:
         histories — the exact, memory-hungry retention every golden pin
         runs on.  False folds per-frame results into streaming
         accumulators (:class:`~repro.cluster.results.FrameStatsAccumulator`),
-        bounds the event log, and gives the servers streaming wait
+        keeps event counts only, and gives the servers streaming wait
         statistics and capped interval records, so memory stays bounded
         at 10⁶+ frames.  Counts, sums and the metrics derived from them
         (means, rates, F-score, makespan, utilisation) are the same

@@ -5,13 +5,12 @@ streaming per-frame accumulator and the aggregated :class:`ClusterRunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from statistics import mean
 
 from repro.analysis.streaming import QuantileAccumulator
 from repro.cluster.failure import FailureRecord, PromotionRecord, ReshardRecord
-from repro.core.results import LatencyBreakdown, RunResult
-from repro.detection.metrics import AccuracyReport, aggregate_reports
-from repro.traffic.source import TrafficStats, percentile
+from repro.core.results import FrameAggregate, LatencyBreakdown, RunResult
+from repro.detection.metrics import AccuracyReport
+from repro.traffic.source import TrafficStats
 from repro.transactions.ms_sr import ControllerStats
 from repro.transactions.policy import PolicyStats
 
@@ -54,7 +53,7 @@ class FrameStatsAccumulator:
 
     Such a run folds every served frame into this accumulator instead of
     retaining a :class:`~repro.core.results.FrameTrace`, so run memory
-    stays bounded at 10⁶+ frames.  Counts, sums, and the
+    stays bounded at 10⁶+ frames.  Counts, sums, maxima and the
     derived means/rates are exact; the final-latency percentiles come
     from a :class:`~repro.analysis.streaming.QuantileAccumulator` — exact
     nearest-rank up to its buffer, within 1% relative error beyond it.
@@ -72,6 +71,8 @@ class FrameStatsAccumulator:
         "corrections",
         "apologies",
         "cloud_queue_delay_sum",
+        "cloud_queued",
+        "max_cloud_queue_delay",
         "final_latency_ms",
     )
 
@@ -90,6 +91,9 @@ class FrameStatsAccumulator:
         self.corrections = 0
         self.apologies = 0
         self.cloud_queue_delay_sum = 0.0
+        #: Validated frames that waited for a cloud server, and the longest wait.
+        self.cloud_queued = 0
+        self.max_cloud_queue_delay = 0.0
         self.final_latency_ms = QuantileAccumulator()
 
     def record_frame(
@@ -128,6 +132,10 @@ class FrameStatsAccumulator:
         if sent_to_cloud:
             self.sent_to_cloud += 1
             self.cloud_queue_delay_sum += cloud_queue_delay
+            if cloud_queue_delay > 0:
+                self.cloud_queued += 1
+                if cloud_queue_delay > self.max_cloud_queue_delay:
+                    self.max_cloud_queue_delay = cloud_queue_delay
         self.bytes_sent += bytes_sent
         # Unrolled over LATENCY_COMPONENTS order: one add per component.
         sums = self.latency_sums
@@ -155,45 +163,29 @@ class FrameStatsAccumulator:
         ) + cloud_transfer + cloud_queue_delay + cloud_detection + final_queue_delay + final_txn + commit_protocol
         self.final_latency_ms.add(final_latency * 1000.0)
 
-    @property
-    def average_latency(self) -> LatencyBreakdown:
-        """Component-wise mean breakdown over the recorded frames."""
-        if not self.frames:
-            return LatencyBreakdown()
-        means = {
-            component: self.latency_sums[index] / self.frames
-            for index, component in enumerate(self.LATENCY_COMPONENTS)
-        }
-        return LatencyBreakdown(**means)
-
-    @property
-    def bandwidth_utilization(self) -> float:
-        """Fraction of recorded frames validated at the cloud."""
-        return self.sent_to_cloud / self.frames if self.frames else 0.0
-
-    @property
-    def mean_cloud_queue_delay(self) -> float:
-        """Mean cloud queueing over validated frames only."""
-        if not self.sent_to_cloud:
-            return 0.0
-        return self.cloud_queue_delay_sum / self.sent_to_cloud
-
-    @property
-    def f_score(self) -> float:
-        """Corpus-level F-score from the exact running tp/fp/fn counts."""
-        return AccuracyReport(
-            true_positives=self.true_positives,
-            false_positives=self.false_positives,
-            false_negatives=self.false_negatives,
-        ).f_score
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 of per-frame final latency, in milliseconds."""
-        return {
-            "p50_ms": self.final_latency_ms.percentile(50.0),
-            "p95_ms": self.final_latency_ms.percentile(95.0),
-            "p99_ms": self.final_latency_ms.percentile(99.0),
-        }
+    def aggregate(self) -> FrameAggregate:
+        """The folded frames as the run's one frame aggregate."""
+        frames, sent = self.frames, self.sent_to_cloud
+        return FrameAggregate(
+            f_score=AccuracyReport(
+                self.true_positives, self.false_positives, self.false_negatives
+            ).f_score,
+            bandwidth_utilization=sent / frames if frames else 0.0,
+            average_latency=(
+                LatencyBreakdown(*(total / frames for total in self.latency_sums))
+                if frames
+                else LatencyBreakdown()
+            ),
+            latency_percentiles={
+                "p50_ms": self.final_latency_ms.percentile(50.0),
+                "p95_ms": self.final_latency_ms.percentile(95.0),
+                "p99_ms": self.final_latency_ms.percentile(99.0),
+            },
+            cloud_validations=sent,
+            cloud_queued=self.cloud_queued,
+            mean_cloud_queue_delay=self.cloud_queue_delay_sum / sent if sent else 0.0,
+            max_cloud_queue_delay=self.max_cloud_queue_delay,
+        )
 
 
 @dataclass
@@ -203,6 +195,14 @@ class ClusterRunResult:
     ``placements`` holds the router's placement-time assignments; when
     the ``"migrating"`` policy re-routed streams mid-run, every move is
     in ``migrations`` and ``final_placements`` gives the end state.
+
+    The frame metrics (``f_score`` through ``max_cloud_queue_delay``) are
+    the fields of the run sink's
+    :class:`~repro.core.results.FrameAggregate`, whichever sink ran:
+    ``latency_percentiles`` holds p50/p95/p99 of per-frame final latency
+    in milliseconds (the tail is what overload control exists to bound),
+    and the cloud-queue figures cover validated frames only (0 when
+    nothing was validated or the cloud is unbounded).
     """
 
     router_policy: str
@@ -211,6 +211,14 @@ class ClusterRunResult:
     edges: list[EdgeMetrics]
     makespan: float
     stats: ControllerStats
+    f_score: float
+    bandwidth_utilization: float
+    average_latency: LatencyBreakdown
+    latency_percentiles: dict[str, float]
+    cloud_validations: int
+    cloud_queued: int
+    mean_cloud_queue_delay: float
+    max_cloud_queue_delay: float
     total_transactions: int = 0
     cross_edge_transactions: int = 0
     multi_partition_transactions: int = 0
@@ -229,10 +237,8 @@ class ClusterRunResult:
     #: Offered/admitted/shed accounting of an open-loop run (None for
     #: the closed-loop path, which serves everything it is given).
     traffic: TrafficStats | None = None
-    #: Streaming per-frame aggregates of a ``record_frames=False`` run
-    #: (None when recording: the same metrics then derive from the
-    #: retained traces).
-    frame_stats: FrameStatsAccumulator | None = None
+    #: ``(transactions, duration)`` of every batched-coordinator flush.
+    batch_flushes: tuple[tuple[int, float], ...] = ()
     #: Warm failovers performed under replication (empty at factor 1).
     promotions: tuple[PromotionRecord, ...] = ()
     log_records_shipped: int = 0
@@ -288,120 +294,6 @@ class ClusterRunResult:
         return self.stats.abort_rate
 
     @property
-    def coordinator_round_trips(self) -> int:
-        """Modelled coordinator round trips across all replicas."""
-        return self.policy_stats.coordinator_round_trips
-
-    @property
-    def round_trips_per_cross_edge_txn(self) -> float:
-        """Mean coordinator round trips per cross-edge transaction —
-        the number the batched policy exists to drive down."""
-        if not self.cross_edge_transactions:
-            return 0.0
-        return self.policy_stats.coordinator_round_trips / self.cross_edge_transactions
-
-    def policy_summary(self) -> dict[str, float]:
-        """Headline coordinator metrics of the active transaction policy.
-
-        Kept out of :meth:`summary` — whose key set is pinned by the
-        golden determinism tests — so policy experiments get their
-        numbers without disturbing the legacy trajectory schema.
-        """
-        return {
-            "coordinator_round_trips": float(self.policy_stats.coordinator_round_trips),
-            "cross_partition_commits": float(self.policy_stats.cross_partition_commits),
-            "commit_batches": float(self.policy_stats.commit_batches),
-            "coordinator_time_ms": self.policy_stats.coordinator_time_s * 1000.0,
-            "overlap_saved_ms": self.policy_stats.overlap_saved_s * 1000.0,
-            "prepare_vote_time_ms": self.policy_stats.prepare_vote_time_s * 1000.0,
-            "round_trips_per_cross_edge_txn": self.round_trips_per_cross_edge_txn,
-        }
-
-    @property
-    def num_failures(self) -> int:
-        return len(self.failures)
-
-    @property
-    def frames_replayed(self) -> int:
-        """Committed transactions re-applied from the WAL during recoveries."""
-        return self.transactions_replayed
-
-    def availability_summary(self) -> dict[str, float]:
-        """Failure/recovery/re-sharding metrics of one run.
-
-        A separate dictionary for the same reason as
-        :meth:`policy_summary`: the legacy :meth:`summary` key set is
-        pinned by the golden determinism tests.
-        """
-        return {
-            "failures": float(self.num_failures),
-            "downtime_ms": self.downtime_s * 1000.0,
-            "recovery_time_ms": self.recovery_time_s * 1000.0,
-            "wal_records_replayed": float(self.wal_records_replayed),
-            "frames_replayed": float(self.frames_replayed),
-            "txns_aborted_by_failure": float(self.txns_aborted_by_failure),
-            "checkpoints": float(self.checkpoints),
-            "reshards": float(len(self.reshards)),
-        }
-
-    def replication_summary(self) -> dict[str, float]:
-        """Log-shipping and warm-failover metrics of one run.
-
-        A third separate dictionary (alongside :meth:`policy_summary`
-        and :meth:`availability_summary`) because both of those key sets
-        are pinned by existing tests; at ``replication_factor == 1``
-        every value is zero.
-        """
-        return {
-            "replication_factor": float(self.replication_factor),
-            "promotions": float(len(self.promotions)),
-            "log_records_shipped": float(self.log_records_shipped),
-            "replication_lag_ms": self.replication_lag_s * 1000.0,
-            "replication_ack_wait_ms": self.replication_ack_wait_s * 1000.0,
-            "records_caught_up": float(
-                sum(record.records_caught_up for record in self.promotions)
-            ),
-        }
-
-    def adaptation_summary(self) -> dict[str, float]:
-        """Online threshold-adaptation metrics of one run.
-
-        A separate dictionary for the same reason as
-        :meth:`policy_summary`: the legacy :meth:`summary` key set is
-        pinned by the golden determinism tests.  ``tuner_grid_rescores``
-        is the label-match cost a non-incremental grid evaluator would
-        have paid for the same tuner invocations — the denominator of
-        the ≥10× reduction the benchmark artifact gates.
-        """
-        return {
-            "threshold_updates": float(self.threshold_updates),
-            "tuner_evaluations": float(self.tuner_evaluations),
-            "tuner_frame_rescores": float(self.tuner_frame_rescores),
-            "tuner_grid_rescores": float(self.tuner_grid_rescores),
-            "adapted_streams": float(len(self.stream_thresholds)),
-        }
-
-    def latency_percentiles(self) -> dict[str, float]:
-        """p50/p95/p99 of per-frame final latency, in milliseconds.
-
-        Computed over every served frame's arrival-to-final-commit time;
-        the tail (p99) is the number overload control exists to bound —
-        a mean hides exactly the frames that queued.
-        """
-        if self.frame_stats is not None:
-            return self.frame_stats.latency_percentiles()
-        totals = [
-            trace.latency.final_latency * 1000.0
-            for result in self.per_stream.values()
-            for trace in result.traces
-        ]
-        return {
-            "p50_ms": percentile(totals, 50.0),
-            "p95_ms": percentile(totals, 95.0),
-            "p99_ms": percentile(totals, 99.0),
-        }
-
-    @property
     def goodput_fps(self) -> float:
         """Frames fully served per second of simulated time.
 
@@ -418,15 +310,13 @@ class ClusterRunResult:
     def traffic_summary(self) -> dict[str, float]:
         """Offered-vs-admitted load, goodput, shedding and tail latency.
 
-        A separate dictionary for the same reason as
-        :meth:`policy_summary`: the legacy :meth:`summary` key set is
-        pinned by the golden determinism tests.  Empty when the run was
-        closed-loop.
+        Kept out of :meth:`summary`, whose key set the golden determinism
+        tests pin.  Empty when the run was closed-loop.
         """
         if self.traffic is None:
             return {}
         span = self.makespan
-        percentiles = self.latency_percentiles()
+        percentiles = self.latency_percentiles
         return {
             "offered_streams": float(self.traffic.offered_streams),
             "admitted_streams": float(self.traffic.admitted_streams),
@@ -463,56 +353,6 @@ class ClusterRunResult:
     def max_utilization(self) -> float:
         """Utilization of the busiest edge (1.0 means saturated)."""
         return max((edge.utilization for edge in self.edges), default=0.0)
-
-    @property
-    def bandwidth_utilization(self) -> float:
-        """Cluster-wide fraction of frames validated at the cloud (the
-        paper's BU, aggregated over every stream's traces)."""
-        if self.frame_stats is not None:
-            return self.frame_stats.bandwidth_utilization
-        traces = [trace for result in self.per_stream.values() for trace in result.traces]
-        if not traces:
-            return 0.0
-        return sum(1 for trace in traces if trace.sent_to_cloud) / len(traces)
-
-    @property
-    def average_latency(self) -> LatencyBreakdown:
-        """Component-wise mean breakdown over every stream's frames."""
-        if self.frame_stats is not None:
-            return self.frame_stats.average_latency
-        return LatencyBreakdown.average(
-            [trace.latency for result in self.per_stream.values() for trace in result.traces]
-        )
-
-    @property
-    def mean_cloud_queue_delay(self) -> float:
-        """Mean time validated frames queued at the cloud.
-
-        Averaged over validated frames only (unvalidated frames never
-        visit the cloud); 0.0 when nothing was validated or the cloud
-        is unbounded.
-        """
-        if self.frame_stats is not None:
-            return self.frame_stats.mean_cloud_queue_delay
-        delays = [
-            trace.latency.cloud_queue_delay
-            for result in self.per_stream.values()
-            for trace in result.traces
-            if trace.sent_to_cloud
-        ]
-        return mean(delays) if delays else 0.0
-
-    @property
-    def f_score(self) -> float:
-        """Corpus-level F-score over every stream's observed labels."""
-        if self.frame_stats is not None:
-            return self.frame_stats.f_score
-        reports = [
-            trace.accuracy
-            for result in self.per_stream.values()
-            for trace in result.traces
-        ]
-        return aggregate_reports(reports).f_score
 
     def summary(self) -> dict[str, float]:
         """Compact dictionary of the headline cluster metrics.

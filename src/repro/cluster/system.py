@@ -46,6 +46,7 @@ the cluster reproduces the paper's contention behaviour at scale.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -106,14 +107,68 @@ from repro.workloads.ycsb import YCSBWorkload
 #: partitions) never collide across replicas.
 BankFactory = Callable[[int], TransactionBank]
 
-#: Event objects retained by a ``record_frames=False`` run; per-kind
-#: counts stay exact for the whole run regardless.
-FAST_PATH_EVENT_CAPACITY = 4096
-
 #: Busy intervals each ``record_frames=False`` server keeps; older
 #: intervals fold into a running busy-time total (whole-run utilization
 #: stays exact, only deep-history windowed loads lose resolution).
 FAST_PATH_INTERVAL_RETENTION = 4096
+
+
+# -- callbacks handed to replicas, policies and logs: none holds the system ----
+def _make_server(
+    config: ClusterConfig, capacity: int | None, name: str, discipline: str = "fifo"
+) -> Server:
+    """One edge or cloud server, honouring the engine knobs: the
+    preserved reference implementation when the config selects it;
+    otherwise full per-job records when recording, streaming wait
+    statistics + bounded interval retention when not."""
+    if config.reference_engine:
+        return ReferenceServer(capacity=capacity, name=name, discipline=discipline)
+    return Server(
+        capacity=capacity,
+        name=name,
+        discipline=discipline,
+        record_jobs=config.record_frames,
+        interval_retention=None if config.record_frames else FAST_PATH_INTERVAL_RETENTION,
+    )
+
+
+def _vote_channel(
+    partition_home: dict[int, int], channels: list[Channel], partition_id: int
+) -> Channel | None:
+    """Channel of the replica hosting ``partition_id`` (vote latency).
+
+    Participant-side prepare votes are drawn from the *participant's*
+    link, not the coordinator's; the partition-home map keeps the
+    resolution correct across runtime re-shards.
+    """
+    edge_id = partition_home.get(partition_id)
+    return None if edge_id is None else channels[edge_id]
+
+
+def _forward_wal_append(system: weakref.ref, partition_id: int, record) -> None:
+    """A partition's WAL ship hook: hand the append to the live system."""
+    system()._on_wal_append(partition_id, record)
+
+
+def _record_flush(
+    events: EventLog,
+    flushes: list[tuple[int, float]],
+    edge_id: int,
+    when: float,
+    transactions: int,
+    remote: frozenset[int],
+    duration: float,
+) -> None:
+    """One replica's batched-coordinator flush: kept for the report, logged."""
+    flushes.append((transactions, duration))
+    events.record(
+        when,
+        "txn_batch_flush",
+        edge=edge_id,
+        transactions=transactions,
+        participants=len(remote),
+        duration=duration,
+    )
 
 
 @dataclass
@@ -132,10 +187,8 @@ class _RunState(PipelineState):
     failures: list[FailureRecord] = field(default_factory=list)
     reshards: list[ReshardRecord] = field(default_factory=list)
     promotions: list[PromotionRecord] = field(default_factory=list)
-    downtime: float = 0.0
-    recovery_time: float = 0.0
-    records_replayed: int = 0
-    transactions_replayed: int = 0
+    #: ``(transactions, duration)`` of every batched-coordinator flush.
+    flushes: list[tuple[int, float]] = field(default_factory=list)
     checkpoints: int = 0
     #: Per-stream admission control of an open-loop run.
     admission: AdmissionController | None = None
@@ -159,27 +212,9 @@ class ClusterSystem:
         self.config = config
         base = config.base
         self.rngs = RngRegistry(base.seed)
-        # A non-recording run bounds the event log: per-kind counts stay
-        # exact, only the retained window of event objects is capped.  When no
-        # configured machinery needs the retained window (failure /
-        # re-sharding timelines, batch-flush profiles), the log drops to
-        # count-only and per-frame records cost two dict increments.
-        if config.record_frames:
-            event_capacity = None
-        elif (
-            config.failure_schedule
-            or config.failure_hazard_rate is not None
-            or config.resharding
-            or config.checkpoint_interval_s is not None
-            or config.replication_factor > 1
-            or config.wal_group_commit_window_s is not None
-            or config.threshold_adaptation is not None
-            or base.transaction_policy == "batched-2pc"
-        ):
-            event_capacity = FAST_PATH_EVENT_CAPACITY
-        else:
-            event_capacity = 0
-        self.events = EventLog(capacity=event_capacity)
+        # A non-recording run's event log keeps counts only: the report is
+        # built from the run's own records, so no event object is needed.
+        self.events = EventLog(capacity=None if config.record_frames else 0)
         self.policy = ThresholdPolicy(base.lower_threshold, base.upper_threshold)
         self.store = PartitionedStore(config.num_partitions)
         self.scheduler = FrameScheduler(config.frame_interval)
@@ -233,12 +268,13 @@ class ClusterSystem:
                 match_overlap=base.match_overlap,
                 transaction_policy=base.transaction_policy,
                 coordinator_channel=self._coordinator_channels[edge_id],
-                vote_channel_for=self._vote_channel_for,
+                vote_channel_for=partial(
+                    _vote_channel, self._partition_home, self._coordinator_channels
+                ),
                 server_factory=partial(
-                    self._make_server, 1, f"edge-{edge_id}", config.edge_discipline
+                    _make_server, config, 1, f"edge-{edge_id}", config.edge_discipline
                 ),
             )
-            replica.policy.on_flush = self._make_flush_recorder(edge_id)
             self.replicas.append(replica)
             self._client_edge.append(
                 Channel(
@@ -294,63 +330,22 @@ class ClusterSystem:
                 num_edges=config.num_edges,
                 factor=config.replication_factor,
                 mode=config.replication_mode,
-                channel_for=lambda edge_id: self._replication_channels[edge_id],
+                channel_for=self._replication_channels.__getitem__,
             )
         if config.wal_group_commit_window_s is not None:
             for replica in self.replicas:
                 replica.policy.configure_group_commit(config.wal_group_commit_window_s)
         if self._replication is not None or config.wal_group_commit_window_s is not None:
+            # The hook reaches the policies, whose controllers hold the
+            # store that holds the hook: a weak reference keeps that loop
+            # from making the system a reference cycle.
+            system = weakref.ref(self)
             for partition_id in range(config.num_partitions):
-                self.store.partition(partition_id).wal.on_append = self._make_wal_observer(
-                    partition_id
+                self.store.partition(partition_id).wal.on_append = partial(
+                    _forward_wal_append, system, partition_id
                 )
 
-    def _make_server(
-        self, capacity: int | None, name: str, discipline: str = "fifo"
-    ) -> Server:
-        """One edge or cloud server, honouring the engine knobs: the
-        preserved reference implementation when the config selects it;
-        otherwise full per-job records when recording, streaming wait
-        statistics + bounded interval retention when not."""
-        config = self.config
-        if config.reference_engine:
-            return ReferenceServer(capacity=capacity, name=name, discipline=discipline)
-        return Server(
-            capacity=capacity,
-            name=name,
-            discipline=discipline,
-            record_jobs=config.record_frames,
-            interval_retention=None if config.record_frames else FAST_PATH_INTERVAL_RETENTION,
-        )
-
-    def _vote_channel_for(self, partition_id: int) -> Channel | None:
-        """Channel of the replica hosting ``partition_id`` (vote latency).
-
-        Participant-side prepare votes are drawn from the *participant's*
-        link, not the coordinator's; the partition-home map keeps the
-        resolution correct across runtime re-shards.
-        """
-        edge_id = self._partition_home.get(partition_id)
-        if edge_id is None:
-            return None
-        return self._coordinator_channels[edge_id]
-
-    def _make_flush_recorder(self, edge_id: int):
-        """Event-log hook for one replica's batched-coordinator flushes."""
-
-        def record(when: float, transactions: int, remote: frozenset[int], duration: float) -> None:
-            self.events.record(
-                when,
-                "txn_batch_flush",
-                edge=edge_id,
-                transactions=transactions,
-                participants=len(remote),
-                duration=duration,
-            )
-
-        return record
-
-    def _make_wal_observer(self, partition_id: int):
+    def _on_wal_append(self, partition_id: int, record) -> None:
         """Ship hook of one partition's redo log.
 
         Fired synchronously inside every committed write: the hosting
@@ -358,25 +353,21 @@ class ClusterSystem:
         amortisation), and the replication manager — when configured —
         ships the record to the partition's backups as engine events.
         """
-
-        def on_append(record) -> None:
-            engine = self._run_engine
-            now = engine.now if engine is not None else 0.0
-            home = self._partition_home.get(partition_id)
-            if home is not None:
-                self.replicas[home].policy.observe_wal_append(now)
-            if self._replication is not None:
-                shipped = self._replication.ship(partition_id, record, now)
-                if shipped:
-                    self.events.record(
-                        now,
-                        "log_shipped",
-                        partition=partition_id,
-                        lsn=record.lsn,
-                        backups=shipped,
-                    )
-
-        return on_append
+        engine = self._run_engine
+        now = engine.now if engine is not None else 0.0
+        home = self._partition_home.get(partition_id)
+        if home is not None:
+            self.replicas[home].policy.observe_wal_append(now)
+        if self._replication is not None:
+            shipped = self._replication.ship(partition_id, record, now)
+            if shipped:
+                self.events.record(
+                    now,
+                    "log_shipped",
+                    partition=partition_id,
+                    lsn=record.lsn,
+                    backups=shipped,
+                )
 
     # -- public API ---------------------------------------------------------
     def run(self, streams: Sequence[SyntheticVideo]) -> ClusterRunResult:
@@ -452,7 +443,7 @@ class ClusterSystem:
             replica.reset_run_state()
         state = _RunState(
             engine=Engine(),
-            cloud_server=self._make_server(self.config.cloud_servers, "cloud"),
+            cloud_server=_make_server(self.config, self.config.cloud_servers, "cloud"),
             sink=(
                 TraceSink("croesus-cluster")
                 if self.config.record_frames
@@ -472,6 +463,10 @@ class ClusterSystem:
                 state.shedder = LoadShedder(
                     traffic.shed_threshold, ApologyBudget(traffic.apology_budget)
                 )
+        for replica in self.replicas:
+            replica.policy.on_flush = partial(
+                _record_flush, self.events, state.flushes, replica.edge_id
+            )
         # The WAL ship hook reads ``now`` off this run's engine.
         self._run_engine = state.engine
         if self._replication is not None:
@@ -610,9 +605,9 @@ class ClusterSystem:
         # Best-case backlog: the wait a frame would face at the least
         # backlogged live edge right now (the queue-threshold signal).
         # Probing it is a scan over every live edge, so it is skipped
-        # when neither the controller nor a retained stream_arrival
+        # when neither the controller nor a recorded stream_arrival
         # event would read it.
-        if self.events.capacity != 0 or state.admission.needs_backlog:
+        if self.config.record_frames or state.admission.needs_backlog:
             backlog = min(
                 (
                     replica.server.backlog(now)
@@ -689,35 +684,16 @@ class ClusterSystem:
         # Streams homed here fail over to the least-loaded live edge
         # through the migration machinery (their in-flight frames stay
         # tied to this replica and resolve below).
-        migrated = 0
-        failed_over: list[str] = []
-        for stream in list(replica.streams):
-            target = self._failover_target(state, engine.now)
-            replica.remove_stream(stream)
-            self.replicas[target].assign_stream(stream)
-            state.current_edge[stream] = target
-            state.migrations.append(
-                MigrationRecord(
-                    time=engine.now,
-                    stream=stream,
-                    from_edge=spec.edge_id,
-                    to_edge=target,
-                    utilization=replica.server.load(
-                        engine.now, window=self.config.migration_window
-                    ),
-                )
-            )
-            self.events.record(
-                engine.now,
-                "stream_migrated",
-                stream=stream,
-                from_edge=spec.edge_id,
-                to_edge=target,
-                utilization=state.migrations[-1].utilization,
+        failed_over = list(replica.streams)
+        for stream in failed_over:
+            self._move_stream(
+                state,
+                stream,
+                spec.edge_id,
+                self._failover_target(state, engine.now),
+                replica.server.load(engine.now, window=self.config.migration_window),
                 reason="edge_failed",
             )
-            migrated += 1
-            failed_over.append(stream)
 
         # In-flight transactions resolve through the policy seam; the
         # owned partitions lose their volatile stores (the WAL survives).
@@ -727,77 +703,88 @@ class ClusterSystem:
             engine.now,
             "edge_failed",
             edge=spec.edge_id,
-            streams_migrated=migrated,
+            streams_migrated=len(failed_over),
             txns_aborted=len(aborted),
         )
 
+        # Service comes back by warm failover (the owned partitions
+        # promote their backups) or by the host restart + log replay.
         if self._replication is not None:
-            # Warm failover: the owned partitions promote their backups
-            # instead of waiting for the host restart + log replay.
-            yield from self._promotion_process(
-                state, spec, replica, failed_at, len(aborted), migrated, failed_over
+            recovery = self._promotion_process(state, spec, replica, failed_at)
+        else:
+            recovery = self._replay_process(state, spec, replica)
+        replay, records, transactions = yield from recovery
+        failure = FailureRecord(
+            edge_id=spec.edge_id,
+            failed_at=failed_at,
+            recovered_at=engine.now,
+            downtime=engine.now - failed_at,
+            recovery_time=replay,
+            records_replayed=records,
+            transactions_replayed=transactions,
+            txns_aborted=len(aborted),
+            streams_migrated=len(failed_over),
+        )
+        state.failures.append(failure)
+        self.events.record(
+            engine.now,
+            "edge_recovered",
+            edge=spec.edge_id,
+            records_replayed=records,
+            transactions_replayed=transactions,
+            recovery_time=replay,
+            downtime=failure.downtime,
+        )
+
+        if self._replication is not None:
+            # Host restart after a warm failover: nothing to replay (it
+            # owns no partitions now), so it rejoins after the base
+            # restart overhead and re-enrolls as a warm standby wherever
+            # a group has a free seat.
+            if engine.now < spec.recover_at:
+                yield engine.at(spec.recover_at)
+            restart = recovery_time(0, 0)
+            state.wake_at[spec.edge_id] = engine.now + restart
+            yield restart
+            state.failed[spec.edge_id] = False
+            bootstrapped = self._replication.reenroll(spec.edge_id, engine.now)
+            self.events.record(
+                engine.now, "edge_rejoined", edge=spec.edge_id, standby_records=bootstrapped
             )
-            return
+        if self.config.failback and failed_over:
+            engine.spawn(
+                self._failback_process(state, spec.edge_id, failed_over),
+                at=engine.now,
+                name=f"failback-edge-{spec.edge_id}",
+            )
 
+    def _replay_process(self, state: "_RunState", spec: FailureSpec, replica: EdgeReplica):
+        """Cold recovery of a crashed replica; returns ``(replay time,
+        records replayed, transactions replayed)``.
+
+        The host restarts at its scheduled ``recover_at`` and rebuilds
+        every owned partition from its latest checkpoint plus the
+        replayed log tail; the replica only rejoins once the replay is
+        done.
+        """
+        engine = state.engine
         yield engine.at(spec.recover_at)
-
-        # Restart: rebuild every owned partition from its latest
-        # checkpoint plus the replayed log tail; the replica only rejoins
-        # once the replay is done.
         keys, records, transactions = replica.recover()
         for partition_id in replica.owned_partitions:
             self.store.partition(partition_id).available = False
         replay = recovery_time(keys, records)
         state.wake_at[spec.edge_id] = engine.now + replay
         yield replay
-
         for partition_id in replica.owned_partitions:
             self.store.partition(partition_id).available = True
         state.failed[spec.edge_id] = False
-        rejoined_at = engine.now
-        record = FailureRecord(
-            edge_id=spec.edge_id,
-            failed_at=failed_at,
-            recovered_at=rejoined_at,
-            downtime=rejoined_at - failed_at,
-            recovery_time=replay,
-            records_replayed=records,
-            transactions_replayed=transactions,
-            txns_aborted=len(aborted),
-            streams_migrated=migrated,
-        )
-        state.failures.append(record)
-        state.downtime += record.downtime
-        state.recovery_time += replay
-        state.records_replayed += records
-        state.transactions_replayed += transactions
-        self.events.record(
-            rejoined_at,
-            "edge_recovered",
-            edge=spec.edge_id,
-            records_replayed=records,
-            transactions_replayed=transactions,
-            recovery_time=replay,
-            downtime=record.downtime,
-        )
-        if self.config.failback and failed_over:
-            state.engine.spawn(
-                self._failback_process(state, spec.edge_id, failed_over),
-                at=rejoined_at,
-                name=f"failback-edge-{spec.edge_id}",
-            )
+        return replay, records, transactions
 
     def _promotion_process(
-        self,
-        state: "_RunState",
-        spec: FailureSpec,
-        replica: EdgeReplica,
-        failed_at: float,
-        txns_aborted: int,
-        migrated: int,
-        failed_over: list[str],
+        self, state: "_RunState", spec: FailureSpec, replica: EdgeReplica, failed_at: float
     ):
-        """Warm failover of a crashed primary's partitions.
+        """Warm failover of a crashed primary's partitions; returns
+        ``(catch-up time, records caught up, transactions caught up)``.
 
         Runs as engine events so the downtime is *measured*: a
         failure-detection wait, then per partition an election of the
@@ -806,10 +793,9 @@ class ClusterSystem:
         replication channel, and a catch-up replay of only the gap
         between the winner's applied LSN and the surviving log tail.
         Promotions of a replica's partitions run in parallel; service is
-        restored when the slowest one finishes.  The crashed host still
-        restarts at its scheduled ``recover_at`` — owning nothing, it
-        rejoins after the base restart overhead as a warm standby
-        re-enrolled from the durable logs.
+        restored — and the process returns — when the slowest one
+        finishes.  The crashed host still restarts at its scheduled
+        ``recover_at`` (see :meth:`_failure_process`).
         """
         engine = state.engine
         manager = self._replication
@@ -879,58 +865,9 @@ class ClusterSystem:
 
         if completion > engine.now:
             yield engine.at(completion)
-
         # Service is restored the instant the slowest promotion lands;
         # that — not the host restart — is the measured downtime.
-        restored_at = engine.now
-        record = FailureRecord(
-            edge_id=spec.edge_id,
-            failed_at=failed_at,
-            recovered_at=restored_at,
-            downtime=restored_at - failed_at,
-            recovery_time=catchup_total,
-            records_replayed=records_caught_up,
-            transactions_replayed=len(gap_transactions),
-            txns_aborted=txns_aborted,
-            streams_migrated=migrated,
-        )
-        state.failures.append(record)
-        state.downtime += record.downtime
-        state.recovery_time += catchup_total
-        state.records_replayed += records_caught_up
-        state.transactions_replayed += len(gap_transactions)
-        self.events.record(
-            restored_at,
-            "edge_recovered",
-            edge=spec.edge_id,
-            records_replayed=records_caught_up,
-            transactions_replayed=len(gap_transactions),
-            recovery_time=catchup_total,
-            downtime=record.downtime,
-        )
-
-        # Host restart: nothing to replay (it owns no partitions now),
-        # so it rejoins after the base restart overhead and re-enrolls
-        # as a warm standby wherever a group has a free seat.
-        if engine.now < spec.recover_at:
-            yield engine.at(spec.recover_at)
-        restart = recovery_time(0, 0)
-        state.wake_at[spec.edge_id] = engine.now + restart
-        yield restart
-        state.failed[spec.edge_id] = False
-        bootstrapped = manager.reenroll(spec.edge_id, engine.now)
-        self.events.record(
-            engine.now,
-            "edge_rejoined",
-            edge=spec.edge_id,
-            standby_records=bootstrapped,
-        )
-        if self.config.failback and failed_over:
-            state.engine.spawn(
-                self._failback_process(state, spec.edge_id, failed_over),
-                at=engine.now,
-                name=f"failback-edge-{spec.edge_id}",
-            )
+        return catchup_total, records_caught_up, len(gap_transactions)
 
     def _failback_process(self, state: "_RunState", edge_id: int, streams: list[str]):
         """Return failed-over streams to their recovered home edge.
@@ -968,27 +905,7 @@ class ClusterSystem:
                     break  # no headroom at home; nobody returns this round
                 if not triggers[stream].observe(host_load):
                     continue
-                self.replicas[host].remove_stream(stream)
-                self.replicas[edge_id].assign_stream(stream)
-                state.current_edge[stream] = edge_id
-                state.migrations.append(
-                    MigrationRecord(
-                        time=engine.now,
-                        stream=stream,
-                        from_edge=host,
-                        to_edge=edge_id,
-                        utilization=host_load,
-                    )
-                )
-                self.events.record(
-                    engine.now,
-                    "stream_migrated",
-                    stream=stream,
-                    from_edge=host,
-                    to_edge=edge_id,
-                    utilization=host_load,
-                    reason="edge_recovered",
-                )
+                self._move_stream(state, stream, host, edge_id, host_load, reason="edge_recovered")
                 pending.remove(stream)
             yield window
 
@@ -1090,27 +1007,40 @@ class ClusterSystem:
         target = self.router.decide(edge_id, loads)
         if target is None:
             return edge_id
-        state.current_edge[stream_name] = target
-        self.replicas[edge_id].remove_stream(stream_name)
-        self.replicas[target].assign_stream(stream_name)
-        state.migrations.append(
-            MigrationRecord(
-                time=now,
-                stream=stream_name,
-                from_edge=edge_id,
-                to_edge=target,
-                utilization=loads[edge_id],
-            )
-        )
+        self._move_stream(state, stream_name, edge_id, target, loads[edge_id])
+        return target
+
+    def _move_stream(
+        self,
+        state: "_RunState",
+        stream: str,
+        from_edge: int,
+        to_edge: int,
+        utilization: float,
+        reason: str | None = None,
+    ) -> None:
+        """Re-home ``stream`` on ``to_edge``: the one migration step.
+
+        Every move — load-driven, failover (``reason="edge_failed"``) or
+        failback (``reason="edge_recovered"``) — is kept as a
+        :class:`~repro.cluster.results.MigrationRecord`, which is what the
+        report reads, and logged as a ``stream_migrated`` event.
+        """
+        now = state.engine.now
+        self.replicas[from_edge].remove_stream(stream)
+        self.replicas[to_edge].assign_stream(stream)
+        state.current_edge[stream] = to_edge
+        state.migrations.append(MigrationRecord(now, stream, from_edge, to_edge, utilization))
+        tag = {} if reason is None else {"reason": reason}
         self.events.record(
             now,
             "stream_migrated",
-            stream=stream_name,
-            from_edge=edge_id,
-            to_edge=target,
-            utilization=loads[edge_id],
+            stream=stream,
+            from_edge=from_edge,
+            to_edge=to_edge,
+            utilization=utilization,
+            **tag,
         )
-        return target
 
     # -- result assembly ----------------------------------------------------
     def _collect(self, state: _RunState) -> ClusterRunResult:
@@ -1146,6 +1076,15 @@ class ClusterSystem:
                     max_queue_delay=replica.server.max_wait,
                 )
             )
+        # Folded in append order with ``+=``: ``sum`` of floats is
+        # compensated on Python 3.12 and would not be bit-identical.
+        downtime = replay = 0.0
+        records = transactions = 0
+        for failure in state.failures:
+            downtime += failure.downtime
+            replay += failure.recovery_time
+            records += failure.records_replayed
+            transactions += failure.transactions_replayed
         return ClusterRunResult(
             router_policy=self.config.router_policy,
             placements=state.placements,
@@ -1153,6 +1092,7 @@ class ClusterSystem:
             edges=edges,
             makespan=state.makespan,
             stats=stats,
+            **state.sink.aggregate()._asdict(),
             total_transactions=total,
             cross_edge_transactions=cross_edge,
             multi_partition_transactions=multi_partition,
@@ -1162,15 +1102,15 @@ class ClusterSystem:
             policy_stats=policy_stats,
             failures=tuple(state.failures),
             reshards=tuple(state.reshards),
-            downtime_s=state.downtime,
-            recovery_time_s=state.recovery_time,
-            wal_records_replayed=state.records_replayed,
-            transactions_replayed=state.transactions_replayed,
+            downtime_s=downtime,
+            recovery_time_s=replay,
+            wal_records_replayed=records,
+            transactions_replayed=transactions,
             txns_aborted_by_failure=len(state.aborted_txns)
             + (self.store.failure_aborts - pre_failure_aborts),
             checkpoints=state.checkpoints,
             traffic=state.traffic,
-            frame_stats=state.sink.frame_stats,
+            batch_flushes=tuple(state.flushes),
             promotions=tuple(state.promotions),
             log_records_shipped=(
                 self._replication.records_shipped if self._replication is not None else 0

@@ -35,6 +35,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from statistics import mean
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.adaptive import AdaptationManager
@@ -42,16 +43,16 @@ from repro.core.client import Client, ClientResponse
 from repro.core.cloud import CloudNode
 from repro.core.config import CroesusConfig
 from repro.core.edge import EdgeNode, FinalStageOutcome, InitialStageOutcome
-from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
+from repro.core.results import FrameAggregate, FrameTrace, LatencyBreakdown, RunResult
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.labels import LabelSet
 from repro.detection.matching import FrameOverlaps
-from repro.detection.metrics import AccuracyReport, evaluate_detections
+from repro.detection.metrics import AccuracyReport, aggregate_reports, evaluate_detections
 from repro.network.channel import Channel
 from repro.sim.engine import At, Engine, Server
 from repro.sim.events import EventLog
 from repro.traffic.shedding import SHED_APOLOGY, LoadShedder
-from repro.traffic.source import TrafficStats
+from repro.traffic.source import TrafficStats, percentile
 from repro.video.frames import Frame
 from repro.video.synthetic import SyntheticVideo
 
@@ -102,13 +103,12 @@ class _FrameSink:
     """Where a run's per-frame outcomes go.
 
     The frame body reports the same outcomes to either sink; a sink only
-    decides what is *retained*.
+    decides what is *retained*, and reduces it to one
+    :class:`~repro.core.results.FrameAggregate` when the run ends.
     """
 
-    def __init__(self, system_name: str, frame_stats: Any) -> None:
+    def __init__(self, system_name: str) -> None:
         self.system_name = system_name
-        #: Streaming aggregates (``None`` when the sink keeps traces instead).
-        self.frame_stats = frame_stats
         self.results: dict[str, RunResult] = {}
 
     def open(self, video: SyntheticVideo) -> RunResult:
@@ -126,6 +126,14 @@ class StatsSink(_FrameSink):
     stream's frame count; nothing per-frame is retained, so run memory
     stays bounded at 10⁶+ frames.
     """
+
+    def __init__(self, system_name: str, frame_stats: Any) -> None:
+        super().__init__(system_name)
+        self.frame_stats = frame_stats
+
+    def aggregate(self) -> FrameAggregate:
+        """The run's frames, reduced from the running sums."""
+        return self.frame_stats.aggregate()
 
     def describe(self, stream: str, frame_id: int) -> tuple[str, str]:
         """Descriptions of a frame's upload and of its label download."""
@@ -174,8 +182,28 @@ class TraceSink(_FrameSink):
     """
 
     def __init__(self, system_name: str) -> None:
-        super().__init__(system_name, frame_stats=None)
+        super().__init__(system_name)
         self.clients: dict[str, Client] = {}
+
+    def aggregate(self) -> FrameAggregate:
+        """The run's frames, reduced from the kept traces."""
+        traces = [trace for result in self.results.values() for trace in result.traces]
+        delays = [trace.latency.cloud_queue_delay for trace in traces if trace.sent_to_cloud]
+        totals = [trace.latency.final_latency * 1000.0 for trace in traces]
+        return FrameAggregate(
+            f_score=aggregate_reports([trace.accuracy for trace in traces]).f_score,
+            bandwidth_utilization=len(delays) / len(traces) if traces else 0.0,
+            average_latency=LatencyBreakdown.average([trace.latency for trace in traces]),
+            latency_percentiles={
+                "p50_ms": percentile(totals, 50.0),
+                "p95_ms": percentile(totals, 95.0),
+                "p99_ms": percentile(totals, 99.0),
+            },
+            cloud_validations=len(delays),
+            cloud_queued=sum(1 for delay in delays if delay > 0),
+            mean_cloud_queue_delay=mean(delays) if delays else 0.0,
+            max_cloud_queue_delay=max(delays, default=0.0),
+        )
 
     def open(self, video: SyntheticVideo, client: Client | None = None) -> RunResult:
         """Register a stream whose responses go to ``client`` (default: a

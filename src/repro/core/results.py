@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
+from typing import NamedTuple
 
 from repro.detection.labels import LabelSet
 from repro.detection.metrics import AccuracyReport, aggregate_reports
@@ -237,3 +238,23 @@ class RunResult:
             "transactions": float(self.total_transactions),
             "corrections": float(self.total_corrections),
         }
+
+
+class FrameAggregate(NamedTuple):
+    """What every served frame of a run adds up to.
+
+    Each pipeline sink provides one — from the traces it kept or from its
+    running sums — so a cluster result is filled the same way whichever
+    sink ran.  The cloud-queue figures cover validated frames only; the
+    percentiles (``p50_ms`` / ``p95_ms`` / ``p99_ms``) are of per-frame
+    final latency, in milliseconds.
+    """
+
+    f_score: float
+    bandwidth_utilization: float
+    average_latency: LatencyBreakdown
+    latency_percentiles: dict[str, float]
+    cloud_validations: int
+    cloud_queued: int
+    mean_cloud_queue_delay: float
+    max_cloud_queue_delay: float

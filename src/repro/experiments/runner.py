@@ -15,9 +15,9 @@ property the golden-summary determinism pins rely on.
 from __future__ import annotations
 
 from functools import partial
+from statistics import mean
 from typing import Callable
 
-from repro.analysis.timeline import batch_flush_profile, cloud_queue_profile, migration_timeline
 from repro.cluster import ClusterSystem, empty_bank_factory, hotspot_bank_factory
 from repro.core.baselines import (
     BaselineResult,
@@ -150,7 +150,7 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         result = system.run_open_loop(build_traffic_config(spec))
 
     latency = _latency_ms(result.average_latency)
-    percentiles = result.latency_percentiles()
+    percentiles = result.latency_percentiles
     traffic_summary = result.traffic_summary() or None
     if traffic_summary is not None:
         offered_load = traffic_summary["offered_load_fps"]
@@ -177,12 +177,12 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
     )
     migration_events = tuple(
         {
-            "time_s": when,
-            "stream": stream,
-            "from_edge": from_edge,
-            "to_edge": to_edge,
+            "time_s": record.time,
+            "stream": record.stream,
+            "from_edge": record.from_edge,
+            "to_edge": record.to_edge,
         }
-        for when, stream, from_edge, to_edge in migration_timeline(system.events).moves
+        for record in result.migrations
     )
     failure_events = tuple(
         {
@@ -209,22 +209,22 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         }
         for record in result.reshards
     )
-    cloud = cloud_queue_profile(system.events)
     cloud_queue = {
-        "validations": cloud.validations,
-        "queued": cloud.queued,
-        "mean_delay_ms": cloud.mean_delay * 1000.0,
-        "max_delay_ms": cloud.max_delay * 1000.0,
+        "validations": result.cloud_validations,
+        "queued": result.cloud_queued,
+        "mean_delay_ms": result.mean_cloud_queue_delay * 1000.0,
+        "max_delay_ms": result.max_cloud_queue_delay * 1000.0,
     }
-    flushes = batch_flush_profile(system.events)
+    flushes = result.batch_flushes
+    flushed = sum(transactions for transactions, _ in flushes)
     batch_flushes = (
         {
-            "flushes": flushes.flushes,
-            "transactions": flushes.transactions,
-            "transactions_per_flush": flushes.transactions_per_flush,
-            "mean_duration_ms": flushes.mean_duration * 1000.0,
+            "flushes": len(flushes),
+            "transactions": flushed,
+            "transactions_per_flush": flushed / len(flushes),
+            "mean_duration_ms": mean(duration for _, duration in flushes) * 1000.0,
         }
-        if flushes.flushes
+        if flushes
         else None
     )
     replication = (
@@ -283,7 +283,7 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         overlap_saved_ms=result.policy_stats.overlap_saved_s * 1000.0,
         downtime_ms=result.downtime_s * 1000.0,
         recovery_time_ms=result.recovery_time_s * 1000.0,
-        frames_replayed=result.frames_replayed,
+        frames_replayed=result.transactions_replayed,
         txns_aborted_by_failure=result.txns_aborted_by_failure,
         checkpoints=result.checkpoints,
         offered_load_fps=offered_load,

@@ -203,7 +203,7 @@ class ScenarioSpec:
         default) keeps one ``FrameTrace`` per frame plus client,
         transfer and event histories — what every golden pin reads —
         while false folds the same frames into bounded-memory streaming
-        accumulators and a bounded event log (see
+        accumulators and a count-only event log (see
         :attr:`repro.cluster.config.ClusterConfig.record_frames`).
     reference_engine:
         Run the cluster's servers on the preserved pre-optimization

@@ -29,6 +29,7 @@ plain :class:`ClusterSystem`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -261,15 +262,20 @@ class GeoSystem(ClusterSystem):
 
     # -- commit observation --------------------------------------------------
     def _chain_commit_listener(self, replica) -> None:
-        """Stack the geo observer behind the policy's commit listener."""
+        """Stack the geo observer behind the policy's commit listener.
+
+        The system holds the controller, so the listener reaches the
+        system through a weak reference (no reference cycle).
+        """
         controller = replica.controller
         original = controller.commit_listener
         edge_id = replica.edge_id
+        system = weakref.ref(self)
 
         def listener(txn_id: str, participants: frozenset[int]) -> None:
             if original is not None:
                 original(txn_id, participants)
-            self._observe_commit_round(edge_id, txn_id, participants)
+            system()._observe_commit_round(edge_id, txn_id, participants)
 
         controller.commit_listener = listener
 

@@ -9,7 +9,7 @@ lets the full benchmark suite run in seconds.
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Admission, At, Engine, Process, Server, SimulationError
-from repro.sim.events import Event, EventLog
+from repro.sim.events import Event, EventLog, EventsNotRetained
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "Engine",
     "Event",
     "EventLog",
+    "EventsNotRetained",
     "Process",
     "RngRegistry",
     "Server",

@@ -7,7 +7,6 @@ system components having to know which breakdown a benchmark wants.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Any, Iterator
@@ -32,22 +31,23 @@ class Event:
     payload: dict[str, Any] = field(default_factory=dict)
 
 
+class EventsNotRetained(LookupError):
+    """Raised when a count-only :class:`EventLog` is asked for its events."""
+
+
 class EventLog:
     """Append-only, time-ordered log of :class:`Event` records.
 
-    Unbounded by default: a per-kind index is maintained on the side, so
-    :meth:`of_kind` is a dictionary lookup instead of a scan over the
-    whole timeline — the analysis and benchmark layers call it once per
-    kind per report, and cluster runs log thousands of events.
+    By default the log keeps every event, with a per-kind index on the
+    side so :meth:`of_kind` is a dictionary lookup instead of a scan over
+    the whole timeline.
 
-    With a ``capacity``, the log keeps only the most recent ``capacity``
-    events (a ring buffer) while per-kind *counts* stay exact for the
-    whole run — the fast-path configuration for million-frame runs,
-    where per-frame event objects would otherwise dominate memory.
-    :meth:`of_kind` then returns only the retained window (in order).
-    ``capacity=0`` goes one step further and counts without keeping
-    anything — two per-frame records on a hot path become two dictionary
-    increments.
+    ``capacity=0`` keeps counts only — the configuration of a
+    ``record_frames=False`` run, where per-frame event objects would
+    otherwise dominate memory: per-kind counts stay exact for the whole
+    run, two per-frame records on a hot path become two dictionary
+    increments, and asking such a log for its events raises
+    :class:`EventsNotRetained` instead of answering with an empty list.
 
     A retained event is a ``(timestamp, kind, payload)`` tuple, in the
     timeline and in the per-kind index alike, so :meth:`record` builds no
@@ -55,11 +55,13 @@ class EventLog:
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"capacity must be non-negative (or None), got {capacity}")
+        if capacity not in (None, 0):
+            raise ValueError(
+                f"capacity must be None (keep every event) or 0 (counts only), got {capacity}"
+            )
         self.capacity = capacity
-        self._events: Any = [] if capacity is None else deque(maxlen=capacity)
-        self._by_kind: dict[str, list[tuple]] | None = {} if capacity is None else None
+        self._events: list[tuple] = []
+        self._by_kind: dict[str, list[tuple]] = {}
         self._counts: dict[str, int] = {}
         self._total = 0
 
@@ -71,8 +73,7 @@ class EventLog:
             return
         row = (timestamp, kind, payload)
         self._events.append(row)
-        if self._by_kind is not None:
-            self._by_kind.setdefault(kind, []).append(row)
+        self._by_kind.setdefault(kind, []).append(row)
 
     def bump(self, kind: str) -> None:
         """Count one event of ``kind`` without building a record.
@@ -87,17 +88,16 @@ class EventLog:
         self._counts[kind] = self._counts.get(kind, 0) + 1
 
     def of_kind(self, kind: str) -> list[Event]:
-        """All *retained* events of ``kind``, in insertion order.
+        """All events of ``kind``, in insertion order.
 
-        The full history for an unbounded log; for a bounded log, the
-        events of that kind still inside the retained window (use
-        :meth:`count_of_kind` for the exact whole-run count).
+        Raises :class:`EventsNotRetained` on a count-only log, which has
+        the exact count (:meth:`count_of_kind`) but no events to return.
         """
-        if self._by_kind is not None:
-            rows = self._by_kind.get(kind, ())
-        else:
-            rows = [row for row in self._events if row[1] == kind]
-        return list(starmap(Event, rows))
+        if self.capacity == 0:
+            raise EventsNotRetained(
+                f"this EventLog keeps counts only; use count_of_kind({kind!r})"
+            )
+        return list(starmap(Event, self._by_kind.get(kind, ())))
 
     def count_of_kind(self, kind: str) -> int:
         """Exact number of events of ``kind`` recorded over the whole run."""
@@ -109,7 +109,7 @@ class EventLog:
 
     @property
     def total_recorded(self) -> int:
-        """Events recorded over the whole run (>= ``len(self)`` when bounded)."""
+        """Events recorded over the whole run (``len(self)`` unless count-only)."""
         return self._total
 
     def __iter__(self) -> Iterator[Event]:
@@ -122,7 +122,6 @@ class EventLog:
     def clear(self) -> None:
         """Drop all recorded events."""
         self._events.clear()
-        if self._by_kind is not None:
-            self._by_kind.clear()
+        self._by_kind.clear()
         self._counts.clear()
         self._total = 0

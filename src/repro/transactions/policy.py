@@ -42,6 +42,7 @@ differing only in latency and round-trip accounting.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -217,7 +218,12 @@ class TransactionPolicy:
         #: Optional flush callback (wired by the systems to the event log).
         self.on_flush: FlushListener | None = None
         if hasattr(controller, "commit_listener"):
-            controller.commit_listener = self._on_commit_round
+            # The policy holds its controller; the controller reaches the
+            # policy through a weak reference, so the pair is no cycle.
+            policy = weakref.ref(self)
+            controller.commit_listener = lambda transaction_id, participants: (
+                policy()._on_commit_round(transaction_id, participants)
+            )
 
     # -- the protocol --------------------------------------------------------
     def begin(self, transaction: MultiStageTransaction, now: float = 0.0) -> None:

@@ -14,7 +14,7 @@ from repro.analysis.timeline import (
 from repro.core.config import CroesusConfig
 from repro.core.optimizer import ThresholdEvaluator
 from repro.core.results import LatencyBreakdown
-from repro.sim.events import EventLog
+from repro.sim.events import EventLog, EventsNotRetained
 
 
 class TestFormatTable:
@@ -108,6 +108,15 @@ class TestTimeline:
     def test_stage_commit_counts(self):
         counts = stage_commit_counts(self.make_log())
         assert counts == {"initial": 1, "final": 1}
+
+    def test_a_count_only_log_refuses_the_reductions_that_need_events(self):
+        log = EventLog(capacity=0)
+        log.record(1.0, "cloud_validate", frame_id=0, queue_delay=0.5)
+        log.bump("initial_commit")
+        for reduction in (cloud_queue_profile, migration_timeline, batch_flush_profile):
+            with pytest.raises(EventsNotRetained):
+                reduction(log)
+        assert stage_commit_counts(log) == {"initial": 1, "final": 0}
 
     def test_batch_flush_profile(self):
         log = EventLog()

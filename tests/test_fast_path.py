@@ -12,8 +12,9 @@ Covers the PR's perf machinery from below and from above:
   simulates: one frame pipeline feeds either sink, so a non-recording
   run must agree with the recording one on every aggregate at every
   load (the quantile sketch's stated 1% above 4096 samples is the only
-  deviation), stay deterministic, and keep memory-bounded state
-  (bounded event log, capped server records);
+  deviation) — timelines, cloud queueing and batch flushes included —
+  stay deterministic, and keep memory-bounded state (count-only event
+  log, capped server records);
 * the new :class:`~repro.experiments.spec.ScenarioSpec` fields must
   validate.
 """
@@ -28,10 +29,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.streaming import QuantileAccumulator, RingBuffer, StreamingStats
+from repro.cluster.system import ClusterSystem
 from repro.detection.profiles import MODEL_LIBRARY
 from repro.experiments import ScenarioSpec, get_scenario, run
+from repro.experiments.runner import build_streams
+from repro.experiments.spec import build_cluster_config
 from repro.sim.engine import ReferenceServer, Server
-from repro.sim.events import EventLog
+from repro.sim.events import EventLog, EventsNotRetained
 from repro.sim.rng import RngRegistry
 from repro.traffic.source import TrafficConfig, TrafficSource, percentile
 from repro.video.library import VIDEO_LIBRARY, make_video
@@ -294,19 +298,43 @@ class TestRingBuffer:
         assert ring.values() == [1.0, 2.0, 3.0]
 
 
-# -- bounded event log --------------------------------------------------------
+# -- count-only event log -----------------------------------------------------
 class TestBoundedEventLog:
-    def test_capacity_bounds_retention_but_counts_stay_exact(self):
-        log = EventLog(capacity=100)
+    def test_count_only_log_keeps_nothing_but_counts_stay_exact(self):
+        log = EventLog(capacity=0)
         for index in range(1000):
-            log.record(float(index), "frame" if index % 2 else "txn")
-        assert len(log) == 100
+            if index % 2:
+                log.record(float(index), "frame", stream="cam0")
+            else:
+                log.bump("txn")
+        assert len(log) == 0
         assert log.total_recorded == 1000
         assert log.count_of_kind("frame") == 500
         assert log.count_of_kind("txn") == 500
-        retained = log.of_kind("frame")
-        assert len(retained) <= 100
-        assert retained[-1].timestamp == 999.0
+        assert log.kinds() == {"frame", "txn"}
+
+    def test_count_only_log_cannot_be_read_as_empty(self):
+        log = EventLog(capacity=0)
+        log.record(1.0, "stream_migrated", stream="cam0")
+        with pytest.raises(EventsNotRetained, match=r"count_of_kind\('stream_migrated'\)"):
+            log.of_kind("stream_migrated")
+        # A kind that never occurred is no different: the log cannot know.
+        with pytest.raises(EventsNotRetained):
+            log.of_kind("edge_failed")
+
+    @pytest.mark.parametrize("capacity", [-1, 1, 4096])
+    def test_a_log_keeps_everything_or_counts_only(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            EventLog(capacity=capacity)
+
+    def test_fast_path_runs_log_counts_only(self):
+        spec = get_scenario("failure-recovery").with_(record_frames=False)
+        system = ClusterSystem(build_cluster_config(spec))
+        result = system.run(build_streams(spec))
+        assert system.events.capacity == 0
+        assert system.events.count_of_kind("stream_migrated") == len(result.migrations) > 0
+        with pytest.raises(EventsNotRetained):
+            system.events.of_kind("stream_migrated")
 
     def test_unbounded_log_keeps_everything(self):
         log = EventLog()
@@ -320,8 +348,10 @@ class TestBoundedEventLog:
 #: Cells the two retention modes are compared on: scenario -> overrides.
 #: ``light`` is the original ~25%-utilisation open-loop cell; the rest
 #: cover overlap within a stream, overload with shedding/rejection, a
-#: warm failover, online adaptation, and a run past the quantile
-#: accumulator's exact limit.
+#: warm failover, online adaptation, a run past the quantile
+#: accumulator's exact limit, runtime migration, a queueing cloud,
+#: coordinator batch flushes, and a failure + failover whose run records
+#: more than 4096 events.
 _AGREEMENT_CELLS = {
     "light": ("scale-stress-smoke", dict(offered_rate=3.0, duration_s=20.0, num_edges=20)),
     "cluster-small": ("cluster-small", {}),
@@ -329,6 +359,10 @@ _AGREEMENT_CELLS = {
     "replicated-failover": ("replicated-failover", {}),
     "adaptive-thresholds": ("adaptive-thresholds", {}),
     "scale-stress-smoke": ("scale-stress-smoke", {}),
+    "cluster-migration": ("cluster-migration", {}),
+    "cluster-finite-cloud": ("cluster-finite-cloud", {}),
+    "cluster-batched-2pc": ("cluster-batched-2pc", dict(frames=300)),
+    "failure-recovery": ("failure-recovery", dict(frames=400)),
 }
 
 
@@ -388,6 +422,21 @@ class TestFastPathAgreesWithRecordedPath:
                 assert fast.traffic[name] == recorded.traffic[name], name
         if recorded.adaptation is not None:
             assert fast.adaptation["stream_thresholds"] == recorded.adaptation["stream_thresholds"]
+        # The report's timelines come from the run's own records, not from
+        # whatever the event log retained.
+        for name in (
+            "migration_events",
+            "failure_events",
+            "reshard_events",
+            "replication",
+            "batch_flushes",
+        ):
+            assert getattr(fast, name) == getattr(recorded, name), name
+        for name in ("validations", "queued", "max_delay_ms"):
+            assert fast.cloud_queue[name] == recorded.cloud_queue[name], name
+        assert fast.cloud_queue["mean_delay_ms"] == pytest.approx(
+            recorded.cloud_queue["mean_delay_ms"], rel=1e-9
+        )
         # Running sums vs means over a retained list differ in the last ulp.
         for key, value in recorded.latency.items():
             assert fast.latency[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key

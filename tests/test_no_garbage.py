@@ -8,9 +8,14 @@ each swept with ``gc.DEBUG_SAVEALL`` at the instant their engine has
 drained, collector still off: nothing unreachable may turn up.  A cycle
 that does turn up is to be broken at its source (as
 ``ClusterSystem._finish_run`` drops ``state.frame_body``), not exempted
-here.  (The deployment object itself is wired with callbacks between
-system, replicas, policies and controllers when it is *constructed*;
-it is alive throughout the drain, so that is not the drain's garbage.)
+here.
+
+The same runs — plus the cluster, geo and single-edge scenarios that
+wire every construction-time callback (flush hooks, WAL observers,
+commit listeners, server factories) — are swept again once the
+deployment itself has been dropped: a system whose callbacks held it
+would be cyclic garbage that only a full collection frees.  Callbacks
+take what they need, or reach back through a weak reference.
 """
 
 from __future__ import annotations
@@ -112,6 +117,44 @@ def test_a_run_leaves_nothing_for_the_cycle_collector(name, swept_drains):
     assert gc.isenabled()
     if name == "failure-and-promotion":
         assert result.promotions >= 1 and result.failure_events
+
+
+#: Runs whose deployment is swept after it is dropped: every drained run
+#: above, and the shapes that wire the remaining construction callbacks.
+DROPPED = {
+    **RUNS,
+    "cluster-small": lambda: run(get_scenario("cluster-small")),
+    "cluster-batched-2pc": lambda: run(get_scenario("cluster-batched-2pc")),
+    "geo-baseline": lambda: run(get_scenario("geo-baseline")),
+    "geo-async-dominant-region": lambda: run(
+        get_scenario("geo-baseline").with_(
+            frames=10, cross_region_policy="async-reconcile", placement="dominant-region"
+        )
+    ),
+    "failback-group-commit": lambda: run(
+        get_scenario("failure-recovery").with_(failback=True, wal_group_commit_window_ms=5.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DROPPED))
+def test_a_dropped_system_leaves_nothing_for_the_cycle_collector(name):
+    DROPPED[name]()  # first use of a code path may import (and leave cycles)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()  # nothing may be collected before the sweep sees it
+    flags = gc.get_debug()
+    try:
+        assert DROPPED[name]() is not None  # the system is built, run and dropped
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = Counter(type(item).__name__ for item in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert not garbage, garbage.most_common(12)
 
 
 def test_the_sweep_sees_a_cycle_made_while_draining(swept_drains):

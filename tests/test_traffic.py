@@ -272,7 +272,7 @@ class TestOpenLoopCluster:
         system, traffic = _open_loop_cluster()
         result = system.run_open_loop(traffic)
         summary = result.traffic_summary()
-        percentiles = result.latency_percentiles()
+        percentiles = result.latency_percentiles
         assert summary["offered_streams"] == result.traffic.offered_streams
         assert summary["p99_latency_ms"] == percentiles["p99_ms"]
         assert 0 < percentiles["p50_ms"] <= percentiles["p95_ms"] <= percentiles["p99_ms"]
@@ -324,7 +324,7 @@ class TestOpenLoopSingle:
         assert first.traffic.completed_frames > 0
         assert first.makespan == second.makespan
         assert first.goodput_fps == second.goodput_fps > 0
-        assert first.latency_percentiles()["p99_ms"] >= first.latency_percentiles()["p50_ms"]
+        assert first.latency_percentiles["p99_ms"] >= first.latency_percentiles["p50_ms"]
 
     def test_single_admission_rejects_under_backlog(self):
         traffic = TrafficConfig(

@@ -362,7 +362,7 @@ class TestPolicyApi:
         assert len(system.history) > 0
         assert check_ms_ia(system.history).ok
 
-    def test_cluster_policy_summary_matches_the_report(self):
+    def test_cluster_batch_flushes_match_the_policy_stats(self):
         from repro.cluster import ClusterConfig, ClusterSystem
         from repro.core.config import ConsistencyLevel, CroesusConfig
         from repro.video.library import make_camera_streams
@@ -376,12 +376,15 @@ class TestPolicyApi:
             num_edges=4,
         )
         result = ClusterSystem(config).run(make_camera_streams(4, num_frames=4, seed=2022))
-        summary = result.policy_summary()
-        assert summary["coordinator_round_trips"] == float(result.coordinator_round_trips)
-        assert summary["commit_batches"] == float(result.policy_stats.commit_batches)
-        assert summary["round_trips_per_cross_edge_txn"] == result.round_trips_per_cross_edge_txn
-        # The legacy summary key set stays pinned: no policy keys leak in.
-        assert not set(summary) & set(result.summary())
+        # One kept (transactions, duration) per coordinator flush, the
+        # end-of-run flush included.
+        flushes = result.batch_flushes
+        assert len(flushes) == result.policy_stats.commit_batches > 0
+        assert sum(transactions for transactions, _ in flushes) == (
+            result.policy_stats.cross_partition_commits
+        )
+        assert all(duration > 0.0 for _, duration in flushes)
+        assert result.policy_stats.coordinator_round_trips > 0
 
     def test_immediate_policy_wraps_local_controllers(self):
         from repro.storage.kvstore import KeyValueStore
