@@ -18,6 +18,10 @@ transactions (paper Section 4.5).
 * :mod:`repro.cluster.failure` — scheduled replica failure/recovery and
   runtime partition re-sharding, executed as engine events over the
   write-ahead-log durability seam of :mod:`repro.storage`.
+
+With ``ClusterConfig.geo.regions > 1`` the same system plugs in the geo
+tier of :mod:`repro.geo` (WAN-linked regions, cross-region commit
+variants, dominant-region placement).
 """
 
 from repro.cluster.config import ClusterConfig
@@ -32,6 +36,7 @@ from repro.cluster.results import ClusterRunResult, EdgeMetrics, MigrationRecord
 from repro.cluster.router import (
     ROUTER_POLICIES,
     ConsistentHashRouter,
+    GeoRouter,
     HotspotRouter,
     LeastLoadedRouter,
     MigratingRouter,
@@ -57,6 +62,7 @@ __all__ = [
     "ConsistentHashRouter",
     "LeastLoadedRouter",
     "HotspotRouter",
+    "GeoRouter",
     "MigratingRouter",
     "MigrationTrigger",
     "MigrationRecord",

@@ -13,9 +13,10 @@ from repro.cluster.failure import (
     validate_failure_schedule,
 )
 from repro.cluster.replication import REPLICATION_MODES
-from repro.cluster.router import ROUTER_POLICIES
+from repro.cluster.router import ROUTER_POLICIES, RoutingError
 from repro.core.adaptive import ADAPTATION_MODES
 from repro.core.config import CroesusConfig
+from repro.geo.system import GeoConfig
 from repro.network.topology import MachineProfile
 from repro.sim.engine import Server
 
@@ -163,6 +164,10 @@ class ClusterConfig:
     adaptation_interval_s: float = 1.0
     #: F-score floor the per-stream controllers steer towards.
     adaptation_target_f: float = 0.8
+    #: The geo tier: ``regions > 1`` splits the edges into that many
+    #: WAN-linked regions (see :mod:`repro.geo`); 1 — the default —
+    #: builds no geo machinery at all.
+    geo: GeoConfig = field(default_factory=GeoConfig)
 
     def __post_init__(self) -> None:
         if self.reference_engine and not self.record_frames:
@@ -277,6 +282,37 @@ class ClusterConfig:
             raise ValueError(
                 f"adaptation_target_f must be in (0, 1], got {self.adaptation_target_f}"
             )
+        # How a multi-region deployment composes with the other axes (the
+        # geo axes themselves are GeoConfig's to check).
+        regions = self.geo.regions
+        if regions > 1:
+            if self.num_edges % regions != 0:
+                raise ValueError(
+                    f"num_edges ({self.num_edges}) must split evenly into {regions} regions"
+                )
+            if self.router_policy != "round-robin":
+                raise RoutingError(
+                    "regions > 1 places streams region-first, so the router must "
+                    f"be 'round-robin'; got {self.router_policy!r}"
+                )
+            if self.base.transaction_policy != "immediate-2pc":
+                raise ValueError(
+                    "regions > 1 stacks the cross-region commit variants on "
+                    "immediate-2pc; got transaction_policy="
+                    f"{self.base.transaction_policy!r}"
+                )
+            if self.replication_factor > 1:
+                raise ValueError("regions > 1 does not replicate partitions yet")
+            if self.failure_schedule or self.failure_hazard_rate is not None:
+                raise ValueError("regions > 1 does not support failure injection yet")
+            if self.resharding:
+                raise ValueError(
+                    "scheduled re-sharding conflicts with geo placement; drop one"
+                )
+            if not self.record_frames:
+                raise ValueError("regions > 1 requires record_frames=True")
+            if self.reference_engine:
+                raise ValueError("regions > 1 does not run on the reference engine")
 
     @property
     def num_partitions(self) -> int:

@@ -5,6 +5,7 @@ streaming per-frame accumulator and the aggregated :class:`ClusterRunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Any
 
 from repro.analysis.streaming import QuantileAccumulator
 from repro.cluster.failure import FailureRecord, PromotionRecord, ReshardRecord
@@ -254,6 +255,9 @@ class ClusterRunResult:
     tuner_grid_rescores: int = 0
     #: Stream -> its final (θL, θU) after any runtime drift.
     stream_thresholds: dict[str, tuple[float, float]] = field(default_factory=dict)
+    #: The run's geo block (:meth:`repro.geo.GeoTier.summary`); None
+    #: unless the cluster spans several regions.
+    geo: dict[str, Any] | None = None
 
     @property
     def final_placements(self) -> dict[str, int]:

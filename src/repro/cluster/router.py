@@ -11,7 +11,9 @@ evaluation needs:
   edge machines (a slower machine absorbs fewer streams);
 * **hotspot** — deliberately skewed placement that concentrates a
   configurable fraction of the streams on one hot edge, producing the
-  overload scenarios the queueing model is meant to expose.
+  overload scenarios the queueing model is meant to expose;
+* **geo** — region-first striping, what a multi-region cluster places
+  streams with (clients are near *their* region).
 
 All policies are deterministic given their construction arguments (the
 hotspot policy draws from a seeded generator), so a seeded cluster run is
@@ -176,6 +178,30 @@ class HotspotRouter(StreamRouter):
         return others[int(self._rng.integers(0, len(others)))]
 
 
+class GeoRouter(StreamRouter):
+    """Region-striped placement: stream *i* lands in region ``i % regions``.
+
+    Inside the chosen region, streams cycle round-robin over that
+    region's edges.  Deterministic, draws nothing from any RNG stream.
+    """
+
+    name = "geo"
+
+    def __init__(self, regions: int, edges_per_region: int) -> None:
+        super().__init__(regions * edges_per_region)
+        self.regions = regions
+        self.edges_per_region = edges_per_region
+        self._next = 0
+
+    def place(self, stream_name: str) -> int:
+        """Edge index that should host ``stream_name``."""
+        index = self._next
+        self._next += 1
+        region = index % self.regions
+        within = (index // self.regions) % self.edges_per_region
+        return region * self.edges_per_region + within
+
+
 class MigrationTrigger:
     """Hysteresis gate for runtime stream migration off one edge.
 
@@ -275,13 +301,19 @@ def make_router(
     hot_fraction: float = 0.75,
     migration_high: float = 0.85,
     migration_low: float = 0.5,
+    regions: int = 1,
 ) -> StreamRouter:
     """Build a router by policy name.
 
     ``rng`` is only required by the hotspot policy; ``compute_scales``
     only informs the least-loaded and migrating policies, and the
-    ``migration_*`` thresholds only the migrating policy.
+    ``migration_*`` thresholds only the migrating policy.  With
+    ``regions > 1`` streams are placed region-first by a
+    :class:`GeoRouter` (the cluster config admits only ``round-robin``
+    there).
     """
+    if regions > 1:
+        return GeoRouter(regions, num_edges // regions)
     if policy == "round-robin":
         return RoundRobinRouter(num_edges)
     if policy == "consistent-hash":

@@ -36,7 +36,12 @@ owns what makes a deployment a *cluster*:
 7. the run returns per-stream :class:`~repro.core.results.RunResult`\\ s
    plus cluster-level metrics: per-edge utilization and queue delay, the
    cross-edge transaction fraction, the 2PC abort rate, cloud queueing,
-   and any migrations.
+   and any migrations;
+8. with :attr:`ClusterConfig.geo` spanning several regions, the edges
+   group into WAN-linked regions: streams place region-first, each run
+   builds a :class:`~repro.geo.system.GeoTier` that every replica's
+   policy reports its commit rounds to, and — under dominant-region
+   placement — a process moves partitions where the tier says.
 
 Because the cloud round trip does not occupy the edge, a replica keeps
 serving other frames while a validated frame is in flight; under MS-SR
@@ -86,6 +91,9 @@ from repro.core.pipeline import (
     start_adaptation,
 )
 from repro.core.thresholds import ThresholdPolicy
+from repro.geo.placement import PLACEMENT_INTERVAL_S
+from repro.geo.system import GeoTier
+from repro.geo.wan import WanFabric
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
 from repro.sim.engine import Engine, ReferenceServer, Server
@@ -192,6 +200,8 @@ class _RunState(PipelineState):
     checkpoints: int = 0
     #: Per-stream admission control of an open-loop run.
     admission: AdmissionController | None = None
+    #: The run's geo tier (``None`` in a single-region cluster).
+    geo: GeoTier | None = None
 
 
 class ClusterSystem:
@@ -304,6 +314,18 @@ class ClusterSystem:
             hot_fraction=config.hotspot_fraction,
             migration_high=config.migration_high,
             migration_low=config.migration_low,
+            regions=config.geo.regions,
+        )
+        #: The WAN mesh between regions (``None`` in a single-region cluster).
+        self._wan = (
+            WanFabric(
+                config.geo.regions,
+                config.geo.wan_link,
+                self.rngs,
+                record_transfers=config.record_frames,
+            )
+            if config.geo.regions > 1
+            else None
         )
 
         # Replication and group-commit observe WAL appends through the
@@ -463,9 +485,23 @@ class ClusterSystem:
                 state.shedder = LoadShedder(
                     traffic.shed_threshold, ApologyBudget(traffic.apology_budget)
                 )
+        if self._wan is not None:
+            state.geo = GeoTier(
+                self.config.geo,
+                self.config.num_edges,
+                self._partition_home,
+                self._wan,
+                state.engine,
+                self.events,
+            )
         for replica in self.replicas:
             replica.policy.on_flush = partial(
                 _record_flush, self.events, state.flushes, replica.edge_id
+            )
+            replica.policy.on_commit_round = (
+                None
+                if state.geo is None
+                else partial(state.geo.observe_commit_round, replica.edge_id)
             )
         # The WAL ship hook reads ``now`` off this run's engine.
         self._run_engine = state.engine
@@ -557,7 +593,8 @@ class ClusterSystem:
         return pre_stats, pre_records, pre_policy, self.store.failure_aborts
 
     def _spawn_run_processes(self, state: "_RunState", horizon: float) -> None:
-        """Spawn the failure/reshard/checkpoint processes of one run.
+        """Spawn the failure/reshard/checkpoint/adaptation processes of one
+        run, and the geo placement process last.
 
         ``horizon`` bounds the hazard-mode failure draws: the last frame
         arrival of a closed-loop run, or the traffic source's
@@ -594,6 +631,10 @@ class ClusterSystem:
                 name="checkpointer",
             )
         start_adaptation(state, self.events)
+        if state.geo is not None and state.geo.moves_partitions:
+            state.engine.spawn(
+                self._placement_process(state), at=PLACEMENT_INTERVAL_S, name="geo-placement"
+            )
 
     def _admit_stream(self, state: "_RunState", video: SyntheticVideo) -> None:
         """Admission-control one arriving stream; start its driver if it enters."""
@@ -842,9 +883,9 @@ class ClusterSystem:
                 promotion=promotion,
             ) -> None:
                 partition.promote(store)
-                self.replicas[promotion.from_edge].release_partition(promotion.partition_id)
-                self.replicas[promotion.to_edge].adopt_partition(promotion.partition_id)
-                self._partition_home[promotion.partition_id] = promotion.to_edge
+                self._rehome_partition(
+                    promotion.partition_id, promotion.from_edge, promotion.to_edge
+                )
                 state.promotions.append(promotion)
                 self.events.record(
                     promotion.promoted_at,
@@ -938,9 +979,7 @@ class ClusterSystem:
             # scheduled move is dropped (visible as a missing event).
             return
         outcome = self.store.transfer_partition(move.partition_id)
-        self.replicas[from_edge].release_partition(move.partition_id)
-        self.replicas[move.to_edge].adopt_partition(move.partition_id)
-        self._partition_home[move.partition_id] = move.to_edge
+        self._rehome_partition(move.partition_id, from_edge, move.to_edge)
         now = state.engine.now
         record = ReshardRecord(
             time=now,
@@ -960,6 +999,28 @@ class ClusterSystem:
             keys_copied=outcome.keys_copied,
             records_shipped=outcome.records_shipped,
         )
+
+    def _placement_process(self, state: "_RunState"):
+        """Periodically move partitions where the run's geo tier says they
+        belong (checkpoint-copy + log tail, as a re-shard ships them)."""
+        geo = state.geo
+        while state.frames_remaining > 0 or state.source_active:
+            for partition_id in range(self.config.num_partitions):
+                to_edge = geo.placement_target(partition_id, state.failed)
+                if to_edge is None:
+                    continue
+                from_edge = self._partition_home[partition_id]
+                outcome = self.store.transfer_partition(partition_id)
+                self._rehome_partition(partition_id, from_edge, to_edge)
+                geo.note_placed(partition_id, from_edge, to_edge, outcome)
+            yield PLACEMENT_INTERVAL_S
+
+    def _rehome_partition(self, partition_id: int, from_edge: int, to_edge: int) -> None:
+        """Hand ``partition_id`` from one replica to another: the one re-home
+        step of a re-shard, a promotion and a geo placement move."""
+        self.replicas[from_edge].release_partition(partition_id)
+        self.replicas[to_edge].adopt_partition(partition_id)
+        self._partition_home[partition_id] = to_edge
 
     def _checkpoint_process(self, state: "_RunState"):
         """Periodic cluster-wide checkpointer (bounds recovery replay)."""
@@ -1139,6 +1200,7 @@ class ClusterSystem:
             stream_thresholds=(
                 state.adaptation.final_thresholds() if state.adaptation is not None else {}
             ),
+            geo=state.geo.summary() if state.geo is not None else None,
         )
 
     # -- banks --------------------------------------------------------------

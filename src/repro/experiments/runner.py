@@ -33,11 +33,9 @@ from repro.experiments.spec import (
     ScenarioSpec,
     build_adaptation_config,
     build_cluster_config,
-    build_geo_config,
     build_single_config,
     build_traffic_config,
 )
-from repro.geo.system import GeoSystem
 from repro.video.library import make_camera_streams, make_uneven_camera_streams
 from repro.video.synthetic import SyntheticVideo
 
@@ -135,15 +133,7 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         # No transactions at all: detections trigger nothing, so frames
         # exercise pure detection + queueing (the scale-stress shape).
         bank_factory = empty_bank_factory
-    geo_system: GeoSystem | None = None
-    if spec.regions > 1:
-        # The geo tier only exists when asked for: regions=1 takes the
-        # plain ClusterSystem construction below, so single-region seeded
-        # runs stay bit-for-bit on their golden pins.
-        geo_system = GeoSystem(config, build_geo_config(spec), bank_factory=bank_factory)
-        system: ClusterSystem = geo_system
-    else:
-        system = ClusterSystem(config, bank_factory=bank_factory)
+    system = ClusterSystem(config, bank_factory=bank_factory)
     if spec.traffic is None:
         result = system.run(build_streams(spec))
     else:
@@ -251,7 +241,7 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         if result.replication_factor > 1
         else None
     )
-    geo = geo_system.geo_summary() if geo_system is not None else None
+    geo = result.geo
     adaptation = (
         _adaptation_block(spec, result.tuner_grid_rescores, result.stream_thresholds)
         if result.adaptation_mode is not None

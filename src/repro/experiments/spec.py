@@ -9,8 +9,9 @@ lossless ``to_dict()``/``from_dict()`` round trip.
 
 The spec is deliberately a *description*, not a configuration object:
 the ``build_*_config`` functions below translate it into the concrete
-``CroesusConfig``/``ClusterConfig``/``TrafficConfig``/``GeoConfig`` the
-systems consume, so adding a new axis to the evaluation grid means
+``CroesusConfig``/``ClusterConfig``/``TrafficConfig`` the systems consume
+(a ``ClusterConfig`` carries its ``GeoConfig``), so adding a new axis to
+the evaluation grid means
 adding a field here instead of a new CLI subcommand or benchmark loop.
 
 Validation has one owner per axis.  A subsystem axis is checked by the
@@ -368,11 +369,11 @@ class ScenarioSpec:
         # Every subsystem axis is validated by the config that consumes it,
         # whether or not this deployment (or a feature's on-switch) uses it:
         # thresholds and commit policy by CroesusConfig, topology, failures,
-        # replication and adaptation by ClusterConfig, the open-loop shape by
-        # TrafficConfig, the geo tier by GeoConfig.
+        # replication, adaptation and the geo tier's composition rules by
+        # ClusterConfig (its geo axes by GeoConfig), the open-loop shape by
+        # TrafficConfig.
         build_cluster_config(self)
         _traffic_config(self)
-        build_geo_config(self)
         # What follows are the rules no single subsystem can see.
         if self.traffic is not None and self.deployment != "cluster":
             raise ValueError(
@@ -405,31 +406,8 @@ class ScenarioSpec:
         if self.regions > 1:
             if self.deployment != "cluster":
                 raise ValueError("regions > 1 requires deployment='cluster'")
-            if self.num_edges % self.regions != 0:
-                raise ValueError(
-                    f"num_edges ({self.num_edges}) must split evenly into "
-                    f"{self.regions} regions"
-                )
-            if self.transaction_policy != "immediate-2pc":
-                raise ValueError(
-                    "regions > 1 stacks the cross-region commit variants on "
-                    "immediate-2pc; got transaction_policy="
-                    f"{self.transaction_policy!r}"
-                )
             if self.traffic is not None:
                 raise ValueError("regions > 1 runs closed-loop only (traffic=None)")
-            if self.replication_factor > 1:
-                raise ValueError("regions > 1 does not replicate partitions yet")
-            if self.failure_schedule or self.failure_hazard_rate is not None:
-                raise ValueError("regions > 1 does not support failure injection yet")
-            if self.resharding:
-                raise ValueError(
-                    "scheduled re-sharding conflicts with geo placement; drop one"
-                )
-            if not self.record_frames:
-                raise ValueError("regions > 1 requires record_frames=True")
-            if self.reference_engine:
-                raise ValueError("regions > 1 does not run on the reference engine")
 
     # -- derived -------------------------------------------------------------
     @property
@@ -507,6 +485,7 @@ def build_cluster_config(spec: ScenarioSpec) -> ClusterConfig:
         router_policy=spec.router,
         frame_interval=spec.frame_interval,
         wal_group_commit_window_s=window_ms / 1000.0 if window_ms is not None else None,
+        geo=GeoConfig(**_shared_axes(spec, GeoConfig)),
         **_shared_axes(spec, ClusterConfig),
     )
 
@@ -529,11 +508,6 @@ def build_traffic_config(spec: ScenarioSpec) -> TrafficConfig:
     if spec.traffic is None:
         raise ValueError("spec has no traffic process (closed-loop scenario)")
     return _traffic_config(spec)
-
-
-def build_geo_config(spec: ScenarioSpec) -> GeoConfig:
-    """The ``GeoConfig`` of the spec's geo axes (inert at ``regions == 1``)."""
-    return GeoConfig(**_shared_axes(spec, GeoConfig))
 
 
 def build_adaptation_config(spec: ScenarioSpec) -> AdaptationConfig:

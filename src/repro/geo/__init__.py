@@ -1,17 +1,19 @@
-"""Geo-hierarchical deployment: edge clusters composed into regions.
+"""Geo-hierarchical deployment: one cluster's edges split into regions.
 
-This package stacks a geo tier on top of :mod:`repro.cluster`: a
-:class:`GeoSystem` groups a cluster's edges into regions under one
-discrete-event engine, connects the regions with the seeded WAN channel
-mesh of :class:`~repro.geo.wan.WanFabric` (multi-hop
-:class:`~repro.network.topology.NetworkPath` routes), and models the
-cross-region commit variants of :data:`~repro.geo.wan.CROSS_REGION_POLICIES`
-plus geo-aware stream routing and dominant-region partition placement.
+This package is the geo tier that :mod:`repro.cluster` plugs in when
+``ClusterConfig.geo.regions > 1`` (it imports nothing from
+:mod:`repro.cluster`): the cluster groups its edges into regions under
+one discrete-event engine, connects them with the seeded WAN channel mesh
+of :class:`~repro.geo.wan.WanFabric` (multi-hop
+:class:`~repro.network.topology.NetworkPath` routes), and builds one
+:class:`GeoTier` per run, which models the cross-region commit variants
+of :data:`~repro.geo.wan.CROSS_REGION_POLICIES` and decides
+dominant-region partition placement.
 """
 
-from repro.geo.placement import GeoRouter, PlacementTracker
+from repro.geo.placement import PlacementTracker
 from repro.geo.reconcile import Reconciler, ShipStamp, WriteShip
-from repro.geo.system import GeoConfig, GeoStats, GeoSystem
+from repro.geo.system import GeoConfig, GeoTier
 from repro.geo.wan import (
     CROSS_REGION_POLICIES,
     PLACEMENTS,
@@ -24,9 +26,7 @@ __all__ = [
     "PLACEMENTS",
     "WRITE_SET_MESSAGE_BYTES",
     "GeoConfig",
-    "GeoRouter",
-    "GeoStats",
-    "GeoSystem",
+    "GeoTier",
     "PlacementTracker",
     "Reconciler",
     "ShipStamp",

@@ -1,22 +1,19 @@
-"""Geo-aware stream routing and partition placement.
+"""Dominant-region partition placement.
 
-Routing: a :class:`GeoRouter` stripes arriving streams across regions
-first and across the edges inside each region second, so every region
-serves a share of the workload — the deployment shape the geo
-scenarios study (clients are near *their* region).
-
-Placement: a :class:`PlacementTracker` counts, per partition, which
-region's transactions touch it.  Under the ``dominant-region`` mode the
-:class:`~repro.geo.system.GeoSystem` runs a periodic engine process
-that re-homes any partition whose accesses are dominated by another
-region, reusing the same checkpoint-copy + log-tail transfer
+A :class:`PlacementTracker` counts, per partition, which region's
+transactions touch it.  Under the ``dominant-region`` mode the cluster
+runs a periodic engine process that asks the run's
+:class:`~repro.geo.system.GeoTier` where each partition should live and
+re-homes any partition whose accesses are dominated by another region,
+reusing the same checkpoint-copy + log-tail transfer
 (:meth:`~repro.storage.partition.PartitionedStore.transfer_partition`)
 the re-sharding machinery ships partitions with.
 """
 
 from __future__ import annotations
 
-from repro.cluster.router import StreamRouter
+#: Simulated seconds between two dominant-region placement passes.
+PLACEMENT_INTERVAL_S = 0.5
 
 #: A partition is only re-homed once its dominant region has issued at
 #: least this many accesses since the last move...
@@ -25,30 +22,6 @@ PLACEMENT_MIN_ACCESSES = 8
 #: ...and dominates the current home region by at least this factor
 #: (hysteresis against ping-ponging a genuinely shared partition).
 PLACEMENT_DOMINANCE = 1.5
-
-
-class GeoRouter(StreamRouter):
-    """Region-striped placement: stream *i* lands in region ``i % regions``.
-
-    Inside the chosen region, streams cycle round-robin over that
-    region's edges.  Deterministic, draws nothing from any RNG stream.
-    """
-
-    name = "geo"
-
-    def __init__(self, regions: int, edges_per_region: int) -> None:
-        super().__init__(regions * edges_per_region)
-        self.regions = regions
-        self.edges_per_region = edges_per_region
-        self._next = 0
-
-    def place(self, stream_name: str) -> int:
-        """Edge index that should host ``stream_name``."""
-        index = self._next
-        self._next += 1
-        region = index % self.regions
-        within = (index // self.regions) % self.edges_per_region
-        return region * self.edges_per_region + within
 
 
 class PlacementTracker:

@@ -23,6 +23,9 @@ from typing import Any, Hashable
 
 from repro.traffic.shedding import ApologyBudget
 
+#: Apology budget of a run's async reconciler (tokens per second).
+APOLOGY_BUDGET_PER_S = 100.0
+
 
 @dataclass(frozen=True, order=True)
 class ShipStamp:

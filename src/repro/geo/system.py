@@ -1,43 +1,43 @@
-"""Geo-hierarchical deployment: regions composed under one engine.
+"""The geo tier of one cluster run: regions, WAN commit variants, placement.
 
-A :class:`GeoSystem` is a :class:`~repro.cluster.system.ClusterSystem`
-whose edges are grouped into contiguous *regions* — region ``r`` owns
-edges ``[r * edges_per_region, (r + 1) * edges_per_region)`` and the
-partitions initially homed on them — connected by the seeded WAN channel
-mesh of :class:`~repro.geo.wan.WanFabric`.  Streams land near their
-region (:class:`~repro.geo.placement.GeoRouter`); region-local
-transactions run the existing fast-path 2PC untouched.
+With ``ClusterConfig.geo.regions > 1`` the
+:class:`~repro.cluster.system.ClusterSystem` groups its edges into
+contiguous *regions* — region ``r`` owns edges ``[r * edges_per_region,
+(r + 1) * edges_per_region)`` and the partitions initially homed on them
+— connected by the seeded WAN channel mesh of
+:class:`~repro.geo.wan.WanFabric`, places streams region-first, and builds
+one :class:`GeoTier` per run.  Region-local transactions run the existing
+fast-path 2PC untouched.
 
-Cross-region transactions are observed through the distributed
-controllers' ``commit_listener`` hook — the same seam the transaction
-policies use — and their WAN messaging is modelled by the configured
-:data:`~repro.geo.wan.CROSS_REGION_POLICIES` variant.  Synchronous
-variants bill their WAN latency to the frame in flight through
-:meth:`~repro.transactions.policy.TransactionPolicy.add_frame_charge`,
-so the cost flows into server occupancy and the latency breakdown
-without the frame pipeline changing; the async variant ships write-sets
-one-way into a :class:`~repro.geo.reconcile.Reconciler` and apologises
-for conflicting concurrent writes.  Store state always evolves through
-the wrapped controllers exactly as before, so — as with the transaction
-policies — every variant produces identical detection output for one
-seed and differs only in latency and round-trip accounting.
+Every atomic-commitment round reaches the tier through the committing
+replica's transaction policy, after the policy's own accounting
+(``TransactionPolicy.on_commit_round``).  The tier models the round's WAN
+messaging with the configured :data:`~repro.geo.wan.CROSS_REGION_POLICIES`
+variant and returns the synchronous WAN latency, which the policy bills to
+the frame in flight — so the cost flows into server occupancy and the
+latency breakdown without the frame pipeline changing.  The async variant
+ships write-sets one-way into a :class:`~repro.geo.reconcile.Reconciler`
+and apologises for conflicting concurrent writes.  Store state always
+evolves through the controllers exactly as before, so every variant
+produces identical detection output for one seed and differs only in
+latency and round-trip accounting.
 
-With ``regions=1`` none of this machinery is built: no WAN channels, no
-listener chaining, no extra RNG streams — the system is bit-for-bit a
-plain :class:`ClusterSystem`.
+Under ``dominant-region`` placement the tier decides which partition moves
+where (:meth:`GeoTier.placement_target`) and the cluster executes each
+move.  With ``regions=1`` the cluster builds none of this: no WAN
+channels, no tier, no extra RNG streams.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
-from typing import Any
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.cluster import ClusterConfig, ClusterSystem
-from repro.geo.placement import GeoRouter, PlacementTracker
-from repro.geo.reconcile import Reconciler, ShipStamp, WriteShip
+from repro.geo.placement import PlacementTracker
+from repro.geo.reconcile import APOLOGY_BUDGET_PER_S, Reconciler, ShipStamp, WriteShip
 from repro.geo.wan import (
     CROSS_REGION_POLICIES,
     HANDOFF_MESSAGE_BYTES,
@@ -47,6 +47,9 @@ from repro.geo.wan import (
     WanFabric,
 )
 from repro.network.topology import WAN_LINKS
+from repro.sim.engine import Engine
+from repro.sim.events import EventLog
+from repro.storage.partition import ReshardOutcome
 from repro.traffic.shedding import ApologyBudget
 from repro.transactions.policy import (
     ACK_MESSAGE_BYTES,
@@ -64,10 +67,6 @@ class GeoConfig:
     wan_link: str = "cross-country"
     cross_region_policy: str = "global-2pc"
     placement: str = "static"
-    #: Cadence of the dominant-region placement process, in seconds.
-    placement_interval_s: float = 0.5
-    #: Apology budget of the async reconciler (tokens per second).
-    apology_budget_per_s: float = 100.0
 
     def __post_init__(self) -> None:
         if self.regions < 1:
@@ -86,79 +85,6 @@ class GeoConfig:
             raise ValueError(
                 f"unknown placement {self.placement!r}; known placements: {known}"
             )
-        if self.placement_interval_s <= 0:
-            raise ValueError(
-                f"placement_interval_s must be positive, got {self.placement_interval_s}"
-            )
-        if self.apology_budget_per_s <= 0:
-            raise ValueError(
-                f"apology_budget_per_s must be positive, got {self.apology_budget_per_s}"
-            )
-
-
-@dataclass
-class GeoStats:
-    """Geo-tier accounting, broken down by origin region.
-
-    A *transaction* is counted once (in its origin region) however many
-    atomic-commitment rounds it runs; it is *cross-region* when any of
-    its rounds touched a partition homed outside the origin region.
-    ``charges`` holds the synchronous WAN commit latency billed per
-    cross-region round — the distribution behind the cross-region
-    latency percentiles (all zeros under ``async-reconcile``).
-    """
-
-    regions: int
-    txns: list[int] = field(default_factory=list)
-    cross_region_txns: list[int] = field(default_factory=list)
-    commit_rounds: list[int] = field(default_factory=list)
-    cross_region_rounds: list[int] = field(default_factory=list)
-    wan_round_trips: list[int] = field(default_factory=list)
-    wan_time_s: list[float] = field(default_factory=list)
-    charges: list[list[float]] = field(default_factory=list)
-    migrated_handoffs: int = 0
-    ships: int = 0
-    placement_moves: int = 0
-    _seen_txns: set[str] = field(default_factory=set)
-    _seen_cross: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.txns = [0] * self.regions
-        self.cross_region_txns = [0] * self.regions
-        self.commit_rounds = [0] * self.regions
-        self.cross_region_rounds = [0] * self.regions
-        self.wan_round_trips = [0] * self.regions
-        self.wan_time_s = [0.0] * self.regions
-        self.charges = [[] for _ in range(self.regions)]
-
-    def note_txn(self, origin: int, txn_id: str) -> None:
-        if txn_id not in self._seen_txns:
-            self._seen_txns.add(txn_id)
-            self.txns[origin] += 1
-
-    def note_cross_region_txn(self, origin: int, txn_id: str) -> None:
-        if txn_id not in self._seen_cross:
-            self._seen_cross.add(txn_id)
-            self.cross_region_txns[origin] += 1
-
-    @property
-    def total_txns(self) -> int:
-        return sum(self.txns)
-
-    @property
-    def total_cross_region_txns(self) -> int:
-        return sum(self.cross_region_txns)
-
-    @property
-    def cross_region_txn_fraction(self) -> float:
-        total = self.total_txns
-        return self.total_cross_region_txns / total if total else 0.0
-
-    @property
-    def wan_round_trips_per_txn(self) -> float:
-        """Mean WAN round trips per *cross-region* transaction."""
-        cross = self.total_cross_region_txns
-        return sum(self.wan_round_trips) / cross if cross else 0.0
 
 
 def _charge_percentiles_ms(samples: list[float]) -> dict[str, float]:
@@ -173,160 +99,119 @@ def _charge_percentiles_ms(samples: list[float]) -> dict[str, float]:
     }
 
 
-class GeoSystem(ClusterSystem):
-    """A multi-region Croesus deployment over one engine and one store.
+class GeoTier:
+    """The geo accounting and decisions of one multi-region cluster run.
 
-    ``config.num_edges`` is the *total* edge count and must split evenly
-    into ``geo.regions`` contiguous groups.  See the module docstring
-    for the commit-variant and placement semantics.
+    The cluster builds one per run, so the geo block it reports covers
+    that run alone.  ``partition_home`` is the cluster's live
+    partition → edge map (every re-home updates it); ``wan`` is the
+    system's channel mesh, whose byte accounting restarts here.
+
+    Accounting is per origin region.  A transaction counts once, in its
+    origin region, however many commit rounds it runs; it is
+    *cross-region* when any of its rounds touched a partition homed
+    outside that region.  ``charges`` holds the synchronous WAN latency
+    billed per cross-region round — the distribution behind the
+    cross-region latency percentiles (all zeros under ``async-reconcile``).
     """
 
     def __init__(
         self,
-        config: ClusterConfig,
-        geo: GeoConfig,
-        bank_factory=None,
+        config: GeoConfig,
+        num_edges: int,
+        partition_home: dict[int, int],
+        wan: WanFabric,
+        engine: Engine,
+        events: EventLog,
     ) -> None:
-        if config.num_edges % geo.regions != 0:
-            raise ValueError(
-                f"num_edges ({config.num_edges}) must split evenly into "
-                f"{geo.regions} regions"
-            )
-        if geo.regions > 1:
-            if not config.record_frames:
-                raise ValueError("a multi-region deployment needs record_frames=True")
-            if config.base.transaction_policy != "immediate-2pc":
-                raise ValueError(
-                    "multi-region commit variants stack on immediate-2pc; got "
-                    f"transaction_policy={config.base.transaction_policy!r}"
-                )
-            if config.replication_factor > 1:
-                raise ValueError("multi-region deployments do not replicate partitions yet")
-            if config.failure_schedule or config.failure_hazard_rate is not None:
-                raise ValueError("multi-region deployments do not support failure injection yet")
-            if config.resharding:
-                raise ValueError(
-                    "scheduled re-sharding conflicts with geo placement; drop one"
-                )
-        super().__init__(config, bank_factory=bank_factory)
-        self.geo_config = geo
-        self._edges_per_region = config.num_edges // geo.regions
-        self.geo_stats = GeoStats(geo.regions)
-        self._wan: WanFabric | None = None
-        self._reconciler: Reconciler | None = None
-        self._placement_tracker: PlacementTracker | None = None
+        self.config = config
+        self.edges_per_region = num_edges // config.regions
+        self._partition_home = partition_home
+        self._wan = wan
+        self._engine = engine
+        self._events = events
+        regions = config.regions
+        self.txns = [0] * regions
+        self.cross_region_txns = [0] * regions
+        self.commit_rounds = [0] * regions
+        self.cross_region_rounds = [0] * regions
+        self.wan_round_trips = [0] * regions
+        self.wan_time_s = [0.0] * regions
+        self.charges: list[list[float]] = [[] for _ in range(regions)]
+        self.migrated_handoffs = self.ships = self.placement_moves = 0
+        self._seen_txns: set[str] = set()
+        self._seen_cross: set[str] = set()
+        self._reconciler = (
+            Reconciler(budget=ApologyBudget(APOLOGY_BUDGET_PER_S))
+            if config.cross_region_policy == "async-reconcile"
+            else None
+        )
+        self._tracker = (
+            PlacementTracker(len(partition_home), regions)
+            if config.placement == "dominant-region"
+            else None
+        )
         self._ship_seq = 0
-        if geo.regions > 1:
-            self._wan = WanFabric(
-                geo.regions, geo.wan_link, self.rngs, record_transfers=config.record_frames
-            )
-            self.router = GeoRouter(geo.regions, self._edges_per_region)
-            if geo.cross_region_policy == "async-reconcile":
-                self._reconciler = Reconciler(
-                    budget=ApologyBudget(geo.apology_budget_per_s)
-                )
-            if geo.placement == "dominant-region":
-                self._placement_tracker = PlacementTracker(
-                    config.num_partitions, geo.regions
-                )
-            for replica in self.replicas:
-                self._chain_commit_listener(replica)
+        wan.reset()
 
     # -- geometry -----------------------------------------------------------
-    @property
-    def regions(self) -> int:
-        return self.geo_config.regions
-
-    @property
-    def edges_per_region(self) -> int:
-        return self._edges_per_region
-
-    @property
-    def wan(self) -> WanFabric | None:
-        """The WAN channel mesh (``None`` in a single-region deployment)."""
-        return self._wan
-
-    @property
-    def reconciler(self) -> Reconciler | None:
-        """The async reconciler (``None`` unless ``async-reconcile``)."""
-        return self._reconciler
-
     def region_of_edge(self, edge_id: int) -> int:
         """Region owning ``edge_id`` (contiguous grouping)."""
-        return edge_id // self._edges_per_region
+        return edge_id // self.edges_per_region
 
-    def region_of_partition(self, partition_id: int) -> int | None:
-        """Region currently homing ``partition_id`` (tracks placement moves)."""
-        edge_id = self._partition_home.get(partition_id)
-        return None if edge_id is None else self.region_of_edge(edge_id)
+    def region_edges(self, region: int) -> range:
+        """The edges of ``region``."""
+        return range(region * self.edges_per_region, (region + 1) * self.edges_per_region)
 
     # -- commit observation --------------------------------------------------
-    def _chain_commit_listener(self, replica) -> None:
-        """Stack the geo observer behind the policy's commit listener.
-
-        The system holds the controller, so the listener reaches the
-        system through a weak reference (no reference cycle).
-        """
-        controller = replica.controller
-        original = controller.commit_listener
-        edge_id = replica.edge_id
-        system = weakref.ref(self)
-
-        def listener(txn_id: str, participants: frozenset[int]) -> None:
-            if original is not None:
-                original(txn_id, participants)
-            system()._observe_commit_round(edge_id, txn_id, participants)
-
-        controller.commit_listener = listener
-
-    def _observe_commit_round(
+    def observe_commit_round(
         self, edge_id: int, txn_id: str, participants: frozenset[int]
-    ) -> None:
-        """Classify one atomic-commitment round; model its WAN messaging."""
-        stats = self.geo_stats
+    ) -> float:
+        """Classify one atomic-commitment round and model its WAN messaging.
+
+        Returns the synchronous WAN latency the round adds to the frame
+        in flight (0.0 when region-local or under ``async-reconcile``).
+        """
         origin = self.region_of_edge(edge_id)
-        stats.note_txn(origin, txn_id)
-        stats.commit_rounds[origin] += 1
+        if txn_id not in self._seen_txns:
+            self._seen_txns.add(txn_id)
+            self.txns[origin] += 1
+        self.commit_rounds[origin] += 1
 
-        region_of: dict[int, int] = {}
-        for partition in participants:
-            region = self.region_of_partition(partition)
-            if region is not None:
-                region_of[partition] = region
-        if self._placement_tracker is not None:
-            for partition in region_of:
-                self._placement_tracker.observe(partition, origin)
+        # Participant partitions by the region homing them, each list in
+        # partition order (with regions visited sorted, every WAN
+        # channel's draws are deterministic per seed).
+        by_region: dict[int, list[int]] = {}
+        for partition in sorted(participants):
+            region = self.region_of_edge(self._partition_home[partition])
+            by_region.setdefault(region, []).append(partition)
+            if self._tracker is not None:
+                self._tracker.observe(partition, origin)
+        if not by_region.keys() - {origin}:
+            return 0.0
+        if txn_id not in self._seen_cross:
+            self._seen_cross.add(txn_id)
+            self.cross_region_txns[origin] += 1
+        self.cross_region_rounds[origin] += 1
 
-        remote_parts = sorted(p for p, r in region_of.items() if r != origin)
-        if not remote_parts:
-            return
-        stats.note_cross_region_txn(origin, txn_id)
-        stats.cross_region_rounds[origin] += 1
-
-        now = self._run_engine.now if self._run_engine is not None else 0.0
-        policy = self.geo_config.cross_region_policy
+        now = self._engine.now
+        policy = self.config.cross_region_policy
         if policy == "global-2pc":
-            charge, round_trips, wan_time = self._global_commit(
-                origin, txn_id, region_of, remote_parts, now
-            )
+            commit = self._global_commit
         elif policy == "migrated-2pc":
-            charge, round_trips, wan_time = self._migrated_commit(
-                origin, txn_id, region_of, remote_parts, now
-            )
+            commit = self._migrated_commit
         else:
-            charge, round_trips, wan_time = self._async_commit(
-                origin, txn_id, region_of, remote_parts, now
-            )
-        stats.wan_round_trips[origin] += round_trips
-        stats.wan_time_s[origin] += wan_time
-        stats.charges[origin].append(charge)
-        if charge > 0.0:
-            self.replicas[edge_id].policy.add_frame_charge(charge)
+            commit = self._async_commit
+        charge, round_trips, wan_time = commit(origin, txn_id, by_region, now)
+        self.wan_round_trips[origin] += round_trips
+        self.wan_time_s[origin] += wan_time
+        self.charges[origin].append(charge)
+        return charge
 
     def _wan_phase(
         self,
         coordinator: int,
-        parts_by_region: dict[int, list[int]],
+        remote: dict[int, list[int]],
         up_bytes: int,
         down_bytes: int,
         now: float,
@@ -336,13 +221,11 @@ class GeoSystem(ClusterSystem):
 
         The coordinator contacts every remote participant partition in
         parallel, so the phase lasts as long as the slowest round trip.
-        Regions and partitions are visited in sorted order so every WAN
-        channel's jitter draws are deterministic per seed.
         """
         duration = 0.0
-        for region in sorted(parts_by_region):
+        for region in sorted(remote):
             channel = self._wan.channel(coordinator, region)
-            for partition in parts_by_region[region]:
+            for partition in remote[region]:
                 uplink, downlink = channel.round_trip(
                     up_bytes,
                     down_bytes,
@@ -353,81 +236,53 @@ class GeoSystem(ClusterSystem):
                 duration = max(duration, uplink + downlink)
         return duration
 
-    @staticmethod
-    def _group_by_region(
-        region_of: dict[int, int], parts: list[int]
-    ) -> dict[int, list[int]]:
-        grouped: dict[int, list[int]] = {}
-        for partition in parts:
-            grouped.setdefault(region_of[partition], []).append(partition)
-        return grouped
-
-    def _record_ships(
+    def _log_ship(
         self,
-        policy: str,
-        txn_id: str,
-        origin: int,
-        parts_by_region: dict[int, list[int]],
-        round_trips_per_part: int,
-        bytes_per_part: int,
-        duration: float,
         now: float,
+        txn_id: str,
+        policy: str,
+        from_region: int,
+        to_region: int,
+        partitions: int,
+        round_trips: int,
+        size: int,
+        duration: float,
     ) -> None:
-        for region in sorted(parts_by_region):
-            parts = parts_by_region[region]
-            self.events.record(
-                now,
-                "wan_ship",
-                txn=txn_id,
-                policy=policy,
-                from_region=origin,
-                to_region=region,
-                partitions=len(parts),
-                round_trips=round_trips_per_part * len(parts),
-                bytes=bytes_per_part * len(parts),
-                duration=duration,
-            )
+        """One ``wan_ship`` event (what :func:`~repro.analysis.timeline.geo_profile` reads)."""
+        self._events.record(
+            now, "wan_ship", txn=txn_id, policy=policy, from_region=from_region,
+            to_region=to_region, partitions=partitions, round_trips=round_trips,
+            bytes=size, duration=duration,
+        )
 
     def _global_commit(
-        self,
-        origin: int,
-        txn_id: str,
-        region_of: dict[int, int],
-        remote_parts: list[int],
-        now: float,
-        coordinator: int | None = None,
+        self, coordinator: int, txn_id: str, by_region: dict[int, list[int]], now: float
     ) -> tuple[float, int, float]:
-        """Prepare + commit phases from ``coordinator`` over the WAN."""
-        coordinator = origin if coordinator is None else coordinator
-        parts_by_region = self._group_by_region(region_of, remote_parts)
+        """Prepare + commit phases from ``coordinator`` to every partition
+        outside its region, over the WAN."""
+        remote = {region: parts for region, parts in by_region.items() if region != coordinator}
         prepare = self._wan_phase(
-            coordinator, parts_by_region, PREPARE_MESSAGE_BYTES, VOTE_MESSAGE_BYTES,
-            now, "geo-prepare",
+            coordinator, remote, PREPARE_MESSAGE_BYTES, VOTE_MESSAGE_BYTES, now, "geo-prepare"
         )
         decide = self._wan_phase(
-            coordinator, parts_by_region, COMMIT_MESSAGE_BYTES, ACK_MESSAGE_BYTES,
-            now, "geo-commit",
+            coordinator, remote, COMMIT_MESSAGE_BYTES, ACK_MESSAGE_BYTES, now, "geo-commit"
         )
         charge = prepare + decide
-        round_trips = 2 * len(remote_parts)
         per_part_bytes = (
-            PREPARE_MESSAGE_BYTES + VOTE_MESSAGE_BYTES
-            + COMMIT_MESSAGE_BYTES + ACK_MESSAGE_BYTES
+            PREPARE_MESSAGE_BYTES + VOTE_MESSAGE_BYTES + COMMIT_MESSAGE_BYTES + ACK_MESSAGE_BYTES
         )
-        self._record_ships(
-            "global-2pc", txn_id, coordinator, parts_by_region,
-            round_trips_per_part=2, bytes_per_part=per_part_bytes,
-            duration=charge, now=now,
-        )
+        round_trips = 0
+        for region in sorted(remote):
+            parts = len(remote[region])
+            round_trips += 2 * parts
+            self._log_ship(
+                now, txn_id, "global-2pc", coordinator, region, parts, 2 * parts,
+                per_part_bytes * parts, charge,
+            )
         return charge, round_trips, charge
 
     def _migrated_commit(
-        self,
-        origin: int,
-        txn_id: str,
-        region_of: dict[int, int],
-        remote_parts: list[int],
-        now: float,
+        self, origin: int, txn_id: str, by_region: dict[int, list[int]], now: float
     ) -> tuple[float, int, float]:
         """Hand coordination to the region owning most participant partitions.
 
@@ -438,220 +293,154 @@ class GeoSystem(ClusterSystem):
         never takes more WAN round trips than ``global-2pc``, and takes
         strictly fewer whenever the participants concentrate remotely.
         """
-        counts = [0] * self.regions
-        for region in region_of.values():
-            counts[region] += 1
         target = max(
-            range(self.regions),
-            key=lambda region: (counts[region], region == origin, -region),
+            range(self.config.regions),
+            key=lambda region: (len(by_region.get(region, ())), region == origin, -region),
         )
         if target == origin:
-            return self._global_commit(origin, txn_id, region_of, remote_parts, now)
-        handoff_channel = self._wan.channel(origin, target)
-        uplink, downlink = handoff_channel.round_trip(
+            return self._global_commit(origin, txn_id, by_region, now)
+        uplink, downlink = self._wan.channel(origin, target).round_trip(
             HANDOFF_MESSAGE_BYTES,
             HANDOFF_RESULT_BYTES,
             timestamp=now,
             up_description=f"geo-handoff-{txn_id}",
             down_description=f"geo-handoff-result-{txn_id}",
         )
-        self.geo_stats.migrated_handoffs += 1
-        self.events.record(
-            now,
-            "wan_ship",
-            txn=txn_id,
-            policy="migrated-2pc",
-            from_region=origin,
-            to_region=target,
-            partitions=0,
-            round_trips=1,
-            bytes=HANDOFF_MESSAGE_BYTES + HANDOFF_RESULT_BYTES,
-            duration=uplink + downlink,
+        self.migrated_handoffs += 1
+        self._log_ship(
+            now, txn_id, "migrated-2pc", origin, target, 0, 1,
+            HANDOFF_MESSAGE_BYTES + HANDOFF_RESULT_BYTES, uplink + downlink,
         )
-        remaining = sorted(p for p, r in region_of.items() if r != target)
-        inner_charge = 0.0
-        inner_round_trips = 0
-        if remaining:
-            inner_charge, inner_round_trips, _ = self._global_commit(
-                target, txn_id, region_of, remaining, now, coordinator=target
-            )
+        inner_charge, inner_round_trips, _ = self._global_commit(target, txn_id, by_region, now)
         charge = uplink + inner_charge + downlink
         return charge, 1 + inner_round_trips, charge
 
     def _async_commit(
-        self,
-        origin: int,
-        txn_id: str,
-        region_of: dict[int, int],
-        remote_parts: list[int],
-        now: float,
+        self, origin: int, txn_id: str, by_region: dict[int, list[int]], now: float
     ) -> tuple[float, int, float]:
         """Commit locally; ship write-sets one-way for reconciliation."""
         # The origin's writes to its own partitions land in the converged
         # view immediately (arrival == commit); a remote region's delayed
         # ship for the same partition races against them, which is where
         # reconciliation conflicts — and apologies — come from.
-        local_parts = sorted(p for p, r in region_of.items() if r == origin)
-        for partition in local_parts:
-            self._ship_seq += 1
-            self._reconciler.deliver(
-                WriteShip(
-                    key=partition,
-                    value=txn_id,
-                    stamp=ShipStamp(now, origin, self._ship_seq),
-                    arrival_time=now,
-                )
-            )
-        parts_by_region = self._group_by_region(region_of, remote_parts)
+        self._reconcile(by_region.get(origin, ()), txn_id, origin, now, arrival=now)
+        remote = sorted(region for region in by_region if region != origin)
         wan_time = 0.0
-        for region in sorted(parts_by_region):
-            parts = parts_by_region[region]
-            channel = self._wan.channel(origin, region)
-            delay = channel.send(
-                WRITE_SET_MESSAGE_BYTES,
-                timestamp=now,
-                description=f"geo-ship-{txn_id}",
+        for region in remote:
+            parts = by_region[region]
+            delay = self._wan.channel(origin, region).send(
+                WRITE_SET_MESSAGE_BYTES, timestamp=now, description=f"geo-ship-{txn_id}"
             )
             wan_time += delay
-            self.geo_stats.ships += 1
-            arrival = now + delay
-            for partition in parts:
-                self._ship_seq += 1
-                self._reconciler.deliver(
-                    WriteShip(
-                        key=partition,
-                        value=txn_id,
-                        stamp=ShipStamp(now, origin, self._ship_seq),
-                        arrival_time=arrival,
-                    )
-                )
-            self.events.record(
-                now,
-                "wan_ship",
-                txn=txn_id,
-                policy="async-reconcile",
-                from_region=origin,
-                to_region=region,
-                partitions=len(parts),
-                round_trips=1,
-                bytes=WRITE_SET_MESSAGE_BYTES,
-                duration=delay,
+            self.ships += 1
+            self._reconcile(parts, txn_id, origin, now, arrival=now + delay)
+            self._log_ship(
+                now, txn_id, "async-reconcile", origin, region, len(parts), 1,
+                WRITE_SET_MESSAGE_BYTES, delay,
             )
         # One one-way ship (acknowledged lazily) per remote region; the
         # commit itself never waits on the WAN.
-        return 0.0, len(parts_by_region), wan_time
+        return 0.0, len(remote), wan_time
+
+    def _reconcile(
+        self, parts: Sequence[int], txn_id: str, origin: int, now: float, arrival: float
+    ) -> None:
+        """Deliver one write-set's partitions to the reconciler."""
+        for partition in parts:
+            self._ship_seq += 1
+            self._reconciler.deliver(
+                WriteShip(partition, txn_id, ShipStamp(now, origin, self._ship_seq), arrival)
+            )
 
     # -- placement ----------------------------------------------------------
-    def _spawn_run_processes(self, state, horizon: float) -> None:
-        super()._spawn_run_processes(state, horizon)
-        if self._placement_tracker is not None:
-            state.engine.spawn(
-                self._placement_process(state),
-                at=self.geo_config.placement_interval_s,
-                name="geo-placement",
-            )
+    @property
+    def moves_partitions(self) -> bool:
+        """Whether this run re-homes partitions (``dominant-region``)."""
+        return self._tracker is not None
 
-    def _placement_process(self, state):
-        """Periodically re-home partitions toward their dominant region."""
-        interval = self.geo_config.placement_interval_s
-        while state.frames_remaining > 0 or state.source_active:
-            self._rebalance_partitions(state)
-            yield interval
+    def placement_target(self, partition_id: int, failed: Sequence[bool]) -> int | None:
+        """Edge ``partition_id`` should move to now, or ``None`` to stay.
 
-    def _rebalance_partitions(self, state) -> None:
-        tracker = self._placement_tracker
-        now = state.engine.now
-        for partition_id in range(self.config.num_partitions):
-            home_edge = self._partition_home[partition_id]
-            home_region = self.region_of_edge(home_edge)
-            target_region = tracker.dominant_region(partition_id, home_region)
-            if target_region is None or state.failed[home_edge]:
-                continue
-            candidates = [
-                edge_id
-                for edge_id in range(
-                    target_region * self._edges_per_region,
-                    (target_region + 1) * self._edges_per_region,
-                )
-                if not state.failed[edge_id]
-            ]
-            if not candidates:
-                continue
-            target_edge = min(
-                candidates,
-                key=lambda edge_id: (len(self.replicas[edge_id].owned_partitions), edge_id),
-            )
-            outcome = self.store.transfer_partition(partition_id)
-            self.replicas[home_edge].release_partition(partition_id)
-            self.replicas[target_edge].adopt_partition(partition_id)
-            self._partition_home[partition_id] = target_edge
-            self.geo_stats.placement_moves += 1
-            tracker.forget(partition_id)
-            self.events.record(
-                now,
-                "partition_placed",
-                partition=partition_id,
-                from_edge=home_edge,
-                to_edge=target_edge,
-                from_region=home_region,
-                to_region=target_region,
-                keys_copied=outcome.keys_copied,
-                records_shipped=outcome.records_shipped,
-            )
+        A partition moves toward the region dominating its accesses
+        (:meth:`~repro.geo.placement.PlacementTracker.dominant_region`),
+        onto that region's live edge hosting the fewest partitions (ties
+        to the lowest id); nothing moves off or onto a failed edge.
+        """
+        home_edge = self._partition_home[partition_id]
+        target_region = self._tracker.dominant_region(
+            partition_id, self.region_of_edge(home_edge)
+        )
+        if target_region is None or failed[home_edge]:
+            return None
+        candidates = [edge for edge in self.region_edges(target_region) if not failed[edge]]
+        if not candidates:
+            return None
+        hosted = Counter(self._partition_home.values())
+        return min(candidates, key=lambda edge: (hosted[edge], edge))
+
+    def note_placed(
+        self, partition_id: int, from_edge: int, to_edge: int, outcome: ReshardOutcome
+    ) -> None:
+        """Account one placement move the cluster executed."""
+        self.placement_moves += 1
+        # It just moved: its demand must re-prove itself from zero.
+        self._tracker.forget(partition_id)
+        self._events.record(
+            self._engine.now,
+            "partition_placed",
+            partition=partition_id,
+            from_edge=from_edge,
+            to_edge=to_edge,
+            from_region=self.region_of_edge(from_edge),
+            to_region=self.region_of_edge(to_edge),
+            keys_copied=outcome.keys_copied,
+            records_shipped=outcome.records_shipped,
+        )
 
     # -- reporting ----------------------------------------------------------
-    def geo_summary(self) -> dict[str, Any]:
+    def summary(self) -> dict[str, Any]:
         """The geo block of a :class:`~repro.experiments.report.RunReport`."""
-        geo = self.geo_config
-        stats = self.geo_stats
-        all_charges = [charge for region in stats.charges for charge in region]
-        per_region = []
-        for region in range(geo.regions):
-            entry: dict[str, Any] = {
+        geo = self.config
+        reconciler = self._reconciler
+        total, cross = sum(self.txns), sum(self.cross_region_txns)
+        round_trips = sum(self.wan_round_trips)
+        per_region = [
+            {
                 "region": region,
-                "edges": list(
-                    range(
-                        region * self._edges_per_region,
-                        (region + 1) * self._edges_per_region,
-                    )
-                ),
-                "txns": stats.txns[region],
-                "cross_region_txns": stats.cross_region_txns[region],
-                "commit_rounds": stats.commit_rounds[region],
-                "cross_region_rounds": stats.cross_region_rounds[region],
-                "wan_round_trips": stats.wan_round_trips[region],
-                "wan_time_s": stats.wan_time_s[region],
+                "edges": list(self.region_edges(region)),
+                "txns": self.txns[region],
+                "cross_region_txns": self.cross_region_txns[region],
+                "commit_rounds": self.commit_rounds[region],
+                "cross_region_rounds": self.cross_region_rounds[region],
+                "wan_round_trips": self.wan_round_trips[region],
+                "wan_time_s": self.wan_time_s[region],
+                **_charge_percentiles_ms(self.charges[region]),
             }
-            entry.update(_charge_percentiles_ms(stats.charges[region]))
-            per_region.append(entry)
-        summary: dict[str, Any] = {
+            for region in range(geo.regions)
+        ]
+        all_charges = [charge for region in self.charges for charge in region]
+        return {
             "regions": geo.regions,
-            "edges_per_region": self._edges_per_region,
+            "edges_per_region": self.edges_per_region,
             "wan_link": geo.wan_link,
             "cross_region_policy": geo.cross_region_policy,
             "placement": geo.placement,
-            "total_txns": stats.total_txns,
-            "cross_region_txns": stats.total_cross_region_txns,
-            "cross_region_txn_fraction": stats.cross_region_txn_fraction,
-            "wan_round_trips": sum(stats.wan_round_trips),
-            "wan_round_trips_per_txn": stats.wan_round_trips_per_txn,
-            "wan_time_s": sum(stats.wan_time_s),
-            "wan_bytes": self._wan.total_bytes if self._wan is not None else 0,
-            "migrated_handoffs": stats.migrated_handoffs,
-            "reconcile_ships": stats.ships,
-            "reconcile_conflicts": (
-                self._reconciler.conflicts if self._reconciler is not None else 0
-            ),
-            "apologies": (
-                self._reconciler.apologies if self._reconciler is not None else 0
-            ),
-            "placement_moves": stats.placement_moves,
+            "total_txns": total,
+            "cross_region_txns": cross,
+            "cross_region_txn_fraction": cross / total if total else 0.0,
+            "wan_round_trips": round_trips,
+            # Mean WAN round trips per *cross-region* transaction.
+            "wan_round_trips_per_txn": round_trips / cross if cross else 0.0,
+            "wan_time_s": sum(self.wan_time_s),
+            "wan_bytes": self._wan.total_bytes,
+            "migrated_handoffs": self.migrated_handoffs,
+            "reconcile_ships": self.ships,
+            "reconcile_conflicts": reconciler.conflicts if reconciler is not None else 0,
+            "apologies": reconciler.apologies if reconciler is not None else 0,
+            "placement_moves": self.placement_moves,
             "per_region": per_region,
-        }
-        summary.update(
-            {
+            **{
                 f"cross_region_{key}": value
                 for key, value in _charge_percentiles_ms(all_charges).items()
-            }
-        )
-        return summary
+            },
+        }

@@ -70,6 +70,10 @@ ACK_MESSAGE_BYTES = 128
 #: ``(now, transactions_flushed, remote_participants, duration)``.
 FlushListener = Callable[[float, int, frozenset[int], float], None]
 
+#: Observes one commit round, ``(transaction_id, participants)``, and
+#: returns the synchronous latency (seconds) it adds to the frame in flight.
+CommitRoundListener = Callable[[str, frozenset[int]], float]
+
 
 #: Resolves a partition id to the channel of the replica hosting it, so a
 #: prepare phase can draw the participant-side voting latency from the
@@ -217,12 +221,15 @@ class TransactionPolicy:
         self._wal_deadline: float | None = None
         #: Optional flush callback (wired by the systems to the event log).
         self.on_flush: FlushListener | None = None
+        #: Optional per-run commit-round observer (wired by the cluster to
+        #: its geo tier); what it returns is billed to the frame in flight.
+        self.on_commit_round: CommitRoundListener | None = None
         if hasattr(controller, "commit_listener"):
             # The policy holds its controller; the controller reaches the
             # policy through a weak reference, so the pair is no cycle.
             policy = weakref.ref(self)
             controller.commit_listener = lambda transaction_id, participants: (
-                policy()._on_commit_round(transaction_id, participants)
+                policy()._commit_round(transaction_id, participants)
             )
 
     # -- the protocol --------------------------------------------------------
@@ -338,25 +345,20 @@ class TransactionPolicy:
         self._frame_saving = 0.0
         return charge, saving
 
-    def add_frame_charge(self, seconds: float) -> None:
-        """Bill extra synchronous commit latency to the frame in flight.
-
-        Coordination layers stacked *outside* the policy — the geo tier's
-        WAN commit variants — fold their messaging cost into the same
-        frame bill the policy itself uses, so the charge flows into
-        server occupancy and the latency breakdown through the existing
-        :meth:`drain_frame_costs` points without the frame pipeline
-        knowing they exist.
-        """
-        if seconds < 0:
-            raise ValueError(f"frame charge must be non-negative, got {seconds}")
-        self._frame_charge += seconds
-
     # -- shared internals ----------------------------------------------------
     def _remote(self, participants: frozenset[int]) -> frozenset[int]:
         if self._owned is None:
             return frozenset()
         return participants - self._owned
+
+    def _commit_round(self, transaction_id: str, participants: frozenset[int]) -> None:
+        """The wrapped controller's commit listener: this policy's own
+        accounting first, then the run's observer, whose synchronous
+        charge (the geo tier's WAN commit latency) joins the frame bill
+        that :meth:`drain_frame_costs` hands to the frame pipeline."""
+        self._on_commit_round(transaction_id, participants)
+        if self.on_commit_round is not None:
+            self._frame_charge += self.on_commit_round(transaction_id, participants)
 
     def _on_commit_round(self, transaction_id: str, participants: frozenset[int]) -> None:
         """Observe one atomic-commitment round of the wrapped controller."""

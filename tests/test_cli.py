@@ -391,6 +391,7 @@ class TestInvalidInput:
             ["cluster", "--adaptation", "feedback", "--adaptation-target", "0"],
             ["scenario", "adaptive-thresholds", "--adaptation-target", "1.5"],
             ["scenario", "geo-baseline", "--txn-policy", "batched-2pc"],
+            ["cluster", "--regions", "2", "--router", "migrating"],
             ["scenario"],
             ["scenario", "no-such-scenario"],
             ["sweep"],

@@ -1,25 +1,34 @@
 """Tests for the geo-hierarchical deployment tier.
 
-Covers the geo spec/config validation surface, the WAN fabric, the
-reconciler's convergence property (hypothesis: the converged state is
-independent of delivery order), commit-variant conformance (the three
-cross-region policies only change messaging, never store outcomes), the
-geo determinism golden pin, and single-region inertness (``regions=1``
-builds no geo machinery and stays bit-for-bit on the golden pins).
+Covers the geo spec/config validation surface (the multi-region rules
+are the cluster config's), the WAN fabric, the reconciler's convergence
+property (hypothesis: the converged state is independent of delivery
+order), commit-variant conformance (the three cross-region policies only
+change messaging, never store outcomes), a reused system's geo block
+covering its own run only, the geo determinism golden pin, and
+single-region inertness (``regions=1`` builds no geo machinery and stays
+bit-for-bit on the golden pins).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments import ScenarioSpec, run
+from repro.analysis.timeline import geo_profile
+from repro.cluster import (
+    ClusterConfig,
+    ClusterSystem,
+    GeoRouter,
+    RoutingError,
+    make_router,
+)
+from repro.core.config import CroesusConfig
+from repro.experiments import ScenarioSpec, get_scenario, run
 from repro.experiments.runner import build_cluster_config, build_streams
 from repro.geo import (
     CROSS_REGION_POLICIES,
     PLACEMENTS,
     GeoConfig,
-    GeoRouter,
-    GeoSystem,
     PlacementTracker,
     Reconciler,
     ShipStamp,
@@ -73,13 +82,28 @@ class TestGeoConfigValidation:
         with pytest.raises(ValueError):
             GeoConfig(regions=2, placement="random")
 
-    def test_rejects_bad_placement_interval(self):
-        with pytest.raises(ValueError):
-            GeoConfig(regions=2, placement_interval_s=0.0)
-
-    def test_rejects_bad_apology_budget(self):
-        with pytest.raises(ValueError):
-            GeoConfig(regions=2, apology_budget_per_s=0.0)
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"num_edges": 3}, "must split evenly into 2 regions"),
+            ({"router_policy": "hotspot"}, "router must be 'round-robin'"),
+            (
+                {"base": CroesusConfig(transaction_policy="batched-2pc")},
+                "stacks the cross-region commit variants on immediate-2pc",
+            ),
+            ({"replication_factor": 2}, "does not replicate partitions"),
+            ({"failure_hazard_rate": 0.5}, "does not support failure injection"),
+            ({"resharding": ((1.0, 0, 1),)}, "conflicts with geo placement"),
+            ({"record_frames": False}, "requires record_frames=True"),
+            ({"reference_engine": True}, "does not run on the reference engine"),
+        ],
+    )
+    def test_the_cluster_config_owns_the_multi_region_rules(self, overrides, message):
+        axes = {"num_edges": 4, **overrides}
+        with pytest.raises(ValueError, match=message):
+            ClusterConfig(geo=GeoConfig(regions=2), **axes)
+        # The same axes are fine on a single-region cluster.
+        ClusterConfig(**axes)
 
 
 class TestGeoSpecValidation:
@@ -123,6 +147,11 @@ class TestGeoSpecValidation:
     def test_rejects_resharding(self):
         with pytest.raises(ValueError):
             geo_spec(resharding=((2.0, 0, 1),), checkpoint_interval_s=1.0)
+
+    @pytest.mark.parametrize("router", ["consistent-hash", "least-loaded", "hotspot", "migrating"])
+    def test_rejects_a_router_the_geo_placement_would_ignore(self, router):
+        with pytest.raises(RoutingError, match="router must be 'round-robin'"):
+            geo_spec(router=router)
 
     def test_single_region_keeps_the_full_surface(self):
         # regions=1 is inert, so none of the geo restrictions apply.
@@ -177,6 +206,12 @@ class TestGeoRouter:
         router = GeoRouter(regions=4, edges_per_region=1)
         edges = [router.place(f"s{i}") for i in range(6)]
         assert edges == [0, 1, 2, 3, 0, 1]
+
+    def test_make_router_picks_it_for_several_regions(self):
+        router = make_router("round-robin", 4, regions=2)
+        assert isinstance(router, GeoRouter)
+        assert (router.regions, router.edges_per_region) == (2, 2)
+        assert not isinstance(make_router("round-robin", 4), GeoRouter)
 
 
 class TestPlacementTracker:
@@ -337,19 +372,46 @@ class TestCommitVariantConformance:
         assert async_report.wan_round_trips_per_txn >= 1.0
 
     def test_events_carry_the_wan_timeline(self):
-        from repro.analysis.timeline import geo_profile
-
-        config = build_cluster_config(geo_spec())
-        system = GeoSystem(
-            config,
-            GeoConfig(regions=2, cross_region_policy="global-2pc"),
-        )
-        system.run(build_streams(geo_spec()))
+        system = ClusterSystem(build_cluster_config(geo_spec()))
+        geo = system.run(build_streams(geo_spec())).geo
         profile = geo_profile(system.events)
         assert profile.ship_count > 0
-        assert profile.wan_round_trips == system.geo_summary()["wan_round_trips"]
-        assert profile.wan_bytes == system.geo_summary()["wan_bytes"]
+        assert profile.wan_round_trips == geo["wan_round_trips"]
+        assert profile.wan_bytes == geo["wan_bytes"]
         assert profile.ships_by_policy() == {"global-2pc": profile.ship_count}
+
+
+class TestGeoBlockIsPerRun:
+    """A reused system's geo block covers its own run, like every other
+    block of the result (the event log is cleared per run too)."""
+
+    #: ``(total_txns, wan_round_trips, wan_bytes, apologies)`` of two
+    #: back-to-back runs of ``geo-baseline`` on one system (default bank).
+    #: Geo state kept across runs would read 4246 / 9756 / 4995072 / 0 on
+    #: the second global-2pc run, and 4246 / 3698 / 2840064 / 156 on the
+    #: second async one (a reconciler still holding the first run's later
+    #: stamps finds no new race).
+    RUNS = {
+        "global-2pc": [(2129, 4876, 2496512, 0), (2117, 4880, 2498560, 0)],
+        "async-reconcile": [(2129, 1840, 1413120, 156), (2117, 1858, 1426944, 149)],
+    }
+
+    @pytest.mark.parametrize("policy", sorted(RUNS))
+    def test_a_reused_system_reports_each_run_alone(self, policy):
+        spec = get_scenario("geo-baseline").with_(cross_region_policy=policy)
+        system = ClusterSystem(build_cluster_config(spec))
+        seen = []
+        for _ in range(2):
+            result = system.run(build_streams(spec))
+            geo = result.geo
+            profile = geo_profile(system.events)
+            assert geo["total_txns"] == result.total_transactions
+            assert geo["wan_round_trips"] == profile.wan_round_trips
+            assert geo["wan_bytes"] == profile.wan_bytes
+            seen.append(
+                (geo["total_txns"], geo["wan_round_trips"], geo["wan_bytes"], geo["apologies"])
+            )
+        assert seen == self.RUNS[policy]
 
 
 class TestGeoDeterminism:
@@ -386,12 +448,12 @@ class TestSingleRegionInertness:
         assert report.cross_region_txn_fraction == 0.0
         assert report.wan_round_trips_per_txn == 0.0
 
-    def test_geo_system_with_one_region_is_plain(self):
-        config = build_cluster_config(geo_spec(regions=1))
-        system = GeoSystem(config, GeoConfig(regions=1))
-        assert system.wan is None
-        assert system.reconciler is None
+    def test_a_single_region_cluster_builds_no_geo_tier(self):
+        system = ClusterSystem(build_cluster_config(geo_spec(regions=1)))
         assert not isinstance(system.router, GeoRouter)
+        assert system.run(build_streams(geo_spec(regions=1))).geo is None
+        assert all(replica.policy.on_commit_round is None for replica in system.replicas)
+        assert not any(name.startswith("wan-") for name in system.rngs._streams)
 
     def test_single_region_report_matches_the_plain_cluster(self):
         plain = geo_spec(regions=1)

@@ -8,7 +8,8 @@ report byte-identical.  Each registered cluster scenario runs here with
 size) and its ``RunReport.to_dict()`` is hashed the way ``bench/``
 hashes a report: sha256 over the sorted-keys JSON.  The pins were
 captured on the commit whose runner still re-reduced the event log
-(e3ee530).
+(e3ee530); the geo sweep cells on the commit whose geo tier was still a
+``ClusterSystem`` subclass (19e335c).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 
 import pytest
 
-from repro.experiments import get_scenario, run
+from repro.experiments import get_scenario, get_sweep, run
 from repro.experiments.registry import list_scenarios
 
 #: The smoke cell's size, applied to every ``scale-stress*`` scenario.
@@ -62,8 +63,39 @@ def test_every_registered_cluster_scenario_is_pinned():
     assert cluster == set(PINS)
 
 
+#: Registered sweep cells on paths no scenario above reaches: coordinator
+#: handoffs, reconciliation apologies, four single-edge regions and
+#: dominant-region partition moves.
+SWEEP_PINS = {
+    ("geo-commit-policies", "migrated-2pc"): (
+        "f70f6badae946499e045aa6226b70a4f8fd3af4a47f3c48c8b1b55a721ba2ab1"
+    ),
+    ("geo-commit-policies", "async-reconcile"): (
+        "bf4b20da0f42dc56ce6b537c479919bb20827120205f960c541748179a14eaa4"
+    ),
+    ("geo-placement", "static"): (
+        "bf53956dc3fbcf1ec83b9f9665ea3bd944b6cbfe2dcfe86258e37a4308e69659"
+    ),
+    ("geo-placement", "dominant-region"): (
+        "a5772a8ac53820f5435aeb34bb6fab543e1319a54bdaf5b52ca2c7070ee0d1b0"
+    ),
+}
+
+
+def _digest(spec) -> str:
+    report = run(spec).to_dict()
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_recorded_report_digest_is_pinned(name):
-    report = run(_recorded_spec(name)).to_dict()
-    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode("utf-8")).hexdigest()
-    assert digest == PINS[name]
+    assert _digest(_recorded_spec(name)) == PINS[name]
+
+
+@pytest.mark.parametrize("sweep, value", sorted(SWEEP_PINS))
+def test_recorded_sweep_cell_digest_is_pinned(sweep, value):
+    grid = get_sweep(sweep)
+    (axis,) = grid.axes
+    assert value in axis.values
+    spec = grid.base.with_(**{axis.field: value}, record_frames=True)
+    assert _digest(spec) == SWEEP_PINS[sweep, value]
