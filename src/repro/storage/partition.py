@@ -361,11 +361,14 @@ class TwoPhaseCommitCoordinator:
     acquiring exclusive locks on the transaction's keys in that
     partition; if every vote is YES, writes are applied and locks
     released, otherwise all partitions abort and release.  A partition
-    whose hosting replica is failed cannot prepare and votes NO.
+    whose hosting replica is failed cannot prepare and votes NO.  A round's
+    participant set is interned (one frozenset per distinct set, kept
+    here), so a caller keeping every round's set keeps no object per round.
     """
 
     def __init__(self, store: PartitionedStore) -> None:
         self._store = store
+        self._participant_sets: dict[frozenset[int], frozenset[int]] = {}
 
     def commit(
         self,
@@ -377,7 +380,9 @@ class TwoPhaseCommitCoordinator:
         """Run 2PC for ``writes`` on behalf of ``transaction_id``.
 
         ``routes`` is the calling section's routing plan, so keys it has
-        already routed are not hashed again.
+        already routed are not hashed again.  Whatever the decision, the
+        holder's locks are released on every partition the plan routed —
+        the section's read-only partitions included — once each.
         """
         if routes is None:
             routes = SectionRoutes(self._store)
@@ -406,20 +411,36 @@ class TwoPhaseCommitCoordinator:
         if not decision and any(not partition.available for partition, _ in groups.values()):
             self._store.record_failure_abort()
 
-        # Phase 2: commit or abort everywhere.
-        for partition, partition_writes in groups.values():
-            if decision:
+        # Phase 2: commit or abort everywhere, then release.
+        if decision:
+            for partition, partition_writes in groups.values():
                 for key, value in partition_writes.items():
                     partition.commit_write(key, value, writer=transaction_id)
-            partition.locks.release_all(transaction_id, now)
+        release_routed(transaction_id, routes, now)
 
-        return TwoPhaseCommitResult(decision, votes, frozenset(groups))
+        participants = frozenset(groups)
+        participants = self._participant_sets.setdefault(participants, participants)
+        return TwoPhaseCommitResult(decision, votes, participants)
+
+
+def release_routed(holder: str, routes: SectionRoutes, now: float = 0.0) -> None:
+    """Release ``holder``'s locks on every partition ``routes`` routed, once each."""
+    released: set[int] = set()
+    for partition in routes.values():
+        partition_id = partition.partition_id
+        if partition_id not in released:
+            released.add(partition_id)
+            partition.locks.release_all(holder, now)
 
 
 def _stable_bucket(key: str, buckets: int) -> int:
-    """Deterministic, process-independent hash bucket for a key."""
+    """Deterministic, process-independent hash bucket for a key.
+
+    32-bit FNV-1a, reduced mod 2**32 once at the end: XOR with a byte and
+    multiplication both commute with that reduction, so the low 32 bits
+    are those of the per-byte-masked loop.
+    """
     value = 2166136261
     for byte in key.encode("utf-8"):
-        value ^= byte
-        value = (value * 16777619) & 0xFFFFFFFF
-    return value % buckets
+        value = (value ^ byte) * 16777619
+    return (value & 0xFFFFFFFF) % buckets

@@ -15,10 +15,20 @@ The controllers below implement that extension on top of the
 single-partition controllers' semantics, buffering each section's writes
 and applying them through the :class:`TwoPhaseCommitCoordinator`.
 
+A lock lives through one lifecycle, the same on both controllers:
+**acquire** (all-or-nothing, routed to the owning partitions) → the
+section **body** → **prepare** on the locks still held (a declared write
+is already X, so only an undeclared write or an S→X upgrade is a new
+request, and can vote NO) → **commit** or abort → **one release** per
+partition the section's plan routed.  MS-IA runs that cycle once per
+section; MS-SR acquires both sections' locks before the initial body and
+runs prepare, commit and release once, after the final body.  A key a
+section locks therefore leaves one hold record.
+
 Each ``process_initial`` / ``process_final`` call routes its keys through
 one :class:`~repro.storage.partition.SectionRoutes` plan — filled while
-the section's locks are taken, then shared by the body's reads, the lock
-release and the 2PC grouping — so a key is hashed once per section.  The
+the section's locks are taken, then shared by the body's reads, the 2PC
+grouping and the release — so a key is hashed once per section.  The
 plan dies with the call and is rebuilt for the next section: re-sharding
 or a promotion may re-home a slot between a transaction's two sections.
 The section context keeps executed operations as ``(kind, key, value)``
@@ -35,6 +45,7 @@ from repro.storage.partition import (
     PartitionedStore,
     SectionRoutes,
     TwoPhaseCommitCoordinator,
+    release_routed,
 )
 from repro.transactions.exceptions import SectionOrderError, TransactionAborted
 from repro.transactions.history import History
@@ -84,9 +95,10 @@ class _BufferedSectionContext(SectionContext):
         self.operation_rows.append((OperationKind.WRITE, key, value))
 
 
-@dataclass
+@dataclass(slots=True)
 class DistributedCommitRecord:
-    """Book-keeping of the 2PC rounds a transaction performed."""
+    """Book-keeping of the 2PC rounds a transaction performed (each round's
+    participants are the coordinator's interned set)."""
 
     transaction_id: str
     rounds: list[frozenset[int]] = field(default_factory=list)
@@ -141,7 +153,6 @@ class DistributedMSIAController:
             raise
         context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels=labels)
         result = transaction.initial.body(context)
-        self._release_section_locks(holder, transaction.initial.rwset, routes, now)
 
         committed = self._atomic_commit(holder, context.pending_writes, routes, now)
         if not committed:
@@ -169,7 +180,6 @@ class DistributedMSIAController:
             holder, SectionKind.FINAL, routes, labels, initial_labels, transaction.handoff
         )
         result = transaction.final.body(context)
-        self._release_section_locks(holder, transaction.final.rwset, routes, now)
 
         committed = self._atomic_commit(holder, context.pending_writes, routes, now)
         if not committed:
@@ -239,16 +249,13 @@ class DistributedMSIAController:
             )
         return routes
 
-    def _release_section_locks(
-        self, holder: str, rwset: ReadWriteSet, routes: SectionRoutes, now: float
-    ) -> None:
-        for key, _mode in rwset.lock_requests():
-            routes[key].locks.release(holder, key, now)
-
     def _atomic_commit(
         self, holder: str, writes: dict[str, Any], routes: SectionRoutes, now: float
     ) -> bool:
+        """Prepare on the section's held locks, commit or abort, and release
+        them once per partition ``routes`` routed."""
         if not writes:
+            release_routed(holder, routes, now)
             self._record_round(holder, frozenset())
             return True
         result = self._coordinator.commit(holder, writes, now=now, routes=routes)
@@ -280,10 +287,17 @@ class DistributedTwoStage2PL(DistributedMSIAController):
     ) -> None:
         """A failure-aborted MS-SR final releases the locks held since the
         initial section and discards its buffered (never-applied) writes."""
-        self._release_section_locks(
-            holder, transaction.combined_rwset(), SectionRoutes(self._store), now
-        )
+        release_routed(holder, self._held_routes(transaction), now)
         self._buffered_writes.pop(holder, None)
+
+    def _held_routes(self, transaction: MultiStageTransaction) -> SectionRoutes:
+        """A fresh plan routing every key locked since the initial section
+        (a slot may have been re-homed since), so a release over it covers
+        each partition the transaction holds locks on."""
+        routes = SectionRoutes(self._store)
+        for key, _mode in transaction.combined_rwset().lock_requests():
+            routes[key]
+        return routes
 
     def process_initial(
         self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
@@ -318,22 +332,21 @@ class DistributedTwoStage2PL(DistributedMSIAController):
             raise SectionOrderError(f"transaction {holder} has no pending final section")
         _, initial_labels = self._pending.pop(holder)
 
-        # A fresh plan: a slot may have been re-homed since the initial section.
-        routes = SectionRoutes(self._store)
+        routes = self._held_routes(transaction)
         context = _BufferedSectionContext(
             holder, SectionKind.FINAL, routes, labels, initial_labels, transaction.handoff
         )
-        # Reads must observe the initial section's buffered writes.
-        context.pending_writes.update(self._buffered_writes.get(holder, {}))
+        # Reads must observe the initial section's buffered writes; the
+        # final section's writes land on top of them, in write order.
+        context.pending_writes = self._buffered_writes.pop(holder, {})
         result = transaction.final.body(context)
 
-        writes = {**self._buffered_writes.pop(holder, {}), **context.pending_writes}
         # The locks for every touched key are already held, so prepare can
         # only be denied when a participating partition failed between the
         # sections — the one way the single 2PC round at the end of the
-        # final section does not succeed.
-        self._release_section_locks(holder, transaction.combined_rwset(), routes, now)
-        committed = self._atomic_commit(holder, writes, routes, now)
+        # final section does not succeed (short of a body writing a key it
+        # never declared while another holder has it).
+        committed = self._atomic_commit(holder, context.pending_writes, routes, now)
         if not committed:
             self.stats.aborts += 1
             raise TransactionAborted(holder, "final atomic commit failed: participant unavailable")

@@ -4,7 +4,7 @@ The consistency layer used to be four hard-wired code paths — the
 single-node MS-SR / MS-IA controllers, the staged controller, and the
 distributed 2PC controllers — each invoked ad hoc by whichever system
 needed it.  A :class:`TransactionPolicy` is the one seam over all of
-them: a ``begin``/``stage``/``commit`` protocol whose hooks are driven
+them: a ``stage``/``commit`` protocol whose hooks are driven
 by the discrete-event engine (every hook receives the engine's ``now``),
 with adapters wrapping the existing controllers so both deployments
 select a policy *by name* instead of branching on controller classes.
@@ -194,7 +194,7 @@ class PolicyStats:
 
 
 class TransactionPolicy:
-    """Base adapter: the begin/stage/commit protocol over one controller.
+    """Base adapter: the stage/commit protocol over one controller.
 
     Subclasses override the ``_before_stage`` / ``_after_initial`` /
     ``_after_final`` hooks (all called with the engine's current time)
@@ -233,10 +233,6 @@ class TransactionPolicy:
             )
 
     # -- the protocol --------------------------------------------------------
-    def begin(self, transaction: MultiStageTransaction, now: float = 0.0) -> None:
-        """A transaction is about to run its first section."""
-        self._before_stage(now)
-
     def stage(
         self,
         transaction: MultiStageTransaction,
@@ -245,14 +241,9 @@ class TransactionPolicy:
         now: float = 0.0,
     ) -> Any:
         """Run one section of ``transaction`` at engine time ``now``."""
-        self._before_stage(now)
         if section is SectionKind.INITIAL:
-            result = self._controller.process_initial(transaction, labels=labels, now=now)
-            self._after_initial(transaction, now)
-            return result
-        result = self._controller.process_final(transaction, labels=labels, now=now)
-        self._after_final(transaction, now)
-        return result
+            return self.process_initial(transaction, labels=labels, now=now)
+        return self.process_final(transaction, labels=labels, now=now)
 
     def commit(self, now: float = 0.0) -> int:
         """Flush any deferred coordinator work; returns commits flushed.
@@ -267,13 +258,18 @@ class TransactionPolicy:
     def process_initial(
         self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
     ) -> Any:
-        self.begin(transaction, now=now)
-        return self.stage(transaction, SectionKind.INITIAL, labels=labels, now=now)
+        self._before_stage(now)
+        result = self._controller.process_initial(transaction, labels=labels, now=now)
+        self._after_initial(transaction, now)
+        return result
 
     def process_final(
         self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
     ) -> Any:
-        return self.stage(transaction, SectionKind.FINAL, labels=labels, now=now)
+        self._before_stage(now)
+        result = self._controller.process_final(transaction, labels=labels, now=now)
+        self._after_final(transaction, now)
+        return result
 
     def reset(self) -> None:
         """Discard in-flight coordinator state (frame charges, open

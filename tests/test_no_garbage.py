@@ -16,12 +16,19 @@ commit listeners, server factories) — are swept again once the
 deployment itself has been dropped: a system whose callbacks held it
 would be cyclic garbage that only a full collection frees.  Callbacks
 take what they need, or reach back through a weak reference.
+
+Last, the hand-back: no young pass follows a drain (what the run kept
+goes to the oldest generation before the collector is back on), and 40
+back-to-back runs in one process peak where one run does.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -203,6 +210,76 @@ def test_suspension_ends_when_the_run_raises(collector_on):
     with pytest.raises(RuntimeError):
         drain(engine)
     assert gc.isenabled()
+
+
+@pytest.fixture
+def passes_after_drain(monkeypatch, collector_on):
+    """Count collector passes, in all and from the moment an engine drained."""
+    counts = {"all": 0, "after_drain": 0}
+    drained = [False]
+    drain_engine = Engine.run
+
+    def run_then_mark(engine, until=None):
+        makespan = drain_engine(engine, until)
+        drained[0] = True
+        return makespan
+
+    def count(phase, info):
+        if phase == "start":
+            counts["all"] += 1
+            counts["after_drain"] += drained[0]
+
+    monkeypatch.setattr(Engine, "run", run_then_mark)
+    gc.callbacks.append(count)
+    yield counts, drained
+    gc.callbacks.remove(count)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_no_young_pass_follows_the_drain(name, passes_after_drain):
+    """The suspension hands what a run kept to the oldest generation before
+    the collector is back on, so the first allocation after the drain
+    starts no young pass over it (it found nothing, see above)."""
+    counts, drained = passes_after_drain
+    RUNS[name]()  # warm-up: a code path's first use may import modules
+    gc.collect()
+    counts.update(all=0, after_drain=0)
+    drained[0] = False
+    assert RUNS[name]() is not None
+    assert drained[0]
+    assert counts["after_drain"] == 0
+    if name == "single-edge":  # a timed recording run collects nothing at all
+        assert counts["all"] == 0
+
+
+#: 40 back-to-back ``replicated-failover`` runs in one fresh interpreter:
+#: peak RSS after the first run and after the last, in MiB.
+_BACK_TO_BACK = """
+import resource
+from repro.experiments import get_scenario, run
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+run(get_scenario("replicated-failover"))
+first = peak()
+for _ in range(39):
+    run(get_scenario("replicated-failover"))
+print(first, peak())
+"""
+
+
+def test_back_to_back_runs_do_not_grow_the_peak():
+    """What a run leaves is freed by reference counting, not by a collector
+    pass that the oldest generation might wait for: 40 runs in one process
+    peak within a few MiB of one run (45 MiB against 44 on CPython 3.11,
+    Linux x86-64; a system kept alive by a cycle until a full pass reached
+    83-89 MiB)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    output = subprocess.run(
+        [sys.executable, "-c", _BACK_TO_BACK], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    first, last = map(float, output.split())
+    assert last - first < 6.0, (first, last)
 
 
 def test_a_collector_the_caller_turned_off_stays_off(collector_on):

@@ -11,15 +11,27 @@ tables, audit records that render to exactly what was executed — and the
 counting rule the routing plan and the store's key -> slot memo exist for:
 a section hashes each key it locks at most once, and a store hashes each
 distinct key once, whatever is split, merged or transferred meanwhile.
+
+The distributed controllers' lock lifecycle (acquire, body, prepare on
+the held locks, commit, one release per routed partition) is held to what
+it promises: one hold record per key a section locks, the same votes as a
+prepare that re-took every lock (an undeclared write or an S -> X upgrade
+under another holder still votes NO), every lock released when a
+participant failed between MS-SR's sections, and one participant-set
+object per distinct set.  The FNV-1a bucket, masked once, is held to the
+per-byte-masked definition.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.storage.partition as partition_module
 from repro.cluster.system import ClusterSystem, hotspot_bank_factory
@@ -27,10 +39,14 @@ from repro.experiments import get_scenario
 from repro.experiments.runner import build_streams
 from repro.experiments.spec import build_cluster_config, build_traffic_config
 from repro.storage.kvstore import KeyValueStore
-from repro.storage.locks import LockHoldRecord, LockManager
-from repro.storage.partition import PartitionedStore
+from repro.storage.locks import LockHoldRecord, LockManager, LockMode
+from repro.storage.partition import PartitionedStore, TwoPhaseCommitCoordinator
 from repro.transactions.checker import check_ms_ia, check_ms_sr
-from repro.transactions.distributed import DistributedMSIAController, DistributedTwoStage2PL
+from repro.transactions.distributed import (
+    DistributedCommitRecord,
+    DistributedMSIAController,
+    DistributedTwoStage2PL,
+)
 from repro.transactions.exceptions import TransactionAborted
 from repro.transactions.history import History
 from repro.transactions.model import MultiStageTransaction, SectionKind, SectionSpec
@@ -316,3 +332,207 @@ def test_a_store_hashes_each_key_once_across_split_merge_and_transfer(monkeypatc
     store.transfer_partition(target.partition_id)
     routes_match_a_fresh_hash()
     assert sorted(hashed) == sorted(keys)
+
+
+# -- the distributed lock lifecycle ---------------------------------------------
+DISTRIBUTED = {
+    "DistributedTwoStage2PL": DistributedTwoStage2PL,
+    "DistributedMSIAController": DistributedMSIAController,
+}
+
+
+def _keys_on_distinct_partitions(store: PartitionedStore, count: int) -> list[str]:
+    """``count`` keys, each owned by a different partition."""
+    by_partition: dict[int, str] = {}
+    index = 0
+    while len(by_partition) < count:
+        key = f"key-{index}"
+        by_partition.setdefault(store.partition_for(key).partition_id, key)
+        index += 1
+    return [by_partition[partition_id] for partition_id in sorted(by_partition)]
+
+
+def _section(reads=(), writes=(), written=None):
+    """A section declaring ``reads`` / ``writes`` whose body writes
+    ``written`` (the declared writes unless given)."""
+    written = tuple(writes if written is None else written)
+
+    def body(ctx):
+        for key in reads:
+            ctx.read(key, default=0)
+        for key in written:
+            ctx.write(key, (ctx.read(key, default=0) or 0) + 1)
+
+    return SectionSpec(body, ReadWriteSet(reads=frozenset(reads), writes=frozenset(writes)))
+
+
+def _hold_counts(store: PartitionedStore) -> Counter:
+    return Counter(
+        (record.key, record.acquired_at, record.released_at)
+        for partition_id in store.partition_ids()
+        for record in store.partition(partition_id).locks.hold_records
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+def test_each_key_a_section_locks_leaves_one_hold_record(name):
+    """Prepare votes on the locks the section still holds and one release
+    per routed partition ends them: a key leaves one tenure per section
+    that locked it (MS-IA: per section; MS-SR: one, initial to final)."""
+    store = PartitionedStore(num_partitions=4)
+    a, b, c, d = _keys_on_distinct_partitions(store, 4)
+    transaction = MultiStageTransaction(
+        transaction_id="t1",
+        initial=_section(reads=(a,), writes=(b,)),
+        final=_section(reads=(c,), writes=(b, d)),
+    )
+    controller = DISTRIBUTED[name](store)
+    controller.process_initial(transaction, now=1.0)
+    controller.process_final(transaction, now=3.0)
+
+    assert transaction.is_committed
+    if name == "DistributedTwoStage2PL":
+        tenures = [(key, 1.0, 3.0) for key in (a, b, c, d)]
+    else:
+        tenures = [(a, 1.0, 1.0), (b, 1.0, 1.0), (b, 3.0, 3.0), (c, 3.0, 3.0), (d, 3.0, 3.0)]
+    assert _hold_counts(store) == Counter(tenures)
+    assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
+    assert store.read(b) == 2 and store.read(d) == 1
+
+
+@pytest.mark.parametrize("other_mode", [LockMode.SHARED, LockMode.EXCLUSIVE])
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+def test_an_undeclared_write_still_votes_no_on_conflict(name, other_mode):
+    """The prepare takes an undeclared write as a new request, so another
+    holder's lock on that key still turns the round into an abort — and
+    nothing the aborted round held stays locked."""
+    store = PartitionedStore(num_partitions=4)
+    declared, undeclared = _keys_on_distinct_partitions(store, 2)
+    store.partition_for(undeclared).locks.try_acquire("other", undeclared, other_mode)
+    sneaky = _section(writes=(declared,), written=(declared, undeclared))
+    if name == "DistributedTwoStage2PL":
+        transaction = MultiStageTransaction("t1", initial=_section(writes=(declared,)), final=sneaky)
+        controller = DISTRIBUTED[name](store)
+        controller.process_initial(transaction, now=1.0)
+        with pytest.raises(TransactionAborted, match="final atomic commit failed"):
+            controller.process_final(transaction, now=2.0)
+    else:
+        transaction = MultiStageTransaction("t1", initial=sneaky, final=_section())
+        controller = DISTRIBUTED[name](store)
+        with pytest.raises(TransactionAborted, match="initial-section atomic commit failed"):
+            controller.process_initial(transaction, now=1.0)
+        assert transaction.is_aborted
+    assert controller.stats.aborts == 1
+    assert store.read(declared, default=None) is None  # atomic: nothing applied
+    assert store.read(undeclared, default=None) is None
+    assert not store.partition_for(declared).locks.held_keys("t1")
+    assert not store.partition_for(undeclared).locks.held_keys("t1")
+    assert store.partition_for(undeclared).locks.held_keys("other") == {undeclared}
+    assert store.failure_aborts == 0
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+def test_an_upgrade_under_another_reader_votes_no(name):
+    """A key declared read-only but written by the body needs S -> X at
+    prepare; a second reader of the key denies it, as a re-take would."""
+    store = PartitionedStore(num_partitions=4)
+    (key,) = _keys_on_distinct_partitions(store, 1)
+    store.partition_for(key).locks.try_acquire("reader", key, LockMode.SHARED)
+    upgrade = _section(reads=(key,), written=(key,))
+    controller = DISTRIBUTED[name](store)
+    transaction = MultiStageTransaction("t1", initial=upgrade, final=_section())
+    if name == "DistributedTwoStage2PL":
+        controller.process_initial(transaction, now=1.0)  # MS-SR commits at the end
+        with pytest.raises(TransactionAborted):
+            controller.process_final(transaction, now=2.0)
+    else:
+        with pytest.raises(TransactionAborted):
+            controller.process_initial(transaction, now=1.0)
+    assert store.read(key, default=None) is None
+    assert not store.partition_for(key).locks.held_keys("t1")
+    # Alone on the key, the same upgrade commits.
+    store.partition_for(key).locks.release("reader", key)
+    controller = DISTRIBUTED[name](store)
+    transaction = MultiStageTransaction("t2", initial=upgrade, final=_section())
+    controller.process_initial(transaction, now=3.0)
+    controller.process_final(transaction, now=4.0)
+    assert transaction.is_committed and store.read(key) == 1
+    assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
+
+
+def test_an_ms_sr_final_whose_participant_failed_releases_every_lock():
+    store = PartitionedStore(num_partitions=4)
+    keys = _keys_on_distinct_partitions(store, 3)
+    transaction = MultiStageTransaction(
+        "t1", initial=_section(writes=keys[:2]), final=_section(reads=keys[2:], writes=keys[:1])
+    )
+    controller = DistributedTwoStage2PL(store)
+    controller.process_initial(transaction, now=1.0)
+    failed = store.partition_for(keys[1])
+    failed.crash()
+
+    with pytest.raises(TransactionAborted, match="participant unavailable"):
+        controller.process_final(transaction, now=2.0)
+    assert store.failure_aborts == 1
+    assert controller.stats.aborts == 1
+    assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
+    assert store.read(keys[0], default=None) is None  # the live participant applied nothing
+    assert not controller.pending_finals
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+def test_rounds_with_the_same_participants_share_one_set(name):
+    store = PartitionedStore(num_partitions=4)
+    a, b, c = _keys_on_distinct_partitions(store, 3)
+    controller = DISTRIBUTED[name](store)
+    for index, written in enumerate([(a, b), (b, a), (a, c), (c, a), (b, a)]):
+        transaction = MultiStageTransaction(
+            f"t{index}", initial=_section(writes=written), final=_section(writes=written)
+        )
+        controller.process_initial(transaction, now=float(index))
+        controller.process_final(transaction, now=float(index) + 0.5)
+
+    rounds = [
+        participants
+        for record in controller.commit_records.values()
+        for participants in record.rounds
+    ]
+    assert len(rounds) == (5 if name == "DistributedTwoStage2PL" else 10)
+    assert len({id(participants) for participants in rounds}) == len(set(rounds)) == 2
+
+    coordinator = TwoPhaseCommitCoordinator(store)
+    first = coordinator.commit("x1", {a: 1, b: 1}).participants
+    assert coordinator.commit("x2", {b: 2, a: 2}).participants is first
+    assert coordinator.commit("x3", {c: 3}).participants is not first
+
+
+def test_a_commit_record_keeps_no_attribute_dict():
+    record = DistributedCommitRecord("t1")
+    assert not hasattr(record, "__dict__")
+    record.rounds.append(frozenset({0, 1}))
+    assert record.partitions_touched == frozenset({0, 1})
+
+
+# -- the FNV-1a bucket ---------------------------------------------------------------
+def _fnv_masked_per_byte(key: str, buckets: int) -> int:
+    """32-bit FNV-1a as first written: reduced mod 2**32 after every byte."""
+    value = 2166136261
+    for byte in key.encode("utf-8"):
+        value ^= byte
+        value = (value * 16777619) & 0xFFFFFFFF
+    return value % buckets
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(), st.integers(min_value=1, max_value=64))
+def test_the_bucket_masked_once_is_the_per_byte_masked_bucket(key, buckets):
+    assert partition_module._stable_bucket(key, buckets) == _fnv_masked_per_byte(key, buckets)
+
+
+@pytest.mark.parametrize(
+    "key, digest",
+    [("", 0x811C9DC5), ("a", 0xE40C292C), ("foobar", 0xBF9CF968)],
+)
+def test_the_bucket_is_fnv1a_32(key, digest):
+    """The published FNV-1a 32-bit vectors, read through a 2**32-slot space."""
+    assert partition_module._stable_bucket(key, 2**32) == digest

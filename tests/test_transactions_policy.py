@@ -386,6 +386,58 @@ class TestPolicyApi:
         assert all(duration > 0.0 for _, duration in flushes)
         assert result.policy_stats.coordinator_round_trips > 0
 
+    def test_before_stage_runs_once_per_section(self):
+        class Counting(ImmediatePolicy):
+            before_stage_calls = 0
+
+            def _before_stage(self, now):
+                self.before_stage_calls += 1
+
+        store = PartitionedStore(4)
+        policy = Counting(DistributedMSIAController(store), frozenset({0}))
+        keys = set(_spanning_keys(store, 2))
+        facade = _write_transaction("t1", keys, keys)
+        policy.process_initial(facade, now=0.0)
+        policy.process_final(facade, now=1.0)
+        assert policy.before_stage_calls == 2
+        staged = _write_transaction("t2", keys, keys)
+        policy.stage(staged, SectionKind.INITIAL, now=2.0)
+        policy.stage(staged, SectionKind.FINAL, now=3.0)
+        assert policy.before_stage_calls == 4
+        assert staged.is_committed
+
+    #: ``(flushed at end, commit_batches, cross_partition_commits,
+    #: coordinator_round_trips, coordinator_time_s, frame charges billed,
+    #: stages billed)`` of the drive below, captured when ``process_initial``
+    #: still ran ``_before_stage`` twice.
+    BATCHED_PINS = {
+        "ms-ia": (1, 9, 46, 50, 0.07484049501270804, 0.06804844823245189, 8),
+        "ms-sr": (3, 8, 23, 48, 0.06804844823245189, 0.060252287400925954, 7),
+    }
+
+    @pytest.mark.parametrize("consistency", sorted(BATCHED_PINS))
+    def test_batched_flush_counts_and_charges_are_pinned(self, consistency):
+        policy = build_policy("batched-2pc", consistency=consistency)
+        charges = []
+        for index in range(24):
+            keys = {f"pkey-{index}", f"pkey-{index + 7}", f"pkey-{3 * index + 1}"}
+            txn = _write_transaction(f"t{index}", keys, keys)
+            policy.process_initial(txn, now=0.02 * index)
+            charges.append(policy.drain_frame_costs()[0])
+            policy.process_final(txn, now=0.02 * index + 0.013)
+            charges.append(policy.drain_frame_costs()[0])
+        flushed = policy.commit(now=1.0)
+        stats = policy.policy_stats
+        assert (
+            flushed,
+            stats.commit_batches,
+            stats.cross_partition_commits,
+            stats.coordinator_round_trips,
+            stats.coordinator_time_s,
+            sum(charges),
+            sum(1 for charge in charges if charge),
+        ) == self.BATCHED_PINS[consistency]
+
     def test_immediate_policy_wraps_local_controllers(self):
         from repro.storage.kvstore import KeyValueStore
         from repro.transactions.ms_ia import MSIAController
