@@ -19,7 +19,6 @@ JSON output is just many runs of the one shared schema.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -170,6 +169,10 @@ class Sweep:
             valid.append((assignment, spec))
 
         if max_workers is not None and max_workers > 1 and len(valid) > 1:
+            # Imported here: it pulls in multiprocessing, socket and
+            # subprocess, which no serial sweep or single run needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
                 reports = list(pool.map(execute, [spec for _, spec in valid]))
         else:

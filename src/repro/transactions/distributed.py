@@ -31,9 +31,9 @@ the section's locks are taken, then shared by the body's reads, the 2PC
 grouping and the release — so a key is hashed once per section.  The
 plan dies with the call and is rebuilt for the next section: re-sharding
 or a promotion may re-home a slot between a transaction's two sections.
-The section context keeps executed operations as ``(kind, key, value)``
-rows; an attached :class:`History` is handed the row list itself and
-renders :class:`Operation` objects when it is read.
+The section context keeps executed operations as one flat ``kind, key,
+value, …`` row list; an attached :class:`History` appends those slots to
+its own flat list and renders :class:`Operation` objects when it is read.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ class _BufferedSectionContext(SectionContext):
             value = self.pending_writes[key]
         else:
             value = self._routes[key].store.read(key, default=default)
-        self.operation_rows.append((OperationKind.READ, key, value))
+        self.operation_rows += (OperationKind.READ, key, value)
         return value
 
     def write(self, key: str, value: Any) -> None:
         self.pending_writes[key] = value
-        self.operation_rows.append((OperationKind.WRITE, key, value))
+        self.operation_rows += (OperationKind.WRITE, key, value)
 
 
 @dataclass(slots=True)
@@ -163,7 +163,7 @@ class DistributedMSIAController:
         transaction.mark_initial_committed(result, context.handoff, now)
         self.stats.initial_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.INITIAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
         self._pending[holder] = (transaction, labels)
         return result
 
@@ -191,7 +191,7 @@ class DistributedMSIAController:
         transaction.mark_committed(result, context.apologies, now)
         self.stats.final_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.FINAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.FINAL, now, context.operation_rows)
         return result
 
     @property
@@ -238,9 +238,11 @@ class DistributedMSIAController:
             if partition.available and partition.locks.try_acquire(holder, key, mode, now):
                 continue
             # All-or-nothing: give back what this call was granted so far.
+            # No body ran under them, so no tenure is recorded (as in
+            # ``LockManager.acquire_all``'s own rollback).
             del routes[key]
             for granted_key, owner in routes.items():
-                owner.locks.release(holder, granted_key, now)
+                owner.locks.release(holder, granted_key, now, record=False)
             if partition.available:
                 raise TransactionAborted(holder, f"remote lock denied on {key!r}")
             self._store.record_failure_abort()
@@ -319,7 +321,7 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         transaction.mark_initial_committed(result, context.handoff, now)
         self.stats.initial_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.INITIAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
         self._pending[holder] = (transaction, labels)
         self._buffered_writes[holder] = context.pending_writes
         return result
@@ -354,5 +356,5 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         transaction.mark_committed(result, context.apologies, now)
         self.stats.final_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.FINAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.FINAL, now, context.operation_rows)
         return result

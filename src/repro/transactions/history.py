@@ -7,22 +7,24 @@ timestamp and its executed operations; checkers
 (:mod:`repro.transactions.checker`) then validate the MS-SR / MS-IA
 conditions over the recorded order.
 
-A committed section is kept as four slots of one flat list —
-``transaction_id, section, commit_time, operations`` — where
-``operations`` is the section context's own ``(kind, key, value)`` row
-list, handed over as it is.  :class:`SectionRecord` (with its tuple of
-:class:`Operation`) is the read API: iteration, ``sections_of``,
-``section`` and, through them, the checkers read one rendered list that
-grows by the sections committed since the last read and is kept, so
-walking the history many times renders each section once; a record's
-``sequence`` is its position.  ``len`` and ``transaction_ids`` read the
-rows.
+A history is two flat lists.  Every committed operation goes into one
+operation list as three slots, ``kind, key, value`` — no object per
+operation, none per section.  Every committed section is four slots of
+the section list, ``transaction_id, section, commit_time, end``, where
+``end`` is where the section's operations end in the operation list (they
+start where the previous section's end).  :class:`SectionRecord` (with
+its tuple of :class:`Operation`) is the read API: iteration,
+``sections_of``, ``section`` and, through them, the checkers read one
+rendered list that grows by the sections committed since the last read
+and is kept, so walking the history many times renders each section
+once; a record's ``sequence`` is its position.  ``len`` and
+``transaction_ids`` read the section list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.transactions.ops import Operation, operations_conflict
 from repro.transactions.model import SectionKind
@@ -53,36 +55,56 @@ class SectionRecord:
 class History:
     """Append-only log of committed sections, ordered by commitment."""
 
-    #: Flat ``transaction_id, section, commit_time, operations`` rows.
+    #: Flat ``transaction_id, section, commit_time, end`` section rows.
     _rows: list = field(default_factory=list)
-    #: The rows rendered so far (a prefix), grown by :meth:`_sections`.
+    #: Every committed operation, flat: ``kind, key, value, kind, …``.
+    _operations: list = field(default_factory=list)
+    #: The sections rendered so far (a prefix), grown by :meth:`_sections`.
     _rendered: list[SectionRecord] = field(default_factory=list, repr=False, compare=False)
+
+    def record_rows(
+        self, transaction_id: str, section: SectionKind, commit_time: float, rows: list
+    ) -> None:
+        """Append a committed section whose operations are flat ``kind, key,
+        value, …`` slots (a section context's ``operation_rows``)."""
+        operations = self._operations
+        operations += rows
+        self._rows += (transaction_id, section, commit_time, len(operations))
 
     def record_section(
         self,
         transaction_id: str,
         section: SectionKind,
         commit_time: float,
-        operations: Sequence[Operation | tuple] = (),
+        operations: Iterable[Operation | tuple] = (),
     ) -> None:
-        """Append a committed section to the history.
-
-        ``operations`` holds ``(kind, key, value)`` rows (what the
-        controllers pass) or already-rendered :class:`Operation` objects.
-        """
-        self._rows += (transaction_id, section, commit_time, operations)
+        """Append a committed section given as :class:`Operation` objects or
+        ``(kind, key, value)`` tuples, flattened once."""
+        rows: list = []
+        for operation in operations:
+            if not isinstance(operation, Operation):
+                operation = Operation(*operation)
+            rows += (operation.kind, operation.key, operation.value)
+        self.record_rows(transaction_id, section, commit_time, rows)
 
     def _sections(self) -> list[SectionRecord]:
         """Every committed section, rendered; only new rows are built."""
-        rendered, rows = self._rendered, self._rows
+        rendered, rows, operations = self._rendered, self._rows, self._operations
+        start = rows[4 * len(rendered) - 1] if rendered else 0
         for at in range(4 * len(rendered), len(rows), 4):
-            transaction_id, section, commit_time, operations = rows[at : at + 4]
-            operations = tuple(
-                op if isinstance(op, Operation) else Operation(*op) for op in operations
+            transaction_id, section, commit_time, end = rows[at : at + 4]
+            executed = tuple(
+                map(
+                    Operation,
+                    operations[start:end:3],
+                    operations[start + 1 : end : 3],
+                    operations[start + 2 : end : 3],
+                )
             )
             rendered.append(
-                SectionRecord(transaction_id, section, commit_time, at // 4 + 1, operations)
+                SectionRecord(transaction_id, section, commit_time, at // 4 + 1, executed)
             )
+            start = end
         return rendered
 
     def __iter__(self) -> Iterator[SectionRecord]:
@@ -99,6 +121,7 @@ class History:
         a fresh history for every component at once.
         """
         self._rows.clear()
+        self._operations.clear()
         self._rendered.clear()
 
     def sections_of(self, transaction_id: str) -> list[SectionRecord]:

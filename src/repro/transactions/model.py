@@ -89,9 +89,11 @@ class SectionContext:
         self._store = store
         self._undo_log = undo_log
         self._handoff = dict(handoff or {})
-        #: Executed operations as (kind, key, value) rows: what the
-        #: controllers hand to a :class:`History`; ``operations`` renders them.
-        self.operation_rows: list[tuple[OperationKind, str, Any]] = []
+        #: Executed operations as one flat row list — ``kind, key, value,
+        #: kind, key, value, …``, three slots per operation and no tuple —
+        #: what the controllers hand to :meth:`History.record_rows`;
+        #: ``operations`` and ``executed_rwset`` read it by slicing.
+        self.operation_rows: list = []
         self._apologies: list[str] = []
         self._retracted = False
 
@@ -99,7 +101,7 @@ class SectionContext:
     def read(self, key: str, default: Any = None) -> Any:
         """Read ``key`` from the store, recording the operation."""
         value = self._store.read(key, default=default)
-        self.operation_rows.append((OperationKind.READ, key, value))
+        self.operation_rows += (OperationKind.READ, key, value)
         return value
 
     def write(self, key: str, value: Any) -> None:
@@ -107,7 +109,7 @@ class SectionContext:
         if self._undo_log is not None:
             self._undo_log.log_write(self.transaction_id, key, value)
         self._store.write(key, value, writer=self.transaction_id)
-        self.operation_rows.append((OperationKind.WRITE, key, value))
+        self.operation_rows += (OperationKind.WRITE, key, value)
 
     def delete(self, key: str) -> None:
         """Delete ``key`` (tombstone write)."""
@@ -150,7 +152,8 @@ class SectionContext:
     @property
     def operations(self) -> tuple[Operation, ...]:
         """Operations executed so far in this section."""
-        return tuple(Operation(*row) for row in self.operation_rows)
+        rows = self.operation_rows
+        return tuple(map(Operation, rows[0::3], rows[1::3], rows[2::3]))
 
     @property
     def apologies(self) -> tuple[str, ...]:
@@ -163,9 +166,10 @@ class SectionContext:
     def executed_rwset(self) -> ReadWriteSet:
         """Read/write set actually touched by the section body."""
         rows = self.operation_rows
+        operations = tuple(zip(rows[0::3], rows[1::3]))
         return ReadWriteSet(
-            reads=frozenset(key for kind, key, _ in rows if kind is OperationKind.READ),
-            writes=frozenset(key for kind, key, _ in rows if kind is OperationKind.WRITE),
+            reads=frozenset(key for kind, key in operations if kind is OperationKind.READ),
+            writes=frozenset(key for kind, key in operations if kind is OperationKind.WRITE),
         )
 
 

@@ -135,7 +135,7 @@ class MSIAController:
         transaction.mark_initial_committed(result, context.handoff, now)
         self.stats.initial_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.INITIAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
 
         # Unlike MS-SR, the locks are released right after the initial commit.
         self._locks.release_all(holder, now=now)
@@ -203,7 +203,7 @@ class MSIAController:
         transaction.mark_committed(result, context.apologies, now)
         self.stats.final_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.FINAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.FINAL, now, context.operation_rows)
 
         self._undo_log.forget(holder)
         self._locks.release_all(holder, now=now)

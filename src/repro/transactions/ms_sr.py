@@ -146,7 +146,7 @@ class TwoStage2PL:
         self._pending[holder] = _PendingFinal(transaction=transaction, initial_labels=labels)
         self.stats.initial_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.INITIAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
         return result
 
     # -- final section -----------------------------------------------------
@@ -181,7 +181,7 @@ class TwoStage2PL:
         transaction.mark_committed(result, context.apologies, now)
         self.stats.final_commits += 1
         if self._history is not None:
-            self._history.record_section(holder, SectionKind.FINAL, now, context.operation_rows)
+            self._history.record_rows(holder, SectionKind.FINAL, now, context.operation_rows)
 
         self._undo_log.forget(holder)
         self._locks.release_all(holder, now=now)

@@ -12,6 +12,14 @@ draw all their keys in one ``rng.integers`` call with per-element
 bounds: exactly the draws one scalar call per key makes, bit for bit and
 generator state included (``tests/test_workloads.py`` pins that NumPy
 fact), so keys do not depend on how transactions are grouped into frames.
+
+An insert stores the payload ``{"label": label, "stage": stage}``, built
+once per ``(label, stage)`` and shared by every write with that label and
+stage, so the label vocabulary bounds the number of payloads and a
+recorded write costs its slots, not a new dict.  Like ``BoundingBox`` or
+``SceneObject``, a payload is immutable by convention: nothing assigns
+into a stored value, and the store, the WAL, checkpoints, backups and the
+``History`` all alias the object they were handed.
 """
 
 from __future__ import annotations
@@ -25,6 +33,19 @@ from repro.detection.labels import Detection
 from repro.transactions.model import MultiStageTransaction, RowSection, SectionContext
 from repro.transactions.ops import ReadWriteSet
 
+#: ``(label, stage)`` -> the payload every such insert stores.  Shared by
+#: every workload in the process: a payload is a function of its key and
+#: never mutated, so which workload built it first cannot be observed.
+_PAYLOADS: dict[tuple[str, str], dict] = {}
+
+
+def _payload(label: str, stage: str) -> dict:
+    """The one ``{"label": label, "stage": stage}`` every such insert stores."""
+    payload = _PAYLOADS.get((label, stage))
+    if payload is None:
+        payload = _PAYLOADS[label, stage] = {"label": label, "stage": stage}
+    return payload
+
 
 class _InsertAndRead(RowSection):
     """Initial section: read the existing items, insert the new ones."""
@@ -35,8 +56,9 @@ class _InsertAndRead(RowSection):
         row = self.row
         label = row[0]
         values = {key: ctx.read(key, default=0) for key in row[self._read_keys]}
+        payload = _payload(label, "initial")
         for key in row[self._write_keys]:
-            ctx.write(key, {"label": label, "stage": "initial"})
+            ctx.write(key, payload)
         ctx.put_handoff("observed", values)
         ctx.put_handoff("label", label)
         return {"read": values, "label": label}
@@ -52,8 +74,9 @@ class _InsertCorrected(RowSection):
         original = ctx.get_handoff("label")
         if corrected is not None and corrected != original:
             ctx.apologize(f"label corrected from {original!r} to {corrected!r}")
+        payload = _payload(corrected or original, "final")
         for key in self.row[self._write_keys]:
-            ctx.write(key, {"label": corrected or original, "stage": "final"})
+            ctx.write(key, payload)
         return {"corrected": corrected, "original": original}
 
 

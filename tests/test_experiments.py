@@ -1,10 +1,14 @@
 """Tests for the declarative experiment layer (spec, runner, sweeps, registry)."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, fields
 
 import pytest
 
+import repro
 from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.baselines import run_croesus
 from repro.core.config import CroesusConfig
@@ -513,6 +517,24 @@ class TestSweep:
     def test_max_workers_one_stays_serial(self):
         sweep = Sweep(base=cluster_spec(frames=3), axis="num_edges", values=[1])
         assert sweep.run(max_workers=1).to_json() == sweep.run().to_json()
+
+    def test_importing_the_experiment_layer_leaves_the_process_pool_out(self):
+        """Only a ``max_workers > 1`` sweep imports ``concurrent.futures``
+        (and with it multiprocessing, socket, subprocess and logging): a
+        fresh interpreter that imports the experiment layer and runs a
+        scenario has none of them."""
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro.experiments as e; "
+            "e.run(e.get_scenario('fig4-ms-sr').with_(frames=4)); "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & "
+            "{'concurrent', 'multiprocessing', 'socket', 'subprocess', 'logging'}))"
+        )
+        env = {**os.environ, "PYTHONPATH": source}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
     def test_to_dict_serialises_every_cell(self):
         result = Sweep(base=cluster_spec(frames=3), axis="num_edges", values=[1]).run()

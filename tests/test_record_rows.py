@@ -12,14 +12,18 @@ three ways:
   (3013db9); they must never move, under any ``PYTHONHASHSEED``;
 * **model tests** — random interleavings of store and undo-log calls
   against an oracle that keeps real record objects the way that commit
-  did, and a ``History`` fed rows against one fed rendered operations;
+  did, a ``History`` fed rows against one fed rendered operations, and
+  the flat ``History`` against the tuple-row one it replaced;
 * **counting** — a run constructs none of the six record classes, and
-  each accessor renders the same non-zero number of them afterwards.
+  each accessor renders the same non-zero number of them afterwards; a
+  recorded run keeps a bounded number of bytes per committed operation.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +41,12 @@ from repro.storage.wal import UndoLog, UndoRecord
 from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.checker import check_ms_ia, check_ms_sr
 from repro.transactions.history import History, SectionRecord
-from repro.transactions.model import MultiStageTransaction, SectionKind, SectionSpec
+from repro.transactions.model import (
+    MultiStageTransaction,
+    SectionContext,
+    SectionKind,
+    SectionSpec,
+)
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 from repro.video.library import make_video
 
@@ -372,6 +381,87 @@ def test_history_fed_rows_equals_history_fed_rendered_operations(sections):
     assert len(from_rows) == 0 and list(from_rows) == [] and from_rows.transaction_ids() == []
 
 
+class _TupleRowHistory:
+    """The History as kept before its operations went into one flat list:
+    four slots per section, the last one the section's own list of
+    ``(kind, key, value)`` tuples."""
+
+    def __init__(self) -> None:
+        self.rows: list = []
+
+    def record_section(self, transaction_id, section, commit_time, operations) -> None:
+        self.rows += (transaction_id, section, commit_time, operations)
+
+    def sections(self) -> list[SectionRecord]:
+        rows = self.rows
+        return [
+            SectionRecord(
+                *rows[at : at + 3], at // 4 + 1, tuple(Operation(*op) for op in rows[at + 3])
+            )
+            for at in range(0, len(rows), 4)
+        ]
+
+
+_context_calls = st.lists(
+    st.tuples(st.sampled_from(["read", "write"]), st.sampled_from(["x", "y", "z"]), _values),
+    max_size=4,
+)
+_fed_sections = st.lists(
+    st.tuples(
+        st.sampled_from(["t1", "t2", "t3", "t4"]),
+        st.sampled_from(list(SectionKind)),
+        st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        _context_calls,
+        st.sampled_from(["controller rows", "operations", "tuples"]),
+        st.booleans(),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fed_sections, _fed_sections)
+def test_flat_history_renders_what_tuple_rows_did(sections, after_clear):
+    """Sections run through a real context and fed as the controllers feed
+    them (the context's flat rows), or as ``Operation`` objects or tuples,
+    interleaved, render the records the tuple-row History rendered; the
+    context reads its flat rows back as the tuple rows it used to keep."""
+    store, history = KeyValueStore(), History()
+    for batch in (sections, after_clear):
+        oracle = _TupleRowHistory()
+        for txn, kind, commit_time, calls, fed_as, read_now in batch:
+            context = SectionContext(txn, kind, store)
+            executed = []
+            for name, key, value in calls:
+                if name == "read":
+                    executed.append((OperationKind.READ, key, context.read(key)))
+                else:
+                    context.write(key, value)
+                    executed.append((OperationKind.WRITE, key, value))
+            assert context.operations == tuple(Operation(*op) for op in executed)
+            assert context.executed_rwset() == ReadWriteSet(
+                reads=frozenset(key for op, key, _ in executed if op is OperationKind.READ),
+                writes=frozenset(key for op, key, _ in executed if op is OperationKind.WRITE),
+            )
+            if fed_as == "controller rows":
+                history.record_rows(txn, kind, commit_time, context.operation_rows)
+                context.operation_rows.clear()  # the history keeps its own copy
+            elif fed_as == "operations":
+                history.record_section(txn, kind, commit_time, context.operations)
+            else:
+                history.record_section(txn, kind, commit_time, executed)
+            oracle.record_section(txn, kind, commit_time, executed)
+            if read_now:  # the rendered list grows between reads
+                assert list(history) == oracle.sections()
+        assert list(history) == oracle.sections()
+        assert len(history) == len(batch)
+        assert history.transaction_ids() == list(dict.fromkeys(oracle.rows[0::4]))
+        assert len(history._operations) == 3 * sum(len(calls) for _, _, _, calls, _, _ in batch)
+
+        history.clear()
+        assert history._rows == [] and history._operations == [] and list(history) == []
+
+
 # -- nothing is constructed on a write ------------------------------------------
 RECORD_CLASSES = (Version, UndoRecord, Operation, SectionRecord, TransferRecord, Event)
 
@@ -422,3 +512,31 @@ def test_a_run_constructs_no_record_and_each_accessor_renders_them(monkeypatch):
     for _ in range(2):
         assert rendered_by(lambda: log.records_for("t")) == {"UndoRecord": 2}
     assert rendered_by(lambda: log.undo("t")) == {"UndoRecord": 2}
+
+
+# -- what a recorded run keeps ---------------------------------------------------
+#: Bytes a ``fig4-ms-sr`` run keeps alive per committed operation, with the
+#: system still referenced (tracemalloc): 410.7 when every YCSB insert built
+#: its own payload dict and the History kept a ``(kind, key, value)`` tuple
+#: per operation and a list per section, 253.2 with one payload per
+#: ``(label, stage)`` and flat rows.
+RETAINED_BYTES_PER_OPERATION_CEILING = 330
+
+
+def test_a_recorded_run_keeps_few_bytes_per_committed_operation():
+    spec = get_scenario("fig4-ms-sr")
+    _run_single(spec)  # first use: imports, memo tables, payloads
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system = _run_single(spec)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    operations = sum(len(record.operations) for record in system.history)
+    assert operations > 3000
+    assert retained / operations < RETAINED_BYTES_PER_OPERATION_CEILING

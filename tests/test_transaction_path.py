@@ -14,7 +14,8 @@ distinct key once, whatever is split, merged or transferred meanwhile.
 
 The distributed controllers' lock lifecycle (acquire, body, prepare on
 the held locks, commit, one release per routed partition) is held to what
-it promises: one hold record per key a section locks, the same votes as a
+it promises: one hold record per key a section locks, none for the keys a
+denied acquisition gives back, the same votes as a
 prepare that re-took every lock (an undeclared write or an S -> X upgrade
 under another holder still votes NO), every lock released when a
 participant failed between MS-SR's sections, and one participant-set
@@ -458,6 +459,28 @@ def test_an_upgrade_under_another_reader_votes_no(name):
     controller.process_final(transaction, now=4.0)
     assert transaction.is_committed and store.read(key) == 1
     assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+def test_a_denied_acquisition_records_no_tenure(name):
+    """All-or-nothing acquisition gives back the keys granted before the
+    denied one without recording them: no body ran under those locks, so a
+    zero-length hold record would pull ``average_hold_time`` (Fig 6a) down."""
+    store = PartitionedStore(num_partitions=4)
+    first, second, contested = sorted(_keys_on_distinct_partitions(store, 3))
+    store.partition_for(contested).locks.try_acquire("other", contested, LockMode.EXCLUSIVE)
+    before = {pid: store.partition(pid).locks.hold_records for pid in store.partition_ids()}
+    controller = DISTRIBUTED[name](store)
+    transaction = MultiStageTransaction(
+        "t1", initial=_section(writes=(first, second, contested)), final=_section()
+    )
+
+    with pytest.raises(TransactionAborted, match="remote lock denied"):
+        controller.process_initial(transaction, now=1.0)
+    assert transaction.is_aborted and controller.stats.aborts == 1
+    assert {pid: store.partition(pid).locks.hold_records for pid in store.partition_ids()} == before
+    assert all(not store.partition(pid).locks.held_keys("t1") for pid in store.partition_ids())
+    assert store.partition_for(contested).locks.held_keys("other") == {contested}
 
 
 def test_an_ms_sr_final_whose_participant_failed_releases_every_lock():

@@ -102,6 +102,40 @@ class TestYCSBWorkload:
         # Per transaction: a bucket per insert, an insert number and a bucket per read.
         assert rng.draws == [7 * (3 + 2 * 3)]
 
+    def test_writes_with_the_same_label_and_stage_store_one_object(self):
+        """An insert stores ``{"label": l, "stage": s}``, and every insert
+        with that label and stage stores the same object."""
+        store = KeyValueStore()
+        controller = MSIAController(store)
+        edge = ["dog", "cat", "dog", "dog", "cat"]
+        cloud = ["dog", "dog", "cat", "dog", "cat"]
+        transactions = self._workload().build_transactions(
+            [make_detection(label) for label in edge], [f"t{i}" for i in range(len(edge))]
+        )
+        stored: dict[tuple[str, str], list] = {}
+        for txn, edge_label, cloud_label in zip(transactions, edge, cloud):
+            controller.process_initial(txn, labels=make_detection(edge_label))
+            controller.process_final(txn, labels=make_detection(cloud_label))
+            for keys, label, stage in (
+                (txn.initial.rwset.write_keys, edge_label, "initial"),
+                (txn.final.rwset.write_keys, cloud_label, "final"),
+            ):
+                for key in keys:
+                    value = store.read(key)
+                    assert value == {"label": label, "stage": stage}
+                    stored.setdefault((label, stage), []).append(value)
+
+        assert sorted(stored) == [
+            ("cat", "final"),
+            ("cat", "initial"),
+            ("dog", "final"),
+            ("dog", "initial"),
+        ]
+        assert sum(map(len, stored.values())) == 3 * len(transactions)
+        for values in stored.values():
+            assert len({id(value) for value in values}) == 1
+        assert len({id(values[0]) for values in stored.values()}) == len(stored)
+
 
 class TestHotspotWorkload:
     def _workload(self, key_range: int = 10, **kwargs) -> HotspotWorkload:
