@@ -1,4 +1,4 @@
-"""Constants and helpers shared by every benchmark module.
+"""Constants shared by every benchmark module.
 
 Kept in a uniquely named module (not ``conftest``) so the benchmark files
 can import it without clashing with the unit-test ``conftest`` when both
@@ -7,99 +7,9 @@ directories are collected in one pytest invocation.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 #: Number of frames per experiment run.  Large enough for stable shapes,
 #: small enough that the whole harness finishes in a couple of minutes.
 BENCH_FRAMES = 80
 
 #: Master seed for every benchmark.
 BENCH_SEED = 2022
-
-
-#: Child program of :func:`measure_scenario`: run one registered scenario
-#: and report wall clock, peak RSS, and the full RunReport as JSON.
-_MEASURE_PROGRAM = r"""
-import cProfile, io, json, pstats, resource, sys, time
-from repro.experiments import get_scenario, run
-
-name = sys.argv[1]
-overrides = json.loads(sys.argv[2])
-profile_path = sys.argv[3]
-spec = get_scenario(name)
-if overrides:
-    spec = spec.with_(**overrides)
-profiler = cProfile.Profile() if profile_path else None
-start = time.perf_counter()
-if profiler is not None:
-    profiler.enable()
-report = run(spec)
-if profiler is not None:
-    profiler.disable()
-wall_s = time.perf_counter() - start
-# ru_maxrss is KiB on Linux (the CI platform); this is the process-wide
-# peak, which is why the scenario gets a process of its own.
-peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-profile_summary = ""
-if profiler is not None:
-    profiler.dump_stats(profile_path)
-    stream = io.StringIO()
-    pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(25)
-    profile_summary = stream.getvalue()
-json.dump(
-    {
-        "wall_s": wall_s,
-        "peak_rss_mb": peak_rss_mb,
-        "profile_summary": profile_summary,
-        "report": report.to_dict(),
-    },
-    sys.stdout,
-)
-"""
-
-
-def measure_scenario(
-    name: str,
-    overrides: dict | None = None,
-    profile_path: str | Path | None = None,
-) -> dict:
-    """Run one registered scenario in a fresh interpreter and measure it.
-
-    Returns ``{"wall_s", "peak_rss_mb", "profile_summary", "report"}``.
-    A subprocess (rather than an in-process run) keeps the two numbers
-    honest: ``wall_s`` covers exactly the ``run()`` call, and the
-    resource-module peak RSS is per-process, so earlier fixtures in the
-    same pytest session cannot inflate a later cell's memory reading.
-    With ``profile_path`` the run happens under cProfile (slower — use a
-    separate run for timing) and dumps raw pstats data there.
-    """
-    import repro
-
-    src = Path(repro.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (str(src), env.get("PYTHONPATH")) if part
-    )
-    process = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _MEASURE_PROGRAM,
-            name,
-            json.dumps(overrides or {}),
-            str(profile_path or ""),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    if process.returncode != 0:
-        raise RuntimeError(
-            f"measured scenario {name!r} failed with code {process.returncode}:\n"
-            f"{process.stderr[-4000:]}"
-        )
-    return json.loads(process.stdout)

@@ -82,6 +82,8 @@ class CroesusConfig:
             raise ValueError("match_overlap must be in [0, 1]")
         if self.operations_per_transaction < 2:
             raise ValueError("operations_per_transaction must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.transaction_policy not in TXN_POLICIES:
             known = ", ".join(TXN_POLICIES)
             raise ValueError(

@@ -444,7 +444,7 @@ def _scale_stress(**overrides) -> ScenarioSpec:
     carry no detections at all and never visit the cloud; the near-1.0
     threshold pair keeps the empty label sets out of the validation
     band either way.  Every simulated second is pure engine/queueing
-    work, which is what the wall-clock-per-frame gate measures.  The
+    work, which is what ``bench/``'s ``engine-stress`` workload times.  The
     full cell runs ~10⁵ streams (10⁶ frames) over 100 edges on the
     bounded-memory fast path.
 
@@ -453,7 +453,7 @@ def _scale_stress(**overrides) -> ScenarioSpec:
     of service in total).  Exactly *at* capacity the queues random-walk
     upward, concurrent streams pile up without bound, and the run
     measures queue inflation rather than engine throughput — heavy load
-    without instability is the regime the wall-clock gate wants.
+    without instability is the regime a wall-clock measurement wants.
     """
     base = dict(
         deployment="cluster",
@@ -490,7 +490,7 @@ def _scale_stress_full() -> ScenarioSpec:
 @register_scenario(
     "scale-stress-smoke",
     "Scale stress, smoke-sized: ~1e3 streams (1e4 frames) over 20 edges on "
-    "the fast path — the CI regression cell",
+    "the fast path",
 )
 def _scale_stress_smoke() -> ScenarioSpec:
     return _scale_stress(offered_rate=11.0, duration_s=40.0, num_edges=20)
@@ -499,7 +499,7 @@ def _scale_stress_smoke() -> ScenarioSpec:
 @register_scenario(
     "scale-stress-reference",
     "Scale stress yardstick: the smoke-sized cell on the preserved pre-"
-    "optimization engine with full recording — the speedup denominator",
+    "optimization engine with full recording",
 )
 def _scale_stress_reference() -> ScenarioSpec:
     return _scale_stress(

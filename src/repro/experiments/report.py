@@ -2,12 +2,15 @@
 
 Both deployments — a single-edge baseline run and a multi-edge cluster
 run — are normalised into one :class:`RunReport`, so the CLI's
-``--json`` output, the benchmark harness's ``BENCH_cluster.json``
-trajectory, and the programmatic API all speak the same schema: shared
-metric names (``f_score``, the latency breakdown, ``throughput_fps``,
-queue/cloud delays, aborts, migrations) regardless of where the numbers
-came from.  :func:`validate_report` is the schema's executable contract;
-CI pipes the CLI's JSON through it on every commit.
+``--json`` output, sweep cells, ``bench/``'s workloads and the
+programmatic API all speak the same schema: shared metric names
+(``f_score``, the latency breakdown, ``throughput_fps``, queue/cloud
+delays, aborts, migrations) regardless of where the numbers came from.
+:func:`validate_report` is the schema's executable contract; CI pipes
+the CLI's JSON through it on every commit.  Seeded runs are
+deterministic, so a report is gated by its digest (sha256 over the
+sorted-keys :meth:`RunReport.to_dict`): ``tests/test_scenario_digests.py``
+pins every registered cluster scenario and sweep cell that way.
 
 Metrics a deployment cannot produce are reported as their zero value
 rather than omitted (a single-edge run has no makespan, queueing, 2PC
@@ -142,29 +145,6 @@ class RunReport:
         if not self.cross_partition_txns:
             return 0.0
         return self.coordinator_round_trips / self.cross_partition_txns
-
-    def cluster_summary(self) -> dict[str, float]:
-        """The legacy ``ClusterRunResult.summary()`` dictionary.
-
-        Kept so existing consumers of the benchmark trajectory
-        (``BENCH_cluster.json``) keep reading the key names they always
-        have; every value is a plain re-projection of report fields.
-        """
-        return {
-            "edges": float(len(self.edges)),
-            "streams": float(self.streams),
-            "frames": float(self.frames),
-            "makespan_s": self.makespan_s,
-            "throughput_fps": self.throughput_fps,
-            "mean_queue_delay_ms": self.queue_delay_ms,
-            "mean_cloud_queue_delay_ms": self.cloud_queue_delay_ms,
-            "max_utilization": self.max_utilization,
-            "cross_partition_fraction": self.cross_partition_fraction,
-            "num_cross_partition_txns": float(self.cross_partition_txns),
-            "two_phase_abort_rate": self.abort_rate,
-            "f_score": self.f_score,
-            "migrations": float(self.migrations),
-        }
 
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

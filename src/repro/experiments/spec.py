@@ -336,7 +336,7 @@ class ScenarioSpec:
             )
         if self.streams <= 0:
             raise ValueError(f"streams must be positive, got {self.streams}")
-        if self.fps <= 0:
+        if not self.fps > 0:  # NaN included
             raise ValueError(f"fps must be positive, got {self.fps}")
         if self.workload not in WORKLOADS:
             raise ValueError(
@@ -437,6 +437,10 @@ class ScenarioSpec:
         run the default scenario); missing keys take their defaults, so
         hand-written partial dictionaries work too.
         """
+        if not isinstance(payload, Mapping):
+            raise TypeError(
+                f"ScenarioSpec payload must be a mapping, got {type(payload).__name__}"
+            )
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

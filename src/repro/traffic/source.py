@@ -93,8 +93,8 @@ class TrafficConfig:
             raise ValueError(f"unknown traffic process {self.process!r}; known processes: {known}")
         if self.offered_rate <= 0:
             raise ValueError(f"offered_rate must be positive, got {self.offered_rate}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if self.peak_factor < 1.0:
             raise ValueError(f"peak_factor must be >= 1, got {self.peak_factor}")
         if self.stream_length not in STREAM_LENGTHS:

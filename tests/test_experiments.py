@@ -37,6 +37,26 @@ def cluster_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**base)
 
 
+def assert_report_matches_cluster_result(report: RunReport, result) -> None:
+    """The runner's normalisation of a ``ClusterRunResult``, field by field."""
+    assert len(report.edges) == result.num_edges
+    assert report.streams == len(result.per_stream)
+    assert report.frames == result.num_frames
+    assert report.makespan_s == result.makespan
+    assert report.throughput_fps == result.throughput_fps
+    assert report.queue_delay_ms == result.mean_queue_delay * 1000.0
+    assert report.cloud_queue_delay_ms == result.mean_cloud_queue_delay * 1000.0
+    assert report.max_utilization == result.max_utilization
+    assert report.transactions == result.total_transactions
+    assert report.cross_partition_txns == result.cross_edge_transactions
+    assert report.cross_partition_fraction == result.cross_partition_fraction
+    assert report.aborts == result.stats.aborts
+    assert report.abort_rate == result.two_phase_abort_rate
+    assert report.f_score == result.f_score
+    assert report.bandwidth_utilization == result.bandwidth_utilization
+    assert report.migrations == result.num_migrations
+
+
 class TestScenarioSpec:
     def test_round_trip_is_lossless(self):
         spec = ScenarioSpec(
@@ -69,6 +89,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown ScenarioSpec field"):
             ScenarioSpec.from_dict({"video": "v1", "numedges": 4})
 
+    @pytest.mark.parametrize("payload", [[], "x", None])
+    def test_from_dict_rejects_a_payload_that_is_not_a_mapping(self, payload):
+        with pytest.raises(TypeError, match=f"got {type(payload).__name__}"):
+            ScenarioSpec.from_dict(payload)
+
     def test_from_dict_fills_defaults(self):
         spec = ScenarioSpec.from_dict({"video": "v2"})
         assert spec.video == "v2"
@@ -89,6 +114,7 @@ class TestScenarioSpec:
             {"partitions_per_edge": 0},
             {"router": "nope"},
             {"fps": 0.0},
+            {"deployment": "cluster", "fps": float("nan")},
             {"cloud_servers": 0},
             {"workload": "tpcc"},
             {"hot_key_range": 0},
@@ -128,6 +154,7 @@ class TestScenarioSpec:
         [
             {"lower_threshold": 0.9, "upper_threshold": 0.2},
             {"transaction_policy": "x"},
+            {"seed": -1},
             {"num_edges": 0},
             {"partitions_per_edge": 0},
             {"router": "x"},
@@ -150,6 +177,7 @@ class TestScenarioSpec:
             {"traffic": "x"},
             {"offered_rate": 0.0},
             {"duration_s": 0.0},
+            {"duration_s": float("inf")},
             {"peak_factor": 0.5},
             {"stream_length": "x"},
             {"admission": "x"},
@@ -325,8 +353,7 @@ class TestRunnerCluster:
             )
         )
         result = system.run(make_camera_streams(2, num_frames=5, seed=spec.seed))
-        assert report.cluster_summary() == result.summary()
-        assert report.bandwidth_utilization == result.bandwidth_utilization
+        assert_report_matches_cluster_result(report, result)
 
     def test_migration_events_recorded(self):
         spec = cluster_spec(
@@ -445,7 +472,7 @@ class TestSweep:
             ).run(make_camera_streams(4, num_frames=5, seed=7))
             report = result.report_at(num_edges=edges)
             assert report is not None
-            assert report.cluster_summary() == direct.summary()
+            assert_report_matches_cluster_result(report, direct)
 
     def test_report_at_and_series(self):
         base = cluster_spec(frames=3)
