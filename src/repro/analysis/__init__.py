@@ -7,30 +7,10 @@ system code.
 
 from repro.analysis.sweeps import ThresholdSweep, sweep_thresholds
 from repro.analysis.tables import format_table, latency_breakdown_row
-from repro.analysis.timeline import (
-    CloudQueueProfile,
-    GeoProfile,
-    MigrationTimeline,
-    TrafficProfile,
-    cloud_queue_profile,
-    geo_profile,
-    migration_timeline,
-    stage_commit_counts,
-    traffic_profile,
-)
 
 __all__ = [
-    "CloudQueueProfile",
-    "GeoProfile",
-    "MigrationTimeline",
     "ThresholdSweep",
-    "TrafficProfile",
-    "cloud_queue_profile",
     "format_table",
-    "geo_profile",
     "latency_breakdown_row",
-    "migration_timeline",
-    "stage_commit_counts",
     "sweep_thresholds",
-    "traffic_profile",
 ]

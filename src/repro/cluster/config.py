@@ -101,13 +101,12 @@ class ClusterConfig:
         Selects what a run *retains*, never what it simulates: both
         settings run the same frame pipeline on the same timeline.
         True (the default) keeps one :class:`~repro.core.results.FrameTrace`
-        per frame plus full client-response, transfer and event
-        histories — the exact, memory-hungry retention every golden pin
-        runs on.  False folds per-frame results into streaming
-        accumulators (:class:`~repro.cluster.results.FrameStatsAccumulator`),
-        keeps event counts only, and gives the servers streaming wait
-        statistics and capped interval records, so memory stays bounded
-        at 10⁶+ frames.  Counts, sums and the metrics derived from them
+        per frame plus full client-response and transfer histories —
+        the exact, memory-hungry retention every golden pin runs on.
+        False folds per-frame results into streaming accumulators
+        (:class:`~repro.cluster.results.FrameStatsAccumulator`) and
+        gives the servers streaming wait statistics and capped interval
+        records, so memory stays bounded at 10⁶+ frames.  Counts, sums and the metrics derived from them
         (means, rates, F-score, makespan, utilisation) are the same
         numbers either way; the one deviation is the latency
         percentiles, exact up to the quantile accumulator's 4096-sample
@@ -186,7 +185,7 @@ class ClusterConfig:
             )
         if not 0.0 <= self.hotspot_fraction <= 1.0:
             raise ValueError("hotspot_fraction must be in [0, 1]")
-        if self.frame_interval <= 0:
+        if not self.frame_interval > 0:  # NaN included
             raise ValueError("frame_interval must be positive")
         if self.cloud_servers is not None and self.cloud_servers < 1:
             raise ValueError("cloud_servers must be at least 1 (or None for unbounded)")
@@ -195,7 +194,7 @@ class ClusterConfig:
                 "need 0 < migration_low <= migration_high, got "
                 f"({self.migration_low}, {self.migration_high})"
             )
-        if self.migration_window <= 0:
+        if not self.migration_window > 0:
             raise ValueError("migration_window must be positive")
         if self.edge_discipline not in Server.DISCIPLINES:
             known = ", ".join(Server.DISCIPLINES)
@@ -219,7 +218,7 @@ class ClusterConfig:
                 raise ValueError(
                     f"resharding names edge {move.to_edge}, but there are {self.num_edges} edges"
                 )
-        if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
+        if self.checkpoint_interval_s is not None and not self.checkpoint_interval_s > 0:
             raise ValueError(
                 f"checkpoint_interval_s must be positive (or None), got "
                 f"{self.checkpoint_interval_s}"
@@ -237,7 +236,7 @@ class ClusterConfig:
                 hazard_rate=self.failure_hazard_rate,
                 outage_s=self.failure_outage_s,
             )
-        elif self.failure_outage_s <= 0:
+        elif not self.failure_outage_s > 0:
             raise ValueError(
                 f"failure_outage_s must be positive, got {self.failure_outage_s}"
             )
@@ -260,7 +259,7 @@ class ClusterConfig:
                 "replication and scheduled re-sharding are mutually exclusive "
                 "(a promotion re-homes partitions through its own protocol)"
             )
-        if self.wal_group_commit_window_s is not None and self.wal_group_commit_window_s <= 0:
+        if self.wal_group_commit_window_s is not None and not self.wal_group_commit_window_s > 0:
             raise ValueError(
                 f"wal_group_commit_window_s must be positive (or None), got "
                 f"{self.wal_group_commit_window_s}"
@@ -274,7 +273,7 @@ class ClusterConfig:
                 f"unknown threshold_adaptation {self.threshold_adaptation!r}; "
                 f"expected one of {known}"
             )
-        if self.adaptation_interval_s <= 0:
+        if not self.adaptation_interval_s > 0:
             raise ValueError(
                 f"adaptation_interval_s must be positive, got {self.adaptation_interval_s}"
             )

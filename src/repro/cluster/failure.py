@@ -202,7 +202,7 @@ class FailureInjector:
 
     def __post_init__(self) -> None:
         if self.hazard_rate is not None:
-            if self.hazard_rate <= 0:
+            if not self.hazard_rate > 0:  # NaN included
                 raise ValueError(
                     f"hazard_rate must be positive (or None), got {self.hazard_rate}"
                 )
@@ -211,7 +211,7 @@ class FailureInjector:
                     "hazard_rate and an explicit failure schedule are mutually "
                     "exclusive (one failure source per run)"
                 )
-        if self.outage_s <= 0:
+        if not self.outage_s > 0:
             raise ValueError(f"outage_s must be positive, got {self.outage_s}")
 
     def draw_schedule(

@@ -172,22 +172,17 @@ class ReplicationGroup:
         del self.last_apply_at[edge]
         self.backup_edges = tuple(e for e in self.backup_edges if e != edge)
 
-    def enroll(self, edge: int, wal: WriteAheadLog, now: float) -> int:
-        """(Re-)enroll ``edge`` as a warm standby, rebuilt from the log.
-
-        Returns the number of records bootstrapped into the standby.
-        """
+    def enroll(self, edge: int, wal: WriteAheadLog, now: float) -> None:
+        """(Re-)enroll ``edge`` as a warm standby, rebuilt from the log."""
         self._init_standby(edge)
         log = self.standby_logs[edge]
         store = self.standby_stores[edge]
-        records = wal.records()
-        for record in records:
+        for record in wal.records():
             log.append_record(record)
             store.write(record.key, record.value, writer=record.transaction_id)
         self.applied_lsn[edge] = wal.last_lsn
         self.last_apply_at[edge] = now
         self.backup_edges = tuple(self.backup_edges) + (edge,)
-        return len(records)
 
 
 class ReplicationManager:
@@ -253,18 +248,18 @@ class ReplicationManager:
         self.ack_wait_s = 0.0
 
     # -- shipping ------------------------------------------------------------
-    def ship(self, partition_id: int, record: LogRecord, now: float) -> int:
+    def ship(self, partition_id: int, record: LogRecord, now: float) -> None:
         """Ship one appended record to the partition's backups.
 
-        Returns the number of backups shipped to.  Deliveries are
-        scheduled as engine events at their (FIFO-monotone) arrival
-        times; without a bound engine they apply immediately, which is
-        the zero-latency degenerate case unit tests use.
+        Deliveries are scheduled as engine events at their
+        (FIFO-monotone) arrival times; without a bound engine they apply
+        immediately, which is the zero-latency degenerate case unit
+        tests use.
         """
         group = self._groups[partition_id]
         self.appends += 1
         if not group.backup_edges:
-            return 0
+            return
         engine = self._engine
         delays: list[float] = []
         for edge in group.backup_edges:
@@ -286,7 +281,6 @@ class ReplicationManager:
         self.shipped_appends += 1
         self.lag_s += max(delays)
         self.ack_wait_s += group.ack_delay(delays)
-        return len(delays)
 
     def election_round_trip(self, winner: int, now: float) -> float:
         """Election + re-route control messages to/from the new primary."""
@@ -306,25 +300,21 @@ class ReplicationManager:
         for partition_id in sorted(self._groups):
             self._groups[partition_id].drop_backup(edge)
 
-    def reenroll(self, edge: int, now: float) -> int:
+    def reenroll(self, edge: int, now: float) -> None:
         """A restarted edge rejoins as a warm standby where there is room.
 
         Every group whose membership dropped below its configured factor
         (because this edge crashed as a backup, or because its primary
         seat moved during a promotion) takes the edge back as a standby,
-        bootstrapped from the partition's durable log.  Returns the
-        number of records bootstrapped across all groups.
+        bootstrapped from the partition's durable log.
         """
-        bootstrapped = 0
         for partition_id in sorted(self._groups):
             group = self._groups[partition_id]
             if group.primary_edge == edge or edge in group.backup_edges:
                 continue
             if 1 + len(group.backup_edges) >= group.factor:
                 continue
-            wal = self._store.partition(partition_id).wal
-            bootstrapped += group.enroll(edge, wal, now)
-        return bootstrapped
+            group.enroll(edge, self._store.partition(partition_id).wal, now)
 
     # -- reporting -----------------------------------------------------------
     @property

@@ -40,13 +40,16 @@ class EdgeMetrics:
 
 @dataclass(frozen=True)
 class MigrationRecord:
-    """One stream re-routed at runtime by the ``"migrating"`` policy."""
+    """One stream re-routed at runtime: by the ``"migrating"`` policy
+    (``reason=None``), off a failed edge (``"edge_failed"``) or back to
+    its recovered home (``"edge_recovered"``)."""
 
     time: float
     stream: str
     from_edge: int
     to_edge: int
     utilization: float
+    reason: str | None = None
 
 
 class FrameStatsAccumulator:

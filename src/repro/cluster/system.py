@@ -29,7 +29,7 @@ owns what makes a deployment a *cluster*:
 5. with the ``"migrating"`` router the engine's runtime visibility is
    fed back into routing: when an edge's observed utilization crosses a
    threshold, the arriving stream's remaining frames are re-routed to
-   the least-utilized edge (recorded as ``stream_migrated`` events);
+   the least-utilized edge (kept as :class:`~repro.cluster.results.MigrationRecord`\\ s);
 6. :attr:`ClusterConfig.record_frames` selects the run's *sink* and
    nothing else: per-frame traces, client responses and labelled
    transfers when recording, streaming aggregates otherwise;
@@ -97,7 +97,6 @@ from repro.geo.wan import WanFabric
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
 from repro.sim.engine import Engine, ReferenceServer, Server
-from repro.sim.events import EventLog
 from repro.sim.rng import RngRegistry
 from repro.storage.partition import PartitionedStore
 from repro.traffic.admission import AdmissionController, make_admission
@@ -158,25 +157,9 @@ def _forward_wal_append(system: weakref.ref, partition_id: int, record) -> None:
     system()._on_wal_append(partition_id, record)
 
 
-def _record_flush(
-    events: EventLog,
-    flushes: list[tuple[int, float]],
-    edge_id: int,
-    when: float,
-    transactions: int,
-    remote: frozenset[int],
-    duration: float,
-) -> None:
-    """One replica's batched-coordinator flush: kept for the report, logged."""
+def _record_flush(flushes: list[tuple[int, float]], transactions: int, duration: float) -> None:
+    """One replica's batched-coordinator flush, kept for the report."""
     flushes.append((transactions, duration))
-    events.record(
-        when,
-        "txn_batch_flush",
-        edge=edge_id,
-        transactions=transactions,
-        participants=len(remote),
-        duration=duration,
-    )
 
 
 @dataclass
@@ -222,9 +205,6 @@ class ClusterSystem:
         self.config = config
         base = config.base
         self.rngs = RngRegistry(base.seed)
-        # A non-recording run's event log keeps counts only: the report is
-        # built from the run's own records, so no event object is needed.
-        self.events = EventLog(capacity=None if config.record_frames else 0)
         self.policy = ThresholdPolicy(base.lower_threshold, base.upper_threshold)
         self.store = PartitionedStore(config.num_partitions)
         self.scheduler = FrameScheduler(config.frame_interval)
@@ -381,15 +361,7 @@ class ClusterSystem:
         if home is not None:
             self.replicas[home].policy.observe_wal_append(now)
         if self._replication is not None:
-            shipped = self._replication.ship(partition_id, record, now)
-            if shipped:
-                self.events.record(
-                    now,
-                    "log_shipped",
-                    partition=partition_id,
-                    lsn=record.lsn,
-                    backups=shipped,
-                )
+            self._replication.ship(partition_id, record, now)
 
     # -- public API ---------------------------------------------------------
     def run(self, streams: Sequence[SyntheticVideo]) -> ClusterRunResult:
@@ -398,9 +370,9 @@ class ClusterSystem:
         Streams are placed on edges by the configured router and each
         gets one arrival driver, phase-shifted against the others (what
         a frame then does is :mod:`repro.core.pipeline`'s business).
-        Each call starts from fresh servers and a clean event log, and
-        reports only its own transactions; note that reusing a system
-        continues the random streams, so build a fresh
+        Each call starts from fresh servers and reports only its own
+        transactions; note that reusing a system continues the random
+        streams, so build a fresh
         :class:`ClusterSystem` when two runs must reproduce each other
         bit for bit.  The *durable* state — the partitioned store and
         its write-ahead logs — intentionally persists across runs: a
@@ -455,12 +427,11 @@ class ClusterSystem:
 
     # -- shared run setup ---------------------------------------------------
     def _begin_run(self, traffic: TrafficConfig | None = None) -> "_RunState":
-        """Fresh execution state over clean servers and a clean event log.
+        """Fresh execution state over clean servers.
 
         ``traffic`` switches on the open-loop controls (admission, the
         apology-budgeted shedder, offered/admitted accounting).
         """
-        self.events.clear()
         for replica in self.replicas:
             replica.reset_run_state()
         state = _RunState(
@@ -492,12 +463,9 @@ class ClusterSystem:
                 self._partition_home,
                 self._wan,
                 state.engine,
-                self.events,
             )
         for replica in self.replicas:
-            replica.policy.on_flush = partial(
-                _record_flush, self.events, state.flushes, replica.edge_id
-            )
+            replica.policy.on_flush = partial(_record_flush, state.flushes)
             replica.policy.on_commit_round = (
                 None
                 if state.geo is None
@@ -518,7 +486,6 @@ class ClusterSystem:
             ],
             self.cloud,
             self.policy,
-            self.events,
             self.config.base,
             route=(
                 partial(self._route_arrival, state)
@@ -630,7 +597,7 @@ class ClusterSystem:
                 at=self.config.checkpoint_interval_s,
                 name="checkpointer",
             )
-        start_adaptation(state, self.events)
+        start_adaptation(state)
         if state.geo is not None and state.geo.moves_partitions:
             state.engine.spawn(
                 self._placement_process(state), at=PLACEMENT_INTERVAL_S, name="geo-placement"
@@ -646,9 +613,8 @@ class ClusterSystem:
         # Best-case backlog: the wait a frame would face at the least
         # backlogged live edge right now (the queue-threshold signal).
         # Probing it is a scan over every live edge, so it is skipped
-        # when neither the controller nor a recorded stream_arrival
-        # event would read it.
-        if self.config.record_frames or state.admission.needs_backlog:
+        # when the controller does not read it.
+        if state.admission.needs_backlog:
             backlog = min(
                 (
                     replica.server.backlog(now)
@@ -659,16 +625,7 @@ class ClusterSystem:
             )
         else:
             backlog = 0.0
-        admitted = state.admission.admit(now, backlog)
-        self.events.record(
-            now,
-            "stream_arrival",
-            stream=video.name,
-            frames=frames,
-            admitted=admitted,
-            backlog_s=backlog,
-        )
-        if not admitted:
+        if not state.admission.admit(now, backlog):
             stats.rejected_streams += 1
             return
         edge_id = self.router.place(video.name)
@@ -740,13 +697,6 @@ class ClusterSystem:
         # owned partitions lose their volatile stores (the WAL survives).
         aborted = replica.fail(now=engine.now)
         state.aborted_txns.update(aborted)
-        self.events.record(
-            engine.now,
-            "edge_failed",
-            edge=spec.edge_id,
-            streams_migrated=len(failed_over),
-            txns_aborted=len(aborted),
-        )
 
         # Service comes back by warm failover (the owned partitions
         # promote their backups) or by the host restart + log replay.
@@ -767,15 +717,6 @@ class ClusterSystem:
             streams_migrated=len(failed_over),
         )
         state.failures.append(failure)
-        self.events.record(
-            engine.now,
-            "edge_recovered",
-            edge=spec.edge_id,
-            records_replayed=records,
-            transactions_replayed=transactions,
-            recovery_time=replay,
-            downtime=failure.downtime,
-        )
 
         if self._replication is not None:
             # Host restart after a warm failover: nothing to replay (it
@@ -788,10 +729,7 @@ class ClusterSystem:
             state.wake_at[spec.edge_id] = engine.now + restart
             yield restart
             state.failed[spec.edge_id] = False
-            bootstrapped = self._replication.reenroll(spec.edge_id, engine.now)
-            self.events.record(
-                engine.now, "edge_rejoined", edge=spec.edge_id, standby_records=bootstrapped
-            )
+            self._replication.reenroll(spec.edge_id, engine.now)
         if self.config.failback and failed_over:
             engine.spawn(
                 self._failback_process(state, spec.edge_id, failed_over),
@@ -887,16 +825,6 @@ class ClusterSystem:
                     promotion.partition_id, promotion.from_edge, promotion.to_edge
                 )
                 state.promotions.append(promotion)
-                self.events.record(
-                    promotion.promoted_at,
-                    "partition_promoted",
-                    partition=promotion.partition_id,
-                    from_edge=promotion.from_edge,
-                    to_edge=promotion.to_edge,
-                    applied_lsn=promotion.applied_lsn,
-                    records_caught_up=promotion.records_caught_up,
-                    downtime=promotion.promoted_at - promotion.failed_at,
-                )
 
             engine.schedule(done_at, finish)
             completion = max(completion, done_at)
@@ -976,13 +904,12 @@ class ClusterSystem:
             return
         if state.failed[from_edge] or state.failed[move.to_edge]:
             # A failed endpoint cannot ship or receive the partition; the
-            # scheduled move is dropped (visible as a missing event).
+            # scheduled move is dropped (visible as a missing record).
             return
         outcome = self.store.transfer_partition(move.partition_id)
         self._rehome_partition(move.partition_id, from_edge, move.to_edge)
-        now = state.engine.now
         record = ReshardRecord(
-            time=now,
+            time=state.engine.now,
             partition_id=move.partition_id,
             from_edge=from_edge,
             to_edge=move.to_edge,
@@ -990,15 +917,6 @@ class ClusterSystem:
             records_shipped=outcome.records_shipped,
         )
         state.reshards.append(record)
-        self.events.record(
-            now,
-            "partition_resharded",
-            partition=move.partition_id,
-            from_edge=from_edge,
-            to_edge=move.to_edge,
-            keys_copied=outcome.keys_copied,
-            records_shipped=outcome.records_shipped,
-        )
 
     def _placement_process(self, state: "_RunState"):
         """Periodically move partitions where the run's geo tier says they
@@ -1009,10 +927,9 @@ class ClusterSystem:
                 to_edge = geo.placement_target(partition_id, state.failed)
                 if to_edge is None:
                     continue
-                from_edge = self._partition_home[partition_id]
-                outcome = self.store.transfer_partition(partition_id)
-                self._rehome_partition(partition_id, from_edge, to_edge)
-                geo.note_placed(partition_id, from_edge, to_edge, outcome)
+                self.store.transfer_partition(partition_id)
+                self._rehome_partition(partition_id, self._partition_home[partition_id], to_edge)
+                geo.note_placed(partition_id)
             yield PLACEMENT_INTERVAL_S
 
     def _rehome_partition(self, partition_id: int, from_edge: int, to_edge: int) -> None:
@@ -1026,22 +943,11 @@ class ClusterSystem:
         """Periodic cluster-wide checkpointer (bounds recovery replay)."""
         interval = self.config.checkpoint_interval_s
         while state.frames_remaining > 0 or state.source_active:
-            partitions = keys = 0
             for partition_id in self.store.partition_ids():
                 partition = self.store.partition(partition_id)
-                if not partition.available:
-                    continue
-                checkpoint = partition.take_checkpoint()
-                partitions += 1
-                keys += checkpoint.num_keys
+                if partition.available:
+                    partition.take_checkpoint()
             state.checkpoints += 1
-            self.events.record(
-                state.engine.now,
-                "checkpoint",
-                partitions=partitions,
-                keys=keys,
-                interval=interval,
-            )
             yield interval
 
     # -- runtime routing ----------------------------------------------------
@@ -1085,22 +991,13 @@ class ClusterSystem:
         Every move — load-driven, failover (``reason="edge_failed"``) or
         failback (``reason="edge_recovered"``) — is kept as a
         :class:`~repro.cluster.results.MigrationRecord`, which is what the
-        report reads, and logged as a ``stream_migrated`` event.
+        report reads.
         """
-        now = state.engine.now
         self.replicas[from_edge].remove_stream(stream)
         self.replicas[to_edge].assign_stream(stream)
         state.current_edge[stream] = to_edge
-        state.migrations.append(MigrationRecord(now, stream, from_edge, to_edge, utilization))
-        tag = {} if reason is None else {"reason": reason}
-        self.events.record(
-            now,
-            "stream_migrated",
-            stream=stream,
-            from_edge=from_edge,
-            to_edge=to_edge,
-            utilization=utilization,
-            **tag,
+        state.migrations.append(
+            MigrationRecord(state.engine.now, stream, from_edge, to_edge, utilization, reason)
         )
 
     # -- result assembly ----------------------------------------------------

@@ -100,7 +100,7 @@ class AdaptationConfig:
             raise ValueError(
                 f"unknown adaptation mode {self.mode!r}; expected one of {known}"
             )
-        if self.interval_s <= 0:
+        if not self.interval_s > 0:  # NaN included
             raise ValueError(f"interval_s must be positive, got {self.interval_s}")
         if not 0.0 < self.target_f <= 1.0:
             raise ValueError(f"target_f must be in (0, 1], got {self.target_f}")

@@ -50,7 +50,6 @@ from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport, aggregate_reports, evaluate_detections
 from repro.network.channel import Channel
 from repro.sim.engine import At, Engine, Server
-from repro.sim.events import EventLog
 from repro.traffic.shedding import SHED_APOLOGY, LoadShedder
 from repro.traffic.source import TrafficStats, percentile
 from repro.video.frames import Frame
@@ -322,7 +321,6 @@ def frame_pipeline(
     lanes: Sequence[Lane],
     cloud: CloudNode,
     static_policy: ThresholdPolicy,
-    events: EventLog,
     config: CroesusConfig,
     route: Callable[[str], int] | None = None,
     load_window: float | None = None,
@@ -348,9 +346,6 @@ def frame_pipeline(
     frames_left = state.frames_left
     frames_on_edge = state.frames_on_edge
     aborted_txns = state.aborted_txns
-    #: A count-only log never builds an event: bump the counter and
-    #: skip assembling the payload.
-    counting = events.capacity == 0
     match_overlap = config.match_overlap
     min_confidence = config.min_confidence
     # A deployment serves all its edges under one discipline.
@@ -388,17 +383,6 @@ def frame_pipeline(
             if shedder.should_shed(now, load):
                 traffic.shed_frames += 1
                 traffic.apologies_spent += 1
-                if counting:
-                    events.bump("frame_shed")
-                else:
-                    events.record(
-                        now,
-                        "frame_shed",
-                        frame_id=frame_id,
-                        stream=name,
-                        edge=edge_id,
-                        load=load,
-                    )
                 sink.shed(name, frame_id, now)
                 if now > state.makespan:
                     state.makespan = now
@@ -435,12 +419,6 @@ def frame_pipeline(
             start, edge_detection + initial.txn_latency + initial_charge
         )
         frames_on_edge[edge_id] += 1
-        if counting:
-            events.bump("initial_commit")
-        else:
-            events.record(
-                initial_done, "initial_commit", frame_id=frame_id, stream=name, edge=edge_id
-            )
 
         # Thresholding on the filtered labels — under adaptation,
         # against the stream's current drifted thresholds rather than
@@ -470,17 +448,6 @@ def frame_pipeline(
             yield At(initial_done + uplink)
             cloud_start, cloud_queue_delay = cloud_server.acquire(engine.now)
             cloud_server.finish(cloud_start, cloud_detection)
-            if counting:
-                events.bump("cloud_validate")
-            else:
-                events.record(
-                    cloud_start,
-                    "cloud_validate",
-                    frame_id=frame_id,
-                    stream=name,
-                    edge=edge_id,
-                    queue_delay=cloud_queue_delay,
-                )
             # Summed in this order (waiting time last) so that with an
             # unbounded cloud the arithmetic — and therefore every
             # seeded run — is bit-for-bit what the pre-engine model
@@ -520,7 +487,6 @@ def frame_pipeline(
             final = FinalStageOutcome(frame_id=frame_id, apologies=failure_apologies)
             final_wait = final_charge = overlap_saved = 0.0
             final_done = engine.now
-            final_kind = "final_aborted"
         else:
             while failed[edge_id]:
                 # This frame's finals await the coordinator
@@ -552,13 +518,8 @@ def frame_pipeline(
                 final.apologies = final.apologies + failure_apologies
             final_charge, overlap_saved = rpolicy.drain_frame_costs()
             final_done = server.finish(final_start, final.txn_latency + final_charge)
-            final_kind = "final_commit"
         if final_done > state.makespan:
             state.makespan = final_done
-        if counting:
-            events.bump(final_kind)
-        else:
-            events.record(final_done, final_kind, frame_id=frame_id, stream=name, edge=edge_id)
 
         # -- account ------------------------------------------------
         observed, accuracy = observed_labels(
@@ -697,7 +658,7 @@ def drain(engine: Engine) -> float:
         return engine.run()
 
 
-def start_adaptation(state: PipelineState, events: EventLog) -> None:
+def start_adaptation(state: PipelineState) -> None:
     """Spawn the periodic process ticking every stream's threshold
     controller, when the run adapts; it stops with the run's last frame."""
     manager = state.adaptation
@@ -708,15 +669,7 @@ def start_adaptation(state: PipelineState, events: EventLog) -> None:
 
     def ticker():
         while state.frames_remaining > 0 or state.source_active:
-            for update in manager.adapt_all(engine.now):
-                events.record(
-                    engine.now,
-                    "threshold_adapted",
-                    stream=update.stream,
-                    mode=update.mode,
-                    lower=update.lower,
-                    upper=update.upper,
-                )
+            manager.adapt_all(engine.now)
             yield interval
 
     engine.spawn(ticker(), at=interval, name="threshold-adapter")

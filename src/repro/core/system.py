@@ -31,7 +31,6 @@ from repro.core.thresholds import ThresholdPolicy
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
 from repro.sim.engine import Engine, Server
-from repro.sim.events import EventLog
 from repro.sim.rng import RngRegistry
 from repro.storage.partition import PartitionedStore
 from repro.transactions.bank import ANY_LABEL, TransactionBank
@@ -80,7 +79,6 @@ class CroesusSystem:
         #: adaptive run, or when adaptation is off).
         self.last_adaptation: AdaptationManager | None = None
         self.rngs = RngRegistry(config.seed)
-        self.events = EventLog()
         self.history = History()
         self.policy = ThresholdPolicy(config.lower_threshold, config.upper_threshold)
 
@@ -154,13 +152,12 @@ class CroesusSystem:
         ever queues.  Every response goes to ``client`` (a fresh one by
         default), every frame to a trace of the returned result.
 
-        Each call starts from a clean slate: the event log and the
-        transaction history are cleared so repeated ``run()`` invocations
-        on one system do not accumulate records across runs.
+        Each call starts from a clean slate: the transaction history is
+        cleared so repeated ``run()`` invocations on one system do not
+        accumulate records across runs.
         """
         if client is None:
             client = Client(video)
-        self.events.clear()
         self.history.clear()
         # Fresh per-run controllers, or none when adaptation is off.
         self.last_adaptation = (
@@ -184,9 +181,9 @@ class CroesusSystem:
         )
         state.add_stream(video.name, 0, video.num_frames)
         lane = Lane(Server(capacity=1, name="edge"), self.edge, self.client_edge, self.edge_cloud)
-        body = frame_pipeline(state, [lane], self.cloud, self.policy, self.events, self.config)
+        body = frame_pipeline(state, [lane], self.cloud, self.policy, self.config)
         engine.spawn(closed_loop_driver(body, client, result), name=f"video-{video.name}")
-        start_adaptation(state, self.events)
+        start_adaptation(state)
         makespan = drain(engine)
         # Flush any coordinator work the commit policy deferred (a no-op
         # under the default immediate policy).

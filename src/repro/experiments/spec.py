@@ -201,11 +201,10 @@ class ScenarioSpec:
         ``failure_schedule``.
     record_frames:
         What a cluster run retains, never what it simulates: true (the
-        default) keeps one ``FrameTrace`` per frame plus client,
-        transfer and event histories — what every golden pin reads —
-        while false folds the same frames into bounded-memory streaming
-        accumulators and a count-only event log (see
-        :attr:`repro.cluster.config.ClusterConfig.record_frames`).
+        default) keeps one ``FrameTrace`` per frame plus client and
+        transfer histories — what every golden pin reads — while false
+        folds the same frames into bounded-memory streaming accumulators
+        (see :attr:`repro.cluster.config.ClusterConfig.record_frames`).
     reference_engine:
         Run the cluster's servers on the preserved pre-optimization
         reference implementation — the scale-stress benchmark's

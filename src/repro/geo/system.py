@@ -48,8 +48,6 @@ from repro.geo.wan import (
 )
 from repro.network.topology import WAN_LINKS
 from repro.sim.engine import Engine
-from repro.sim.events import EventLog
-from repro.storage.partition import ReshardOutcome
 from repro.traffic.shedding import ApologyBudget
 from repro.transactions.policy import (
     ACK_MESSAGE_BYTES,
@@ -122,14 +120,12 @@ class GeoTier:
         partition_home: dict[int, int],
         wan: WanFabric,
         engine: Engine,
-        events: EventLog,
     ) -> None:
         self.config = config
         self.edges_per_region = num_edges // config.regions
         self._partition_home = partition_home
         self._wan = wan
         self._engine = engine
-        self._events = events
         regions = config.regions
         self.txns = [0] * regions
         self.cross_region_txns = [0] * regions
@@ -236,25 +232,6 @@ class GeoTier:
                 duration = max(duration, uplink + downlink)
         return duration
 
-    def _log_ship(
-        self,
-        now: float,
-        txn_id: str,
-        policy: str,
-        from_region: int,
-        to_region: int,
-        partitions: int,
-        round_trips: int,
-        size: int,
-        duration: float,
-    ) -> None:
-        """One ``wan_ship`` event (what :func:`~repro.analysis.timeline.geo_profile` reads)."""
-        self._events.record(
-            now, "wan_ship", txn=txn_id, policy=policy, from_region=from_region,
-            to_region=to_region, partitions=partitions, round_trips=round_trips,
-            bytes=size, duration=duration,
-        )
-
     def _global_commit(
         self, coordinator: int, txn_id: str, by_region: dict[int, list[int]], now: float
     ) -> tuple[float, int, float]:
@@ -268,17 +245,7 @@ class GeoTier:
             coordinator, remote, COMMIT_MESSAGE_BYTES, ACK_MESSAGE_BYTES, now, "geo-commit"
         )
         charge = prepare + decide
-        per_part_bytes = (
-            PREPARE_MESSAGE_BYTES + VOTE_MESSAGE_BYTES + COMMIT_MESSAGE_BYTES + ACK_MESSAGE_BYTES
-        )
-        round_trips = 0
-        for region in sorted(remote):
-            parts = len(remote[region])
-            round_trips += 2 * parts
-            self._log_ship(
-                now, txn_id, "global-2pc", coordinator, region, parts, 2 * parts,
-                per_part_bytes * parts, charge,
-            )
+        round_trips = 2 * sum(len(parts) for parts in remote.values())
         return charge, round_trips, charge
 
     def _migrated_commit(
@@ -307,10 +274,6 @@ class GeoTier:
             down_description=f"geo-handoff-result-{txn_id}",
         )
         self.migrated_handoffs += 1
-        self._log_ship(
-            now, txn_id, "migrated-2pc", origin, target, 0, 1,
-            HANDOFF_MESSAGE_BYTES + HANDOFF_RESULT_BYTES, uplink + downlink,
-        )
         inner_charge, inner_round_trips, _ = self._global_commit(target, txn_id, by_region, now)
         charge = uplink + inner_charge + downlink
         return charge, 1 + inner_round_trips, charge
@@ -334,10 +297,6 @@ class GeoTier:
             wan_time += delay
             self.ships += 1
             self._reconcile(parts, txn_id, origin, now, arrival=now + delay)
-            self._log_ship(
-                now, txn_id, "async-reconcile", origin, region, len(parts), 1,
-                WRITE_SET_MESSAGE_BYTES, delay,
-            )
         # One one-way ship (acknowledged lazily) per remote region; the
         # commit itself never waits on the WAN.
         return 0.0, len(remote), wan_time
@@ -378,24 +337,11 @@ class GeoTier:
         hosted = Counter(self._partition_home.values())
         return min(candidates, key=lambda edge: (hosted[edge], edge))
 
-    def note_placed(
-        self, partition_id: int, from_edge: int, to_edge: int, outcome: ReshardOutcome
-    ) -> None:
+    def note_placed(self, partition_id: int) -> None:
         """Account one placement move the cluster executed."""
         self.placement_moves += 1
         # It just moved: its demand must re-prove itself from zero.
         self._tracker.forget(partition_id)
-        self._events.record(
-            self._engine.now,
-            "partition_placed",
-            partition=partition_id,
-            from_edge=from_edge,
-            to_edge=to_edge,
-            from_region=self.region_of_edge(from_edge),
-            to_region=self.region_of_edge(to_edge),
-            keys_copied=outcome.keys_copied,
-            records_shipped=outcome.records_shipped,
-        )
 
     # -- reporting ----------------------------------------------------------
     def summary(self) -> dict[str, Any]:

@@ -9,16 +9,12 @@ lets the full benchmark suite run in seconds.
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Admission, At, Engine, Process, Server, SimulationError
-from repro.sim.events import Event, EventLog, EventsNotRetained
 from repro.sim.rng import RngRegistry
 
 __all__ = [
     "Admission",
     "At",
     "Engine",
-    "Event",
-    "EventLog",
-    "EventsNotRetained",
     "Process",
     "RngRegistry",
     "Server",

@@ -28,9 +28,7 @@ class AdmissionController:
 
     #: Whether :meth:`admit` reads the ``backlog_s`` signal at all.  The
     #: cluster's backlog probe is a min-scan over every live edge per
-    #: arriving stream; runs with a count-only event log skip it for
-    #: controllers that ignore the signal (a log that retains events
-    #: always gets it, because the ``stream_arrival`` payload carries it).
+    #: arriving stream, skipped for controllers that ignore the signal.
     needs_backlog = False
 
     def admit(self, now: float, backlog_s: float) -> bool:

@@ -91,11 +91,11 @@ class TrafficConfig:
         if self.process not in ARRIVAL_PROCESSES:
             known = ", ".join(ARRIVAL_PROCESSES)
             raise ValueError(f"unknown traffic process {self.process!r}; known processes: {known}")
-        if self.offered_rate <= 0:
+        if not self.offered_rate > 0:  # NaN included
             raise ValueError(f"offered_rate must be positive, got {self.offered_rate}")
         if not 0 < self.duration_s < math.inf:
             raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
-        if self.peak_factor < 1.0:
+        if not self.peak_factor >= 1.0:
             raise ValueError(f"peak_factor must be >= 1, got {self.peak_factor}")
         if self.stream_length not in STREAM_LENGTHS:
             known = ", ".join(STREAM_LENGTHS)
@@ -104,20 +104,20 @@ class TrafficConfig:
             )
         if self.mean_frames < 1:
             raise ValueError(f"mean_frames must be at least 1, got {self.mean_frames}")
-        if self.frame_interval <= 0:
+        if not self.frame_interval > 0:
             raise ValueError("frame_interval must be positive")
         if self.admission not in ADMISSION_POLICIES:
             known = ", ".join(ADMISSION_POLICIES)
             raise ValueError(
                 f"unknown admission policy {self.admission!r}; known policies: {known}"
             )
-        if self.admission_rate <= 0:
+        if not self.admission_rate > 0:
             raise ValueError(f"admission_rate must be positive, got {self.admission_rate}")
         if not 0.0 < self.shed_threshold <= 1.0:
             raise ValueError(
                 f"shed_threshold must be in (0, 1], got {self.shed_threshold}"
             )
-        if self.apology_budget is not None and self.apology_budget <= 0:
+        if self.apology_budget is not None and not self.apology_budget > 0:
             raise ValueError(
                 f"apology_budget must be positive (or None), got {self.apology_budget}"
             )

@@ -66,9 +66,8 @@ VOTE_MESSAGE_BYTES = 128
 COMMIT_MESSAGE_BYTES = 256
 ACK_MESSAGE_BYTES = 128
 
-#: Called when a batched coordinator flushes:
-#: ``(now, transactions_flushed, remote_participants, duration)``.
-FlushListener = Callable[[float, int, frozenset[int], float], None]
+#: Called when a batched coordinator flushes: ``(transactions_flushed, duration)``.
+FlushListener = Callable[[int, float], None]
 
 #: Observes one commit round, ``(transaction_id, participants)``, and
 #: returns the synchronous latency (seconds) it adds to the frame in flight.
@@ -219,7 +218,7 @@ class TransactionPolicy:
         self._frame_saving = 0.0
         self._wal_window: float | None = None
         self._wal_deadline: float | None = None
-        #: Optional flush callback (wired by the systems to the event log).
+        #: Optional flush callback (wired by the cluster to its run's flush records).
         self.on_flush: FlushListener | None = None
         #: Optional per-run commit-round observer (wired by the cluster to
         #: its geo tier); what it returns is billed to the frame in flight.
@@ -528,7 +527,7 @@ class BatchedTwoPhasePolicy(TransactionPolicy):
         self._pending_commits = 0
         self._deadline = None
         if self.on_flush is not None:
-            self.on_flush(now, flushed, remote, duration)
+            self.on_flush(flushed, duration)
         return duration
 
 

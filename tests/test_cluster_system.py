@@ -185,15 +185,19 @@ class TestCloudContention:
         assert delays[0] >= delays[1] >= delays[2]
         assert delays[0] > delays[2]
 
-    def test_cloud_validate_events_are_recorded(self):
+    def test_cloud_queue_figures_fold_the_validated_traces(self):
         system = ClusterSystem(cluster_config(num_edges=2, cloud_servers=1))
-        result = system.run(make_streams(2, frames=5))
-        events = system.events.of_kind("cloud_validate")
-        validated = sum(
-            1 for run in result.per_stream.values() for t in run.traces if t.sent_to_cloud
-        )
-        assert len(events) == validated
-        assert all("queue_delay" in event.payload for event in events)
+        result = system.run(make_streams(4, frames=6))
+        delays = [
+            trace.latency.cloud_queue_delay
+            for run in result.per_stream.values()
+            for trace in run.traces
+            if trace.sent_to_cloud
+        ]
+        assert result.cloud_validations == len(delays) > 0
+        assert result.cloud_queued == sum(1 for delay in delays if delay > 0) > 0
+        assert result.max_cloud_queue_delay == max(delays)
+        assert result.mean_cloud_queue_delay == pytest.approx(sum(delays) / len(delays))
 
     def test_rejects_nonpositive_cloud_servers(self):
         with pytest.raises(ValueError):
@@ -220,7 +224,6 @@ class TestStreamMigration:
         )
         result = system.run(uneven_streams())
         assert result.num_migrations > 0
-        assert len(system.events.of_kind("stream_migrated")) == result.num_migrations
         for record in result.migrations:
             assert record.from_edge != record.to_edge
             assert record.utilization > 0
@@ -228,6 +231,29 @@ class TestStreamMigration:
         last_move = {record.stream: record.to_edge for record in result.migrations}
         for stream, edge in last_move.items():
             assert result.final_placements[stream] == edge
+
+    @pytest.fixture(scope="class")
+    def migrated(self):
+        system = ClusterSystem(
+            self.migrating_config(), bank_factory=hotspot_bank_factory(11, key_range=50)
+        )
+        result = system.run(uneven_streams())
+        assert result.num_migrations > 0
+        return result
+
+    def test_each_move_starts_where_the_stream_last_was(self, migrated):
+        result = migrated
+        times = [record.time for record in result.migrations]
+        assert times == sorted(times)
+        at = dict(result.placements)
+        for record in result.migrations:
+            assert record.from_edge == at[record.stream], record
+            at[record.stream] = record.to_edge
+
+    def test_load_driven_moves_carry_no_reason(self, migrated):
+        # Only a failure ("edge_failed") or a failback ("edge_recovered")
+        # tags a move; this run has neither.
+        assert {record.reason for record in migrated.migrations} == {None}
 
     def test_migration_reduces_max_utilization_vs_least_loaded(self):
         """Acceptance: runtime migration beats placement-time least-loaded."""
@@ -272,7 +298,10 @@ class TestArrivalTieRule:
     def test_frame_at_the_failure_checkpoint_and_tick_instant_is_admitted_first(
         self, monkeypatch
     ):
+        from repro.cluster.node import EdgeReplica
         from repro.core.adaptive import AdaptationManager
+        from repro.core.edge import EdgeNode
+        from repro.storage.partition import Partition
 
         config = cluster_config(
             frame_interval=1.0,
@@ -282,49 +311,69 @@ class TestArrivalTieRule:
             adaptation_interval_s=1.0,
         )
         system = ClusterSystem(config)
-        adapt_all = AdaptationManager.adapt_all
+        edge_of = {id(replica.node): replica.edge_id for replica in system.replicas}
+        #: ``(what, simulated time, detail)`` in execution order.
+        order: list[tuple[str, float, object]] = []
 
-        def logged_tick(manager, now):
-            system.events.record(now, "adaptation_tick")
-            return adapt_all(manager, now)
+        def logged(what, method, detail):
+            def hook(*args, **kwargs):
+                order.append((what, system._run_engine.now, detail(*args)))
+                return method(*args, **kwargs)
 
-        monkeypatch.setattr(AdaptationManager, "adapt_all", logged_tick)
+            return hook
+
+        def edge_and_frame(node, frame, *_):
+            return edge_of[id(node)], frame.frame_id
+
+        def untagged(*_):
+            return None
+
+        for owner, name, what, detail in (
+            (EdgeNode, "process_initial_stage", "initial", edge_and_frame),
+            (EdgeReplica, "fail", "failure", untagged),
+            (Partition, "take_checkpoint", "checkpoint", untagged),
+            (AdaptationManager, "adapt_all", "tick", untagged),
+        ):
+            monkeypatch.setattr(owner, name, logged(what, getattr(owner, name), detail))
         result = system.run(make_streams(2, frames=6))
         assert result.placements["cam0-v1"] == 0  # arrives at 0.0, 1.0, ... on the failing edge
 
-        log = list(system.events)  # append order == execution order
+        # cam0-v1's frame 3 arrives at exactly 3.0 (cam1's frames at x.5).
         admitted = next(
             index
-            for index, event in enumerate(log)
-            if event.kind == "initial_commit"
-            and event.payload["stream"] == "cam0-v1"
-            and event.payload["frame_id"] == 3
+            for index, (what, now, detail) in enumerate(order)
+            if what == "initial" and now == 3.0 and detail[1] == 3
         )
         # Admitted on its home edge: the failure had not re-routed it yet.
-        assert log[admitted].payload["edge"] == 0
-        for kind in ("edge_failed", "checkpoint", "adaptation_tick"):
+        assert order[admitted][2] == (0, 3)
+        for kind in ("failure", "checkpoint", "tick"):
             at_three = next(
                 index
-                for index, event in enumerate(log)
-                if event.kind == kind and event.timestamp == 3.0
+                for index, (what, now, _) in enumerate(order)
+                if what == kind and now == 3.0
             )
             assert admitted < at_three, kind
         # The next frame of the stream is served by the failover target.
         assert result.per_stream["cam0-v1"].traces[4].edge_id == 1
 
-    def test_open_loop_stream_starts_frame_zero_at_its_admission_instant(self):
+    def test_open_loop_stream_starts_frame_zero_at_its_admission_instant(self, monkeypatch):
         from repro.traffic.source import TrafficConfig
 
         system = ClusterSystem(cluster_config())
         traffic = TrafficConfig(
             offered_rate=2.0, duration_s=4.0, mean_frames=3, frame_interval=0.25
         )
+        admitted_at: dict[str, float] = {}
+        admit = ClusterSystem._admit_stream
+
+        def logged_admit(self, state, video):
+            admitted_before = state.traffic.admitted_streams
+            admit(self, state, video)
+            if state.traffic.admitted_streams > admitted_before:
+                admitted_at[video.name] = state.engine.now
+
+        monkeypatch.setattr(ClusterSystem, "_admit_stream", logged_admit)
         result = system.run_open_loop(traffic)
-        admitted_at = {
-            event.payload["stream"]: event.timestamp
-            for event in system.events.of_kind("stream_arrival")
-            if event.payload["admitted"]
-        }
         assert len(admitted_at) == result.traffic.admitted_streams >= 3
         uploads = {
             transfer.description: transfer.timestamp

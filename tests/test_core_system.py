@@ -116,32 +116,31 @@ class TestCroesusSystem:
         # two transfers (uplink frame + downlink labels) per validated frame
         assert system.edge_cloud.transfer_count == 2 * sent_frames
 
-    def test_repeated_runs_do_not_accumulate_events(self):
-        config = CroesusConfig(seed=3)
-        system = CroesusSystem(config)
-        num_frames = 10
-
-        def event_counts() -> dict[str, int]:
-            events = system.events
-            assert len(events) == sum(events.count_of_kind(kind) for kind in events.kinds())
-            return {kind: events.count_of_kind(kind) for kind in events.kinds()}
-
-        def expected(result) -> dict[str, int]:
-            # one initial_commit + one final_commit event per frame, per
-            # run, and one cloud_validate per validated frame
-            return {
-                "initial_commit": num_frames,
-                "final_commit": num_frames,
-                "cloud_validate": sum(trace.sent_to_cloud for trace in result.traces),
-            }
-
-        first = system.run(make_video("v1", num_frames=num_frames, seed=3))
+    def test_repeated_runs_do_not_accumulate_history(self):
+        system = CroesusSystem(CroesusConfig(seed=3))
+        system.run(make_video("v1", num_frames=10, seed=3))
         history_after_first = len(system.history)
-        assert event_counts() == expected(first)
-
-        second = system.run(make_video("v1", num_frames=num_frames, seed=4))
-        assert event_counts() == expected(second)
-        # the history restarts too (same order of magnitude as one run,
-        # not the concatenation of both)
+        system.run(make_video("v1", num_frames=10, seed=4))
+        # the history restarts (same order of magnitude as one run, not
+        # the concatenation of both)
         assert history_after_first > 0
         assert len(system.history) < 2 * history_after_first
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_each_frame_gets_an_initial_then_a_final_response(self, seed):
+        system = CroesusSystem(CroesusConfig(seed=3))
+        video = make_video("v1", num_frames=10, seed=seed)
+        client = Client(video)
+        result = system.run(video, client=client)
+        previous_final = 0.0
+        for trace in result.traces:
+            initial, final = client.responses_for(trace.frame_id)
+            assert (initial.stage, final.stage) == ("initial", "final")
+            # Closed loop: a frame is captured once its predecessor's final
+            # response is back.
+            assert initial.timestamp > previous_final
+            cloud = trace.latency.cloud_transfer + trace.latency.cloud_detection
+            assert (cloud > 0) == trace.sent_to_cloud
+            assert final.timestamp >= initial.timestamp + cloud
+            previous_final = final.timestamp
+        assert len(client.responses) == 2 * result.num_frames

@@ -133,11 +133,29 @@ class TestScenarioSpec:
             {"adaptation_interval_s": 0.0},
             {"adaptation_target_f": 0.0},
             {"adaptation_target_f": 1.5},
+            {"deployment": "cluster", "frames": 5, "checkpoint_interval_s": float("nan")},
+            {"deployment": "cluster", "frames": 5, "failure_hazard_rate": float("nan")},
+            {"deployment": "cluster", "frames": 5, "wal_group_commit_window_ms": float("nan")},
+            {"deployment": "cluster", "frames": 5, "adaptation_interval_s": float("nan")},
+            {"deployment": "cluster", "frames": 5, "failure_outage_s": float("nan")},
+            {
+                "deployment": "cluster",
+                "frames": 5,
+                "failure_hazard_rate": 0.5,
+                "failure_outage_s": float("nan"),
+            },
+            {"deployment": "cluster", "traffic": "poisson", "offered_rate": float("nan")},
+            {"deployment": "cluster", "traffic": "poisson", "admission_rate": float("nan")},
+            {"deployment": "cluster", "traffic": "poisson", "apology_budget": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as error:
             ScenarioSpec(**overrides)
+        for key, value in overrides.items():
+            if value != value:  # a NaN is refused by the config that owns it, by name
+                stem = key.removeprefix("failure_").removesuffix("_ms").removesuffix("_s")
+                assert stem in str(error.value)
 
     def test_num_long_is_inert_without_long_frames(self):
         """The default ``num_long=2`` must not forbid a one-stream cluster

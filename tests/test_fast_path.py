@@ -13,8 +13,8 @@ Covers the PR's perf machinery from below and from above:
   run must agree with the recording one on every aggregate at every
   load (the quantile sketch's stated 1% above 4096 samples is the only
   deviation) — timelines, cloud queueing and batch flushes included —
-  stay deterministic, and keep memory-bounded state (count-only event
-  log, capped server records);
+  keep every typed run record, stay deterministic, and keep
+  memory-bounded state (no per-frame rows, capped server records);
 * the new :class:`~repro.experiments.spec.ScenarioSpec` fields must
   validate.
 """
@@ -35,7 +35,6 @@ from repro.experiments import ScenarioSpec, get_scenario, run
 from repro.experiments.runner import build_streams
 from repro.experiments.spec import build_cluster_config
 from repro.sim.engine import ReferenceServer, Server
-from repro.sim.events import EventLog, EventsNotRetained
 from repro.sim.rng import RngRegistry
 from repro.traffic.source import TrafficConfig, TrafficSource, percentile
 from repro.video.library import VIDEO_LIBRARY, make_video
@@ -298,60 +297,13 @@ class TestRingBuffer:
         assert ring.values() == [1.0, 2.0, 3.0]
 
 
-# -- count-only event log -----------------------------------------------------
-class TestBoundedEventLog:
-    def test_count_only_log_keeps_nothing_but_counts_stay_exact(self):
-        log = EventLog(capacity=0)
-        for index in range(1000):
-            if index % 2:
-                log.record(float(index), "frame", stream="cam0")
-            else:
-                log.bump("txn")
-        assert len(log) == 0
-        assert log.total_recorded == 1000
-        assert log.count_of_kind("frame") == 500
-        assert log.count_of_kind("txn") == 500
-        assert log.kinds() == {"frame", "txn"}
-
-    def test_count_only_log_cannot_be_read_as_empty(self):
-        log = EventLog(capacity=0)
-        log.record(1.0, "stream_migrated", stream="cam0")
-        with pytest.raises(EventsNotRetained, match=r"count_of_kind\('stream_migrated'\)"):
-            log.of_kind("stream_migrated")
-        # A kind that never occurred is no different: the log cannot know.
-        with pytest.raises(EventsNotRetained):
-            log.of_kind("edge_failed")
-
-    @pytest.mark.parametrize("capacity", [-1, 1, 4096])
-    def test_a_log_keeps_everything_or_counts_only(self, capacity):
-        with pytest.raises(ValueError, match="capacity"):
-            EventLog(capacity=capacity)
-
-    def test_fast_path_runs_log_counts_only(self):
-        spec = get_scenario("failure-recovery").with_(record_frames=False)
-        system = ClusterSystem(build_cluster_config(spec))
-        result = system.run(build_streams(spec))
-        assert system.events.capacity == 0
-        assert system.events.count_of_kind("stream_migrated") == len(result.migrations) > 0
-        with pytest.raises(EventsNotRetained):
-            system.events.of_kind("stream_migrated")
-
-    def test_unbounded_log_keeps_everything(self):
-        log = EventLog()
-        for index in range(1000):
-            log.record(float(index), "frame")
-        assert len(log) == 1000
-        assert len(log.of_kind("frame")) == 1000
-
-
 # -- record_frames=False vs record_frames=True --------------------------------
 #: Cells the two retention modes are compared on: scenario -> overrides.
 #: ``light`` is the original ~25%-utilisation open-loop cell; the rest
 #: cover overlap within a stream, overload with shedding/rejection, a
 #: warm failover, online adaptation, a run past the quantile
 #: accumulator's exact limit, runtime migration, a queueing cloud,
-#: coordinator batch flushes, and a failure + failover whose run records
-#: more than 4096 events.
+#: coordinator batch flushes, and a 400-frame failure + failover.
 _AGREEMENT_CELLS = {
     "light": ("scale-stress-smoke", dict(offered_rate=3.0, duration_s=20.0, num_edges=20)),
     "cluster-small": ("cluster-small", {}),
@@ -422,8 +374,7 @@ class TestFastPathAgreesWithRecordedPath:
                 assert fast.traffic[name] == recorded.traffic[name], name
         if recorded.adaptation is not None:
             assert fast.adaptation["stream_thresholds"] == recorded.adaptation["stream_thresholds"]
-        # The report's timelines come from the run's own records, not from
-        # whatever the event log retained.
+        # The report's timelines come from the run's own records.
         for name in (
             "migration_events",
             "failure_events",
@@ -504,6 +455,47 @@ class TestFastPathAgreesWithRecordedPath:
             edge["edge_id"]: edge["frames_processed"] for edge in light_recorded_report.edges
         }
         assert fast_edges == recorded_edges
+
+
+@functools.lru_cache(maxsize=None)
+def _cluster_result(scenario: str, record_frames: bool):
+    spec = get_scenario(scenario).with_(record_frames=record_frames)
+    return ClusterSystem(build_cluster_config(spec)).run(build_streams(spec))
+
+
+class TestFastPathKeepsTheRunRecords:
+    """The typed run records are the run's only timeline, so a
+    non-recording run keeps every one of them — record for record, with
+    the fields the report leaves out (a move's ``reason``) included."""
+
+    @pytest.mark.parametrize(
+        "scenario, records",
+        [
+            ("failure-recovery", "migrations"),
+            ("failure-recovery", "failures"),
+            ("cluster-migration", "migrations"),
+            ("replicated-failover", "promotions"),
+            ("resharding", "reshards"),
+            ("cluster-batched-2pc", "batch_flushes"),
+        ],
+    )
+    def test_records_match_the_recorded_run(self, scenario, records):
+        fast = getattr(_cluster_result(scenario, False), records)
+        recorded = getattr(_cluster_result(scenario, True), records)
+        assert fast == recorded
+        assert len(fast) > 0
+
+    def test_fast_path_keeps_no_per_frame_rows(self):
+        fast = _cluster_result("failure-recovery", False)
+        recorded = _cluster_result("failure-recovery", True)
+        assert all(stream.traces == [] for stream in fast.per_stream.values())
+        assert {name: stream.frames_streamed for name, stream in fast.per_stream.items()} == {
+            name: len(stream.traces) for name, stream in recorded.per_stream.items()
+        }
+        validated = sum(
+            trace.sent_to_cloud for stream in recorded.per_stream.values() for trace in stream.traces
+        )
+        assert fast.cloud_validations == recorded.cloud_validations == validated > 0
 
 
 class TestFastPathDeterminism:

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.timeline import geo_profile
 from repro.cluster import (
     ClusterConfig,
     ClusterSystem,
@@ -36,9 +35,16 @@ from repro.geo import (
     WriteShip,
 )
 from repro.geo.placement import PLACEMENT_MIN_ACCESSES
+from repro.geo.wan import HANDOFF_MESSAGE_BYTES, HANDOFF_RESULT_BYTES, WRITE_SET_MESSAGE_BYTES
 from repro.network.topology import WAN_LINKS
 from repro.sim.rng import RngRegistry
 from repro.traffic.shedding import ApologyBudget
+from repro.transactions.policy import (
+    ACK_MESSAGE_BYTES,
+    COMMIT_MESSAGE_BYTES,
+    PREPARE_MESSAGE_BYTES,
+    VOTE_MESSAGE_BYTES,
+)
 
 
 def geo_spec(**overrides) -> ScenarioSpec:
@@ -371,19 +377,32 @@ class TestCommitVariantConformance:
         # Exactly one one-way ship per (commit round, remote region).
         assert async_report.wan_round_trips_per_txn >= 1.0
 
-    def test_events_carry_the_wan_timeline(self):
-        system = ClusterSystem(build_cluster_config(geo_spec()))
-        geo = system.run(build_streams(geo_spec())).geo
-        profile = geo_profile(system.events)
-        assert profile.ship_count > 0
-        assert profile.wan_round_trips == geo["wan_round_trips"]
-        assert profile.wan_bytes == geo["wan_bytes"]
-        assert profile.ships_by_policy() == {"global-2pc": profile.ship_count}
+    @pytest.mark.parametrize("policy", CROSS_REGION_POLICIES)
+    def test_wan_bytes_are_the_messages_of_the_counted_round_trips(self, reports, policy):
+        geo = reports[policy].geo
+        round_trips = geo["wan_round_trips"]
+        handoffs = geo["migrated_handoffs"]
+        assert round_trips == sum(region["wan_round_trips"] for region in geo["per_region"]) > 0
+        if policy == "async-reconcile":
+            # One one-way write-set ship per remote region of a round.
+            assert round_trips == geo["reconcile_ships"]
+            assert geo["wan_bytes"] == round_trips * WRITE_SET_MESSAGE_BYTES
+            return
+        # A handoff is one round trip; every other round trip is one
+        # prepare/vote or commit/ack exchange with a remote partition.
+        exchange = (
+            PREPARE_MESSAGE_BYTES + VOTE_MESSAGE_BYTES + COMMIT_MESSAGE_BYTES + ACK_MESSAGE_BYTES
+        ) / 2
+        assert (handoffs > 0) == (policy == "migrated-2pc")
+        assert geo["wan_bytes"] == (
+            handoffs * (HANDOFF_MESSAGE_BYTES + HANDOFF_RESULT_BYTES)
+            + (round_trips - handoffs) * exchange
+        )
 
 
 class TestGeoBlockIsPerRun:
     """A reused system's geo block covers its own run, like every other
-    block of the result (the event log is cleared per run too)."""
+    block of the result."""
 
     #: ``(total_txns, wan_round_trips, wan_bytes, apologies)`` of two
     #: back-to-back runs of ``geo-baseline`` on one system (default bank).
@@ -404,10 +423,7 @@ class TestGeoBlockIsPerRun:
         for _ in range(2):
             result = system.run(build_streams(spec))
             geo = result.geo
-            profile = geo_profile(system.events)
             assert geo["total_txns"] == result.total_transactions
-            assert geo["wan_round_trips"] == profile.wan_round_trips
-            assert geo["wan_bytes"] == profile.wan_bytes
             seen.append(
                 (geo["total_txns"], geo["wan_round_trips"], geo["wan_bytes"], geo["apologies"])
             )

@@ -1,20 +1,20 @@
 """Audit records are kept as rows and rendered when they are read.
 
-``KeyValueStore``, ``UndoLog``, ``History``, ``Channel`` and ``EventLog``
-store what a write leaves behind as plain rows; ``Version``,
-``UndoRecord``, ``SectionRecord`` (and its ``Operation`` tuples),
-``TransferRecord`` and ``Event`` are built by the accessor that reads
-them.  Report digests see none of that state, so this file guards it
-three ways:
+``KeyValueStore``, ``UndoLog``, ``History`` and ``Channel`` store what a
+write leaves behind as plain rows; ``Version``, ``UndoRecord``,
+``SectionRecord`` (and its ``Operation`` tuples) and ``TransferRecord``
+are built by the accessor that reads them.  Report digests see none of
+that state, so this file guards it three ways:
 
 * **state pins** — a sha256 over every rendered record of three seeded
   runs, captured on the commit that still built the records on the write
-  (3013db9); they must never move, under any ``PYTHONHASHSEED``;
+  (3013db9) and re-captured without the since-deleted event log on
+  3642afe; they must never move, under any ``PYTHONHASHSEED``;
 * **model tests** — random interleavings of store and undo-log calls
   against an oracle that keeps real record objects the way that commit
   did, a ``History`` fed rows against one fed rendered operations, and
   the flat ``History`` against the tuple-row one it replaced;
-* **counting** — a run constructs none of the six record classes, and
+* **counting** — a run constructs none of the five record classes, and
   each accessor renders the same non-zero number of them afterwards; a
   recorded run keeps a bounded number of bytes per committed operation.
 """
@@ -35,7 +35,6 @@ from repro.experiments import get_scenario
 from repro.experiments.runner import build_streams
 from repro.experiments.spec import build_cluster_config, build_single_config
 from repro.network.channel import TransferRecord
-from repro.sim.events import Event
 from repro.storage.kvstore import KeyNotFound, KeyValueStore, Version
 from repro.storage.wal import UndoLog, UndoRecord
 from repro.transactions.bank import ANY_LABEL, TransactionBank
@@ -81,13 +80,6 @@ def _transfers(channel):
     ]
 
 
-def _events(events):
-    def rows(records):
-        return [(event.timestamp, event.kind, sorted(event.payload.items())) for event in records]
-
-    return rows(events), [(kind, rows(events.of_kind(kind))) for kind in sorted(events.kinds())]
-
-
 def _sha(payload) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
@@ -98,7 +90,6 @@ def _single_edge_state(system: CroesusSystem) -> str:
             _versions(system.edge.store),
             _sections(system.history),
             [_transfers(system.client_edge), _transfers(system.edge_cloud)],
-            _events(system.events),
         )
     )
 
@@ -168,7 +159,6 @@ def _cluster_small() -> str:
                 for partition_id in system.store.partition_ids()
             ],
             [_transfers(channel) for channel in channels],
-            _events(system.events),
         )
     )
 
@@ -176,15 +166,15 @@ def _cluster_small() -> str:
 STATE_PINS = {
     "fig4-ms-sr": (
         _fig4_ms_sr,
-        "811dd2473716b1becc164a0c24ebf5f974dbb8f15e57126b09d58fbeaa6c2051",
+        "379f94b8df7b35b69a5b6e7805fa16c29b8bc4a266b75309ac84b16ea8b7e6fd",
     ),
     "ms-ia-retracting": (
         _ms_ia_retracting,
-        "24f171bc41a0871c28f31fdbb42d3f3dfff498e77b7ed73ba621163aadec1154",
+        "5f431f884696676ae6cd1bc21bfe4bd251f5a5ea43b09f3717bd22264b51d230",
     ),
     "cluster-small": (
         _cluster_small,
-        "f1146f59084067bbbf12a960848d2ab990346c9191823f50d92a16d89feb5617",
+        "f0d46222e4885bbbdcd39e24ad7e0f7234ec86e00e41405c43ca4001c0075a90",
     ),
 }
 
@@ -463,7 +453,7 @@ def test_flat_history_renders_what_tuple_rows_did(sections, after_clear):
 
 
 # -- nothing is constructed on a write ------------------------------------------
-RECORD_CLASSES = (Version, UndoRecord, Operation, SectionRecord, TransferRecord, Event)
+RECORD_CLASSES = (Version, UndoRecord, Operation, SectionRecord, TransferRecord)
 
 
 def test_a_run_constructs_no_record_and_each_accessor_renders_them(monkeypatch):
@@ -475,7 +465,7 @@ def test_a_run_constructs_no_record_and_each_accessor_renders_them(monkeypatch):
         return {name: n - before[name] for name, n in built.items() if n != before[name]}
 
     system = _run_single(get_scenario("fig4-ms-sr").with_(frames=30))
-    store, history, events = system.edge.store, system.history, system.events
+    store, history = system.edge.store, system.history
     assert not any(built.values()), built
 
     versions = sum(len(store.history(key)) for key in store.keys())
@@ -497,12 +487,7 @@ def test_a_run_constructs_no_record_and_each_accessor_renders_them(monkeypatch):
             assert rendered_by(lambda: channel.transfers) == {
                 "TransferRecord": channel.transfer_count
             }
-    for _ in range(2):
-        assert rendered_by(lambda: list(events)) == {"Event": len(events)}
-        assert rendered_by(lambda: [events.of_kind(kind) for kind in events.kinds()]) == {
-            "Event": len(events)
-        }
-    assert versions and len(events) and system.edge_cloud.transfer_count
+    assert versions and system.edge_cloud.transfer_count
 
     # The run's undo images were forgotten on each final commit: log two anew.
     log = UndoLog(store)
@@ -519,8 +504,9 @@ def test_a_run_constructs_no_record_and_each_accessor_renders_them(monkeypatch):
 #: system still referenced (tracemalloc): 410.7 when every YCSB insert built
 #: its own payload dict and the History kept a ``(kind, key, value)`` tuple
 #: per operation and a list per section, 253.2 with one payload per
-#: ``(label, stage)`` and flat rows.
-RETAINED_BYTES_PER_OPERATION_CEILING = 330
+#: ``(label, stage)`` and flat rows, 236.5 without the event log's row per
+#: frame stage.  The ceiling keeps 253.2's headroom ratio (330 / 253.2).
+RETAINED_BYTES_PER_OPERATION_CEILING = 308
 
 
 def test_a_recorded_run_keeps_few_bytes_per_committed_operation():

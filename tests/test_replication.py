@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.timeline import availability_timeline
 from repro.cluster.replication import (
     ASYNC_FLUSH_DELAY_S,
     REPLICATION_MODES,
@@ -210,6 +209,17 @@ class TestWarmFailover:
         assert failure.transactions_replayed == 0
         assert failure.downtime == pytest.approx(result.downtime_s)
 
+    def test_failure_cycle_closes_when_the_promotion_lands(self, outcome):
+        """Service is back the instant the slowest promotion lands, long
+        before the crashed host's scheduled restart at t = 2.0."""
+        _, result = outcome
+        (failure,) = result.failures
+        (promotion,) = result.promotions
+        assert promotion.from_edge == failure.edge_id
+        assert promotion.failed_at == failure.failed_at
+        assert failure.recovered_at == promotion.promoted_at
+        assert failure.downtime < 0.1
+
     def test_repeat_run_is_bitwise_identical(self, outcome):
         _, first = outcome
         _, again = run_replicated()
@@ -223,25 +233,17 @@ class TestWarmFailover:
         assert replicated.downtime_s > 0
         assert replay.downtime_s >= 5.0 * replicated.downtime_s
 
-    def test_availability_timeline_sees_the_promotion(self, outcome):
-        system, _ = outcome
-        timeline = availability_timeline(system.events)
-        assert timeline.num_promotions == 1
-        assert timeline.promotions_to(2) == 1
-        assert timeline.log_ships > 0
-        assert [edge for _, edge in timeline.rejoins] == [1]
-        (cycle,) = timeline.cycles
-        edge, failed_at, recovered_at, replayed = cycle
-        assert edge == 1
-        assert replayed == 0
-        assert recovered_at - failed_at < 0.1
-
     def test_rejoined_host_comes_back_as_standby(self, outcome):
         system, _ = outcome
-        (rejoin,) = system.events.of_kind("edge_rejoined")
-        assert rejoin.payload["edge"] == 1
-        assert rejoin.payload["standby_records"] > 0
-        assert rejoin.timestamp > 2.0  # after the scheduled outage window
+        # The crash dropped edge 1's standbys; after its restart it holds
+        # one again, rebuilt from the durable log.
+        standbys = [
+            group.standby_logs[1]
+            for group in system._replication.groups()
+            if 1 in group.backup_edges
+        ]
+        assert standbys
+        assert all(len(log.records()) > 0 for log in standbys)
 
 
 class TestShippingModes:

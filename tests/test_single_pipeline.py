@@ -185,7 +185,6 @@ def test_one_stream_is_served_closed_loop(consistency, adaptation):
     assert (system.last_adaptation is not None) == (adaptation is not None)
     if adaptation is not None and adaptation.mode == "retune":
         assert system.last_adaptation.threshold_updates > 0
-        assert len(system.events.of_kind("threshold_adapted")) > 0
 
 
 # -- one call site per pipeline stage --------------------------------------------------

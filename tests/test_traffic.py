@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.timeline import traffic_profile
 from repro.cluster.failure import FailureInjector
 from repro.cluster import ClusterConfig, ClusterSystem
+from repro.core.client import Client
 from repro.core.config import CroesusConfig
 from repro.experiments import ScenarioSpec, build_traffic_config, run, validate_report
 from repro.sim.rng import RngRegistry
+from repro.traffic.shedding import SHED_APOLOGY
 from repro.traffic import (
     ApologyBudget,
     ArrivalProcess,
@@ -277,18 +278,6 @@ class TestOpenLoopCluster:
         assert summary["p99_latency_ms"] == percentiles["p99_ms"]
         assert 0 < percentiles["p50_ms"] <= percentiles["p95_ms"] <= percentiles["p99_ms"]
 
-    def test_events_feed_the_timeline_reduction(self):
-        system, traffic = _open_loop_cluster(
-            offered_rate=2.0, admission="queue-threshold", apology_budget=1.0,
-            shed_threshold=0.3,
-        )
-        result = system.run_open_loop(traffic)
-        profile = traffic_profile(system.events)
-        assert profile.offered == result.traffic.offered_streams
-        assert profile.admitted == result.traffic.admitted_streams
-        assert profile.shed_frames == result.traffic.shed_frames
-        assert profile.arrival_rate(0.0, traffic.duration_s) > 0.0
-
     def test_shedding_renders_apology_responses(self):
         system, traffic = _open_loop_cluster(
             offered_rate=2.5, apology_budget=2.0, shed_threshold=0.3
@@ -298,8 +287,46 @@ class TestOpenLoopCluster:
         assert stats.shed_frames > 0
         assert stats.apologies_spent == stats.shed_frames
         assert stats.completed_frames + stats.shed_frames == stats.admitted_frames
-        sheds = system.events.of_kind("frame_shed")
-        assert len(sheds) == stats.shed_frames
+
+    def test_each_shed_frame_leaves_one_apology_at_its_shed_instant(self, monkeypatch):
+        #: ``(stream, frame_id) -> responses`` as the clients render them.
+        rendered: dict[tuple[str, int], list] = {}
+        render = Client.render
+
+        def logged_render(client, response):
+            rendered.setdefault((client.video.name, response.frame_id), []).append(response)
+            return render(client, response)
+
+        admitted_at: dict[str, float] = {}
+        admit = ClusterSystem._admit_stream
+
+        def logged_admit(system, state, video):
+            admitted_before = state.traffic.admitted_streams
+            admit(system, state, video)
+            if state.traffic.admitted_streams > admitted_before:
+                admitted_at[video.name] = state.engine.now
+
+        monkeypatch.setattr(Client, "render", logged_render)
+        monkeypatch.setattr(ClusterSystem, "_admit_stream", logged_admit)
+        system, traffic = _open_loop_cluster(
+            offered_rate=2.5, apology_budget=2.0, shed_threshold=0.3
+        )
+        result = system.run_open_loop(traffic)
+        interval = system.config.frame_interval
+        shed = {
+            frame: responses
+            for frame, responses in rendered.items()
+            if any(SHED_APOLOGY in response.apologies for response in responses)
+        }
+        assert len(shed) == result.traffic.shed_frames > 0
+        for (stream, frame_id), responses in shed.items():
+            # The edge never saw the frame: no initial response, one final
+            # apology, stamped at the frame's arrival instant.
+            (response,) = responses
+            assert response.stage == "final"
+            assert response.apologies == (SHED_APOLOGY,)
+            assert response.timestamp == pytest.approx(admitted_at[stream] + frame_id * interval)
+        assert len(rendered) - len(shed) == result.traffic.completed_frames
 
 
 class TestOpenLoopSingle:
@@ -396,14 +423,11 @@ class TestFailback:
         traffic = TrafficConfig(offered_rate=1.5, duration_s=8.0, mean_frames=10,
                                 frame_interval=0.5)
         result = system.run_open_loop(traffic)
-        back = [
-            event for event in system.events.of_kind("stream_migrated")
-            if event.payload.get("reason") == "edge_recovered"
-        ]
+        back = [move for move in result.migrations if move.reason == "edge_recovered"]
         assert len(result.failures) == 1
         assert back, "no stream migrated back to the recovered edge"
-        assert all(event.payload["to_edge"] == 0 for event in back)
-        assert all(event.timestamp >= result.failures[0].recovered_at for event in back)
+        assert all(move.to_edge == 0 for move in back)
+        assert all(move.time >= result.failures[0].recovered_at for move in back)
 
     def test_failback_off_by_default(self):
         config = ClusterConfig(
@@ -414,12 +438,8 @@ class TestFailback:
         system = ClusterSystem(config)
         traffic = TrafficConfig(offered_rate=1.5, duration_s=8.0, mean_frames=10,
                                 frame_interval=0.5)
-        system.run_open_loop(traffic)
-        back = [
-            event for event in system.events.of_kind("stream_migrated")
-            if event.payload.get("reason") == "edge_recovered"
-        ]
-        assert back == []
+        result = system.run_open_loop(traffic)
+        assert [move for move in result.migrations if move.reason == "edge_recovered"] == []
 
 
 # -- spec / report / runner ---------------------------------------------------
