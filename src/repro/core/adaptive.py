@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.results import FrameTrace
+from repro.core.results import LatencyBreakdown
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.matching import FrameOverlaps
 
@@ -144,7 +144,7 @@ class _WindowedController:
         self,
         sent: bool,
         corrections: int,
-        trace: FrameTrace | None = None,
+        latency: LatencyBreakdown | None = None,
         overlaps: FrameOverlaps | None = None,
     ) -> None:
         """Fold one served frame's outcome into the current window."""
@@ -231,12 +231,12 @@ class _RetuneController(_WindowedController):
         self,
         sent: bool,
         corrections: int,
-        trace: FrameTrace | None = None,
+        latency: LatencyBreakdown | None = None,
         overlaps: FrameOverlaps | None = None,
     ) -> None:
         super().observe(sent, corrections)
-        if sent and trace is not None:
-            self._scorer.add_frame(trace, overlaps)
+        if sent and overlaps is not None:
+            self._scorer.add_validated_frame(latency, overlaps)
 
     def adapt(self, now: float) -> ThresholdUpdate | None:
         self._drain_window()
@@ -279,8 +279,9 @@ class AdaptationManager:
         self._controllers: dict[str, _WindowedController] = {}
 
     @property
-    def wants_traces(self) -> bool:
-        """True when :meth:`observe_frame` uses validated frame traces."""
+    def wants_validated_frames(self) -> bool:
+        """True when :meth:`observe_frame` uses a validated frame's latency
+        and overlap table."""
         return self.config.mode == "retune"
 
     def controller(self, stream: str) -> _WindowedController:
@@ -305,19 +306,19 @@ class AdaptationManager:
         stream: str,
         sent: bool,
         corrections: int,
-        trace: FrameTrace | None = None,
+        latency: LatencyBreakdown | None = None,
         overlaps: FrameOverlaps | None = None,
     ) -> None:
         """Record one served frame's feedback for its stream's controller.
 
-        ``trace`` carries the validated frame's labels for the retune
-        mode; callers may skip building it when :attr:`wants_traces` is
-        False or the frame was not validated.  ``overlaps`` is the
-        overlap table of the trace's ``(edge, cloud)`` labels when the
-        frame's final stage built one, so the tuner does not build it
-        again.
+        ``latency`` and ``overlaps`` carry a validated frame for the
+        retune mode: its latency breakdown and the overlap table of its
+        live ``(edge, cloud)`` labels (the one its final stage built), so
+        the tuner neither re-reads the frame's labels nor builds the table
+        again.  Callers may skip them when :attr:`wants_validated_frames` is False
+        or the frame was not validated.
         """
-        self.controller(stream).observe(sent, corrections, trace, overlaps)
+        self.controller(stream).observe(sent, corrections, latency, overlaps)
 
     def adapt_all(self, now: float) -> list[ThresholdUpdate]:
         """Run one adaptation tick over every stream; return the moves."""

@@ -131,7 +131,7 @@ def run_cloud_only(
         )
         accuracy = evaluate_detections(labels, truth, min_overlap=config.match_overlap)
         traces.append(
-            FrameTrace(
+            FrameTrace.from_labels(
                 frame_id=frame.frame_id,
                 edge_labels=labels,
                 cloud_labels=truth,

@@ -59,7 +59,7 @@ from repro.core.optimizer import (
     brute_force_search,
     select_pair,
 )
-from repro.core.results import FrameTrace
+from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import f_score_of_counts, f_scores_of_counts
@@ -70,11 +70,13 @@ class _FrameEntry:
 
     ``confidences`` holds the frame's edge-label confidences sorted
     ascending — the breakpoints of its decision function — and
-    ``row_confidences`` the same values in label order.  ``overlaps`` is
-    the frame's box geometry — the table the frame's final stage built,
-    when the caller has it, else one built here — shared by every state;
-    ``stats`` memoises the frame's ``(tp, fp, fn)`` contribution per
-    distinct ``(discard_count, sent)`` state.
+    ``row_confidences`` the same values in label order, both read off the
+    edge labels ``overlaps`` was built on.  ``overlaps`` is the frame's
+    box geometry without its labels (``FrameOverlaps.unlabelled``: an
+    entry lives as long as its scorer, the frame's labels need not),
+    shared by every state; ``stats`` memoises the frame's
+    ``(tp, fp, fn)`` contribution per distinct ``(discard_count, sent)``
+    state.
     """
 
     __slots__ = (
@@ -87,19 +89,13 @@ class _FrameEntry:
         "stats",
     )
 
-    def __init__(
-        self, trace: FrameTrace, match_overlap: float, overlaps: FrameOverlaps | None = None
-    ) -> None:
-        detections = trace.edge_labels.detections
-        self.row_confidences = [detection.confidence for detection in detections]
+    def __init__(self, latency: LatencyBreakdown, overlaps: FrameOverlaps) -> None:
+        self.row_confidences = [detection.confidence for detection in overlaps.edge]
         self.confidences = tuple(sorted(self.row_confidences))
-        latency = trace.latency
         self.initial_latency = latency.initial_latency
         self.sent_latency = latency.final_latency
         self.unsent_latency = latency.initial_latency + latency.final_txn
-        if overlaps is None:
-            overlaps = FrameOverlaps(detections, trace.cloud_labels.detections, match_overlap)
-        self.overlaps = overlaps
+        self.overlaps = overlaps.unlabelled()
         self.stats: dict[tuple[int, bool], tuple[int, int, int]] = {}
 
 
@@ -230,17 +226,23 @@ class IncrementalThresholdScorer:
     """
 
     def __init__(self, traces: list[FrameTrace] | None = None, match_overlap: float = 0.10) -> None:
-        self._frames = [_FrameEntry(trace, match_overlap) for trace in (traces or [])]
+        self._frames: list[_FrameEntry] = []
         self._match_overlap = match_overlap
         self._cache: dict[tuple[float, float], ThresholdScore] = {}
         self._table: _GridTable | None = None
         self._evaluations = 0
         self._frame_rescores = 0
+        for trace in traces or ():
+            self.add_frame(trace)
 
     @classmethod
     def from_evaluator(cls, evaluator: ThresholdEvaluator) -> "IncrementalThresholdScorer":
-        """Build a scorer over the same traces an evaluator scores."""
-        return cls(evaluator.traces, match_overlap=evaluator.match_overlap)
+        """Build a scorer over the same traces an evaluator scores, on the
+        label sets and tables the evaluator already holds."""
+        scorer = cls(match_overlap=evaluator.match_overlap)
+        for trace, (_, overlaps) in zip(evaluator.traces, evaluator.profiled_frames()):
+            scorer.add_validated_frame(trace.latency, overlaps)
+        return scorer
 
     @property
     def num_frames(self) -> int:
@@ -265,18 +267,27 @@ class IncrementalThresholdScorer:
         """
         return self._frame_rescores
 
-    def add_frame(self, trace: FrameTrace, overlaps: FrameOverlaps | None = None) -> None:
+    def add_frame(self, trace: FrameTrace) -> None:
         """Append one profiled frame and invalidate cached pair scores.
 
-        ``overlaps`` is the frame's ``(edge, cloud)`` overlap table at
-        this scorer's ``match_overlap`` when the caller already holds it
-        (the live pipeline's final stage builds exactly that); without
-        it the table is built here.  Per-frame decision states already
-        computed for *other* frames stay cached, and the grid table is
-        untouched: the frame's decision states are scored (and metered
-        as ``frame_rescores``) when the next grid search folds it in.
+        The trace's two label sets are rendered once and its overlap table
+        is built here; a caller already holding the table uses
+        :meth:`add_validated_frame`.
         """
-        self._frames.append(_FrameEntry(trace, self._match_overlap, overlaps))
+        overlaps = FrameOverlaps(
+            trace.edge_labels.detections, trace.cloud_labels.detections, self._match_overlap
+        )
+        self.add_validated_frame(trace.latency, overlaps)
+
+    def add_validated_frame(self, latency: LatencyBreakdown, overlaps: FrameOverlaps) -> None:
+        """Append one frame by its latency and the overlap table of its live
+        ``(edge, cloud)`` labels — the form the frame pipeline holds a
+        validated frame in.  Per-frame decision states already computed
+        for *other* frames stay cached, and the grid table is untouched:
+        the frame's decision states are scored (and metered as
+        ``frame_rescores``) when the next grid search folds it in.
+        """
+        self._frames.append(_FrameEntry(latency, overlaps))
         self._cache.clear()
 
     def evaluate(self, lower: float, upper: float) -> ThresholdScore:

@@ -24,6 +24,7 @@ from repro.core.config import CroesusConfig
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
 from repro.core.system import CroesusSystem
 from repro.core.thresholds import ThresholdPolicy
+from repro.detection.labels import LabelSet
 from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport, aggregate_reports
 from repro.video.library import make_video
@@ -84,7 +85,7 @@ class ThresholdEvaluator:
         self._traces = list(traces)
         self._match_overlap = match_overlap
         self._cache: dict[tuple[float, float], ThresholdScore] = {}
-        self._overlaps: list[FrameOverlaps] | None = None
+        self._profiled: list[tuple[LabelSet, FrameOverlaps]] | None = None
         self._evaluations = 0
         self._frame_rescores = 0
 
@@ -120,6 +121,22 @@ class ThresholdEvaluator:
     def match_overlap(self) -> float:
         return self._match_overlap
 
+    def profiled_frames(self) -> list[tuple[LabelSet, FrameOverlaps]]:
+        """Each trace's edge labels and ``(edge, cloud)`` overlap table.
+
+        Neither depends on the pair scored, so each trace's two label sets
+        are rendered, and its table built, once — on the first call.
+        """
+        if self._profiled is None:
+            self._profiled = []
+            for trace in self._traces:
+                edge = trace.edge_labels
+                overlaps = FrameOverlaps(
+                    edge.detections, trace.cloud_labels.detections, self._match_overlap
+                )
+                self._profiled.append((edge, overlaps))
+        return self._profiled
+
     @property
     def evaluations(self) -> int:
         """Threshold pairs actually scored (cache hits do no work)."""
@@ -152,18 +169,8 @@ class ThresholdEvaluator:
         initial_latencies = []
         self._evaluations += 1
 
-        if self._overlaps is None:
-            # The boxes do not depend on the pair: one table per trace.
-            self._overlaps = [
-                FrameOverlaps(
-                    trace.edge_labels.detections,
-                    trace.cloud_labels.detections,
-                    self._match_overlap,
-                )
-                for trace in self._traces
-            ]
-        for trace, overlaps in zip(self._traces, self._overlaps):
-            rows, sent = policy.partition(trace.edge_labels)
+        for trace, (edge, overlaps) in zip(self._traces, self.profiled_frames()):
+            rows, sent = policy.partition(edge)
             self._frame_rescores += 1
             reports.append(AccuracyReport(*overlaps.client_view(rows, sent)[1]))
 

@@ -246,14 +246,14 @@ class TraceSink(_FrameSink):
         client.render(
             ClientResponse(frame_id, "final", None, final.apologies, timestamp=final_done)
         )
-        trace = FrameTrace(
-            frame_id=frame_id,
-            edge_labels=initial.labels,
-            cloud_labels=cloud_labels,
-            observed_labels=observed,
-            sent_to_cloud=sent_to_cloud,
-            latency=LatencyBreakdown(*latency),
-            accuracy=accuracy,
+        trace = FrameTrace.from_labels(
+            frame_id,
+            initial.labels,
+            cloud_labels,
+            observed,
+            sent_to_cloud,
+            LatencyBreakdown(*latency),
+            accuracy,
             transactions_triggered=len(initial.triggered),
             corrections=final.corrections,
             apologies=len(final.apologies),
@@ -553,26 +553,26 @@ def frame_pipeline(
             frame_bytes_sent,
         )
         if adaptation is not None:
-            if not (send_to_cloud and adaptation.wants_traces):
+            if send_to_cloud and adaptation.wants_validated_frames:
                 # The retune tuner learns only from the validated frames
                 # whose cloud labels the stream's controller legitimately
-                # observed.
-                trace = None
-            elif trace is None:
-                # A sink that keeps no traces: boxed for the tuner alone.
-                trace = FrameTrace(
-                    frame_id=frame_id,
-                    edge_labels=initial.labels,
-                    cloud_labels=cloud_labels,
-                    observed_labels=observed,
-                    sent_to_cloud=True,
-                    latency=LatencyBreakdown(*latency),
-                    accuracy=accuracy,
-                    edge_id=edge_id,
+                # observed: their latency and the overlap table of the live
+                # (edge, cloud) labels — built here only when a failure
+                # aborted the frame before its final stage.
+                overlaps = final.overlaps
+                if overlaps is None:
+                    overlaps = FrameOverlaps(
+                        initial.labels.detections, cloud_labels.detections, match_overlap
+                    )
+                adaptation.observe_frame(
+                    name,
+                    True,
+                    final.corrections,
+                    LatencyBreakdown(*latency) if trace is None else trace.latency,
+                    overlaps,
                 )
-            adaptation.observe_frame(
-                name, send_to_cloud, final.corrections, trace, final.overlaps
-            )
+            else:
+                adaptation.observe_frame(name, send_to_cloud, final.corrections)
         if traffic is not None and not frame_aborted:
             traffic.completed_frames += 1
         state.frames_remaining -= 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from statistics import mean
 from typing import NamedTuple
 
-from repro.detection.labels import LabelSet
+from repro.detection.labels import LabelRow, LabelSet
 from repro.detection.metrics import AccuracyReport, aggregate_reports
 
 
@@ -142,12 +142,25 @@ class LatencyBreakdown:
 @dataclass(slots=True, unsafe_hash=True)
 class FrameTrace:
     """Everything recorded about one processed frame (immutable by
-    convention, like its :class:`LatencyBreakdown`)."""
+    convention, like its :class:`LatencyBreakdown`).
+
+    The frame's three label sets — the edge's ``Le``, the cloud's ``Lc``
+    and what the client observed — are kept as packed
+    :class:`~repro.detection.labels.LabelRow`\\ s, not as a ``Detection``
+    and a ``BoundingBox`` per label: a recording run keeps every frame's
+    labels, and almost nothing reads them back.  :attr:`edge_labels`,
+    :attr:`cloud_labels` and :attr:`observed_labels` render an equal
+    :class:`LabelSet` on every read, so a reader that needs one twice
+    keeps what it rendered.  :meth:`from_labels` builds a trace from live
+    label sets.  Two traces compare (and hash) their label floats bit for
+    bit, through the rows: labels that differ only by ``-0.0`` against
+    ``0.0`` make unequal traces, though the rendered sets are equal.
+    """
 
     frame_id: int
-    edge_labels: LabelSet
-    cloud_labels: LabelSet
-    observed_labels: LabelSet
+    edge_row: LabelRow
+    cloud_row: LabelRow
+    observed_row: LabelRow
     sent_to_cloud: bool
     latency: LatencyBreakdown
     accuracy: AccuracyReport
@@ -158,6 +171,48 @@ class FrameTrace:
     #: Edge that processed the frame: 0 on the single-edge deployment,
     #: ``None`` for baselines that run no edge pipeline.
     edge_id: int | None = None
+
+    @classmethod
+    def from_labels(
+        cls,
+        frame_id: int,
+        edge_labels: LabelSet,
+        cloud_labels: LabelSet,
+        observed_labels: LabelSet,
+        sent_to_cloud: bool,
+        latency: LatencyBreakdown,
+        accuracy: AccuracyReport,
+        **counts: int | None,
+    ) -> "FrameTrace":
+        """A trace of live label sets, packed (``counts``: the remaining
+        fields, by keyword).  A set passed twice — the observed view is
+        often ``Le`` itself — is packed once and its row shared."""
+        edge_row = LabelRow.pack(edge_labels)
+        cloud_row = edge_row if cloud_labels is edge_labels else LabelRow.pack(cloud_labels)
+        if observed_labels is edge_labels:
+            observed_row = edge_row
+        elif observed_labels is cloud_labels:
+            observed_row = cloud_row
+        else:
+            observed_row = LabelRow.pack(observed_labels)
+        return cls(
+            frame_id, edge_row, cloud_row, observed_row, sent_to_cloud, latency, accuracy, **counts
+        )
+
+    @property
+    def edge_labels(self) -> LabelSet:
+        """``Le``, the edge model's filtered labels (rendered)."""
+        return self.edge_row.render()
+
+    @property
+    def cloud_labels(self) -> LabelSet:
+        """``Lc``, the cloud model's labels (rendered)."""
+        return self.cloud_row.render()
+
+    @property
+    def observed_labels(self) -> LabelSet:
+        """What the client ended up seeing (rendered)."""
+        return self.observed_row.render()
 
 
 @dataclass

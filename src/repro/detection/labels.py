@@ -8,8 +8,9 @@ at the cloud).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.detection.geometry import BoundingBox
 
@@ -106,3 +107,50 @@ class LabelSet:
             return None
         cx, cy = width / 2.0, height / 2.0
         return min(self.detections, key=lambda d: d.box.distance_to_point(cx, cy))
+
+
+class LabelRow(NamedTuple):
+    """A :class:`LabelSet` packed for keeping: four values, no object per label.
+
+    ``keys`` is ``name, object_id`` per detection, flattened; ``values``
+    holds ``confidence, x_min, y_min, x_max, y_max`` per detection as
+    little-endian doubles, so every float comes back bit for bit (``-0.0``
+    and subnormals included; an ``int`` comes back as the equal float).
+    A row is hashable and compared by value — bitwise on the doubles.
+    :meth:`pack` builds one; :meth:`render` builds an equal ``LabelSet``
+    on every call.
+    """
+
+    frame_id: int
+    model_name: str
+    keys: tuple
+    values: bytes
+
+    @classmethod
+    def pack(cls, labels: LabelSet) -> "LabelRow":
+        keys: list = []
+        values: list = []
+        for detection in labels.detections:
+            box = detection.box
+            keys += (detection.name, detection.object_id)
+            values += (detection.confidence, box.x_min, box.y_min, box.x_max, box.y_max)
+        return cls(
+            labels.frame_id,
+            labels.model_name,
+            tuple(keys),
+            struct.pack(f"<{len(values)}d", *values),
+        )
+
+    def render(self) -> LabelSet:
+        keys = iter(self.keys)
+        numbers = iter(struct.unpack(f"<{len(self.values) // 8}d", self.values))
+        return LabelSet(
+            self.frame_id,
+            tuple(
+                Detection(name, confidence, BoundingBox(x_min, y_min, x_max, y_max), object_id)
+                for name, object_id, confidence, x_min, y_min, x_max, y_max in zip(
+                    keys, keys, numbers, numbers, numbers, numbers, numbers
+                )
+            ),
+            self.model_name,
+        )

@@ -206,6 +206,26 @@ class FrameOverlaps:
             _box_rows(edge_detections), self._cloud_rows, min_overlap
         )
 
+    def unlabelled(self) -> FrameOverlaps:
+        """This table with each label replaced by its index.
+
+        Its :meth:`client_view` scores every view exactly as this table
+        does (the view lists indices instead of detections), and it keeps
+        no ``Detection`` alive: the retune tuner keeps one per validated
+        frame for the rest of a run, while the frame's recorded trace
+        already holds its labels packed.
+        """
+        table = object.__new__(FrameOverlaps)
+        table.edge = range(len(self.edge))
+        table.cloud = range(len(self.cloud))
+        table.min_overlap = self.min_overlap
+        table.best, table.overlaps, table.confirmed, table.hits = (
+            self.best, self.overlaps, self.confirmed, self.hits
+        )
+        table._cloud_rows = self._cloud_rows
+        table._cloud_hits = self._cloud_hits
+        return table
+
     def corrected(self, row: int) -> Detection | None:
         """The label edge row ``row``'s final section runs with.
 

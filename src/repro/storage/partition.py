@@ -87,7 +87,7 @@ class Partition:
         self.store.write(key, value, writer=writer)
 
     def take_checkpoint(self) -> Checkpoint:
-        """Snapshot the live state into the log's checkpoint chain."""
+        """Snapshot the live state as the log's newest checkpoint."""
         return self.wal.take_checkpoint(self.store.snapshot())
 
     def crash(self) -> None:

@@ -139,11 +139,16 @@ class WriteAheadLog:
     crashed partition can always be reconstructed as
     ``latest checkpoint + replay of the tail``.  LSNs start at 1 and
     increase by 1 per record; checkpoints do not consume LSNs.
+
+    Only the newest checkpoint is kept, with a count of every checkpoint
+    taken: a recovery never restores an older one, and each is a full
+    copy of the partition's state.
     """
 
     def __init__(self) -> None:
         self._records: list[LogRecord] = []
-        self._checkpoints: list[Checkpoint] = []
+        self._latest_checkpoint: Checkpoint | None = None
+        self._num_checkpoints = 0
         # Ship hook: replication (and group-commit accounting) observe every
         # append without the log knowing who listens.  ``None`` means nobody
         # does, which keeps the unreplicated path allocation-free.
@@ -177,9 +182,10 @@ class WriteAheadLog:
         return record
 
     def take_checkpoint(self, state: dict[str, Any]) -> Checkpoint:
-        """Snapshot ``state`` as covering everything up to the last LSN."""
-        checkpoint = Checkpoint(lsn=self.last_lsn, state=dict(state))
-        self._checkpoints.append(checkpoint)
+        """Snapshot ``state`` as covering everything up to the last LSN;
+        it replaces the previous checkpoint."""
+        checkpoint = self._latest_checkpoint = Checkpoint(lsn=self.last_lsn, state=dict(state))
+        self._num_checkpoints += 1
         return checkpoint
 
     # -- reading -------------------------------------------------------------
@@ -191,11 +197,12 @@ class WriteAheadLog:
     @property
     def latest_checkpoint(self) -> Checkpoint | None:
         """The newest checkpoint, or ``None`` if none was ever taken."""
-        return self._checkpoints[-1] if self._checkpoints else None
+        return self._latest_checkpoint
 
     @property
     def num_checkpoints(self) -> int:
-        return len(self._checkpoints)
+        """Checkpoints taken over the log's life (only the newest is kept)."""
+        return self._num_checkpoints
 
     def records_since(self, lsn: int) -> tuple[LogRecord, ...]:
         """Records with LSN strictly greater than ``lsn``, in log order.

@@ -35,6 +35,20 @@ class _Increment(RowSection):
         return len(keys)
 
 
+class _HotKeys(dict):
+    """``draw -> "<prefix>-<draw>"``, each string built once, on its first draw."""
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, draw: int) -> str:
+        key = self[draw] = f"{self.prefix}-{draw}"
+        return key
+
+
 @dataclass
 class HotspotWorkload:
     """Builds batches of update transactions over a hot key range.
@@ -82,6 +96,9 @@ class HotspotWorkload:
         self._id_prefix = f"{self.txn_prefix or self.key_prefix}-"
         split = self.updates_per_transaction - self.final_updates
         self._spans = slice(0, split), slice(split, None), slice(None)
+        # One string per hot key, built on its first draw: every update of
+        # a key shares it (the range itself may be far wider than the draws).
+        self._keys = _HotKeys(self.key_prefix)
 
     def build_batch(self) -> list[MultiStageTransaction]:
         """Create one batch of hotspot transactions."""
@@ -97,13 +114,13 @@ class HotspotWorkload:
             return []
         updates = self.updates_per_transaction
         draws = self.rng.integers(0, self.key_range, size=count * updates).tolist()
-        key_prefix, id_prefix, first = self.key_prefix, self._id_prefix, self._counter + 1
+        key_of, id_prefix, first = self._keys.__getitem__, self._id_prefix, self._counter + 1
         initial_span, final_span, row_span = self._spans
         self._counter += count
         transactions = []
         for index in range(count):
             start = index * updates
-            row = tuple([f"{key_prefix}-{draw}" for draw in draws[start : start + updates]])
+            row = tuple(map(key_of, draws[start : start + updates]))
             transactions.append(
                 MultiStageTransaction(
                     transaction_id=f"{id_prefix}{first + index}",

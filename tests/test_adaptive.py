@@ -33,7 +33,7 @@ def _trace(frame_id: int, confidences: tuple[float, ...]) -> FrameTrace:
         for i, confidence in enumerate(confidences)
     )
     labels = LabelSet(frame_id, detections, "edge")
-    return FrameTrace(
+    return FrameTrace.from_labels(
         frame_id=frame_id,
         edge_labels=labels,
         cloud_labels=labels,
@@ -42,6 +42,13 @@ def _trace(frame_id: int, confidences: tuple[float, ...]) -> FrameTrace:
         latency=LatencyBreakdown(edge_detection=0.01, cloud_detection=0.05),
         accuracy=AccuracyReport(len(detections), 0, 0),
     )
+
+
+def _validated(trace: FrameTrace) -> dict:
+    """What the frame body hands the retune tuner for a validated frame:
+    its latency and the overlap table of its live (edge, cloud) labels."""
+    table = FrameOverlaps(trace.edge_labels.detections, trace.cloud_labels.detections, 0.10)
+    return {"latency": trace.latency, "overlaps": table}
 
 
 class TestAdaptationConfig:
@@ -137,15 +144,15 @@ class TestFeedbackController:
         manager.adapt_all(now=1.0)
         assert manager.tuner_evaluations == 0
         assert manager.tuner_frame_rescores == 0
-        assert not manager.wants_traces
+        assert not manager.wants_validated_frames
 
 
 class TestRetuneController:
     def test_waits_for_min_samples(self):
         manager = _manager("retune", min_samples=6)
-        assert manager.wants_traces
+        assert manager.wants_validated_frames
         for i in range(5):
-            manager.observe_frame("cam0", sent=True, corrections=0, trace=_trace(i, (0.5,)))
+            manager.observe_frame("cam0", sent=True, corrections=0, **_validated(_trace(i, (0.5,))))
         assert manager.adapt_all(now=1.0) == []
         assert manager.tuner_evaluations == 0
 
@@ -153,7 +160,7 @@ class TestRetuneController:
         manager = _manager("retune", min_samples=4, target_f=0.8)
         for i in range(6):
             manager.observe_frame(
-                "cam0", sent=True, corrections=0, trace=_trace(i, (0.3, 0.5, 0.9))
+                "cam0", sent=True, corrections=0, **_validated(_trace(i, (0.3, 0.5, 0.9)))
             )
         manager.adapt_all(now=1.0)
         assert manager.tuner_evaluations > 0
@@ -165,7 +172,7 @@ class TestRetuneController:
         """Re-running the search on unchanged history is skipped."""
         manager = _manager("retune", min_samples=2)
         for i in range(4):
-            manager.observe_frame("cam0", sent=True, corrections=0, trace=_trace(i, (0.5,)))
+            manager.observe_frame("cam0", sent=True, corrections=0, **_validated(_trace(i, (0.5,))))
         manager.adapt_all(now=1.0)
         evaluations = manager.tuner_evaluations
         assert evaluations > 0
@@ -177,13 +184,13 @@ class TestRetuneController:
         after the last tick of a run cost nothing."""
         manager = _manager("retune", min_samples=2)
         for i in range(4):
-            manager.observe_frame("cam0", sent=True, corrections=0, trace=_trace(i, (0.5,)))
+            manager.observe_frame("cam0", sent=True, corrections=0, **_validated(_trace(i, (0.5,))))
         manager.adapt_all(now=1.0)
         rescores = manager.tuner_frame_rescores
         assert rescores > 0
         for i in range(4, 8):
             manager.observe_frame(
-                "cam0", sent=True, corrections=0, trace=_trace(i, (0.2, 0.6, 0.8))
+                "cam0", sent=True, corrections=0, **_validated(_trace(i, (0.2, 0.6, 0.8)))
             )
         assert manager.tuner_frame_rescores == rescores
         manager.adapt_all(now=2.0)
@@ -197,7 +204,7 @@ class TestRetuneController:
         for i in range(6):
             for stream in ("cam0", "cam1"):
                 manager.observe_frame(
-                    stream, sent=True, corrections=0, trace=_trace(i, (0.3, 0.5, 0.9))
+                    stream, sent=True, corrections=0, **_validated(_trace(i, (0.3, 0.5, 0.9)))
                 )
         built = count_constructions(monkeypatch, ThresholdScore)
         manager.adapt_all(now=1.0)
@@ -213,7 +220,7 @@ class TestRetuneController:
         manager = AdaptationManager(config, ThresholdPolicy(0.3, 0.7))
         traces = [_trace(i, (0.05 + 0.1 * (i % 4), 0.45, 0.9)) for i in range(9)]
         for trace in traces:
-            manager.observe_frame("cam0", sent=True, corrections=0, trace=trace)
+            manager.observe_frame("cam0", sent=True, corrections=0, **_validated(trace))
         manager.adapt_all(now=1.0)
         offline = coordinate_descent_search(
             IncrementalThresholdScorer(traces), config.target_f, step=config.step
@@ -231,7 +238,7 @@ class TestRetuneController:
         ]
         built = count_constructions(monkeypatch, FrameOverlaps)
         for trace, table in zip(traces, tables):
-            manager.observe_frame("cam0", sent=True, corrections=0, trace=trace, overlaps=table)
+            manager.observe_frame("cam0", sent=True, corrections=0, latency=trace.latency, overlaps=table)
         manager.adapt_all(now=1.0)
         assert manager.tuner_frame_rescores > 0
         assert built["FrameOverlaps"] == 0

@@ -275,7 +275,7 @@ def test_table_equals_scalar_reference_on_every_cutoff_subset(edge, cloud, min_o
 
 def _trace(frame_id, edge, cloud):
     edge_labels = LabelSet(frame_id, tuple(edge), "edge")
-    return FrameTrace(
+    return FrameTrace.from_labels(
         frame_id=frame_id,
         edge_labels=edge_labels,
         cloud_labels=LabelSet(frame_id, tuple(cloud), "cloud"),

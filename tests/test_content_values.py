@@ -59,7 +59,7 @@ DETECTION = Detection(name="car", confidence=0.75, box=BOX, object_id=7)
 LABELS = LabelSet(frame_id=3, detections=(DETECTION,), model_name="edge")
 OBJECT = SceneObject(object_id=7, name="car", box=BOX, visibility=0.5, difficulty=1.5)
 LATENCY = LatencyBreakdown(edge_transfer=0.01, edge_detection=0.2)
-TRACE = FrameTrace(
+TRACE = FrameTrace.from_labels(
     frame_id=3,
     edge_labels=LABELS,
     cloud_labels=LABELS,
@@ -152,6 +152,24 @@ def test_post_init_errors_are_the_frozen_classes():
         SceneObject(1, "car", BOX, visibility=0.0)
     with pytest.raises(ValueError, match="^difficulty must be >= 1, got 0.5$"):
         SceneObject(1, "car", BOX, difficulty=0.5)
+
+
+def test_trace_equality_is_bitwise_on_label_floats():
+    """A trace compares its packed label doubles bit for bit: ``-0.0`` and
+    ``0.0`` make unequal traces whose rendered label sets are equal.  (A
+    NaN cannot reach a trace: no box or detection accepts one.)"""
+    signed = LabelSet(3, (Detection("car", 0.75, BoundingBox(-0.0, 2.0, 3.5, 4.0), 7),), "edge")
+    unsigned = LabelSet(3, (Detection("car", 0.75, BoundingBox(0.0, 2.0, 3.5, 4.0), 7),), "edge")
+    assert signed == unsigned
+    a, b = (
+        FrameTrace.from_labels(3, labels, LABELS, LABELS, True, LATENCY, AccuracyReport(1, 0, 0))
+        for labels in (signed, unsigned)
+    )
+    assert a != b and a.edge_row != b.edge_row
+    assert a.edge_labels == b.edge_labels
+    assert repr(a.edge_labels) == repr(signed) != repr(unsigned)
+    with pytest.raises(ValueError):
+        Detection("car", math.nan, BOX)
 
 
 @pytest.mark.parametrize("position", range(4))

@@ -17,7 +17,7 @@ def _trace(frame_id: int, sent: bool, f_tp: int = 1, f_fp: int = 0, f_fn: int = 
         cloud_detection=1.0 if sent else 0.0,
         final_txn=0.001,
     )
-    return FrameTrace(
+    return FrameTrace.from_labels(
         frame_id=frame_id,
         edge_labels=make_label_set(frame_id),
         cloud_labels=make_label_set(frame_id),

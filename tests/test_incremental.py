@@ -88,7 +88,7 @@ def _build_traces(contents) -> list[FrameTrace]:
             final_txn=cloud_s / 2,
         )
         traces.append(
-            FrameTrace(
+            FrameTrace.from_labels(
                 frame_id=frame_id,
                 edge_labels=edge_labels,
                 cloud_labels=cloud_labels,
@@ -162,8 +162,9 @@ class TestScorerMatchesEvaluator:
         assert expected.f_score == 1.0
 
     def test_a_shared_overlap_table_scores_like_one_built_here(self, monkeypatch):
-        """``add_frame(trace, overlaps)`` — the live pipeline handing over
-        the table its final stage built — builds none and scores the same."""
+        """``add_validated_frame(latency, overlaps)`` — what the retune tuner
+        and ``from_evaluator`` hand over, a table built elsewhere — builds
+        none and scores the same."""
         traces = _build_traces(
             [([(0, 0.2), (1, 0.6), (3, 0.9)], [0, 1, 2], 0.1, 0.2), ([], [4], 0.1, 0.1)]
         )
@@ -177,7 +178,7 @@ class TestScorerMatchesEvaluator:
         built = count_constructions(monkeypatch, FrameOverlaps)
         shared = IncrementalThresholdScorer()
         for trace, table in zip(traces, tables):
-            shared.add_frame(trace, table)
+            shared.add_validated_frame(trace.latency, table)
         assert shared.evaluate_grid(0.05) == built_here.evaluate_grid(0.05)
         assert shared.frame_rescores == built_here.frame_rescores
         assert built["FrameOverlaps"] == 0
@@ -255,7 +256,7 @@ def _tied_traces(latencies: list[float]) -> list[FrameTrace]:
     value the tie spans), slot 1 is a false positive the cloud removes
     when the frame is sent and ``θL`` removes when it is not."""
     return [
-        FrameTrace(
+        FrameTrace.from_labels(
             frame_id=frame_id,
             edge_labels=_label_set(frame_id, [(0, 0.93), (1, 0.12)], "edge"),
             cloud_labels=_label_set(frame_id, [(0, 0.99)], "cloud"),
@@ -450,7 +451,7 @@ class TestGridTable:
         latencies = [1e16, 1.0, -1e16, 1.0, 3.0, 1e16, 1.0, -1e16]
         assert reduce(add, latencies) != math.fsum(latencies)  # the case discriminates
         traces = [
-            FrameTrace(
+            FrameTrace.from_labels(
                 frame_id=frame_id,
                 edge_labels=_label_set(frame_id, [(0, 0.1 * frame_id), (1, 0.5)], "edge"),
                 cloud_labels=_label_set(frame_id, [(0, 0.99)], "cloud"),

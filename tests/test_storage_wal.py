@@ -1,5 +1,8 @@
 """Tests for the undo log and the redo write-ahead log."""
 
+import gc
+import weakref
+
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.wal import UndoLog, WriteAheadLog, restore_from_checkpoint
 
@@ -98,6 +101,19 @@ class TestWriteAheadLog:
         wal.append("t2", "b", 2)
         # Checkpoints do not consume LSNs.
         assert wal.last_lsn == 2
+
+    def test_three_checkpoints_keep_one_alive(self):
+        """A recovery restores only the newest checkpoint, so the log keeps
+        that one (and a count) rather than a full state copy per checkpoint."""
+        wal = WriteAheadLog()
+        taken = []
+        for value in range(3):
+            wal.append("t", "k", value)
+            taken.append(weakref.ref(wal.take_checkpoint({"k": value})))
+        gc.collect()
+        assert [ref() for ref in taken if ref() is not None] == [wal.latest_checkpoint]
+        assert wal.latest_checkpoint.lsn == 3 and wal.latest_checkpoint.state == {"k": 2}
+        assert wal.num_checkpoints == 3
 
     def test_replay_into_applies_only_the_tail(self):
         wal = WriteAheadLog()

@@ -215,6 +215,14 @@ class TestHotspotWorkload:
             HotspotWorkload(np.random.default_rng(0), 10, _counter=5)
         assert "_counter" not in repr(self._workload())
 
+    def test_one_string_per_hot_key(self):
+        """Equal hot keys are one string object, across transactions and frames."""
+        workload = self._workload(key_range=3, batch_size=40)
+        keys = [key for txn in workload.build_batch() + workload.build_batch() for key in txn.initial.row]
+        first_seen: dict[str, str] = {}
+        assert all(first_seen.setdefault(key, key) is key for key in keys)
+        assert sorted(first_seen) == ["hot-0", "hot-1", "hot-2"] and len(keys) == 400
+
     def test_a_section_updates_a_key_once_per_draw(self):
         """A key drawn twice is incremented twice but locked and declared once."""
         txn = self._workload(key_range=1, final_updates=2).build_transaction()
