@@ -114,11 +114,6 @@ from repro.workloads.ycsb import YCSBWorkload
 #: partitions) never collide across replicas.
 BankFactory = Callable[[int], TransactionBank]
 
-#: Busy intervals each ``record_frames=False`` server keeps; older
-#: intervals fold into a running busy-time total (whole-run utilization
-#: stays exact, only deep-history windowed loads lose resolution).
-FAST_PATH_INTERVAL_RETENTION = 4096
-
 
 # -- callbacks handed to replicas, policies and logs: none holds the system ----
 def _make_server(
@@ -127,15 +122,11 @@ def _make_server(
     """One edge or cloud server, honouring the engine knobs: the
     preserved reference implementation when the config selects it;
     otherwise full per-job records when recording, streaming wait
-    statistics + bounded interval retention when not."""
+    statistics + a bounded interval record when not."""
     if config.reference_engine:
         return ReferenceServer(capacity=capacity, name=name, discipline=discipline)
     return Server(
-        capacity=capacity,
-        name=name,
-        discipline=discipline,
-        record_jobs=config.record_frames,
-        interval_retention=None if config.record_frames else FAST_PATH_INTERVAL_RETENTION,
+        capacity=capacity, name=name, discipline=discipline, record_jobs=config.record_frames
     )
 
 

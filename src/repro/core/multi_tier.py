@@ -30,7 +30,6 @@ from repro.network.topology import MachineProfile
 from repro.sim.rng import RngRegistry
 from repro.storage.kvstore import KeyValueStore
 from repro.transactions.model import SectionSpec
-from repro.transactions.policy import StagedPolicy
 from repro.transactions.staged import StagedController, StagedTransaction
 from repro.video.frames import Frame
 from repro.video.synthetic import SyntheticVideo
@@ -173,11 +172,7 @@ class MultiTierPipeline:
             for index, tier in enumerate(tiers)
         ]
         self.store = KeyValueStore()
-        # The cascade runs its m-stage transactions through the staged
-        # adapter of the transaction-policy seam, like the two-stage
-        # systems run theirs through the commit policies.
-        self.policy = StagedPolicy(StagedController(self.store))
-        self.controller = self.policy.controller
+        self.controller = StagedController(self.store)
         self._transaction_factory = transaction_factory or self._default_factory
         self._next_txn = 0
 
@@ -212,7 +207,7 @@ class MultiTierPipeline:
             if previous_labels is None:
                 observed = labels
                 transaction = self._transaction_factory(labels, self._new_txn_id(), len(self.tiers))
-                self.policy.stage(transaction, 0, labels=labels, now=elapsed)
+                self.controller.process_stage(transaction, 0, labels=labels, now=elapsed)
                 initial_latency = elapsed
             else:
                 report = match_labels(previous_labels, labels, min_overlap=self._match_overlap)
@@ -222,7 +217,7 @@ class MultiTierPipeline:
                 ]
                 corrected.extend(report.unmatched_cloud)
                 observed = LabelSet(frame.frame_id, tuple(corrected), model_name=f"tier-{index}")
-                self.policy.stage(transaction, index, labels=observed, now=elapsed)
+                self.controller.process_stage(transaction, index, labels=observed, now=elapsed)
 
             is_last = index == len(self.tiers) - 1
             forward = False
@@ -242,7 +237,7 @@ class MultiTierPipeline:
             previous_labels = labels
             if not is_last and not forward:
                 # The cascade stops here: run the remaining sections now.
-                self.policy.finish_remaining(transaction, labels=observed, now=elapsed)
+                self.controller.finish_remaining(transaction, labels=observed, now=elapsed)
                 break
 
         # Ground truth is the last tier's model applied to the frame (the

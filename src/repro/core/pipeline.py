@@ -348,13 +348,11 @@ def frame_pipeline(
     aborted_txns = state.aborted_txns
     match_overlap = config.match_overlap
     min_confidence = config.min_confidence
-    # A deployment serves all its edges under one discipline.
+    # A deployment serves all its edges under one discipline.  Under the
+    # priority discipline initial stages reserve on arrival while final
+    # stages defer their admission until the server is really free — an
+    # arriving initial always overtakes queued finals.
     priority_serving = lanes[0].server.priority_serving
-    # Under the priority discipline initial stages reserve eagerly
-    # (priority 1) while final stages defer their admission until the
-    # server is really free — an arriving initial always overtakes
-    # queued finals.
-    initial_priority = 1 if priority_serving else 0
     # Per-edge bindings: the lane, its node's commit policy (drained for
     # each stage's protocol charge) and whether the node is idle — no
     # trigger rules, no feedback loop — which makes both TPC stages pure
@@ -396,7 +394,7 @@ def frame_pipeline(
         # client->edge transfer lands (the admission's ready time).
         frame_label, labels_label = sink.describe(name, frame_id)
         edge_transfer = client_edge.send(frame.size_bytes, now, frame_label)
-        start, queue_delay = server.acquire(now + edge_transfer, initial_priority)
+        start, queue_delay = server.acquire(now + edge_transfer)
         raw_labels, edge_detection = node.detect(frame)
         if node_idle:
             # process_initial_stage with an empty bank and no

@@ -8,11 +8,10 @@ lets the full benchmark suite run in seconds.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import Admission, At, Engine, Process, Server, SimulationError
+from repro.sim.engine import At, Engine, Process, Server, SimulationError
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "Admission",
     "At",
     "Engine",
     "Process",

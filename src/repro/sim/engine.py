@@ -18,18 +18,18 @@ Three primitives:
   a delay in seconds (``yield 0.25``), an absolute resume time
   (``yield engine.at(t)``) or another process (``yield other`` waits for
   it to finish); its ``return`` value becomes :attr:`Process.value`.
-* :class:`Server` — a finite-capacity resource with FIFO or priority
-  admission.  Jobs are admitted in two phases (``admit`` when the
-  arrival instant is known, ``complete`` once the measured service time
-  is) so service times can depend on work done after admission, exactly
-  like detection + transaction processing on an edge replica.  The
+* :class:`Server` — a finite-capacity resource.  A job takes the
+  earliest free slot with ``acquire`` when it arrives and gives it back
+  with ``finish`` once its measured service time is known, so service
+  times can depend on work done after admission, exactly like
+  detection + transaction processing on an edge replica.  The
   waiting-time and busy-time statistics feed the utilization and
   queue-delay metrics of cluster runs.
 
-Admission follows the *request order* (the order ``admit``/``reserve``
-is called in, i.e. the order jobs arrive at the system), not the order
-of their ready times: a job that arrives first but needs a network hop
-before it is ready still holds its place in the queue.  This matches the
+Admission follows the *request order* (the order ``acquire`` is called
+in, i.e. the order jobs arrive at the system), not the order of their
+ready times: a job that arrives first but needs a network hop before it
+is ready still holds its place in the queue.  This matches the
 arrival-ordered service discipline of the original cluster model, which
 keeps seeded runs bit-for-bit reproducible across the refactor.
 """
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
-from collections import deque
-from dataclasses import dataclass
 from statistics import mean
 from typing import Any, Callable, Generator, Iterable
 
@@ -244,51 +242,17 @@ class Engine:
         return self._now
 
 
-class Admission:
-    """One job admitted to a :class:`Server`, holding a capacity slot.
-
-    ``start`` and ``wait`` resolve lazily: with the priority discipline a
-    batch of admissions is ordered by priority at resolution time, so
-    requesting them first and reading the outcomes afterwards lets
-    higher-priority jobs overtake.  Call :meth:`Server.complete` (or use
-    :meth:`Server.reserve`) once the job's service time is known.
-
-    One instance exists per admitted frame stage, which makes this a
-    hot-path record: plain ``__slots__`` instead of a dataclass.
-    """
-
-    __slots__ = ("server", "ready", "priority", "sequence", "_start", "_completed")
-
-    def __init__(self, server: "Server", ready: float, priority: int, sequence: int) -> None:
-        self.server = server
-        self.ready = ready
-        self.priority = priority
-        self.sequence = sequence
-        self._start: float | None = None
-        self._completed = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Admission(server={self.server.name!r}, ready={self.ready}, "
-            f"priority={self.priority}, sequence={self.sequence})"
-        )
-
-    @property
-    def start(self) -> float:
-        """Instant the job begins service (resolves the admission)."""
-        if self._start is None:
-            self.server._resolve(self)
-        assert self._start is not None
-        return self._start
-
-    @property
-    def wait(self) -> float:
-        """Time the job spent queued before service began."""
-        return self.start - self.ready
-
-
 class Server:
-    """A finite-capacity resource with FIFO or priority admission.
+    """A finite-capacity resource serving jobs in request order.
+
+    A job takes a slot with :meth:`acquire` the moment it arrives — its
+    ``ready`` time may lie ahead (a network hop still to land), but its
+    place in the queue is fixed by the order of the calls — and gives
+    the slot back with :meth:`finish` once its measured service time is
+    known, so service times can depend on work done after admission,
+    exactly like detection + transaction processing on an edge replica.
+    The waiting-time and busy-time statistics feed the utilization and
+    queue-delay metrics of cluster runs.
 
     Parameters
     ----------
@@ -298,30 +262,29 @@ class Server:
         negative capacities are rejected: a server that can never serve
         is a configuration error, not a queue.
     discipline:
-        ``"fifo"`` admits jobs in request order; ``"priority"`` orders
-        each pending batch by ``(-priority, request order)``, so a
-        later-requested high-priority job overtakes queued lower-priority
-        ones that have not started yet.
+        ``"fifo"`` or ``"priority"``.  Every job takes the earliest free
+        slot either way; under ``"priority"`` the frame pipeline keeps
+        final stages from reserving ahead — they wait on
+        :meth:`next_free` so that initial stages arriving meanwhile go
+        first (:attr:`priority_serving`).
     record_jobs:
-        True (the default) keeps the full per-job :attr:`waits` list,
-        exactly as analyses and tests expect.  False switches the wait
-        statistics to O(1) streaming accumulators (count / sum / max
-        plus a bounded tail window), so a million-frame run does not
-        accrete a million floats per server.
-    interval_retention:
-        When set, caps the completed-interval record at this many
-        entries; the busy time of trimmed intervals is folded into a
-        scalar so whole-run :meth:`load` queries stay exact.  Windowed
-        queries reaching further back than the retained tail undercount
-        (they see only the retained intervals) — retention should
-        therefore comfortably exceed the number of jobs any load window
-        can span.  ``None`` (the default) retains everything.
+        True (the default) keeps every job's wait and every completed
+        service interval, exactly as analyses and tests expect.  False
+        switches the wait statistics to O(1) streaming accumulators
+        (count / sum / max) and trims the interval record back to
+        :attr:`INTERVAL_RETENTION` entries whenever it doubles, folding
+        the busy time of trimmed intervals into a scalar so whole-run :meth:`load`
+        queries stay exact — a million-frame run does not accrete a
+        million floats per server.  Windowed queries reaching further
+        back than the retained tail undercount (they see only the
+        retained intervals).
     """
 
     DISCIPLINES = ("fifo", "priority")
 
-    #: Bounded tail window of recent waits kept when ``record_jobs`` is off.
-    WAIT_TAIL = 512
+    #: Completed intervals a ``record_jobs=False`` server retains; it far
+    #: exceeds the number of jobs any load window spans.
+    INTERVAL_RETENTION = 4096
 
     __slots__ = (
         "capacity",
@@ -329,15 +292,11 @@ class Server:
         "priority_serving",
         "name",
         "record_jobs",
-        "interval_retention",
         "_free",
-        "_pending",
-        "_sequence",
         "_waits",
         "_wait_count",
         "_wait_sum",
         "_wait_max",
-        "_wait_tail",
         "busy_time",
         "track_intervals",
         "_intervals",
@@ -349,9 +308,7 @@ class Server:
         capacity: int | None = 1,
         discipline: str = "fifo",
         name: str = "server",
-        start: float = 0.0,
         record_jobs: bool = True,
-        interval_retention: int | None = None,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(
@@ -361,10 +318,6 @@ class Server:
             raise ValueError(
                 f"unknown discipline {discipline!r}; expected one of {self.DISCIPLINES}"
             )
-        if interval_retention is not None and interval_retention < 1:
-            raise ValueError(
-                f"interval_retention must be at least 1 (or None), got {interval_retention}"
-            )
         self.capacity = capacity
         self.discipline = discipline
         #: Precomputed discipline check — hot paths branch on this every
@@ -372,20 +325,12 @@ class Server:
         self.priority_serving = discipline == "priority"
         self.name = name
         self.record_jobs = record_jobs
-        self.interval_retention = interval_retention
-        self._free: list[float] = [float(start)] * (capacity or 0)
-        # FIFO pops from the head (deque); priority pops the smallest
-        # ``(-priority, sequence)`` heap entry — both O(log n) or better,
-        # replacing the O(n) min() scan of the original implementation.
-        self._pending: Any = [] if discipline == "priority" else deque()
-        self._sequence = 0
+        #: Instants each capacity slot frees up, as a heap.
+        self._free: list[float] = [0.0] * (capacity or 0)
         self._waits: list[float] | None = [] if record_jobs else None
         self._wait_count = 0
         self._wait_sum = 0.0
         self._wait_max = 0.0
-        self._wait_tail: deque[float] | None = (
-            None if record_jobs else deque(maxlen=self.WAIT_TAIL)
-        )
         self.busy_time = 0.0
         #: Whether completed service intervals are retained for windowed
         #: :meth:`load` queries.  On by default; a run with no load
@@ -400,43 +345,14 @@ class Server:
         self._trimmed_busy = 0.0
 
     # -- admission ----------------------------------------------------------
-    def admit(self, ready: float, priority: int = 0) -> Admission:
-        """Queue a job that becomes ready for service at time ``ready``.
+    def acquire(self, ready: float) -> tuple[float, float]:
+        """Admit a job ready for service at ``ready``; returns ``(start, wait)``.
 
-        The returned :class:`Admission` holds one capacity slot from its
-        (lazily resolved) start time until :meth:`complete` is called
-        with the job's measured service time.
+        The job takes the earliest free slot and holds it until
+        :meth:`finish` is called with its start and measured service
+        time.
         """
-        admission = Admission(self, float(ready), priority, self._sequence)
-        self._sequence += 1
-        if self.discipline == "priority":
-            # The heap key is exactly the min() scan's key, and sequence
-            # numbers are unique, so pop order is a strict total order
-            # identical to the original scan's choice.
-            heapq.heappush(self._pending, (-priority, admission.sequence, admission))
-        else:
-            self._pending.append(admission)
-        return admission
-
-    def acquire(self, ready: float, priority: int = 0) -> tuple[float, float]:
-        """Admit a job and resolve it immediately; returns ``(start, wait)``.
-
-        The one-shot form of :meth:`admit` + :attr:`Admission.start` for
-        callers that resolve every admission before the next one can be
-        requested — the one frame pipeline
-        (:mod:`repro.core.pipeline`), on both deployments.  Produces
-        bit-for-bit the same start/wait as the two-phase path without
-        materialising an :class:`Admission` or touching the pending
-        queue; pair it with :meth:`finish`.  When other admissions *are*
-        pending it falls back to the two-phase path so the discipline
-        still orders the whole batch.
-        """
-        if self._pending:
-            admission = self.admit(ready, priority=priority)
-            start = admission.start
-            return start, start - admission.ready
         ready = float(ready)
-        self._sequence += 1
         if self.capacity is None:
             start = ready
         else:
@@ -444,7 +360,7 @@ class Server:
             if not free:
                 raise SimulationError(
                     f"server {self.name!r} is saturated: all {self.capacity} "
-                    "slot(s) are held by admissions that never completed"
+                    "slot(s) are held by jobs that never finished"
                 )
             slot_free = heapq.heappop(free)
             start = ready if ready >= slot_free else slot_free
@@ -454,10 +370,8 @@ class Server:
     def finish(self, start: float, service_time: float) -> float:
         """Complete a job that began service at ``start``; returns the end time.
 
-        The completion half of the :meth:`acquire` path: identical
-        slot-release, busy-time and interval bookkeeping to
-        :meth:`complete`, keyed by the start time instead of an
-        :class:`Admission` record.
+        Gives the job's slot back and books its busy time and service
+        interval.
         """
         if service_time < 0:
             raise ValueError("service_time must be non-negative")
@@ -479,63 +393,13 @@ class Server:
         # shifts every element, so a per-completion trim would pay O(n)
         # per job — amortised over a block it is O(1).  Windowed load()
         # queries only ever see *more* history than the cap promises.
-        retention = self.interval_retention
-        if retention is not None and len(intervals) > 2 * retention:
-            excess = len(intervals) - retention
+        if not self.record_jobs and len(intervals) > 2 * self.INTERVAL_RETENTION:
+            excess = len(intervals) - self.INTERVAL_RETENTION
             for index in range(excess):
                 old_end, old_start = intervals[index]
                 self._trimmed_busy += old_end - old_start
             del intervals[:excess]
         return end
-
-    def complete(self, admission: Admission, service_time: float) -> float:
-        """Finish ``admission`` after ``service_time`` seconds; returns the end time."""
-        if service_time < 0:
-            raise ValueError("service_time must be non-negative")
-        if admission.server is not self:
-            raise SimulationError("admission belongs to a different server")
-        if admission._completed:
-            raise SimulationError("admission already completed")
-        admission._completed = True
-        return self.finish(admission.start, service_time)
-
-    def reserve(self, ready: float, service_time: float, priority: int = 0) -> tuple[float, float]:
-        """One-shot admit + complete; returns ``(start, wait)``."""
-        admission = self.admit(ready, priority=priority)
-        start, wait = admission.start, admission.wait
-        self.complete(admission, service_time)
-        return start, wait
-
-    def _resolve(self, admission: Admission) -> None:
-        """Assign start times to pending jobs until ``admission`` is placed."""
-        pending = self._pending
-        if self.discipline == "priority":
-            while pending:
-                job = heapq.heappop(pending)[2]
-                self._place(job)
-                if job is admission:
-                    return
-        else:
-            while pending:
-                job = pending.popleft()
-                self._place(job)
-                if job is admission:
-                    return
-        raise SimulationError("admission was already resolved or never queued")
-
-    def _place(self, job: Admission) -> None:
-        """Assign one job's start time and record its wait."""
-        if self.capacity is None:
-            job._start = job.ready
-        else:
-            if not self._free:
-                raise SimulationError(
-                    f"server {self.name!r} is saturated: all {self.capacity} "
-                    "slot(s) are held by admissions that never completed"
-                )
-            slot_free = heapq.heappop(self._free)
-            job._start = max(job.ready, slot_free)
-        self._record_wait(job._start - job.ready)
 
     def _record_wait(self, wait: float) -> None:
         self._wait_count += 1
@@ -545,7 +409,6 @@ class Server:
             self._wait_sum += wait
             if wait > self._wait_max:
                 self._wait_max = wait
-            self._wait_tail.append(wait)
 
     def next_free(self) -> float:
         """Earliest instant a capacity slot is (or was) free.
@@ -566,8 +429,8 @@ class Server:
         The admission-control signal: how long a new arrival would wait
         before its service could start, given everything already
         admitted.  0.0 for unbounded or idle servers; infinite while
-        every slot is held by an admission that has not completed (the
-        server cannot currently promise a start time at all).
+        every slot is held by a job that has not finished (the server
+        cannot currently promise a start time at all).
         """
         if self.capacity is None:
             return 0.0
@@ -577,25 +440,13 @@ class Server:
 
     # -- statistics ---------------------------------------------------------
     @property
-    def waits(self) -> list[float]:
-        """Per-job waiting times.
-
-        The full history when ``record_jobs`` is on; with streaming
-        accumulators it is the bounded tail window of recent waits (the
-        exact count / mean / max remain available regardless).
-        """
-        if self._waits is not None:
-            return self._waits
-        return list(self._wait_tail)
-
-    @property
     def jobs(self) -> int:
-        """Number of jobs whose admission has been resolved."""
+        """Number of jobs admitted."""
         return self._wait_count
 
     @property
     def mean_wait(self) -> float:
-        """Mean waiting time over all resolved jobs."""
+        """Mean waiting time over all admitted jobs."""
         if self._waits is not None:
             return mean(self._waits) if self._waits else 0.0
         return self._wait_sum / self._wait_count if self._wait_count else 0.0
@@ -647,7 +498,7 @@ class Server:
                 busy += segment
         if lo == 0.0:
             # Whole-run queries still see the busy time of any intervals
-            # trimmed by ``interval_retention``.
+            # trimmed from a ``record_jobs=False`` record.
             busy += self._trimmed_busy
         slots = self.capacity or 1
         return busy / (span * slots)
@@ -658,13 +509,48 @@ def interval_overlap(intervals: Iterable[tuple[float, float]], lo: float, hi: fl
     return sum(max(0.0, min(end, hi) - max(start, lo)) for start, end in intervals)
 
 
+class Admission:
+    """One job queued on a :class:`ReferenceServer`, holding a capacity slot.
+
+    ``start`` resolves lazily: reading it places every job queued ahead
+    of this one (in discipline order) and then this one.
+    """
+
+    __slots__ = ("server", "ready", "priority", "sequence", "_start")
+
+    def __init__(self, server: "ReferenceServer", ready: float, priority: int, sequence: int) -> None:
+        self.server = server
+        self.ready = ready
+        self.priority = priority
+        self.sequence = sequence
+        self._start: float | None = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return (
+            f"Admission(server={self.server.name!r}, ready={self.ready}, "
+            f"priority={self.priority}, sequence={self.sequence})"
+        )
+
+    @property
+    def start(self) -> float:
+        """Instant the job begins service (resolves the admission)."""
+        if self._start is None:
+            self.server._resolve(self)
+        assert self._start is not None
+        return self._start
+
+
 class ReferenceServer(Server):
     """The pre-fast-path :class:`Server`, preserved as a benchmark yardstick.
 
-    Admissions sit in a plain list, the priority discipline re-scans the
-    whole pending batch with ``min()`` on every resolution, and ``load``
-    feeds a fresh generator over a list slice to :func:`interval_overlap`
-    — exactly the implementation the fast path replaced.  The
+    Jobs are admitted in two phases: :meth:`admit` queues an
+    :class:`Admission` in a plain list, and reading its ``start``
+    resolves the queue — the priority discipline re-scanning the whole
+    pending batch with ``min()`` over ``(-priority, request order)`` on
+    every resolution.  :meth:`acquire` always takes that path, and
+    ``load`` feeds a fresh generator over a list slice to
+    :func:`interval_overlap` — exactly the implementation the fast path
+    replaced.  It keeps every job's wait and every interval.  The
     ``scale-stress`` benchmark runs its reduced reference cell on this
     class so the measured frames/sec speedup is against the real pre-PR
     engine rather than a guess.  Identical results to :class:`Server`
@@ -672,32 +558,24 @@ class ReferenceServer(Server):
     asymptotics) differ.
     """
 
-    __slots__ = ()
+    __slots__ = ("_pending", "_sequence")
 
     def __init__(
-        self,
-        capacity: int | None = 1,
-        discipline: str = "fifo",
-        name: str = "server",
-        start: float = 0.0,
-        record_jobs: bool = True,
-        interval_retention: int | None = None,
+        self, capacity: int | None = 1, discipline: str = "fifo", name: str = "server"
     ) -> None:
-        # The reference implementation always records full per-job lists
-        # and never trims intervals, whatever the caller asked for.
-        super().__init__(capacity, discipline, name, start)
-        self._pending = []
+        super().__init__(capacity, discipline, name)
+        self._pending: list[Admission] = []
+        self._sequence = 0
 
     def admit(self, ready: float, priority: int = 0) -> Admission:
+        """Queue a job ready for service at ``ready``; its start resolves lazily."""
         admission = Admission(self, float(ready), priority, self._sequence)
         self._sequence += 1
         self._pending.append(admission)
         return admission
 
-    def acquire(self, ready: float, priority: int = 0) -> tuple[float, float]:
-        # Always the two-phase path: the inherited one-shot form would
-        # bypass this class's admit/_resolve, i.e. the reference algorithm.
-        admission = self.admit(ready, priority=priority)
+    def acquire(self, ready: float) -> tuple[float, float]:
+        admission = self.admit(ready)
         start = admission.start
         return start, start - admission.ready
 

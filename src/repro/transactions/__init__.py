@@ -48,7 +48,6 @@ from repro.transactions.policy import (
     BatchedTwoPhasePolicy,
     ImmediatePolicy,
     PolicyStats,
-    StagedPolicy,
     TransactionPolicy,
     make_policy,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "DistributedTwoStage2PL",
     "TransactionPolicy",
     "ImmediatePolicy",
-    "StagedPolicy",
     "BatchedTwoPhasePolicy",
     "AsyncTwoPhasePolicy",
     "PolicyStats",

@@ -1,13 +1,14 @@
 """The pluggable transaction-policy API.
 
-The consistency layer used to be four hard-wired code paths — the
-single-node MS-SR / MS-IA controllers, the staged controller, and the
-distributed 2PC controllers — each invoked ad hoc by whichever system
-needed it.  A :class:`TransactionPolicy` is the one seam over all of
-them: a ``stage``/``commit`` protocol whose hooks are driven
-by the discrete-event engine (every hook receives the engine's ``now``),
-with adapters wrapping the existing controllers so both deployments
-select a policy *by name* instead of branching on controller classes.
+The two-stage consistency layer used to be hard-wired code paths — the
+single-node MS-SR / MS-IA controllers and the distributed 2PC
+controllers — each invoked ad hoc by whichever system needed it.  A
+:class:`TransactionPolicy` is the one seam over them: the two section
+calls the frame body makes (``process_initial`` / ``process_final``)
+plus an end-of-run ``commit``, all driven by the discrete-event engine
+(every call receives the engine's ``now``), with adapters wrapping the
+existing controllers so both deployments select a policy *by name*
+instead of branching on controller classes.
 
 Three commit policies are registered (:data:`TXN_POLICIES`):
 
@@ -48,9 +49,8 @@ from typing import Any, Callable
 
 from repro.network.channel import Channel
 from repro.storage.partition import PartitionedStore
-from repro.transactions.model import MultiStageTransaction, SectionKind
+from repro.transactions.model import MultiStageTransaction
 from repro.transactions.ms_sr import ControllerStats
-from repro.transactions.staged import StagedTransaction
 
 #: The registered commit-policy names, selectable by ``ScenarioSpec``,
 #: the CLI's ``--txn-policy`` and both systems' configurations.
@@ -193,7 +193,7 @@ class PolicyStats:
 
 
 class TransactionPolicy:
-    """Base adapter: the stage/commit protocol over one controller.
+    """Base adapter: the section/commit calls over one controller.
 
     Subclasses override the ``_before_stage`` / ``_after_initial`` /
     ``_after_final`` hooks (all called with the engine's current time)
@@ -232,18 +232,6 @@ class TransactionPolicy:
             )
 
     # -- the protocol --------------------------------------------------------
-    def stage(
-        self,
-        transaction: MultiStageTransaction,
-        section: SectionKind,
-        labels: Any = None,
-        now: float = 0.0,
-    ) -> Any:
-        """Run one section of ``transaction`` at engine time ``now``."""
-        if section is SectionKind.INITIAL:
-            return self.process_initial(transaction, labels=labels, now=now)
-        return self.process_final(transaction, labels=labels, now=now)
-
     def commit(self, now: float = 0.0) -> int:
         """Flush any deferred coordinator work; returns commits flushed.
 
@@ -402,35 +390,6 @@ class ImmediatePolicy(TransactionPolicy):
     """
 
     name = "immediate-2pc"
-
-
-class StagedPolicy(TransactionPolicy):
-    """Adapter over the ``m``-stage :class:`~repro.transactions.staged.StagedController`.
-
-    Stages are addressed by index rather than by
-    :class:`~repro.transactions.model.SectionKind`; everything else —
-    stats, frame accounting, attribute passthrough — behaves like any
-    other policy, which is what lets the multi-tier cascade sit behind
-    the same seam as the two-stage systems.
-    """
-
-    name = "staged"
-
-    def stage(  # type: ignore[override]
-        self,
-        transaction: StagedTransaction,
-        section: int,
-        labels: Any = None,
-        now: float = 0.0,
-    ) -> Any:
-        self._before_stage(now)
-        return self._controller.process_stage(transaction, section, labels=labels, now=now)
-
-    def finish_remaining(
-        self, transaction: StagedTransaction, labels: Any = None, now: float = 0.0
-    ) -> list[Any]:
-        self._before_stage(now)
-        return self._controller.finish_remaining(transaction, labels=labels, now=now)
 
 
 class BatchedTwoPhasePolicy(TransactionPolicy):

@@ -84,30 +84,35 @@ class TestFrameScheduler:
 class TestEdgeServer:
     """The edge queueing model, now provided by the sim engine's Server."""
 
+    @staticmethod
+    def serve(server: Server, ready: float, service: float) -> tuple[float, float]:
+        start, wait = server.acquire(ready)
+        server.finish(start, service)
+        return start, wait
+
     def test_idle_edge_starts_immediately(self):
         server = Server(capacity=1)
-        admission = server.admit(1.0)
-        assert (admission.start, admission.wait) == (1.0, 0.0)
+        assert server.acquire(1.0) == (1.0, 0.0)
 
     def test_busy_edge_queues_the_job(self):
         server = Server(capacity=1)
-        server.reserve(0.0, 2.0)
-        start, wait = server.reserve(0.5, 1.0)
+        self.serve(server, 0.0, 2.0)
+        start, wait = self.serve(server, 0.5, 1.0)
         assert start == pytest.approx(2.0)
         assert wait == pytest.approx(1.5)
 
     def test_busy_time_accumulates(self):
         server = Server(capacity=1)
-        server.reserve(0.0, 1.0)
-        server.reserve(1.0, 0.5)
+        self.serve(server, 0.0, 1.0)
+        self.serve(server, 1.0, 0.5)
         assert server.busy_time == pytest.approx(1.5)
         assert server.utilization(3.0) == pytest.approx(0.5)
 
     def test_wait_statistics(self):
         server = Server(capacity=1)
-        server.reserve(0.0, 4.0)
-        server.reserve(1.0, 0.0)
-        server.reserve(3.0, 0.0)
+        self.serve(server, 0.0, 4.0)
+        self.serve(server, 1.0, 0.0)
+        self.serve(server, 3.0, 0.0)
         assert server.jobs == 3
         assert server.mean_wait == pytest.approx((0.0 + 3.0 + 1.0) / 3)
         assert server.max_wait == pytest.approx(3.0)
@@ -120,6 +125,6 @@ class TestEdgeServer:
 
     def test_negative_service_time_rejected(self):
         server = Server(capacity=1)
-        admission = server.admit(0.0)
+        start, _ = server.acquire(0.0)
         with pytest.raises(ValueError):
-            server.complete(admission, -1.0)
+            server.finish(start, -1.0)

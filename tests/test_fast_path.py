@@ -2,9 +2,10 @@
 
 Covers the PR's perf machinery from below and from above:
 
-* the heap-backed :class:`~repro.sim.engine.Server` must produce results
-  identical to the preserved O(n)-scan :class:`ReferenceServer` (the
-  speedup is allowed to change constants, never outcomes);
+* the one-path :class:`~repro.sim.engine.Server` must produce results
+  identical to the preserved two-phase, O(n)-scan
+  :class:`ReferenceServer` (the speedup is allowed to change constants,
+  never outcomes);
 * the streaming accumulators (:mod:`repro.analysis.streaming`) must match
   their exact list-based counterparts while exact, and stay within the
   promised error bound after spilling;
@@ -40,93 +41,35 @@ from repro.traffic.source import TrafficConfig, TrafficSource, percentile
 from repro.video.library import VIDEO_LIBRARY, make_video
 
 
-# -- heap-backed server vs the preserved reference implementation ------------
+# -- one-path server vs the preserved reference implementation --------------
+def _schedule(seed: int, jobs: int, rate: float, longest: float) -> list[tuple[float, float]]:
+    """``jobs`` Poisson arrivals as ``(ready, service)`` pairs."""
+    rng = random.Random(seed)
+    schedule = []
+    clock = 0.0
+    for _ in range(jobs):
+        clock += rng.expovariate(rate)
+        schedule.append((clock, rng.uniform(0.0, longest)))
+    return schedule
+
+
+def _drive(server, schedule):
+    """The frame pipeline's usage: ``acquire`` then ``finish``, per job;
+    returns every ``(start, wait, end)``."""
+    outcomes = []
+    for ready, service in schedule:
+        start, wait = server.acquire(ready)
+        outcomes.append((start, wait, server.finish(start, service)))
+    return outcomes
+
+
 class TestServerMatchesReference:
-    def _drive(self, server, schedule):
-        """Run one admission schedule; return every (start, wait, end).
-
-        Mirrors the system's usage: each admission's start is read (and
-        its service completed) before the next admit, so pending batches
-        never outrun the server's capacity slots.
-        """
-        outcomes = []
-        for ready, priority, service in schedule:
-            admission = server.admit(ready, priority=priority)
-            end = server.complete(admission, service)
-            outcomes.append((admission.start, admission.wait, end))
-        return outcomes
-
-    def _drive_batched(self, server, schedule, batch: int):
-        """Admit ``batch`` jobs at a time before resolving, to exercise
-        the pending-queue ordering (batch must not exceed capacity)."""
-        outcomes = []
-        for offset in range(0, len(schedule), batch):
-            admissions = [
-                (server.admit(ready, priority=priority), service)
-                for ready, priority, service in schedule[offset : offset + batch]
-            ]
-            for admission, service in admissions:
-                end = server.complete(admission, service)
-                outcomes.append((admission.start, admission.wait, end))
-        return outcomes
-
-    @pytest.mark.parametrize("discipline", ["fifo", "priority"])
-    def test_identical_outcomes_on_random_schedules(self, discipline):
-        rng = random.Random(7)
-        for trial in range(20):
-            schedule = []
-            clock = 0.0
-            for _ in range(50):
-                clock += rng.expovariate(10.0)
-                schedule.append((clock, rng.randrange(3), rng.uniform(0.0, 0.3)))
-            capacity = rng.choice([1, 2, None])
-            fast = Server(capacity=capacity, discipline=discipline)
-            reference = ReferenceServer(capacity=capacity, discipline=discipline)
-            assert self._drive(fast, schedule) == self._drive(reference, schedule), (
-                discipline,
-                trial,
-            )
-
-    @pytest.mark.parametrize("capacity,batch", [(2, 2), (None, 10)])
-    def test_identical_outcomes_on_batched_priority_admissions(self, capacity, batch):
-        """Deep pending batches hit the heap ordering itself: the pop
-        order of ``(-priority, sequence)`` must equal the reference
-        implementation's min() scan, job for job."""
-        rng = random.Random(13)
-        schedule = []
-        clock = 0.0
-        for _ in range(60):
-            clock += rng.expovariate(20.0)
-            schedule.append((clock, rng.randrange(3), rng.uniform(0.0, 0.1)))
-        fast = Server(capacity=capacity, discipline="priority")
-        reference = ReferenceServer(capacity=capacity, discipline="priority")
-        assert self._drive_batched(fast, schedule, batch) == self._drive_batched(
-            reference, schedule, batch
-        )
-
-    def _drive_one_shot(self, server, schedule):
-        """The cluster pipeline's usage: ``acquire`` then ``finish``."""
-        outcomes = []
-        for ready, priority, service in schedule:
-            start, wait = server.acquire(ready, priority)
-            outcomes.append((start, wait, server.finish(start, service)))
-        return outcomes
-
     @pytest.mark.parametrize("discipline", ["fifo", "priority"])
     @pytest.mark.parametrize("capacity", [1, 2, None])
-    def test_identical_outcomes_via_acquire_finish(self, discipline, capacity, monkeypatch):
-        """Every cluster admission goes through ``acquire``/``finish``;
-        the reference server must route them through its own
-        ``admit``/``_resolve`` (not inherit the one-shot shortcut) and
-        still agree with the heap server job for job."""
-        rng = random.Random(17)
-        schedule = []
-        clock = 0.0
-        for _ in range(80):
-            clock += rng.expovariate(10.0)
-            schedule.append((clock, rng.randrange(3), rng.uniform(0.0, 0.3)))
-        fast = Server(capacity=capacity, discipline=discipline)
-        reference = ReferenceServer(capacity=capacity, discipline=discipline)
+    def test_identical_outcomes_on_random_schedules(self, discipline, capacity, monkeypatch):
+        """The reference server routes every ``acquire`` through its own
+        ``admit`` / ``_resolve`` and must still agree with the one-path
+        server job for job, and on every statistic."""
         resolved = []
         original = ReferenceServer._resolve
 
@@ -135,85 +78,82 @@ class TestServerMatchesReference:
             original(server, admission)
 
         monkeypatch.setattr(ReferenceServer, "_resolve", counting_resolve)
-        assert self._drive_one_shot(fast, schedule) == self._drive_one_shot(reference, schedule)
-        assert len(resolved) == len(schedule)  # the reference algorithm really ran
-        assert fast.waits == reference.waits
-        assert fast.busy_time == reference.busy_time
-
-    def test_identical_wait_statistics(self):
-        schedule = [(0.0, 0, 1.0), (0.1, 0, 1.0), (0.2, 1, 1.0), (0.3, 0, 1.0)]
-        fast = Server(capacity=2, discipline="priority")
-        reference = ReferenceServer(capacity=2, discipline="priority")
-        self._drive_batched(fast, schedule, 2)
-        self._drive_batched(reference, schedule, 2)
-        assert fast.waits == reference.waits
-        assert fast.mean_wait == reference.mean_wait
-        assert fast.busy_time == reference.busy_time
+        for trial in range(10):
+            schedule = _schedule(7 + trial, 80, 10.0, 0.3)
+            fast = Server(capacity=capacity, discipline=discipline)
+            reference = ReferenceServer(capacity=capacity, discipline=discipline)
+            assert _drive(fast, schedule) == _drive(reference, schedule), trial
+            assert len(resolved) == (trial + 1) * len(schedule)  # the reference really ran
+            now = schedule[-1][0]
+            assert (fast.jobs, fast.mean_wait, fast.max_wait, fast.busy_time) == (
+                reference.jobs,
+                reference.mean_wait,
+                reference.max_wait,
+                reference.busy_time,
+            )
+            assert fast.load(now) == pytest.approx(reference.load(now))
+            assert fast.load(now, window=1.0) == pytest.approx(reference.load(now, window=1.0))
 
     def test_priority_admission_overtakes_queued_batch(self):
-        """A later high-priority admission starts before earlier ones.
-
-        The heap key ``(-priority, sequence)`` must reproduce the
-        reference scan's strict total order: the priority-1 job jumps the
-        two queued priority-0 jobs, which then run in request order.
-        """
-        for cls in (Server, ReferenceServer):
-            server = cls(capacity=1, discipline="priority")
-            a = server.admit(0.0, priority=0)
-            b = server.admit(0.0, priority=0)
-            c = server.admit(0.0, priority=1)
-            # Reading any start resolves the whole batch in queue order.
-            assert c.start == 0.0
-            server.complete(c, 1.0)
-            assert a.start == 1.0
-            server.complete(a, 1.0)
-            assert b.start == 2.0
-            server.complete(b, 1.0)
+        """The reference's own two-phase batch: a later high-priority
+        admission starts before earlier ones, which then run in request
+        order (the ``min()`` scan over ``(-priority, sequence)``)."""
+        server = ReferenceServer(capacity=1, discipline="priority")
+        a = server.admit(0.0, priority=0)
+        b = server.admit(0.0, priority=0)
+        c = server.admit(0.0, priority=1)
+        # Reading any start resolves the whole batch in queue order.
+        assert c.start == 0.0
+        server.finish(c.start, 1.0)
+        assert a.start == 1.0
+        server.finish(a.start, 1.0)
+        assert b.start == 2.0
+        server.finish(b.start, 1.0)
 
     def test_fifo_ignores_priority(self):
-        for cls in (Server, ReferenceServer):
-            server = cls(capacity=1, discipline="fifo")
-            a = server.admit(0.0, priority=0)
-            c = server.admit(0.0, priority=5)
-            assert a.start == 0.0
-            server.complete(a, 1.0)
-            assert c.start == 1.0
-            server.complete(c, 1.0)
+        server = ReferenceServer(capacity=1, discipline="fifo")
+        a = server.admit(0.0, priority=0)
+        c = server.admit(0.0, priority=5)
+        assert a.start == 0.0
+        server.finish(a.start, 1.0)
+        assert c.start == 1.0
+        server.finish(c.start, 1.0)
 
 
 class TestServerStreamingStats:
-    def _loaded(self, **kwargs) -> Server:
-        server = Server(capacity=1, **kwargs)
-        for index in range(1000):
-            server.reserve(index * 0.001, 0.01)
-        return server
+    #: Enough jobs that a ``record_jobs=False`` record is trimmed.
+    JOBS = 3 * Server.INTERVAL_RETENTION
 
-    def test_record_jobs_off_bounds_the_wait_list(self):
-        server = self._loaded(record_jobs=False)
-        assert len(server.waits) == Server.WAIT_TAIL
-        assert server.jobs == 1000
+    def _loaded(self, record_jobs: bool) -> Server:
+        server = Server(capacity=1, record_jobs=record_jobs)
+        for index in range(self.JOBS):
+            start, _ = server.acquire(index * 0.001)
+            server.finish(start, 0.01)
+        return server
 
     def test_streaming_wait_stats_match_full_recording(self):
         full = self._loaded(record_jobs=True)
         streaming = self._loaded(record_jobs=False)
+        assert streaming.jobs == full.jobs == self.JOBS
         assert streaming.mean_wait == pytest.approx(full.mean_wait)
         assert streaming.max_wait == full.max_wait
-        assert streaming.jobs == full.jobs
+        assert streaming.busy_time == full.busy_time
 
-    def test_interval_retention_caps_the_record(self):
+    def test_record_jobs_off_caps_the_interval_record(self):
         # Trimming happens in amortised blocks, so the live record sits
         # between the cap and twice the cap instead of exactly at it.
-        capped = self._loaded(interval_retention=64)
-        assert 64 <= len(capped._intervals) <= 128
-        uncapped = self._loaded()
-        assert len(uncapped._intervals) == 1000
+        capped = self._loaded(record_jobs=False)
+        assert Server.INTERVAL_RETENTION <= len(capped._intervals) <= 2 * Server.INTERVAL_RETENTION
+        uncapped = self._loaded(record_jobs=True)
+        assert len(uncapped._intervals) == self.JOBS
 
     def test_whole_run_load_exact_despite_trimming(self):
-        full = self._loaded()
-        capped = self._loaded(interval_retention=64)
-        now = 10.1
+        full = self._loaded(record_jobs=True)
+        capped = self._loaded(record_jobs=False)
+        now = self.JOBS * 0.01 + 0.1
         assert capped.load(now) == pytest.approx(full.load(now))
-        assert capped.busy_time == full.busy_time
+        # A window inside the retained tail sees exactly what the full record sees.
+        assert capped.load(now, window=5.0) == full.load(now, window=5.0)
 
 
 # -- streaming accumulators ---------------------------------------------------

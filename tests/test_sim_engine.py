@@ -118,6 +118,13 @@ class TestProcess:
             engine.run()
 
 
+def serve(server: Server, ready: float, service: float) -> tuple[float, float]:
+    """One job through ``acquire`` / ``finish``; returns ``(start, wait)``."""
+    start, wait = server.acquire(ready)
+    server.finish(start, service)
+    return start, wait
+
+
 class TestServer:
     def test_zero_capacity_is_rejected(self):
         with pytest.raises(ValueError):
@@ -132,92 +139,85 @@ class TestServer:
     def test_unbounded_server_never_queues(self):
         server = Server(capacity=None)
         for ready in (0.0, 0.1, 0.2):
-            start, wait = server.reserve(ready, 10.0)
+            start, wait = serve(server, ready, 10.0)
             assert start == ready
             assert wait == 0.0
 
     def test_saturated_server_queues_jobs(self):
         server = Server(capacity=1)
-        assert server.reserve(0.0, 10.0) == (0.0, 0.0)
-        start, wait = server.reserve(1.0, 2.0)
+        assert serve(server, 0.0, 10.0) == (0.0, 0.0)
+        start, wait = serve(server, 1.0, 2.0)
         assert (start, wait) == (10.0, 9.0)
-        start, wait = server.reserve(1.5, 1.0)
+        start, wait = serve(server, 1.5, 1.0)
         assert (start, wait) == (12.0, 10.5)
 
     def test_multiple_slots_serve_concurrently(self):
         server = Server(capacity=2)
-        assert server.reserve(0.0, 5.0) == (0.0, 0.0)
-        assert server.reserve(1.0, 5.0) == (1.0, 0.0)
+        assert serve(server, 0.0, 5.0) == (0.0, 0.0)
+        assert serve(server, 1.0, 5.0) == (1.0, 0.0)
         # both slots busy: third job waits for the earliest slot (t=5)
-        assert server.reserve(2.0, 1.0) == (5.0, 3.0)
+        assert serve(server, 2.0, 1.0) == (5.0, 3.0)
+
+    def test_request_order_not_ready_order(self):
+        """A job requested first keeps its place even if it is ready later."""
+        server = Server(capacity=1)
+        assert serve(server, 5.0, 2.0) == (5.0, 0.0)  # busy over [5, 7]
+        assert serve(server, 1.0, 1.0) == (7.0, 6.0)
+
+    def test_disciplines_share_one_admission_path(self):
+        """Priority serving changes only when the pipeline asks for a
+        slot (finals wait on ``next_free``), never what ``acquire`` gives."""
+        outcomes = []
+        for discipline in Server.DISCIPLINES:
+            server = Server(capacity=1, discipline=discipline)
+            assert server.priority_serving == (discipline == "priority")
+            outcomes.append([serve(server, ready, 1.0) for ready in (0.0, 0.5, 0.7, 4.0)])
+            assert server.next_free() == 5.0
+        assert outcomes[0] == outcomes[1]
 
     def test_saturated_by_open_admissions_raises(self):
         """Jobs holding every slot without a declared service time starve the queue."""
         server = Server(capacity=1)
-        held = server.admit(0.0)
-        assert held.start == 0.0
-        stuck = server.admit(1.0)
+        assert server.acquire(0.0) == (0.0, 0.0)
         with pytest.raises(SimulationError):
-            _ = stuck.start
+            server.acquire(1.0)
+        assert server.backlog(1.0) == float("inf")
 
-    def test_priority_discipline_overtakes_pending_jobs(self):
-        server = Server(capacity=1, discipline="priority")
-        server.reserve(0.0, 10.0)  # occupy the slot
-        low = server.admit(1.0, priority=0)
-        high = server.admit(2.0, priority=5)
-        # resolution happens lazily: the high-priority job gets the slot first
-        assert high.start == 10.0
-        server.complete(high, 10.0)
-        assert low.start == 20.0
-        server.complete(low, 1.0)
-
-    def test_fifo_discipline_keeps_request_order(self):
-        server = Server(capacity=1, discipline="fifo")
-        server.reserve(0.0, 10.0)
-        first = server.admit(1.0, priority=0)
-        second = server.admit(2.0, priority=5)
-        # priority is ignored: the earlier request starts first
-        assert first.start == 10.0
-        server.complete(first, 5.0)
-        assert second.start == 15.0
-        server.complete(second, 1.0)
-
-    def test_double_completion_is_rejected(self):
+    def test_negative_service_time_is_rejected(self):
         server = Server(capacity=1)
-        admission = server.admit(0.0)
-        server.complete(admission, 1.0)
-        with pytest.raises(SimulationError):
-            server.complete(admission, 1.0)
+        start, _ = server.acquire(0.0)
+        with pytest.raises(ValueError):
+            server.finish(start, -1.0)
 
     def test_windowed_load_observes_recent_busy_time(self):
         server = Server(capacity=1)
-        server.reserve(0.0, 1.0)  # busy over [0, 1]
+        serve(server, 0.0, 1.0)  # busy over [0, 1]
         assert server.load(2.0) == pytest.approx(0.5)  # whole history
         assert server.load(2.0, window=1.0) == pytest.approx(0.0)  # idle lately
-        server.reserve(2.0, 4.0)  # busy over [2, 6]
+        serve(server, 2.0, 4.0)  # busy over [2, 6]
         assert server.load(3.0, window=1.0) == pytest.approx(1.0)
         # future-scheduled service does not count before it happens
         assert server.load(2.0, window=1.0) == pytest.approx(0.0)
 
     def test_utilization_accounts_for_all_slots(self):
         server = Server(capacity=2)
-        server.reserve(0.0, 4.0)
+        serve(server, 0.0, 4.0)
         assert server.utilization(4.0) == pytest.approx(0.5)
 
     def test_backlog_measures_wait_for_next_free_slot(self):
         server = Server(capacity=1)
         assert server.backlog(0.0) == 0.0  # idle
-        server.reserve(0.0, 4.0)  # busy until t=4
+        serve(server, 0.0, 4.0)  # busy until t=4
         assert server.backlog(1.0) == pytest.approx(3.0)
         assert server.backlog(5.0) == 0.0  # already free
 
     def test_backlog_uses_earliest_slot(self):
         server = Server(capacity=2)
-        server.reserve(0.0, 4.0)
-        server.reserve(0.0, 2.0)
+        serve(server, 0.0, 4.0)
+        serve(server, 0.0, 2.0)
         assert server.backlog(1.0) == pytest.approx(1.0)
 
     def test_backlog_of_unbounded_server_is_zero(self):
         server = Server(capacity=None)
-        server.reserve(0.0, 100.0)
+        serve(server, 0.0, 100.0)
         assert server.backlog(1.0) == 0.0

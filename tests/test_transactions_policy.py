@@ -22,7 +22,7 @@ from repro.transactions.distributed import (
     DistributedTwoStage2PL,
 )
 from repro.transactions.exceptions import SectionOrderError, TransactionAborted
-from repro.transactions.model import MultiStageTransaction, SectionKind, SectionSpec
+from repro.transactions.model import MultiStageTransaction, SectionSpec
 from repro.transactions.ops import ReadWriteSet
 from repro.transactions.policy import (
     TXN_POLICIES,
@@ -91,7 +91,7 @@ class TestPolicyConformance:
         policy = build_policy(policy_name)
         txn = _write_transaction("t1", {"pkey-0"}, {"pkey-1"})
         with pytest.raises(SectionOrderError):
-            policy.stage(txn, SectionKind.FINAL, now=0.0)
+            policy.process_final(txn, now=0.0)
 
     def test_committed_writes_land_in_the_store(self, policy_name):
         policy = build_policy(policy_name)
@@ -396,15 +396,11 @@ class TestPolicyApi:
         store = PartitionedStore(4)
         policy = Counting(DistributedMSIAController(store), frozenset({0}))
         keys = set(_spanning_keys(store, 2))
-        facade = _write_transaction("t1", keys, keys)
-        policy.process_initial(facade, now=0.0)
-        policy.process_final(facade, now=1.0)
+        txn = _write_transaction("t1", keys, keys)
+        policy.process_initial(txn, now=0.0)
+        policy.process_final(txn, now=1.0)
         assert policy.before_stage_calls == 2
-        staged = _write_transaction("t2", keys, keys)
-        policy.stage(staged, SectionKind.INITIAL, now=2.0)
-        policy.stage(staged, SectionKind.FINAL, now=3.0)
-        assert policy.before_stage_calls == 4
-        assert staged.is_committed
+        assert txn.is_committed
 
     #: ``(flushed at end, commit_batches, cross_partition_commits,
     #: coordinator_round_trips, coordinator_time_s, frame charges billed,
