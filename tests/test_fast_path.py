@@ -66,7 +66,7 @@ def _drive(server, schedule):
 class TestServerMatchesReference:
     @pytest.mark.parametrize("discipline", ["fifo", "priority"])
     @pytest.mark.parametrize("capacity", [1, 2, None])
-    def test_identical_outcomes_on_random_schedules(self, discipline, capacity, monkeypatch):
+    def test_identical_outcomes_via_acquire_finish(self, discipline, capacity, monkeypatch):
         """The reference server routes every ``acquire`` through its own
         ``admit`` / ``_resolve`` and must still agree with the one-path
         server job for job, and on every statistic."""
@@ -93,6 +93,40 @@ class TestServerMatchesReference:
             )
             assert fast.load(now) == pytest.approx(reference.load(now))
             assert fast.load(now, window=1.0) == pytest.approx(reference.load(now, window=1.0))
+
+    @pytest.mark.parametrize("discipline", ["fifo", "priority"])
+    def test_identical_outcomes_on_random_schedules(self, discipline):
+        """The reference's two-phase ``admit`` with a random priority per
+        job, each start read (and its job finished) before the next
+        admit — the order the frame body always used — agrees with the
+        one-path server: with nothing else pending, a priority has
+        nothing to overtake, which is why ``acquire`` takes none."""
+        rng = random.Random(7)
+        for trial in range(20):
+            schedule = _schedule(100 + trial, 50, 10.0, 0.3)
+            capacity = rng.choice([1, 2, None])
+            fast = Server(capacity=capacity, discipline=discipline)
+            reference = ReferenceServer(capacity=capacity, discipline=discipline)
+            two_phase = []
+            for ready, service in schedule:
+                admission = reference.admit(ready, priority=rng.randrange(3))
+                start = admission.start
+                two_phase.append((start, start - admission.ready, reference.finish(start, service)))
+            assert _drive(fast, schedule) == two_phase, (discipline, trial)
+
+    def test_identical_wait_statistics(self):
+        """Two slots, four unit jobs: the first two start on arrival,
+        the next two wait for the slots freed at 1.0 and 1.1."""
+        schedule = [(0.0, 1.0), (0.1, 1.0), (0.2, 1.0), (0.3, 1.0)]
+        fast = Server(capacity=2, discipline="priority")
+        reference = ReferenceServer(capacity=2, discipline="priority")
+        outcomes = _drive(fast, schedule)
+        assert outcomes == _drive(reference, schedule)
+        assert [start for start, _, _ in outcomes] == pytest.approx([0.0, 0.1, 1.0, 1.1])
+        assert fast.jobs == reference.jobs == 4
+        assert fast.mean_wait == reference.mean_wait == pytest.approx(0.4)
+        assert fast.max_wait == reference.max_wait == pytest.approx(0.8)
+        assert fast.busy_time == reference.busy_time == 4.0
 
     def test_priority_admission_overtakes_queued_batch(self):
         """The reference's own two-phase batch: a later high-priority
@@ -139,7 +173,15 @@ class TestServerStreamingStats:
         assert streaming.max_wait == full.max_wait
         assert streaming.busy_time == full.busy_time
 
-    def test_record_jobs_off_caps_the_interval_record(self):
+    def test_record_jobs_off_bounds_the_wait_list(self):
+        """A non-recording server keeps no per-job wait at all, only its
+        count / sum / max; a recording one keeps one wait per job."""
+        streaming = self._loaded(record_jobs=False)
+        assert streaming._waits is None
+        assert streaming.jobs == self.JOBS
+        assert len(self._loaded(record_jobs=True)._waits) == self.JOBS
+
+    def test_interval_retention_caps_the_record(self):
         # Trimming happens in amortised blocks, so the live record sits
         # between the cap and twice the cap instead of exactly at it.
         capped = self._loaded(record_jobs=False)

@@ -158,6 +158,30 @@ class TestServer:
         # both slots busy: third job waits for the earliest slot (t=5)
         assert serve(server, 2.0, 1.0) == (5.0, 3.0)
 
+    def test_priority_discipline_overtakes_pending_jobs(self):
+        """Under priority serving a final stage does not reserve ahead:
+        it sleeps until :meth:`Server.next_free` and contends again, so
+        an initial stage requested meanwhile takes the slot first."""
+        server = Server(capacity=1, discipline="priority")
+        assert server.priority_serving
+        serve(server, 0.0, 10.0)  # occupy the slot over [0, 10]
+        low_ready = 1.0
+        assert server.next_free() == 10.0  # the final defers to t=10
+        high_start, _ = server.acquire(2.0)  # an initial arrives and reserves
+        assert high_start == 10.0
+        server.finish(high_start, 10.0)
+        assert server.next_free() == 20.0  # the final wakes at 10, defers again
+        assert server.acquire(low_ready) == (20.0, 19.0)
+
+    def test_fifo_discipline_keeps_request_order(self):
+        """Under FIFO a final stage reserves as soon as it is ready, so
+        the earlier request starts first."""
+        server = Server(capacity=1, discipline="fifo")
+        assert not server.priority_serving
+        serve(server, 0.0, 10.0)
+        assert serve(server, 1.0, 5.0) == (10.0, 9.0)
+        assert serve(server, 2.0, 1.0) == (15.0, 13.0)
+
     def test_request_order_not_ready_order(self):
         """A job requested first keeps its place even if it is ready later."""
         server = Server(capacity=1)
