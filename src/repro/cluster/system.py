@@ -1100,7 +1100,7 @@ class ClusterSystem:
         )
         bank = TransactionBank()
         bank.register(
-            f"e{edge_id}-detection", ANY_LABEL, frame_factory=workload.build_transactions
+            f"e{edge_id}-detection", ANY_LABEL, frame_factory=workload.draft_transactions
         )
         return bank
 
@@ -1145,7 +1145,7 @@ def hotspot_bank_factory(
         bank.register(
             f"e{edge_id}-hotspot",
             ANY_LABEL,
-            frame_factory=lambda detections, ids: workload.build_transactions(len(ids)),
+            frame_factory=lambda detections, ids: workload.draft_transactions(len(detections)),
         )
         return bank
 

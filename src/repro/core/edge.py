@@ -39,24 +39,35 @@ from repro.video.frames import Frame
 
 @dataclass(slots=True)
 class TriggeredTransaction:
-    """A transaction the TPC started for a frame, with its trigger."""
+    """A transaction the TPC initial-committed for a frame, with its trigger
+    (``aborted`` is set when a failure aborts it before its final section)."""
 
     transaction: MultiStageTransaction
     trigger_detection: Detection | None
-    initial_result: Any = None
     aborted: bool = False
 
 
 @dataclass(slots=True)
 class InitialStageOutcome:
-    """What the edge produced for one frame before any cloud involvement."""
+    """What the edge produced for one frame before any cloud involvement.
+
+    ``triggered`` holds the transactions whose initial section committed;
+    ``denied`` counts the frame's other attempts (a denied admission, or
+    an abort before the initial commit), which left no object behind.
+    """
 
     frame_id: int
     raw_labels: LabelSet
     labels: LabelSet  # after the low-confidence filter
     detection_latency: float
     triggered: list[TriggeredTransaction] = field(default_factory=list)
+    denied: int = 0
     txn_latency: float = 0.0
+
+    @property
+    def attempts(self) -> int:
+        """Transactions the frame triggered: committed entries plus denials."""
+        return len(self.triggered) + self.denied
 
     @property
     def committed(self) -> list[TriggeredTransaction]:
@@ -74,10 +85,17 @@ class FinalStageOutcome:
     apologies: tuple[str, ...] = ()
     corrections: int = 0
     new_transactions: int = 0
+    #: Missed-label attempts that did not initial-commit (as ``InitialStageOutcome.denied``).
+    denied: int = 0
 
 
 class EdgeNode:
-    """The edge node: ``Me``, the data store and the TPC."""
+    """The edge node: ``Me``, the data store and the TPC.
+
+    Both stages admit the bank's drafts through the policy; an attempt
+    whose admission is denied is counted in the stage outcome's
+    ``denied`` and still charged its processing cost in the initial stage.
+    """
 
     def __init__(
         self,
@@ -166,19 +184,20 @@ class EdgeNode:
             detection_latency=detection_latency,
         )
 
-        triggered_pairs = self._bank.transactions_for(
+        drafts = self._bank.transactions_for(
             filtered.detections, auxiliary_input=frame.auxiliary_input
         )
-        for transaction, detection in triggered_pairs:
-            entry = TriggeredTransaction(transaction=transaction, trigger_detection=detection)
+        admit = self.policy.admit
+        for draft, detection in drafts:
             try:
-                entry.initial_result = self.policy.process_initial(
-                    transaction, labels=detection, now=now
-                )
+                transaction = admit(draft, detection, now)
             except TransactionAborted:
-                entry.aborted = True
-            outcome.triggered.append(entry)
-            outcome.txn_latency += self._transaction_cost(transaction)
+                transaction = None
+            if transaction is None:
+                outcome.denied += 1
+            else:
+                outcome.triggered.append(TriggeredTransaction(transaction, detection))
+            outcome.txn_latency += self._transaction_cost(draft)
         return outcome
 
     # -- final stage -------------------------------------------------------
@@ -227,17 +246,21 @@ class EdgeNode:
 
         # Cloud labels no edge label claimed: they should have triggered
         # transactions but their labels were missing from Le.
-        missed_pairs = self._bank.transactions_for(
-            overlaps.unmatched_cloud(), auxiliary_input=False
-        )
-        for transaction, detection in missed_pairs:
+        missed = self._bank.transactions_for(overlaps.unmatched_cloud(), auxiliary_input=False)
+        for draft, detection in missed:
             try:
-                self.policy.process_initial(transaction, labels=detection, now=now)
+                transaction = self.policy.admit(draft, labels=detection, now=now)
+            except TransactionAborted:
+                transaction = None
+            if transaction is None:
+                outcome.denied += 1
+                continue
+            try:
                 self.policy.process_final(transaction, labels=detection, now=now)
-                outcome.new_transactions += 1
-                outcome.txn_latency += self._transaction_cost(transaction)
             except TransactionAborted:
                 continue
+            outcome.new_transactions += 1
+            outcome.txn_latency += self._transaction_cost(draft)
         return outcome
 
     def _finalize(
@@ -254,7 +277,7 @@ class EdgeNode:
         outcome.apologies = outcome.apologies + entry.transaction.apologies
         outcome.txn_latency += self._transaction_cost(entry.transaction)
 
-    def _transaction_cost(self, transaction: MultiStageTransaction) -> float:
-        """Simulated processing cost of one section batch of operations."""
-        operations = transaction.combined_rwset().key_count
-        return max(operations, 1) * self._machine.txn_overhead
+    def _transaction_cost(self, draft: Any) -> float:
+        """Simulated processing cost of one section batch of operations
+        (a draft or a built transaction: the keys both sections declare)."""
+        return max(draft.key_count, 1) * self._machine.txn_overhead

@@ -165,7 +165,7 @@ class StatsSink(_FrameSink):
             accuracy,
             sent_to_cloud,
             bytes_sent,
-            len(initial.triggered),
+            initial.attempts,
             final.corrections,
             len(final.apologies),
         )
@@ -239,7 +239,7 @@ class TraceSink(_FrameSink):
             ClientResponse(
                 frame_id,
                 "initial",
-                [entry.initial_result for entry in initial.committed],
+                [entry.transaction.initial_result for entry in initial.committed],
                 timestamp=initial_done,
             )
         )
@@ -254,7 +254,7 @@ class TraceSink(_FrameSink):
             sent_to_cloud,
             LatencyBreakdown(*latency),
             accuracy,
-            transactions_triggered=len(initial.triggered),
+            transactions_triggered=initial.attempts,
             corrections=final.corrections,
             apologies=len(final.apologies),
             frame_bytes_sent=bytes_sent,

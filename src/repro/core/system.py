@@ -88,7 +88,7 @@ class CroesusSystem:
                 operations_per_transaction=config.operations_per_transaction,
             )
             bank = TransactionBank()
-            bank.register("detection", ANY_LABEL, frame_factory=workload.build_transactions)
+            bank.register("detection", ANY_LABEL, frame_factory=workload.draft_transactions)
         self.bank = bank
 
         consistency = "ms-sr" if config.consistency is ConsistencyLevel.MS_SR else "ms-ia"

@@ -322,12 +322,36 @@ class SectionRoutes(dict):
     ``split`` / ``merge`` / ``transfer_partition`` / promotion re-home
     slots between a transaction's sections, so a plan must never be kept
     on a transaction, controller or store.
+
+    Built with a ``holder`` and its lock ``requests``, the plan is filled
+    by taking those locks, all or nothing (a distributed section's lock
+    pass).  ``granted`` is False when one was held elsewhere or its
+    partition is unavailable (a failure abort on the store); what was
+    granted is given back with no tenure recorded, since no body ran.
     """
 
-    __slots__ = ("_store",)
+    __slots__ = ("_store", "granted")
 
-    def __init__(self, store: PartitionedStore) -> None:
+    def __init__(
+        self,
+        store: PartitionedStore,
+        holder: str | None = None,
+        requests: Iterable[tuple[str, LockMode]] = (),
+        now: float = 0.0,
+    ) -> None:
         self._store = store
+        self.granted = True
+        for key, mode in requests:
+            partition = self[key]
+            if partition.available and partition.locks.try_acquire(holder, key, mode, now):
+                continue
+            del self[key]
+            for granted_key, owner in self.items():
+                owner.locks.release(holder, granted_key, now, record=False)
+            if not partition.available:
+                store.record_failure_abort()
+            self.granted = False
+            return
 
     def __missing__(self, key: str) -> Partition:
         store = self._store

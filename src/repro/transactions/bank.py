@@ -8,12 +8,17 @@ that fired it (the workload generators draw a frame's keys in one call
 that way); an application that thinks one detection at a time registers a
 per-detection ``factory`` and ``register`` wraps it into the per-frame
 form, so :meth:`TransactionBank.transactions_for` has one path.
+
+A factory returns drafts (:class:`~repro.transactions.model.TransactionDraft`,
+or a built transaction, its own draft).  Its ids are formatted only when
+read: the hotspot workload names its own and reads just ``len()``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.detection.labels import Detection
 from repro.transactions.model import MultiStageTransaction
@@ -24,10 +29,31 @@ from repro.transactions.model import MultiStageTransaction
 TransactionFactory = Callable[[Detection | None, str], MultiStageTransaction]
 
 #: The per-frame form: the detections that fired the rule on one frame and
-#: as many fresh ids in; one transaction per detection, in order, out.
-FrameFactory = Callable[
-    [Sequence[Detection | None], Sequence[str]], Sequence[MultiStageTransaction]
-]
+#: as many fresh ids in; one draft per detection, in order, out.
+FrameFactory = Callable[[Sequence[Detection | None], Sequence[str]], Sequence[Any]]
+
+
+class _TransactionIds(Sequence):
+    """A rule's fresh ids for one frame, ``<prefix><n>`` for ``n`` in
+    ``numbers``, each formatted when it is read (``len()`` formats none)."""
+
+    __slots__ = ("_prefix", "_numbers")
+
+    def __init__(self, prefix: str, numbers: range) -> None:
+        self._prefix = prefix
+        self._numbers = numbers
+
+    def __len__(self) -> int:
+        return len(self._numbers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [f"{self._prefix}{number}" for number in self._numbers[index]]
+        return f"{self._prefix}{self._numbers[index]}"
+
+    def __iter__(self) -> Iterator[str]:
+        prefix = self._prefix
+        return (f"{prefix}{number}" for number in self._numbers)
 
 #: Pass as ``label_class`` to make a rule fire for *every* detected label,
 #: whatever its class (used by the default YCSB workload bank).
@@ -116,31 +142,28 @@ class TransactionBank:
     def rules(self) -> tuple[TriggerRule, ...]:
         return tuple(self._rules)
 
-    def next_transaction_id(self, prefix: str = "t") -> str:
-        """Allocate a fresh transaction id."""
-        self._next_id += 1
-        return f"{prefix}{self._next_id}"
-
     def transactions_for(
         self,
         detections: Iterable[Detection],
         auxiliary_input: bool = False,
-    ) -> list[tuple[MultiStageTransaction, Detection | None]]:
-        """Build the transactions triggered by a frame's detections.
+    ) -> list[tuple[Any, Detection | None]]:
+        """Draft the transactions triggered by a frame's detections.
 
         Each rule's factory is called at most once, with all the
-        detections that fired it.  Returns ``(transaction,
-        triggering_detection)`` pairs; a pure auxiliary-input rule fires
-        at most once per frame with ``triggering_detection=None``.
+        detections that fired it and as many fresh ids (``<rule>-<n>``,
+        ``n`` counting every id the bank has handed out).  Returns
+        ``(draft, triggering_detection)`` pairs; a pure auxiliary-input
+        rule fires at most once per frame with ``triggering_detection=None``.
         """
-        triggered: list[tuple[MultiStageTransaction, Detection | None]] = []
+        triggered: list[tuple[Any, Detection | None]] = []
         if not self._rules:
             return triggered
         detections = list(detections)
         for rule in self._rules:
             fired = rule.fired_by(detections, auxiliary_input)
             if fired:
-                prefix = f"{rule.name}-"
-                ids = [self.next_transaction_id(prefix) for _ in fired]
+                first = self._next_id + 1
+                self._next_id += len(fired)
+                ids = _TransactionIds(f"{rule.name}-", range(first, self._next_id + 1))
                 triggered.extend(zip(rule.factory(fired, ids), fired))
         return triggered

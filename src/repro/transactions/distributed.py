@@ -15,17 +15,24 @@ The controllers below implement that extension on top of the
 single-partition controllers' semantics, buffering each section's writes
 and applying them through the :class:`TwoPhaseCommitCoordinator`.
 
-A lock lives through one lifecycle, the same on both controllers:
-**acquire** (all-or-nothing, routed to the owning partitions) → the
-section **body** → **prepare** on the locks still held (a declared write
-is already X, so only an undeclared write or an S→X upgrade is a new
-request, and can vote NO) → **commit** or abort → **one release** per
-partition the section's plan routed.  MS-IA runs that cycle once per
-section; MS-SR acquires both sections' locks before the initial body and
-runs prepare, commit and release once, after the final body.  A key a
-section locks therefore leaves one hold record.
+A lock lives through one lifecycle, the same on both controllers.  It
+starts with the **admission**, a transaction's first lock pass:
+all-or-nothing, routed to the owning partitions while the section's
+:class:`SectionRoutes` plan is filled — the initial section's locks under
+MS-IA, both sections' under MS-SR.  A denied admission counts its abort
+(and a failure abort when a partition was unavailable) and gives back what
+it was granted without a hold record; ``admit`` then returns ``None``
+before the transaction is even built (the frame body hands over drafts),
+while ``process_initial`` raises, on top of the same pass.  A granted
+admission goes on: the section **body** → **prepare** on the locks still
+held (a declared write is already X, so only an undeclared write or an
+S→X upgrade is a new request, and can vote NO) → **commit** or abort →
+**one release** per partition the section's plan routed.  MS-IA runs that
+cycle again for the final section (a denied final lock pass raises);
+MS-SR runs prepare, commit and release once, after the final body.  A key
+a section locks therefore leaves one hold record.
 
-Each ``process_initial`` / ``process_final`` call routes its keys through
+Each ``admit`` / ``process_final`` call routes its keys through
 one :class:`~repro.storage.partition.SectionRoutes` plan — filled while
 the section's locks are taken, then shared by the body's reads, the 2PC
 grouping and the release — so a key is hashed once per section.  The
@@ -49,14 +56,9 @@ from repro.storage.partition import (
 )
 from repro.transactions.exceptions import SectionOrderError, TransactionAborted
 from repro.transactions.history import History
-from repro.transactions.model import (
-    MultiStageTransaction,
-    SectionContext,
-    SectionKind,
-    TransactionStatus,
-)
-from repro.transactions.ms_sr import ControllerStats
-from repro.transactions.ops import OperationKind, ReadWriteSet
+from repro.transactions.model import MultiStageTransaction, SectionContext, SectionKind
+from repro.transactions.ms_sr import AdmittingController, ControllerStats
+from repro.transactions.ops import OperationKind
 
 
 class _BufferedSectionContext(SectionContext):
@@ -111,10 +113,11 @@ class DistributedCommitRecord:
         return frozenset(touched)
 
 
-class DistributedMSIAController:
+class DistributedMSIAController(AdmittingController):
     """MS-IA over a partitioned store: 2PC at the end of each section."""
 
     name = "distributed-MS-IA"
+    denial = "remote lock denied or partition unavailable (edge failed)"
 
     def __init__(self, store: PartitionedStore, history: History | None = None) -> None:
         self._store = store
@@ -138,19 +141,18 @@ class DistributedMSIAController:
     def history(self) -> History | None:
         return self._history
 
-    def process_initial(
-        self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
-    ) -> Any:
-        if transaction.status is not TransactionStatus.PENDING:
-            raise SectionOrderError(f"transaction {transaction.transaction_id} already processed")
-        holder = transaction.transaction_id
-
-        try:
-            routes = self._acquire_section_locks(holder, transaction.initial.rwset, now)
-        except TransactionAborted:
-            transaction.mark_aborted()
+    def admit(
+        self, draft: Any, labels: Any = None, now: float = 0.0
+    ) -> MultiStageTransaction | None:
+        """Admission takes the initial section's locks; the section then
+        commits through 2PC and releases them."""
+        holder = draft.transaction_id
+        routes = SectionRoutes(self._store, holder, draft.initial_lock_requests(), now)
+        if not routes.granted:
             self.stats.aborts += 1
-            raise
+            return None
+
+        transaction = draft.materialise()
         context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels=labels)
         result = transaction.initial.body(context)
 
@@ -165,7 +167,7 @@ class DistributedMSIAController:
         if self._history is not None:
             self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
         self._pending[holder] = (transaction, labels)
-        return result
+        return transaction
 
     def process_final(
         self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
@@ -175,7 +177,9 @@ class DistributedMSIAController:
             raise SectionOrderError(f"transaction {holder} has no pending final section")
         _, initial_labels = self._pending.pop(holder)
 
-        routes = self._acquire_section_locks(holder, transaction.final.rwset, now)
+        routes = SectionRoutes(self._store, holder, transaction.final.rwset.lock_requests(), now)
+        if not routes.granted:
+            raise TransactionAborted(holder, "final-section " + self.denial)
         context = _BufferedSectionContext(
             holder, SectionKind.FINAL, routes, labels, initial_labels, transaction.handoff
         )
@@ -223,34 +227,6 @@ class DistributedMSIAController:
         locks were released when the initial section committed)."""
 
     # -- internals ---------------------------------------------------------
-    def _acquire_section_locks(
-        self, holder: str, rwset: ReadWriteSet, now: float
-    ) -> SectionRoutes:
-        """Route lock requests to the owning partitions (all-or-nothing).
-
-        A partition whose hosting replica is failed denies every request:
-        the transaction aborts and is counted against the failure.
-        Returns the section's routing plan, covering every locked key.
-        """
-        routes = SectionRoutes(self._store)
-        for key, mode in rwset.lock_requests():
-            partition = routes[key]
-            if partition.available and partition.locks.try_acquire(holder, key, mode, now):
-                continue
-            # All-or-nothing: give back what this call was granted so far.
-            # No body ran under them, so no tenure is recorded (as in
-            # ``LockManager.acquire_all``'s own rollback).
-            del routes[key]
-            for granted_key, owner in routes.items():
-                owner.locks.release(holder, granted_key, now, record=False)
-            if partition.available:
-                raise TransactionAborted(holder, f"remote lock denied on {key!r}")
-            self._store.record_failure_abort()
-            raise TransactionAborted(
-                holder, f"partition {partition.partition_id} unavailable (edge failed)"
-            )
-        return routes
-
     def _atomic_commit(
         self, holder: str, writes: dict[str, Any], routes: SectionRoutes, now: float
     ) -> bool:
@@ -301,20 +277,19 @@ class DistributedTwoStage2PL(DistributedMSIAController):
             routes[key]
         return routes
 
-    def process_initial(
-        self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
-    ) -> Any:
-        if transaction.status is not TransactionStatus.PENDING:
-            raise SectionOrderError(f"transaction {transaction.transaction_id} already processed")
-        holder = transaction.transaction_id
-
-        try:
-            routes = self._acquire_section_locks(holder, transaction.combined_rwset(), now)
-        except TransactionAborted:
-            transaction.mark_aborted()
+    def admit(
+        self, draft: Any, labels: Any = None, now: float = 0.0
+    ) -> MultiStageTransaction | None:
+        """Admission takes both sections' locks (Algorithm 1 before the
+        initial commit); the initial section's writes stay buffered until
+        the final section's single 2PC round."""
+        holder = draft.transaction_id
+        routes = SectionRoutes(self._store, holder, draft.lock_requests(), now)
+        if not routes.granted:
             self.stats.aborts += 1
-            raise
+            return None
 
+        transaction = draft.materialise()
         context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels=labels)
         result = transaction.initial.body(context)
 
@@ -324,7 +299,7 @@ class DistributedTwoStage2PL(DistributedMSIAController):
             self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
         self._pending[holder] = (transaction, labels)
         self._buffered_writes[holder] = context.pending_writes
-        return result
+        return transaction
 
     def process_final(
         self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0

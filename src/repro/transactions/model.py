@@ -294,6 +294,24 @@ class MultiStageTransaction:
             )
         self.status = TransactionStatus.ABORTED
 
+    # -- as its own draft ---------------------------------------------------
+    def initial_lock_requests(self) -> tuple:
+        """The initial section's lock requests (what most admissions take)."""
+        return self.initial.rwset.lock_requests()
+
+    def lock_requests(self) -> tuple:
+        """Both sections' lock requests (what an MS-SR admission takes)."""
+        return self.combined_rwset().lock_requests()
+
+    @property
+    def key_count(self) -> int:
+        """Distinct keys both sections declare (what an attempt is charged for)."""
+        return self.combined_rwset().key_count
+
+    def materialise(self) -> "MultiStageTransaction":
+        """A built transaction is its own draft: admitting it builds nothing."""
+        return self
+
     # -- convenience -------------------------------------------------------
     @property
     def is_committed(self) -> bool:
@@ -317,3 +335,42 @@ class MultiStageTransaction:
         """Paper §4.1: two transactions conflict when at least one
         conflicting operation exists in either of their sections."""
         return self.combined_rwset().conflicts_with(other.combined_rwset())
+
+
+class TransactionDraft(ReadWriteSet):
+    """A workload transaction before admission: its id, its key row and
+    the workload that builds it; the draft *is* both sections' union
+    declaration over ``row``.
+
+    An admission reads ``transaction_id``, :meth:`lock_requests` /
+    :meth:`initial_lock_requests` and ``key_count``, as it does on a built
+    :class:`MultiStageTransaction` (its own draft).  Only a granted draft is
+    :meth:`materialise`-d into its two :class:`RowSection` objects, keeping
+    the draft as ``combined``.  ``key_count`` is a slot, not the base's lazy
+    property: the edge charges every attempt by it, granted or denied.
+    """
+
+    __slots__ = ("transaction_id", "builder", "key_count")
+
+    def __init__(
+        self, transaction_id: str, row: tuple, reads: slice, writes: slice, builder: Any
+    ) -> None:
+        # ReadWriteSet.__init__'s slots, set here: one call per draft.
+        self.row = row
+        self._read_keys = reads
+        self._write_keys = writes
+        self._reads = self._writes = self._keys = self._key_count = self._requests = None
+        self.transaction_id = transaction_id
+        self.builder = builder
+        keys = set(row[writes])
+        if reads is not writes:
+            keys.update(row[reads])
+        self.key_count = len(keys)
+
+    def initial_lock_requests(self) -> tuple:
+        """The initial section's lock requests, over ``builder.initial_spans``."""
+        return self.lock_requests(self.builder.initial_spans)
+
+    def materialise(self) -> MultiStageTransaction:
+        """The transaction this draft describes, built by its workload."""
+        return self.builder.materialise(self)

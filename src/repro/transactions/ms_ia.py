@@ -30,20 +30,15 @@ from repro.transactions.exceptions import (
     TransactionAborted,
 )
 from repro.transactions.history import History
-from repro.transactions.model import (
-    MultiStageTransaction,
-    SectionContext,
-    SectionKind,
-    TransactionStatus,
-)
-from repro.transactions.ms_sr import ControllerStats, _PendingFinal
+from repro.transactions.model import MultiStageTransaction, SectionContext, SectionKind
+from repro.transactions.ms_sr import AdmittingController, ControllerStats, _PendingFinal
 
 
 #: An invariant is a named predicate over the store's current snapshot.
 Invariant = Callable[[KeyValueStore], bool]
 
 
-class MSIAController:
+class MSIAController(AdmittingController):
     """MS-IA controller: short lock tenures, apologies in the final section.
 
     Parameters
@@ -100,30 +95,21 @@ class MSIAController:
         self._invariants[name] = predicate
 
     # -- initial section ---------------------------------------------------
-    def process_initial(
-        self,
-        transaction: MultiStageTransaction,
-        labels: Any = None,
-        now: float = 0.0,
-    ) -> Any:
+    def admit(
+        self, draft: Any, labels: Any = None, now: float = 0.0
+    ) -> MultiStageTransaction | None:
         """Run the initial section and commit it immediately.
 
-        Raises :class:`TransactionAborted` only when the initial locks
-        cannot be acquired (which the sequencer prevents by never running
-        conflicting transactions concurrently).
+        The admission takes the initial section's locks; it is denied only
+        under contention, which the sequencer prevents by never running
+        conflicting transactions concurrently.
         """
-        if transaction.status is not TransactionStatus.PENDING:
-            raise SectionOrderError(
-                f"transaction {transaction.transaction_id} already processed"
-            )
-        holder = transaction.transaction_id
-
-        requests = transaction.initial.rwset.lock_requests()
-        if not self._locks.acquire_all(holder, requests, now=now):
-            transaction.mark_aborted()
+        holder = draft.transaction_id
+        if not self._locks.acquire_all(holder, draft.initial_lock_requests(), now=now):
             self.stats.aborts += 1
-            raise TransactionAborted(holder, "initial-section lock denied")
+            return None
 
+        transaction = draft.materialise()
         context = SectionContext(
             transaction_id=holder,
             section=SectionKind.INITIAL,
@@ -140,7 +126,7 @@ class MSIAController:
         # Unlike MS-SR, the locks are released right after the initial commit.
         self._locks.release_all(holder, now=now)
         self._pending[holder] = _PendingFinal(transaction=transaction, initial_labels=labels)
-        return result
+        return transaction
 
     # -- final section -----------------------------------------------------
     def process_final(

@@ -15,12 +15,14 @@ the final commit:
 
 The long lock tenure (the locks ride out the cloud round-trip) is exactly
 what Figure 6a measures, and the abort-on-denial behaviour under hotspot
-contention is what Figure 6b measures.
+contention is what Figure 6b measures.  Step 1 is the *admission*
+(:meth:`AdmittingController.admit`): under that contention most attempts
+end there, so a denied one is counted and dropped before anything is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.storage.kvstore import KeyValueStore
@@ -62,7 +64,45 @@ class _PendingFinal:
     initial_labels: Any
 
 
-class TwoStage2PL:
+class AdmittingController:
+    """The initial-section entry points every controller shares: a
+    subclass implements :meth:`admit`, and :meth:`process_initial` raises
+    on top of it, so each controller has one first lock pass."""
+
+    #: What a raising :meth:`process_initial` says about a denied admission.
+    denial = "initial-section lock denied"
+
+    def admit(
+        self, draft: Any, labels: Any = None, now: float = 0.0
+    ) -> MultiStageTransaction | None:
+        """Take the draft's first locks (the *admission*) and, when granted,
+        build it and run its initial section; returns the initial-committed
+        transaction.  A denied admission counts its abort and returns
+        ``None``, building and raising nothing; a failure after it (a
+        denied final lock pass under single-node MS-SR, a failed initial
+        2PC under distributed MS-IA) still raises."""
+        raise NotImplementedError
+
+    def process_initial(
+        self,
+        transaction: MultiStageTransaction,
+        labels: Any = None,
+        now: float = 0.0,
+    ) -> Any:
+        """Run :meth:`admit` on a built transaction; returns the initial
+        section's result and raises :class:`TransactionAborted` when the
+        admission is denied."""
+        if transaction.status is not TransactionStatus.PENDING:
+            raise SectionOrderError(
+                f"transaction {transaction.transaction_id} already processed"
+            )
+        if self.admit(transaction, labels, now) is None:
+            transaction.mark_aborted()
+            raise TransactionAborted(transaction.transaction_id, self.denial)
+        return transaction.initial_result
+
+
+class TwoStage2PL(AdmittingController):
     """MS-SR controller: two-stage two-phase locking.
 
     Parameters
@@ -105,27 +145,23 @@ class TwoStage2PL:
         return self._history
 
     # -- initial section ---------------------------------------------------
-    def process_initial(
-        self,
-        transaction: MultiStageTransaction,
-        labels: Any = None,
-        now: float = 0.0,
-    ) -> Any:
+    def admit(
+        self, draft: Any, labels: Any = None, now: float = 0.0
+    ) -> MultiStageTransaction | None:
         """Run Algorithm 1 up to (and including) the initial commit.
 
-        Raises :class:`TransactionAborted` when any lock — for the initial
-        *or* the final section — cannot be acquired.
+        The admission takes the initial section's locks; the final
+        section's are taken after the initial body, and a denial there
+        undoes the body and raises :class:`TransactionAborted`.
         """
-        if transaction.status is not TransactionStatus.PENDING:
-            raise SectionOrderError(
-                f"transaction {transaction.transaction_id} already processed"
-            )
-        holder = transaction.transaction_id
+        holder = draft.transaction_id
+        locks = self._locks
+        if not locks.acquire_all(holder, draft.initial_lock_requests(), now=now):
+            locks.release_all(holder, now=now)
+            self.stats.aborts += 1
+            return None
 
-        initial_requests = transaction.initial.rwset.lock_requests()
-        if not self._locks.acquire_all(holder, initial_requests, now=now):
-            self._abort(transaction, now, "initial-section lock denied")
-
+        transaction = draft.materialise()
         context = SectionContext(
             transaction_id=holder,
             section=SectionKind.INITIAL,
@@ -136,7 +172,7 @@ class TwoStage2PL:
         result = transaction.initial.body(context)
 
         final_requests = transaction.final.rwset.lock_requests()
-        if not self._locks.acquire_all(holder, final_requests, now=now):
+        if not locks.acquire_all(holder, final_requests, now=now):
             # The initial commit has not happened, so aborting (and undoing
             # the initial section's writes) is still allowed.
             self._undo_log.undo(holder)
@@ -147,7 +183,7 @@ class TwoStage2PL:
         self.stats.initial_commits += 1
         if self._history is not None:
             self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
-        return result
+        return transaction
 
     # -- final section -----------------------------------------------------
     def process_final(

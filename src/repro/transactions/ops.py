@@ -44,6 +44,11 @@ class Operation:
         return LockMode.EXCLUSIVE if self.kind is OperationKind.WRITE else LockMode.SHARED
 
 
+#: The two lock modes, bound once: an enum member lookup costs about as much
+#: as building the request pair, and every admission builds its requests.
+_EXCLUSIVE, _SHARED = LockMode.EXCLUSIVE, LockMode.SHARED
+
+
 class ReadWriteSet:
     """Declared read and write sets of a section (``get_rwsets``).
 
@@ -127,20 +132,31 @@ class ReadWriteSet:
             count = self._key_count = len(keys)
         return count
 
-    def lock_requests(self) -> tuple[tuple[str, LockMode], ...]:
-        """Lock requests covering the set, in key order; write locks win on overlap."""
-        requests = self._requests
-        if requests is None:
-            exclusive, shared = LockMode.EXCLUSIVE, LockMode.SHARED
-            row, reads, writes = self.row, self._read_keys, self._write_keys
-            written = set(writes if row is None else row[writes])
-            pairs = []
-            for key in sorted(written):
-                pairs.append((key, exclusive))
-            if reads is not writes:
-                for key in sorted(set(reads if row is None else row[reads]) - written):
-                    pairs.append((key, shared))
-            requests = self._requests = tuple(pairs)
+    def lock_requests(self, spans: tuple | None = None) -> tuple[tuple[str, LockMode], ...]:
+        """Lock requests covering the set, in key order; write locks win on overlap.
+
+        ``spans``, a ``(reads, writes)`` pair of spans of the same row, asks
+        for the requests of that part of the declaration instead (not
+        cached): a transaction draft's initial section, say.
+        """
+        if spans is None:
+            requests = self._requests
+            if requests is not None:
+                return requests
+            reads, writes = self._read_keys, self._write_keys
+        else:
+            reads, writes = spans
+        row = self.row
+        written = set(writes if row is None else row[writes])
+        pairs = []
+        for key in sorted(written):
+            pairs.append((key, _EXCLUSIVE))
+        if reads is not writes:
+            for key in sorted(set(reads if row is None else row[reads]) - written):
+                pairs.append((key, _SHARED))
+        requests = tuple(pairs)
+        if spans is None:
+            self._requests = requests
         return requests
 
     def merged(self, other: "ReadWriteSet") -> "ReadWriteSet":

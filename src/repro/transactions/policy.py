@@ -4,8 +4,9 @@ The two-stage consistency layer used to be hard-wired code paths — the
 single-node MS-SR / MS-IA controllers and the distributed 2PC
 controllers — each invoked ad hoc by whichever system needed it.  A
 :class:`TransactionPolicy` is the one seam over them: the two section
-calls the frame body makes (``process_initial`` / ``process_final``)
-plus an end-of-run ``commit``, all driven by the discrete-event engine
+calls the frame body makes (``admit`` on a drafted transaction —
+``process_initial`` on a built one — and ``process_final``) plus an
+end-of-run ``commit``, all driven by the discrete-event engine
 (every call receives the engine's ``now``), with adapters wrapping the
 existing controllers so both deployments select a policy *by name*
 instead of branching on controller classes.
@@ -199,9 +200,9 @@ class TransactionPolicy:
     ``_after_final`` hooks (all called with the engine's current time)
     and :meth:`commit`.  The base class is itself a complete adapter
     that delegates sections straight to the wrapped controller, so any
-    object with the ``process_initial``/``process_final`` interface —
-    the single-node MS-SR / MS-IA controllers or the distributed 2PC
-    controllers — plugs in unchanged.
+    object with the ``admit`` / ``process_initial`` / ``process_final``
+    interface — the single-node MS-SR / MS-IA controllers or the
+    distributed 2PC controllers — plugs in unchanged.
 
     Attribute access falls through to the wrapped controller
     (``commit_records``, ``pending_finals``, ``lock_manager``, ...), so
@@ -242,6 +243,21 @@ class TransactionPolicy:
         return 0
 
     # -- controller-compatible facade ---------------------------------------
+    def admit(
+        self, draft: Any, labels: Any = None, now: float = 0.0
+    ) -> MultiStageTransaction | None:
+        """Admit a draft and run its initial section (the frame body's path).
+
+        Returns the initial-committed transaction, or ``None`` when the
+        controller's admission was denied: the abort is counted, and nothing
+        is built or raised.  Only a granted draft is materialised.
+        """
+        self._before_stage(now)
+        transaction = self._controller.admit(draft, labels, now)
+        if transaction is not None:
+            self._after_initial(transaction, now)
+        return transaction
+
     def process_initial(
         self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
     ) -> Any:

@@ -10,6 +10,8 @@ row sharing one body (:class:`_Increment`).  A frame's transactions draw
 all their keys in one ``rng.integers`` call — exactly the keys, in the
 order one-at-a-time draws produce them, so the generator's state does not
 depend on how transactions are grouped (``tests/test_workload_pins.py``).
+The frame body admits :meth:`HotspotWorkload.draft_transactions`' drafts
+(id and row); only a granted one is built into sections.
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.transactions.model import MultiStageTransaction, RowSection, SectionContext
-from repro.transactions.ops import ReadWriteSet
+from repro.transactions.model import (
+    MultiStageTransaction,
+    RowSection,
+    SectionContext,
+    TransactionDraft,
+)
 
 
 class _Increment(RowSection):
@@ -96,6 +102,8 @@ class HotspotWorkload:
         self._id_prefix = f"{self.txn_prefix or self.key_prefix}-"
         split = self.updates_per_transaction - self.final_updates
         self._spans = slice(0, split), slice(split, None), slice(None)
+        #: What the initial section reads and writes (a draft's admission).
+        self.initial_spans = self._spans[0], self._spans[0]
         # One string per hot key, built on its first draw: every update of
         # a key shares it (the range itself may be far wider than the draws).
         self._keys = _HotKeys(self.key_prefix)
@@ -110,24 +118,33 @@ class HotspotWorkload:
 
     def build_transactions(self, count: int) -> list[MultiStageTransaction]:
         """Create ``count`` transactions (a frame's worth) from one key draw."""
+        return [draft.materialise() for draft in self.draft_transactions(count)]
+
+    def draft_transactions(self, count: int) -> list[TransactionDraft]:
+        """Draft ``count`` transactions (a frame's worth) from one key draw:
+        ids and rows only, as :meth:`build_transactions` would build them."""
         if count <= 0:
             return []
         updates = self.updates_per_transaction
         draws = self.rng.integers(0, self.key_range, size=count * updates).tolist()
-        key_of, id_prefix, first = self._keys.__getitem__, self._id_prefix, self._counter + 1
-        initial_span, final_span, row_span = self._spans
+        keys = list(map(self._keys.__getitem__, draws))
+        id_prefix, first, span = self._id_prefix, self._counter + 1, self._spans[2]
         self._counter += count
-        transactions = []
-        for index in range(count):
-            start = index * updates
-            row = tuple(map(key_of, draws[start : start + updates]))
-            transactions.append(
-                MultiStageTransaction(
-                    transaction_id=f"{id_prefix}{first + index}",
-                    initial=_Increment(initial_span, initial_span, row),
-                    final=_Increment(final_span, final_span, row),
-                    trigger="hotspot",
-                    combined=ReadWriteSet(row_span, row_span, row),
-                )
+        return [
+            TransactionDraft(
+                f"{id_prefix}{first + index}", tuple(keys[at : at + updates]), span, span, self
             )
-        return transactions
+            for index, at in enumerate(range(0, count * updates, updates))
+        ]
+
+    def materialise(self, draft: TransactionDraft) -> MultiStageTransaction:
+        """Build a granted draft's transaction; the draft stays its union."""
+        initial_span, final_span, _ = self._spans
+        row = draft.row
+        return MultiStageTransaction(
+            transaction_id=draft.transaction_id,
+            initial=_Increment(initial_span, initial_span, row),
+            final=_Increment(final_span, final_span, row),
+            trigger="hotspot",
+            combined=draft,
+        )

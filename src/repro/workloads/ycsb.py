@@ -12,6 +12,8 @@ draw all their keys in one ``rng.integers`` call with per-element
 bounds: exactly the draws one scalar call per key makes, bit for bit and
 generator state included (``tests/test_workloads.py`` pins that NumPy
 fact), so keys do not depend on how transactions are grouped into frames.
+The frame body admits :meth:`YCSBWorkload.draft_transactions`' drafts
+(id and row); only a granted one is built into sections.
 
 An insert stores the payload ``{"label": label, "stage": stage}``, built
 once per ``(label, stage)`` and shared by every write with that label and
@@ -30,8 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.detection.labels import Detection
-from repro.transactions.model import MultiStageTransaction, RowSection, SectionContext
-from repro.transactions.ops import ReadWriteSet
+from repro.transactions.model import (
+    MultiStageTransaction,
+    RowSection,
+    SectionContext,
+    TransactionDraft,
+)
 
 #: ``(label, stage)`` -> the payload every such insert stores.  Shared by
 #: every workload in the process: a payload is a function of its key and
@@ -126,6 +132,8 @@ class YCSBWorkload:
             slice(split, 1 + writes),  # the items the final section inserts
             slice(1, 1 + writes),  # every item inserted
         )
+        #: What the initial section reads and writes (a draft's admission).
+        self.initial_spans = self._spans[1], self._spans[2]
         # Lower bounds of one transaction's draws, in draw order: a bucket
         # in [0, key_space) per insert, then per read an insert number in
         # [1, inserted] and a bucket.
@@ -148,7 +156,19 @@ class YCSBWorkload:
         transaction_ids: Sequence[str],
     ) -> list[MultiStageTransaction]:
         """Create one transaction per detection (a frame's worth) from one
-        key draw; the signature is the bank's per-frame factory."""
+        key draw."""
+        return [
+            draft.materialise() for draft in self.draft_transactions(detections, transaction_ids)
+        ]
+
+    def draft_transactions(
+        self,
+        detections: Sequence[Detection | None],
+        transaction_ids: Sequence[str],
+    ) -> list[TransactionDraft]:
+        """Draft one transaction per detection (a frame's worth) from one key
+        draw: ids and rows only, as :meth:`build_transactions` would build
+        them.  The signature is the bank's per-frame factory."""
         count = len(transaction_ids)
         if count == 0:
             return []
@@ -164,10 +184,10 @@ class YCSBWorkload:
         highs[:, writes::2] = inserted[:, None] + 1
         draws = self.rng.integers(lows, highs.ravel()).tolist()
 
-        no_span, read_span, initial_write_span, final_write_span, write_span = self._spans
+        read_span, write_span = self._spans[1], self._spans[4]
         number = self._inserted
         self._inserted += writes * count
-        transactions = []
+        drafts = []
         for index, (transaction_id, detection) in enumerate(zip(transaction_ids, detections)):
             label = detection.name if detection is not None else "none"
             start = index * per_transaction
@@ -179,13 +199,17 @@ class YCSBWorkload:
                 *[f"item-{bucket}-{pick}" for pick, bucket in zip(picks[::2], picks[1::2])],
             )
             number += writes
-            transactions.append(
-                MultiStageTransaction(
-                    transaction_id=transaction_id,
-                    initial=_InsertAndRead(read_span, initial_write_span, row),
-                    final=_InsertCorrected(no_span, final_write_span, row),
-                    trigger=f"ycsb:{label}",
-                    combined=ReadWriteSet(read_span, write_span, row),
-                )
-            )
-        return transactions
+            drafts.append(TransactionDraft(transaction_id, row, read_span, write_span, self))
+        return drafts
+
+    def materialise(self, draft: TransactionDraft) -> MultiStageTransaction:
+        """Build a granted draft's transaction; the draft stays its union."""
+        no_span, read_span, initial_write_span, final_write_span, _ = self._spans
+        row = draft.row
+        return MultiStageTransaction(
+            transaction_id=draft.transaction_id,
+            initial=_InsertAndRead(read_span, initial_write_span, row),
+            final=_InsertCorrected(no_span, final_write_span, row),
+            trigger=f"ycsb:{row[0]}",
+            combined=draft,
+        )

@@ -19,26 +19,36 @@ denied acquisition gives back, the same votes as a
 prepare that re-took every lock (an undeclared write or an S -> X upgrade
 under another holder still votes NO), every lock released when a
 participant failed between MS-SR's sections, and one participant-set
-object per distinct set.  The FNV-1a bucket, masked once, is held to the
-per-byte-masked definition.
+object per distinct set.  The admission — a controller's first lock pass,
+which the frame body runs on a draft before building the transaction —
+is held to the raising ``process_initial`` on the draft's built twin,
+over every controller and commit policy on randomly contended stores, and
+a denied attempt in a seeded cluster run to building nothing.  The FNV-1a
+bucket, masked once, is held to the per-byte-masked definition.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.storage.partition as partition_module
 from repro.cluster.system import ClusterSystem, hotspot_bank_factory
+from repro.core.edge import EdgeNode, TriggeredTransaction
 from repro.experiments import get_scenario
 from repro.experiments.runner import build_streams
 from repro.experiments.spec import build_cluster_config, build_traffic_config
+from repro.network.channel import Channel
+from repro.network.latency import SAME_REGION
+from repro.sim.rng import RngRegistry
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.locks import LockHoldRecord, LockManager, LockMode
 from repro.storage.partition import PartitionedStore, TwoPhaseCommitCoordinator
@@ -50,10 +60,18 @@ from repro.transactions.distributed import (
 )
 from repro.transactions.exceptions import TransactionAborted
 from repro.transactions.history import History
-from repro.transactions.model import MultiStageTransaction, SectionKind, SectionSpec
+from repro.transactions.model import (
+    MultiStageTransaction,
+    RowSection,
+    SectionKind,
+    SectionSpec,
+)
 from repro.transactions.ms_ia import MSIAController
 from repro.transactions.ms_sr import TwoStage2PL
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
+from repro.transactions.policy import TransactionPolicy, make_policy
+from repro.workloads.hotspot import HotspotWorkload
+from repro.workloads.ycsb import YCSBWorkload
 
 from helpers import count_constructions
 
@@ -534,6 +552,173 @@ def test_a_commit_record_keeps_no_attribute_dict():
     assert not hasattr(record, "__dict__")
     record.rounds.append(frozenset({0, 1}))
     assert record.partitions_touched == frozenset({0, 1})
+
+
+# -- admission: a draft against its built twin ---------------------------------------
+#: Every controller behind the immediate policy; batched and async 2PC need a
+#: controller with commit hooks, so they run over the two distributed ones.
+ADMISSION_CELLS = [(name, "immediate-2pc") for name in sorted(CONTROLLERS)] + [
+    (name, policy) for name in sorted(DISTRIBUTED) for policy in ("batched-2pc", "async-2pc")
+]
+
+
+def _drafts(kind: str, seed: int, count: int) -> list:
+    """A frame's drafts from a small key space, so that they contend."""
+    rng = np.random.default_rng(seed)
+    if kind == "hotspot":
+        return HotspotWorkload(rng=rng, key_range=6).draft_transactions(count)
+    workload = YCSBWorkload(rng=rng, key_space=2)
+    return workload.draft_transactions([None] * count, [f"y{index}" for index in range(count)])
+
+
+def _admission_run(name, policy_name, drafts, grants, down, through_drafts):
+    """Prepare a store (grants held by other holders, crashed partitions),
+    then run every draft's initial section — admitted as a draft, or
+    materialised and sent through the raising ``process_initial`` — and
+    every granted transaction's final section; returns what may differ."""
+    build, _, _ = CONTROLLERS[name]
+    history = History()
+    controller, store, managers = build(history)
+    if store is None:
+        policy = make_policy(policy_name, controller)
+    else:
+        channel = Channel(SAME_REGION, RngRegistry(7).stream("coordinator"))
+        policy = make_policy(policy_name, controller, frozenset({0}), channel)
+    for key, mode, holder in grants:
+        manager = managers[0] if store is None else store.partition_for(key).locks
+        manager.try_acquire(f"other-{holder}", key, mode, 0.0)
+    for partition_id in down:
+        store.partition(partition_id).crash()
+
+    stages: list[float] = []
+    before_stage = policy._before_stage
+    policy._before_stage = lambda now: (stages.append(now), before_stage(now))[1]
+    hashed: list[str] = []
+    fnv = partition_module._stable_bucket
+    partition_module._stable_bucket = lambda key, n: (hashed.append(key), fnv(key, n))[1]
+    try:
+        outcomes, granted = [], []
+        for index, draft in enumerate(drafts):
+            now = 1.0 + index
+            if through_drafts:
+                try:
+                    transaction = policy.admit(draft, now=now)
+                    outcome = "denied" if transaction is None else "granted"
+                except TransactionAborted:
+                    outcome, transaction = "raised", None
+            else:
+                transaction = draft.materialise()
+                try:
+                    policy.process_initial(transaction, now=now)
+                    outcome = "granted"
+                except TransactionAborted as aborted:
+                    outcome = "denied" if aborted.reason == controller.denial else "raised"
+                    assert transaction.is_aborted
+            outcomes.append(outcome)
+            if outcome == "granted":
+                granted.append(transaction)
+                assert transaction.initial_result is not None
+        admitted = (
+            outcomes,
+            [(manager._table, manager._held_by, manager._holds) for manager in managers],
+            controller.stats.aborts,
+            None if store is None else store.failure_aborts,
+            len(stages),
+            list(hashed),
+        )
+        admitted = copy.deepcopy(admitted)
+        finals = []
+        for index, transaction in enumerate(granted):
+            try:
+                policy.process_final(transaction, now=100.0 + index)
+                finals.append(transaction.is_committed)
+            except TransactionAborted:
+                finals.append("raised")
+        policy.commit(200.0)
+    finally:
+        partition_module._stable_bucket = fnv
+    if store is None:
+        written = [(key, controller.store.history(key)) for key in sorted(controller.store.keys())]
+    else:
+        written = [
+            (partition_id, record.lsn, record.transaction_id, record.key, repr(record.value))
+            for partition_id in store.partition_ids()
+            for record in store.partition(partition_id).wal.records()
+        ]
+    return admitted, finals, repr(written), repr(list(history)), policy.policy_stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, policy_name", ADMISSION_CELLS)
+def test_an_admitted_draft_matches_its_materialised_twin(name, policy_name, data):
+    """The admission is ``process_initial``'s own first lock pass: a draft
+    admitted through the policy and its materialised twin sent through the
+    raising path, on identically prepared stores, are granted or denied
+    alike and leave the same lock tables, hold records, abort and
+    failure-abort counts, ``_before_stage`` calls and hashed keys; after
+    the finals commit, the same WAL records (store versions on one node),
+    History and coordinator accounting."""
+    kind = data.draw(st.sampled_from(["hotspot", "ycsb"]))
+    seed = data.draw(st.integers(0, 2**16))
+    count = data.draw(st.integers(1, 8))
+    keys = sorted({key for draft in _drafts(kind, seed, count) for key, _ in draft.lock_requests()})
+    modes = st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE])
+    holders = st.integers(0, 2)
+    grants = data.draw(st.lists(st.tuples(st.sampled_from(keys), modes, holders), max_size=6))
+    down = data.draw(st.sets(st.integers(0, 2), max_size=2)) if name in DISTRIBUTED else set()
+
+    admitted = _admission_run(name, policy_name, _drafts(kind, seed, count), grants, down, True)
+    twin = _admission_run(name, policy_name, _drafts(kind, seed, count), grants, down, False)
+    assert admitted == twin
+
+
+def test_a_denied_attempt_builds_nothing(monkeypatch):
+    """On a replicated-failover-shaped hotspot cluster (MS-SR, four edges,
+    sync shipping, a mid-run promotion), an attempt whose admission is
+    denied builds no transaction, section, ``TriggeredTransaction`` or
+    ``TransactionAborted``; a granted one builds what it always did — one
+    transaction, its two row sections and, in the initial stage, one entry."""
+    built = count_constructions(
+        monkeypatch, MultiStageTransaction, RowSection, TriggeredTransaction, TransactionAborted
+    )
+    attempts = Counter()
+    admit = TransactionPolicy.admit
+
+    def counting_admit(self, draft, labels=None, now=0.0):
+        before = dict(built)
+        transaction = admit(self, draft, labels=labels, now=now)
+        delta = {cls: built[cls] - before[cls] for cls in built}
+        if transaction is None:
+            attempts["denied"] += 1
+            assert not any(delta.values())
+        else:
+            attempts["granted"] += 1
+            assert delta == {
+                "MultiStageTransaction": 1,
+                "RowSection": 2,
+                "TriggeredTransaction": 0,
+                "TransactionAborted": 0,
+            }
+        return transaction
+
+    monkeypatch.setattr(TransactionPolicy, "admit", counting_admit)
+    stage = EdgeNode.process_initial_stage
+
+    def counting_stage(self, *args, **kwargs):
+        before = built["TriggeredTransaction"]
+        outcome = stage(self, *args, **kwargs)
+        assert built["TriggeredTransaction"] - before == len(outcome.triggered)
+        return outcome
+
+    monkeypatch.setattr(EdgeNode, "process_initial_stage", counting_stage)
+    system = _run_cluster(get_scenario("replicated-failover").with_(hot_key_range=200))
+
+    assert attempts["denied"] > attempts["granted"] > 0
+    # The controllers' aborts are these denials plus the transactions that
+    # initial-committed and never final-committed (the failover's aborts).
+    stats = [replica.controller.stats for replica in system.replicas]
+    assert attempts["denied"] == sum(s.aborts - s.initial_commits + s.final_commits for s in stats)
 
 
 # -- the FNV-1a bucket ---------------------------------------------------------------

@@ -117,3 +117,24 @@ class TestTransactionBank:
         detections = [make_detection("a"), make_detection("b")]
         ids = [txn.transaction_id for txn, _ in bank.transactions_for(detections, True)]
         assert ids == ["info-1", "info-2", "menu-3", "audit-4"]
+
+    def test_ids_are_a_sized_sequence_formatted_when_read(self):
+        """A factory that names its own transactions reads only ``len()``;
+        the ids it skipped are still spent, so later ids do not move."""
+        bank = TransactionBank()
+        seen = []
+
+        def self_naming(detections, transaction_ids):
+            seen.append(transaction_ids)
+            count = len(transaction_ids)
+            return [_factory(d, f"own-{n}") for n, d in enumerate(detections[:count])]
+
+        bank.register("hot", ANY_LABEL, frame_factory=self_naming)
+        bank.register("info", ANY_LABEL, _factory)
+        detections = [make_detection("a"), make_detection("b")]
+        ids = [txn.transaction_id for txn, _ in bank.transactions_for(detections)]
+        assert ids == ["own-0", "own-1", "info-3", "info-4"]
+        (hot_ids,) = seen
+        assert not isinstance(hot_ids, list) and len(hot_ids) == 2
+        assert list(hot_ids) == ["hot-1", "hot-2"]
+        assert (hot_ids[0], hot_ids[-1], hot_ids[:1]) == ("hot-1", "hot-2", ["hot-1"])
