@@ -16,9 +16,8 @@ read: the hotspot workload names its own and reads just ``len()``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.detection.labels import Detection
 from repro.transactions.model import MultiStageTransaction
@@ -29,13 +28,14 @@ from repro.transactions.model import MultiStageTransaction
 TransactionFactory = Callable[[Detection | None, str], MultiStageTransaction]
 
 #: The per-frame form: the detections that fired the rule on one frame and
-#: as many fresh ids in; one draft per detection, in order, out.
-FrameFactory = Callable[[Sequence[Detection | None], Sequence[str]], Sequence[Any]]
+#: as many fresh ids (sized, iterable) in; one draft per detection, in
+#: order, out.
+FrameFactory = Callable[[Sequence[Detection | None], Collection[str]], Sequence[Any]]
 
 
-class _TransactionIds(Sequence):
+class _TransactionIds:
     """A rule's fresh ids for one frame, ``<prefix><n>`` for ``n`` in
-    ``numbers``, each formatted when it is read (``len()`` formats none)."""
+    ``numbers``, each formatted as it is iterated (``len()`` formats none)."""
 
     __slots__ = ("_prefix", "_numbers")
 
@@ -45,11 +45,6 @@ class _TransactionIds(Sequence):
 
     def __len__(self) -> int:
         return len(self._numbers)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [f"{self._prefix}{number}" for number in self._numbers[index]]
-        return f"{self._prefix}{self._numbers[index]}"
 
     def __iter__(self) -> Iterator[str]:
         prefix = self._prefix

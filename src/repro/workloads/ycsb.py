@@ -27,7 +27,7 @@ into a stored value, and the store, the WAL, checkpoints, backups and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class YCSBWorkload:
     def build_transactions(
         self,
         detections: Sequence[Detection | None],
-        transaction_ids: Sequence[str],
+        transaction_ids: Collection[str],
     ) -> list[MultiStageTransaction]:
         """Create one transaction per detection (a frame's worth) from one
         key draw."""
@@ -164,7 +164,7 @@ class YCSBWorkload:
     def draft_transactions(
         self,
         detections: Sequence[Detection | None],
-        transaction_ids: Sequence[str],
+        transaction_ids: Collection[str],
     ) -> list[TransactionDraft]:
         """Draft one transaction per detection (a frame's worth) from one key
         draw: ids and rows only, as :meth:`build_transactions` would build
