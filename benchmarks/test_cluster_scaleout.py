@@ -356,14 +356,14 @@ def resharding_results(report_writer):
     return results
 
 
-#: Acceptance floor: the incremental tuner must do at least this many
-#: times fewer full-frame label matches than the plain evaluator would
-#: have paid for the same scored pairs.
+#: Acceptance floor: the table-backed tuner must do at least this many
+#: times fewer full-frame label matches than a per-pair re-match of every
+#: frame would have paid for the same scored pairs.
 TUNER_RESCORE_REDUCTION_FLOOR = 10.0
 
 
 def _tuner_grid_rescores(report: RunReport) -> int:
-    """What the plain evaluator would have paid (0 without adaptation)."""
+    """What a per-pair re-match would have paid (0 without adaptation)."""
     return report.adaptation["tuner_grid_rescores"] if report.adaptation else 0
 
 
@@ -373,7 +373,7 @@ def adaptive_results(report_writer):
 
     The ``static-vs-adaptive`` sweep runs the adaptation base scenario
     under no adaptation, the feedback controller, and per-stream
-    coordinate-descent retuning.
+    exact-grid retuning off each stream's score table.
     """
     results = {
         cell.assignment["threshold_adaptation"] or "static": cell.report
@@ -769,8 +769,8 @@ def test_retune_cuts_bandwidth_within_the_f_target(adaptive_results):
 
 def test_retune_tuner_meets_the_rescore_bound(adaptive_results):
     """Acceptance: the in-loop tuner's full-frame label matches stay
-    >=10x below what the non-incremental evaluator would have paid for
-    the same scored pairs.  The feedback mode never invokes the tuner."""
+    >=10x below what a per-pair re-match of every frame would have paid
+    for the same scored pairs.  The feedback mode never invokes the tuner."""
     retune = adaptive_results["retune"]
     assert retune.tuner_evaluations > 0
     assert retune.tuner_frame_rescores > 0

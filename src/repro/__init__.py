@@ -16,7 +16,6 @@ from repro.core.baselines import (
 )
 from repro.core.adaptive import ADAPTATION_MODES, AdaptationConfig, AdaptationManager
 from repro.core.config import ConsistencyLevel, CroesusConfig
-from repro.core.incremental import IncrementalThresholdScorer, coordinate_descent_search
 from repro.core.optimizer import (
     OptimizationResult,
     ThresholdEvaluator,
@@ -74,8 +73,6 @@ __all__ = [
     "OptimizationResult",
     "brute_force_search",
     "gradient_step_search",
-    "IncrementalThresholdScorer",
-    "coordinate_descent_search",
     "ADAPTATION_MODES",
     "AdaptationConfig",
     "AdaptationManager",

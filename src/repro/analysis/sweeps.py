@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.optimizer import ThresholdEvaluator, ThresholdScore
+from repro.core.optimizer import ThresholdEvaluator, ThresholdScore, _select_best
 
 #: Decimal places threshold grid values are rounded to for indexing;
 #: matches the evaluator's own cache-key rounding.
@@ -58,11 +58,10 @@ class ThresholdSweep:
         return result
 
     def best_feasible(self, target_f_score: float) -> ThresholdScore | None:
-        """Lowest-BU pair meeting the F-score target, if any."""
-        feasible = [s for s in self.scores if s.f_score >= target_f_score]
-        if not feasible:
-            return None
-        return min(feasible, key=lambda s: (s.bandwidth_utilization, s.average_final_latency))
+        """The pair the searches pick (:func:`~repro.core.optimizer.select_pair`)
+        among those meeting the F-score target, or None if none does."""
+        best = _select_best(self.scores, target_f_score)
+        return best if best.f_score >= target_f_score else None
 
 
 def sweep_thresholds(evaluator: ThresholdEvaluator, step: float = 0.1) -> ThresholdSweep:

@@ -3,7 +3,7 @@
 Usage (after ``pip install -e .``)::
 
     python -m repro run --video v1 --frames 80 --lower 0.3 --upper 0.7
-    python -m repro tune --video v2 --target 0.85 --method descent
+    python -m repro tune --video v2 --target 0.85 --method brute --step 0.05
     python -m repro compare --video v4 --frames 60
     python -m repro cluster --edges 4 --streams 8 --router hotspot
     python -m repro cluster --edges 2 --streams 4 --fps 5 --adaptation retune
@@ -49,8 +49,7 @@ from repro.traffic.admission import ADMISSION_POLICIES
 from repro.traffic.arrivals import ARRIVAL_PROCESSES
 from repro.transactions.policy import TXN_POLICIES
 from repro.core.adaptive import ADAPTATION_MODES
-from repro.core.incremental import coordinate_descent_search
-from repro.core.optimizer import ThresholdEvaluator, brute_force_search, gradient_step_search
+from repro.core.optimizer import ThresholdEvaluator, _grid, brute_force_search, gradient_step_search
 from repro.experiments import (
     CONSISTENCY_LEVELS,
     ScenarioSpec,
@@ -337,10 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     tune_parser.add_argument("--target", type=float, default=0.8, help="F-score floor µ")
     tune_parser.add_argument(
         "--method",
-        choices=["brute", "grid", "gradient", "descent", "all", "both"],
+        choices=["brute", "gradient", "all"],
         default="all",
-        help="search strategy (grid is an alias for brute; both = brute + "
-        "gradient, all = every strategy)",
+        help="search strategy (all = brute + gradient)",
     )
     tune_parser.add_argument(
         "--step",
@@ -528,8 +526,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         return _fail("tune", f"--frames must be positive, got {args.frames}")
     if not 0.0 < args.target <= 1.0:
         return _fail("tune", f"--target must be in (0, 1], got {args.target}")
-    if args.step is not None and not 0.0 < args.step < 0.95:
-        return _fail("tune", f"--step must be in (0, 0.95), got {args.step}")
+    if args.step is not None:
+        try:
+            _grid(args.step)  # the grid owns the step's range; check it before profiling
+        except ValueError as error:
+            return _fail("tune", f"--step {args.step}: {error}")
     step_kwargs = {} if args.step is None else {"step": args.step}
     spec = ScenarioSpec(deployment="single", video=args.video, frames=args.frames, seed=args.seed)
     evaluator = ThresholdEvaluator.profile(
@@ -537,18 +538,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     )
     rows = []
     methods: dict[str, Any] = {}
-    if args.method in ("brute", "grid", "both", "all"):
+    if args.method in ("brute", "all"):
         brute = brute_force_search(evaluator, target_f_score=args.target, **step_kwargs)
         rows.append(_tune_row("brute force", brute))
         methods["brute"] = brute
-    if args.method in ("gradient", "both", "all"):
-        gradient = gradient_step_search(evaluator, target_f_score=args.target)
+    if args.method in ("gradient", "all"):
+        gradient = gradient_step_search(evaluator, target_f_score=args.target, **step_kwargs)
         rows.append(_tune_row("gradient step", gradient))
         methods["gradient"] = gradient
-    if args.method in ("descent", "all"):
-        descent = coordinate_descent_search(evaluator, target_f_score=args.target, **step_kwargs)
-        rows.append(_tune_row("coordinate descent", descent))
-        methods["descent"] = descent
     table = format_table(
         ["method", "(θL, θU)", "BU", "F-score", "evaluations", "frame rescores"], rows
     )

@@ -22,7 +22,6 @@ from repro.core.adaptive import (
     ThresholdUpdate,
 )
 from repro.core.config import ConsistencyLevel, CroesusConfig
-from repro.core.incremental import IncrementalThresholdScorer, coordinate_descent_search
 from repro.core.multi_tier import MultiTierPipeline, MultiTierResult, TierSpec
 from repro.core.optimizer import (
     OptimizationResult,
@@ -50,8 +49,6 @@ __all__ = [
     "OptimizationResult",
     "brute_force_search",
     "gradient_step_search",
-    "IncrementalThresholdScorer",
-    "coordinate_descent_search",
     "ADAPTATION_MODES",
     "AdaptationConfig",
     "AdaptationManager",

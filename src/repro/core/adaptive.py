@@ -22,15 +22,14 @@ Two controller modes (:data:`ADAPTATION_MODES`):
     save bandwidth.
 
 ``"retune"``
-    The full offline optimiser, made cheap enough to run in the loop by
-    the incremental scorer: every validated frame (the only frames
-    whose cloud labels the edge actually observes) is appended to a
-    per-stream :class:`~repro.core.incremental.IncrementalThresholdScorer`
-    — with the overlap table its final stage already built — and each
-    adaptation tick calls
-    :meth:`~repro.core.incremental.IncrementalThresholdScorer.best_of_grid`:
-    the exact grid optimum (``brute_force_search``'s, tie-breaks
-    included) read off the scorer's running per-pair table.  A tick
+    The full offline optimiser, cheap enough to run in the loop: every
+    validated frame (the only frames whose cloud labels the edge
+    actually observes) is appended to a per-stream
+    :class:`~repro.core.optimizer.ThresholdEvaluator` — with the overlap
+    table its final stage already built — and each adaptation tick calls
+    :meth:`~repro.core.optimizer.ThresholdEvaluator.best_of_grid`: the
+    exact grid optimum (``brute_force_search``'s, tie-breaks included)
+    read off the evaluator's running per-pair table.  A tick
     folds in the frames validated since the previous tick, O(those
     frames), and picks the winner from the table's integer totals in
     one vectorised pass over the grid pairs; what remains O(history) is
@@ -41,8 +40,8 @@ Two controller modes (:data:`ADAPTATION_MODES`):
     ``tuner_frame_rescores`` counts full-frame label matches actually
     performed (charged at the tick that folds a frame, never at
     ``observe``), and ``tuner_grid_rescores`` is ``evaluations ×
-    frames``, what the non-incremental evaluator would have paid in
-    label matches for the same pairs — the ≥10× reduction the
+    frames``, what a per-pair re-match of every frame would have paid
+    in label matches for the same pairs — the ≥10× reduction the
     benchmark artifact gates.
 
 Everything here is deterministic (no RNG draws), and nothing is built
@@ -220,11 +219,10 @@ class _RetuneController(_WindowedController):
                  match_overlap: float) -> None:
         super().__init__(stream, policy, config)
         # Imported lazily: repro.core.system imports this module, and the
-        # incremental tuner reaches repro.core.system through the
-        # optimizer's profiling entry point.
-        from repro.core.incremental import IncrementalThresholdScorer
+        # optimizer imports repro.core.system for its profiling entry point.
+        from repro.core.optimizer import ThresholdEvaluator
 
-        self._scorer = IncrementalThresholdScorer(match_overlap=match_overlap)
+        self._evaluator = ThresholdEvaluator(match_overlap=match_overlap)
         self._tuned_at_frames = 0
 
     def observe(
@@ -236,24 +234,24 @@ class _RetuneController(_WindowedController):
     ) -> None:
         super().observe(sent, corrections)
         if sent and overlaps is not None:
-            self._scorer.add_validated_frame(latency, overlaps)
+            self._evaluator.add_validated_frame(latency, overlaps)
 
     def adapt(self, now: float) -> ThresholdUpdate | None:
         self._drain_window()
-        scorer = self._scorer
-        num_frames = scorer.num_frames
+        evaluator = self._evaluator
+        num_frames = evaluator.num_frames
         if num_frames < self.config.min_samples or num_frames == self._tuned_at_frames:
             # Too little evidence, or nothing new since the last tune —
             # re-running the search would return the same optimum.
             return None
         self._tuned_at_frames = num_frames
-        evaluated, rescored = scorer.evaluations, scorer.frame_rescores
-        best = scorer.best_of_grid(self.config.step, self.config.target_f)
-        evaluations = scorer.evaluations - evaluated
+        evaluated, rescored = evaluator.evaluations, evaluator.frame_rescores
+        best = evaluator.best_of_grid(self.config.step, self.config.target_f)
+        evaluations = evaluator.evaluations - evaluated
         self.tuner_evaluations += evaluations
-        self.tuner_frame_rescores += scorer.frame_rescores - rescored
-        # What ThresholdEvaluator.evaluate() would have cost for the same
-        # pairs: one full label-match pass over every frame per pair.
+        self.tuner_frame_rescores += evaluator.frame_rescores - rescored
+        # What a per-pair re-match would have cost for the same pairs:
+        # one full label-match pass over every frame per pair.
         self.tuner_grid_rescores += evaluations * num_frames
         return self._move_to(now, best.lower, best.upper)
 
@@ -344,7 +342,7 @@ class AdaptationManager:
 
     @property
     def tuner_grid_rescores(self) -> int:
-        """Label-match cost the non-incremental evaluator would have paid."""
+        """Label-match cost a per-pair re-match of every frame would have paid."""
         return sum(c.tuner_grid_rescores for c in self._controllers.values())
 
     @property

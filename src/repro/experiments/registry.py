@@ -337,7 +337,7 @@ def _adaptive_cluster(**overrides) -> ScenarioSpec:
 
 @register_scenario(
     "adaptive-thresholds",
-    "Online adaptation: per-stream coordinate-descent retuning over each "
+    "Online adaptation: per-stream exact-grid retuning over each "
     "stream's validated history (2 edges x 4 streams, 0.5 s ticks)",
 )
 def _adaptive_thresholds() -> ScenarioSpec:
@@ -674,7 +674,7 @@ def _geo_placement_sweep() -> Sweep:
 @register_sweep(
     "static-vs-adaptive",
     "Adaptation grid: static thresholds vs the feedback controller vs "
-    "per-stream coordinate-descent retuning, on the paced adaptation cell",
+    "per-stream exact-grid retuning, on the paced adaptation cell",
 )
 def _static_vs_adaptive_sweep() -> Sweep:
     return Sweep(

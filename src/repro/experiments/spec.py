@@ -246,8 +246,8 @@ class ScenarioSpec:
         default — no adaptation machinery is built at all) or an
         :data:`~repro.core.adaptive.ADAPTATION_MODES` name:
         ``"feedback"`` drifts each stream's ``(θL, θU)`` from its
-        cloud-correction rate, ``"retune"`` re-runs the incremental
-        coordinate-descent tuner over the stream's validated history.
+        cloud-correction rate, ``"retune"`` re-runs the exact grid
+        search over the stream's validated history.
         ``adaptation_interval_s`` is the controller tick period in
         simulated seconds and ``adaptation_target_f`` the F-score floor
         the controllers steer towards.

@@ -199,6 +199,7 @@ class MSIAController(AdmittingController):
     def _failed_invariants(self) -> list[str]:
         return [name for name, predicate in self._invariants.items() if not predicate(self._store)]
 
+    @property
     def pending_finals(self) -> tuple[str, ...]:
         """Ids of transactions waiting for their final section."""
         return tuple(self._pending)

@@ -231,6 +231,7 @@ class TwoStage2PL(AdmittingController):
         self.stats.aborts += 1
         raise TransactionAborted(holder, reason)
 
+    @property
     def pending_finals(self) -> tuple[str, ...]:
         """Ids of transactions waiting for their final section."""
         return tuple(self._pending)

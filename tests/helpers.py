@@ -7,9 +7,17 @@ when both directories are collected in one pytest invocation.
 
 from __future__ import annotations
 
+from repro.core.config import CroesusConfig
+from repro.core.optimizer import ThresholdScore, _grid
+from repro.core.results import FrameTrace
+from repro.core.system import CroesusSystem
+from repro.core.thresholds import ThresholdPolicy
 from repro.detection.geometry import BoundingBox
 from repro.detection.labels import Detection, LabelSet
+from repro.detection.matching import FrameOverlaps
+from repro.detection.metrics import AccuracyReport, aggregate_reports
 from repro.video.frames import Frame
+from repro.video.library import make_video
 from repro.video.scene import SceneObject
 
 
@@ -78,3 +86,82 @@ def count_constructions(monkeypatch, *classes) -> dict[str, int]:
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     return built
+
+
+def profiled_traces(config: CroesusConfig, video_key: str, num_frames: int) -> list[FrameTrace]:
+    """The traces ``ThresholdEvaluator.profile`` scores: one run of the
+    video validating every frame."""
+    system = CroesusSystem(config.with_thresholds(0.0, 0.999))
+    return system.run(make_video(video_key, num_frames=num_frames, seed=config.seed)).traces
+
+
+class ReferenceEvaluator:
+    """The threshold evaluator as first written, kept as the oracle of
+    ``ThresholdEvaluator``: every cache-missed pair re-matches every frame
+    (``frame_rescores`` grows by ``num_frames`` per scored pair).  Has the
+    ``evaluate`` / ``evaluate_grid`` / counters surface the searches use.
+    """
+
+    def __init__(self, traces: list[FrameTrace], match_overlap: float = 0.10) -> None:
+        if not traces:
+            raise ValueError("cannot evaluate thresholds without any frame traces")
+        self.traces = list(traces)
+        self.num_frames = len(self.traces)
+        self.evaluations = 0
+        self.frame_rescores = 0
+        self._cache: dict[tuple[float, float], ThresholdScore] = {}
+        self._profiled = [
+            (
+                trace.edge_labels,
+                FrameOverlaps(
+                    trace.edge_labels.detections, trace.cloud_labels.detections, match_overlap
+                ),
+            )
+            for trace in self.traces
+        ]
+
+    def evaluate(self, lower: float, upper: float) -> ThresholdScore:
+        lower, upper = key = (round(lower, 6), round(upper, 6))
+        if key in self._cache:
+            return self._cache[key]
+
+        policy = ThresholdPolicy(lower, upper)
+        reports = []
+        sent_count = 0
+        final_latencies = []
+        initial_latencies = []
+        self.evaluations += 1
+
+        for trace, (edge, overlaps) in zip(self.traces, self._profiled):
+            rows, sent = policy.partition(edge)
+            self.frame_rescores += 1
+            reports.append(AccuracyReport(*overlaps.client_view(rows, sent)[1]))
+
+            latency = trace.latency
+            initial_latencies.append(latency.initial_latency)
+            if sent:
+                sent_count += 1
+                final_latencies.append(latency.final_latency)
+            else:
+                final_latencies.append(latency.initial_latency + latency.final_txn)
+
+        accuracy = aggregate_reports(reports)
+        score = ThresholdScore(
+            lower=lower,
+            upper=upper,
+            bandwidth_utilization=sent_count / len(self.traces),
+            f_score=accuracy.f_score,
+            average_final_latency=sum(final_latencies) / len(final_latencies),
+            average_initial_latency=sum(initial_latencies) / len(initial_latencies),
+        )
+        self._cache[key] = score
+        return score
+
+    def evaluate_grid(self, step: float = 0.1) -> list[ThresholdScore]:
+        values = _grid(step)
+        return [
+            self.evaluate(lower, upper)
+            for lower in values
+            for upper in values
+            if lower <= upper
+        ]

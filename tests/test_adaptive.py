@@ -11,8 +11,7 @@ from repro.core.adaptive import (
     AdaptationManager,
     MAX_THRESHOLD,
 )
-from repro.core.incremental import IncrementalThresholdScorer, coordinate_descent_search
-from repro.core.optimizer import ThresholdScore
+from repro.core.optimizer import ThresholdEvaluator, ThresholdScore, brute_force_search
 from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.geometry import BoundingBox
@@ -222,8 +221,8 @@ class TestRetuneController:
         for trace in traces:
             manager.observe_frame("cam0", sent=True, corrections=0, **_validated(trace))
         manager.adapt_all(now=1.0)
-        offline = coordinate_descent_search(
-            IncrementalThresholdScorer(traces), config.target_f, step=config.step
+        offline = brute_force_search(
+            ThresholdEvaluator(traces), config.target_f, step=config.step
         )
         assert manager.final_thresholds() == {"cam0": offline.thresholds}
         assert manager.tuner_evaluations == offline.evaluations

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.sweeps import sweep_thresholds
 from repro.analysis.tables import LATENCY_BREAKDOWN_HEADERS, format_table, latency_breakdown_row
 from repro.core.config import CroesusConfig
-from repro.core.optimizer import ThresholdEvaluator
+from repro.core.optimizer import ThresholdEvaluator, brute_force_search
 from repro.core.results import LatencyBreakdown
 
 
@@ -57,6 +57,20 @@ class TestThresholdSweep:
         if best is not None:
             assert best.f_score >= 0.5
         assert sweep.best_feasible(1.01) is None
+
+    def test_best_feasible_is_the_search_optimum_on_ties(self):
+        """(0.0, 0.0) and (0.1, 0.1) both send nothing, at one latency;
+        the higher F-score breaks the tie, as in the searches (the first
+        grid pair used to win)."""
+        evaluator = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=40)
+        best = sweep_thresholds(evaluator, step=0.1).best_feasible(0.6)
+        first = evaluator.evaluate(0.0, 0.0)
+        assert (first.bandwidth_utilization, first.average_final_latency) == (
+            best.bandwidth_utilization, best.average_final_latency
+        )
+        assert first.f_score < best.f_score
+        assert best.pair == (0.1, 0.1)
+        assert best == brute_force_search(evaluator, 0.6, step=0.1).best
 
     def test_grid_values_sorted(self, sweep):
         values = sweep.grid_values()

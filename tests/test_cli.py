@@ -7,7 +7,8 @@ from dataclasses import fields
 import pytest
 
 from repro.cli import _AXIS_FLAGS, build_parser, main
-from repro.experiments import ScenarioSpec
+from repro.core.optimizer import ThresholdEvaluator, gradient_step_search
+from repro.experiments import ScenarioSpec, build_single_config
 from repro.experiments.report import REQUIRED_KEYS, validate_report
 
 #: Every subcommand's option strings, as they stood before the axis flags
@@ -134,31 +135,73 @@ class TestCommands:
 
     def test_tune_both_methods(self, capsys):
         assert main(
-            ["tune", "--video", "v3", "--frames", "20", "--target", "0.7", "--method", "both"]
+            ["tune", "--video", "v3", "--frames", "20", "--target", "0.7", "--method", "all"]
         ) == 0
         output = capsys.readouterr().out
         assert "gradient step" in output
         assert "brute force" in output
-        assert "coordinate descent" not in output
 
     def test_tune_all_methods_by_default(self, capsys):
-        assert main(["tune", "--video", "v3", "--frames", "20", "--target", "0.7"]) == 0
-        output = capsys.readouterr().out
-        assert "brute force" in output
-        assert "gradient step" in output
-        assert "coordinate descent" in output
-        assert "frame rescores" in output
+        assert main(
+            ["tune", "--video", "v3", "--frames", "20", "--target", "0.7", "--json"]
+        ) == 0
+        assert set(json.loads(capsys.readouterr().out)["methods"]) == {"brute", "gradient"}
 
-    def test_tune_descent_matches_brute_at_the_same_step(self, capsys):
-        """grid and descent agree on the optimum; descent rescores less."""
+    @pytest.mark.parametrize("method", ["descent", "grid", "both"])
+    def test_tune_has_no_method_aliases(self, method, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune", "--method", method])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_tune_brute_rescores_the_table_not_every_pair(self, capsys):
+        """Brute force reads every pair off the evaluator's table: it
+        label-matches each frame once per decision state, far fewer times
+        than once per pair."""
         assert main(
             ["tune", "--video", "v1", "--frames", "25", "--target", "0.7",
-             "--step", "0.1", "--json"]
+             "--step", "0.05", "--method", "brute", "--json"]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        brute, descent = payload["methods"]["brute"], payload["methods"]["descent"]
-        assert descent["thresholds"] == brute["thresholds"]
-        assert descent["frame_rescores"] < brute["frame_rescores"]
+        brute = json.loads(capsys.readouterr().out)["methods"]["brute"]
+        assert brute["feasible"]
+        assert 0 < brute["frame_rescores"] * 10 < brute["evaluations"] * 25
+
+    def test_tune_step_reaches_the_gradient_search(self, capsys):
+        assert main(
+            ["tune", "--video", "v1", "--frames", "20", "--target", "0.7",
+             "--step", "0.05", "--method", "gradient", "--json"]
+        ) == 0
+        entry = json.loads(capsys.readouterr().out)["methods"]["gradient"]
+        spec = ScenarioSpec(deployment="single", video="v1", frames=20)
+        evaluator = ThresholdEvaluator.profile(build_single_config(spec), "v1", num_frames=20)
+        direct = gradient_step_search(evaluator, 0.7, step=0.05)
+        assert entry == {
+            "thresholds": list(direct.thresholds),
+            "bandwidth_utilization": direct.best.bandwidth_utilization,
+            "f_score": direct.best.f_score,
+            "evaluations": direct.evaluations,
+            "frame_rescores": direct.frame_rescores,
+            "feasible": direct.feasible,
+        }
+        # A 0.05 step lands on pairs the default 0.1 grid does not have.
+        default = gradient_step_search(evaluator, 0.7)
+        assert direct.scores != default.scores
+
+    def test_tune_step_outside_the_grid_exits_2_before_profiling(self, capsys, monkeypatch):
+        """``--step 0.6`` used to pass the CLI's own bound, profile the
+        video and die in the grid with a traceback."""
+
+        def no_profiling(*args, **kwargs):
+            raise AssertionError("profiled before the step was checked")
+
+        monkeypatch.setattr(ThresholdEvaluator, "profile", no_profiling)
+        argv = ["tune", "--video", "v1", "--frames", "10", "--step", "0.6", "--method", "brute"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro tune: error: --step 0.6: grid step must be in (0, 0.5]\n"
+        )
 
     def test_compare_prints_three_systems(self, capsys):
         assert main(["compare", "--video", "v1", "--frames", "15", "--target", "0.7"]) == 0

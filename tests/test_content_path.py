@@ -12,8 +12,8 @@ the frames themselves:
 * **property** — on random label sets (nested boxes, exact ties,
   zero-area boxes, duplicate detections, empty sets) the table's answer
   for *every* confidence-cutoff subset, sent and unsent, equals a
-  reference written here over the scalar ``overlap_ratio``, and the
-  incremental scorer equals ``ThresholdEvaluator``;
+  reference written here over the scalar ``overlap_ratio``, and
+  ``ThresholdEvaluator`` equals its per-pair re-match oracle;
 * **counting rule** — a frame's box geometry is computed once: at most
   one table per frame on the live path of both pipelines, one per
   profiled frame in the tuner however many states it scores, and a
@@ -25,11 +25,11 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from helpers import ReferenceEvaluator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.system import ClusterSystem, hotspot_bank_factory
-from repro.core.incremental import IncrementalThresholdScorer
 from repro.core.optimizer import ThresholdEvaluator
 from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.core.system import CroesusSystem
@@ -149,7 +149,7 @@ _coordinates = st.one_of(
 _boxes = st.tuples(_coordinates, _coordinates, _coordinates, _coordinates).map(
     lambda c: BoundingBox(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
 )
-# Confidences keep three decimals: the evaluator and the scorer cache
+# Confidences keep three decimals: the evaluator and its oracle cache
 # scores under thresholds rounded to six.
 _confidences = st.one_of(
     st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]),
@@ -294,14 +294,14 @@ def _trace(frame_id, edge, cloud):
 def test_scorer_equals_evaluator_and_reference_on_overlapping_boxes(frames, min_overlap):
     traces = [_trace(frame_id, edge, cloud) for frame_id, (edge, cloud) in enumerate(frames)]
     evaluator = ThresholdEvaluator(traces, match_overlap=min_overlap)
-    scorer = IncrementalThresholdScorer(traces, match_overlap=min_overlap)
+    oracle = ReferenceEvaluator(traces, match_overlap=min_overlap)
     levels = sorted({d.confidence for edge, _ in frames for d in edge} | {0.0, 1.0})
     for lower in levels:
         for upper in levels:
             if lower > upper:
                 continue
-            score = scorer.evaluate(lower, upper)
-            assert score == evaluator.evaluate(lower, upper)
+            score = evaluator.evaluate(lower, upper)
+            assert score == oracle.evaluate(lower, upper)
             policy = ThresholdPolicy(lower, upper)
             totals = [0, 0, 0]
             for trace in traces:
@@ -358,12 +358,12 @@ def test_tuner_builds_one_table_per_profiled_frame(monkeypatch):
     per_stream, _, match_overlap = CONTENT_PINS["fig4-ms-sr"][0]()
     (result,) = per_stream.values()
     tables = _count_constructions(monkeypatch, FrameOverlaps)
-    scorer = IncrementalThresholdScorer(result.traces, match_overlap=match_overlap)
-    scorer.evaluate_grid(0.05)
-    scorer.evaluate(0.33, 0.77)
+    evaluator = ThresholdEvaluator(result.traces, match_overlap=match_overlap)
+    evaluator.evaluate_grid(0.05)
+    evaluator.evaluate(0.33, 0.77)
     assert tables[0] == len(result.traces)
     # ...while many more decision states than frames were scored off them.
-    assert scorer.frame_rescores > 3 * len(result.traces)
+    assert evaluator.frame_rescores > 3 * len(result.traces)
 
 
 def test_adaptive_run_builds_one_table_per_frame_shared_with_the_tuner(monkeypatch):

@@ -23,8 +23,12 @@ def evaluator() -> ThresholdEvaluator:
 
 class TestThresholdEvaluator:
     def test_requires_traces(self):
-        with pytest.raises(ValueError):
-            ThresholdEvaluator([])
+        """An evaluator may start empty (the retune controller grows it),
+        but it cannot score a pair before it holds a frame."""
+        empty = ThresholdEvaluator([])
+        assert empty.num_frames == 0
+        with pytest.raises(ValueError, match="without any frame traces"):
+            empty.evaluate(0.3, 0.7)
 
     def test_evaluate_returns_metrics_in_range(self, evaluator):
         score = evaluator.evaluate(0.3, 0.7)

@@ -1,11 +1,11 @@
-"""Tests for the incremental threshold scorer and coordinate descent.
+"""Tests for the table-backed threshold evaluator.
 
-The contract under test is exactness: ``IncrementalThresholdScorer`` is
-a *performance* rewrite of ``ThresholdEvaluator.evaluate`` — every score
-it returns, pair by pair or off its running grid table, must be
-bit-identical to the evaluator's, and ``coordinate_descent_search`` must
-return the same optimum as ``brute_force_search`` (same grid, same
-tie-breaks) while re-matching far fewer frames.
+The contract under test is exactness: ``ThresholdEvaluator`` scores a
+pair from per-frame decision states and a running grid table, and every
+score it returns — pair by pair, off the table, or through either search
+— must be bit-identical to ``helpers.ReferenceEvaluator``, the per-pair
+re-match of every frame it replaced, with the same optimum (same grid,
+same tie-breaks) while re-matching far fewer frames.
 """
 
 from __future__ import annotations
@@ -16,17 +16,17 @@ from functools import reduce
 from operator import add
 
 import pytest
-from helpers import count_constructions
+from helpers import ReferenceEvaluator, count_constructions, profiled_traces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CroesusConfig
-from repro.core.incremental import IncrementalThresholdScorer, coordinate_descent_search
 from repro.core.optimizer import (
     ThresholdEvaluator,
     ThresholdScore,
     _grid,
     brute_force_search,
+    gradient_step_search,
 )
 from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.detection.geometry import BoundingBox
@@ -105,21 +105,22 @@ class TestScorerMatchesEvaluator:
     @given(trace_lists, threshold_pairs)
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_on_random_traces(self, contents, pair):
-        """One score, arbitrary trace set: scorer == evaluator, exactly."""
+        """One score, arbitrary trace set: evaluator == oracle, exactly."""
         lower, upper = pair
-        evaluator = ThresholdEvaluator(_build_traces(contents))
-        scorer = IncrementalThresholdScorer.from_evaluator(evaluator)
-        assert scorer.evaluate(lower, upper) == evaluator.evaluate(lower, upper)
+        traces = _build_traces(contents)
+        evaluator = ThresholdEvaluator(traces)
+        assert evaluator.evaluate(lower, upper) == ReferenceEvaluator(traces).evaluate(lower, upper)
 
     @given(trace_lists, st.lists(threshold_pairs, min_size=2, max_size=8))
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_along_threshold_walks(self, contents, walk):
         """A walk re-uses per-frame sufficient statistics; every step must
-        still reproduce the evaluator's score bit for bit."""
-        evaluator = ThresholdEvaluator(_build_traces(contents))
-        scorer = IncrementalThresholdScorer.from_evaluator(evaluator)
+        still reproduce the oracle's score bit for bit."""
+        traces = _build_traces(contents)
+        evaluator = ThresholdEvaluator(traces)
+        reference = ReferenceEvaluator(traces)
         for lower, upper in walk:
-            assert scorer.evaluate(lower, upper) == evaluator.evaluate(lower, upper)
+            assert evaluator.evaluate(lower, upper) == reference.evaluate(lower, upper)
 
     @given(trace_lists, trace_lists, threshold_pairs)
     @settings(max_examples=30, deadline=None)
@@ -128,24 +129,61 @@ class TestScorerMatchesEvaluator:
         lower, upper = pair
         initial = _build_traces(contents)
         evaluator = ThresholdEvaluator(initial)
-        scorer = IncrementalThresholdScorer.from_evaluator(evaluator)
-        scorer.evaluate(lower, upper)  # warm the per-frame statistics
+        evaluator.evaluate(lower, upper)  # warm the per-frame statistics
 
         added = _build_traces(contents + more)[len(initial):]
         for trace in added:
-            scorer.add_frame(trace)
-        reference = ThresholdEvaluator(initial + added)
-        assert scorer.evaluate(lower, upper) == reference.evaluate(lower, upper)
+            evaluator.add_frame(trace)
+        reference = ReferenceEvaluator(initial + added)
+        assert evaluator.evaluate(lower, upper) == reference.evaluate(lower, upper)
+
+    @given(
+        trace_lists,
+        st.lists(st.tuples(st.integers(1, 12), st.sampled_from([0.05, 0.1, 0.2]),
+                           st.sampled_from([0.5, 0.8, 1.01]), threshold_pairs),
+                 min_size=1, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_entry_equals_the_oracle_as_the_history_grows(self, contents, points):
+        """``evaluate``, ``evaluate_grid``, ``best_of_grid`` and both
+        searches, interleaved with ``add_frame`` growth: each result is
+        the oracle's over the same history, bit for bit."""
+        traces = _build_traces(contents)
+        evaluator = ThresholdEvaluator()
+        for length, step, target, (lower, upper) in points:
+            for trace in traces[evaluator.num_frames:max(length, evaluator.num_frames)]:
+                evaluator.add_frame(trace)
+            reference = ReferenceEvaluator(traces[: evaluator.num_frames])
+            assert evaluator.evaluate(lower, upper) == reference.evaluate(lower, upper)
+            grid = reference.evaluate_grid(step)
+            assert evaluator.evaluate_grid(step) == grid
+            brute, expected = (
+                brute_force_search(candidate, target, step=step)
+                for candidate in (evaluator, reference)
+            )
+            assert evaluator.best_of_grid(step, target) == brute.best == expected.best
+            assert (brute.scores, brute.feasible, brute.evaluations) == (
+                expected.scores, expected.feasible, expected.evaluations
+            )
+            gradient, expected = (
+                gradient_step_search(candidate, target, step=step)
+                for candidate in (evaluator, reference)
+            )
+            assert (gradient.best, gradient.scores, gradient.feasible, gradient.evaluations) == (
+                expected.best, expected.scores, expected.feasible, expected.evaluations
+            )
 
     def test_profiled_video_scores_match_on_the_full_grid(self):
         """Real profiled traces, every grid pair: still bit-identical."""
-        evaluator = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=40)
-        scorer = IncrementalThresholdScorer.from_evaluator(evaluator)
-        for reference in evaluator.evaluate_grid(step=0.1):
-            assert scorer.evaluate(reference.lower, reference.upper) == reference
+        traces = profiled_traces(CroesusConfig(seed=4), "v1", num_frames=40)
+        evaluator = ThresholdEvaluator(traces)
+        reference = ReferenceEvaluator(traces)
+        assert evaluator.evaluate_grid(step=0.1) == reference.evaluate_grid(step=0.1)
+        for expected in reference.evaluate_grid(step=0.1):
+            assert evaluator.evaluate(expected.lower, expected.upper) == expected
 
 
-    @pytest.mark.parametrize("scorer_class", [ThresholdEvaluator, IncrementalThresholdScorer])
+    @pytest.mark.parametrize("scorer_class", [ThresholdEvaluator, ReferenceEvaluator])
     @pytest.mark.parametrize("first, second", [(0.3000004, 0.2999996), (0.2999996, 0.3000004)])
     def test_evaluate_scores_the_pair_it_caches_under(self, scorer_class, first, second):
         """Two spellings of one cache key, a confidence lying between
@@ -163,12 +201,12 @@ class TestScorerMatchesEvaluator:
 
     def test_a_shared_overlap_table_scores_like_one_built_here(self, monkeypatch):
         """``add_validated_frame(latency, overlaps)`` — what the retune tuner
-        and ``from_evaluator`` hand over, a table built elsewhere — builds
-        none and scores the same."""
+        hands over, a table built elsewhere — builds none and scores the
+        same."""
         traces = _build_traces(
             [([(0, 0.2), (1, 0.6), (3, 0.9)], [0, 1, 2], 0.1, 0.2), ([], [4], 0.1, 0.1)]
         )
-        built_here = IncrementalThresholdScorer(traces)
+        built_here = ThresholdEvaluator(traces)
         tables = [
             FrameOverlaps(
                 trace.edge_labels.detections, trace.cloud_labels.detections, 0.10
@@ -176,7 +214,7 @@ class TestScorerMatchesEvaluator:
             for trace in traces
         ]
         built = count_constructions(monkeypatch, FrameOverlaps)
-        shared = IncrementalThresholdScorer()
+        shared = ThresholdEvaluator()
         for trace, table in zip(traces, tables):
             shared.add_validated_frame(trace.latency, table)
         assert shared.evaluate_grid(0.05) == built_here.evaluate_grid(0.05)
@@ -226,7 +264,7 @@ class _PerPairFold:
     the pair's decision state."""
 
     def __init__(self, step: float) -> None:
-        self.scorer = IncrementalThresholdScorer()
+        self.scorer = ThresholdEvaluator()
         self.values = _grid(step)
         size = len(self.values)
         self.pairs = [(low, up) for low in range(size) for up in range(low, size)]
@@ -278,11 +316,11 @@ class TestGridTable:
     def test_the_table_selects_what_the_rule_selects_over_all_scores(self, contents, points):
         """Interleaved adds and searches: the winner read off the totals
         (one score built) is the one the rule as first written picks from
-        every score of the grid — the table's and the evaluator's — ties
+        every score of the grid — the table's and the oracle's — ties
         on bandwidth, on latency and on F, infeasible targets and frames
         without detections included."""
         traces = _build_traces(contents)
-        scorer = IncrementalThresholdScorer()
+        scorer = ThresholdEvaluator()
         for length, step, target in points:
             length = min(length, len(traces))
             for trace in traces[scorer.num_frames:length]:
@@ -291,7 +329,7 @@ class TestGridTable:
             best = scorer.best_of_grid(step, target)
             assert scorer.evaluations - evaluations == len(scorer.evaluate_grid(step))
             assert best == _reference_best(scorer.evaluate_grid(step), target)
-            evaluator = ThresholdEvaluator(traces[: scorer.num_frames])
+            evaluator = ReferenceEvaluator(traces[: scorer.num_frames])
             assert best == _reference_best(evaluator.evaluate_grid(step), target)
             assert best == brute_force_search(evaluator, target, step=step).best
 
@@ -311,7 +349,7 @@ class TestGridTable:
                 ([(0, 0.99)], [0], 0.01, 0.01),
             ]
         )
-        scorer = IncrementalThresholdScorer(traces)
+        scorer = ThresholdEvaluator(traces)
         scores = scorer.evaluate_grid(0.05)
         target = 0.6
         feasible = [score for score in scores if score.f_score >= target]
@@ -336,7 +374,7 @@ class TestGridTable:
                 ([(0, 0.8)], [0], 0.1, 0.1),
             ]
         )
-        scorer = IncrementalThresholdScorer(traces)
+        scorer = ThresholdEvaluator(traces)
         scores = scorer.evaluate_grid(0.05)
         target = 0.5
         best = scorer.best_of_grid(0.05, target)
@@ -355,7 +393,7 @@ class TestGridTable:
 
     def test_an_infeasible_target_takes_the_first_pair_of_the_highest_f_score(self):
         traces = _build_traces([([(0, 0.5), (1, 0.6)], [0, 2], 0.1, 0.1), ([], [3], 0.1, 0.1)])
-        scorer = IncrementalThresholdScorer(traces)
+        scorer = ThresholdEvaluator(traces)
         scores = scorer.evaluate_grid(0.1)
         best = scorer.best_of_grid(0.1, 1.01)
         highest = max(score.f_score for score in scores)
@@ -370,7 +408,7 @@ class TestGridTable:
         columns and the label matches it paid for are those of a fold that
         visits every pair of the grid."""
         oracle = _PerPairFold(step)
-        scorer = IncrementalThresholdScorer()
+        scorer = ThresholdEvaluator()
         for trace in _build_traces(contents):
             oracle.add(trace)
             scorer.add_frame(trace)
@@ -391,17 +429,17 @@ class TestGridTable:
         """The fold is by runs: per ``θL`` row one unsent and one sent
         state at most, whatever the grid's size in pairs."""
         calls = []
-        frame_stats = IncrementalThresholdScorer._frame_stats
+        frame_stats = ThresholdEvaluator._frame_stats
 
         def counting(self, frame, discarded, sent):
             calls.append((discarded, sent))
             return frame_stats(self, frame, discarded, sent)
 
-        monkeypatch.setattr(IncrementalThresholdScorer, "_frame_stats", counting)
-        evaluator = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=12)
-        scorer = IncrementalThresholdScorer()
+        traces = profiled_traces(CroesusConfig(seed=4), "v1", num_frames=12)
+        monkeypatch.setattr(ThresholdEvaluator, "_frame_stats", counting)
+        scorer = ThresholdEvaluator()
         rows = len(_grid(0.05))
-        for trace in evaluator.traces:
+        for trace in traces:
             scorer.add_frame(trace)
             del calls[:]
             scorer.best_of_grid(0.05, 0.8)
@@ -412,8 +450,7 @@ class TestGridTable:
         assert calls == []
 
     def test_a_search_for_the_winner_builds_one_score(self, monkeypatch):
-        evaluator = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=12)
-        scorer = IncrementalThresholdScorer.from_evaluator(evaluator)
+        scorer = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=12)
         built = count_constructions(monkeypatch, ThresholdScore)
         scorer.best_of_grid(0.05, 0.8)
         assert built["ThresholdScore"] == 1
@@ -427,15 +464,15 @@ class TestGridTable:
         change between them): the table's scores, and the search result,
         are those of a from-scratch brute force over the same history."""
         traces = _build_traces(contents)
-        scorer = IncrementalThresholdScorer()
+        scorer = ThresholdEvaluator()
         for length, step, target in points:
             length = min(length, len(traces))
             for trace in traces[scorer.num_frames:length]:
                 scorer.add_frame(trace)
             history = traces[:scorer.num_frames]  # never shrinks
 
-            result = coordinate_descent_search(scorer, target_f_score=target, step=step)
-            brute = brute_force_search(ThresholdEvaluator(history), target, step=step)
+            result = brute_force_search(scorer, target_f_score=target, step=step)
+            brute = brute_force_search(ReferenceEvaluator(history), target, step=step)
             assert result.scores == brute.scores
             assert result.best == brute.best
             assert result.feasible == brute.feasible
@@ -447,7 +484,7 @@ class TestGridTable:
         """Ill-conditioned latencies, where a running ``+=`` total, the
         builtin ``sum`` of Python >= 3.12 (compensated) and the exact sum
         disagree: the table must reproduce whatever ``sum()`` of the
-        trace-ordered list gives the evaluator on this interpreter."""
+        trace-ordered list gives the oracle on this interpreter."""
         latencies = [1e16, 1.0, -1e16, 1.0, 3.0, 1e16, 1.0, -1e16]
         assert reduce(add, latencies) != math.fsum(latencies)  # the case discriminates
         traces = [
@@ -462,14 +499,14 @@ class TestGridTable:
             )
             for frame_id, value in enumerate(latencies)
         ]
-        evaluator = ThresholdEvaluator(traces)
-        scorer = IncrementalThresholdScorer()
+        evaluator = ReferenceEvaluator(traces)
+        scorer = ThresholdEvaluator()
         for trace in traces[:5]:
             scorer.add_frame(trace)
-        coordinate_descent_search(scorer, target_f_score=0.8, step=0.1)
+        brute_force_search(scorer, target_f_score=0.8, step=0.1)
         for trace in traces[5:]:
             scorer.add_frame(trace)
-        result = coordinate_descent_search(scorer, target_f_score=0.8, step=0.1)
+        result = brute_force_search(scorer, target_f_score=0.8, step=0.1)
         assert list(result.scores) == evaluator.evaluate_grid(step=0.1)
         # Sent and unsent frames carry different latencies, so the
         # per-pair averages really are re-summed per sent pattern.
@@ -483,14 +520,14 @@ class TestGridTable:
         only the builtin ``sum`` of the trace-ordered list reproduces."""
         latencies = [1e16, 1.0, -1e16, 1.0, 3.0, 1e16, 1.0, -1e16]
         traces = _tied_traces(latencies)
-        scorer = IncrementalThresholdScorer()
+        scorer = ThresholdEvaluator()
         for trace in traces[:5]:
             scorer.add_frame(trace)
         scorer.best_of_grid(0.1, 1.0)
         for trace in traces[5:]:
             scorer.add_frame(trace)
         best = scorer.best_of_grid(0.1, 1.0)
-        scores = ThresholdEvaluator(traces).evaluate_grid(step=0.1)
+        scores = ReferenceEvaluator(traces).evaluate_grid(step=0.1)
         tied = [s for s in scores if s.f_score >= 1.0 and s.bandwidth_utilization == 0.0]
         assert len(tied) > 2
         assert best == _reference_best(scores, 1.0)
@@ -501,60 +538,68 @@ class TestGridTable:
     def test_searching_an_empty_scorer_raises_like_evaluate(self):
         message = "cannot evaluate thresholds without any frame traces"
         with pytest.raises(ValueError, match=message):
-            IncrementalThresholdScorer().evaluate(0.3, 0.7)
+            ThresholdEvaluator().evaluate(0.3, 0.7)
         with pytest.raises(ValueError, match=message):
-            coordinate_descent_search(IncrementalThresholdScorer(), target_f_score=0.8)
+            brute_force_search(ThresholdEvaluator(), target_f_score=0.8)
+        with pytest.raises(ValueError, match=message):
+            ThresholdEvaluator().best_of_grid(0.1, 0.8)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, 0.6])
     def test_invalid_step_is_rejected_before_any_table_exists(self, step):
-        scorer = IncrementalThresholdScorer(_build_traces([([(0, 0.5)], [0], 0.1, 0.1)]))
+        scorer = ThresholdEvaluator(_build_traces([([(0, 0.5)], [0], 0.1, 0.1)]))
         with pytest.raises(ValueError, match="grid step"):
-            coordinate_descent_search(scorer, target_f_score=0.8, step=step)
+            brute_force_search(scorer, target_f_score=0.8, step=step)
         # A failed search leaves no half-built table behind.
-        assert coordinate_descent_search(scorer, target_f_score=0.8, step=0.1).evaluations == 55
+        assert brute_force_search(scorer, target_f_score=0.8, step=0.1).evaluations == 55
 
 
-# -- coordinate descent vs brute force ----------------------------------------
+# -- the table against the oracle on profiled videos -------------------------
 
 #: Frames profiled per fig2 video (the scenarios' 80 halved for speed).
 PROFILE_FRAMES = 40
 
 
 @pytest.fixture(scope="module")
-def figure_evaluators() -> dict[str, ThresholdEvaluator]:
-    """Profiled evaluators of the paper's fig2/table1 videos."""
-    evaluators = {}
+def figure_traces() -> dict[str, tuple[list[FrameTrace], float]]:
+    """Profiled traces (and match overlap) of the paper's fig2/table1 videos."""
+    traces = {}
     for name in ("fig2-v1", "fig2-v2", "fig2-v3", "fig2-v4"):
         spec = get_scenario(name)
-        evaluators[name] = ThresholdEvaluator.profile(
-            build_single_config(spec), spec.video, num_frames=PROFILE_FRAMES
+        config = build_single_config(spec)
+        traces[name] = (
+            profiled_traces(config, spec.video, PROFILE_FRAMES), config.match_overlap
         )
-    return evaluators
+    return traces
 
 
-class TestCoordinateDescent:
+def _searches(figure_traces, name, target):
+    """Brute force at step 0.05 on a fresh table and on the oracle."""
+    traces, match_overlap = figure_traces[name]
+    return tuple(
+        brute_force_search(evaluator_class(traces, match_overlap), target, step=0.05)
+        for evaluator_class in (ThresholdEvaluator, ReferenceEvaluator)
+    )
+
+
+class TestTableAgainstTheOracle:
     @pytest.mark.parametrize("name", ["fig2-v1", "fig2-v2", "fig2-v3", "fig2-v4"])
     @pytest.mark.parametrize("target", [0.7, 0.8, 0.9])
-    def test_matches_brute_force_optimum_exactly(self, figure_evaluators, name, target):
+    def test_matches_brute_force_optimum_exactly(self, figure_traces, name, target):
         """Same grid step -> same optimum, bit for bit (incl. tie-breaks)."""
-        evaluator = figure_evaluators[name]
-        brute = brute_force_search(evaluator, target_f_score=target, step=0.05)
-        descent = coordinate_descent_search(evaluator, target_f_score=target, step=0.05)
-        assert descent.best == brute.best
-        assert descent.feasible == brute.feasible
+        table, oracle = _searches(figure_traces, name, target)
+        assert table.best == oracle.best
+        assert table.feasible == oracle.feasible
+        assert table.scores == oracle.scores
 
     @pytest.mark.parametrize("name", ["fig2-v1", "fig2-v3"])
-    def test_ten_times_fewer_frame_rescores_than_the_grid(self, figure_evaluators, name):
-        """The ISSUE's perf gate: descent's full-frame label-match work is
-        >= 10x below the exhaustive grid's evaluations x frames."""
-        evaluator = figure_evaluators[name]
-        descent = coordinate_descent_search(evaluator, target_f_score=0.8, step=0.05)
-        grid_rescores = descent.evaluations * PROFILE_FRAMES
-        assert descent.frame_rescores * 10 <= grid_rescores
+    def test_ten_times_fewer_frame_rescores_than_the_grid(self, figure_traces, name):
+        """The table's full-frame label-match work is >= 10x below the
+        oracle's evaluations x frames, for the same search."""
+        table, oracle = _searches(figure_traces, name, 0.8)
+        assert oracle.frame_rescores == oracle.evaluations * PROFILE_FRAMES
+        assert table.frame_rescores * 10 <= oracle.frame_rescores
 
-    def test_infeasible_target_reports_best_effort(self, figure_evaluators):
-        evaluator = figure_evaluators["fig2-v1"]
-        brute = brute_force_search(evaluator, target_f_score=1.01, step=0.05)
-        descent = coordinate_descent_search(evaluator, target_f_score=1.01, step=0.05)
-        assert not descent.feasible
-        assert descent.best == brute.best
+    def test_infeasible_target_reports_best_effort(self, figure_traces):
+        table, oracle = _searches(figure_traces, "fig2-v1", 1.01)
+        assert not table.feasible
+        assert table.best == oracle.best

@@ -37,7 +37,6 @@ from repro.cli import main
 from repro.cluster.system import ClusterSystem
 from repro.core.adaptive import AdaptationManager
 from repro.core.config import CroesusConfig
-from repro.core.incremental import IncrementalThresholdScorer
 from repro.core.optimizer import ThresholdEvaluator
 from repro.core.pipeline import TraceSink
 from repro.core.results import FrameTrace, LatencyBreakdown
@@ -180,10 +179,10 @@ def test_recording_builds_no_label_object_and_each_read_renders_them(spec, monke
     assert renders[0] == 6 * len(live)
 
 
-@pytest.mark.parametrize("method", ["grid", "all"])
+@pytest.mark.parametrize("method", ["brute", "all"])
 def test_a_tune_renders_each_profiled_label_set_once(method, monkeypatch, capsys):
     """``ThresholdEvaluator`` renders a trace's edge and cloud labels once,
-    with its overlap table, and the incremental scorer reuses both."""
+    to build its overlap table, and every search reuses that table."""
     renders = _count_renders(monkeypatch)
     argv = ["tune", "--video", "v1", "--frames", "30", "--method", method, "--step", "0.05"]
     assert main(argv) == 0
@@ -191,12 +190,11 @@ def test_a_tune_renders_each_profiled_label_set_once(method, monkeypatch, capsys
 
 
 def test_the_offline_scorer_renders_each_profiled_label_set_once(monkeypatch):
-    evaluator = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=20)
     renders = _count_renders(monkeypatch)
-    scorer = IncrementalThresholdScorer(evaluator.traces)
-    scorer.evaluate_grid(0.05)
-    scorer.evaluate(0.33, 0.77)
-    scorer.best_of_grid(0.1, 0.8)
+    evaluator = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=20)
+    evaluator.evaluate_grid(0.05)
+    evaluator.evaluate(0.33, 0.77)
+    evaluator.best_of_grid(0.1, 0.8)
     assert renders == [2 * 20]
 
 

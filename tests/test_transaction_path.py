@@ -235,6 +235,23 @@ def _record_fnv_evaluations(monkeypatch) -> list[str]:
     return hashed
 
 
+@pytest.mark.parametrize("name", sorted(CONTROLLERS))
+def test_pending_finals_is_a_property_through_a_policy(name):
+    """One calling convention on all four controllers: a tuple, read
+    without a call, so ``if policy.pending_finals:`` is False when nothing
+    waits (a bound method would always be truthy)."""
+    build, _, _ = CONTROLLERS[name]
+    controller, _, _ = build(None)
+    policy = make_policy("immediate-2pc", controller)
+    assert policy.pending_finals == ()
+    assert not policy.pending_finals
+    transaction = _hot_transaction("t1", random.Random(0), {})
+    policy.process_initial(transaction, now=1.0)
+    assert policy.pending_finals == ("t1",)
+    policy.process_final(transaction, now=2.0)
+    assert not policy.pending_finals
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", sorted(CONTROLLERS))
 def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):

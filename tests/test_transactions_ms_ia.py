@@ -147,7 +147,7 @@ class TestMSIAController:
         with pytest.raises(TransactionAborted):
             controller.process_final(txn)
         # The final section remains pending so it can be retried later.
-        assert "t1" in controller.pending_finals()
+        assert "t1" in controller.pending_finals
         controller.lock_manager.release_all("someone-else")
         controller.process_final(txn)
         assert txn.is_committed

@@ -170,6 +170,6 @@ class TestTwoStage2PL:
         controller = TwoStage2PL(store)
         txn = _increment_transaction("t1")
         controller.process_initial(txn)
-        assert controller.pending_finals() == ("t1",)
+        assert controller.pending_finals == ("t1",)
         controller.process_final(txn)
-        assert controller.pending_finals() == ()
+        assert controller.pending_finals == ()
