@@ -142,6 +142,11 @@ class TestCommands:
         assert "brute force" in output
 
     def test_tune_all_methods_by_default(self, capsys):
+        assert main(["tune", "--video", "v3", "--frames", "20", "--target", "0.7"]) == 0
+        output = capsys.readouterr().out
+        assert "brute force" in output
+        assert "gradient step" in output
+        assert "frame rescores" in output
         assert main(
             ["tune", "--video", "v3", "--frames", "20", "--target", "0.7", "--json"]
         ) == 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from functools import reduce
 from operator import add
 
@@ -182,6 +183,20 @@ class TestScorerMatchesEvaluator:
         for expected in reference.evaluate_grid(step=0.1):
             assert evaluator.evaluate(expected.lower, expected.upper) == expected
 
+    def test_profile_scores_what_the_oracle_scores_on_profiled_traces(self):
+        """``profile`` and the oracle tests' ``profiled_traces`` helper
+        profile the same run, so a change to either shows here.  A
+        non-default overlap checks that ``profile`` passes it on."""
+        config = replace(CroesusConfig(seed=4), match_overlap=0.3)
+        evaluator = ThresholdEvaluator.profile(config, "v1", num_frames=40)
+        reference = ReferenceEvaluator(
+            profiled_traces(config, "v1", num_frames=40), config.match_overlap
+        )
+        assert (evaluator.num_frames, evaluator.match_overlap) == (40, 0.3)
+        assert evaluator.evaluate_grid(step=0.1) == reference.evaluate_grid(step=0.1)
+        assert reference.evaluate_grid(step=0.1) != ReferenceEvaluator(
+            profiled_traces(config, "v1", num_frames=40)
+        ).evaluate_grid(step=0.1)
 
     @pytest.mark.parametrize("scorer_class", [ThresholdEvaluator, ReferenceEvaluator])
     @pytest.mark.parametrize("first, second", [(0.3000004, 0.2999996), (0.2999996, 0.3000004)])
