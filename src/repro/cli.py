@@ -49,7 +49,12 @@ from repro.traffic.admission import ADMISSION_POLICIES
 from repro.traffic.arrivals import ARRIVAL_PROCESSES
 from repro.transactions.policy import TXN_POLICIES
 from repro.core.adaptive import ADAPTATION_MODES
-from repro.core.optimizer import ThresholdEvaluator, _grid, brute_force_search, gradient_step_search
+from repro.core.optimizer import (
+    ThresholdEvaluator,
+    brute_force_search,
+    gradient_step_search,
+    threshold_grid,
+)
 from repro.experiments import (
     CONSISTENCY_LEVELS,
     ScenarioSpec,
@@ -528,7 +533,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         return _fail("tune", f"--target must be in (0, 1], got {args.target}")
     if args.step is not None:
         try:
-            _grid(args.step)  # the grid owns the step's range; check it before profiling
+            threshold_grid(args.step)  # the grid owns the step's range; check it before profiling
         except ValueError as error:
             return _fail("tune", f"--step {args.step}: {error}")
     step_kwargs = {} if args.step is None else {"step": args.step}

@@ -210,12 +210,12 @@ class EdgeReplica:
         ids in ``exclude`` (e.g. from an earlier run) are skipped.
         """
         total = cross_edge = multi_partition = 0
-        for txn_id, record in self.controller.commit_records.items():
+        owned = self.owned_partitions
+        for txn_id, touched in self.controller.partitions_touched().items():
             if txn_id in exclude:
                 continue
-            touched = record.partitions_touched
             total += 1
-            if touched - self.owned_partitions:
+            if not touched <= owned:
                 cross_edge += 1
             if len(touched) > 1:
                 multi_partition += 1

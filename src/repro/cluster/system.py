@@ -546,7 +546,7 @@ class ClusterSystem:
             (r.stats.initial_commits, r.stats.final_commits, r.stats.aborts)
             for r in self.replicas
         ]
-        pre_records = [frozenset(r.controller.commit_records) for r in self.replicas]
+        pre_records = [frozenset(r.controller.partitions_touched()) for r in self.replicas]
         pre_policy = [r.policy.policy_stats.snapshot() for r in self.replicas]
         return pre_stats, pre_records, pre_policy, self.store.failure_aborts
 

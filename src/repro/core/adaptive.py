@@ -61,7 +61,7 @@ from repro.detection.matching import FrameOverlaps
 ADAPTATION_MODES = ("feedback", "retune")
 
 #: Largest grid value a drifting upper threshold may reach — the top of
-#: :func:`repro.core.optimizer._grid`, kept below the ``θU < 1`` bound.
+#: :func:`repro.core.optimizer.threshold_grid`, kept below the ``θU < 1`` bound.
 MAX_THRESHOLD = 0.95
 
 

@@ -150,7 +150,7 @@ class _GridTable:
 
     def __init__(self, step: float) -> None:
         self.step = step
-        self.values = _grid(step)
+        self.values = threshold_grid(step)
         size = len(self.values)
         self.lower_index, self.upper_index = np.triu_indices(size)
         self.totals = np.zeros((size, size, 4), dtype=np.int64)
@@ -405,7 +405,7 @@ class ThresholdEvaluator:
         """The pair :func:`brute_force_search` picks on the ``step`` grid,
         without scoring the others.
 
-        ``_select_best(evaluate_grid(step), target_f_score)``, exactly —
+        ``select_best(evaluate_grid(step), target_f_score)``, exactly —
         the same rule (:func:`select_pair`) read off the table's integer
         totals: F-scores for all pairs in one vectorised pass, then a
         latency average (O(frames) each) only for the feasible pairs tied
@@ -484,7 +484,7 @@ def brute_force_search(
     """
     rescores_before = evaluator.frame_rescores
     scores = evaluator.evaluate_grid(step=step)
-    best = _select_best(scores, target_f_score)
+    best = select_best(scores, target_f_score)
     feasible = best.f_score >= target_f_score
     return OptimizationResult(
         best=best,
@@ -511,7 +511,7 @@ def gradient_step_search(
     stops at a local optimum, typically after evaluating a fraction of
     the grid the brute-force search scans.
     """
-    values = _grid(step)
+    values = threshold_grid(step)
     lower, upper = values[0], values[-1]
     rescores_before = evaluator.frame_rescores
     # Pairs this search examined, in visit order.  The evaluator's own
@@ -600,7 +600,8 @@ def select_pair(
     return min(tied.tolist(), key=lambda pair: (final_latency(pair), -f_scores[pair]))
 
 
-def _select_best(scores: Sequence[ThresholdScore], target_f_score: float) -> ThresholdScore:
+def select_best(scores: Sequence[ThresholdScore], target_f_score: float) -> ThresholdScore:
+    """The score :func:`select_pair` picks among ``scores``."""
     return scores[
         select_pair(
             np.array([score.f_score for score in scores]),
@@ -611,7 +612,9 @@ def _select_best(scores: Sequence[ThresholdScore], target_f_score: float) -> Thr
     ]
 
 
-def _grid(step: float) -> list[float]:
+def threshold_grid(step: float) -> list[float]:
+    """Threshold values ``0, step, 2·step, …`` up to 0.95; ``step`` must be
+    in (0, 0.5]."""
     if not 0.0 < step <= 0.5:
         raise ValueError("grid step must be in (0, 0.5]")
     values = []

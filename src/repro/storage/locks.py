@@ -131,6 +131,19 @@ class LockManager:
                 return False
         return True
 
+    def acquire_exclusive(self, holder: str, keys: Iterable[str], now: float = 0.0) -> bool:
+        """:meth:`acquire_all` of an X lock on every key of ``keys``, where a
+        key ``holder`` already holds exclusively is no request (it would be
+        granted and change nothing): a 2PC prepare on a section's locks."""
+        table = self._table
+        exclusive = LockMode.EXCLUSIVE
+        requests = []
+        for key in keys:
+            entry = table.get(key)
+            if entry is None or entry[_MODE] is not exclusive or holder not in entry[_HOLDERS]:
+                requests.append((key, exclusive))
+        return not requests or self.acquire_all(holder, requests, now)
+
     def release(self, holder: str, key: str, now: float = 0.0, record: bool = True) -> None:
         """Release ``holder``'s lock on ``key`` (no-op when not held)."""
         entry = self._table.get(key)

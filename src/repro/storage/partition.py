@@ -118,14 +118,14 @@ class Partition:
         checkpoint = self.wal.latest_checkpoint
         from_lsn = checkpoint.lsn if checkpoint is not None else 0
         self.store = restore_from_checkpoint(checkpoint)
-        tail = self.wal.replay_into(self.store, after_lsn=from_lsn)
+        records, transactions = self.wal.replay(self.store, after_lsn=from_lsn)
         self.available = True
         return RecoveryOutcome(
             partition_id=self.partition_id,
             checkpoint_lsn=from_lsn,
             keys_restored=checkpoint.num_keys if checkpoint is not None else 0,
-            records_replayed=len(tail),
-            transactions_replayed=len({record.transaction_id for record in tail}),
+            records_replayed=records,
+            transactions_replayed=transactions,
         )
 
 
@@ -229,12 +229,12 @@ class PartitionedStore:
         if checkpoint is None:
             checkpoint = partition.take_checkpoint()
         store = restore_from_checkpoint(checkpoint)
-        tail = partition.wal.replay_into(store, after_lsn=checkpoint.lsn)
+        records, _ = partition.wal.replay(store, after_lsn=checkpoint.lsn)
         partition.store = store
         return ReshardOutcome(
             partition_id=partition_id,
             keys_copied=checkpoint.num_keys,
-            records_shipped=len(tail),
+            records_shipped=records,
             checkpoint_lsn=checkpoint.lsn,
         )
 
@@ -314,9 +314,10 @@ class SectionRoutes(dict):
     """``key -> Partition`` routes resolved while one section runs.
 
     A miss routes the key the way :meth:`PartitionedStore.partition_for`
-    does — slot memo, slot owner, partition — but in this one call (the
-    YCSB workloads mint fresh keys, so a section misses on nearly every
-    key it touches) and keeps the answer: a section's lock acquisition,
+    does — slot memo, slot owner, partition — but in one place (the YCSB
+    workloads mint fresh keys, so a section misses on nearly every key it
+    locks; the lock pass routes those inline, a later miss through
+    ``__missing__``) and keeps the answer: a section's lock acquisition,
     reads, lock release and 2PC grouping route each distinct key once.
     Build one per section execution and drop it with the section:
     ``split`` / ``merge`` / ``transfer_partition`` / promotion re-home
@@ -341,8 +342,14 @@ class SectionRoutes(dict):
     ) -> None:
         self._store = store
         self.granted = True
+        key_slot, slot_owner, partitions = store._key_slot, store._slot_owner, store._partitions
         for key, mode in requests:
-            partition = self[key]
+            partition = self.get(key)
+            if partition is None:
+                slot = key_slot.get(key)
+                if slot is None:
+                    slot = key_slot[key] = _stable_bucket(key, store._slot_count)
+                partition = self[key] = partitions[slot_owner[slot]]
             if partition.available and partition.locks.try_acquire(holder, key, mode, now):
                 continue
             del self[key]
@@ -382,12 +389,13 @@ class TwoPhaseCommitCoordinator:
     """Atomic commitment across the partitions a transaction touched.
 
     The coordinator asks every participating partition to *prepare* by
-    acquiring exclusive locks on the transaction's keys in that
-    partition; if every vote is YES, writes are applied and locks
-    released, otherwise all partitions abort and release.  A partition
-    whose hosting replica is failed cannot prepare and votes NO.  A round's
-    participant set is interned (one frozenset per distinct set, kept
-    here), so a caller keeping every round's set keeps no object per round.
+    holding exclusive locks on the transaction's keys in that partition
+    (requesting only those it does not hold already); if every vote is
+    YES, writes are applied and locks released, otherwise all partitions
+    abort and release.  A partition whose hosting replica is failed cannot
+    prepare and votes NO.  A round's participant set is interned (one
+    frozenset per distinct set, kept here), so a caller keeping every
+    round's set keeps no object per round.
     """
 
     def __init__(self, store: PartitionedStore) -> None:
@@ -404,9 +412,13 @@ class TwoPhaseCommitCoordinator:
         """Run 2PC for ``writes`` on behalf of ``transaction_id``.
 
         ``routes`` is the calling section's routing plan, so keys it has
-        already routed are not hashed again.  Whatever the decision, the
-        holder's locks are released on every partition the plan routed —
-        the section's read-only partitions included — once each.
+        already routed are not hashed again.  Prepare votes on the locks
+        the section holds: a key ``transaction_id`` already holds
+        exclusively is no request, so only an undeclared write or an S→X
+        upgrade is asked for, all or nothing per partition.  Whatever the
+        decision, the holder's locks are released on every partition the
+        plan routed — the section's read-only partitions included — once
+        each.
         """
         if routes is None:
             routes = SectionRoutes(self._store)
@@ -419,13 +431,12 @@ class TwoPhaseCommitCoordinator:
             group[1][key] = value
 
         votes: dict[int, VoteOutcome] = {}
-        exclusive = LockMode.EXCLUSIVE
         decision = True
 
-        # Phase 1: prepare (grab exclusive locks on every key).
+        # Phase 1: prepare (hold an exclusive lock on every written key).
         for partition_id, (partition, partition_writes) in groups.items():
-            if partition.available and partition.locks.acquire_all(
-                transaction_id, [(key, exclusive) for key in partition_writes], now
+            if partition.available and partition.locks.acquire_exclusive(
+                transaction_id, partition_writes, now
             ):
                 votes[partition_id] = VoteOutcome.YES
             else:
@@ -435,11 +446,14 @@ class TwoPhaseCommitCoordinator:
         if not decision and any(not partition.available for partition, _ in groups.values()):
             self._store.record_failure_abort()
 
-        # Phase 2: commit or abort everywhere, then release.
+        # Phase 2: commit (log first, then the store) or abort everywhere,
+        # then release.
         if decision:
             for partition, partition_writes in groups.values():
+                append, write = partition.wal.append, partition.store.write
                 for key, value in partition_writes.items():
-                    partition.commit_write(key, value, writer=transaction_id)
+                    append(transaction_id, key, value)
+                    write(key, value, writer=transaction_id)
         release_routed(transaction_id, routes, now)
 
         participants = frozenset(groups)

@@ -16,12 +16,17 @@ Two logs with two different jobs live here:
   the store from the latest checkpoint and replays the log tail
   (:meth:`WriteAheadLog.replay_into`), exactly the redo protocol the
   failure/recovery scenarios of :mod:`repro.cluster` simulate.
+
+Both logs keep rows, not objects: a logged write adds its fields to one
+flat list.  :class:`UndoRecord` and :class:`LogRecord` are the read API,
+rendered by the accessors; a :class:`LogRecord` is also what the redo
+log's ship hook receives, built only when a hook is set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import Any
 
 from repro.storage.kvstore import KeyValueStore
@@ -105,8 +110,8 @@ class UndoLog:
 
 @dataclass(slots=True, unsafe_hash=True)
 class LogRecord:
-    """One committed write in the redo log (immutable by convention, not
-    frozen: one is built per committed write)."""
+    """One committed write in the redo log, as read or shipped (immutable
+    by convention, not frozen: one is rendered per record read)."""
 
     lsn: int
     transaction_id: str
@@ -140,32 +145,39 @@ class WriteAheadLog:
     ``latest checkpoint + replay of the tail``.  LSNs start at 1 and
     increase by 1 per record; checkpoints do not consume LSNs.
 
+    The records are one flat list of rows — ``transaction_id, key,
+    value, …`` oldest first — and a record's LSN is its position, so
+    appending builds no object.  :class:`LogRecord` is the read API:
+    :meth:`records`, :meth:`records_since` and :meth:`replay_into` render
+    it from the rows, and :meth:`append` builds one only for the ship
+    hook (:attr:`on_append`).  :meth:`replay` replays without rendering.
+
     Only the newest checkpoint is kept, with a count of every checkpoint
     taken: a recovery never restores an older one, and each is a full
     copy of the partition's state.
     """
 
     def __init__(self) -> None:
-        self._records: list[LogRecord] = []
+        self._rows: list = []
         self._latest_checkpoint: Checkpoint | None = None
         self._num_checkpoints = 0
         # Ship hook: replication (and group-commit accounting) observe every
-        # append without the log knowing who listens.  ``None`` means nobody
-        # does, which keeps the unreplicated path allocation-free.
+        # append as a ``LogRecord`` without the log knowing who listens.
+        # ``None`` means nobody does, which keeps the unreplicated path
+        # allocation-free.
         self.on_append: Any | None = None
 
     # -- appending -----------------------------------------------------------
-    def append(self, transaction_id: str, key: str, value: Any) -> LogRecord:
-        """Log one committed write and return its record."""
-        record = LogRecord(
-            lsn=len(self._records) + 1, transaction_id=transaction_id, key=key, value=value
-        )
-        self._records.append(record)
+    def append(self, transaction_id: str, key: str, value: Any) -> int:
+        """Log one committed write and return its LSN."""
+        rows = self._rows
+        rows += (transaction_id, key, value)
+        lsn = len(rows) // 3
         if self.on_append is not None:
-            self.on_append(record)
-        return record
+            self.on_append(LogRecord(lsn, transaction_id, key, value))
+        return lsn
 
-    def append_record(self, record: LogRecord) -> LogRecord:
+    def append_record(self, record: LogRecord) -> int:
         """Apply a record shipped from another log, preserving its LSN.
 
         This is the backup's half of log shipping: a standby log accepts
@@ -173,13 +185,13 @@ class WriteAheadLog:
         primary's.  Continuity is enforced — the record must be exactly
         the next LSN — because a gap would mean the standby silently
         missed a committed write.  The ship hook is *not* re-fired (a
-        standby never re-ships).
+        standby never re-ships).  Returns the LSN.
         """
-        expected = len(self._records) + 1
+        expected = len(self._rows) // 3 + 1
         if record.lsn != expected:
             raise ValueError(f"append_record expected LSN {expected}, got {record.lsn}")
-        self._records.append(record)
-        return record
+        self._rows += (record.transaction_id, record.key, record.value)
+        return expected
 
     def take_checkpoint(self, state: dict[str, Any]) -> Checkpoint:
         """Snapshot ``state`` as covering everything up to the last LSN;
@@ -192,7 +204,7 @@ class WriteAheadLog:
     @property
     def last_lsn(self) -> int:
         """LSN of the newest record (0 when the log is empty)."""
-        return len(self._records)
+        return len(self._rows) // 3
 
     @property
     def latest_checkpoint(self) -> Checkpoint | None:
@@ -208,29 +220,39 @@ class WriteAheadLog:
         """Records with LSN strictly greater than ``lsn``, in log order.
 
         LSNs are dense (record ``i`` has LSN ``i+1``), so the tail is a
-        direct slice of the record list rather than a scan.
+        direct slice of the rows rather than a scan.
         """
-        return tuple(self._records[max(int(lsn), 0) :])
+        after = max(int(lsn), 0)
+        tail = self._rows[3 * after :]
+        return tuple(map(LogRecord, count(after + 1), tail[0::3], tail[1::3], tail[2::3]))
 
     def records(self) -> tuple[LogRecord, ...]:
         """Every record in the log, oldest first."""
-        return tuple(self._records)
+        return self.records_since(0)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows) // 3
 
     # -- recovery ------------------------------------------------------------
-    def replay_into(self, store: KeyValueStore, after_lsn: int = 0) -> tuple[LogRecord, ...]:
-        """Re-apply records after ``after_lsn`` to ``store``; returns them.
+    def replay(self, store: KeyValueStore, after_lsn: int = 0) -> tuple[int, int]:
+        """Re-apply records after ``after_lsn`` to ``store``, rendering none;
+        returns how many records and how many distinct transactions.
 
         Writes carry their original transaction id as the writer, so a
         recovered store attributes every value to the transaction that
         committed it.
         """
-        tail = self.records_since(after_lsn)
-        for record in tail:
-            store.write(record.key, record.value, writer=record.transaction_id)
-        return tail
+        tail = self._rows[3 * max(int(after_lsn), 0) :]
+        write = store.write
+        rows = iter(tail)
+        for transaction_id, key, value in zip(rows, rows, rows):
+            write(key, value, writer=transaction_id)
+        return len(tail) // 3, len(set(tail[0::3]))
+
+    def replay_into(self, store: KeyValueStore, after_lsn: int = 0) -> tuple[LogRecord, ...]:
+        """:meth:`replay`, returning the replayed records rendered."""
+        self.replay(store, after_lsn)
+        return self.records_since(after_lsn)
 
 
 def restore_from_checkpoint(checkpoint: Checkpoint | None) -> KeyValueStore:

@@ -41,6 +41,9 @@ or a promotion may re-home a slot between a transaction's two sections.
 The section context keeps executed operations as one flat ``kind, key,
 value, …`` row list; an attached :class:`History` appends those slots to
 its own flat list and renders :class:`Operation` objects when it is read.
+The controller keeps its 2PC rounds the same way — one flat ``holder,
+participants, …`` list — and renders :class:`DistributedCommitRecord`
+objects when :attr:`~DistributedMSIAController.commit_records` is read.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class _BufferedSectionContext(SectionContext):
 
 @dataclass(slots=True)
 class DistributedCommitRecord:
-    """Book-keeping of the 2PC rounds a transaction performed (each round's
+    """The 2PC rounds a transaction performed, as read (each round's
     participants are the coordinator's interned set)."""
 
     transaction_id: str
@@ -126,7 +129,10 @@ class DistributedMSIAController(AdmittingController):
         self._pending: dict[str, tuple[MultiStageTransaction, Any]] = {}
         self._history = history
         self.stats = ControllerStats()
-        self.commit_records: dict[str, DistributedCommitRecord] = {}
+        #: Every atomic-commitment round, flat and in round order:
+        #: ``holder, participants, …``, each ``participants`` the
+        #: coordinator's interned set.
+        self._round_rows: list = []
         #: Observer of every atomic-commitment round, called with
         #: ``(transaction_id, participants)``.  The transaction-policy
         #: layer hooks in here to count and schedule coordinator round
@@ -199,6 +205,34 @@ class DistributedMSIAController(AdmittingController):
         return result
 
     @property
+    def commit_records(self) -> dict[str, DistributedCommitRecord]:
+        """Each transaction's rounds, in first-round order, rendered."""
+        records: dict[str, DistributedCommitRecord] = {}
+        rows = iter(self._round_rows)
+        for holder, participants in zip(rows, rows):
+            record = records.get(holder)
+            if record is None:
+                record = records[holder] = DistributedCommitRecord(holder)
+            record.rounds.append(participants)
+        return records
+
+    def partitions_touched(self) -> dict[str, frozenset[int]]:
+        """Each transaction's partitions over all its rounds, in first-round
+        order, read from the rows: a union of two sets is interned, so the
+        walk keeps no object per transaction."""
+        touched: dict[str, frozenset[int]] = {}
+        unions: dict[frozenset[int], frozenset[int]] = {}
+        rows = iter(self._round_rows)
+        for holder, participants in zip(rows, rows):
+            seen = touched.get(holder)
+            if seen is None:
+                touched[holder] = participants
+            elif not participants <= seen:
+                union = seen | participants
+                touched[holder] = unions.setdefault(union, union)
+        return touched
+
+    @property
     def pending_finals(self) -> tuple[str, ...]:
         """Ids of transactions whose final section has not run yet."""
         return tuple(self._pending)
@@ -241,10 +275,7 @@ class DistributedMSIAController(AdmittingController):
         return result.committed
 
     def _record_round(self, holder: str, participants: frozenset[int]) -> None:
-        record = self.commit_records.get(holder)
-        if record is None:
-            record = self.commit_records[holder] = DistributedCommitRecord(holder)
-        record.rounds.append(participants)
+        self._round_rows += (holder, participants)
         if self.commit_listener is not None:
             self.commit_listener(holder, participants)
 

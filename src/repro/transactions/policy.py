@@ -214,6 +214,8 @@ class TransactionPolicy:
     def __init__(self, controller: Any, owned_partitions: frozenset[int] | None = None) -> None:
         self._controller = controller
         self._owned = owned_partitions
+        #: participants -> the remote ones, per set (see :meth:`_remote`).
+        self._remote_sets: dict[frozenset[int], frozenset[int]] = {}
         self.policy_stats = PolicyStats()
         self._frame_charge = 0.0
         self._frame_saving = 0.0
@@ -304,6 +306,7 @@ class TransactionPolicy:
     def update_owned(self, owned_partitions: frozenset[int]) -> None:
         """Re-point the local/remote partition split (runtime re-shard)."""
         self._owned = frozenset(owned_partitions)
+        self._remote_sets.clear()
 
     # -- group-commit log accounting -----------------------------------------
     def configure_group_commit(self, window_s: float | None) -> None:
@@ -346,9 +349,15 @@ class TransactionPolicy:
 
     # -- shared internals ----------------------------------------------------
     def _remote(self, participants: frozenset[int]) -> frozenset[int]:
-        if self._owned is None:
-            return frozenset()
-        return participants - self._owned
+        """The partitions of ``participants`` this node does not own, kept
+        per set: a round's participants are interned by the coordinator, so
+        a commit round builds no set here."""
+        remote = self._remote_sets.get(participants)
+        if remote is None:
+            owned = self._owned
+            remote = frozenset() if owned is None else participants - owned
+            self._remote_sets[participants] = remote
+        return remote
 
     def _commit_round(self, transaction_id: str, participants: frozenset[int]) -> None:
         """The wrapped controller's commit listener: this policy's own

@@ -8,7 +8,7 @@ when both directories are collected in one pytest invocation.
 from __future__ import annotations
 
 from repro.core.config import CroesusConfig
-from repro.core.optimizer import ThresholdScore, _grid
+from repro.core.optimizer import ThresholdScore, threshold_grid
 from repro.core.results import FrameTrace
 from repro.core.system import CroesusSystem
 from repro.core.thresholds import ThresholdPolicy
@@ -158,7 +158,7 @@ class ReferenceEvaluator:
         return score
 
     def evaluate_grid(self, step: float = 0.1) -> list[ThresholdScore]:
-        values = _grid(step)
+        values = threshold_grid(step)
         return [
             self.evaluate(lower, upper)
             for lower in values

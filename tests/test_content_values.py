@@ -3,9 +3,10 @@
 ``BoundingBox``, ``Detection``, ``LabelSet``, ``SceneObject`` (one or more
 per detection or per scene object per frame), ``FrameTrace`` /
 ``LatencyBreakdown`` (one per recorded frame), ``ThresholdScore`` (one per
-grid pair per retune) and ``LogRecord`` (one per committed write) are
-slotted dataclasses that are *not* frozen — a frozen ``__init__`` pays one
-``object.__setattr__`` per field — and stay values by convention.  What
+grid pair per retune) and ``LogRecord`` (one per redo-log record read or
+shipped) are slotted dataclasses that are *not* frozen — a frozen
+``__init__`` pays one ``object.__setattr__`` per field — and stay values by
+convention.  What
 must hold for that to be invisible:
 
 * the value contract: ``==`` / ``hash`` / ``repr`` / ``replace`` / keyword

@@ -8,9 +8,9 @@ from repro.core.config import CroesusConfig
 from repro.core.optimizer import (
     ThresholdEvaluator,
     ThresholdScore,
-    _select_best,
     brute_force_search,
     gradient_step_search,
+    select_best,
 )
 
 
@@ -107,7 +107,7 @@ class TestSelectionRule:
             )
         else:
             expected = max(scores, key=lambda s: s.f_score)
-        assert _select_best(scores, target) is expected
+        assert select_best(scores, target) is expected
 
 
 class TestGradientStepSearch:

@@ -25,9 +25,9 @@ from repro.core.config import CroesusConfig
 from repro.core.optimizer import (
     ThresholdEvaluator,
     ThresholdScore,
-    _grid,
     brute_force_search,
     gradient_step_search,
+    threshold_grid,
 )
 from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.detection.geometry import BoundingBox
@@ -280,7 +280,7 @@ class _PerPairFold:
 
     def __init__(self, step: float) -> None:
         self.scorer = ThresholdEvaluator()
-        self.values = _grid(step)
+        self.values = threshold_grid(step)
         size = len(self.values)
         self.pairs = [(low, up) for low in range(size) for up in range(low, size)]
         self.totals = {pair: [0, 0, 0, 0] for pair in self.pairs}
@@ -453,7 +453,7 @@ class TestGridTable:
         traces = profiled_traces(CroesusConfig(seed=4), "v1", num_frames=12)
         monkeypatch.setattr(ThresholdEvaluator, "_frame_stats", counting)
         scorer = ThresholdEvaluator()
-        rows = len(_grid(0.05))
+        rows = len(threshold_grid(0.05))
         for trace in traces:
             scorer.add_frame(trace)
             del calls[:]

@@ -1,22 +1,33 @@
 """Audit records are kept as rows and rendered when they are read.
 
-``KeyValueStore``, ``UndoLog``, ``History`` and ``Channel`` store what a
-write leaves behind as plain rows; ``Version``, ``UndoRecord``,
-``SectionRecord`` (and its ``Operation`` tuples) and ``TransferRecord``
-are built by the accessor that reads them.  Report digests see none of
-that state, so this file guards it three ways:
+``KeyValueStore``, ``UndoLog``, ``History``, ``Channel``, the redo
+``WriteAheadLog`` and the distributed controllers' 2PC rounds store what a
+write or a commit round leaves behind as plain rows; ``Version``,
+``UndoRecord``, ``SectionRecord`` (and its ``Operation`` tuples),
+``TransferRecord``, ``LogRecord`` and ``DistributedCommitRecord`` are built
+by the accessor that reads them (a ``LogRecord`` also by an append that has
+a ship hook to feed).  Report digests see none of that state, so this file
+guards it three ways:
 
 * **state pins** — a sha256 over every rendered record of three seeded
   runs, captured on the commit that still built the records on the write
   (3013db9) and re-captured without the since-deleted event log on
-  3642afe; they must never move, under any ``PYTHONHASHSEED``;
+  3642afe; and a sha256 over every rendered ``LogRecord`` (primary and
+  standby logs) and ``DistributedCommitRecord`` of a ``sustained-overload``
+  and a ``replicated-failover`` shaped run, captured on 0fa6932, the last
+  commit that built one per write and one per transaction.  None may ever
+  move, under any ``PYTHONHASHSEED``;
 * **model tests** — random interleavings of store and undo-log calls
   against an oracle that keeps real record objects the way that commit
-  did, a ``History`` fed rows against one fed rendered operations, and
-  the flat ``History`` against the tuple-row one it replaced;
-* **counting** — a run constructs none of the five record classes, and
-  each accessor renders the same non-zero number of them afterwards; a
-  recorded run keeps a bounded number of bytes per committed operation.
+  did, a ``History`` fed rows against one fed rendered operations, the
+  flat ``History`` against the tuple-row one it replaced, and redo-log
+  appends, shipped records, checkpoints, reads, replays and recoveries
+  against a log that keeps one ``LogRecord`` per append;
+* **counting** — a run constructs none of the record classes, and each
+  accessor renders the same non-zero number of them afterwards (the
+  cluster report's span counts render none); a recorded run keeps a
+  bounded number of bytes per committed operation, and an open-loop
+  cluster run per committed write.
 """
 
 from __future__ import annotations
@@ -29,16 +40,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.system import ClusterSystem
+from repro.cluster.system import ClusterSystem, hotspot_bank_factory
 from repro.core.system import CroesusSystem
 from repro.experiments import get_scenario
 from repro.experiments.runner import build_streams
-from repro.experiments.spec import build_cluster_config, build_single_config
+from repro.experiments.spec import (
+    build_cluster_config,
+    build_single_config,
+    build_traffic_config,
+)
 from repro.network.channel import TransferRecord
 from repro.storage.kvstore import KeyNotFound, KeyValueStore, Version
-from repro.storage.wal import UndoLog, UndoRecord
+from repro.storage.partition import Partition, RecoveryOutcome
+from repro.storage.wal import (
+    Checkpoint,
+    LogRecord,
+    UndoLog,
+    UndoRecord,
+    restore_from_checkpoint,
+)
 from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.checker import check_ms_ia, check_ms_sr
+from repro.transactions.distributed import DistributedCommitRecord
 from repro.transactions.history import History, SectionRecord
 from repro.transactions.model import (
     MultiStageTransaction,
@@ -163,6 +186,70 @@ def _cluster_small() -> str:
     )
 
 
+def _run_cluster(spec) -> ClusterSystem:
+    """Run ``spec`` the way ``repro.experiments.run`` does, keeping the system."""
+    bank_factory = None
+    if spec.workload == "hotspot":
+        bank_factory = hotspot_bank_factory(spec.seed, key_range=spec.hot_key_range)
+    system = ClusterSystem(build_cluster_config(spec), bank_factory=bank_factory)
+    if spec.traffic is None:
+        system.run(build_streams(spec))
+    else:
+        system.run_open_loop(build_traffic_config(spec))
+    return system
+
+
+def _log(wal):
+    checkpoint = wal.latest_checkpoint
+    return (
+        wal.last_lsn,
+        None if checkpoint is None else checkpoint.lsn,
+        [(r.lsn, r.transaction_id, r.key, repr(r.value)) for r in wal.records()],
+    )
+
+
+def _commit_round_state(system: ClusterSystem) -> str:
+    """Every rendered redo-log record — primary logs, then each replication
+    group's standby logs — and every replica's rendered commit records."""
+    replication = system._replication
+    standbys = [] if replication is None else [
+        (
+            group.partition_id,
+            group.primary_edge,
+            [(edge, _log(log)) for edge, log in sorted(group.standby_logs.items())],
+        )
+        for group in replication.groups()
+    ]
+    return _sha(
+        (
+            [_log(system.store.partition(pid).wal) for pid in system.store.partition_ids()],
+            standbys,
+            [
+                [
+                    (txn, [sorted(participants) for participants in record.rounds])
+                    for txn, record in replica.controller.commit_records.items()
+                ]
+                for replica in system.replicas
+            ],
+        )
+    )
+
+
+def _overload_commit_rounds() -> str:
+    """MS-IA YCSB, open loop at ~2x capacity, two partitions per edge: 921
+    records and 614 rounds, 214 of them spanning two partitions."""
+    spec = get_scenario("sustained-overload").with_(duration_s=8.0, partitions_per_edge=2)
+    return _commit_round_state(_run_cluster(spec))
+
+
+def _failover_commit_rounds() -> str:
+    """MS-SR hotspot, sync shipping, a promotion and a fail-back re-enrolling
+    the recovered edge as a standby: 1150 records on the primaries and 1150
+    on the standbys, 233 rounds."""
+    spec = get_scenario("replicated-failover").with_(hot_key_range=200, failback=True)
+    return _commit_round_state(_run_cluster(spec))
+
+
 STATE_PINS = {
     "fig4-ms-sr": (
         _fig4_ms_sr,
@@ -175,6 +262,14 @@ STATE_PINS = {
     "cluster-small": (
         _cluster_small,
         "f0d46222e4885bbbdcd39e24ad7e0f7234ec86e00e41405c43ca4001c0075a90",
+    ),
+    "sustained-overload-commit-rounds": (
+        _overload_commit_rounds,
+        "012cbe2af90b59805f7ece084b3b117f65d019414ec2ea7f0a8c22908eb24e1a",
+    ),
+    "replicated-failover-commit-rounds": (
+        _failover_commit_rounds,
+        "fa686fd4b72015a775a1bb61488fba85a2e7f3dd1280546983a574d2ecdc0e5f",
     ),
 }
 
@@ -316,6 +411,119 @@ def test_store_and_undo_log_rows_render_what_the_objects_held(calls):
     for key in "abcd":
         assert (key in store) == (key in oracle.versions)
         assert store.history(key) == tuple(oracle.versions.get(key, ()))
+
+
+class _ObjectLog:
+    """The redo log the way 0fa6932 kept it: one ``LogRecord`` per append,
+    built on the append, and its newest checkpoint."""
+
+    def __init__(self) -> None:
+        self.records: list[LogRecord] = []
+        self.checkpoint: Checkpoint | None = None
+
+    def append(self, txn, key, value) -> LogRecord:
+        record = LogRecord(len(self.records) + 1, txn, key, value)
+        self.records.append(record)
+        return record
+
+    def append_record(self, record) -> LogRecord:
+        if record.lsn != len(self.records) + 1:
+            raise ValueError(record.lsn)
+        self.records.append(record)
+        return record
+
+    def records_since(self, lsn) -> tuple[LogRecord, ...]:
+        return tuple(self.records[max(int(lsn), 0) :])
+
+    def replay_into(self, store, after_lsn) -> tuple[LogRecord, ...]:
+        tail = self.records_since(after_lsn)
+        for record in tail:
+            store.write(record.key, record.value, writer=record.transaction_id)
+        return tail
+
+
+def _histories(store) -> dict:
+    return {key: store.history(key) for key in store.keys()}
+
+
+_log_calls = st.one_of(
+    st.tuples(st.just("append"), _txns, _keys, _values, st.booleans()),
+    st.tuples(st.just("append_record"), st.integers(-1, 1), _txns, _keys, _values),
+    st.tuples(st.just("take_checkpoint")),
+    st.tuples(st.just("records_since"), st.integers(-2, 12)),
+    st.tuples(st.just("replay_into"), st.integers(-2, 12)),
+    st.tuples(st.just("recover")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_log_calls, max_size=40))
+def test_redo_log_rows_render_what_the_objects_held(calls):
+    """A partition's log (appends written through to its store, crashes
+    and recoveries) and a standby log fed shipped records, against logs
+    that keep a record object per append."""
+    partition, standby = Partition(0), Partition(1).wal
+    oracle, oracle_standby, oracle_store = _ObjectLog(), _ObjectLog(), KeyValueStore()
+    for name, *args in calls:
+        wal = partition.wal
+        if name == "append":
+            txn, key, value, hooked = args
+            shipped = []
+            wal.on_append = shipped.append if hooked else None
+            lsn = wal.append(txn, key, value)
+            partition.store.write(key, value, writer=txn)
+            expected = oracle.append(txn, key, value)
+            oracle_store.write(key, value, writer=txn)
+            assert lsn == expected.lsn
+            assert shipped == ([expected] if hooked else [])
+        elif name == "append_record":
+            offset, txn, key, value = args
+            record = LogRecord(standby.last_lsn + 1 + offset, txn, key, value)
+            expected = _outcome_of(lambda: oracle_standby.append_record(record))
+            assert _outcome_of(lambda: standby.append_record(record)) == (
+                ValueError if expected is ValueError else expected.lsn
+            )
+        elif name == "take_checkpoint":
+            checkpoint = partition.take_checkpoint()
+            oracle.checkpoint = Checkpoint(len(oracle.records), oracle_store.snapshot())
+            assert checkpoint == oracle.checkpoint
+        elif name == "records_since":
+            (lsn,) = args
+            assert wal.records_since(lsn) == oracle.records_since(lsn)
+            assert standby.records_since(lsn) == oracle_standby.records_since(lsn)
+        elif name == "replay_into":
+            (lsn,) = args
+            replayed, expected = KeyValueStore(), KeyValueStore()
+            assert wal.replay_into(replayed, lsn) == oracle.replay_into(expected, lsn)
+            assert _histories(replayed) == _histories(expected)
+        else:
+            partition.crash()
+            outcome = partition.recover()
+            checkpoint = oracle.checkpoint
+            from_lsn = 0 if checkpoint is None else checkpoint.lsn
+            oracle_store = restore_from_checkpoint(checkpoint)
+            tail = oracle.replay_into(oracle_store, from_lsn)
+            assert outcome == RecoveryOutcome(
+                0,
+                from_lsn,
+                0 if checkpoint is None else checkpoint.num_keys,
+                len(tail),
+                len({record.transaction_id for record in tail}),
+            )
+            assert _histories(partition.store) == _histories(oracle_store)
+
+    for log, objects in ((partition.wal, oracle), (standby, oracle_standby)):
+        assert log.records() == tuple(objects.records)
+        assert log.last_lsn == len(log) == len(objects.records)
+    assert partition.wal.latest_checkpoint == oracle.checkpoint
+    assert partition.wal.num_checkpoints == sum(name == "take_checkpoint" for name, *_ in calls)
+
+
+def _outcome_of(call):
+    try:
+        return call()
+    except ValueError:
+        return ValueError
 
 
 _operation_rows = st.lists(
@@ -499,6 +707,44 @@ def test_a_run_constructs_no_record_and_each_accessor_renders_them(monkeypatch):
     assert rendered_by(lambda: log.undo("t")) == {"UndoRecord": 2}
 
 
+def test_a_cluster_run_constructs_no_log_or_commit_record(monkeypatch):
+    built = count_constructions(monkeypatch, LogRecord, DistributedCommitRecord)
+
+    def rendered_by(read) -> dict[str, int]:
+        before = dict(built)
+        read()
+        return {name: n - before[name] for name, n in built.items() if n != before[name]}
+
+    system = _run_cluster(get_scenario("cluster-small"))
+    partitions = [system.store.partition(pid) for pid in system.store.partition_ids()]
+    assert all(partition.wal.on_append is None for partition in partitions)  # unreplicated
+    assert not any(built.values()), built
+
+    # The report's span counts read the round rows.
+    spans = rendered_by(lambda: [r.transaction_partition_counts() for r in system.replicas])
+    assert spans == {}
+
+    records = sum(len(partition.wal) for partition in partitions)
+    for read in (
+        lambda wal: wal.records(),
+        lambda wal: wal.records_since(0),
+        lambda wal: wal.replay_into(KeyValueStore()),
+    ):
+        assert rendered_by(lambda: [read(p.wal) for p in partitions]) == {"LogRecord": records}
+
+    transactions = sum(r.transaction_partition_counts()[0] for r in system.replicas)
+    for _ in range(2):
+        assert rendered_by(lambda: [r.controller.commit_records for r in system.replicas]) == {
+            "DistributedCommitRecord": transactions
+        }
+    assert records and transactions
+
+    # A recovery replays the rows and counts its tail from them.
+    outcomes = []
+    assert rendered_by(lambda: outcomes.extend(p.recover() for p in partitions)) == {}
+    assert sum(outcome.records_replayed for outcome in outcomes) == records
+
+
 # -- what a recorded run keeps ---------------------------------------------------
 #: Bytes a ``fig4-ms-sr`` run keeps alive per committed operation, with the
 #: system still referenced (tracemalloc): 410.7 when every YCSB insert built
@@ -526,3 +772,30 @@ def test_a_recorded_run_keeps_few_bytes_per_committed_operation():
     operations = sum(len(record.operations) for record in system.history)
     assert operations > 3000
     assert retained / operations < RETAINED_BYTES_PER_OPERATION_CEILING
+
+
+#: Bytes a ``sustained-overload`` run (8 s, open loop, YCSB, MS-IA) keeps
+#: alive per committed write, with the system still referenced
+#: (tracemalloc): 672.6 with one ``LogRecord`` per write and one
+#: ``DistributedCommitRecord`` (and its round list) per transaction, 568.3
+#: as rows.  The ceiling sits between the two.
+RETAINED_BYTES_PER_WRITE_CEILING = 620
+
+
+def test_an_open_loop_cluster_run_keeps_few_bytes_per_committed_write():
+    spec = get_scenario("sustained-overload").with_(duration_s=8.0)
+    _run_cluster(spec)  # first use: imports, memo tables, payloads
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system = _run_cluster(spec)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    writes = sum(len(system.store.partition(pid).wal) for pid in system.store.partition_ids())
+    assert writes > 900
+    assert retained / writes < RETAINED_BYTES_PER_WRITE_CEILING

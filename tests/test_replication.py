@@ -111,7 +111,11 @@ class TestReplicationGroup:
 
     def test_election_prefers_caught_up_then_low_edge_id(self):
         wal = WriteAheadLog()
-        records = [wal.append(f"t{i}", "k", i) for i in range(3)]
+        assert [wal.append(f"t{i}", "k", i) for i in range(3)] == [1, 2, 3]
+        records = wal.records()
+        assert [(r.lsn, r.transaction_id, r.value) for r in records] == [
+            (i + 1, f"t{i}", i) for i in range(3)
+        ]
         group = self.make_group()
         for record in records:
             group.apply(1, record)
@@ -129,12 +133,14 @@ class TestReplicationGroup:
 
     def test_promotion_replays_only_the_gap(self):
         wal = WriteAheadLog()
-        records = [wal.append(f"t{i}", f"k{i}", i) for i in range(5)]
+        assert [wal.append(f"t{i}", f"k{i}", i) for i in range(5)] == [1, 2, 3, 4, 5]
+        records = wal.records()
         group = self.make_group(factor=2)
         for record in records[:3]:
             group.apply(1, record)
         store, gap = group.promote(1, wal)
         assert [record.lsn for record in gap] == [4, 5]
+        assert gap == records[3:]
         assert store.snapshot() == {f"k{i}": i for i in range(5)}
         assert group.primary_edge == 1
         assert 1 not in group.backup_edges
@@ -154,10 +160,10 @@ class TestReplicationGroup:
         reconstructs exactly the crashed primary's committed state."""
         wal = WriteAheadLog()
         primary = KeyValueStore()
-        records = []
         for index, (key, value) in enumerate(writes):
-            records.append(wal.append(f"txn-{index}", key, value))
+            assert wal.append(f"txn-{index}", key, value) == index + 1
             primary.write(key, value, writer=f"txn-{index}")
+        records = wal.records()
         group = ReplicationGroup(
             partition_id=0, primary_edge=0, backup_edges=[1], factor=2, mode="sync"
         )

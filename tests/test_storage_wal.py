@@ -77,8 +77,13 @@ class TestUndoLog:
 class TestWriteAheadLog:
     def test_lsns_are_dense_and_monotonic(self):
         wal = WriteAheadLog()
-        records = [wal.append(f"t{i}", f"k{i}", i) for i in range(5)]
+        lsns = [wal.append(f"t{i}", f"k{i}", i) for i in range(5)]
+        assert lsns == [1, 2, 3, 4, 5]
+        records = wal.records()
         assert [record.lsn for record in records] == [1, 2, 3, 4, 5]
+        assert [(r.transaction_id, r.key, r.value) for r in records] == [
+            (f"t{i}", f"k{i}", i) for i in range(5)
+        ]
         assert wal.last_lsn == 5
         assert len(wal) == 5
 
