@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.core.optimizer import ThresholdEvaluator, ThresholdScore, select_best
+from repro.core.optimizer import ThresholdEvaluator, ThresholdScore
 
 #: Decimal places threshold grid values are rounded to for indexing;
 #: matches the evaluator's own cache-key rounding.
@@ -56,12 +56,6 @@ class ThresholdSweep:
             value = score.bandwidth_utilization if metric == "bu" else score.f_score
             result[(score.lower, score.upper)] = value
         return result
-
-    def best_feasible(self, target_f_score: float) -> ThresholdScore | None:
-        """The pair the searches pick (:func:`~repro.core.optimizer.select_pair`)
-        among those meeting the F-score target, or None if none does."""
-        best = select_best(self.scores, target_f_score)
-        return best if best.f_score >= target_f_score else None
 
 
 def sweep_thresholds(evaluator: ThresholdEvaluator, step: float = 0.1) -> ThresholdSweep:

@@ -173,13 +173,11 @@ class ReplicationGroup:
         self.backup_edges = tuple(e for e in self.backup_edges if e != edge)
 
     def enroll(self, edge: int, wal: WriteAheadLog, now: float) -> None:
-        """(Re-)enroll ``edge`` as a warm standby, rebuilt from the log."""
+        """(Re-)enroll ``edge`` as a warm standby, rebuilt from the log: its
+        rows copied under their LSNs and replayed into the standby store."""
         self._init_standby(edge)
-        log = self.standby_logs[edge]
-        store = self.standby_stores[edge]
-        for record in wal.records():
-            log.append_record(record)
-            store.write(record.key, record.value, writer=record.transaction_id)
+        self.standby_logs[edge] = wal.copy_records()
+        wal.replay(self.standby_stores[edge])
         self.applied_lsn[edge] = wal.last_lsn
         self.last_apply_at[edge] = now
         self.backup_edges = tuple(self.backup_edges) + (edge,)

@@ -2,14 +2,14 @@
 
 The edge node "hosts the main copy of its partition's data" (paper §3.1)
 and processes transactions against it.  This package provides the
-versioned key-value store, the lock manager used by both concurrency
+key-value store (each key's latest value), the lock manager used by both concurrency
 controllers, undo logging for apologies/retractions, the per-partition
 redo write-ahead log with checkpoints that failure recovery replays,
 and a partitioned store with a two-phase-commit coordinator plus
 runtime split/merge/transfer re-sharding (paper §4.5).
 """
 
-from repro.storage.kvstore import KeyValueStore, Version
+from repro.storage.kvstore import KeyValueStore, RowsNotKept, Version
 from repro.storage.locks import LockManager, LockMode, LockRequestDenied
 from repro.storage.partition import (
     Partition,
@@ -22,6 +22,7 @@ from repro.storage.wal import Checkpoint, LogRecord, UndoLog, UndoRecord, WriteA
 
 __all__ = [
     "KeyValueStore",
+    "RowsNotKept",
     "Version",
     "LockManager",
     "LockMode",

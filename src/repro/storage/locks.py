@@ -8,18 +8,24 @@ behind a sequencer (MS-IA, which the paper reports as abort-free).
 
 The manager also tracks, per holder, when each lock was acquired so the
 benchmark for Figure 6a can measure average lock-hold latency.  Every
-release on the transaction path completes a tenure, so tenures are kept
-as rows in one flat list — no object, not even a tuple, survives per
-release for the garbage collector to track — and rendered into
-:class:`LockHoldRecord` objects only when :attr:`LockManager.hold_records`
-is read.
+release on the transaction path completes a tenure; the manager keeps
+only the count and the total hold time that mean needs, added to at each
+release.  A row per tenure is kept only when
+:attr:`LockManager.keep_tenures` is on when the manager is built (tests
+turn it on): one flat list, rendered into :class:`LockHoldRecord` objects
+when :attr:`LockManager.hold_records` is read.  With tenures off that
+read raises :class:`~repro.storage.kvstore.RowsNotKept`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
+
+from repro.storage.kvstore import RowsNotKept
 
 
 class LockMode(Enum):
@@ -58,16 +64,31 @@ class LockHoldRecord:
 _MODE, _HOLDERS = 0, 1
 _NO_KEYS: frozenset[str] = frozenset()
 
+#: ``sum`` adds floats with Neumaier's compensation from Python 3.12 on; the
+#: running hold total adds the same way, so its mean is ``sum(durations) / n``
+#: bit for bit on every interpreter.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
 
 class LockManager:
-    """Grants and releases S/X locks and records hold durations."""
+    """Grants and releases S/X locks and totals hold durations."""
+
+    #: Keep a row per completed tenure for :attr:`hold_records`.  Read when
+    #: a manager is built; only tests turn it on.
+    keep_tenures = False
 
     def __init__(self) -> None:
         self._table: dict[str, list] = {}
         #: holder -> keys it holds; an entry exists only while non-empty.
         self._held_by: dict[str, set[str]] = {}
+        #: Completed tenures, and their hold times summed as ``sum`` would
+        #: (int 0 start; the compensation term stays 0.0 before 3.12).
+        self._tenures = 0
+        self._hold_total = 0
+        self._hold_error = 0.0
         #: Completed tenures, flat: key, holder, acquired_at, released_at, key, ...
-        self._holds: list = []
+        #: ``None`` unless :attr:`keep_tenures` was on.
+        self._holds: list | None = [] if self.keep_tenures else None
 
     def try_acquire(
         self,
@@ -151,7 +172,7 @@ class LockManager:
             return
         acquired_at = entry[_HOLDERS].pop(holder)
         if record:
-            self._holds += (key, holder, acquired_at, now)
+            self._end_tenure(key, holder, acquired_at, now)
         held = self._held_by[holder]
         held.discard(key)
         if not held:
@@ -161,20 +182,38 @@ class LockManager:
 
     def release_all(self, holder: str, now: float = 0.0) -> None:
         """Release every lock held by ``holder``."""
-        table, holds = self._table, self._holds
+        table, end_tenure = self._table, self._end_tenure
         for key in self._held_by.pop(holder, _NO_KEYS):
             holders = table[key][_HOLDERS]
-            holds += (key, holder, holders.pop(holder), now)
+            end_tenure(key, holder, holders.pop(holder), now)
             if not holders:
                 del table[key]
+
+    def _end_tenure(self, key: str, holder: str, acquired_at: float, released_at: float) -> None:
+        """Add one completed tenure to the totals (and its row, when kept)."""
+        duration = released_at - acquired_at
+        total = self._hold_total
+        if _COMPENSATED_SUM and type(total) is float and type(duration) is float:
+            # sum()'s loop over exact floats; it adds anything else plainly.
+            summed = total + duration
+            if abs(total) >= abs(duration):
+                self._hold_error += (total - summed) + duration
+            else:
+                self._hold_error += (duration - summed) + total
+            self._hold_total = summed
+        else:
+            self._hold_total = total + duration
+        self._tenures += 1
+        if self._holds is not None:
+            self._holds += (key, holder, acquired_at, released_at)
 
     def transfer_key(self, key: str, target: "LockManager") -> bool:
         """Move the live grant on ``key`` (if any) to ``target``.
 
         Used when a key changes partitions at runtime (re-sharding): the
         grant — holders and acquire times — moves wholesale so in-flight
-        transactions keep their locks across the move.  Completed-tenure
-        records stay with this manager.  Returns ``True`` when a grant
+        transactions keep their locks across the move.  Completed tenures
+        stay counted by this manager.  Returns ``True`` when a grant
         was moved.
         """
         entry = self._table.pop(key, None)
@@ -209,14 +248,20 @@ class LockManager:
 
     @property
     def hold_records(self) -> tuple[LockHoldRecord, ...]:
-        """Completed lock tenures (for Figure 6a's contention metric)."""
+        """Completed lock tenures, rendered (kept only with :attr:`keep_tenures`)."""
         holds = self._holds
+        if holds is None:
+            raise RowsNotKept(
+                "this LockManager keeps only its tenure count and total hold time; "
+                "turn LockManager.keep_tenures on before building it"
+            )
         return tuple(LockHoldRecord(*holds[i : i + 4]) for i in range(0, len(holds), 4))
 
     def average_hold_time(self) -> float:
         """Mean duration of completed lock tenures (0 when none)."""
-        holds = self._holds
-        if not holds:
+        if not self._tenures:
             return 0.0
-        durations = (released - acquired for acquired, released in zip(holds[2::4], holds[3::4]))
-        return sum(durations) / (len(holds) // 4)
+        total, error = self._hold_total, self._hold_error
+        if error and math.isfinite(error):
+            total += error
+        return total / self._tenures

@@ -193,6 +193,14 @@ class WriteAheadLog:
         self._rows += (record.transaction_id, record.key, record.value)
         return expected
 
+    def copy_records(self) -> WriteAheadLog:
+        """A new log holding this log's records under the same LSNs, with no
+        checkpoint and no ship hook: what :meth:`append_record` of every
+        record into an empty log builds, rendering none."""
+        log = WriteAheadLog()
+        log._rows = self._rows.copy()
+        return log
+
     def take_checkpoint(self, state: dict[str, Any]) -> Checkpoint:
         """Snapshot ``state`` as covering everything up to the last LSN;
         it replaces the previous checkpoint."""

@@ -15,6 +15,8 @@ from repro.core.config import CroesusConfig
 from repro.sim.rng import RngRegistry
 from repro.storage.kvstore import KeyValueStore
 
+from helpers import keeping_rows
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -32,6 +34,14 @@ def rngs() -> RngRegistry:
 def store() -> KeyValueStore:
     """An empty key-value store."""
     return KeyValueStore()
+
+
+@pytest.fixture
+def rows_kept():
+    """Stores and lock managers built in the test keep their version and
+    tenure rows (:func:`helpers.keeping_rows`)."""
+    with keeping_rows():
+        yield
 
 
 @pytest.fixture

@@ -7,8 +7,12 @@ when both directories are collected in one pytest invocation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.analysis.sweeps import ThresholdSweep
 from repro.core.config import CroesusConfig
-from repro.core.optimizer import ThresholdScore, threshold_grid
+from repro.core.optimizer import ThresholdScore, select_best, threshold_grid
 from repro.core.results import FrameTrace
 from repro.core.system import CroesusSystem
 from repro.core.thresholds import ThresholdPolicy
@@ -16,6 +20,8 @@ from repro.detection.geometry import BoundingBox
 from repro.detection.labels import Detection, LabelSet
 from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport, aggregate_reports
+from repro.storage.kvstore import KeyValueStore
+from repro.storage.locks import LockManager
 from repro.video.frames import Frame
 from repro.video.library import make_video
 from repro.video.scene import SceneObject
@@ -86,6 +92,42 @@ def count_constructions(monkeypatch, *classes) -> dict[str, int]:
 
         monkeypatch.setattr(cls, "__init__", counting_init)
     return built
+
+
+@contextmanager
+def keeping_rows() -> Iterator[None]:
+    """Every ``KeyValueStore`` and ``LockManager`` built inside the block
+    keeps its version / tenure rows (``keep_versions`` / ``keep_tenures``),
+    so ``history``, ``read_version`` and ``hold_records`` can be read."""
+    saved = KeyValueStore.keep_versions, LockManager.keep_tenures
+    KeyValueStore.keep_versions = LockManager.keep_tenures = True
+    try:
+        yield
+    finally:
+        KeyValueStore.keep_versions, LockManager.keep_tenures = saved
+
+
+def rollback_writer(store: KeyValueStore, key: str, writer: str) -> bool:
+    """Restore ``key`` to the value it had before ``writer`` last wrote it
+    (``None`` when that was the key's first version), as a write by
+    ``undo:<writer>``; ``False`` when ``writer`` never wrote ``key``.
+
+    Reads the versions of a store that keeps them (``keep_versions``).
+    """
+    versions = store.history(key)
+    for index in range(len(versions) - 1, -1, -1):
+        if versions[index].writer == writer:
+            prior = versions[index - 1].value if index else None
+            store.write(key, prior, writer=f"undo:{writer}")
+            return True
+    return False
+
+
+def best_feasible(sweep: ThresholdSweep, target_f_score: float) -> ThresholdScore | None:
+    """The pair the searches pick (:func:`~repro.core.optimizer.select_best`)
+    among a sweep's scores meeting the F-score target, or None if none does."""
+    best = select_best(sweep.scores, target_f_score)
+    return best if best.f_score >= target_f_score else None
 
 
 def profiled_traces(config: CroesusConfig, video_key: str, num_frames: int) -> list[FrameTrace]:

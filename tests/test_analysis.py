@@ -8,6 +8,8 @@ from repro.core.config import CroesusConfig
 from repro.core.optimizer import ThresholdEvaluator, brute_force_search
 from repro.core.results import LatencyBreakdown
 
+from helpers import best_feasible
+
 
 class TestFormatTable:
     def test_contains_headers_and_rows(self):
@@ -53,17 +55,17 @@ class TestThresholdSweep:
             sweep.heatmap("latency")
 
     def test_best_feasible(self, sweep):
-        best = sweep.best_feasible(0.5)
+        best = best_feasible(sweep, 0.5)
         if best is not None:
             assert best.f_score >= 0.5
-        assert sweep.best_feasible(1.01) is None
+        assert best_feasible(sweep, 1.01) is None
 
     def test_best_feasible_is_the_search_optimum_on_ties(self):
         """(0.0, 0.0) and (0.1, 0.1) both send nothing, at one latency;
         the higher F-score breaks the tie, as in the searches (the first
         grid pair used to win)."""
         evaluator = ThresholdEvaluator.profile(CroesusConfig(seed=4), "v1", num_frames=40)
-        best = sweep_thresholds(evaluator, step=0.1).best_feasible(0.6)
+        best = best_feasible(sweep_thresholds(evaluator, step=0.1), 0.6)
         first = evaluator.evaluate(0.0, 0.0)
         assert (first.bandwidth_utilization, first.average_final_latency) == (
             best.bandwidth_utilization, best.average_final_latency

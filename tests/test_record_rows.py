@@ -6,8 +6,10 @@ write or a commit round leaves behind as plain rows; ``Version``,
 ``UndoRecord``, ``SectionRecord`` (and its ``Operation`` tuples),
 ``TransferRecord``, ``LogRecord`` and ``DistributedCommitRecord`` are built
 by the accessor that reads them (a ``LogRecord`` also by an append that has
-a ship hook to feed).  Report digests see none of that state, so this file
-guards it three ways:
+a ship hook to feed).  The store keeps its version rows only when
+``KeyValueStore.keep_versions`` is on, so the tests here that read them
+build their stores inside ``helpers.keeping_rows``.  Report digests see
+none of that state, so this file guards it three ways:
 
 * **state pins** — a sha256 over every rendered record of three seeded
   runs, captured on the commit that still built the records on the write
@@ -72,7 +74,7 @@ from repro.transactions.model import (
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 from repro.video.library import make_video
 
-from helpers import count_constructions
+from helpers import count_constructions, keeping_rows, rollback_writer
 
 
 # -- state pins ---------------------------------------------------------------
@@ -277,7 +279,8 @@ STATE_PINS = {
 @pytest.mark.parametrize("name", sorted(STATE_PINS))
 def test_rendered_record_state_is_pinned(name):
     capture, expected = STATE_PINS[name]
-    assert capture() == expected
+    with keeping_rows():
+        assert capture() == expected
 
 
 # -- rows against an oracle that keeps objects ---------------------------------
@@ -356,7 +359,9 @@ def _outcome(call):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_calls, max_size=40))
 def test_store_and_undo_log_rows_render_what_the_objects_held(calls):
-    store, oracle = KeyValueStore(), _ObjectOracle()
+    with keeping_rows():
+        store = KeyValueStore()
+    oracle = _ObjectOracle()
     log = UndoLog(store)
     for name, *args in calls:
         if name == "write":
@@ -368,7 +373,7 @@ def test_store_and_undo_log_rows_render_what_the_objects_held(calls):
             store.delete(key, writer=writer)
             oracle.write(key, None, writer)
         elif name == "rollback_writer":
-            assert store.rollback_writer(*args) == oracle.rollback_writer(*args)
+            assert rollback_writer(store, *args) == oracle.rollback_writer(*args)
         elif name == "read":
             (key,) = args
             assert _outcome(lambda: store.read(key)) == _outcome(lambda: oracle.version(key).value)
@@ -462,6 +467,11 @@ def test_redo_log_rows_render_what_the_objects_held(calls):
     """A partition's log (appends written through to its store, crashes
     and recoveries) and a standby log fed shipped records, against logs
     that keep a record object per append."""
+    with keeping_rows():
+        _check_redo_log_against_objects(calls)
+
+
+def _check_redo_log_against_objects(calls):
     partition, standby = Partition(0), Partition(1).wal
     oracle, oracle_standby, oracle_store = _ObjectLog(), _ObjectLog(), KeyValueStore()
     for name, *args in calls:
@@ -664,6 +674,7 @@ def test_flat_history_renders_what_tuple_rows_did(sections, after_clear):
 RECORD_CLASSES = (Version, UndoRecord, Operation, SectionRecord, TransferRecord)
 
 
+@pytest.mark.usefixtures("rows_kept")
 def test_a_run_constructs_no_record_and_each_accessor_renders_them(monkeypatch):
     built = count_constructions(monkeypatch, *RECORD_CLASSES)
 
@@ -751,8 +762,10 @@ def test_a_cluster_run_constructs_no_log_or_commit_record(monkeypatch):
 #: its own payload dict and the History kept a ``(kind, key, value)`` tuple
 #: per operation and a list per section, 253.2 with one payload per
 #: ``(label, stage)`` and flat rows, 236.5 without the event log's row per
-#: frame stage.  The ceiling keeps 253.2's headroom ratio (330 / 253.2).
-RETAINED_BYTES_PER_OPERATION_CEILING = 308
+#: frame stage, 148.3 with the store keeping each key's latest value and the
+#: lock manager its tenure totals instead of rows.  The ceiling keeps 253.2's
+#: headroom ratio (330 / 253.2).
+RETAINED_BYTES_PER_OPERATION_CEILING = 193
 
 
 def test_a_recorded_run_keeps_few_bytes_per_committed_operation():
@@ -778,8 +791,9 @@ def test_a_recorded_run_keeps_few_bytes_per_committed_operation():
 #: alive per committed write, with the system still referenced
 #: (tracemalloc): 672.6 with one ``LogRecord`` per write and one
 #: ``DistributedCommitRecord`` (and its round list) per transaction, 568.3
-#: as rows.  The ceiling sits between the two.
-RETAINED_BYTES_PER_WRITE_CEILING = 620
+#: as rows, 399.0 with the stores keeping each key's latest value and the
+#: lock managers their tenure totals.  The ceiling sits between the last two.
+RETAINED_BYTES_PER_WRITE_CEILING = 483
 
 
 def test_an_open_loop_cluster_run_keeps_few_bytes_per_committed_write():

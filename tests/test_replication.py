@@ -11,11 +11,16 @@ from repro.cluster.replication import (
     ReplicationGroup,
 )
 from repro.cluster import ClusterConfig, ClusterSystem
+from repro.cluster.system import hotspot_bank_factory
 from repro.core.config import ConsistencyLevel, CroesusConfig
-from repro.experiments import ScenarioSpec
+from repro.experiments import ScenarioSpec, get_scenario
+from repro.experiments.runner import build_streams
+from repro.experiments.spec import build_cluster_config
 from repro.storage.kvstore import KeyValueStore
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.video.library import make_camera_streams
+
+from helpers import count_constructions
 
 
 def replication_config(seed: int = 11, **overrides) -> ClusterConfig:
@@ -250,6 +255,43 @@ class TestWarmFailover:
         ]
         assert standbys
         assert all(len(log.records()) > 0 for log in standbys)
+
+
+@pytest.mark.usefixtures("rows_kept")
+def test_a_failback_run_re_enrolls_a_standby_from_rows(monkeypatch):
+    """Re-enrolling the recovered edge of a fail-back run copies the primary
+    log's rows and replays them: it builds no ``LogRecord``, and the standby
+    ends with the log, LSNs and store versions that applying every rendered
+    record one by one gave."""
+    built = count_constructions(monkeypatch, LogRecord)
+    enrolled = []
+    enroll = ReplicationGroup.enroll
+
+    def checked_enroll(group, edge, wal, now):
+        before = built["LogRecord"]
+        enroll(group, edge, wal, now)
+        assert built["LogRecord"] == before
+        log, store = group.standby_logs[edge], group.standby_stores[edge]
+        one_by_one_log, one_by_one_store = WriteAheadLog(), KeyValueStore()
+        for record in wal.records():
+            one_by_one_log.append_record(record)
+            one_by_one_store.write(record.key, record.value, writer=record.transaction_id)
+        assert log.records() == one_by_one_log.records()
+        assert log.last_lsn == group.applied_lsn[edge] == wal.last_lsn > 0
+        assert log.latest_checkpoint is None and log.on_append is None
+        assert [(key, store.history(key)) for key in store.keys()] == [
+            (key, one_by_one_store.history(key)) for key in one_by_one_store.keys()
+        ]
+        enrolled.append(edge)
+
+    monkeypatch.setattr(ReplicationGroup, "enroll", checked_enroll)
+    spec = get_scenario("replicated-failover").with_(failback=True)
+    system = ClusterSystem(
+        build_cluster_config(spec),
+        bank_factory=hotspot_bank_factory(spec.seed, key_range=spec.hot_key_range),
+    )
+    system.run(build_streams(spec))
+    assert enrolled
 
 
 class TestShippingModes:

@@ -3,8 +3,13 @@
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.storage.kvstore import RowsNotKept
 from repro.storage.locks import LockHoldRecord, LockManager, LockMode
+
+from helpers import keeping_rows
 
 
 class TestLockManager:
@@ -95,6 +100,7 @@ class TestLockManager:
         assert not granted
         assert locks.holds("t1", "x")
 
+    @pytest.mark.usefixtures("rows_kept")
     def test_hold_records_measure_duration(self):
         locks = LockManager()
         locks.try_acquire("t1", "x", LockMode.EXCLUSIVE, now=1.0)
@@ -107,6 +113,7 @@ class TestLockManager:
     def test_average_hold_time_empty(self):
         assert LockManager().average_hold_time() == 0.0
 
+    @pytest.mark.usefixtures("rows_kept")
     def test_hold_records_render_on_demand(self):
         """Tenures are kept as rows; each read renders equal frozen records."""
         locks = LockManager()
@@ -160,6 +167,7 @@ class TestLockTableResidue:
         locks.release("winner", "hot")
         assert locks.is_quiescent
 
+    @pytest.mark.usefixtures("rows_kept")
     def test_transferred_grant_leaves_no_residue_at_the_source(self):
         source, target = LockManager(), LockManager()
         source.try_acquire("t1", "x", LockMode.EXCLUSIVE, now=1.0)
@@ -169,3 +177,85 @@ class TestLockTableResidue:
         target.release("t1", "x", now=3.0)
         assert target.is_quiescent
         assert target.hold_records[0].duration == 2.0
+
+
+class TestTenuresNotKept:
+    def test_a_manager_keeps_totals_not_rows_by_default(self):
+        assert LockManager.keep_tenures is False
+        locks = LockManager()
+        locks.try_acquire("t1", "x", LockMode.EXCLUSIVE, now=1.0)
+        locks.release("t1", "x", now=3.5)
+        with pytest.raises(RowsNotKept, match="keep_tenures"):
+            locks.hold_records
+        assert locks.average_hold_time() == 2.5
+
+    def test_the_switch_is_read_when_a_manager_is_built(self):
+        with keeping_rows():
+            kept = LockManager()
+        totals = LockManager()
+        for locks in (kept, totals):
+            locks.try_acquire("t1", "x", LockMode.SHARED, now=1.0)
+            locks.release_all("t1", now=2.0)
+        assert kept.hold_records == (LockHoldRecord("x", "t1", 1.0, 2.0),)
+        with pytest.raises(RowsNotKept):
+            totals.hold_records
+
+
+_holders = st.sampled_from(["t1", "t2", "t3"])
+_lock_keys = st.sampled_from(["x", "y", "z"])
+_modes = st.sampled_from(list(LockMode))
+_lock_calls = st.one_of(
+    st.tuples(st.just("try_acquire"), _holders, _lock_keys, _modes),
+    st.tuples(
+        st.just("acquire_all"), _holders, st.lists(st.tuples(_lock_keys, _modes), max_size=3)
+    ),
+    st.tuples(st.just("acquire_exclusive"), _holders, st.lists(_lock_keys, max_size=3)),
+    st.tuples(st.just("release"), _holders, _lock_keys, st.booleans()),
+    st.tuples(st.just("release_all"), _holders),
+    st.tuples(st.just("transfer_key"), _lock_keys),
+)
+_times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+def _call(manager, other, name, args, now):
+    if name == "transfer_key":
+        # A key has one owning partition: no grant is moved onto another one.
+        return None if args[0] in other.locked_keys() else manager.transfer_key(args[0], other)
+    if name == "release":
+        holder, key, record = args
+        return manager.release(holder, key, now=now, record=record)
+    if name == "release_all":
+        return manager.release_all(args[0], now=now)
+    return getattr(manager, name)(*args, now=now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([float, int]),
+    st.lists(st.tuples(_lock_calls, _times, st.booleans()), max_size=40),
+)
+def test_average_hold_time_is_the_same_with_and_without_tenure_rows(time_type, calls):
+    """Random acquisitions, releases and key transfers between two managers,
+    run on managers keeping tenure rows and on managers keeping totals
+    (times all ints or all floats): the same grants, and an
+    ``average_hold_time`` equal, bit for bit, to the mean of the rendered
+    records' durations as ``sum`` adds them."""
+    with keeping_rows():
+        kept = [LockManager(), LockManager()]
+    totals = [LockManager(), LockManager()]
+    for (name, *args), now, side in calls:
+        now = time_type(now)
+        outcomes = [
+            _call(managers[side], managers[not side], name, args, now)
+            for managers in (kept, totals)
+        ]
+        assert outcomes[0] == outcomes[1]
+
+    for with_rows, without in zip(kept, totals):
+        assert with_rows.locked_keys() == without.locked_keys()
+        for holder in ("t1", "t2", "t3"):
+            assert with_rows.held_keys(holder) == without.held_keys(holder)
+        records = with_rows.hold_records
+        mean = sum(record.duration for record in records) / len(records) if records else 0.0
+        assert with_rows.average_hold_time() == without.average_hold_time() == mean
+        assert type(without.average_hold_time()) is float

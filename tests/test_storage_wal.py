@@ -3,6 +3,8 @@
 import gc
 import weakref
 
+import pytest
+
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.wal import UndoLog, WriteAheadLog, restore_from_checkpoint
 
@@ -120,6 +122,7 @@ class TestWriteAheadLog:
         assert wal.latest_checkpoint.lsn == 3 and wal.latest_checkpoint.state == {"k": 2}
         assert wal.num_checkpoints == 3
 
+    @pytest.mark.usefixtures("rows_kept")
     def test_replay_into_applies_only_the_tail(self):
         wal = WriteAheadLog()
         wal.append("t1", "a", 1)

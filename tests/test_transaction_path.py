@@ -73,7 +73,7 @@ from repro.transactions.policy import TransactionPolicy, make_policy
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
-from helpers import count_constructions
+from helpers import count_constructions, keeping_rows
 
 
 # -- state pins ---------------------------------------------------------------
@@ -125,6 +125,7 @@ STATE_PINS = {
 }
 
 
+@pytest.mark.usefixtures("rows_kept")
 @pytest.mark.parametrize("name", sorted(STATE_PINS))
 def test_wal_and_controller_state_is_pinned(name, monkeypatch):
     build_spec, expected_digest, expected_aborts = STATE_PINS[name]
@@ -252,6 +253,7 @@ def test_pending_finals_is_a_property_through_a_policy(name):
     assert not policy.pending_finals
 
 
+@pytest.mark.usefixtures("rows_kept")
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("name", sorted(CONTROLLERS))
 def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
@@ -410,6 +412,7 @@ def _hold_counts(store: PartitionedStore) -> Counter:
     )
 
 
+@pytest.mark.usefixtures("rows_kept")
 @pytest.mark.parametrize("name", sorted(DISTRIBUTED))
 def test_each_key_a_section_locks_leaves_one_hold_record(name):
     """Prepare votes on the locks the section still holds and one release
@@ -496,6 +499,7 @@ def test_an_upgrade_under_another_reader_votes_no(name):
     assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
 
 
+@pytest.mark.usefixtures("rows_kept")
 @pytest.mark.parametrize("name", sorted(DISTRIBUTED))
 def test_a_denied_acquisition_records_no_tenure(name):
     """All-or-nothing acquisition gives back the keys granted before the
@@ -637,7 +641,7 @@ def _admission_run(name, policy_name, drafts, grants, down, through_drafts):
                 assert transaction.initial_result is not None
         admitted = (
             outcomes,
-            [(manager._table, manager._held_by, manager._holds) for manager in managers],
+            [(manager._table, manager._held_by, manager.hold_records) for manager in managers],
             controller.stats.aborts,
             None if store is None else store.failure_aborts,
             len(stages),
@@ -685,8 +689,9 @@ def test_an_admitted_draft_matches_its_materialised_twin(name, policy_name, data
     grants = data.draw(st.lists(st.tuples(st.sampled_from(keys), modes, holders), max_size=6))
     down = data.draw(st.sets(st.integers(0, 2), max_size=2)) if name in DISTRIBUTED else set()
 
-    admitted = _admission_run(name, policy_name, _drafts(kind, seed, count), grants, down, True)
-    twin = _admission_run(name, policy_name, _drafts(kind, seed, count), grants, down, False)
+    with keeping_rows():
+        admitted = _admission_run(name, policy_name, _drafts(kind, seed, count), grants, down, True)
+        twin = _admission_run(name, policy_name, _drafts(kind, seed, count), grants, down, False)
     assert admitted == twin
 
 
