@@ -10,7 +10,7 @@ runtime split/merge/transfer re-sharding (paper §4.5).
 """
 
 from repro.storage.kvstore import KeyValueStore, RowsNotKept, Version
-from repro.storage.locks import LockManager, LockMode, LockRequestDenied
+from repro.storage.locks import LockManager, LockMode, LockRequestDenied, LockTransferConflict
 from repro.storage.partition import (
     Partition,
     PartitionedStore,
@@ -27,6 +27,7 @@ __all__ = [
     "LockManager",
     "LockMode",
     "LockRequestDenied",
+    "LockTransferConflict",
     "UndoLog",
     "UndoRecord",
     "WriteAheadLog",

@@ -45,6 +45,19 @@ class LockRequestDenied(RuntimeError):
         self.requester = requester
 
 
+class LockTransferConflict(RuntimeError):
+    """A grant was moved onto a manager that already grants its key.
+
+    A key has one owning partition, so only one manager can grant it;
+    moving a second grant in would overwrite the first and strand its
+    holders' book-keeping.
+    """
+
+    def __init__(self, key: str) -> None:
+        super().__init__(f"cannot move the grant on {key!r}: the target already grants it")
+        self.key = key
+
+
 @dataclass(frozen=True)
 class LockHoldRecord:
     """A completed lock tenure, used for contention statistics."""
@@ -214,11 +227,15 @@ class LockManager:
         grant — holders and acquire times — moves wholesale so in-flight
         transactions keep their locks across the move.  Completed tenures
         stay counted by this manager.  Returns ``True`` when a grant
-        was moved.
+        was moved; raises :class:`LockTransferConflict`, moving nothing,
+        when ``target`` already grants ``key``.
         """
-        entry = self._table.pop(key, None)
+        entry = self._table.get(key)
         if entry is None:
             return False
+        if key in target._table:
+            raise LockTransferConflict(key)
+        del self._table[key]
         target._table[key] = entry
         for holder in entry[_HOLDERS]:
             held = self._held_by[holder]

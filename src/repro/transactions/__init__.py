@@ -11,8 +11,8 @@ This package provides:
 * two concurrency controllers implementing the paper's two safety
   levels — :class:`TwoStage2PL` for MS-SR (Algorithm 1) and
   :class:`MSIAController` for MS-IA (Algorithm 2),
-* an execution-history recorder and checkers for the MS-SR / MS-IA
-  ordering conditions,
+* an execution history that checks the MS-SR / MS-IA ordering
+  conditions as each section commits (an online fold),
 * a single-threaded batch :class:`Sequencer` (the paper's abort-free
   MS-IA configuration),
 * the pluggable commit-policy layer (:mod:`repro.transactions.policy`):
@@ -27,6 +27,7 @@ from repro.transactions.distributed import (
     DistributedTwoStage2PL,
 )
 from repro.transactions.exceptions import (
+    CommitOutOfOrder,
     InvariantViolation,
     SectionOrderError,
     TransactionAborted,
@@ -86,4 +87,5 @@ __all__ = [
     "TransactionAborted",
     "InvariantViolation",
     "SectionOrderError",
+    "CommitOutOfOrder",
 ]

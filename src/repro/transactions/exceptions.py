@@ -38,3 +38,12 @@ class SectionOrderError(RuntimeError):
     The multi-stage model requires the initial section to commit before
     the final section begins, and forbids running a section twice.
     """
+
+
+class CommitOutOfOrder(RuntimeError):
+    """A section was recorded with an earlier commit time than the last one.
+
+    A :class:`~repro.transactions.history.History` that keeps no rows
+    checks each section as it commits, so it needs them in ``<h`` order;
+    it refuses one that is not rather than give a wrong verdict.
+    """

@@ -1,33 +1,45 @@
 """Execution histories and the ``<h`` ordering.
 
 Section 4.3 defines MS-SR over an ordering relation ``<h`` on *sections*,
-"relative to the commitment rather than the beginning of the section".
-The :class:`History` records each executed section with its commit
-timestamp and its executed operations; checkers
-(:mod:`repro.transactions.checker`) then validate the MS-SR / MS-IA
-conditions over the recorded order.
+"relative to the commitment rather than the beginning of the section":
+``s <h s'`` when ``s`` committed first, ties broken by the order the
+(single-threaded) controller committed them in.
 
-A history is two flat lists.  Every committed operation goes into one
-operation list as three slots, ``kind, key, value`` — no object per
-operation, none per section.  Every committed section is four slots of
-the section list, ``transaction_id, section, commit_time, end``, where
-``end`` is where the section's operations end in the operation list (they
-start where the previous section's end).  :class:`SectionRecord` (with
-its tuple of :class:`Operation`) is the read API: iteration,
-``sections_of``, ``section`` and, through them, the checkers read one
-rendered list that grows by the sections committed since the last read
-and is kept, so walking the history many times renders each section
-once; a record's ``sequence`` is its position.  ``len`` and
-``transaction_ids`` read the section list.
+A :class:`History` checks each committed section as it arrives: it feeds
+:class:`~repro.transactions.checker.OrderFold`, which keeps the in-flight
+window of transactions and counts sections and operations — no row.
+Since the fold needs sections in ``<h`` order, a section recorded with an
+earlier commit time than the last one raises
+:class:`~repro.transactions.exceptions.CommitOutOfOrder`.  Iterating the
+sections or reading :meth:`History.transaction_ids` raises
+:class:`~repro.storage.kvstore.RowsNotKept`.
+
+The rows are kept only when the class-level :attr:`History.keep_rows` is
+on when a history is built (tests turn it on).  Then a history is two flat
+lists.  Every committed operation goes into one operation list as three
+slots, ``kind, key, value`` — no object per operation, none per section.
+Every committed section is four slots of the section list,
+``transaction_id, section, commit_time, end``, where ``end`` is where the
+section's operations end in the operation list (they start where the
+previous section's end).  Sections may then be recorded in any order:
+:func:`~repro.transactions.checker.check_ms_sr` folds the rows in ``<h``
+order when it is called.  :class:`SectionRecord` (with its tuple of
+:class:`Operation`) is the read API: iteration reads one rendered list
+that grows by the sections committed since the last read and is kept, so
+walking the history many times renders each section once; a record's
+``sequence`` is its position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
-from repro.transactions.ops import Operation, operations_conflict
+from repro.storage.kvstore import RowsNotKept
+from repro.transactions.checker import OrderFold, section_label
+from repro.transactions.exceptions import SectionOrderError
 from repro.transactions.model import SectionKind
+from repro.transactions.ops import Operation
 
 
 @dataclass(frozen=True)
@@ -40,56 +52,83 @@ class SectionRecord:
     sequence: int
     operations: tuple[Operation, ...] = ()
 
-    def conflicts_with(self, other: "SectionRecord") -> bool:
-        """True when the two sections contain conflicting operations."""
-        return operations_conflict(self.operations, other.operations)
-
     @property
     def label(self) -> str:
         """Compact ``s^i_t`` style label for error messages."""
-        suffix = "i" if self.section is SectionKind.INITIAL else "f"
-        return f"s^{suffix}_{self.transaction_id}"
+        return section_label(self.transaction_id, self.section)
 
 
-@dataclass
 class History:
-    """Append-only log of committed sections, ordered by commitment."""
+    """The committed sections of a run, checked in commit order."""
 
-    #: Flat ``transaction_id, section, commit_time, end`` section rows.
-    _rows: list = field(default_factory=list)
-    #: Every committed operation, flat: ``kind, key, value, kind, …``.
-    _operations: list = field(default_factory=list)
-    #: The sections rendered so far (a prefix), grown by :meth:`_sections`.
-    _rendered: list[SectionRecord] = field(default_factory=list, repr=False, compare=False)
+    #: Keep every section's rows for iteration and re-folding.  Read when a
+    #: history is built; only tests turn it on.
+    keep_rows = False
+
+    __slots__ = ("_fold", "_rows", "_operations", "_rendered")
+
+    def __init__(self) -> None:
+        #: The running check, ``None`` when the rows are kept instead.
+        self._fold: OrderFold | None = None
+        #: Flat ``transaction_id, section, commit_time, end`` section rows,
+        #: every committed operation flat (``kind, key, value, kind, …``) and
+        #: the sections rendered so far (a prefix); ``None`` without rows.
+        self._rows: list | None = [] if self.keep_rows else None
+        self._operations: list | None = None
+        self._rendered: list[SectionRecord] | None = None
+        self.clear()
 
     def record_rows(
         self, transaction_id: str, section: SectionKind, commit_time: float, rows: list
     ) -> None:
-        """Append a committed section whose operations are flat ``kind, key,
-        value, …`` slots (a section context's ``operation_rows``)."""
+        """Record a committed section whose operations are flat ``kind, key,
+        value, …`` slots (a section context's ``operation_rows``): fold it in
+        (one committed before the last raises
+        :class:`~repro.transactions.exceptions.CommitOutOfOrder`), or with
+        rows kept, append its rows."""
+        fold = self._fold
+        if fold is not None:
+            fold.add(transaction_id, section, commit_time, rows)
+            return
         operations = self._operations
         operations += rows
         self._rows += (transaction_id, section, commit_time, len(operations))
 
-    def record_section(
-        self,
-        transaction_id: str,
-        section: SectionKind,
-        commit_time: float,
-        operations: Iterable[Operation | tuple] = (),
-    ) -> None:
-        """Append a committed section given as :class:`Operation` objects or
-        ``(kind, key, value)`` tuples, flattened once."""
-        rows: list = []
-        for operation in operations:
-            if not isinstance(operation, Operation):
-                operation = Operation(*operation)
-            rows += (operation.kind, operation.key, operation.value)
-        self.record_rows(transaction_id, section, commit_time, rows)
+    def fold(self) -> OrderFold:
+        """The check over every committed section: the running one, or for a
+        history keeping rows, a new fold of the rows in ``<h`` order (one
+        with a section recorded twice raises
+        :class:`~repro.transactions.exceptions.SectionOrderError`)."""
+        if self._fold is not None:
+            return self._fold
+        rows, operations = self._rows, self._operations
+        if len(set(zip(rows[0::4], rows[1::4]))) < len(rows) // 4:
+            raise SectionOrderError("a transaction's section is recorded twice")
+        fold = OrderFold()
+        for at in sorted(range(0, len(rows), 4), key=lambda at: (rows[at + 2], at)):
+            start = rows[at - 1] if at else 0
+            fold.add(*rows[at : at + 3], operations[start : rows[at + 3]])
+        return fold
+
+    @property
+    def operation_count(self) -> int:
+        """Operations committed, over every section."""
+        fold = self._fold
+        return len(self._operations) // 3 if fold is None else fold.operation_count
+
+    def _kept_rows(self) -> list:
+        rows = self._rows
+        if rows is None:
+            raise RowsNotKept(
+                "this History checks each section as it commits and keeps only counts; "
+                "turn History.keep_rows on before building it"
+            )
+        return rows
 
     def _sections(self) -> list[SectionRecord]:
         """Every committed section, rendered; only new rows are built."""
-        rendered, rows, operations = self._rendered, self._rows, self._operations
+        rows = self._kept_rows()
+        rendered, operations = self._rendered, self._operations
         start = rows[4 * len(rendered) - 1] if rendered else 0
         for at in range(4 * len(rendered), len(rows), 4):
             transaction_id, section, commit_time, end = rows[at : at + 4]
@@ -111,7 +150,8 @@ class History:
         return iter(self._sections())
 
     def __len__(self) -> int:
-        return len(self._rows) // 4
+        fold = self._fold
+        return len(self._rows) // 4 if fold is None else fold.sections
 
     def clear(self) -> None:
         """Drop all recorded sections and restart the sequence.
@@ -120,43 +160,11 @@ class History:
         so clearing in place (rather than swapping in a new object) starts
         a fresh history for every component at once.
         """
-        self._rows.clear()
-        self._operations.clear()
-        self._rendered.clear()
-
-    def sections_of(self, transaction_id: str) -> list[SectionRecord]:
-        """Committed sections of one transaction, in commit order."""
-        return [record for record in self._sections() if record.transaction_id == transaction_id]
-
-    def section(self, transaction_id: str, kind: SectionKind) -> SectionRecord | None:
-        """A specific section of a transaction, or None if not committed."""
-        for record in self._sections():
-            if record.transaction_id == transaction_id and record.section is kind:
-                return record
-        return None
+        if self._rows is None:
+            self._fold = OrderFold()
+        else:
+            self._rows, self._operations, self._rendered = [], [], []
 
     def transaction_ids(self) -> list[str]:
         """Distinct transaction ids in first-commit order."""
-        return list(dict.fromkeys(self._rows[0::4]))
-
-    def ordered_before(self, first: SectionRecord, second: SectionRecord) -> bool:
-        """The ``<h`` relation: ``first`` committed before ``second``.
-
-        Ties on commit time are broken by append order, which reflects the
-        order the (single-threaded) controller committed them in.
-        """
-        if first.commit_time != second.commit_time:
-            return first.commit_time < second.commit_time
-        return first.sequence < second.sequence
-
-    def conflicting_pairs(self) -> list[tuple[str, str]]:
-        """Pairs of distinct transactions that conflict (in either section)."""
-        ids = self.transaction_ids()
-        pairs: list[tuple[str, str]] = []
-        for i, left in enumerate(ids):
-            left_sections = self.sections_of(left)
-            for right in ids[i + 1:]:
-                right_sections = self.sections_of(right)
-                if any(a.conflicts_with(b) for a in left_sections for b in right_sections):
-                    pairs.append((left, right))
-        return pairs
+        return list(dict.fromkeys(self._kept_rows()[0::4]))

@@ -3,8 +3,8 @@
 Operations are the vocabulary of the formal model in Section 4.1:
 ``r^s_t(x)`` and ``w^s_t(x)`` for section ``s`` of transaction ``t`` on
 data item ``x``.  Concurrency controllers consume *read/write sets* —
-the ``get_rwsets`` step of Algorithms 1 and 2 — and the history recorder
-stores executed operations to let the checkers find conflicts.
+the ``get_rwsets`` step of Algorithms 1 and 2 — and the history checker
+reads executed operations to find conflicts.
 """
 
 from __future__ import annotations
@@ -190,8 +190,3 @@ class ReadWriteSet:
                 writes.add(operation.key)
         return cls(reads=frozenset(reads), writes=frozenset(writes))
 
-
-def operations_conflict(left: Iterable[Operation], right: Iterable[Operation]) -> bool:
-    """True when any operation in ``left`` conflicts with one in ``right``."""
-    right_list = list(right)
-    return any(a.conflicts_with(b) for a in left for b in right_list)

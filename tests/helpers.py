@@ -8,7 +8,7 @@ when both directories are collected in one pytest invocation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.analysis.sweeps import ThresholdSweep
 from repro.core.config import CroesusConfig
@@ -22,6 +22,10 @@ from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport, aggregate_reports
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.locks import LockManager
+from repro.transactions.checker import CheckResult
+from repro.transactions.history import History, SectionRecord
+from repro.transactions.model import SectionKind
+from repro.transactions.ops import Operation
 from repro.video.frames import Frame
 from repro.video.library import make_video
 from repro.video.scene import SceneObject
@@ -96,15 +100,16 @@ def count_constructions(monkeypatch, *classes) -> dict[str, int]:
 
 @contextmanager
 def keeping_rows() -> Iterator[None]:
-    """Every ``KeyValueStore`` and ``LockManager`` built inside the block
-    keeps its version / tenure rows (``keep_versions`` / ``keep_tenures``),
-    so ``history``, ``read_version`` and ``hold_records`` can be read."""
-    saved = KeyValueStore.keep_versions, LockManager.keep_tenures
-    KeyValueStore.keep_versions = LockManager.keep_tenures = True
+    """Every ``KeyValueStore``, ``LockManager`` and ``History`` built inside
+    the block keeps its version / tenure / section rows (``keep_versions``
+    / ``keep_tenures`` / ``keep_rows``), so ``history``, ``read_version``,
+    ``hold_records`` and a history's sections can be read."""
+    saved = KeyValueStore.keep_versions, LockManager.keep_tenures, History.keep_rows
+    KeyValueStore.keep_versions = LockManager.keep_tenures = History.keep_rows = True
     try:
         yield
     finally:
-        KeyValueStore.keep_versions, LockManager.keep_tenures = saved
+        KeyValueStore.keep_versions, LockManager.keep_tenures, History.keep_rows = saved
 
 
 def rollback_writer(store: KeyValueStore, key: str, writer: str) -> bool:
@@ -207,3 +212,125 @@ class ReferenceEvaluator:
             for upper in values
             if lower <= upper
         ]
+
+
+# -- the pairwise MS-SR / MS-IA definition ------------------------------------
+# What ``History`` and ``transactions.checker`` held before the checker became
+# a fold: the conditions of §4.3 / §4.4 tested pair by pair over a history that
+# keeps its rows.  The property tests hold the fold to it.
+def operations_conflict(left: Iterable[Operation], right: Iterable[Operation]) -> bool:
+    """True when any operation in ``left`` conflicts with one in ``right``."""
+    right_list = list(right)
+    return any(a.conflicts_with(b) for a in left for b in right_list)
+
+
+def sections_conflict(left: SectionRecord, right: SectionRecord) -> bool:
+    """True when the two sections contain conflicting operations."""
+    return operations_conflict(left.operations, right.operations)
+
+
+def record_section(
+    history: History,
+    transaction_id: str,
+    section: SectionKind,
+    commit_time: float,
+    operations: Iterable[Operation | tuple] = (),
+) -> None:
+    """Append a committed section given as :class:`Operation` objects or
+    ``(kind, key, value)`` tuples, flattened once."""
+    rows: list = []
+    for operation in operations:
+        if not isinstance(operation, Operation):
+            operation = Operation(*operation)
+        rows += (operation.kind, operation.key, operation.value)
+    history.record_rows(transaction_id, section, commit_time, rows)
+
+
+def sections_of(history: History, transaction_id: str) -> list[SectionRecord]:
+    """Committed sections of one transaction, in append order."""
+    return [record for record in history if record.transaction_id == transaction_id]
+
+
+def section(history: History, transaction_id: str, kind: SectionKind) -> SectionRecord | None:
+    """A specific section of a transaction (the first appended), or None."""
+    for record in history:
+        if record.transaction_id == transaction_id and record.section is kind:
+            return record
+    return None
+
+
+def ordered_before(first: SectionRecord, second: SectionRecord) -> bool:
+    """The ``<h`` relation: ``first`` committed before ``second``, ties on
+    commit time broken by append order."""
+    if first.commit_time != second.commit_time:
+        return first.commit_time < second.commit_time
+    return first.sequence < second.sequence
+
+
+def conflicting_pairs(history: History) -> list[tuple[str, str]]:
+    """Pairs of distinct transactions that conflict (in either section)."""
+    ids = history.transaction_ids()
+    pairs: list[tuple[str, str]] = []
+    for i, left in enumerate(ids):
+        left_sections = sections_of(history, left)
+        for right in ids[i + 1 :]:
+            right_sections = sections_of(history, right)
+            if any(sections_conflict(a, b) for a in left_sections for b in right_sections):
+                pairs.append((left, right))
+    return pairs
+
+
+def reference_check_ms_ia(history: History) -> CheckResult:
+    """The MS-IA condition, per transaction over the whole history."""
+    violations = list(_per_transaction_violations(history))
+    return CheckResult(ok=not violations, violations=tuple(violations))
+
+
+def reference_check_ms_sr(history: History) -> CheckResult:
+    """All three MS-SR conditions, pair by pair over the whole history."""
+    violations = list(_per_transaction_violations(history))
+    for left_id, right_id in conflicting_pairs(history):
+        violations.extend(_pair_violations(history, left_id, right_id))
+        violations.extend(_pair_violations(history, right_id, left_id))
+    return CheckResult(ok=not violations, violations=tuple(violations))
+
+
+def _per_transaction_violations(history: History):
+    """Condition (1): every final section commits after its initial section."""
+    for transaction_id in history.transaction_ids():
+        initial = section(history, transaction_id, SectionKind.INITIAL)
+        final = section(history, transaction_id, SectionKind.FINAL)
+        if final is not None and initial is None:
+            yield f"{transaction_id}: final section committed without an initial section"
+        elif final is not None and initial is not None:
+            if not ordered_before(initial, final):
+                yield f"{transaction_id}: final section committed before its initial section"
+
+
+def _pair_violations(history: History, first_id: str, second_id: str):
+    """Conditions (2) and (3) for the ordered pair where ``first`` initial-commits first."""
+    first_initial = section(history, first_id, SectionKind.INITIAL)
+    second_initial = section(history, second_id, SectionKind.INITIAL)
+    if first_initial is None or second_initial is None:
+        return
+    if not ordered_before(first_initial, second_initial):
+        return  # this direction of the pair is handled by the symmetric call
+
+    first_final = section(history, first_id, SectionKind.FINAL)
+    second_final = section(history, second_id, SectionKind.FINAL)
+
+    # Condition (2): s^f_k <h s^f_j.
+    if first_final is not None and second_final is not None:
+        if not ordered_before(first_final, second_final):
+            yield (
+                f"MS-SR(2) violated: {first_final.label} must commit before "
+                f"{second_final.label}"
+            )
+
+    # Condition (3): if s^f_k conflicts with s^i_j then s^f_k <h s^i_j.
+    if first_final is not None and sections_conflict(first_final, second_initial):
+        if not ordered_before(first_final, second_initial):
+            yield (
+                f"MS-SR(3) violated: {first_final.label} conflicts with "
+                f"{second_initial.label} but commits after it"
+            )

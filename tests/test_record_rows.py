@@ -7,8 +7,9 @@ write or a commit round leaves behind as plain rows; ``Version``,
 ``TransferRecord``, ``LogRecord`` and ``DistributedCommitRecord`` are built
 by the accessor that reads them (a ``LogRecord`` also by an append that has
 a ship hook to feed).  The store keeps its version rows only when
-``KeyValueStore.keep_versions`` is on, so the tests here that read them
-build their stores inside ``helpers.keeping_rows``.  Report digests see
+``KeyValueStore.keep_versions`` is on, and the ``History`` its section rows
+only when ``History.keep_rows`` is on, so the tests here that read them
+build their stores and histories inside ``helpers.keeping_rows``.  Report digests see
 none of that state, so this file guards it three ways:
 
 * **state pins** — a sha256 over every rendered record of three seeded
@@ -64,6 +65,7 @@ from repro.storage.wal import (
 from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.checker import check_ms_ia, check_ms_sr
 from repro.transactions.distributed import DistributedCommitRecord
+from repro.transactions.exceptions import SectionOrderError
 from repro.transactions.history import History, SectionRecord
 from repro.transactions.model import (
     MultiStageTransaction,
@@ -74,7 +76,16 @@ from repro.transactions.model import (
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 from repro.video.library import make_video
 
-from helpers import count_constructions, keeping_rows, rollback_writer
+from helpers import (
+    conflicting_pairs,
+    count_constructions,
+    keeping_rows,
+    ordered_before,
+    record_section,
+    rollback_writer,
+    section,
+    sections_of,
+)
 
 
 # -- state pins ---------------------------------------------------------------
@@ -529,11 +540,11 @@ def _check_redo_log_against_objects(calls):
     assert partition.wal.num_checkpoints == sum(name == "take_checkpoint" for name, *_ in calls)
 
 
-def _outcome_of(call):
+def _outcome_of(call, error=ValueError):
     try:
         return call()
-    except ValueError:
-        return ValueError
+    except error:
+        return error
 
 
 _operation_rows = st.lists(
@@ -555,11 +566,12 @@ _section_rows = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(_section_rows)
 def test_history_fed_rows_equals_history_fed_rendered_operations(sections):
-    from_rows, from_operations, expected = History(), History(), []
+    with keeping_rows():
+        from_rows, from_operations, expected = History(), History(), []
     for txn, kind, commit_time, rows, read_now in sections:
         operations = tuple(Operation(*row) for row in rows)
-        from_rows.record_section(txn, kind, commit_time, rows)
-        from_operations.record_section(txn, kind, commit_time, operations)
+        record_section(from_rows, txn, kind, commit_time, rows)
+        record_section(from_operations, txn, kind, commit_time, operations)
         expected.append(SectionRecord(txn, kind, commit_time, len(expected) + 1, operations))
         if read_now:  # the rendered list grows between reads
             assert list(from_rows) == expected
@@ -572,18 +584,20 @@ def test_history_fed_rows_equals_history_fed_rendered_operations(sections):
             first_commit_order.append(record.transaction_id)
     assert from_rows.transaction_ids() == first_commit_order
     for txn in first_commit_order:
-        assert from_rows.sections_of(txn) == [r for r in expected if r.transaction_id == txn]
+        assert sections_of(from_rows, txn) == [r for r in expected if r.transaction_id == txn]
         for kind in SectionKind:
-            assert from_rows.section(txn, kind) == from_operations.section(txn, kind)
+            assert section(from_rows, txn, kind) == section(from_operations, txn, kind)
 
     for left, left_twin in zip(from_rows, from_operations):
         for right, right_twin in zip(from_rows, from_operations):
-            assert from_rows.ordered_before(left, right) == from_operations.ordered_before(
-                left_twin, right_twin
-            )
-    assert from_rows.conflicting_pairs() == from_operations.conflicting_pairs()
-    assert check_ms_sr(from_rows) == check_ms_sr(from_operations)
-    assert check_ms_ia(from_rows) == check_ms_ia(from_operations)
+            assert ordered_before(left, right) == ordered_before(left_twin, right_twin)
+    assert conflicting_pairs(from_rows) == conflicting_pairs(from_operations)
+    # A section recorded twice is outside the check: both refuse it.
+    repeated = len({(txn, kind) for txn, kind, *_ in sections}) < len(sections)
+    for check in (check_ms_sr, check_ms_ia):
+        outcome = _outcome_of(lambda: check(from_rows), SectionOrderError)
+        assert outcome == _outcome_of(lambda: check(from_operations), SectionOrderError)
+        assert (outcome is SectionOrderError) == repeated
 
     from_rows.clear()
     assert len(from_rows) == 0 and list(from_rows) == [] and from_rows.transaction_ids() == []
@@ -634,7 +648,9 @@ def test_flat_history_renders_what_tuple_rows_did(sections, after_clear):
     them (the context's flat rows), or as ``Operation`` objects or tuples,
     interleaved, render the records the tuple-row History rendered; the
     context reads its flat rows back as the tuple rows it used to keep."""
-    store, history = KeyValueStore(), History()
+    store = KeyValueStore()
+    with keeping_rows():
+        history = History()
     for batch in (sections, after_clear):
         oracle = _TupleRowHistory()
         for txn, kind, commit_time, calls, fed_as, read_now in batch:
@@ -655,9 +671,9 @@ def test_flat_history_renders_what_tuple_rows_did(sections, after_clear):
                 history.record_rows(txn, kind, commit_time, context.operation_rows)
                 context.operation_rows.clear()  # the history keeps its own copy
             elif fed_as == "operations":
-                history.record_section(txn, kind, commit_time, context.operations)
+                record_section(history, txn, kind, commit_time, context.operations)
             else:
-                history.record_section(txn, kind, commit_time, executed)
+                record_section(history, txn, kind, commit_time, executed)
             oracle.record_section(txn, kind, commit_time, executed)
             if read_now:  # the rendered list grows between reads
                 assert list(history) == oracle.sections()
@@ -763,9 +779,11 @@ def test_a_cluster_run_constructs_no_log_or_commit_record(monkeypatch):
 #: per operation and a list per section, 253.2 with one payload per
 #: ``(label, stage)`` and flat rows, 236.5 without the event log's row per
 #: frame stage, 148.3 with the store keeping each key's latest value and the
-#: lock manager its tenure totals instead of rows.  The ceiling keeps 253.2's
+#: lock manager its tenure totals instead of rows, 61.1 with the History
+#: checking each section as it commits instead of keeping its operation rows
+#: (the operation count is the History's counter).  The ceiling keeps 253.2's
 #: headroom ratio (330 / 253.2).
-RETAINED_BYTES_PER_OPERATION_CEILING = 193
+RETAINED_BYTES_PER_OPERATION_CEILING = 80
 
 
 def test_a_recorded_run_keeps_few_bytes_per_committed_operation():
@@ -782,7 +800,7 @@ def test_a_recorded_run_keeps_few_bytes_per_committed_operation():
     finally:
         if started:
             tracemalloc.stop()
-    operations = sum(len(record.operations) for record in system.history)
+    operations = system.history.operation_count
     assert operations > 3000
     assert retained / operations < RETAINED_BYTES_PER_OPERATION_CEILING
 

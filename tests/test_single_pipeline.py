@@ -141,6 +141,7 @@ PINS = {
 }
 
 
+@pytest.mark.usefixtures("rows_kept")  # the order digest reads the History's sections
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_single_edge_run_is_pinned_at_three_depths(name):
     spec, feedback = RUNS[name]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.kvstore import RowsNotKept
-from repro.storage.locks import LockHoldRecord, LockManager, LockMode
+from repro.storage.locks import LockHoldRecord, LockManager, LockMode, LockTransferConflict
 
 from helpers import keeping_rows
 
@@ -178,6 +178,17 @@ class TestLockTableResidue:
         assert target.is_quiescent
         assert target.hold_records[0].duration == 2.0
 
+    def test_a_grant_is_not_moved_onto_a_manager_that_grants_the_key(self):
+        source, target = LockManager(), LockManager()
+        source.try_acquire("t1", "x", LockMode.SHARED, now=1.0)
+        target.try_acquire("t2", "x", LockMode.EXCLUSIVE, now=1.0)
+        with pytest.raises(LockTransferConflict, match="'x'"):
+            source.transfer_key("x", target)
+        assert source.holds("t1", "x") and source.held_keys("t1") == {"x"}
+        assert target.holds("t2", "x") and not target.holds("t1", "x")
+        assert target.held_keys("t1") == frozenset()
+        assert not source.transfer_key("y", target)  # nothing granted, nothing moved
+
 
 class TestTenuresNotKept:
     def test_a_manager_keeps_totals_not_rows_by_default(self):
@@ -217,10 +228,22 @@ _lock_calls = st.one_of(
 _times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
+def _grants(manager):
+    return manager.locked_keys(), {h: frozenset(keys) for h, keys in manager._held_by.items()}
+
+
 def _call(manager, other, name, args, now):
     if name == "transfer_key":
-        # A key has one owning partition: no grant is moved onto another one.
-        return None if args[0] in other.locked_keys() else manager.transfer_key(args[0], other)
+        # A key has one owning partition: a grant moved onto another one is
+        # refused, and neither manager changes.
+        key = args[0]
+        if key in manager.locked_keys() and key in other.locked_keys():
+            tables = [_grants(m) for m in (manager, other)]
+            with pytest.raises(LockTransferConflict, match=repr(key)):
+                manager.transfer_key(key, other)
+            assert [_grants(m) for m in (manager, other)] == tables
+            return "refused"
+        return manager.transfer_key(key, other)
     if name == "release":
         holder, key, record = args
         return manager.release(holder, key, now=now, record=record)
@@ -235,7 +258,8 @@ def _call(manager, other, name, args, now):
     st.lists(st.tuples(_lock_calls, _times, st.booleans()), max_size=40),
 )
 def test_average_hold_time_is_the_same_with_and_without_tenure_rows(time_type, calls):
-    """Random acquisitions, releases and key transfers between two managers,
+    """Random acquisitions, releases and key transfers between two managers
+    (a transfer onto a manager that already grants the key is refused),
     run on managers keeping tenure rows and on managers keeping totals
     (times all ints or all floats): the same grants, and an
     ``average_hold_time`` equal, bit for bit, to the mean of the rendered

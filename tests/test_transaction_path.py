@@ -74,6 +74,7 @@ from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
 from helpers import count_constructions, keeping_rows
+from helpers import section as section_of
 
 
 # -- state pins ---------------------------------------------------------------
@@ -312,7 +313,7 @@ def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
     # Audit records render to exactly what the bodies executed, frozen.
     for transaction in committed:
         for section in SectionKind:
-            record = history.section(transaction.transaction_id, section)
+            record = section_of(history, transaction.transaction_id, section)
             assert record.operations == tuple(executed[(transaction.transaction_id, section)])
     with pytest.raises(FrozenInstanceError):
         record.operations[0].key = "other"

@@ -5,12 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.storage.locks import LockMode
-from repro.transactions.ops import (
-    Operation,
-    OperationKind,
-    ReadWriteSet,
-    operations_conflict,
-)
+from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
+
+from helpers import operations_conflict
 
 
 class TestOperation:
