@@ -101,8 +101,8 @@ class ClusterConfig:
         Selects what a run *retains*, never what it simulates: both
         settings run the same frame pipeline on the same timeline.
         True (the default) keeps one :class:`~repro.core.results.FrameTrace`
-        per frame plus full client-response and transfer histories —
-        the exact, memory-hungry retention every golden pin runs on.
+        per frame plus the full transfer history — the exact,
+        memory-hungry retention every golden pin runs on.
         False folds per-frame results into streaming accumulators
         (:class:`~repro.cluster.results.FrameStatsAccumulator`) and
         gives the servers streaming wait statistics and capped interval

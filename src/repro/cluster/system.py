@@ -31,8 +31,8 @@ owns what makes a deployment a *cluster*:
    threshold, the arriving stream's remaining frames are re-routed to
    the least-utilized edge (kept as :class:`~repro.cluster.results.MigrationRecord`\\ s);
 6. :attr:`ClusterConfig.record_frames` selects the run's *sink* and
-   nothing else: per-frame traces, client responses and labelled
-   transfers when recording, streaming aggregates otherwise;
+   nothing else: per-frame traces and labelled transfers when
+   recording, streaming aggregates otherwise;
 7. the run returns per-stream :class:`~repro.core.results.RunResult`\\ s
    plus cluster-level metrics: per-edge utilization and queue delay, the
    cross-edge transaction fraction, the 2PC abort rate, cloud queueing,

@@ -45,9 +45,9 @@ from repro.core.config import CroesusConfig
 from repro.core.edge import EdgeNode, FinalStageOutcome, InitialStageOutcome
 from repro.core.results import FrameAggregate, FrameTrace, LatencyBreakdown, RunResult
 from repro.core.thresholds import ThresholdPolicy
-from repro.detection.labels import LabelSet
+from repro.detection.labels import LabelSet, ViewRow
 from repro.detection.matching import FrameOverlaps
-from repro.detection.metrics import AccuracyReport, aggregate_reports, evaluate_detections
+from repro.detection.metrics import AccuracyReport, aggregate_reports, score_of_empty_view
 from repro.network.channel import Channel
 from repro.sim.engine import At, Engine, Server
 from repro.traffic.shedding import SHED_APOLOGY, LoadShedder
@@ -66,34 +66,35 @@ def observed_labels(
     rows: Sequence[int],
     sent: bool,
     match_overlap: float,
-) -> tuple[LabelSet, AccuracyReport]:
+) -> tuple[LabelSet | ViewRow, AccuracyReport]:
     """What the client ends up seeing for one frame, and how accurate it is.
 
     ``rows`` are the edge labels (rows of ``initial.labels``) that
     survived thresholding.  Unvalidated frames show those; validated
     frames show the corrected view the final sections rendered (see
     :meth:`~repro.detection.matching.FrameOverlaps.client_view`).  The
-    view is scored against the cloud labels on the table the final stage
-    built, or — for a frame the cloud never answered — on one built here.
+    view is ``initial.labels`` itself when it shows all of them, else a
+    :class:`~repro.detection.labels.ViewRow` of picks into ``Le`` / ``Lc``
+    — no observed ``LabelSet`` is built.  It is scored against the cloud
+    labels on the table the final stage built, or — for a frame the cloud
+    never answered — on one built here.
     """
     labels = initial.labels
     if not rows and not sent:
         # Nothing survived and the cloud never answered: an empty view,
         # which is scored without any geometry.
-        observed = (
-            LabelSet(labels.frame_id, (), labels.model_name) if labels.detections else labels
-        )
-        return observed, evaluate_detections(observed, cloud_labels, match_overlap)
+        observed = ViewRow(labels.frame_id, labels.model_name, ()) if labels.detections else labels
+        return observed, score_of_empty_view(cloud_labels)
     overlaps = final.overlaps
     if overlaps is None:
         overlaps = FrameOverlaps(labels.detections, cloud_labels.detections, match_overlap)
-    view, counts = overlaps.client_view(rows, sent)
+    picks, counts = overlaps.client_view(rows, sent)
     if sent:
-        observed = LabelSet(initial.frame_id, tuple(view), model_name="croesus-observed")
-    elif len(view) == len(labels):
+        observed = ViewRow(initial.frame_id, "croesus-observed", tuple(picks))
+    elif len(picks) == len(labels):
         observed = labels
     else:
-        observed = LabelSet(labels.frame_id, tuple(view), labels.model_name)
+        observed = ViewRow(labels.frame_id, labels.model_name, tuple(picks))
     return observed, AccuracyReport(*counts)
 
 
@@ -150,7 +151,7 @@ class StatsSink(_FrameSink):
         final: FinalStageOutcome,
         final_done: float,
         cloud_labels: LabelSet,
-        observed: LabelSet,
+        observed: LabelSet | ViewRow,
         latency: tuple[float, ...],
         accuracy: AccuracyReport,
         sent_to_cloud: bool,
@@ -172,12 +173,14 @@ class StatsSink(_FrameSink):
 
 
 class TraceSink(_FrameSink):
-    """Sink of a recording run: keep everything.
+    """Sink of a recording run: keep everything a reader can ask for.
 
-    One :class:`~repro.core.results.FrameTrace` per served frame, every
-    response a stream's client saw, and a description on every channel
-    transfer — the exact, memory-hungry retention every golden pin runs
-    on.
+    One :class:`~repro.core.results.FrameTrace` per served frame and a
+    description on every channel transfer — the exact, memory-hungry
+    retention every golden pin runs on.  The responses a stream's client
+    sees (§3.3.1) are rendered only to a :class:`~repro.core.client.Client`
+    the caller passed to :meth:`open`: without one nothing could read
+    them, so none is built.
     """
 
     def __init__(self, system_name: str) -> None:
@@ -205,18 +208,21 @@ class TraceSink(_FrameSink):
         )
 
     def open(self, video: SyntheticVideo, client: Client | None = None) -> RunResult:
-        """Register a stream whose responses go to ``client`` (default: a
-        fresh one the sink keeps)."""
-        self.clients[video.name] = Client(video) if client is None else client
+        """Register a stream whose responses go to ``client`` (default:
+        nowhere — no response is built)."""
+        if client is not None:
+            self.clients[video.name] = client
         return super().open(video)
 
     def describe(self, stream: str, frame_id: int) -> tuple[str, str]:
         return f"{stream}-frame-{frame_id}", f"{stream}-labels-{frame_id}"
 
     def shed(self, stream: str, frame_id: int, when: float) -> None:
-        self.clients[stream].render(
-            ClientResponse(frame_id, "final", None, apologies=(SHED_APOLOGY,), timestamp=when)
-        )
+        client = self.clients.get(stream)
+        if client is not None:
+            client.render(
+                ClientResponse(frame_id, "final", None, apologies=(SHED_APOLOGY,), timestamp=when)
+            )
 
     def record_frame(
         self,
@@ -227,25 +233,26 @@ class TraceSink(_FrameSink):
         final: FinalStageOutcome,
         final_done: float,
         cloud_labels: LabelSet,
-        observed: LabelSet,
+        observed: LabelSet | ViewRow,
         latency: tuple[float, ...],
         accuracy: AccuracyReport,
         sent_to_cloud: bool,
         bytes_sent: int,
     ) -> FrameTrace:
         frame_id = initial.frame_id
-        client = self.clients[result.video_key]
-        client.render(
-            ClientResponse(
-                frame_id,
-                "initial",
-                [entry.transaction.initial_result for entry in initial.committed],
-                timestamp=initial_done,
+        client = self.clients.get(result.video_key)
+        if client is not None:
+            client.render(
+                ClientResponse(
+                    frame_id,
+                    "initial",
+                    [entry.transaction.initial_result for entry in initial.committed],
+                    timestamp=initial_done,
+                )
             )
-        )
-        client.render(
-            ClientResponse(frame_id, "final", None, final.apologies, timestamp=final_done)
-        )
+            client.render(
+                ClientResponse(frame_id, "final", None, final.apologies, timestamp=final_done)
+            )
         trace = FrameTrace.from_labels(
             frame_id,
             initial.labels,
@@ -606,7 +613,7 @@ def arrival_driver(
         engine.start(body(name, result, frame), name)
 
 
-def closed_loop_driver(body: Callable, client: Client, result: RunResult):
+def closed_loop_driver(body: Callable, video: SyntheticVideo, result: RunResult):
     """Per-stream driver of a closed loop: one frame in flight at a time.
 
     The client captures frame ``k+1`` only once frame ``k``'s final
@@ -614,7 +621,7 @@ def closed_loop_driver(body: Callable, client: Client, result: RunResult):
     queues.
     """
     name = result.video_key
-    for frame in client.frames():
+    for frame in video.frames():
         final_done = yield from body(name, result, frame)
         yield At(final_done)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from statistics import mean
 from typing import NamedTuple
 
-from repro.detection.labels import LabelRow, LabelSet
+from repro.detection.labels import LabelRow, LabelSet, ViewRow
 from repro.detection.metrics import AccuracyReport, aggregate_reports
 
 
@@ -144,11 +144,15 @@ class FrameTrace:
     """Everything recorded about one processed frame (immutable by
     convention, like its :class:`LatencyBreakdown`).
 
-    The frame's three label sets — the edge's ``Le``, the cloud's ``Lc``
-    and what the client observed — are kept as packed
-    :class:`~repro.detection.labels.LabelRow`\\ s, not as a ``Detection``
-    and a ``BoundingBox`` per label: a recording run keeps every frame's
-    labels, and almost nothing reads them back.  :attr:`edge_labels`,
+    The frame's edge labels ``Le`` and cloud labels ``Lc`` are kept as
+    packed :class:`~repro.detection.labels.LabelRow`\\ s, not as a
+    ``Detection`` and a ``BoundingBox`` per label: a recording run keeps
+    every frame's labels, and almost nothing reads them back.  What the
+    client observed is kept once: as ``Le``'s own row when the view is
+    ``Le``, as a :class:`~repro.detection.labels.ViewRow` of picks into
+    the two rows when the frame body passed one (a subset of ``Le``, or a
+    validated view of ``Le`` / ``Lc`` labels), and packed only when it is
+    some other set (the baselines').  :attr:`edge_labels`,
     :attr:`cloud_labels` and :attr:`observed_labels` render an equal
     :class:`LabelSet` on every read, so a reader that needs one twice
     keeps what it rendered.  :meth:`from_labels` builds a trace from live
@@ -160,7 +164,7 @@ class FrameTrace:
     frame_id: int
     edge_row: LabelRow
     cloud_row: LabelRow
-    observed_row: LabelRow
+    observed_row: LabelRow | ViewRow
     sent_to_cloud: bool
     latency: LatencyBreakdown
     accuracy: AccuracyReport
@@ -178,7 +182,7 @@ class FrameTrace:
         frame_id: int,
         edge_labels: LabelSet,
         cloud_labels: LabelSet,
-        observed_labels: LabelSet,
+        observed_labels: LabelSet | ViewRow,
         sent_to_cloud: bool,
         latency: LatencyBreakdown,
         accuracy: AccuracyReport,
@@ -186,11 +190,14 @@ class FrameTrace:
     ) -> "FrameTrace":
         """A trace of live label sets, packed (``counts``: the remaining
         fields, by keyword).  A set passed twice — the observed view is
-        often ``Le`` itself — is packed once and its row shared."""
+        often ``Le`` itself — is packed once and its row shared; an
+        observed :class:`~repro.detection.labels.ViewRow` is kept as it is."""
         edge_row = LabelRow.pack(edge_labels)
         cloud_row = edge_row if cloud_labels is edge_labels else LabelRow.pack(cloud_labels)
         if observed_labels is edge_labels:
             observed_row = edge_row
+        elif type(observed_labels) is ViewRow:
+            observed_row = observed_labels
         elif observed_labels is cloud_labels:
             observed_row = cloud_row
         else:
@@ -211,8 +218,12 @@ class FrameTrace:
 
     @property
     def observed_labels(self) -> LabelSet:
-        """What the client ended up seeing (rendered)."""
-        return self.observed_row.render()
+        """What the client ended up seeing (rendered; a view of picks
+        renders only the picked entries of ``Le`` and ``Lc``)."""
+        row = self.observed_row
+        if type(row) is ViewRow:
+            return row.render(self.edge_row, self.cloud_row)
+        return row.render()
 
 
 @dataclass

@@ -149,15 +149,15 @@ class CroesusSystem:
         The run executes the shared frame body over one lane — this
         system's edge node behind a one-slot server, its two channels
         and an unbounded cloud — under the closed-loop driver, so no job
-        ever queues.  Every response goes to ``client`` (a fresh one by
-        default), every frame to a trace of the returned result.
+        ever queues.  Every frame goes to a trace of the returned result.
+        The client's initial and final responses are rendered to
+        ``client`` when one is passed; by default none is built, since
+        nothing would read them.
 
         Each call starts from a clean slate: the transaction history is
         cleared so repeated ``run()`` invocations on one system do not
         accumulate records across runs.
         """
-        if client is None:
-            client = Client(video)
         self.history.clear()
         # Fresh per-run controllers, or none when adaptation is off.
         self.last_adaptation = (
@@ -182,7 +182,7 @@ class CroesusSystem:
         state.add_stream(video.name, 0, video.num_frames)
         lane = Lane(Server(capacity=1, name="edge"), self.edge, self.client_edge, self.edge_cloud)
         body = frame_pipeline(state, [lane], self.cloud, self.policy, self.config)
-        engine.spawn(closed_loop_driver(body, client, result), name=f"video-{video.name}")
+        engine.spawn(closed_loop_driver(body, video, result), name=f"video-{video.name}")
         start_adaptation(state)
         makespan = drain(engine)
         # Flush any coordinator work the commit policy deferred (a no-op

@@ -3,7 +3,9 @@
 A *detection* is what the paper calls a label ``L[i]``: a name, a
 confidence and bounding-box coordinates.  A :class:`LabelSet` is the set
 of detections a model produced for one frame (``Le`` at the edge, ``Lc``
-at the cloud).
+at the cloud).  A recorded frame keeps its sets packed as
+:class:`LabelRow`\\ s, and what the client observed as a :class:`ViewRow`
+of picks into them.
 """
 
 from __future__ import annotations
@@ -154,3 +156,40 @@ class LabelRow(NamedTuple):
             ),
             self.model_name,
         )
+
+
+#: One detection's five doubles in a :class:`LabelRow`'s ``values``.
+_DETECTION_VALUES = struct.Struct("<5d")
+
+
+class ViewRow(NamedTuple):
+    """An observed view kept as picks into its frame's ``Le`` / ``Lc`` rows.
+
+    A pick ``i >= 0`` shows ``Le``'s detection ``i``, a pick ``~j`` (that
+    is, ``-j - 1``) ``Lc``'s detection ``j``; the view lists them in pick
+    order.  The view the client sees is made of those two sets' labels
+    (Section 3.3.2), so keeping the picks keeps the view.  :meth:`render`
+    builds an equal ``LabelSet`` from the two rows, unpacking only the
+    picked entries.
+    """
+
+    frame_id: int
+    model_name: str
+    picks: tuple[int, ...]
+
+    def render(self, edge: LabelRow, cloud: LabelRow) -> LabelSet:
+        detections = []
+        for pick in self.picks:
+            row, index = (edge, pick) if pick >= 0 else (cloud, ~pick)
+            confidence, x_min, y_min, x_max, y_max = _DETECTION_VALUES.unpack_from(
+                row.values, 40 * index
+            )
+            detections.append(
+                Detection(
+                    row.keys[2 * index],
+                    confidence,
+                    BoundingBox(x_min, y_min, x_max, y_max),
+                    row.keys[2 * index + 1],
+                )
+            )
+        return LabelSet(self.frame_id, tuple(detections), self.model_name)

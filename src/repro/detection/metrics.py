@@ -79,6 +79,12 @@ def f_scores_of_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.nda
 _EMPTY_REPORT = AccuracyReport(0, 0, 0)
 
 
+def score_of_empty_view(truth: LabelSet) -> AccuracyReport:
+    """The score of a view that shows nothing: every truth label missed."""
+    truth_count = len(truth)
+    return _EMPTY_REPORT if truth_count == 0 else AccuracyReport(0, 0, truth_count)
+
+
 def evaluate_detections(
     observed: LabelSet,
     truth: LabelSet,
@@ -92,10 +98,7 @@ def evaluate_detections(
     in :mod:`repro.detection.matching`.
     """
     if not observed.detections:
-        truth_count = len(truth)
-        if truth_count == 0:
-            return _EMPTY_REPORT
-        return AccuracyReport(0, 0, truth_count)
+        return score_of_empty_view(truth)
     overlaps = FrameOverlaps(observed.detections, truth.detections, min_overlap)
     return AccuracyReport(*overlaps.client_view(range(len(observed)), sent=False)[1])
 

@@ -24,6 +24,7 @@ models) and the rules that span subsystems.  Serialisation is
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -201,8 +202,8 @@ class ScenarioSpec:
         ``failure_schedule``.
     record_frames:
         What a cluster run retains, never what it simulates: true (the
-        default) keeps one ``FrameTrace`` per frame plus client and
-        transfer histories — what every golden pin reads — while false
+        default) keeps one ``FrameTrace`` per frame plus the transfer
+        history — what every golden pin reads — while false
         folds the same frames into bounded-memory streaming accumulators
         (see :attr:`repro.cluster.config.ClusterConfig.record_frames`).
     reference_engine:
@@ -311,6 +312,16 @@ class ScenarioSpec:
     cloud_model: str = "yolov3-416"
 
     def __post_init__(self) -> None:
+        # A count from hand-written JSON may arrive as 2.5, true or "ten":
+        # refuse it here, by name, before any range check compares it.
+        for name, optional in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(
+                    f"{name} must be an integer, got {type(value).__name__} {value!r}"
+                )
         if self.edge_model not in MODEL_LIBRARY:
             known = ", ".join(sorted(MODEL_LIBRARY))
             raise ValueError(f"unknown edge_model {self.edge_model!r}; known models: {known}")
@@ -448,6 +459,14 @@ class ScenarioSpec:
                 f"known fields: {', '.join(sorted(known))}"
             )
         return cls(**dict(payload))
+
+
+#: ``(name, None allowed)`` of every integer-typed field.
+_INT_FIELDS = tuple(
+    (spec_field.name, spec_field.type == "int | None")
+    for spec_field in fields(ScenarioSpec)
+    if spec_field.type in ("int", "int | None")
+)
 
 
 def spec_field_names() -> tuple[str, ...]:

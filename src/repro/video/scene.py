@@ -62,24 +62,33 @@ class SceneObject:
         if dx == 0.0 and dy == 0.0:
             return self
         # box.translated(dx, dy).clipped(frame_width, frame_height) on
-        # plain floats, so a step builds one box and one object.
+        # plain floats, so a step builds one box and one object; each
+        # min(max(v, 0.0), limit) spelled as the comparisons it performs.
         box = self.box
-        x_min = min(max(box.x_min + dx, 0.0), frame_width)
-        y_min = min(max(box.y_min + dy, 0.0), frame_height)
-        x_max = min(max(box.x_max + dx, 0.0), frame_width)
-        y_max = min(max(box.y_max + dy, 0.0), frame_height)
+        x_min = box.x_min + dx
+        x_min = 0.0 if 0.0 > x_min else x_min
+        x_min = frame_width if frame_width < x_min else x_min
+        y_min = box.y_min + dy
+        y_min = 0.0 if 0.0 > y_min else y_min
+        y_min = frame_height if frame_height < y_min else y_min
+        x_max = box.x_max + dx
+        x_max = 0.0 if 0.0 > x_max else x_max
+        x_max = frame_width if frame_width < x_max else x_max
+        y_max = box.y_max + dy
+        y_max = 0.0 if 0.0 > y_max else y_max
+        y_max = frame_height if frame_height < y_max else y_max
         if (x_max - x_min) * (y_max - y_min) <= 0.0:
             # The object left the frame entirely; park it on the border as
             # a degenerate-but-valid sliver so generators can cull it.
             x_min, y_min, x_max, y_max = 0.0, 0.0, 1.0, 1.0
         return SceneObject(
-            object_id=self.object_id,
-            name=self.name,
-            box=BoundingBox(x_min, y_min, x_max, y_max),
-            visibility=self.visibility,
-            difficulty=self.difficulty,
-            confusable_name=self.confusable_name,
-            velocity=self.velocity,
+            self.object_id,
+            self.name,
+            BoundingBox(x_min, y_min, x_max, y_max),
+            self.visibility,
+            self.difficulty,
+            self.confusable_name,
+            self.velocity,
         )
 
     @property

@@ -170,11 +170,14 @@ class SyntheticVideo:
 
     def _advance_objects(self) -> None:
         survivors: list[tuple[SceneObject, int]] = []
+        width, height = self.width, self.height
         for obj, remaining in self._active:
             if remaining <= 0:
                 continue
-            moved = obj.advanced(self.width, self.height)
-            if moved.is_visible_in_frame:
+            moved = obj.advanced(width, height)
+            box = moved.box
+            # SceneObject.is_visible_in_frame, inline.
+            if (box.x_max - box.x_min) * (box.y_max - box.y_min) > 4.0:
                 survivors.append((moved, remaining - 1))
         self._active = survivors
 

@@ -36,7 +36,13 @@ from repro.core.system import CroesusSystem
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.geometry import BoundingBox, overlap_ratio
 from repro.detection.labels import Detection, LabelSet
-from repro.detection.matching import FrameOverlaps, MatchOutcome, match_labels
+from repro.detection.matching import (
+    FrameOverlaps,
+    MatchOutcome,
+    _box_rows,
+    _overlap_pass,
+    match_labels,
+)
 from repro.detection.metrics import AccuracyReport, evaluate_detections
 from repro.experiments import get_scenario, run
 from repro.experiments.runner import build_streams
@@ -264,13 +270,54 @@ def test_table_equals_scalar_reference_on_every_cutoff_subset(edge, cloud, min_o
         for sent in (False, True):
             expected_view = _reference_view(survivors, cloud, sent, min_overlap)
             expected_score = _reference_score(expected_view, cloud, min_overlap)
-            view, score = table.client_view(rows, sent)
+            picks, score = table.client_view(rows, sent)
+            # A pick i >= 0 is edge label i, ~j cloud label j.
+            view = [edge[pick] if pick >= 0 else cloud[~pick] for pick in picks]
             assert _same_objects(view, expected_view)
             assert score == expected_score
             standalone = evaluate_detections(
                 LabelSet(0, tuple(expected_view), "view"), cloud_labels, min_overlap
             )
             assert standalone == AccuracyReport(*expected_score)
+
+
+# Signed zeros too: the table lists a hit in both rows of a pair, so the
+# rule must not depend on which box of the pair comes first.
+_table_coordinates = st.one_of(
+    st.sampled_from([-0.0, 0.0, 10.0, 20.0, 30.0]), st.floats(0.0, 30.0, allow_nan=False)
+)
+_table_detections = st.builds(
+    Detection,
+    st.sampled_from(["car", "bus"]),
+    st.just(0.5),
+    st.tuples(_table_coordinates, _table_coordinates, _table_coordinates, _table_coordinates).map(
+        lambda c: BoundingBox(
+            min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3])
+        )
+    ),
+)
+
+
+@given(
+    st.lists(_table_detections, max_size=7).flatmap(
+        lambda ds: st.lists(st.sampled_from(ds), max_size=9) if ds else st.just([])
+    ),
+    _min_overlaps,
+)
+@settings(max_examples=300, deadline=None)
+def test_cloud_table_rows_are_the_one_row_passes(cloud, min_overlap):
+    """The cloud-against-cloud table compares each same-name pair once;
+    every row is what a 1 x N ``_overlap_pass`` of that cloud label gives
+    (zero-area boxes, duplicates and ``min_overlap = 0`` included), and
+    the unlabelled table shares it."""
+    table = FrameOverlaps((), tuple(cloud), min_overlap)
+    rows = _box_rows(cloud)
+    cloud_table = table._cloud_table()
+    assert len(cloud_table) == len(cloud)
+    for index in range(len(rows)):
+        assert cloud_table[index] == _overlap_pass(rows[index : index + 1], rows, min_overlap)[3][0]
+    assert table._cloud_table() is cloud_table
+    assert table.unlabelled()._cloud_table() is cloud_table
 
 
 def _trace(frame_id, edge, cloud):

@@ -157,6 +157,40 @@ class TestScenarioSpec:
                 stem = key.removeprefix("failure_").removesuffix("_ms").removesuffix("_s")
                 assert stem in str(error.value)
 
+    #: Every integer-typed field; the test below checks the list is whole.
+    INT_FIELDS = (
+        "frames",
+        "seed",
+        "streams",
+        "num_edges",
+        "partitions_per_edge",
+        "cloud_servers",
+        "hot_key_range",
+        "long_frames",
+        "num_long",
+        "replication_factor",
+        "regions",
+    )
+
+    def test_int_fields_are_every_integer_typed_field(self):
+        typed = {f.name for f in fields(ScenarioSpec) if f.type in ("int", "int | None")}
+        assert set(self.INT_FIELDS) == typed
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "ten", "2"])
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    def test_a_wrong_typed_count_is_refused_by_name(self, name, value):
+        """Hand-written JSON can carry ``"frames": 2.5`` (which used to fail
+        deep inside ``run()``), ``true`` (which ran one frame) or ``"ten"``
+        (a bare comparison error): each is refused, naming the field."""
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got "):
+            ScenarioSpec.from_dict({"deployment": "cluster", name: value})
+
+    def test_only_an_optional_count_may_be_none(self):
+        for name in ("cloud_servers", "long_frames"):
+            assert getattr(ScenarioSpec(deployment="cluster", **{name: None}), name) is None
+        with pytest.raises(TypeError, match="^frames must be an integer, got NoneType"):
+            ScenarioSpec(frames=None)
+
     def test_num_long_is_inert_without_long_frames(self):
         """The default ``num_long=2`` must not forbid a one-stream cluster
         whose stream lengths are even (``long_frames`` unset)."""

@@ -1,19 +1,21 @@
 """A recorded frame keeps its labels as packed rows.
 
-``FrameTrace`` keeps each of a frame's three label sets (``Le``, ``Lc``
-and what the client observed) as one :class:`~repro.detection.labels.LabelRow`
-— frame id, model name, one tuple of names and object ids, one ``bytes``
-of doubles — and renders an equal ``LabelSet`` on every read.  This file
-holds that to:
+``FrameTrace`` keeps a frame's ``Le`` and ``Lc`` as one
+:class:`~repro.detection.labels.LabelRow` each — frame id, model name,
+one tuple of names and object ids, one ``bytes`` of doubles — and what
+the client observed as ``Le``'s own row or as a
+:class:`~repro.detection.labels.ViewRow` of picks into the two rows.  It
+renders an equal ``LabelSet`` on every read.  This file holds that to:
 
 * **round trip** — pack then render gives an equal label set with the
-  same ``repr`` (which tells ``-0.0`` from ``0.0``), on random label sets
-  and on every observed-view shape the frame body records;
-* **counting** — recording a frame builds no ``Detection``,
-  ``BoundingBox`` or ``LabelSet`` and renders nothing, each read renders
-  them, and every rendered set equals the one the frame body built; the
-  offline tuners render each profiled set once however many pairs they
-  score;
+  same ``repr`` (which tells ``-0.0`` from ``0.0``), on random label sets;
+  every observed-view shape the frame body records renders from its
+  picks as the set of the picked labels;
+* **counting** — recording a frame (and working out its view) builds no
+  ``Detection``, ``BoundingBox`` or ``LabelSet`` and renders nothing,
+  each read renders them, and every rendered set equals the one the
+  frame body's labels make; the offline tuners render each profiled set
+  once however many pairs they score;
 * **retention** — a ceiling on the bytes a recording cluster run keeps in
   its traces per recorded detection, and no label kept by the retune
   tuner.
@@ -38,10 +40,11 @@ from repro.cluster.system import ClusterSystem
 from repro.core.adaptive import AdaptationManager
 from repro.core.config import CroesusConfig
 from repro.core.optimizer import ThresholdEvaluator
+from repro.core import pipeline
 from repro.core.pipeline import TraceSink
 from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.detection.geometry import BoundingBox
-from repro.detection.labels import Detection, LabelRow, LabelSet
+from repro.detection.labels import Detection, LabelRow, LabelSet, ViewRow
 from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport
 from repro.experiments import get_scenario
@@ -92,46 +95,66 @@ def test_pack_then_render_is_the_label_set(labels):
     assert len(row.keys) == 2 * len(labels) and len(row.values) == 40 * len(labels)
 
 
+def _view_of(picks, edge: LabelSet, cloud: LabelSet, model_name: str) -> LabelSet:
+    """The label set a view of picks shows: ``i >= 0`` is ``Le[i]``, ``~j`` ``Lc[j]``."""
+    return LabelSet(
+        edge.frame_id,
+        tuple(edge.detections[p] if p >= 0 else cloud.detections[~p] for p in picks),
+        model_name,
+    )
+
+
 @given(_label_sets, _label_sets, st.sampled_from([0.0, 0.1, 0.5]))
 @settings(max_examples=150, deadline=None)
 def test_every_observed_view_round_trips_through_a_trace(edge, cloud, min_overlap):
-    """The views the frame body records: ``Le`` itself, the empty view, an
-    unvalidated subset of ``Le`` and a validated view (confirmed edge
-    labels, the cloud's label for corrected ones, then the unmatched
-    cloud labels), for every confidence cutoff."""
+    """The views the frame body records: ``Le`` itself (its row shared),
+    the empty view, an unvalidated subset of ``Le`` and a validated view
+    (confirmed edge labels, the cloud's label for corrected ones, then the
+    unmatched cloud labels), for every confidence cutoff — the last three
+    as picks into ``Le`` / ``Lc``."""
     overlaps = FrameOverlaps(edge.detections, cloud.detections, min_overlap)
     unlabelled = overlaps.unlabelled()  # what the retune tuner keeps: it scores alike
-    views = [edge, LabelSet(edge.frame_id, (), edge.model_name)]
+    views = [
+        (edge, edge),
+        (ViewRow(edge.frame_id, edge.model_name, ()), LabelSet(edge.frame_id, (), edge.model_name)),
+    ]
     for cutoff in sorted({detection.confidence for detection in edge}) + [2.0]:
         rows = [row for row, detection in enumerate(edge) if detection.confidence >= cutoff]
         for sent in (False, True):
-            view, counts = overlaps.client_view(rows, sent)
-            assert unlabelled.client_view(rows, sent)[1] == counts
+            picks, counts = overlaps.client_view(rows, sent)
+            assert unlabelled.client_view(rows, sent) == (picks, counts)
             model = "croesus-observed" if sent else edge.model_name
-            views.append(LabelSet(edge.frame_id, tuple(view), model))
-    for observed in views:
+            view = ViewRow(edge.frame_id, model, tuple(picks))
+            views.append((view, _view_of(picks, edge, cloud, model)))
+    for observed, expected in views:
         fields = dict(sent_to_cloud=True, latency=LatencyBreakdown(), accuracy=AccuracyReport(0, 0, 0))
         trace = FrameTrace.from_labels(edge.frame_id, edge, cloud, observed, **fields)
         assert _same(trace.edge_labels, edge)
         assert _same(trace.cloud_labels, cloud)
-        assert _same(trace.observed_labels, observed)
+        assert _same(trace.observed_labels, expected)
+        assert _same(LabelRow.pack(expected).render(), trace.observed_labels)
         assert (trace.observed_row is trace.edge_row) == (observed is edge)
+        assert (trace.observed_row is observed) == (type(observed) is ViewRow)
         rebuilt = FrameTrace.from_labels(
-            edge.frame_id, trace.edge_labels, trace.cloud_labels, trace.observed_labels, **fields
+            edge.frame_id,
+            trace.edge_labels,
+            trace.cloud_labels,
+            observed if type(observed) is ViewRow else trace.observed_labels,
+            **fields,
         )
         assert rebuilt == trace and hash(rebuilt) == hash(trace)
 
 
 # -- counting ----------------------------------------------------------------------
-def _count_renders(monkeypatch) -> list[int]:
+def _count_renders(monkeypatch, row_type=LabelRow) -> list[int]:
     count = [0]
-    render = LabelRow.render
+    render = row_type.render
 
-    def counting(self):
+    def counting(self, *rows):
         count[0] += 1
-        return render(self)
+        return render(self, *rows)
 
-    monkeypatch.setattr(LabelRow, "render", counting)
+    monkeypatch.setattr(row_type, "render", counting)
     return count
 
 
@@ -149,8 +172,18 @@ def test_recording_builds_no_label_object_and_each_read_renders_them(spec, monke
     live labels' table, so no row is rendered during the run."""
     built = count_constructions(monkeypatch, Detection, BoundingBox, LabelSet)
     renders = _count_renders(monkeypatch)
+    view_renders = _count_renders(monkeypatch, ViewRow)
+    observe = pipeline.observed_labels
     record_frame = TraceSink.record_frame
     live = []
+    views_worked_out = [0]
+
+    def observing(*args):
+        before = dict(built)
+        outcome = observe(*args)
+        assert built == before
+        views_worked_out[0] += 1
+        return outcome
 
     def recording(self, result, edge_id, initial, initial_done, final, final_done,
                   cloud_labels, observed, *rest):
@@ -158,13 +191,20 @@ def test_recording_builds_no_label_object_and_each_read_renders_them(spec, monke
         trace = record_frame(self, result, edge_id, initial, initial_done, final, final_done,
                              cloud_labels, observed, *rest)
         assert built == before
+        if type(observed) is ViewRow:
+            assert trace.observed_row is observed
+            observed = _view_of(observed.picks, initial.labels, cloud_labels, observed.model_name)
+        else:
+            assert observed is initial.labels and trace.observed_row is trace.edge_row
         live.append((trace, initial.labels, cloud_labels, observed))
         return trace
 
+    monkeypatch.setattr(pipeline, "observed_labels", observing)
     monkeypatch.setattr(TraceSink, "record_frame", recording)
     per_stream = _recorded_cluster_run(spec)
-    assert renders == [0]
+    assert renders == view_renders == [0]
     assert len(live) == sum(len(result.traces) for result in per_stream.values()) > 0
+    assert views_worked_out == [len(live)]
     for trace, *expected_sets in live:
         for name, expected in zip(("edge_labels", "cloud_labels", "observed_labels"), expected_sets):
             for _ in range(2):
@@ -176,7 +216,10 @@ def test_recording_builds_no_label_object_and_each_read_renders_them(spec, monke
                     "BoundingBox": len(expected),
                     "LabelSet": 1,
                 }
-    assert renders[0] == 6 * len(live)
+    views = sum(1 for trace, *_ in live if type(trace.observed_row) is ViewRow)
+    assert 0 < views < len(live)
+    assert renders[0] == 4 * len(live) + 2 * (len(live) - views)
+    assert view_renders[0] == 2 * views
 
 
 @pytest.mark.parametrize("method", ["brute", "all"])
@@ -202,7 +245,8 @@ def test_the_offline_scorer_renders_each_profiled_label_set_once(monkeypatch):
 #: Bytes a recording ``cluster-small`` run (40 frames per stream) keeps in
 #: its frame traces per recorded detection (edge + cloud + observed;
 #: tracemalloc, what dropping the traces frees): 204.4 with a
-#: ``Detection`` and a ``BoundingBox`` per label, 101.7 as packed rows.
+#: ``Detection`` and a ``BoundingBox`` per label, 101.7 as packed rows,
+#: 85.6 with the observed view as picks into the edge and cloud rows.
 #: The ceiling keeps the retained-bytes-per-operation guard's 1.30x headroom.
 RETAINED_BYTES_PER_RECORDED_DETECTION_CEILING = 132
 

@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from repro.cluster.failure import FailureInjector
 from repro.cluster import ClusterConfig, ClusterSystem
-from repro.core.client import Client
 from repro.core.config import CroesusConfig
+from repro.core.pipeline import TraceSink
 from repro.experiments import ScenarioSpec, build_traffic_config, run, validate_report
 from repro.sim.rng import RngRegistry
-from repro.traffic.shedding import SHED_APOLOGY
 from repro.traffic import (
     ApologyBudget,
     ArrivalProcess,
@@ -289,13 +288,22 @@ class TestOpenLoopCluster:
         assert stats.completed_frames + stats.shed_frames == stats.admitted_frames
 
     def test_each_shed_frame_leaves_one_apology_at_its_shed_instant(self, monkeypatch):
-        #: ``(stream, frame_id) -> responses`` as the clients render them.
-        rendered: dict[tuple[str, int], list] = {}
-        render = Client.render
+        # A cluster run renders responses to no client, so the sink's hooks
+        # are where a shed frame and a served one show.
+        #: ``(stream, frame_id) -> instants`` the sink was told the frame was shed.
+        shed_at: dict[tuple[str, int], list[float]] = {}
+        #: ``(stream, frame_id)`` of every frame the sink recorded.
+        recorded: list[tuple[str, int]] = []
+        shed = TraceSink.shed
+        record_frame = TraceSink.record_frame
 
-        def logged_render(client, response):
-            rendered.setdefault((client.video.name, response.frame_id), []).append(response)
-            return render(client, response)
+        def logged_shed(sink, stream, frame_id, when):
+            shed_at.setdefault((stream, frame_id), []).append(when)
+            return shed(sink, stream, frame_id, when)
+
+        def logged_record_frame(sink, result, edge_id, initial, *rest):
+            recorded.append((result.video_key, initial.frame_id))
+            return record_frame(sink, result, edge_id, initial, *rest)
 
         admitted_at: dict[str, float] = {}
         admit = ClusterSystem._admit_stream
@@ -306,27 +314,23 @@ class TestOpenLoopCluster:
             if state.traffic.admitted_streams > admitted_before:
                 admitted_at[video.name] = state.engine.now
 
-        monkeypatch.setattr(Client, "render", logged_render)
+        monkeypatch.setattr(TraceSink, "shed", logged_shed)
+        monkeypatch.setattr(TraceSink, "record_frame", logged_record_frame)
         monkeypatch.setattr(ClusterSystem, "_admit_stream", logged_admit)
         system, traffic = _open_loop_cluster(
             offered_rate=2.5, apology_budget=2.0, shed_threshold=0.3
         )
         result = system.run_open_loop(traffic)
         interval = system.config.frame_interval
-        shed = {
-            frame: responses
-            for frame, responses in rendered.items()
-            if any(SHED_APOLOGY in response.apologies for response in responses)
-        }
-        assert len(shed) == result.traffic.shed_frames > 0
-        for (stream, frame_id), responses in shed.items():
-            # The edge never saw the frame: no initial response, one final
-            # apology, stamped at the frame's arrival instant.
-            (response,) = responses
-            assert response.stage == "final"
-            assert response.apologies == (SHED_APOLOGY,)
-            assert response.timestamp == pytest.approx(admitted_at[stream] + frame_id * interval)
-        assert len(rendered) - len(shed) == result.traffic.completed_frames
+        assert len(shed_at) == result.traffic.shed_frames > 0
+        for (stream, frame_id), instants in shed_at.items():
+            # One shed per frame, at the frame's arrival instant; the edge
+            # never saw the frame, so it is never recorded (no initial
+            # response either).
+            (when,) = instants
+            assert when == pytest.approx(admitted_at[stream] + frame_id * interval)
+            assert (stream, frame_id) not in recorded
+        assert len(recorded) == len(set(recorded)) == result.traffic.completed_frames
 
 
 class TestOpenLoopSingle:
