@@ -98,21 +98,23 @@ def check_ms_sr(history: History) -> CheckResult:
 
 _WRITE, _FINAL = OperationKind.WRITE, SectionKind.FINAL
 #: Slots of a live transaction's state list: where its initial and its final
-#: sit in ``<h`` (from 1; 0 while not committed), each section's keys and
-#: their operation kinds (two lists, as the section's rows hold them;
-#: ``None`` while not committed), and the live transactions it conflicts
-#: with.
+#: sit in ``<h`` (from 1; 0 while not committed), each section's keys (the
+#: one slice :meth:`OrderFold.add` takes) and its flat ``kind, key, value``
+#: rows as they were handed in (``None`` while not committed), and the live
+#: transactions it conflicts with.
 _INITIAL_AT, _FINAL_AT = 0, 1
-_INITIAL_KEYS, _FINAL_KEYS, _INITIAL_KINDS, _FINAL_KINDS = 2, 3, 4, 5
+_INITIAL_KEYS, _FINAL_KEYS, _INITIAL_ROWS, _FINAL_ROWS = 2, 3, 4, 5
 _PARTNERS = 6
 
 
-def _kind(keys: list | None, kinds: list | None, key: str) -> OperationKind | None:
-    """How a section touched ``key``: a write if any operation wrote it."""
+def _kind(rows: list | None, key: str) -> OperationKind | None:
+    """How a section (its flat rows) touched ``key``: a write if any
+    operation wrote it."""
     found = None
-    if keys is not None:
-        for touched, kind in zip(keys, kinds):
-            if touched == key:
+    if rows is not None:
+        for at in range(1, len(rows), 3):
+            if rows[at] == key:
+                kind = rows[at - 1]
                 if kind is _WRITE:
                     return kind
                 found = kind
@@ -130,9 +132,10 @@ class OrderFold:
 
     :meth:`add` takes a section as its transaction id, kind, commit time
     and flat ``kind, key, value, …`` operation rows (what a controller
-    hands :meth:`History.record_rows
-    <repro.transactions.history.History.record_rows>`); it keeps a live
-    section's keys and operation kinds, never its values.
+    hands :attr:`History.record_rows
+    <repro.transactions.history.History.record_rows>`, which is this method
+    on a history that keeps no rows); it keeps a live section's keys and
+    the rows it was handed, which it reads only for operation kinds.
     """
 
     __slots__ = (
@@ -213,7 +216,7 @@ class OrderFold:
         self._position = position = self._position + 1
         state[final] = position
         state[final + 2] = keys = rows[1::3]
-        state[final + 4] = rows[0::3]
+        state[final + 4] = rows
         # Index the keys; one no other live transaction touched costs one
         # ``setdefault``.
         index = self._index
@@ -252,7 +255,7 @@ class OrderFold:
         live, index = self._live, self._index
         partners = state[_PARTNERS]
         initial_at = state[_INITIAL_AT]
-        keys, kinds = state[final + 2], state[final + 4]
+        rows = state[final + 4]
         late_initials = None
         for key in dict.fromkeys(shared):
             entry = index[key]
@@ -266,18 +269,15 @@ class OrderFold:
                 entry[transaction_id] = None
             # This transaction's other section, had it written the key, made
             # the pair conflict when the later of the two touched it.
-            kind = _kind(keys, kinds, key)
+            kind = _kind(rows, key)
             for other in others:
                 other_state = live[other]
-                initial_kind = _kind(
-                    other_state[_INITIAL_KEYS], other_state[_INITIAL_KINDS], key
-                )
+                initial_kind = _kind(other_state[_INITIAL_ROWS], key)
                 if partners is None or other not in partners:
                     if (
                         kind is _WRITE
                         or initial_kind is _WRITE
-                        or _kind(other_state[_FINAL_KEYS], other_state[_FINAL_KINDS], key)
-                        is _WRITE
+                        or _kind(other_state[_FINAL_ROWS], key) is _WRITE
                     ):
                         if partners is None:
                             partners = state[_PARTNERS] = {}
@@ -339,15 +339,18 @@ class OrderFold:
                 return
             transaction_id = queue.popleft()
             del live[transaction_id]
-            for keys in (state[_INITIAL_KEYS], state[_FINAL_KEYS]):
-                for key in keys:
-                    entry = index.get(key)
-                    if entry == transaction_id:
-                        del index[key]
-                    elif entry.__class__ is dict:  # two or more, so one is left
-                        entry.pop(transaction_id, None)
-                        if len(entry) == 1:
-                            index[key] = next(iter(entry))
+            for key in state[_INITIAL_KEYS] + state[_FINAL_KEYS]:
+                # One dict operation for a key only this transaction held; a
+                # shared entry goes back without it (a key the transaction
+                # touched twice finds its entry gone, or another's).
+                entry = index.pop(key, None)
+                if entry is None or entry == transaction_id:
+                    continue
+                if entry.__class__ is dict:  # two or more, so one is left
+                    entry.pop(transaction_id, None)
+                    if len(entry) == 1:
+                        entry = next(iter(entry))
+                index[key] = entry
             partners = state[_PARTNERS]
             if partners:
                 for other in partners:

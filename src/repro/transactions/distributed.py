@@ -39,8 +39,10 @@ grouping and the release — so a key is hashed once per section.  The
 plan dies with the call and is rebuilt for the next section: re-sharding
 or a promotion may re-home a slot between a transaction's two sections.
 The section context keeps executed operations as one flat ``kind, key,
-value, …`` row list; an attached :class:`History` appends those slots to
-its own flat list and renders :class:`Operation` objects when it is read.
+value, …`` row list; an attached :class:`History` folds each committed
+section's rows into its running MS-SR / MS-IA check, and keeps them (and
+renders :class:`Operation` objects on read) only when
+:attr:`History.keep_rows` is on.
 The controller keeps its 2PC rounds the same way — one flat ``holder,
 participants, …`` list — and renders :class:`DistributedCommitRecord`
 objects when :attr:`~DistributedMSIAController.commit_records` is read.
@@ -72,6 +74,8 @@ class _BufferedSectionContext(SectionContext):
     Writes are buffered and applied atomically by 2PC at commit time.
     """
 
+    __slots__ = ("_routes", "pending_writes")
+
     def __init__(
         self,
         transaction_id: str,
@@ -91,7 +95,7 @@ class _BufferedSectionContext(SectionContext):
         if key in self.pending_writes:
             value = self.pending_writes[key]
         else:
-            value = self._routes[key].store.read(key, default=default)
+            value = self._routes[key].store.read(key, default)
         self.operation_rows += (OperationKind.READ, key, value)
         return value
 
@@ -159,7 +163,7 @@ class DistributedMSIAController(AdmittingController):
             return None
 
         transaction = draft.materialise()
-        context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels=labels)
+        context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels)
         result = transaction.initial.body(context)
 
         committed = self._atomic_commit(holder, context.pending_writes, routes, now)
@@ -321,7 +325,7 @@ class DistributedTwoStage2PL(DistributedMSIAController):
             return None
 
         transaction = draft.materialise()
-        context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels=labels)
+        context = _BufferedSectionContext(holder, SectionKind.INITIAL, routes, labels)
         result = transaction.initial.body(context)
 
         transaction.mark_initial_committed(result, context.handoff, now)

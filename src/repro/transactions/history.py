@@ -5,9 +5,12 @@ Section 4.3 defines MS-SR over an ordering relation ``<h`` on *sections*,
 ``s <h s'`` when ``s`` committed first, ties broken by the order the
 (single-threaded) controller committed them in.
 
-A :class:`History` checks each committed section as it arrives: it feeds
-:class:`~repro.transactions.checker.OrderFold`, which keeps the in-flight
-window of transactions and counts sections and operations — no row.
+A :class:`History` checks each committed section as it arrives: its
+``record_rows`` *is* the running
+:meth:`OrderFold.add <repro.transactions.checker.OrderFold.add>`, so a
+controller's call costs the fold and no wrapper.  The fold keeps the
+in-flight window of transactions and counts sections and operations — no
+row.
 Since the fold needs sections in ``<h`` order, a section recorded with an
 earlier commit time than the last one raises
 :class:`~repro.transactions.exceptions.CommitOutOfOrder`.  Iterating the
@@ -33,6 +36,7 @@ walking the history many times renders each section once; a record's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from repro.storage.kvstore import RowsNotKept
@@ -58,14 +62,38 @@ class SectionRecord:
         return section_label(self.transaction_id, self.section)
 
 
+def _append_rows(
+    sections: list,
+    operations: list,
+    transaction_id: str,
+    section: SectionKind,
+    commit_time: float,
+    rows: list,
+) -> None:
+    """Append a committed section to a history's kept rows."""
+    operations += rows
+    sections += (transaction_id, section, commit_time, len(operations))
+
+
 class History:
-    """The committed sections of a run, checked in commit order."""
+    """The committed sections of a run, checked in commit order.
+
+    ``record_rows(transaction_id, section, commit_time, rows)`` records a
+    committed section whose operations are flat ``kind, key, value, …``
+    slots (a section context's ``operation_rows``).  It is an attribute,
+    set by :meth:`clear`: the running fold's
+    :meth:`~repro.transactions.checker.OrderFold.add` (a section committed
+    before the last raises
+    :class:`~repro.transactions.exceptions.CommitOutOfOrder`), or with rows
+    kept, an append to the rows (bound to the two lists, not the history,
+    so a history is no reference cycle).
+    """
 
     #: Keep every section's rows for iteration and re-folding.  Read when a
     #: history is built; only tests turn it on.
     keep_rows = False
 
-    __slots__ = ("_fold", "_rows", "_operations", "_rendered")
+    __slots__ = ("record_rows", "_fold", "_rows", "_operations", "_rendered")
 
     def __init__(self) -> None:
         #: The running check, ``None`` when the rows are kept instead.
@@ -77,22 +105,6 @@ class History:
         self._operations: list | None = None
         self._rendered: list[SectionRecord] | None = None
         self.clear()
-
-    def record_rows(
-        self, transaction_id: str, section: SectionKind, commit_time: float, rows: list
-    ) -> None:
-        """Record a committed section whose operations are flat ``kind, key,
-        value, …`` slots (a section context's ``operation_rows``): fold it in
-        (one committed before the last raises
-        :class:`~repro.transactions.exceptions.CommitOutOfOrder`), or with
-        rows kept, append its rows."""
-        fold = self._fold
-        if fold is not None:
-            fold.add(transaction_id, section, commit_time, rows)
-            return
-        operations = self._operations
-        operations += rows
-        self._rows += (transaction_id, section, commit_time, len(operations))
 
     def fold(self) -> OrderFold:
         """The check over every committed section: the running one, or for a
@@ -162,8 +174,10 @@ class History:
         """
         if self._rows is None:
             self._fold = OrderFold()
+            self.record_rows = self._fold.add
         else:
             self._rows, self._operations, self._rendered = [], [], []
+            self.record_rows = partial(_append_rows, self._rows, self._operations)
 
     def transaction_ids(self) -> list[str]:
         """Distinct transaction ids in first-commit order."""

@@ -23,6 +23,8 @@ from repro.storage.wal import UndoLog
 from repro.transactions.exceptions import SectionOrderError
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 
+_READ, _WRITE = OperationKind.READ, OperationKind.WRITE
+
 
 class SectionKind(Enum):
     """Which of the two sections of a transaction."""
@@ -66,11 +68,27 @@ class SectionContext:
     handoff:
         Key/value state the initial section recorded for the final
         section ("the initial section communicates to the final section
-        via writing its input and state", §3.2).  Final sections receive
-        the initial section's handoff read-only.
+        via writing its input and state", §3.2).  The dict is the
+        context's own, not a copy: a final section receives the
+        transaction's handoff read-only, and an initial section's
+        :meth:`put_handoff` writes into the dict it was given (a new one
+        when none was).
     undo_log:
         Undo log used to capture before-images of writes (MS-IA).
     """
+
+    __slots__ = (
+        "transaction_id",
+        "section",
+        "labels",
+        "initial_labels",
+        "_store",
+        "_undo_log",
+        "_handoff",
+        "operation_rows",
+        "_apologies",
+        "_retracted",
+    )
 
     def __init__(
         self,
@@ -88,28 +106,28 @@ class SectionContext:
         self.initial_labels = initial_labels
         self._store = store
         self._undo_log = undo_log
-        self._handoff = dict(handoff or {})
+        self._handoff = {} if handoff is None else handoff
         #: Executed operations as one flat row list — ``kind, key, value,
         #: kind, key, value, …``, three slots per operation and no tuple —
-        #: what the controllers hand to :meth:`History.record_rows`;
+        #: what the controllers hand to :attr:`History.record_rows`;
         #: ``operations`` and ``executed_rwset`` read it by slicing.
         self.operation_rows: list = []
-        self._apologies: list[str] = []
+        self._apologies: tuple[str, ...] = ()
         self._retracted = False
 
     # -- data access -----------------------------------------------------
     def read(self, key: str, default: Any = None) -> Any:
         """Read ``key`` from the store, recording the operation."""
-        value = self._store.read(key, default=default)
-        self.operation_rows += (OperationKind.READ, key, value)
+        value = self._store.read(key, default)
+        self.operation_rows += (_READ, key, value)
         return value
 
     def write(self, key: str, value: Any) -> None:
         """Write ``key`` to the store, recording the operation and its undo image."""
         if self._undo_log is not None:
             self._undo_log.log_write(self.transaction_id, key, value)
-        self._store.write(key, value, writer=self.transaction_id)
-        self.operation_rows += (OperationKind.WRITE, key, value)
+        self._store.write(key, value, self.transaction_id)
+        self.operation_rows += (_WRITE, key, value)
 
     def delete(self, key: str) -> None:
         """Delete ``key`` (tombstone write)."""
@@ -134,7 +152,7 @@ class SectionContext:
     # -- apologies (MS-IA) -----------------------------------------------
     def apologize(self, message: str) -> None:
         """Record an apology to be delivered to the client (final sections)."""
-        self._apologies.append(message)
+        self._apologies += (message,)
 
     def retract_initial_effects(self) -> list[str]:
         """Undo every write the initial section performed.
@@ -157,7 +175,7 @@ class SectionContext:
 
     @property
     def apologies(self) -> tuple[str, ...]:
-        return tuple(self._apologies)
+        return self._apologies
 
     @property
     def retracted(self) -> bool:
@@ -251,13 +269,15 @@ class MultiStageTransaction:
 
     # -- lifecycle helpers used by the controllers ------------------------
     def mark_initial_committed(self, result: Any, handoff: dict[str, Any], now: float) -> None:
+        """Keeps ``handoff`` itself as the transaction's handoff (a controller
+        passes its initial context's :attr:`SectionContext.handoff` copy)."""
         if self.status is not TransactionStatus.PENDING:
             raise SectionOrderError(
                 f"cannot initial-commit transaction in state {self.status.value}"
             )
         self.status = TransactionStatus.INITIAL_COMMITTED
         self.initial_result = result
-        self.handoff = dict(handoff)
+        self.handoff = handoff
         self.initial_commit_time = now
 
     def mark_committed(self, result: Any, apologies: tuple[str, ...], now: float) -> None:

@@ -31,7 +31,7 @@ from repro.transactions.exceptions import (
 )
 from repro.transactions.history import History
 from repro.transactions.model import MultiStageTransaction, SectionContext, SectionKind
-from repro.transactions.ms_sr import AdmittingController, ControllerStats, _PendingFinal
+from repro.transactions.ms_sr import AdmittingController, ControllerStats
 
 
 #: An invariant is a named predicate over the store's current snapshot.
@@ -71,7 +71,8 @@ class MSIAController(AdmittingController):
         self._history = history
         self._undo_log = UndoLog(store)
         self._invariants = dict(invariants or {})
-        self._pending: dict[str, _PendingFinal] = {}
+        #: holder -> the initial section's labels, until the final section runs.
+        self._pending: dict[str, Any] = {}
         self.stats = ControllerStats()
 
     @property
@@ -111,11 +112,7 @@ class MSIAController(AdmittingController):
 
         transaction = draft.materialise()
         context = SectionContext(
-            transaction_id=holder,
-            section=SectionKind.INITIAL,
-            store=self._store,
-            labels=labels,
-            undo_log=self._undo_log,
+            holder, SectionKind.INITIAL, self._store, labels, None, None, self._undo_log
         )
         result = transaction.initial.body(context)
         transaction.mark_initial_committed(result, context.handoff, now)
@@ -125,7 +122,7 @@ class MSIAController(AdmittingController):
 
         # Unlike MS-SR, the locks are released right after the initial commit.
         self._locks.release_all(holder, now=now)
-        self._pending[holder] = _PendingFinal(transaction=transaction, initial_labels=labels)
+        self._pending[holder] = labels
         return transaction
 
     # -- final section -----------------------------------------------------
@@ -147,25 +144,25 @@ class MSIAController(AdmittingController):
         single-threaded prototype this path cannot be taken concurrently.
         """
         holder = transaction.transaction_id
-        pending = self._pending.pop(holder, None)
-        if pending is None:
+        if holder not in self._pending:
             raise SectionOrderError(f"transaction {holder} has no pending final section")
+        initial_labels = self._pending.pop(holder)
 
         requests = transaction.final.rwset.lock_requests()
         if not self._locks.acquire_all(holder, requests, now=now):
             # Cannot abort (the initial section already committed); put the
             # transaction back and surface the contention to the caller.
-            self._pending[holder] = pending
+            self._pending[holder] = initial_labels
             raise TransactionAborted(holder, "final-section lock denied; retry later")
 
         context = SectionContext(
-            transaction_id=holder,
-            section=SectionKind.FINAL,
-            store=self._store,
-            labels=labels,
-            initial_labels=pending.initial_labels,
-            handoff=transaction.handoff,
-            undo_log=self._undo_log,
+            holder,
+            SectionKind.FINAL,
+            self._store,
+            labels,
+            initial_labels,
+            transaction.handoff,
+            self._undo_log,
         )
         try:
             result = transaction.final.body(context)

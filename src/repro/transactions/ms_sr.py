@@ -56,14 +56,6 @@ class ControllerStats:
         return self.aborts / self.attempts if self.attempts else 0.0
 
 
-@dataclass
-class _PendingFinal:
-    """Book-keeping between the initial commit and the final section."""
-
-    transaction: MultiStageTransaction
-    initial_labels: Any
-
-
 class AdmittingController:
     """The initial-section entry points every controller shares: a
     subclass implements :meth:`admit`, and :meth:`process_initial` raises
@@ -112,8 +104,9 @@ class TwoStage2PL(AdmittingController):
     lock_manager:
         Shared lock manager (one per edge node).
     history:
-        Optional history recorder; when provided, committed sections are
-        appended so MS-SR can be audited with
+        Optional history recorder; when provided, each committed section
+        is recorded (folded into its running check, or kept as rows when
+        :attr:`History.keep_rows` is on) so MS-SR can be audited with
         :func:`repro.transactions.checker.check_ms_sr`.
     """
 
@@ -129,7 +122,8 @@ class TwoStage2PL(AdmittingController):
         self._locks = lock_manager if lock_manager is not None else LockManager()
         self._history = history
         self._undo_log = UndoLog(store)
-        self._pending: dict[str, _PendingFinal] = {}
+        #: holder -> the initial section's labels, until the final section runs.
+        self._pending: dict[str, Any] = {}
         self.stats = ControllerStats()
 
     @property
@@ -163,11 +157,7 @@ class TwoStage2PL(AdmittingController):
 
         transaction = draft.materialise()
         context = SectionContext(
-            transaction_id=holder,
-            section=SectionKind.INITIAL,
-            store=self._store,
-            labels=labels,
-            undo_log=self._undo_log,
+            holder, SectionKind.INITIAL, self._store, labels, None, None, self._undo_log
         )
         result = transaction.initial.body(context)
 
@@ -179,7 +169,7 @@ class TwoStage2PL(AdmittingController):
             self._abort(transaction, now, "final-section lock denied")
 
         transaction.mark_initial_committed(result, context.handoff, now)
-        self._pending[holder] = _PendingFinal(transaction=transaction, initial_labels=labels)
+        self._pending[holder] = labels
         self.stats.initial_commits += 1
         if self._history is not None:
             self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
@@ -198,20 +188,18 @@ class TwoStage2PL(AdmittingController):
         acquired before the initial commit, so nothing can stop it here.
         """
         holder = transaction.transaction_id
-        pending = self._pending.pop(holder, None)
-        if pending is None:
-            raise SectionOrderError(
-                f"transaction {holder} has no pending final section"
-            )
+        if holder not in self._pending:
+            raise SectionOrderError(f"transaction {holder} has no pending final section")
+        initial_labels = self._pending.pop(holder)
 
         context = SectionContext(
-            transaction_id=holder,
-            section=SectionKind.FINAL,
-            store=self._store,
-            labels=labels,
-            initial_labels=pending.initial_labels,
-            handoff=transaction.handoff,
-            undo_log=self._undo_log,
+            holder,
+            SectionKind.FINAL,
+            self._store,
+            labels,
+            initial_labels,
+            transaction.handoff,
+            self._undo_log,
         )
         result = transaction.final.body(context)
         transaction.mark_committed(result, context.apologies, now)

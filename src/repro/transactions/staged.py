@@ -129,19 +129,22 @@ class StagedController:
         # stages after it, so it uses the initial-section context kind.
         is_last_stage = stage == transaction.num_stages - 1
         kind = SectionKind.FINAL if is_last_stage else SectionKind.INITIAL
+        # The stage writes into a copy, which replaces the transaction's
+        # handoff only once the stage has run.
+        handoff = dict(transaction.handoff)
         context = SectionContext(
             transaction_id=holder,
             section=kind,
             store=self._store,
             labels=labels,
-            handoff=transaction.handoff,
+            handoff=handoff,
             undo_log=self._undo_log,
         )
         result = section.body(context)
 
         transaction.results.append(result)
         transaction.apologies = transaction.apologies + context.apologies
-        transaction.handoff = {**transaction.handoff, **context.handoff}
+        transaction.handoff = handoff
         if stage == 0:
             self.stats.initial_commits += 1
         transaction.committed_stages += 1

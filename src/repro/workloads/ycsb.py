@@ -61,7 +61,7 @@ class _InsertAndRead(RowSection):
     def body(self, ctx: SectionContext) -> dict:
         row = self.row
         label = row[0]
-        values = {key: ctx.read(key, default=0) for key in row[self._read_keys]}
+        values = {key: ctx.read(key, 0) for key in row[self._read_keys]}
         payload = _payload(label, "initial")
         for key in row[self._write_keys]:
             ctx.write(key, payload)
@@ -121,7 +121,7 @@ class YCSBWorkload:
             raise ValueError("final_write_fraction must be in [0, 1]")
         # The operation mix is fixed per workload instance.
         writes = self._num_writes = self.operations_per_transaction // 2
-        reads = self.operations_per_transaction - writes
+        reads = self._num_reads = self.operations_per_transaction - writes
         final_writes = max(1, int(round(writes * self.final_write_fraction)))
         split = 1 + max(0, writes - final_writes)
         # A row is (label, insert keys..., read keys...); its spans:
@@ -138,9 +138,10 @@ class YCSBWorkload:
         # in [0, key_space) per insert, then per read an insert number in
         # [1, inserted] and a bucket.
         self._lows = np.array([0] * writes + [1, 0] * reads, dtype=np.int64)
-        #: Transactions in a frame -> the frame's tiled lower bounds and its
-        #: upper bounds before the insert numbers go in (frames repeat sizes).
-        self._bounds: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Transactions in a frame -> the frame's tiled lower bounds, its upper
+        #: bounds before the items inserted by earlier frames go in, and the
+        #: mask of its insert-number draws (frames repeat sizes).
+        self._bounds: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def build_transaction(
         self,
@@ -170,37 +171,65 @@ class YCSBWorkload:
         draw: ids and rows only, as :meth:`build_transactions` would build
         them.  The signature is the bank's per-frame factory."""
         count = len(transaction_ids)
+        if len(detections) != count:
+            raise ValueError(
+                f"{len(detections)} detections for {count} transaction ids: "
+                "a frame drafts one transaction per detection"
+            )
         if count == 0:
             return []
         writes = self._num_writes
         per_transaction = len(self._lows)
-        # Transaction t reads among the items inserted up to and including its own.
+        # Transaction t reads among the items inserted up to and including
+        # its own: an insert number's upper bound is the frame's picks mask
+        # times the items inserted before the frame, plus the frame's own.
         bounds = self._bounds.get(count)
         if bounds is None:
             highs = np.full((count, per_transaction), self.key_space, dtype=np.int64)
-            bounds = self._bounds[count] = np.tile(self._lows, count), highs
-        lows, highs = bounds[0], bounds[1].copy()
-        inserted = self._inserted + writes * np.arange(1, count + 1)
-        highs[:, writes::2] = inserted[:, None] + 1
-        draws = self.rng.integers(lows, highs.ravel()).tolist()
+            highs[:, writes::2] = writes * np.arange(1, count + 1)[:, None] + 1
+            picks = np.zeros((count, per_transaction), dtype=np.int64)
+            picks[:, writes::2] = 1
+            bounds = self._bounds[count] = np.tile(self._lows, count), highs.ravel(), picks.ravel()
+        lows, highs, picks = bounds
+        upper = picks * self._inserted
+        upper += highs
+        grid = self.rng.integers(lows, upper).reshape(count, per_transaction)
 
-        read_span, write_span = self._spans[1], self._spans[4]
-        number = self._inserted
+        # The frame's keys, formatted in two passes: one over its insert draws
+        # (insert ``i`` of transaction ``t`` is item number ``first + t *
+        # writes + i``, so the numbers run in the inserts' order) and one over
+        # its (insert number, bucket) read draws.  A row is two slices.
+        first = self._inserted + 1
         self._inserted += writes * count
-        drafts = []
-        for index, (transaction_id, detection) in enumerate(zip(transaction_ids, detections)):
-            label = detection.name if detection is not None else "none"
-            start = index * per_transaction
-            inserts = draws[start : start + writes]
-            picks = draws[start + writes : start + per_transaction]
-            row = (
-                label,
-                *[f"item-{bucket}-{number + i}" for i, bucket in enumerate(inserts, 1)],
-                *[f"item-{bucket}-{pick}" for pick, bucket in zip(picks[::2], picks[1::2])],
+        inserts = [
+            f"item-{bucket}-{number}"
+            for bucket, number in zip(
+                grid[:, :writes].ravel().tolist(), range(first, self._inserted + 1)
             )
-            number += writes
-            drafts.append(TransactionDraft(transaction_id, row, read_span, write_span, self))
-        return drafts
+        ]
+        draws = iter(grid[:, writes:].ravel().tolist())
+        reads = [f"item-{bucket}-{number}" for number, bucket in zip(draws, draws)]
+        per_read = self._num_reads
+        read_span, write_span = self._spans[1], self._spans[4]
+        return [
+            TransactionDraft(
+                transaction_id,
+                (
+                    "none" if detection is None else detection.name,
+                    *inserts[insert_at : insert_at + writes],
+                    *reads[read_at : read_at + per_read],
+                ),
+                read_span,
+                write_span,
+                self,
+            )
+            for transaction_id, detection, insert_at, read_at in zip(
+                transaction_ids,
+                detections,
+                range(0, len(inserts), writes),
+                range(0, len(reads), per_read),
+            )
+        ]
 
     def materialise(self, draft: TransactionDraft) -> MultiStageTransaction:
         """Build a granted draft's transaction; the draft stays its union."""

@@ -43,9 +43,14 @@ from hypothesis import strategies as st
 import repro.storage.partition as partition_module
 from repro.cluster.system import ClusterSystem, hotspot_bank_factory
 from repro.core.edge import EdgeNode, TriggeredTransaction
+from repro.core.system import CroesusSystem
 from repro.experiments import get_scenario
 from repro.experiments.runner import build_streams
-from repro.experiments.spec import build_cluster_config, build_traffic_config
+from repro.experiments.spec import (
+    build_cluster_config,
+    build_single_config,
+    build_traffic_config,
+)
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
 from repro.sim.rng import RngRegistry
@@ -63,6 +68,7 @@ from repro.transactions.history import History
 from repro.transactions.model import (
     MultiStageTransaction,
     RowSection,
+    SectionContext,
     SectionKind,
     SectionSpec,
 )
@@ -70,6 +76,7 @@ from repro.transactions.ms_ia import MSIAController
 from repro.transactions.ms_sr import TwoStage2PL
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 from repro.transactions.policy import TransactionPolicy, make_policy
+from repro.video.library import make_video
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
@@ -742,6 +749,58 @@ def test_a_denied_attempt_builds_nothing(monkeypatch):
     # initial-committed and never final-committed (the failover's aborts).
     stats = [replica.controller.stats for replica in system.replicas]
     assert attempts["denied"] == sum(s.aborts - s.initial_commits + s.final_commits for s in stats)
+
+
+@pytest.mark.parametrize("scenario", ["fig4-ms-sr", "fig4-ms-ia"])
+def test_a_committed_transaction_builds_two_contexts_and_one_handoff(monkeypatch, scenario):
+    """On a single-edge YCSB run a committed transaction builds two section
+    contexts, and a pending final keeps the initial section's labels
+    themselves (no book-keeping record).  The initial section's handoff is
+    copied once: the transaction keeps one dict, not its initial context's,
+    and the final context reads that very dict."""
+    contexts: list[SectionContext] = []
+    init = SectionContext.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        contexts.append(self)
+
+    monkeypatch.setattr(SectionContext, "__init__", recording_init)
+    committed: list[MultiStageTransaction] = []
+    mark_committed = MultiStageTransaction.mark_committed
+
+    def recording_mark(self, *args, **kwargs):
+        mark_committed(self, *args, **kwargs)
+        committed.append(self)
+
+    monkeypatch.setattr(MultiStageTransaction, "mark_committed", recording_mark)
+    kept_labels: list[bool] = []
+    for controller in (TwoStage2PL, MSIAController):
+
+        def recording_admit(self, draft, labels=None, now=0.0, _admit=controller.admit):
+            transaction = _admit(self, draft, labels, now)
+            if transaction is not None:
+                kept_labels.append(self._pending[draft.transaction_id] is labels)
+            return transaction
+
+        monkeypatch.setattr(controller, "admit", recording_admit)
+
+    spec = get_scenario(scenario)
+    config = build_single_config(spec)
+    system = CroesusSystem(config)
+    system.run(make_video(spec.video, num_frames=spec.frames, seed=config.seed))
+
+    stats = system.edge.policy.stats
+    assert stats.final_commits == stats.initial_commits == len(committed) > 0
+    assert len(contexts) == 2 * len(committed)
+    assert kept_labels == [True] * len(committed)
+    by_section = {(context.transaction_id, context.section): context for context in contexts}
+    for transaction in committed:
+        initial = by_section[transaction.transaction_id, SectionKind.INITIAL]
+        final = by_section[transaction.transaction_id, SectionKind.FINAL]
+        assert transaction.handoff == initial._handoff
+        assert transaction.handoff is not initial._handoff
+        assert final._handoff is transaction.handoff
 
 
 # -- the FNV-1a bucket ---------------------------------------------------------------

@@ -102,6 +102,18 @@ class TestYCSBWorkload:
         # Per transaction: a bucket per insert, an insert number and a bucket per read.
         assert rng.draws == [7 * (3 + 2 * 3)]
 
+    @pytest.mark.parametrize("detections, ids", [(1, 3), (3, 1), (0, 2)])
+    def test_mismatched_draft_lengths_are_refused(self, detections, ids):
+        """One transaction per detection: a frame with more or fewer ids than
+        detections is refused, naming both lengths, before anything is
+        drawn or counted."""
+        rng = _CountingRng(np.random.default_rng(0))
+        workload = YCSBWorkload(rng=rng)
+        with pytest.raises(ValueError, match=f"{detections} detections for {ids} transaction ids"):
+            workload.draft_transactions([None] * detections, [f"t{i}" for i in range(ids)])
+        assert rng.draws == []
+        assert workload._inserted == 0
+
     def test_writes_with_the_same_label_and_stage_store_one_object(self):
         """An insert stores ``{"label": l, "stage": s}``, and every insert
         with that label and stage stores the same object."""
