@@ -54,7 +54,7 @@ def run_policy(policy: str) -> None:
     print(
         f"throughput {result.throughput_fps:.1f} fps | "
         f"cross-partition transactions {result.cross_partition_fraction:.0%} | "
-        f"2PC abort rate {result.two_phase_abort_rate:.0%}"
+        f"2PC abort rate {result.stats.abort_rate:.0%}"
     )
 
 
@@ -72,7 +72,7 @@ def run_contended() -> None:
     print(
         f"transactions {result.stats.attempts} | "
         f"cross-partition {result.cross_partition_fraction:.0%} | "
-        f"2PC abort rate {result.two_phase_abort_rate:.0%}"
+        f"2PC abort rate {result.stats.abort_rate:.0%}"
     )
     print("Small hot ranges make remote lock denials — and therefore 2PC aborts —")
     print("much more likely, exactly as Figure 6b shows for a single partition.")

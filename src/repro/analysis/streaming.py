@@ -4,9 +4,8 @@ The default cluster result path accretes one ``FrameTrace`` (plus client
 responses and event-log entries) per frame and aggregates everything at
 the end of the run — exact, convenient, and memory-prohibitive at 10⁶+
 frames.  The fast path (``record_frames=False``) replaces those
-per-frame objects with the accumulators below:
+per-frame objects with plain counters and the accumulators below:
 
-* :class:`StreamingStats` — O(1) count / sum / min / max / mean.
 * :class:`QuantileAccumulator` — exact nearest-rank percentiles up to a
   configurable buffer size, then a deterministic log-spaced histogram
   with a bounded relative error.  Memory stays O(buffer + buckets)
@@ -14,7 +13,7 @@ per-frame objects with the accumulators below:
 * :class:`RingBuffer` — a fixed-capacity ``array('d')`` window of the
   most recent samples, for tail diagnostics that want raw values.
 
-All three are deterministic: identical sample sequences produce
+Both are deterministic: identical sample sequences produce
 identical state, so seeded fast-path runs remain reproducible.
 """
 
@@ -23,44 +22,6 @@ from __future__ import annotations
 import math
 from array import array
 from typing import Iterable, Iterator
-
-
-class StreamingStats:
-    """Constant-space count / sum / min / max / mean accumulator."""
-
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the samples seen so far (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def max(self) -> float:
-        """Largest sample seen (0.0 when empty)."""
-        return self.maximum if self.count else 0.0
-
-    @property
-    def min(self) -> float:
-        """Smallest sample seen (0.0 when empty)."""
-        return self.minimum if self.count else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"StreamingStats(count={self.count}, mean={self.mean:.6g})"
 
 
 class QuantileAccumulator:

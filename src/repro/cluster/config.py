@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.cluster.failure import (
     FailureInjector,
@@ -17,7 +17,6 @@ from repro.cluster.router import ROUTER_POLICIES, RoutingError
 from repro.core.adaptive import ADAPTATION_MODES
 from repro.core.config import CroesusConfig
 from repro.geo.system import GeoConfig
-from repro.network.topology import MachineProfile
 from repro.sim.engine import Server
 
 
@@ -41,10 +40,6 @@ class ClusterConfig:
         Skew of the ``"hotspot"`` policy (ignored by the others).
     frame_interval:
         Seconds between consecutive frames of one stream (1/30 ≈ 30 fps).
-    edge_machines:
-        Machine profiles cycled over the replicas; empty means every
-        replica runs on ``base.topology.edge_machine``.  Mixing profiles
-        models a heterogeneous cluster.
     cloud_servers:
         Number of concurrent validations the cloud can serve; ``None``
         models an infinite cloud (no validation ever queues, the
@@ -127,7 +122,6 @@ class ClusterConfig:
     router_policy: str = "round-robin"
     hotspot_fraction: float = 0.75
     frame_interval: float = 1.0 / 30.0
-    edge_machines: tuple[MachineProfile, ...] = ()
     cloud_servers: int | None = None
     migration_high: float = 0.85
     migration_low: float = 0.5
@@ -322,20 +316,3 @@ class ClusterConfig:
     def seed(self) -> int:
         """Master seed of the cluster (the base config's seed)."""
         return self.base.seed
-
-    @property
-    def transaction_policy(self) -> str:
-        """Commit policy of the consistency layer (from the base config)."""
-        return self.base.transaction_policy
-
-    def with_edges(self, num_edges: int) -> "ClusterConfig":
-        """Copy of this config with a different cluster size."""
-        return replace(self, num_edges=num_edges)
-
-    def with_router(self, policy: str) -> "ClusterConfig":
-        """Copy of this config with a different placement policy."""
-        return replace(self, router_policy=policy)
-
-    def with_cloud_servers(self, cloud_servers: int | None) -> "ClusterConfig":
-        """Copy of this config with a different cloud capacity."""
-        return replace(self, cloud_servers=cloud_servers)

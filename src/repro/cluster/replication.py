@@ -39,9 +39,9 @@ replay rather than a full checkpoint restore.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable, Iterable
 
-from repro.cluster.failure import REPLAY_SECONDS_PER_RECORD
+from repro.cluster.failure import REPLAY_SECONDS_PER_RECORD, PromotionRecord
 from repro.network.channel import Channel
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.partition import PartitionedStore
@@ -324,3 +324,27 @@ class ReplicationManager:
     def mean_ack_wait_s(self) -> float:
         """Mean per-append ack wait the shipping mode imposed."""
         return self.ack_wait_s / self.shipped_appends if self.shipped_appends else 0.0
+
+    def summary(self, promotions: Iterable[PromotionRecord]) -> dict[str, Any]:
+        """The run's ``replication`` report block: shipping stats plus one
+        event per warm failover in ``promotions``."""
+        return {
+            "factor": self.factor,
+            "mode": self.mode,
+            "log_records_shipped": self.records_shipped,
+            "replication_lag_ms": self.mean_lag_s * 1000.0,
+            "replication_ack_wait_ms": self.mean_ack_wait_s * 1000.0,
+            "promotion_events": [
+                {
+                    "partition": record.partition_id,
+                    "from_edge": record.from_edge,
+                    "to_edge": record.to_edge,
+                    "failed_at_s": record.failed_at,
+                    "promoted_at_s": record.promoted_at,
+                    "downtime_ms": (record.promoted_at - record.failed_at) * 1000.0,
+                    "applied_lsn": record.applied_lsn,
+                    "records_caught_up": record.records_caught_up,
+                }
+                for record in promotions
+            ],
+        }

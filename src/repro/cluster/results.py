@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.analysis.streaming import QuantileAccumulator
-from repro.cluster.failure import FailureRecord, PromotionRecord, ReshardRecord
+from repro.cluster.failure import FailureRecord, ReshardRecord
 from repro.core.results import FrameAggregate, LatencyBreakdown, RunResult
 from repro.detection.metrics import AccuracyReport
 from repro.traffic.source import TrafficStats
@@ -196,9 +196,11 @@ class FrameStatsAccumulator:
 class ClusterRunResult:
     """Aggregated outcome of one multi-stream cluster run.
 
-    ``placements`` holds the router's placement-time assignments; when
-    the ``"migrating"`` policy re-routed streams mid-run, every move is
-    in ``migrations`` and ``final_placements`` gives the end state.
+    Each measured fact is kept once; the deployment's configuration is
+    not echoed (the caller holds it).  ``placements`` holds the router's
+    placement-time assignments; when the ``"migrating"`` policy
+    re-routed streams mid-run, every move is in ``migrations`` and
+    ``final_placements`` gives the end state.
 
     The frame metrics (``f_score`` through ``max_cloud_queue_delay``) are
     the fields of the run sink's
@@ -207,9 +209,14 @@ class ClusterRunResult:
     in milliseconds (the tail is what overload control exists to bound),
     and the cloud-queue figures cover validated frames only (0 when
     nothing was validated or the cloud is unbounded).
+
+    The optional subsystems hand over their report fields as built:
+    ``replication`` is :meth:`~repro.cluster.replication.ReplicationManager.summary`,
+    ``adaptation`` is :meth:`~repro.core.adaptive.AdaptationManager.report_fields`
+    and ``geo`` is :meth:`~repro.geo.GeoTier.summary`; each is None when
+    its subsystem was off.
     """
 
-    router_policy: str
     placements: dict[str, int]
     per_stream: dict[str, RunResult]
     edges: list[EdgeMetrics]
@@ -226,9 +233,7 @@ class ClusterRunResult:
     total_transactions: int = 0
     cross_edge_transactions: int = 0
     multi_partition_transactions: int = 0
-    cloud_servers: int | None = None
     migrations: tuple[MigrationRecord, ...] = ()
-    transaction_policy: str = "immediate-2pc"
     policy_stats: PolicyStats = field(default_factory=PolicyStats)
     failures: tuple[FailureRecord, ...] = ()
     reshards: tuple[ReshardRecord, ...] = ()
@@ -243,23 +248,12 @@ class ClusterRunResult:
     traffic: TrafficStats | None = None
     #: ``(transactions, duration)`` of every batched-coordinator flush.
     batch_flushes: tuple[tuple[int, float], ...] = ()
-    #: Warm failovers performed under replication (empty at factor 1).
-    promotions: tuple[PromotionRecord, ...] = ()
-    log_records_shipped: int = 0
-    replication_lag_s: float = 0.0
-    replication_ack_wait_s: float = 0.0
-    replication_factor: int = 1
-    replication_mode: str = "sync"
-    #: Online-adaptation accounting (all zero/empty under static thresholds).
-    adaptation_mode: str | None = None
-    threshold_updates: int = 0
-    tuner_evaluations: int = 0
-    tuner_frame_rescores: int = 0
-    tuner_grid_rescores: int = 0
-    #: Stream -> its final (θL, θU) after any runtime drift.
-    stream_thresholds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    #: The run's geo block (:meth:`repro.geo.GeoTier.summary`); None
-    #: unless the cluster spans several regions.
+    #: The run's ``replication`` report block (None at factor 1).
+    replication: dict[str, Any] | None = None
+    #: The run's adaptation report fields (None under static thresholds).
+    adaptation: dict[str, Any] | None = None
+    #: The run's ``geo`` report block (None unless the cluster spans
+    #: several regions).
     geo: dict[str, Any] | None = None
 
     @property
@@ -269,14 +263,6 @@ class ClusterRunResult:
         for record in self.migrations:
             placements[record.stream] = record.to_edge
         return placements
-
-    @property
-    def num_migrations(self) -> int:
-        return len(self.migrations)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
     @property
     def num_frames(self) -> int:
@@ -296,11 +282,6 @@ class ClusterRunResult:
         return self.cross_edge_transactions / self.total_transactions
 
     @property
-    def two_phase_abort_rate(self) -> float:
-        """Fraction of attempted transactions aborted cluster-wide."""
-        return self.stats.abort_rate
-
-    @property
     def goodput_fps(self) -> float:
         """Frames fully served per second of simulated time.
 
@@ -315,10 +296,9 @@ class ClusterRunResult:
         return self.traffic.completed_frames / self.makespan
 
     def traffic_summary(self) -> dict[str, float]:
-        """Offered-vs-admitted load, goodput, shedding and tail latency.
-
-        Kept out of :meth:`summary`, whose key set the golden determinism
-        tests pin.  Empty when the run was closed-loop.
+        """The report's ``traffic`` block: offered-vs-admitted load,
+        goodput, shedding and tail latency.  Empty when the run was
+        closed-loop.
         """
         if self.traffic is None:
             return {}
@@ -355,33 +335,3 @@ class ClusterRunResult:
             return 0.0
         weighted = sum(edge.mean_queue_delay * edge.queue_jobs for edge in self.edges)
         return weighted / jobs
-
-    @property
-    def max_utilization(self) -> float:
-        """Utilization of the busiest edge (1.0 means saturated)."""
-        return max((edge.utilization for edge in self.edges), default=0.0)
-
-    def summary(self) -> dict[str, float]:
-        """Compact dictionary of the headline cluster metrics.
-
-        ``num_cross_partition_txns`` is the absolute count behind
-        ``cross_partition_fraction`` and the 2PC abort rate: a 50% abort
-        rate over two cross-partition transactions means something very
-        different from one over two thousand, so the denominator ships
-        with the rates.
-        """
-        return {
-            "edges": float(self.num_edges),
-            "streams": float(len(self.per_stream)),
-            "frames": float(self.num_frames),
-            "makespan_s": self.makespan,
-            "throughput_fps": self.throughput_fps,
-            "mean_queue_delay_ms": self.mean_queue_delay * 1000.0,
-            "mean_cloud_queue_delay_ms": self.mean_cloud_queue_delay * 1000.0,
-            "max_utilization": self.max_utilization,
-            "cross_partition_fraction": self.cross_partition_fraction,
-            "num_cross_partition_txns": float(self.cross_edge_transactions),
-            "two_phase_abort_rate": self.two_phase_abort_rate,
-            "f_score": self.f_score,
-            "migrations": float(self.num_migrations),
-        }

@@ -201,7 +201,6 @@ class ClusterSystem:
         self.scheduler = FrameScheduler(config.frame_interval)
 
         consistency = "ms-sr" if base.consistency is ConsistencyLevel.MS_SR else "ms-ia"
-        machines = config.edge_machines or (base.topology.edge_machine,)
         if bank_factory is None:
             bank_factory = self._default_bank_factory
 
@@ -239,7 +238,7 @@ class ClusterSystem:
             replica = EdgeReplica(
                 edge_id=edge_id,
                 profile=base.edge_profile,
-                machine=machines[edge_id % len(machines)],
+                machine=base.topology.edge_machine,
                 bank=bank_factory(edge_id),
                 rng=self.rngs.stream(f"edge-model-{edge_id}"),
                 store=self.store,
@@ -1035,7 +1034,6 @@ class ClusterSystem:
             records += failure.records_replayed
             transactions += failure.transactions_replayed
         return ClusterRunResult(
-            router_policy=self.config.router_policy,
             placements=state.placements,
             per_stream=state.sink.results,
             edges=edges,
@@ -1045,9 +1043,7 @@ class ClusterSystem:
             total_transactions=total,
             cross_edge_transactions=cross_edge,
             multi_partition_transactions=multi_partition,
-            cloud_servers=self.config.cloud_servers,
             migrations=tuple(state.migrations),
-            transaction_policy=self.config.transaction_policy,
             policy_stats=policy_stats,
             failures=tuple(state.failures),
             reshards=tuple(state.reshards),
@@ -1060,33 +1056,13 @@ class ClusterSystem:
             checkpoints=state.checkpoints,
             traffic=state.traffic,
             batch_flushes=tuple(state.flushes),
-            promotions=tuple(state.promotions),
-            log_records_shipped=(
-                self._replication.records_shipped if self._replication is not None else 0
+            replication=(
+                self._replication.summary(state.promotions)
+                if self._replication is not None
+                else None
             ),
-            replication_lag_s=(
-                self._replication.mean_lag_s if self._replication is not None else 0.0
-            ),
-            replication_ack_wait_s=(
-                self._replication.mean_ack_wait_s if self._replication is not None else 0.0
-            ),
-            replication_factor=self.config.replication_factor,
-            replication_mode=self.config.replication_mode,
-            adaptation_mode=self.config.threshold_adaptation,
-            threshold_updates=(
-                state.adaptation.threshold_updates if state.adaptation is not None else 0
-            ),
-            tuner_evaluations=(
-                state.adaptation.tuner_evaluations if state.adaptation is not None else 0
-            ),
-            tuner_frame_rescores=(
-                state.adaptation.tuner_frame_rescores if state.adaptation is not None else 0
-            ),
-            tuner_grid_rescores=(
-                state.adaptation.tuner_grid_rescores if state.adaptation is not None else 0
-            ),
-            stream_thresholds=(
-                state.adaptation.final_thresholds() if state.adaptation is not None else {}
+            adaptation=(
+                state.adaptation.report_fields() if state.adaptation is not None else None
             ),
             geo=state.geo.summary() if state.geo is not None else None,
         )

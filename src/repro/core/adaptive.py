@@ -52,6 +52,7 @@ manager, so their seeded trajectories stay bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.results import LatencyBreakdown
 from repro.core.thresholds import ThresholdPolicy
@@ -357,4 +358,25 @@ class AdaptationManager:
         return {
             stream: (c.policy.lower, c.policy.upper)
             for stream, c in self._controllers.items()
+        }
+
+    def report_fields(self) -> dict[str, Any]:
+        """The run's adaptation fields of a report: the three counters and
+        the ``adaptation`` block (config, grid-cost baseline, per-stream
+        final thresholds as JSON-safe lists)."""
+        config = self.config
+        return {
+            "threshold_updates": self.threshold_updates,
+            "tuner_evaluations": self.tuner_evaluations,
+            "tuner_frame_rescores": self.tuner_frame_rescores,
+            "adaptation": {
+                "mode": config.mode,
+                "interval_s": config.interval_s,
+                "target_f": config.target_f,
+                "tuner_grid_rescores": self.tuner_grid_rescores,
+                "stream_thresholds": {
+                    stream: [lower, upper]
+                    for stream, (lower, upper) in sorted(self.final_thresholds().items())
+                },
+            },
         }

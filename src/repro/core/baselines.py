@@ -57,9 +57,8 @@ class BaselineResult:
     average_breakdown: LatencyBreakdown
     num_frames: int = 0
     transactions: int = 0
-    #: Online-adaptation accounting (mode, update/tuner counters, final
-    #: per-stream thresholds); None for the static-threshold runs every
-    #: baseline performs by default.
+    #: The run's :meth:`~repro.core.adaptive.AdaptationManager.report_fields`;
+    #: None for the static-threshold runs every baseline performs by default.
     adaptation: dict[str, Any] | None = None
 
     def summary(self) -> dict[str, float]:
@@ -194,19 +193,7 @@ def run_croesus(
     video = make_video(video_key, num_frames=num_frames, seed=config.seed)
     result = _from_run("croesus", system.run(video))
     manager = system.last_adaptation
-    if manager is None:
-        return result
-    return replace(
-        result,
-        adaptation={
-            "mode": manager.config.mode,
-            "threshold_updates": manager.threshold_updates,
-            "tuner_evaluations": manager.tuner_evaluations,
-            "tuner_frame_rescores": manager.tuner_frame_rescores,
-            "tuner_grid_rescores": manager.tuner_grid_rescores,
-            "stream_thresholds": manager.final_thresholds(),
-        },
-    )
+    return result if manager is None else replace(result, adaptation=manager.report_fields())
 
 
 def run_hybrid_croesus(

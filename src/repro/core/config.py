@@ -107,10 +107,6 @@ class CroesusConfig:
         """Copy of this config with a different safety level."""
         return replace(self, consistency=level)
 
-    def with_transaction_policy(self, name: str) -> "CroesusConfig":
-        """Copy of this config under a different commit policy."""
-        return replace(self, transaction_policy=name)
-
     def with_feedback(self, enabled: bool = True) -> "CroesusConfig":
         """Copy of this config with edge-model feedback enabled/disabled."""
         return replace(self, enable_feedback=enabled)

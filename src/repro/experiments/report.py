@@ -74,16 +74,16 @@ class RunReport:
     f_score: float
     bandwidth_utilization: float
     latency: dict[str, float]
-    throughput_fps: float
-    queue_delay_ms: float
-    cloud_queue_delay_ms: float
-    transactions: int
-    aborts: int
-    abort_rate: float
-    cross_partition_txns: int
-    cross_partition_fraction: float
-    migrations: int
-    makespan_s: float
+    throughput_fps: float = 0.0
+    queue_delay_ms: float = 0.0
+    cloud_queue_delay_ms: float = 0.0
+    transactions: int = 0
+    aborts: int = 0
+    abort_rate: float = 0.0
+    cross_partition_txns: int = 0
+    cross_partition_fraction: float = 0.0
+    migrations: int = 0
+    makespan_s: float = 0.0
     transaction_policy: str = "immediate-2pc"
     coordinator_round_trips: int = 0
     coordinator_batches: int = 0

@@ -86,7 +86,6 @@ def _run_single(spec: ScenarioSpec) -> RunReport:
     # breakdown cannot express), so those override the derived sums.
     latency["initial_ms"] = result.average_initial_latency * 1000.0
     latency["final_ms"] = result.average_final_latency * 1000.0
-    counters = result.adaptation or {}
     return RunReport(
         scenario=spec.to_dict(),
         deployment="single",
@@ -96,30 +95,11 @@ def _run_single(spec: ScenarioSpec) -> RunReport:
         f_score=result.f_score,
         bandwidth_utilization=result.bandwidth_utilization,
         latency=latency,
-        throughput_fps=0.0,
         queue_delay_ms=breakdown.queue_delay * 1000.0,
         cloud_queue_delay_ms=breakdown.cloud_queue_delay * 1000.0,
         transactions=result.transactions,
-        aborts=0,
-        abort_rate=0.0,
-        cross_partition_txns=0,
-        cross_partition_fraction=0.0,
-        migrations=0,
-        makespan_s=0.0,
         transaction_policy=spec.transaction_policy,
-        # A single-edge deployment has no remote partitions, so every
-        # commit policy is coordinator-free there.
-        coordinator_round_trips=0,
-        coordinator_batches=0,
-        overlap_saved_ms=0.0,
-        threshold_updates=counters.get("threshold_updates", 0),
-        tuner_evaluations=counters.get("tuner_evaluations", 0),
-        tuner_frame_rescores=counters.get("tuner_frame_rescores", 0),
-        adaptation=_adaptation_block(
-            spec, counters.get("tuner_grid_rescores", 0), counters.get("stream_thresholds", {})
-        )
-        if result.adaptation is not None
-        else None,
+        **(result.adaptation or {}),
     )
 
 
@@ -217,36 +197,8 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         if flushes
         else None
     )
-    replication = (
-        {
-            "factor": result.replication_factor,
-            "mode": result.replication_mode,
-            "log_records_shipped": result.log_records_shipped,
-            "replication_lag_ms": result.replication_lag_s * 1000.0,
-            "replication_ack_wait_ms": result.replication_ack_wait_s * 1000.0,
-            "promotion_events": [
-                {
-                    "partition": record.partition_id,
-                    "from_edge": record.from_edge,
-                    "to_edge": record.to_edge,
-                    "failed_at_s": record.failed_at,
-                    "promoted_at_s": record.promoted_at,
-                    "downtime_ms": (record.promoted_at - record.failed_at) * 1000.0,
-                    "applied_lsn": record.applied_lsn,
-                    "records_caught_up": record.records_caught_up,
-                }
-                for record in result.promotions
-            ],
-        }
-        if result.replication_factor > 1
-        else None
-    )
+    replication = result.replication
     geo = result.geo
-    adaptation = (
-        _adaptation_block(spec, result.tuner_grid_rescores, result.stream_thresholds)
-        if result.adaptation_mode is not None
-        else None
-    )
 
     return RunReport(
         scenario=spec.to_dict(),
@@ -262,12 +214,12 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         cloud_queue_delay_ms=result.mean_cloud_queue_delay * 1000.0,
         transactions=result.total_transactions,
         aborts=result.stats.aborts,
-        abort_rate=result.two_phase_abort_rate,
+        abort_rate=result.stats.abort_rate,
         cross_partition_txns=result.cross_edge_transactions,
         cross_partition_fraction=result.cross_partition_fraction,
-        migrations=result.num_migrations,
+        migrations=len(result.migrations),
         makespan_s=result.makespan,
-        transaction_policy=result.transaction_policy,
+        transaction_policy=spec.transaction_policy,
         coordinator_round_trips=result.policy_stats.coordinator_round_trips,
         coordinator_batches=result.policy_stats.commit_batches,
         overlap_saved_ms=result.policy_stats.overlap_saved_s * 1000.0,
@@ -283,9 +235,13 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         p50_latency_ms=percentiles["p50_ms"],
         p95_latency_ms=percentiles["p95_ms"],
         p99_latency_ms=percentiles["p99_ms"],
-        replication_lag_ms=result.replication_lag_s * 1000.0,
-        promotions=len(result.promotions),
-        log_records_shipped=result.log_records_shipped,
+        replication_lag_ms=(
+            replication["replication_lag_ms"] if replication is not None else 0.0
+        ),
+        promotions=len(replication["promotion_events"]) if replication is not None else 0,
+        log_records_shipped=(
+            replication["log_records_shipped"] if replication is not None else 0
+        ),
         log_flushes=result.policy_stats.log_flushes,
         cross_region_txn_fraction=(
             geo["cross_region_txn_fraction"] if geo is not None else 0.0
@@ -293,9 +249,6 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         wan_round_trips_per_txn=(
             geo["wan_round_trips_per_txn"] if geo is not None else 0.0
         ),
-        threshold_updates=result.threshold_updates,
-        tuner_evaluations=result.tuner_evaluations,
-        tuner_frame_rescores=result.tuner_frame_rescores,
         edges=edges,
         migration_events=migration_events,
         failure_events=failure_events,
@@ -305,29 +258,11 @@ def _run_cluster(spec: ScenarioSpec) -> RunReport:
         traffic=traffic_summary,
         replication=replication,
         geo=geo,
-        adaptation=adaptation,
+        **(result.adaptation or {}),
     )
 
 
 # -- shared ------------------------------------------------------------------
-def _adaptation_block(
-    spec: ScenarioSpec,
-    tuner_grid_rescores: int,
-    stream_thresholds: dict[str, tuple[float, float]],
-) -> dict:
-    """The report's nullable ``adaptation`` section (JSON-safe lists)."""
-    return {
-        "mode": spec.threshold_adaptation,
-        "interval_s": spec.adaptation_interval_s,
-        "target_f": spec.adaptation_target_f,
-        "tuner_grid_rescores": tuner_grid_rescores,
-        "stream_thresholds": {
-            stream: [lower, upper]
-            for stream, (lower, upper) in sorted(stream_thresholds.items())
-        },
-    }
-
-
 def _latency_ms(breakdown: LatencyBreakdown) -> dict[str, float]:
     """Millisecond latency dict of the shared schema, from one breakdown."""
     components = {

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.analysis.sweeps import ThresholdSweep
+from repro.cluster.results import ClusterRunResult
 from repro.core.config import CroesusConfig
 from repro.core.optimizer import ThresholdScore, select_best, threshold_grid
 from repro.core.results import FrameTrace
@@ -29,6 +30,30 @@ from repro.transactions.ops import Operation
 from repro.video.frames import Frame
 from repro.video.library import make_video
 from repro.video.scene import SceneObject
+
+
+def cluster_summary(result: ClusterRunResult) -> dict[str, float]:
+    """Headline metrics of one cluster run, for determinism comparisons.
+
+    ``num_cross_partition_txns`` is the absolute count behind
+    ``cross_partition_fraction`` and the 2PC abort rate, so two runs that
+    agree on the rates also agree on their denominator.
+    """
+    return {
+        "edges": float(len(result.edges)),
+        "streams": float(len(result.per_stream)),
+        "frames": float(result.num_frames),
+        "makespan_s": result.makespan,
+        "throughput_fps": result.throughput_fps,
+        "mean_queue_delay_ms": result.mean_queue_delay * 1000.0,
+        "mean_cloud_queue_delay_ms": result.mean_cloud_queue_delay * 1000.0,
+        "max_utilization": max((edge.utilization for edge in result.edges), default=0.0),
+        "cross_partition_fraction": result.cross_partition_fraction,
+        "num_cross_partition_txns": float(result.cross_edge_transactions),
+        "two_phase_abort_rate": result.stats.abort_rate,
+        "f_score": result.f_score,
+        "migrations": float(len(result.migrations)),
+    }
 
 
 def make_detection(

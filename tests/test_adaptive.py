@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from helpers import count_constructions
 
@@ -304,6 +307,28 @@ class TestAdaptiveScenario:
         assert report.tuner_frame_rescores == rescores
         assert report.adaptation["tuner_grid_rescores"] == grid_rescores
         assert report.adaptation["stream_thresholds"] == thresholds
+
+    def test_single_edge_retune_report_is_pinned(self):
+        """The single-edge adaptive report, whole: sha256 over its
+        sorted-keys JSON, captured before both deployments built their
+        adaptation fields through ``AdaptationManager.report_fields``."""
+        report = run_scenario(get_scenario("fig4-ms-ia").with_(threshold_adaptation="retune"))
+        digest = hashlib.sha256(
+            json.dumps(report.to_dict(), sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        assert digest == "87a6bf665eae7c898e77f36e50bc1e4754019af54100870bb652374033b1327f"
+        assert report.deployment == "single" and report.threshold_updates == 25
+
+    def test_both_deployments_report_one_adaptation_block(self):
+        single = run_scenario(get_scenario("fig4-ms-ia").with_(threshold_adaptation="retune"))
+        cluster = run_scenario(get_scenario("adaptive-thresholds"))
+        assert set(single.adaptation) == set(cluster.adaptation) == {
+            "mode",
+            "interval_s",
+            "target_f",
+            "tuner_grid_rescores",
+            "stream_thresholds",
+        }
 
     def test_static_run_reports_no_adaptation(self):
         spec = get_scenario("adaptive-thresholds").with_(threshold_adaptation=None)

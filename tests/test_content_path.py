@@ -131,15 +131,16 @@ def test_per_frame_content_is_pinned(name):
 def test_adaptive_trajectory_is_pinned():
     """The tuner reads the same frames: where it ends up must not move either."""
     _, result, _ = CONTENT_PINS["adaptive-thresholds"][0]()
-    assert result.stream_thresholds == {
-        "cam0-v1": (0.5, 0.55),
-        "cam1-v2": (0.0, 0.45),
-        "cam2-v3": (0.55, 0.85),
-        "cam3-v4": (0.35, 0.4),
+    fields = result.adaptation
+    assert fields["adaptation"]["stream_thresholds"] == {
+        "cam0-v1": [0.5, 0.55],
+        "cam1-v2": [0.0, 0.45],
+        "cam2-v3": [0.55, 0.85],
+        "cam3-v4": [0.35, 0.4],
     }
-    assert result.threshold_updates == 15
-    assert result.tuner_evaluations == 4410
-    assert result.tuner_frame_rescores == 343
+    assert fields["threshold_updates"] == 15
+    assert fields["tuner_evaluations"] == 4410
+    assert fields["tuner_frame_rescores"] == 343
 
 
 # -- the table against a scalar reference ------------------------------------------
@@ -420,7 +421,7 @@ def test_adaptive_run_builds_one_table_per_frame_shared_with_the_tuner(monkeypat
     per_stream, result, _ = CONTENT_PINS["adaptive-thresholds"][0]()
     traces = [trace for run in per_stream.values() for trace in run.traces]
     validated = sum(trace.sent_to_cloud for trace in traces)
-    assert result.tuner_frame_rescores > validated
+    assert result.adaptation["tuner_frame_rescores"] > validated
     assert 0 < validated <= tables[0] <= len(traces)
 
 

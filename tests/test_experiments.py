@@ -39,22 +39,26 @@ def cluster_spec(**overrides) -> ScenarioSpec:
 
 def assert_report_matches_cluster_result(report: RunReport, result) -> None:
     """The runner's normalisation of a ``ClusterRunResult``, field by field."""
-    assert len(report.edges) == result.num_edges
+    assert len(report.edges) == len(result.edges)
     assert report.streams == len(result.per_stream)
     assert report.frames == result.num_frames
     assert report.makespan_s == result.makespan
     assert report.throughput_fps == result.throughput_fps
     assert report.queue_delay_ms == result.mean_queue_delay * 1000.0
     assert report.cloud_queue_delay_ms == result.mean_cloud_queue_delay * 1000.0
-    assert report.max_utilization == result.max_utilization
+    assert report.max_utilization == max(edge.utilization for edge in result.edges)
     assert report.transactions == result.total_transactions
     assert report.cross_partition_txns == result.cross_edge_transactions
     assert report.cross_partition_fraction == result.cross_partition_fraction
     assert report.aborts == result.stats.aborts
-    assert report.abort_rate == result.two_phase_abort_rate
+    assert report.abort_rate == result.stats.abort_rate
     assert report.f_score == result.f_score
     assert report.bandwidth_utilization == result.bandwidth_utilization
-    assert report.migrations == result.num_migrations
+    assert report.migrations == len(result.migrations)
+    assert report.replication == result.replication
+    counters = result.adaptation or {}
+    for name in ("threshold_updates", "tuner_evaluations", "tuner_frame_rescores"):
+        assert getattr(report, name) == counters.get(name, 0), name
 
 
 class TestScenarioSpec:

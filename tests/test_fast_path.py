@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import functools
 import random
-import statistics
 
 import numpy as np
 import pytest
 
-from repro.analysis.streaming import QuantileAccumulator, RingBuffer, StreamingStats
+from repro.analysis.streaming import QuantileAccumulator, RingBuffer
 from repro.cluster.system import ClusterSystem
 from repro.detection.profiles import MODEL_LIBRARY
 from repro.experiments import ScenarioSpec, get_scenario, run
@@ -199,23 +198,6 @@ class TestServerStreamingStats:
 
 
 # -- streaming accumulators ---------------------------------------------------
-class TestStreamingStats:
-    def test_matches_builtin_statistics(self):
-        rng = random.Random(11)
-        values = [rng.uniform(-5.0, 50.0) for _ in range(500)]
-        stats = StreamingStats()
-        for value in values:
-            stats.add(value)
-        assert stats.count == len(values)
-        assert stats.mean == pytest.approx(statistics.fmean(values))
-        assert stats.min == min(values)
-        assert stats.max == max(values)
-
-    def test_empty_is_all_zero(self):
-        stats = StreamingStats()
-        assert (stats.count, stats.mean, stats.min, stats.max) == (0, 0.0, 0.0, 0.0)
-
-
 class TestQuantileAccumulator:
     def test_exact_mode_matches_nearest_rank(self):
         rng = random.Random(3)
@@ -445,6 +427,14 @@ def _cluster_result(scenario: str, record_frames: bool):
     return ClusterSystem(build_cluster_config(spec)).run(build_streams(spec))
 
 
+def _run_records(result, records: str):
+    """One kind of run record; warm failovers are kept as the replication
+    block's ``promotion_events``."""
+    if records == "promotions":
+        return result.replication["promotion_events"]
+    return getattr(result, records)
+
+
 class TestFastPathKeepsTheRunRecords:
     """The typed run records are the run's only timeline, so a
     non-recording run keeps every one of them — record for record, with
@@ -462,8 +452,8 @@ class TestFastPathKeepsTheRunRecords:
         ],
     )
     def test_records_match_the_recorded_run(self, scenario, records):
-        fast = getattr(_cluster_result(scenario, False), records)
-        recorded = getattr(_cluster_result(scenario, True), records)
+        fast = _run_records(_cluster_result(scenario, False), records)
+        recorded = _run_records(_cluster_result(scenario, True), records)
         assert fast == recorded
         assert len(fast) > 0
 

@@ -20,7 +20,7 @@ from repro.storage.kvstore import KeyValueStore
 from repro.storage.wal import LogRecord, WriteAheadLog
 from repro.video.library import make_camera_streams
 
-from helpers import count_constructions
+from helpers import cluster_summary, count_constructions
 
 
 def replication_config(seed: int = 11, **overrides) -> ClusterConfig:
@@ -53,10 +53,7 @@ def availability(result):
         result.txns_aborted_by_failure,
         result.checkpoints,
         result.reshards,
-        result.promotions,
-        result.log_records_shipped,
-        result.replication_lag_s,
-        result.replication_ack_wait_s,
+        result.replication,
     )
 
 
@@ -195,19 +192,18 @@ class TestWarmFailover:
         """Golden pin of the warm-failover path (seed 11, MS-SR)."""
         _, result = outcome
         assert result.downtime_s == pytest.approx(0.00870625089039212, abs=1e-12)
-        assert len(result.promotions) == 1
-        promotion = result.promotions[0]
-        assert promotion.partition_id == 1
-        assert promotion.from_edge == 1
-        assert promotion.to_edge == 2
-        assert promotion.failed_at == pytest.approx(1.0)
-        assert promotion.promoted_at == pytest.approx(1.0087062508903921, abs=1e-12)
-        assert promotion.applied_lsn == 3
-        assert promotion.records_caught_up == 0
-        assert result.log_records_shipped == 480
-        assert result.replication_lag_s * 1000.0 == pytest.approx(
-            2.1187399972718968, abs=1e-9
-        )
+        replication = result.replication
+        assert len(replication["promotion_events"]) == 1
+        promotion = replication["promotion_events"][0]
+        assert promotion["partition"] == 1
+        assert promotion["from_edge"] == 1
+        assert promotion["to_edge"] == 2
+        assert promotion["failed_at_s"] == pytest.approx(1.0)
+        assert promotion["promoted_at_s"] == pytest.approx(1.0087062508903921, abs=1e-12)
+        assert promotion["applied_lsn"] == 3
+        assert promotion["records_caught_up"] == 0
+        assert replication["log_records_shipped"] == 480
+        assert replication["replication_lag_ms"] == pytest.approx(2.1187399972718968, abs=1e-9)
 
     def test_failover_skips_checkpoint_restore(self, outcome):
         """Promotion is detection + election + gap replay — with sync
@@ -225,16 +221,16 @@ class TestWarmFailover:
         before the crashed host's scheduled restart at t = 2.0."""
         _, result = outcome
         (failure,) = result.failures
-        (promotion,) = result.promotions
-        assert promotion.from_edge == failure.edge_id
-        assert promotion.failed_at == failure.failed_at
-        assert failure.recovered_at == promotion.promoted_at
+        (promotion,) = result.replication["promotion_events"]
+        assert promotion["from_edge"] == failure.edge_id
+        assert promotion["failed_at_s"] == failure.failed_at
+        assert failure.recovered_at == promotion["promoted_at_s"]
         assert failure.downtime < 0.1
 
     def test_repeat_run_is_bitwise_identical(self, outcome):
         _, first = outcome
         _, again = run_replicated()
-        assert again.summary() == first.summary()
+        assert cluster_summary(again) == cluster_summary(first)
         assert availability(again) == availability(first)
 
     def test_failover_beats_replay_downtime_by_5x(self, outcome):
@@ -298,11 +294,10 @@ class TestShippingModes:
     def test_factor_one_is_inert_and_mode_axis_has_no_effect(self):
         _, baseline = run_replicated(replication_factor=1)
         _, async_one = run_replicated(replication_factor=1, replication_mode="async")
-        assert async_one.summary() == baseline.summary()
+        assert cluster_summary(async_one) == cluster_summary(baseline)
         assert availability(async_one) == availability(baseline)
-        assert baseline.log_records_shipped == 0
-        assert baseline.promotions == ()
-        assert baseline.replication_factor == 1
+        # No shipping, no promotions: factor 1 builds no replication block.
+        assert baseline.replication is None
 
     def test_sync_pays_acks_async_pays_staleness(self):
         _, sync_result = run_replicated(replication_mode="sync")
@@ -310,17 +305,20 @@ class TestShippingModes:
         _, quorum_result = run_replicated(
             replication_factor=3, replication_mode="quorum"
         )
-        assert sync_result.replication_ack_wait_s > 0
-        assert quorum_result.replication_ack_wait_s > 0
-        assert async_result.replication_ack_wait_s == 0.0
+        sync, asynchronous, quorum = (
+            outcome.replication for outcome in (sync_result, async_result, quorum_result)
+        )
+        assert sync["replication_ack_wait_ms"] > 0
+        assert quorum["replication_ack_wait_ms"] > 0
+        assert asynchronous["replication_ack_wait_ms"] == 0.0
         # The async flush buffer shows up as shipping lag.
         assert (
-            async_result.replication_lag_s
-            >= sync_result.replication_lag_s + ASYNC_FLUSH_DELAY_S / 2
+            asynchronous["replication_lag_ms"]
+            >= sync["replication_lag_ms"] + ASYNC_FLUSH_DELAY_S * 1000.0 / 2
         )
         # A quorum ack returns at the fastest backup, never after the
         # slowest-link lag a sync ack would wait on.
-        assert quorum_result.replication_ack_wait_s <= quorum_result.replication_lag_s
+        assert quorum["replication_ack_wait_ms"] <= quorum["replication_lag_ms"]
 
     def test_modes_are_exactly_the_supported_set(self):
         assert set(REPLICATION_MODES) == {"sync", "quorum", "async"}
@@ -345,4 +343,4 @@ class TestGroupCommit:
         assert 0 < windowed.policy_stats.log_flushes < windowed.policy_stats.log_appends
         # Group commit is a durability/accounting policy, not a scheduling
         # change: the simulated outcome stays pinned.
-        assert windowed.summary() == plain.summary()
+        assert cluster_summary(windowed) == cluster_summary(plain)
