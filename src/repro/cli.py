@@ -18,10 +18,13 @@ layer (:mod:`repro.experiments`): it constructs a
 :class:`~repro.experiments.spec.ScenarioSpec`, hands it to the unified
 runner, and renders the returned
 :class:`~repro.experiments.report.RunReport`.  The flags that set spec
-axes are declared once, in ``_AXIS_FLAGS``: ``cluster`` and ``scenario``
-generate their arguments from it and apply them in one loop, and the
-values are validated by the spec (hence by the subsystem configs), never
-here.  Every command accepts
+axes are declared on the spec's own fields (their ``flag`` metadata):
+``cluster`` and ``scenario`` generate their arguments from those
+declarations and apply them in one loop, ``run`` reads its
+``--consistency`` and ``--txn-policy`` off the same two, and the values
+are validated by the spec (hence by the subsystem configs), never here.
+The text of an optional subsystem's report block is rendered by the code
+that builds the block.  Every command accepts
 ``--json`` (emit the machine-readable report instead of tables) and
 ``--output FILE`` (write wherever the output would have been printed);
 invalid inputs exit with status 2, success with 0.  The commands that
@@ -36,19 +39,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import NoneType
-from typing import Any, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 from repro.analysis.tables import format_table
-from repro.cluster.replication import REPLICATION_MODES
-from repro.cluster.router import ROUTER_POLICIES
-from repro.geo.wan import CROSS_REGION_POLICIES, PLACEMENTS
-from repro.network.topology import WAN_LINKS
-from repro.traffic.admission import ADMISSION_POLICIES
-from repro.traffic.arrivals import ARRIVAL_PROCESSES
-from repro.transactions.policy import TXN_POLICIES
-from repro.core.adaptive import ADAPTATION_MODES
+from repro.cluster.replication import ReplicationManager
+from repro.cluster.results import ClusterRunResult
+from repro.core.adaptive import AdaptationManager
 from repro.core.optimizer import (
     ThresholdEvaluator,
     brute_force_search,
@@ -56,7 +55,6 @@ from repro.core.optimizer import (
     threshold_grid,
 )
 from repro.experiments import (
-    CONSISTENCY_LEVELS,
     ScenarioSpec,
     Sweep,
     build_single_config,
@@ -67,175 +65,21 @@ from repro.experiments import (
     run as run_scenario,
 )
 from repro.experiments.report import RunReport
-from repro.sim.engine import Server
+from repro.geo import GeoTier
 from repro.video.library import VIDEO_LIBRARY
 
 
-class _AxisFlag(NamedTuple):
-    """One flag that sets one :class:`ScenarioSpec` axis — its only declaration.
-
-    ``cluster`` adds every row, ``scenario`` the rows with an ``override``
-    help.  The argparse ``type`` and the ``cluster`` default are read off
-    the spec field; ``none`` is the flag value that stands for ``None``.
-    """
-
-    option: str
-    field: str
-    help: str
-    override: str | None = None
-    choices: Sequence[str] | None = None
-    metavar: str | None = None
-    none: Any = None
-
-
-_AXIS_FLAGS = (
-    _AxisFlag("--edges", "num_edges", "number of edge replicas"),
-    _AxisFlag("--streams", "streams", "number of concurrent camera streams"),
-    _AxisFlag("--frames", "frames", "frames per stream"),
-    _AxisFlag("--router", "router", "placement policy", choices=ROUTER_POLICIES),
-    _AxisFlag("--partitions-per-edge", "partitions_per_edge", "store partitions per edge"),
-    _AxisFlag("--fps", "fps", "capture rate of each stream (frames/second)"),
-    _AxisFlag(
-        "--cloud-servers",
-        "cloud_servers",
-        "concurrent validations the cloud can serve (0 = unbounded)",
-        none=0,
-    ),
-    _AxisFlag(
-        "--consistency", "consistency", "multi-stage safety level", choices=CONSISTENCY_LEVELS
-    ),
-    _AxisFlag(
-        "--txn-policy",
-        "transaction_policy",
-        "commit policy of the consistency layer",
-        override="override the scenario's commit policy",
-        choices=TXN_POLICIES,
-    ),
-    _AxisFlag(
-        "--discipline",
-        "edge_discipline",
-        "edge-server admission discipline (priority lets initial stages preempt finals)",
-        choices=Server.DISCIPLINES,
-    ),
-    _AxisFlag(
-        "--fail",
-        "failure_schedule",
-        "schedule a replica failure (repeatable), e.g. --fail 1:2.5:4.0",
-        metavar="EDGE:FAIL_AT:RECOVER_AT",
-    ),
-    _AxisFlag(
-        "--checkpoint-interval",
-        "checkpoint_interval_s",
-        "periodic WAL checkpoint interval (0 = no periodic checkpoints)",
-        metavar="SECONDS",
-        none=0.0,
-    ),
-    _AxisFlag(
-        "--reshard",
-        "resharding",
-        "schedule a runtime partition move (repeatable), e.g. --reshard 2.0:0:1",
-        metavar="AT:PARTITION:TO_EDGE",
-    ),
-    _AxisFlag(
-        "--traffic",
-        "traffic",
-        "open-loop arrival process injecting streams at runtime "
-        "(none = the closed-loop finite workload of --streams x --frames)",
-        choices=("none", *ARRIVAL_PROCESSES),
-        none="none",
-    ),
-    _AxisFlag(
-        "--offered-rate",
-        "offered_rate",
-        "time-averaged arrival rate of the open-loop traffic",
-        metavar="STREAMS_PER_S",
-    ),
-    _AxisFlag(
-        "--duration", "duration_s", "arrival horizon of the open-loop traffic", metavar="SECONDS"
-    ),
-    _AxisFlag(
-        "--admission",
-        "admission",
-        "stream admission control of open-loop runs",
-        choices=ADMISSION_POLICIES,
-    ),
-    _AxisFlag(
-        "--apology-budget",
-        "apology_budget",
-        "apologies/s the load shedder may spend degrading frames "
-        "under overload (omit = no shedding)",
-        metavar="PER_SECOND",
-    ),
-    _AxisFlag(
-        "--replication-factor",
-        "replication_factor",
-        "copies of each partition: 1 primary + N-1 warm backups on "
-        "distinct edges (1 = no replication)",
-        override="override the scenario's partition replication factor",
-        metavar="N",
-    ),
-    _AxisFlag(
-        "--replication-mode",
-        "replication_mode",
-        "log-shipping acknowledgement discipline (sync = all backups, "
-        "quorum = majority, async = fire-and-forget)",
-        override="override the scenario's log-shipping acknowledgement discipline",
-        choices=REPLICATION_MODES,
-    ),
-    _AxisFlag(
-        "--regions",
-        "regions",
-        "geo regions the edges are split into (1 = single-region cluster)",
-        override="override the scenario's geo region count",
-        metavar="N",
-    ),
-    _AxisFlag(
-        "--wan-link",
-        "wan_link",
-        "multi-hop WAN path connecting the regions",
-        override="override the scenario's WAN path between regions",
-        choices=sorted(WAN_LINKS),
-    ),
-    _AxisFlag(
-        "--cross-region-policy",
-        "cross_region_policy",
-        "commit variant of cross-region transactions",
-        override="override the scenario's cross-region commit variant",
-        choices=CROSS_REGION_POLICIES,
-    ),
-    _AxisFlag(
-        "--placement",
-        "placement",
-        "partition placement across regions (dominant-region re-homes "
-        "partitions toward the region that uses them most)",
-        override="override the scenario's geo partition placement",
-        choices=PLACEMENTS,
-    ),
-    _AxisFlag(
-        "--adaptation",
-        "threshold_adaptation",
-        "online per-stream threshold adaptation (feedback = windowed "
-        "proportional controller, retune = incremental re-optimisation; "
-        "none = the static profiled thresholds)",
-        override="override the scenario's threshold adaptation mode (none = disable adaptation)",
-        choices=("none", *ADAPTATION_MODES),
-        none="none",
-    ),
-    _AxisFlag(
-        "--adaptation-interval",
-        "adaptation_interval_s",
-        "simulated seconds between adaptation ticks",
-        override="override the scenario's adaptation tick interval",
-        metavar="SECONDS",
-    ),
-    _AxisFlag(
-        "--adaptation-target",
-        "adaptation_target_f",
-        "F-score floor µ the controllers must hold while cutting bandwidth",
-        override="override the scenario's adaptation F-score floor",
-        metavar="F",
-    ),
-    _AxisFlag("--seed", "seed", "experiment seed"),
+#: ``spec field -> AxisFlag`` of every axis a flag sets, in ``--help``
+#: order: the flags are declared on the :class:`ScenarioSpec` fields.
+_AXIS_FLAGS = dict(
+    sorted(
+        (
+            (spec_field.name, spec_field.metadata["flag"])
+            for spec_field in fields(ScenarioSpec)
+            if "flag" in spec_field.metadata
+        ),
+        key=lambda item: item[1].order,
+    )
 )
 
 #: The spec ``cluster`` starts from: its flag defaults are this spec's
@@ -245,13 +89,14 @@ _CLUSTER_BASE = ScenarioSpec(deployment="cluster", frames=40)
 
 def _add_axis_flags(parser: argparse.ArgumentParser, base: ScenarioSpec | None) -> None:
     """Add the axis flags: all of them defaulting to ``base``'s values, or,
-    without a base, the override rows defaulting to ``None`` (= keep)."""
+    without a base, the ones with an ``override`` help defaulting to ``None``
+    (= keep)."""
     hints = get_type_hints(ScenarioSpec)
-    for flag in _AXIS_FLAGS:
+    for name, flag in _AXIS_FLAGS.items():
         if base is None and flag.override is None:
             continue
-        hint = hints[flag.field]
-        default = None if base is None else getattr(base, flag.field)
+        hint = hints[name]
+        default = None if base is None else getattr(base, name)
         if get_origin(hint) is tuple:
             # A schedule axis: repeatable A:B:C triples, parsed on apply.
             kind: dict[str, Any] = {"action": "append"}
@@ -262,7 +107,7 @@ def _add_axis_flags(parser: argparse.ArgumentParser, base: ScenarioSpec | None) 
                 default = flag.none
         parser.add_argument(
             flag.option,
-            dest=flag.field,
+            dest=name,
             default=default,
             choices=flag.choices,
             metavar=flag.metavar,
@@ -274,15 +119,15 @@ def _add_axis_flags(parser: argparse.ArgumentParser, base: ScenarioSpec | None) 
 def _apply_axis_flags(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
     """``spec`` with every axis flag ``args`` carries a value for applied."""
     overrides: dict[str, Any] = {}
-    for flag in _AXIS_FLAGS:
-        value = getattr(args, flag.field, None)
+    for name, flag in _AXIS_FLAGS.items():
+        value = getattr(args, name, None)
         if value is None:
             continue
         if isinstance(value, list):
             value = tuple(_parse_triple(text, flag.option) for text in value)
         elif value == flag.none:
             value = None
-        overrides[flag.field] = value
+        overrides[name] = value
     return spec.with_(**overrides)
 
 
@@ -321,18 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(run_parser)
     run_parser.add_argument("--lower", type=float, default=0.3, help="lower threshold θL")
     run_parser.add_argument("--upper", type=float, default=0.7, help="upper threshold θU")
-    run_parser.add_argument(
-        "--consistency",
-        choices=["ms-ia", "ms-sr"],
-        default="ms-ia",
-        help="multi-stage safety level",
-    )
-    run_parser.add_argument(
-        "--txn-policy",
-        choices=list(TXN_POLICIES),
-        default="immediate-2pc",
-        help="commit policy of the consistency layer",
-    )
+    for name in ("consistency", "transaction_policy"):
+        flag = _AXIS_FLAGS[name]
+        run_parser.add_argument(
+            flag.option, choices=flag.choices, default=getattr(ScenarioSpec, name), help=flag.help
+        )
 
     tune_parser = subparsers.add_parser(
         "tune", parents=[output], help="find optimal bandwidth thresholds"
@@ -662,24 +500,7 @@ def _cluster_text(report: RunReport) -> str:
         ),
     ]
     if report.traffic:
-        traffic = report.traffic
-        blocks.append(
-            f"open-loop traffic: {traffic['offered_streams']:.0f} streams offered "
-            f"({traffic['offered_load_fps']:.2f} fps), "
-            f"{traffic['admitted_streams']:.0f} admitted, "
-            f"{traffic['rejected_streams']:.0f} rejected — "
-            f"goodput {traffic['goodput_fps']:.2f} fps"
-        )
-        if traffic["shed_frames"]:
-            blocks.append(
-                f"load shedding: {traffic['shed_frames']:.0f} frames degraded to "
-                f"apologies ({traffic['shed_rate']:.1%} of admitted frames)"
-            )
-        blocks.append(
-            f"final latency: p50 {traffic['p50_latency_ms']:.0f} ms, "
-            f"p95 {traffic['p95_latency_ms']:.0f} ms, "
-            f"p99 {traffic['p99_latency_ms']:.0f} ms"
-        )
+        blocks += ClusterRunResult.traffic_text(report.traffic)
     if report.coordinator_round_trips:
         line = (
             f"transaction policy: {report.transaction_policy} — "
@@ -735,67 +556,16 @@ def _cluster_text(report: RunReport) -> str:
                 f"{event['records_replayed']} records"
             )
     if report.replication:
-        replication = report.replication
-        blocks.append(
-            f"replication: factor {replication['factor']} ({replication['mode']}) — "
-            f"{replication['log_records_shipped']} log records shipped, "
-            f"mean lag {replication['replication_lag_ms']:.2f} ms, "
-            f"mean ack wait {replication['replication_ack_wait_ms']:.2f} ms"
-        )
-        for event in replication["promotion_events"]:
-            blocks.append(
-                f"  t={event['failed_at_s']:6.2f}s  partition {event['partition']} "
-                f"promoted: edge {event['from_edge']} -> edge {event['to_edge']} "
-                f"in {event['downtime_ms']:.1f} ms "
-                f"({event['records_caught_up']} records caught up at LSN "
-                f"{event['applied_lsn']})"
-            )
+        blocks += ReplicationManager.summary_text(report.replication)
     if report.geo:
-        geo = report.geo
-        blocks.append(
-            f"geo: {geo['regions']} regions x {geo['edges_per_region']} edges "
-            f"over {geo['wan_link']} ({geo['cross_region_policy']}, "
-            f"{geo['placement']} placement) — "
-            f"{geo['cross_region_txns']}/{geo['total_txns']} txns cross-region "
-            f"({geo['cross_region_txn_fraction']:.1%}), "
-            f"{geo['wan_round_trips_per_txn']:.2f} WAN round trips/txn, "
-            f"{geo['wan_bytes']} WAN bytes"
-        )
-        blocks.append(
-            f"  cross-region commit charge: mean {geo['cross_region_mean_ms']:.1f} ms, "
-            f"p50 {geo['cross_region_p50_ms']:.1f} ms, p99 {geo['cross_region_p99_ms']:.1f} ms"
-        )
-        if geo["migrated_handoffs"]:
-            blocks.append(f"  coordinator handoffs: {geo['migrated_handoffs']}")
-        if geo["reconcile_ships"]:
-            blocks.append(
-                f"  reconciliation: {geo['reconcile_ships']} write-set ships, "
-                f"{geo['reconcile_conflicts']} conflicts, {geo['apologies']} apologies"
-            )
-        if geo["placement_moves"]:
-            blocks.append(f"  placement moves: {geo['placement_moves']}")
-        for region in geo["per_region"]:
-            blocks.append(
-                f"  region {region['region']}: {region['txns']} txns "
-                f"({region['cross_region_txns']} cross-region), "
-                f"commit charge p99 {region['p99_ms']:.1f} ms"
-            )
+        blocks += GeoTier.summary_text(report.geo)
     if report.adaptation:
-        adaptation = report.adaptation
-        line = (
-            f"threshold adaptation: {adaptation['mode']} "
-            f"(every {adaptation['interval_s']:g}s, F floor {adaptation['target_f']:g}) — "
-            f"{report.threshold_updates} updates"
+        blocks += AdaptationManager.report_text(
+            report.adaptation,
+            report.threshold_updates,
+            report.tuner_evaluations,
+            report.tuner_frame_rescores,
         )
-        if report.tuner_evaluations:
-            line += (
-                f", {report.tuner_evaluations} tuner evaluations at "
-                f"{report.tuner_frame_rescores} frame rescores "
-                f"(grid would have cost {adaptation['tuner_grid_rescores']})"
-            )
-        blocks.append(line)
-        for stream, (lower, upper) in sorted(adaptation["stream_thresholds"].items()):
-            blocks.append(f"  {stream}: ({lower:g}, {upper:g})")
     if report.reshard_events:
         blocks.append(f"re-shards: {len(report.reshard_events)}")
         for event in report.reshard_events:

@@ -348,3 +348,22 @@ class ReplicationManager:
                 for record in promotions
             ],
         }
+
+    @staticmethod
+    def summary_text(replication: dict[str, Any]) -> list[str]:
+        """The ``replication`` block as the cluster command's text lines."""
+        lines = [
+            f"replication: factor {replication['factor']} ({replication['mode']}) — "
+            f"{replication['log_records_shipped']} log records shipped, "
+            f"mean lag {replication['replication_lag_ms']:.2f} ms, "
+            f"mean ack wait {replication['replication_ack_wait_ms']:.2f} ms"
+        ]
+        for event in replication["promotion_events"]:
+            lines.append(
+                f"  t={event['failed_at_s']:6.2f}s  partition {event['partition']} "
+                f"promoted: edge {event['from_edge']} -> edge {event['to_edge']} "
+                f"in {event['downtime_ms']:.1f} ms "
+                f"({event['records_caught_up']} records caught up at LSN "
+                f"{event['applied_lsn']})"
+            )
+        return lines

@@ -323,6 +323,28 @@ class ClusterRunResult:
             "p99_latency_ms": percentiles["p99_ms"],
         }
 
+    @staticmethod
+    def traffic_text(traffic: dict[str, float]) -> list[str]:
+        """The ``traffic`` block as the cluster command's text lines."""
+        lines = [
+            f"open-loop traffic: {traffic['offered_streams']:.0f} streams offered "
+            f"({traffic['offered_load_fps']:.2f} fps), "
+            f"{traffic['admitted_streams']:.0f} admitted, "
+            f"{traffic['rejected_streams']:.0f} rejected — "
+            f"goodput {traffic['goodput_fps']:.2f} fps"
+        ]
+        if traffic["shed_frames"]:
+            lines.append(
+                f"load shedding: {traffic['shed_frames']:.0f} frames degraded to "
+                f"apologies ({traffic['shed_rate']:.1%} of admitted frames)"
+            )
+        lines.append(
+            f"final latency: p50 {traffic['p50_latency_ms']:.0f} ms, "
+            f"p95 {traffic['p95_latency_ms']:.0f} ms, "
+            f"p99 {traffic['p99_latency_ms']:.0f} ms"
+        )
+        return lines
+
     @property
     def mean_queue_delay(self) -> float:
         """Mean queue delay per admission, over all edges' queues.

@@ -380,3 +380,28 @@ class AdaptationManager:
                 },
             },
         }
+
+    @staticmethod
+    def report_text(
+        adaptation: dict[str, Any],
+        threshold_updates: int,
+        tuner_evaluations: int,
+        tuner_frame_rescores: int,
+    ) -> list[str]:
+        """The fields :meth:`report_fields` builds as the cluster command's
+        text lines (``report_text(**report_fields())`` renders a run's)."""
+        line = (
+            f"threshold adaptation: {adaptation['mode']} "
+            f"(every {adaptation['interval_s']:g}s, F floor {adaptation['target_f']:g}) — "
+            f"{threshold_updates} updates"
+        )
+        if tuner_evaluations:
+            line += (
+                f", {tuner_evaluations} tuner evaluations at "
+                f"{tuner_frame_rescores} frame rescores "
+                f"(grid would have cost {adaptation['tuner_grid_rescores']})"
+            )
+        return [line] + [
+            f"  {stream}: ({lower:g}, {upper:g})"
+            for stream, (lower, upper) in sorted(adaptation["stream_thresholds"].items())
+        ]

@@ -61,14 +61,6 @@ class BaselineResult:
     #: None for the static-threshold runs every baseline performs by default.
     adaptation: dict[str, Any] | None = None
 
-    def summary(self) -> dict[str, float]:
-        return {
-            "f_score": self.f_score,
-            "initial_latency_ms": self.average_initial_latency * 1000.0,
-            "final_latency_ms": self.average_final_latency * 1000.0,
-            "bandwidth_utilization": self.bandwidth_utilization,
-        }
-
 
 def run_edge_only(config: CroesusConfig, video_key: str, num_frames: int = 120) -> BaselineResult:
     """State-of-the-art edge baseline: Tiny YOLOv3 at the edge, no cloud.

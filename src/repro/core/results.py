@@ -293,18 +293,6 @@ class RunResult:
     def total_apologies(self) -> int:
         return sum(trace.apologies for trace in self.traces)
 
-    def summary(self) -> dict[str, float]:
-        """Compact dictionary of the headline metrics."""
-        return {
-            "frames": float(self.num_frames),
-            "bandwidth_utilization": self.bandwidth_utilization,
-            "f_score": self.f_score,
-            "initial_latency_ms": self.average_initial_latency * 1000.0,
-            "final_latency_ms": self.average_final_latency * 1000.0,
-            "transactions": float(self.total_transactions),
-            "corrections": float(self.total_corrections),
-        }
-
 
 class FrameAggregate(NamedTuple):
     """What every served frame of a run adds up to.

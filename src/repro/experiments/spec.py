@@ -13,6 +13,9 @@ the ``build_*_config`` functions below translate it into the concrete
 (a ``ClusterConfig`` carries its ``GeoConfig``), so adding a new axis to
 the evaluation grid means
 adding a field here instead of a new CLI subcommand or benchmark loop.
+A field declares the rest of what the axis is in its metadata (see
+:func:`_axis`): whether it only affects cluster runs (read into
+:data:`CLUSTER_FIELDS`) and the CLI flag that sets it, if any.
 
 Validation has one owner per axis.  A subsystem axis is checked by the
 config that consumes it — ``__post_init__`` builds those configs and
@@ -25,16 +28,24 @@ models) and the rules that span subsystems.  Serialisation is
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.failure import normalize_failure_schedule, normalize_resharding
-from repro.core.adaptive import AdaptationConfig
+from repro.cluster.replication import REPLICATION_MODES
+from repro.cluster.router import ROUTER_POLICIES
+from repro.core.adaptive import ADAPTATION_MODES, AdaptationConfig
 from repro.core.config import ConsistencyLevel, CroesusConfig
 from repro.detection.profiles import MODEL_LIBRARY
 from repro.geo.system import GeoConfig
+from repro.geo.wan import CROSS_REGION_POLICIES, PLACEMENTS
+from repro.network.topology import WAN_LINKS
+from repro.sim.engine import Server
+from repro.traffic.admission import ADMISSION_POLICIES
+from repro.traffic.arrivals import ARRIVAL_PROCESSES
 from repro.traffic.source import TrafficConfig
+from repro.transactions.policy import TXN_POLICIES
 from repro.video.library import VIDEO_LIBRARY
 
 #: The two deployment shapes the runner knows how to execute.
@@ -60,47 +71,40 @@ WORKLOADS = ("ycsb", "hotspot", "none")
 #: Multi-stage safety levels, by their paper names.
 CONSISTENCY_LEVELS = ("ms-ia", "ms-sr")
 
-#: Spec fields that only affect ``deployment="cluster"`` runs.
-CLUSTER_FIELDS = frozenset(
-    {
-        "streams",
-        "num_edges",
-        "partitions_per_edge",
-        "router",
-        "fps",
-        "cloud_servers",
-        "workload",
-        "hot_key_range",
-        "long_frames",
-        "num_long",
-        "edge_discipline",
-        "failure_schedule",
-        "checkpoint_interval_s",
-        "resharding",
-        "traffic",
-        "offered_rate",
-        "duration_s",
-        "peak_factor",
-        "stream_length",
-        "admission",
-        "admission_rate",
-        "shed_threshold",
-        "apology_budget",
-        "failback",
-        "failure_hazard_rate",
-        "failure_outage_s",
-        "record_frames",
-        "reference_engine",
-        "traffic_video",
-        "replication_factor",
-        "replication_mode",
-        "wal_group_commit_window_ms",
-        "regions",
-        "wan_link",
-        "cross_region_policy",
-        "placement",
-    }
-)
+
+class AxisFlag(NamedTuple):
+    """The CLI flag that sets one spec axis, declared on the field.
+
+    ``repro cluster`` adds every declared flag, in ``order`` (its place in
+    ``--help``), and ``repro scenario`` the ones with an ``override`` help.  The argparse
+    ``type`` and the ``cluster`` default are read off the field; ``none``
+    is the flag value that stands for ``None``.
+    """
+
+    option: str
+    order: int
+    help: str
+    override: str | None = None
+    choices: Sequence[str] | None = None
+    metavar: str | None = None
+    none: Any = None
+
+
+def _axis(
+    default: Any,
+    option: str | None = None,
+    help: str | None = None,
+    *,
+    cluster: bool = False,
+    **flag: Any,
+) -> Any:
+    """A spec field's default and declarations: ``cluster`` marks it as
+    affecting only ``deployment="cluster"`` runs, and an ``option`` declares
+    its :class:`AxisFlag` (``flag`` holds the flag's other columns)."""
+    metadata = {"cluster": cluster}
+    if option is not None:
+        metadata["flag"] = AxisFlag(option, help=help, **flag)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -263,51 +267,145 @@ class ScenarioSpec:
     deployment: str = "single"
     system: str = "croesus"
     video: str = "v1"
-    frames: int = 80
-    seed: int = 0
+    frames: int = _axis(80, "--frames", "frames per stream", order=2)
+    seed: int = _axis(0, "--seed", "experiment seed", order=27)
     lower_threshold: float = 0.3
     upper_threshold: float = 0.7
-    consistency: str = "ms-ia"
-    streams: int = 4
-    num_edges: int = 2
-    partitions_per_edge: int = 1
-    router: str = "round-robin"
-    fps: float = 30.0
-    cloud_servers: int | None = None
-    workload: str = "ycsb"
-    hot_key_range: int = 50
-    long_frames: int | None = None
-    num_long: int = 2
-    transaction_policy: str = "immediate-2pc"
-    edge_discipline: str = "fifo"
-    failure_schedule: tuple[tuple[int, float, float], ...] = ()
-    checkpoint_interval_s: float | None = None
-    resharding: tuple[tuple[float, int, int], ...] = ()
-    traffic: str | None = None
-    offered_rate: float = 1.0
-    duration_s: float = 8.0
-    peak_factor: float = 4.0
-    stream_length: str = "fixed"
-    admission: str = "none"
-    admission_rate: float = 1.0
-    shed_threshold: float = 0.9
-    apology_budget: float | None = None
-    failback: bool = False
-    failure_hazard_rate: float | None = None
-    failure_outage_s: float = 1.0
-    record_frames: bool = True
-    reference_engine: bool = False
-    traffic_video: str | None = None
-    replication_factor: int = 1
-    replication_mode: str = "sync"
-    wal_group_commit_window_ms: float | None = None
-    regions: int = 1
-    wan_link: str = "cross-country"
-    cross_region_policy: str = "global-2pc"
-    placement: str = "static"
-    threshold_adaptation: str | None = None
-    adaptation_interval_s: float = 1.0
-    adaptation_target_f: float = 0.8
+    consistency: str = _axis(
+        "ms-ia", "--consistency", "multi-stage safety level", order=7, choices=CONSISTENCY_LEVELS
+    )
+    streams: int = _axis(
+        4, "--streams", "number of concurrent camera streams", order=1, cluster=True
+    )
+    num_edges: int = _axis(2, "--edges", "number of edge replicas", order=0, cluster=True)
+    partitions_per_edge: int = _axis(
+        1, "--partitions-per-edge", "store partitions per edge", order=4, cluster=True
+    )
+    router: str = _axis(
+        "round-robin", "--router", "placement policy",
+        order=3, choices=ROUTER_POLICIES, cluster=True,
+    )
+    fps: float = _axis(
+        30.0, "--fps", "capture rate of each stream (frames/second)", order=5, cluster=True
+    )
+    cloud_servers: int | None = _axis(
+        None, "--cloud-servers", "concurrent validations the cloud can serve (0 = unbounded)",
+        order=6, none=0, cluster=True,
+    )
+    workload: str = _axis("ycsb", cluster=True)
+    hot_key_range: int = _axis(50, cluster=True)
+    long_frames: int | None = _axis(None, cluster=True)
+    num_long: int = _axis(2, cluster=True)
+    transaction_policy: str = _axis(
+        "immediate-2pc", "--txn-policy", "commit policy of the consistency layer",
+        order=8, override="override the scenario's commit policy", choices=TXN_POLICIES,
+    )
+    edge_discipline: str = _axis(
+        "fifo", "--discipline",
+        "edge-server admission discipline (priority lets initial stages preempt finals)",
+        order=9, choices=Server.DISCIPLINES, cluster=True,
+    )
+    failure_schedule: tuple[tuple[int, float, float], ...] = _axis(
+        (), "--fail", "schedule a replica failure (repeatable), e.g. --fail 1:2.5:4.0",
+        order=10, metavar="EDGE:FAIL_AT:RECOVER_AT", cluster=True,
+    )
+    checkpoint_interval_s: float | None = _axis(
+        None, "--checkpoint-interval",
+        "periodic WAL checkpoint interval (0 = no periodic checkpoints)",
+        order=11, metavar="SECONDS", none=0.0, cluster=True,
+    )
+    resharding: tuple[tuple[float, int, int], ...] = _axis(
+        (), "--reshard", "schedule a runtime partition move (repeatable), e.g. --reshard 2.0:0:1",
+        order=12, metavar="AT:PARTITION:TO_EDGE", cluster=True,
+    )
+    traffic: str | None = _axis(
+        None, "--traffic",
+        "open-loop arrival process injecting streams at runtime "
+        "(none = the closed-loop finite workload of --streams x --frames)",
+        order=13, choices=("none", *ARRIVAL_PROCESSES), none="none", cluster=True,
+    )
+    offered_rate: float = _axis(
+        1.0, "--offered-rate", "time-averaged arrival rate of the open-loop traffic",
+        order=14, metavar="STREAMS_PER_S", cluster=True,
+    )
+    duration_s: float = _axis(
+        8.0, "--duration", "arrival horizon of the open-loop traffic",
+        order=15, metavar="SECONDS", cluster=True,
+    )
+    peak_factor: float = _axis(4.0, cluster=True)
+    stream_length: str = _axis("fixed", cluster=True)
+    admission: str = _axis(
+        "none", "--admission", "stream admission control of open-loop runs",
+        order=16, choices=ADMISSION_POLICIES, cluster=True,
+    )
+    admission_rate: float = _axis(1.0, cluster=True)
+    shed_threshold: float = _axis(0.9, cluster=True)
+    apology_budget: float | None = _axis(
+        None, "--apology-budget",
+        "apologies/s the load shedder may spend degrading frames "
+        "under overload (omit = no shedding)",
+        order=17, metavar="PER_SECOND", cluster=True,
+    )
+    failback: bool = _axis(False, cluster=True)
+    failure_hazard_rate: float | None = _axis(None, cluster=True)
+    failure_outage_s: float = _axis(1.0, cluster=True)
+    record_frames: bool = _axis(True, cluster=True)
+    reference_engine: bool = _axis(False, cluster=True)
+    traffic_video: str | None = _axis(None, cluster=True)
+    replication_factor: int = _axis(
+        1, "--replication-factor",
+        "copies of each partition: 1 primary + N-1 warm backups on "
+        "distinct edges (1 = no replication)",
+        order=18, override="override the scenario's partition replication factor",
+        metavar="N", cluster=True,
+    )
+    replication_mode: str = _axis(
+        "sync", "--replication-mode",
+        "log-shipping acknowledgement discipline (sync = all backups, "
+        "quorum = majority, async = fire-and-forget)",
+        order=19, override="override the scenario's log-shipping acknowledgement discipline",
+        choices=REPLICATION_MODES, cluster=True,
+    )
+    wal_group_commit_window_ms: float | None = _axis(None, cluster=True)
+    regions: int = _axis(
+        1, "--regions", "geo regions the edges are split into (1 = single-region cluster)",
+        order=20, override="override the scenario's geo region count", metavar="N", cluster=True,
+    )
+    wan_link: str = _axis(
+        "cross-country", "--wan-link", "multi-hop WAN path connecting the regions",
+        order=21, override="override the scenario's WAN path between regions",
+        choices=tuple(sorted(WAN_LINKS)), cluster=True,
+    )
+    cross_region_policy: str = _axis(
+        "global-2pc", "--cross-region-policy", "commit variant of cross-region transactions",
+        order=22, override="override the scenario's cross-region commit variant",
+        choices=CROSS_REGION_POLICIES, cluster=True,
+    )
+    placement: str = _axis(
+        "static", "--placement",
+        "partition placement across regions (dominant-region re-homes "
+        "partitions toward the region that uses them most)",
+        order=23, override="override the scenario's geo partition placement",
+        choices=PLACEMENTS, cluster=True,
+    )
+    threshold_adaptation: str | None = _axis(
+        None, "--adaptation",
+        "online per-stream threshold adaptation (feedback = windowed "
+        "proportional controller, retune = incremental re-optimisation; "
+        "none = the static profiled thresholds)",
+        order=24,
+        override="override the scenario's threshold adaptation mode (none = disable adaptation)",
+        choices=("none", *ADAPTATION_MODES), none="none",
+    )
+    adaptation_interval_s: float = _axis(
+        1.0, "--adaptation-interval", "simulated seconds between adaptation ticks",
+        order=25, override="override the scenario's adaptation tick interval", metavar="SECONDS",
+    )
+    adaptation_target_f: float = _axis(
+        0.8, "--adaptation-target",
+        "F-score floor µ the controllers must hold while cutting bandwidth",
+        order=26, override="override the scenario's adaptation F-score floor", metavar="F",
+    )
     edge_model: str = "tiny-yolov3"
     cloud_model: str = "yolov3-416"
 
@@ -460,6 +558,11 @@ class ScenarioSpec:
             )
         return cls(**dict(payload))
 
+
+#: Spec fields that only affect ``deployment="cluster"`` runs.
+CLUSTER_FIELDS = frozenset(
+    spec_field.name for spec_field in fields(ScenarioSpec) if spec_field.metadata.get("cluster")
+)
 
 #: ``(name, None allowed)`` of every integer-typed field.
 _INT_FIELDS = tuple(

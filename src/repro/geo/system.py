@@ -390,3 +390,34 @@ class GeoTier:
                 for key, value in _charge_percentiles_ms(all_charges).items()
             },
         }
+
+    @staticmethod
+    def summary_text(geo: dict[str, Any]) -> list[str]:
+        """The ``geo`` block as the cluster command's text lines."""
+        lines = [
+            f"geo: {geo['regions']} regions x {geo['edges_per_region']} edges "
+            f"over {geo['wan_link']} ({geo['cross_region_policy']}, "
+            f"{geo['placement']} placement) — "
+            f"{geo['cross_region_txns']}/{geo['total_txns']} txns cross-region "
+            f"({geo['cross_region_txn_fraction']:.1%}), "
+            f"{geo['wan_round_trips_per_txn']:.2f} WAN round trips/txn, "
+            f"{geo['wan_bytes']} WAN bytes",
+            f"  cross-region commit charge: mean {geo['cross_region_mean_ms']:.1f} ms, "
+            f"p50 {geo['cross_region_p50_ms']:.1f} ms, p99 {geo['cross_region_p99_ms']:.1f} ms",
+        ]
+        if geo["migrated_handoffs"]:
+            lines.append(f"  coordinator handoffs: {geo['migrated_handoffs']}")
+        if geo["reconcile_ships"]:
+            lines.append(
+                f"  reconciliation: {geo['reconcile_ships']} write-set ships, "
+                f"{geo['reconcile_conflicts']} conflicts, {geo['apologies']} apologies"
+            )
+        if geo["placement_moves"]:
+            lines.append(f"  placement moves: {geo['placement_moves']}")
+        for region in geo["per_region"]:
+            lines.append(
+                f"  region {region['region']}: {region['txns']} txns "
+                f"({region['cross_region_txns']} cross-region), "
+                f"commit charge p99 {region['p99_ms']:.1f} ms"
+            )
+        return lines

@@ -28,7 +28,8 @@ admission goes on: the section **body** → **prepare** on the locks still
 held (a declared write is already X, so only an undeclared write or an
 S→X upgrade is a new request, and can vote NO) → **commit** or abort →
 **one release** per partition the section's plan routed.  MS-IA runs that
-cycle again for the final section (a denied final lock pass raises);
+cycle again for the final section (a denied final lock pass raises and
+leaves the final pending, as a failed final commit does);
 MS-SR runs prepare, commit and release once, after the final body.  A key
 a section locks therefore leaves one hold record.
 
@@ -189,6 +190,8 @@ class DistributedMSIAController(AdmittingController):
 
         routes = SectionRoutes(self._store, holder, transaction.final.rwset.lock_requests(), now)
         if not routes.granted:
+            # Denied before the body ran: the final stays pending for a retry.
+            self._pending[holder] = (transaction, initial_labels)
             raise TransactionAborted(holder, "final-section " + self.denial)
         context = _BufferedSectionContext(
             holder, SectionKind.FINAL, routes, labels, initial_labels, transaction.handoff

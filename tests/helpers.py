@@ -14,7 +14,7 @@ from repro.analysis.sweeps import ThresholdSweep
 from repro.cluster.results import ClusterRunResult
 from repro.core.config import CroesusConfig
 from repro.core.optimizer import ThresholdScore, select_best, threshold_grid
-from repro.core.results import FrameTrace
+from repro.core.results import FrameTrace, RunResult
 from repro.core.system import CroesusSystem
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.geometry import BoundingBox
@@ -53,6 +53,19 @@ def cluster_summary(result: ClusterRunResult) -> dict[str, float]:
         "two_phase_abort_rate": result.stats.abort_rate,
         "f_score": result.f_score,
         "migrations": float(len(result.migrations)),
+    }
+
+
+def run_summary(result: RunResult) -> dict[str, float]:
+    """Headline metrics of one single-edge run, for determinism comparisons."""
+    return {
+        "frames": float(result.num_frames),
+        "bandwidth_utilization": result.bandwidth_utilization,
+        "f_score": result.f_score,
+        "initial_latency_ms": result.average_initial_latency * 1000.0,
+        "final_latency_ms": result.average_final_latency * 1000.0,
+        "transactions": float(result.total_transactions),
+        "corrections": float(result.total_corrections),
     }
 
 

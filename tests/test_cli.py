@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
 from dataclasses import fields
 
@@ -12,7 +13,7 @@ from repro.experiments import ScenarioSpec, build_single_config
 from repro.experiments.report import REQUIRED_KEYS, validate_report
 
 #: Every subcommand's option strings, as they stood before the axis flags
-#: were declared once in ``_AXIS_FLAGS``: no flag may be gained or lost.
+#: were declared once in one flag table: no flag may be gained or lost.
 OPTION_STRINGS = {
     "run": "--consistency --frames --json --lower --output --profile --seed --txn-policy "
     "--upper --video",
@@ -32,6 +33,23 @@ OPTION_STRINGS = {
 }
 
 
+#: sha256 of each subcommand parser's actions as plain data (see
+#: :func:`parser_facts`), captured before the axis flags were read off the
+#: :class:`ScenarioSpec` field metadata: every option string, dest,
+#: default, choice, metavar, help text, argparse type and action class must
+#: survive a change to where the flags are declared.  Unlike
+#: ``format_help()`` text, these facts do not depend on the Python version.
+PARSER_PINS = {
+    "cluster": "ce1af2e3bd427350c7c71a11db0c9194fa92cf7bbd2857427e64714840f51770",
+    "compare": "a28b6e36640ec3ae70375000b74f245ca8f17c3decd2786d6d62f59b9cd9678e",
+    "run": "adf1eba6fc3a627876c6beaab978d8cfbc269dd01b54e1e06a7100e5efd65334",
+    "scenario": "dc2057158c9edec7266a1b697ceb3bf8494cf1448ef5b712c456af5bfb8061bf",
+    "sweep": "8a87d73f316124b851fb62c82bc25048dc56d184039f0ad7fe613d70ac314f5d",
+    "tune": "8237f2303c62b97bab6fb3cd5d2eec81629c0ed43afa914018cdb34a6866b0eb",
+    "videos": "389541ac1a3309d904700990d6db2746483345b67c5e151126c5f485729f647b",
+}
+
+
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     (subparsers,) = (
         action
@@ -39,6 +57,23 @@ def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
         if isinstance(action, argparse._SubParsersAction)
     )
     return subparsers.choices
+
+
+def parser_facts(parser: argparse.ArgumentParser) -> list[list]:
+    """One row per action, in the order the parser holds them."""
+    return [
+        [
+            action.option_strings,
+            action.dest,
+            action.default,
+            None if action.choices is None else list(action.choices),
+            action.metavar,
+            action.help,
+            getattr(action.type, "__name__", None),
+            type(action).__name__,
+        ]
+        for action in parser._actions
+    ]
 
 
 class TestParser:
@@ -78,32 +113,45 @@ class TestParser:
         }
         assert found == OPTION_STRINGS
 
+    @pytest.mark.parametrize("command", sorted(OPTION_STRINGS))
+    def test_parser_actions_are_pinned(self, command):
+        facts = json.dumps(parser_facts(subcommand_parsers()[command]), sort_keys=True)
+        digest = hashlib.sha256(facts.encode("utf-8")).hexdigest()
+        assert digest == PARSER_PINS[command]
+
     def test_axis_flags_are_read_off_the_spec_fields(self):
-        """Each row names a real axis; ``cluster`` defaults to the spec
-        field's default (or the row's stand-in for ``None``) — except
-        ``--frames``, the one stated departure."""
-        spec_fields = {spec_field.name: spec_field for spec_field in fields(ScenarioSpec)}
-        cluster = subcommand_parsers()["cluster"]
+        """The flags are the ``ScenarioSpec`` fields' declared ones, in their
+        declared order; ``cluster`` defaults to the spec field's default (or
+        the flag's stand-in for ``None``) — except ``--frames``, the one
+        stated departure."""
+        declared = {
+            spec_field.name: spec_field
+            for spec_field in fields(ScenarioSpec)
+            if "flag" in spec_field.metadata
+        }
+        assert set(_AXIS_FLAGS) == set(declared)
         assert len(_AXIS_FLAGS) == 28
-        assert sum(flag.override is not None for flag in _AXIS_FLAGS) == 10
-        for flag in _AXIS_FLAGS:
-            assert flag.field in spec_fields, flag.option
-            expected = spec_fields[flag.field].default
+        assert sum(flag.override is not None for flag in _AXIS_FLAGS.values()) == 10
+        assert [flag.order for flag in _AXIS_FLAGS.values()] == list(range(28))
+        cluster = subcommand_parsers()["cluster"]
+        for name, flag in _AXIS_FLAGS.items():
+            assert flag is declared[name].metadata["flag"], name
+            expected = declared[name].default
             if flag.option == "--frames":
                 expected = 40
             elif expected is None:
                 expected = flag.none
             elif isinstance(expected, tuple):
                 expected = list(expected)
-            assert cluster.get_default(flag.field) == expected, flag.option
+            assert cluster.get_default(name) == expected, flag.option
 
     def test_scenario_overrides_default_to_keep(self):
         args = build_parser().parse_args(["scenario", "cluster-small"])
-        for flag in _AXIS_FLAGS:
+        for name, flag in _AXIS_FLAGS.items():
             if flag.override is not None:
-                assert getattr(args, flag.field) is None, flag.option
+                assert getattr(args, name) is None, flag.option
             else:
-                assert not hasattr(args, flag.field), flag.option
+                assert not hasattr(args, name), flag.option
 
 
 class TestCommands:

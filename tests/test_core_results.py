@@ -5,7 +5,7 @@ import pytest
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
 from repro.detection.metrics import AccuracyReport
 
-from helpers import make_label_set
+from helpers import make_label_set, run_summary
 
 
 def _trace(frame_id: int, sent: bool, f_tp: int = 1, f_fp: int = 0, f_fn: int = 0) -> FrameTrace:
@@ -100,7 +100,7 @@ class TestRunResult:
 
     def test_summary_keys(self):
         run = RunResult("croesus", "v1", [_trace(0, True)])
-        summary = run.summary()
+        summary = run_summary(run)
         assert {"frames", "bandwidth_utilization", "f_score", "initial_latency_ms", "final_latency_ms"} <= set(summary)
 
     def test_add_appends_trace(self):

@@ -9,6 +9,8 @@ from repro.network.topology import EdgeCloudTopology
 from repro.transactions.checker import check_ms_ia
 from repro.video.library import make_video
 
+from helpers import run_summary
+
 
 def _run(config: CroesusConfig, video_key: str = "v1", num_frames: int = 25):
     system = CroesusSystem(config)
@@ -88,7 +90,7 @@ class TestCroesusSystem:
     def test_same_seed_reproduces_run(self):
         first = _run(CroesusConfig(seed=11), num_frames=15)[1]
         second = _run(CroesusConfig(seed=11), num_frames=15)[1]
-        assert first.summary() == second.summary()
+        assert run_summary(first) == run_summary(second)
 
     def test_same_location_topology_is_faster(self):
         far = CroesusConfig(

@@ -13,6 +13,7 @@ from repro.cluster import ClusterConfig, ClusterSystem
 from repro.core.baselines import run_croesus
 from repro.core.config import CroesusConfig
 from repro.experiments import (
+    CLUSTER_FIELDS,
     REQUIRED_KEYS,
     ReportSchemaError,
     RunReport,
@@ -59,6 +60,77 @@ def assert_report_matches_cluster_result(report: RunReport, result) -> None:
     counters = result.adaptation or {}
     for name in ("threshold_updates", "tuner_evaluations", "tuner_frame_rescores"):
         assert getattr(report, name) == counters.get(name, 0), name
+
+
+#: One accepted non-default value per cluster-only spec field.
+CLUSTER_ONLY_VALUES = dict(
+    streams=8,
+    num_edges=4,
+    partitions_per_edge=2,
+    router="hotspot",
+    fps=10.0,
+    cloud_servers=1,
+    workload="hotspot",
+    hot_key_range=10,
+    long_frames=20,
+    num_long=1,
+    edge_discipline="priority",
+    failure_schedule=((1, 0.1, 0.2),),
+    checkpoint_interval_s=1.0,
+    resharding=((1.0, 0, 1),),
+    traffic="poisson",
+    offered_rate=2.0,
+    duration_s=4.0,
+    peak_factor=2.0,
+    stream_length="geometric",
+    admission="token-bucket",
+    admission_rate=2.0,
+    shed_threshold=0.5,
+    apology_budget=1.0,
+    failback=True,
+    failure_hazard_rate=0.1,
+    failure_outage_s=2.0,
+    record_frames=False,
+    reference_engine=True,
+    traffic_video="v2",
+    replication_factor=2,
+    replication_mode="async",
+    wal_group_commit_window_ms=5.0,
+    regions=2,
+    wan_link="intercontinental",
+    cross_region_policy="async-reconcile",
+    placement="dominant-region",
+)
+
+#: The cluster-only fields the spec refuses outright on the single deployment.
+REFUSED_ON_SINGLE = {"record_frames", "regions", "traffic", "traffic_video"}
+
+
+class TestClusterOnlyFields:
+    """``CLUSTER_FIELDS`` is the mark sweeps trust to pick a deployment: a
+    field in it must change nothing a single-deployment run reports."""
+
+    def test_every_cluster_only_field_has_a_value(self):
+        assert set(CLUSTER_ONLY_VALUES) == CLUSTER_FIELDS
+
+    @pytest.fixture(scope="class")
+    def single_report(self):
+        report = run(get_scenario("fig4-ms-sr").with_(frames=10)).to_dict()
+        report.pop("scenario")
+        return report
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_ONLY_VALUES))
+    def test_a_cluster_only_field_is_inert_on_the_single_deployment(self, name, single_report):
+        base = get_scenario("fig4-ms-sr").with_(frames=10)
+        value = CLUSTER_ONLY_VALUES[name]
+        assert value != getattr(base, name)
+        if name in REFUSED_ON_SINGLE:
+            with pytest.raises(ValueError):
+                base.with_(**{name: value})
+            return
+        report = run(base.with_(**{name: value})).to_dict()
+        assert report.pop("scenario")[name] != getattr(base, name)
+        assert report == single_report
 
 
 class TestScenarioSpec:

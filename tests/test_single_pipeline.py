@@ -36,6 +36,8 @@ from repro.experiments.spec import build_single_config
 from repro.transactions.checker import check_ms_ia, check_ms_sr
 from repro.video.library import make_video
 
+from helpers import run_summary
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
@@ -46,7 +48,7 @@ def _spec(name: str, **overrides):
 
 #: name -> (spec, enable_feedback).  ``enable_feedback`` is a
 #: ``CroesusConfig`` knob the spec layer does not expose, so that run has
-#: no ``RunReport`` and pins its ``RunResult.summary()`` instead.  Its
+#: no ``RunReport`` and pins its ``helpers.run_summary`` instead.  Its
 #: pin was captured on the old loop *with* ``TemporalSmoother``'s
 #: tie-break fixed (ties used to follow PYTHONHASHSEED, so the old loop
 #: had no single answer to pin); the other four are the old loop as it was.
@@ -76,7 +78,7 @@ def _sha(payload) -> str:
 def _report_digest(name: str, result) -> str:
     spec, feedback = RUNS[name]
     if feedback:
-        return _sha(json.dumps(result.summary(), sort_keys=True))
+        return _sha(json.dumps(run_summary(result), sort_keys=True))
     return _sha(run(spec).to_json())
 
 

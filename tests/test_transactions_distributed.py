@@ -119,6 +119,27 @@ class TestDistributedMSIA:
         assert first.is_committed and second.is_committed
         assert partitioned_store.read(source) == 80
 
+    def test_final_lock_denial_keeps_the_final_pending(self, partitioned_store):
+        """A denied final lock pass leaves the final pending, as a failed
+        final atomic commit does: a retry after the holder releases commits."""
+        source, target = _spanning_keys(partitioned_store, 2)
+        controller = DistributedMSIAController(partitioned_store)
+        txn = _transfer_transaction("t1", source, target)
+        controller.process_initial(txn)
+        # Between the sections another holder takes a key only the final locks.
+        partition = partitioned_store.partition_for("key-extra")
+        assert partition.locks.try_acquire("other", "key-extra", LockMode.EXCLUSIVE)
+        with pytest.raises(TransactionAborted):
+            controller.process_final(txn, labels=target)
+        assert controller.pending_finals == ("t1",)
+        assert txn.status is TransactionStatus.INITIAL_COMMITTED
+
+        partition.locks.release("other", "key-extra")
+        controller.process_final(txn, labels=target)
+        assert txn.is_committed
+        assert controller.pending_finals == ()
+        assert partitioned_store.read(target) == 10
+
     def test_final_without_initial_rejected(self, partitioned_store):
         controller = DistributedMSIAController(partitioned_store)
         txn = _transfer_transaction("t1", "a", "b")
