@@ -4,7 +4,11 @@ Both Two-Stage 2PL (MS-SR) and the MS-IA controller acquire shared /
 exclusive locks on keys.  The manager is *non-blocking*: a request that
 cannot be granted immediately is denied, and the caller decides whether
 to abort (MS-SR under contention, Figure 6b) or to queue the transaction
-behind a sequencer (MS-IA, which the paper reports as abort-free).
+behind a sequencer (MS-IA, which the paper reports as abort-free).  A
+lock pass asks for ``(exclusive keys, shared keys)`` (:data:`LockRequests`)
+and :meth:`LockManager.acquire_all` grants it, all or nothing, in one loop:
+the only grant code, which ``try_acquire``, a 2PC prepare and a
+partitioned section's lock pass all go through.
 
 The manager also tracks, per holder, when each lock was acquired so the
 benchmark for Figure 6a can measure average lock-hold latency.  Every
@@ -23,7 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Collection, Iterable, Sequence
 
 from repro.storage.kvstore import RowsNotKept
 
@@ -76,6 +80,11 @@ class LockHoldRecord:
 #: (built per grant, so a literal rather than a class).
 _MODE, _HOLDERS = 0, 1
 _NO_KEYS: frozenset[str] = frozenset()
+_EXCLUSIVE, _SHARED = LockMode.EXCLUSIVE, LockMode.SHARED
+
+#: What a lock pass asks for: ``(exclusive keys, shared keys)``, each sorted,
+#: with no key in both (a section that reads nothing has ``()`` shared).
+LockRequests = tuple[Sequence[str], Sequence[str]]
 
 #: ``sum`` adds floats with Neumaier's compensation from Python 3.12 on; the
 #: running hold total adds the same way, so its mean is ``sum(durations) / n``
@@ -110,115 +119,147 @@ class LockManager:
         mode: LockMode,
         now: float = 0.0,
     ) -> bool:
-        """Attempt to grant ``holder`` a lock on ``key``.
+        """Attempt to grant ``holder`` a lock on ``key``: :meth:`acquire_all`
+        of one request.
 
         Returns ``True`` when granted, ``False`` when the request
         conflicts with an existing grant by another holder.  Re-acquiring
         an already held lock (including an S→X upgrade when the holder is
         the only one) succeeds.
         """
-        entry = self._table.get(key)
-        if entry is None:
-            self._table[key] = [mode, {holder: now}]
-        elif holder in entry[_HOLDERS]:
-            if mode is LockMode.EXCLUSIVE and entry[_MODE] is LockMode.SHARED:
-                if len(entry[_HOLDERS]) > 1:
-                    return False
-                entry[_MODE] = LockMode.EXCLUSIVE
-            return True
-        elif entry[_MODE] is LockMode.SHARED and mode is LockMode.SHARED:
-            entry[_HOLDERS][holder] = now
-        else:
-            return False
-        held = self._held_by.get(holder)
-        if held is None:
-            self._held_by[holder] = {key}
-        else:
-            held.add(key)
-        return True
+        if mode is _EXCLUSIVE:
+            return self.acquire_all(holder, (key,), (), now)
+        return self.acquire_all(holder, (), (key,), now)
 
     def acquire_all(
         self,
         holder: str,
-        requests: Iterable[tuple[str, LockMode]],
+        exclusive_keys: Iterable[str],
+        shared_keys: Iterable[str] = (),
         now: float = 0.0,
     ) -> bool:
         """Atomically acquire every requested lock or none of them.
 
-        This is the ``acquirelocks(items)`` step of Algorithms 1 and 2:
-        if any lock is unavailable, the locks acquired so far in this call
-        are rolled back and ``False`` is returned.
+        This is the ``acquirelocks(items)`` step of Algorithms 1 and 2, on
+        the two halves of a pass's :data:`LockRequests`: the exclusive keys
+        are granted, then the shared ones.  If any lock
+        is unavailable, the locks this call granted are rolled back (an
+        S→X upgrade it made stays) and ``False`` is returned; ``holder``'s
+        key set is updated once, on success.
         """
-        # The holder's live key set when it has one (it grows as this call
-        # grants); a holder with none held nothing before the call.
-        held = self._held_by.get(holder, _NO_KEYS)
-        try_acquire = self.try_acquire
-        newly_acquired: list[str] = []
-        for key, mode in requests:
-            already_held = key in held
-            if try_acquire(holder, key, mode, now):
-                if not already_held:
-                    newly_acquired.append(key)
-            else:
-                for acquired_key in newly_acquired:
-                    self.release(holder, acquired_key, now=now, record=False)
+        table = self._table
+        granted: list[str] = []
+        for key in exclusive_keys:
+            entry = table.get(key)
+            if entry is None:
+                table[key] = [_EXCLUSIVE, {holder: now}]
+                granted.append(key)
+                continue
+            holders = entry[_HOLDERS]
+            if holder not in holders or (entry[_MODE] is _SHARED and len(holders) > 1):
+                if granted:
+                    self._roll_back(holder, granted)
                 return False
+            entry[_MODE] = _EXCLUSIVE
+        for key in shared_keys:
+            entry = table.get(key)
+            if entry is None:
+                table[key] = [_SHARED, {holder: now}]
+                granted.append(key)
+                continue
+            holders = entry[_HOLDERS]
+            if holder in holders:
+                continue
+            if entry[_MODE] is not _SHARED:
+                if granted:
+                    self._roll_back(holder, granted)
+                return False
+            holders[holder] = now
+            granted.append(key)
+        if granted:
+            held = self._held_by.get(holder)
+            if held is None:
+                self._held_by[holder] = set(granted)
+            else:
+                held.update(granted)
         return True
+
+    def _roll_back(self, holder: str, granted: list[str]) -> None:
+        """Take back the grants a denied :meth:`acquire_all` made."""
+        table = self._table
+        for key in granted:
+            holders = table[key][_HOLDERS]
+            del holders[holder]
+            if not holders:
+                del table[key]
+        held = self._held_by.get(holder)
+        if held is not None:
+            # A set's iteration order follows its add / discard history, and
+            # release_all adds tenures in that order: the set is left as
+            # granting and giving back each key in turn leaves it.
+            held.update(granted)
+            for key in granted:
+                held.discard(key)  # not difference_update, which may resize
 
     def acquire_exclusive(self, holder: str, keys: Iterable[str], now: float = 0.0) -> bool:
         """:meth:`acquire_all` of an X lock on every key of ``keys``, where a
         key ``holder`` already holds exclusively is no request (it would be
         granted and change nothing): a 2PC prepare on a section's locks."""
         table = self._table
-        exclusive = LockMode.EXCLUSIVE
         requests = []
         for key in keys:
             entry = table.get(key)
-            if entry is None or entry[_MODE] is not exclusive or holder not in entry[_HOLDERS]:
-                requests.append((key, exclusive))
-        return not requests or self.acquire_all(holder, requests, now)
+            if entry is None or entry[_MODE] is not _EXCLUSIVE or holder not in entry[_HOLDERS]:
+                requests.append(key)
+        return not requests or self.acquire_all(holder, requests, (), now)
 
     def release(self, holder: str, key: str, now: float = 0.0, record: bool = True) -> None:
         """Release ``holder``'s lock on ``key`` (no-op when not held)."""
         entry = self._table.get(key)
         if entry is None or holder not in entry[_HOLDERS]:
             return
-        acquired_at = entry[_HOLDERS].pop(holder)
-        if record:
-            self._end_tenure(key, holder, acquired_at, now)
         held = self._held_by[holder]
         held.discard(key)
         if not held:
             del self._held_by[holder]
+        if record:
+            self._end_tenures(holder, (key,), now)
+            return
+        del entry[_HOLDERS][holder]
         if not entry[_HOLDERS]:
             del self._table[key]
 
     def release_all(self, holder: str, now: float = 0.0) -> None:
         """Release every lock held by ``holder``."""
-        table, end_tenure = self._table, self._end_tenure
-        for key in self._held_by.pop(holder, _NO_KEYS):
+        keys = self._held_by.pop(holder, None)
+        if keys is not None:
+            self._end_tenures(holder, keys, now)
+
+    def _end_tenures(self, holder: str, keys: Collection[str], now: float) -> None:
+        """End ``holder``'s grants on ``keys`` (each held) at ``now``, adding
+        each tenure to the totals in turn (and its row, when kept)."""
+        table, holds = self._table, self._holds
+        total, error = self._hold_total, self._hold_error
+        for key in keys:
             holders = table[key][_HOLDERS]
-            end_tenure(key, holder, holders.pop(holder), now)
+            acquired_at = holders.pop(holder)
             if not holders:
                 del table[key]
-
-    def _end_tenure(self, key: str, holder: str, acquired_at: float, released_at: float) -> None:
-        """Add one completed tenure to the totals (and its row, when kept)."""
-        duration = released_at - acquired_at
-        total = self._hold_total
-        if _COMPENSATED_SUM and type(total) is float and type(duration) is float:
-            # sum()'s loop over exact floats; it adds anything else plainly.
-            summed = total + duration
-            if abs(total) >= abs(duration):
-                self._hold_error += (total - summed) + duration
+            duration = now - acquired_at
+            if _COMPENSATED_SUM and type(total) is float and type(duration) is float:
+                # sum()'s loop over exact floats; it adds anything else plainly.
+                summed = total + duration
+                if abs(total) >= abs(duration):
+                    error += (total - summed) + duration
+                else:
+                    error += (duration - summed) + total
+                total = summed
             else:
-                self._hold_error += (duration - summed) + total
-            self._hold_total = summed
-        else:
-            self._hold_total = total + duration
-        self._tenures += 1
-        if self._holds is not None:
-            self._holds += (key, holder, acquired_at, released_at)
+                total = total + duration
+            if holds is not None:
+                holds += (key, holder, acquired_at, now)
+        self._hold_total, self._hold_error = total, error
+        self._tenures += len(keys)
 
     def transfer_key(self, key: str, target: "LockManager") -> bool:
         """Move the live grant on ``key`` (if any) to ``target``.

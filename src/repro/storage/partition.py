@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from repro.storage.kvstore import KeyValueStore
-from repro.storage.locks import LockManager, LockMode
+from repro.storage.locks import LockManager, LockRequests
 from repro.storage.wal import Checkpoint, WriteAheadLog, restore_from_checkpoint
 
 
@@ -326,9 +326,13 @@ class SectionRoutes(dict):
 
     Built with a ``holder`` and its lock ``requests``, the plan is filled
     by taking those locks, all or nothing (a distributed section's lock
-    pass).  ``granted`` is False when one was held elsewhere or its
-    partition is unavailable (a failure abort on the store); what was
-    granted is given back with no tenure recorded, since no body ran.
+    pass): each request is routed in order and granted by its partition's
+    :meth:`LockManager.acquire_all`, so the pass stops at the first request
+    that cannot be granted without routing the rest (on a contended store
+    most passes stop at their first or second request).  ``granted`` is
+    False when one was held elsewhere or its partition is unavailable (a
+    failure abort on the store); what was granted is given back with no
+    tenure recorded, since no body ran.
     """
 
     __slots__ = ("_store", "granted")
@@ -337,28 +341,39 @@ class SectionRoutes(dict):
         self,
         store: PartitionedStore,
         holder: str | None = None,
-        requests: Iterable[tuple[str, LockMode]] = (),
+        requests: LockRequests = ((), ()),
         now: float = 0.0,
     ) -> None:
         self._store = store
         self.granted = True
         key_slot, slot_owner, partitions = store._key_slot, store._slot_owner, store._partitions
-        for key, mode in requests:
-            partition = self.get(key)
-            if partition is None:
-                slot = key_slot.get(key)
-                if slot is None:
-                    slot = key_slot[key] = _stable_bucket(key, store._slot_count)
-                partition = self[key] = partitions[slot_owner[slot]]
-            if partition.available and partition.locks.try_acquire(holder, key, mode, now):
-                continue
-            del self[key]
-            for granted_key, owner in self.items():
-                owner.locks.release(holder, granted_key, now, record=False)
-            if not partition.available:
-                store.record_failure_abort()
-            self.granted = False
-            return
+        exclusive, shared = requests
+        for key in exclusive:
+            slot = key_slot.get(key)
+            if slot is None:
+                slot = key_slot[key] = _stable_bucket(key, store._slot_count)
+            partition = self[key] = partitions[slot_owner[slot]]
+            if not (partition.available and partition.locks.acquire_all(holder, (key,), (), now)):
+                self._deny(holder, key, partition, now)
+                return
+        for key in shared:
+            slot = key_slot.get(key)
+            if slot is None:
+                slot = key_slot[key] = _stable_bucket(key, store._slot_count)
+            partition = self[key] = partitions[slot_owner[slot]]
+            if not (partition.available and partition.locks.acquire_all(holder, (), (key,), now)):
+                self._deny(holder, key, partition, now)
+                return
+
+    def _deny(self, holder: str, key: str, partition: Partition, now: float) -> None:
+        """End a pass denied at ``key``: give back what it granted; a failure
+        abort when ``partition`` is unavailable."""
+        del self[key]
+        for granted_key, owner in self.items():
+            owner.locks.release(holder, granted_key, now, record=False)
+        if not partition.available:
+            self._store.record_failure_abort()
+        self.granted = False
 
     def __missing__(self, key: str) -> Partition:
         store = self._store

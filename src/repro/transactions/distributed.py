@@ -311,8 +311,9 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         (a slot may have been re-homed since), so a release over it covers
         each partition the transaction holds locks on."""
         routes = SectionRoutes(self._store)
-        for key, _mode in transaction.combined_rwset().lock_requests():
-            routes[key]
+        for keys in transaction.combined_rwset().lock_requests():
+            for key in keys:
+                routes[key]
         return routes
 
     def admit(

@@ -19,9 +19,10 @@ from enum import Enum
 from typing import Any, Callable
 
 from repro.storage.kvstore import KeyValueStore
+from repro.storage.locks import LockRequests
 from repro.storage.wal import UndoLog
 from repro.transactions.exceptions import SectionOrderError
-from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
+from repro.transactions.ops import Operation, OperationKind, ReadWriteSet, lock_keys
 
 _READ, _WRITE = OperationKind.READ, OperationKind.WRITE
 
@@ -222,7 +223,9 @@ class RowSection(ReadWriteSet):
     write_span, row)`` and writes :meth:`body` against ``self.row``
     (``self._read_keys`` / ``self._write_keys`` are the two spans).  The
     section *is* its declaration (``rwset`` returns it), so controllers
-    use it exactly as a :class:`SectionSpec`.
+    use it exactly as a :class:`SectionSpec`.  Its lock requests are the
+    ``exclusive`` / ``shared`` tuples its draft built, or built on first use
+    when the draft built none.
     """
 
     __slots__ = ()
@@ -260,7 +263,8 @@ class MultiStageTransaction:
     initial_result: Any = None
     final_result: Any = None
     apologies: tuple[str, ...] = ()
-    handoff: dict[str, Any] = field(default_factory=dict)
+    #: What the initial section passed forward; ``None`` until it commits.
+    handoff: dict[str, Any] | None = None
     initial_commit_time: float | None = None
     final_commit_time: float | None = None
     #: Union of both declarations: handed over by a builder that already
@@ -315,11 +319,11 @@ class MultiStageTransaction:
         self.status = TransactionStatus.ABORTED
 
     # -- as its own draft ---------------------------------------------------
-    def initial_lock_requests(self) -> tuple:
+    def initial_lock_requests(self) -> LockRequests:
         """The initial section's lock requests (what most admissions take)."""
         return self.initial.rwset.lock_requests()
 
-    def lock_requests(self) -> tuple:
+    def lock_requests(self) -> LockRequests:
         """Both sections' lock requests (what an MS-SR admission takes)."""
         return self.combined_rwset().lock_requests()
 
@@ -366,30 +370,64 @@ class TransactionDraft(ReadWriteSet):
     :meth:`initial_lock_requests` and ``key_count``, as it does on a built
     :class:`MultiStageTransaction` (its own draft).  Only a granted draft is
     :meth:`materialise`-d into its two :class:`RowSection` objects, keeping
-    the draft as ``combined``.  ``key_count`` is a slot, not the base's lazy
-    property: the edge charges every attempt by it, granted or denied.
+    the draft as ``combined`` and handing each section the lock requests
+    the draft holds for it.  A workload that formats a section's requests
+    with its keys passes them in; those it does not are ``None`` until
+    asked for.  ``key_count`` (the distinct keys over ``row``, which the
+    workload counts as it drafts) is a slot, not the base's lazy property:
+    the edge charges every attempt by it, granted or denied.
     """
 
-    __slots__ = ("transaction_id", "builder", "key_count")
+    __slots__ = (
+        "transaction_id",
+        "builder",
+        "key_count",
+        "initial_exclusive",
+        "initial_shared",
+        "final_exclusive",
+        "final_shared",
+    )
 
     def __init__(
-        self, transaction_id: str, row: tuple, reads: slice, writes: slice, builder: Any
+        self,
+        transaction_id: str,
+        row: tuple,
+        reads: slice,
+        writes: slice,
+        builder: Any,
+        key_count: int,
+        initial_exclusive: tuple[str, ...] | None = None,
+        initial_shared: tuple[str, ...] | None = None,
+        final_exclusive: tuple[str, ...] | None = None,
+        final_shared: tuple[str, ...] | None = None,
     ) -> None:
         # ReadWriteSet.__init__'s slots, set here: one call per draft.
         self.row = row
         self._read_keys = reads
         self._write_keys = writes
-        self._reads = self._writes = self._keys = self._key_count = self._requests = None
+        self._reads = self._writes = self._keys = self._key_count = None
+        self._exclusive = self._shared = None
         self.transaction_id = transaction_id
         self.builder = builder
-        keys = set(row[writes])
-        if reads is not writes:
-            keys.update(row[reads])
-        self.key_count = len(keys)
+        self.initial_exclusive = initial_exclusive
+        self.initial_shared = initial_shared
+        self.final_exclusive = final_exclusive
+        self.final_shared = final_shared
+        self.key_count = key_count
 
-    def initial_lock_requests(self) -> tuple:
-        """The initial section's lock requests, over ``builder.initial_spans``."""
-        return self.lock_requests(self.builder.initial_spans)
+    def initial_lock_requests(self) -> LockRequests:
+        """The initial section's lock requests: the ones the workload passed
+        in, or built here on first use over ``builder.initial_spans`` (the
+        spans the initial section reads and writes)."""
+        exclusive = self.initial_exclusive
+        if exclusive is None:
+            reads, writes = self.builder.initial_spans
+            row = self.row
+            exclusive, self.initial_shared = lock_keys(
+                None if reads is writes else row[reads], row[writes]
+            )
+            self.initial_exclusive = exclusive
+        return exclusive, self.initial_shared
 
     def materialise(self) -> MultiStageTransaction:
         """The transaction this draft describes, built by its workload."""

@@ -106,7 +106,8 @@ class MSIAController(AdmittingController):
         conflicting transactions concurrently.
         """
         holder = draft.transaction_id
-        if not self._locks.acquire_all(holder, draft.initial_lock_requests(), now=now):
+        exclusive, shared = draft.initial_lock_requests()
+        if not self._locks.acquire_all(holder, exclusive, shared, now):
             self.stats.aborts += 1
             return None
 
@@ -148,8 +149,8 @@ class MSIAController(AdmittingController):
             raise SectionOrderError(f"transaction {holder} has no pending final section")
         initial_labels = self._pending.pop(holder)
 
-        requests = transaction.final.rwset.lock_requests()
-        if not self._locks.acquire_all(holder, requests, now=now):
+        exclusive, shared = transaction.final.rwset.lock_requests()
+        if not self._locks.acquire_all(holder, exclusive, shared, now):
             # Cannot abort (the initial section already committed); put the
             # transaction back and surface the contention to the caller.
             self._pending[holder] = initial_labels

@@ -150,7 +150,8 @@ class TwoStage2PL(AdmittingController):
         """
         holder = draft.transaction_id
         locks = self._locks
-        if not locks.acquire_all(holder, draft.initial_lock_requests(), now=now):
+        exclusive, shared = draft.initial_lock_requests()
+        if not locks.acquire_all(holder, exclusive, shared, now):
             locks.release_all(holder, now=now)
             self.stats.aborts += 1
             return None
@@ -161,8 +162,8 @@ class TwoStage2PL(AdmittingController):
         )
         result = transaction.initial.body(context)
 
-        final_requests = transaction.final.rwset.lock_requests()
-        if not locks.acquire_all(holder, final_requests, now=now):
+        exclusive, shared = transaction.final.rwset.lock_requests()
+        if not locks.acquire_all(holder, exclusive, shared, now):
             # The initial commit has not happened, so aborting (and undoing
             # the initial section's writes) is still allowed.
             self._undo_log.undo(holder)

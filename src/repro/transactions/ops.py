@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
 
-from repro.storage.locks import LockMode
+from repro.storage.locks import LockRequests
 
 
 class OperationKind(Enum):
@@ -38,15 +38,18 @@ class Operation:
             return False
         return self.kind is OperationKind.WRITE or other.kind is OperationKind.WRITE
 
-    @property
-    def lock_mode(self) -> LockMode:
-        """Lock mode this operation needs."""
-        return LockMode.EXCLUSIVE if self.kind is OperationKind.WRITE else LockMode.SHARED
 
-
-#: The two lock modes, bound once: an enum member lookup costs about as much
-#: as building the request pair, and every admission builds its requests.
-_EXCLUSIVE, _SHARED = LockMode.EXCLUSIVE, LockMode.SHARED
+def lock_keys(reads: Iterable[str] | None, writes: Iterable[str]) -> LockRequests:
+    """The lock requests of reading ``reads`` and writing ``writes``: the
+    sorted written keys, then the sorted keys only read (``reads`` is
+    ``None`` when every key read is also written)."""
+    written = set(writes)
+    exclusive = tuple(sorted(written))
+    if reads is None:
+        return exclusive, ()
+    shared = set(reads)
+    shared -= written
+    return exclusive, tuple(sorted(shared))
 
 
 class ReadWriteSet:
@@ -60,7 +63,8 @@ class ReadWriteSet:
     the frozensets :attr:`reads` / :attr:`writes` / :attr:`keys` (one set
     for all three when one collection or span is both read and written)
     and, without building a set that is kept, :attr:`key_count` and the
-    sorted :meth:`lock_requests`.
+    sorted :meth:`lock_requests` (a workload section handed the requests its
+    draft built never builds them).
     """
 
     __slots__ = (
@@ -72,7 +76,8 @@ class ReadWriteSet:
         "_writes",
         "_keys",
         "_key_count",
-        "_requests",
+        "_exclusive",
+        "_shared",
     )
 
     def __init__(
@@ -80,11 +85,16 @@ class ReadWriteSet:
         reads: Iterable[str] | slice = frozenset(),
         writes: Iterable[str] | slice = frozenset(),
         row: tuple | None = None,
+        exclusive: tuple[str, ...] | None = None,
+        shared: tuple[str, ...] | None = None,
     ) -> None:
         self.row = row
         self._read_keys = reads
         self._write_keys = writes
-        self._reads = self._writes = self._keys = self._key_count = self._requests = None
+        self._reads = self._writes = self._keys = self._key_count = None
+        #: The lock requests, when whoever built the keys built them too.
+        self._exclusive = exclusive
+        self._shared = shared
 
     @property
     def read_keys(self) -> Iterable[str]:
@@ -132,32 +142,14 @@ class ReadWriteSet:
             count = self._key_count = len(keys)
         return count
 
-    def lock_requests(self, spans: tuple | None = None) -> tuple[tuple[str, LockMode], ...]:
-        """Lock requests covering the set, in key order; write locks win on overlap.
-
-        ``spans``, a ``(reads, writes)`` pair of spans of the same row, asks
-        for the requests of that part of the declaration instead (not
-        cached): a transaction draft's initial section, say.
-        """
-        if spans is None:
-            requests = self._requests
-            if requests is not None:
-                return requests
-            reads, writes = self._read_keys, self._write_keys
-        else:
-            reads, writes = spans
-        row = self.row
-        written = set(writes if row is None else row[writes])
-        pairs = []
-        for key in sorted(written):
-            pairs.append((key, _EXCLUSIVE))
-        if reads is not writes:
-            for key in sorted(set(reads if row is None else row[reads]) - written):
-                pairs.append((key, _SHARED))
-        requests = tuple(pairs)
-        if spans is None:
-            self._requests = requests
-        return requests
+    def lock_requests(self) -> LockRequests:
+        """Lock requests covering the set (:func:`lock_keys`), built on first use."""
+        exclusive = self._exclusive
+        if exclusive is None:
+            same = self._read_keys is self._write_keys
+            exclusive, self._shared = lock_keys(None if same else self.read_keys, self.write_keys)
+            self._exclusive = exclusive
+        return exclusive, self._shared
 
     def merged(self, other: "ReadWriteSet") -> "ReadWriteSet":
         """Union of two read/write sets."""
@@ -177,16 +169,3 @@ class ReadWriteSet:
 
     def __repr__(self) -> str:
         return f"ReadWriteSet(reads={self.reads!r}, writes={self.writes!r})"
-
-    @classmethod
-    def from_operations(cls, operations: Iterable[Operation]) -> "ReadWriteSet":
-        """Build a read/write set from executed operations."""
-        reads: set[str] = set()
-        writes: set[str] = set()
-        for operation in operations:
-            if operation.kind is OperationKind.READ:
-                reads.add(operation.key)
-            else:
-                writes.add(operation.key)
-        return cls(reads=frozenset(reads), writes=frozenset(writes))
-

@@ -49,7 +49,8 @@ class StagedTransaction:
     committed_stages: int = 0
     results: list[Any] = field(default_factory=list)
     apologies: tuple[str, ...] = ()
-    handoff: dict[str, Any] = field(default_factory=dict)
+    #: What the committed stages passed forward; ``None`` before the first.
+    handoff: dict[str, Any] | None = None
     aborted: bool = False
 
     def __post_init__(self) -> None:
@@ -117,7 +118,8 @@ class StagedController:
 
         section = transaction.sections[stage]
         holder = transaction.transaction_id
-        if not self._locks.acquire_all(holder, section.rwset.lock_requests(), now=now):
+        exclusive, shared = section.rwset.lock_requests()
+        if not self._locks.acquire_all(holder, exclusive, shared, now):
             if stage == 0:
                 transaction.aborted = True
                 self.stats.aborts += 1
@@ -131,7 +133,7 @@ class StagedController:
         kind = SectionKind.FINAL if is_last_stage else SectionKind.INITIAL
         # The stage writes into a copy, which replaces the transaction's
         # handoff only once the stage has run.
-        handoff = dict(transaction.handoff)
+        handoff = {} if transaction.handoff is None else dict(transaction.handoff)
         context = SectionContext(
             transaction_id=holder,
             section=kind,

@@ -11,7 +11,9 @@ all their keys in one ``rng.integers`` call — exactly the keys, in the
 order one-at-a-time draws produce them, so the generator's state does not
 depend on how transactions are grouped (``tests/test_workload_pins.py``).
 The frame body admits :meth:`HotspotWorkload.draft_transactions`' drafts
-(id and row); only a granted one is built into sections.
+(id and row); only a granted one is built into sections.  A draft builds
+the lock requests its controller asks for (one section's, or both
+sections' union) on the first ask.
 """
 
 from __future__ import annotations
@@ -130,12 +132,13 @@ class HotspotWorkload:
         keys = list(map(self._keys.__getitem__, draws))
         id_prefix, first, span = self._id_prefix, self._counter + 1, self._spans[2]
         self._counter += count
-        return [
-            TransactionDraft(
-                f"{id_prefix}{first + index}", tuple(keys[at : at + updates]), span, span, self
+        drafts = []
+        for index, at in enumerate(range(0, count * updates, updates)):
+            row = tuple(keys[at : at + updates])
+            drafts.append(
+                TransactionDraft(f"{id_prefix}{first + index}", row, span, span, self, len(set(row)))
             )
-            for index, at in enumerate(range(0, count * updates, updates))
-        ]
+        return drafts
 
     def materialise(self, draft: TransactionDraft) -> MultiStageTransaction:
         """Build a granted draft's transaction; the draft stays its union."""
@@ -143,7 +146,9 @@ class HotspotWorkload:
         row = draft.row
         return MultiStageTransaction(
             transaction_id=draft.transaction_id,
-            initial=_Increment(initial_span, initial_span, row),
+            initial=_Increment(
+                initial_span, initial_span, row, draft.initial_exclusive, draft.initial_shared
+            ),
             final=_Increment(final_span, final_span, row),
             trigger="hotspot",
             combined=draft,

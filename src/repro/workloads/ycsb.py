@@ -13,7 +13,9 @@ bounds: exactly the draws one scalar call per key makes, bit for bit and
 generator state included (``tests/test_workloads.py`` pins that NumPy
 fact), so keys do not depend on how transactions are grouped into frames.
 The frame body admits :meth:`YCSBWorkload.draft_transactions`' drafts
-(id and row); only a granted one is built into sections.
+(id, row and both sections' lock requests, sorted while the keys are
+sliced); only a granted one is built into sections, which take the
+draft's requests as their own.
 
 An insert stores the payload ``{"label": label, "stage": stage}``, built
 once per ``(label, stage)`` and shared by every write with that label and
@@ -124,6 +126,7 @@ class YCSBWorkload:
         reads = self._num_reads = self.operations_per_transaction - writes
         final_writes = max(1, int(round(writes * self.final_write_fraction)))
         split = 1 + max(0, writes - final_writes)
+        self._initial_inserts = split - 1
         # A row is (label, insert keys..., read keys...); its spans:
         self._spans = (
             slice(0, 0),  # nothing (the final section reads no item)
@@ -132,8 +135,6 @@ class YCSBWorkload:
             slice(split, 1 + writes),  # the items the final section inserts
             slice(1, 1 + writes),  # every item inserted
         )
-        #: What the initial section reads and writes (a draft's admission).
-        self.initial_spans = self._spans[1], self._spans[2]
         # Lower bounds of one transaction's draws, in draw order: a bucket
         # in [0, key_space) per insert, then per read an insert number in
         # [1, inserted] and a bucket.
@@ -168,8 +169,9 @@ class YCSBWorkload:
         transaction_ids: Collection[str],
     ) -> list[TransactionDraft]:
         """Draft one transaction per detection (a frame's worth) from one key
-        draw: ids and rows only, as :meth:`build_transactions` would build
-        them.  The signature is the bank's per-frame factory."""
+        draw: ids, rows and each section's lock requests, as
+        :meth:`build_transactions` would build them.  The signature is the
+        bank's per-frame factory."""
         count = len(transaction_ids)
         if len(detections) != count:
             raise ValueError(
@@ -209,27 +211,47 @@ class YCSBWorkload:
         ]
         draws = iter(grid[:, writes:].ravel().tolist())
         reads = [f"item-{bucket}-{number}" for number, bucket in zip(draws, draws)]
-        per_read = self._num_reads
+        per_read, initial_inserts = self._num_reads, self._initial_inserts
         read_span, write_span = self._spans[1], self._spans[4]
-        return [
-            TransactionDraft(
-                transaction_id,
-                (
-                    "none" if detection is None else detection.name,
-                    *inserts[insert_at : insert_at + writes],
-                    *reads[read_at : read_at + per_read],
-                ),
-                read_span,
-                write_span,
-                self,
+        # Each draft carries both sections' lock requests, sorted from the
+        # keys it slices for its row.  Insert keys carry distinct item
+        # numbers, so only the reads need de-duplicating; the final section
+        # reads nothing.
+        drafts = []
+        for transaction_id, detection, insert_at, read_at in zip(
+            transaction_ids,
+            detections,
+            range(0, len(inserts), writes),
+            range(0, len(reads), per_read),
+        ):
+            split = insert_at + initial_inserts
+            initial = inserts[insert_at:split]
+            final = inserts[split : insert_at + writes]
+            read = reads[read_at : read_at + per_read]
+            row = ("none" if detection is None else detection.name, *initial, *final, *read)
+            initial.sort()
+            final.sort()
+            only_read = set(read)
+            only_read.difference_update(initial)
+            key_count = writes + len(only_read)
+            for key in final:
+                if key in only_read:  # a final insert read back: one key
+                    key_count -= 1
+            drafts.append(
+                TransactionDraft(
+                    transaction_id,
+                    row,
+                    read_span,
+                    write_span,
+                    self,
+                    key_count,
+                    tuple(initial),
+                    tuple(sorted(only_read)),
+                    tuple(final),
+                    (),
+                )
             )
-            for transaction_id, detection, insert_at, read_at in zip(
-                transaction_ids,
-                detections,
-                range(0, len(inserts), writes),
-                range(0, len(reads), per_read),
-            )
-        ]
+        return drafts
 
     def materialise(self, draft: TransactionDraft) -> MultiStageTransaction:
         """Build a granted draft's transaction; the draft stays its union."""
@@ -237,8 +259,12 @@ class YCSBWorkload:
         row = draft.row
         return MultiStageTransaction(
             transaction_id=draft.transaction_id,
-            initial=_InsertAndRead(read_span, initial_write_span, row),
-            final=_InsertCorrected(no_span, final_write_span, row),
+            initial=_InsertAndRead(
+                read_span, initial_write_span, row, draft.initial_exclusive, draft.initial_shared
+            ),
+            final=_InsertCorrected(
+                no_span, final_write_span, row, draft.final_exclusive, draft.final_shared
+            ),
             trigger=f"ycsb:{row[0]}",
             combined=draft,
         )

@@ -7,6 +7,7 @@ when both directories are collected in one pytest invocation.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
@@ -22,11 +23,11 @@ from repro.detection.labels import Detection, LabelSet
 from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport, aggregate_reports
 from repro.storage.kvstore import KeyValueStore
-from repro.storage.locks import LockManager
+from repro.storage.locks import LockManager, LockMode
 from repro.transactions.checker import CheckResult
 from repro.transactions.history import History, SectionRecord
 from repro.transactions.model import SectionKind
-from repro.transactions.ops import Operation
+from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 from repro.video.frames import Frame
 from repro.video.library import make_video
 from repro.video.scene import SceneObject
@@ -148,6 +149,100 @@ def keeping_rows() -> Iterator[None]:
         yield
     finally:
         KeyValueStore.keep_versions, LockManager.keep_tenures, History.keep_rows = saved
+
+
+def lock_mode(operation: Operation) -> LockMode:
+    """Lock mode ``operation`` needs: exclusive for a write, shared for a read."""
+    return LockMode.EXCLUSIVE if operation.kind is OperationKind.WRITE else LockMode.SHARED
+
+
+def rwset_from_operations(operations: Iterable[Operation]) -> ReadWriteSet:
+    """The read/write set of executed ``operations``."""
+    reads: set[str] = set()
+    writes: set[str] = set()
+    for operation in operations:
+        if operation.kind is OperationKind.READ:
+            reads.add(operation.key)
+        else:
+            writes.add(operation.key)
+    return ReadWriteSet(reads=frozenset(reads), writes=frozenset(writes))
+
+
+class ReferenceLockManager(LockManager):
+    """The lock manager's grant and release paths as first written: one
+    ``try_acquire`` per request, a denied ``acquire_all`` releasing what it
+    granted key by key, and ``release_all`` ending one tenure per call.
+    The oracle :class:`LockManager`'s one grant loop is held to."""
+
+    def try_acquire(self, holder, key, mode, now=0.0):
+        entry = self._table.get(key)
+        if entry is None:
+            self._table[key] = [mode, {holder: now}]
+        elif holder in entry[1]:
+            if mode is LockMode.EXCLUSIVE and entry[0] is LockMode.SHARED:
+                if len(entry[1]) > 1:
+                    return False
+                entry[0] = LockMode.EXCLUSIVE
+            return True
+        elif entry[0] is LockMode.SHARED and mode is LockMode.SHARED:
+            entry[1][holder] = now
+        else:
+            return False
+        self._held_by.setdefault(holder, set()).add(key)
+        return True
+
+    def acquire_all(self, holder, exclusive, shared=(), now=0.0):
+        pairs = [(key, LockMode.EXCLUSIVE) for key in exclusive]
+        pairs += [(key, LockMode.SHARED) for key in shared]
+        held = self._held_by.get(holder, frozenset())
+        newly_acquired = []
+        for key, mode in pairs:
+            already_held = key in held
+            if self.try_acquire(holder, key, mode, now):
+                if not already_held:
+                    newly_acquired.append(key)
+            else:
+                for acquired_key in newly_acquired:
+                    self.release(holder, acquired_key, now=now, record=False)
+                return False
+        return True
+
+    def release(self, holder, key, now=0.0, record=True):
+        entry = self._table.get(key)
+        if entry is None or holder not in entry[1]:
+            return
+        acquired_at = entry[1].pop(holder)
+        if record:
+            self._end_tenure(key, holder, acquired_at, now)
+        held = self._held_by[holder]
+        held.discard(key)
+        if not held:
+            del self._held_by[holder]
+        if not entry[1]:
+            del self._table[key]
+
+    def release_all(self, holder, now=0.0):
+        for key in self._held_by.pop(holder, frozenset()):
+            holders = self._table[key][1]
+            self._end_tenure(key, holder, holders.pop(holder), now)
+            if not holders:
+                del self._table[key]
+
+    def _end_tenure(self, key, holder, acquired_at, released_at):
+        duration = released_at - acquired_at
+        total = self._hold_total
+        if sys.version_info >= (3, 12) and type(total) is float and type(duration) is float:
+            summed = total + duration
+            if abs(total) >= abs(duration):
+                self._hold_error += (total - summed) + duration
+            else:
+                self._hold_error += (duration - summed) + total
+            self._hold_total = summed
+        else:
+            self._hold_total = total + duration
+        self._tenures += 1
+        if self._holds is not None:
+            self._holds += (key, holder, acquired_at, released_at)
 
 
 def rollback_writer(store: KeyValueStore, key: str, writer: str) -> bool:

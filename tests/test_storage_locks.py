@@ -1,5 +1,6 @@
 """Tests for the lock manager."""
 
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from repro.storage.kvstore import RowsNotKept
 from repro.storage.locks import LockHoldRecord, LockManager, LockMode, LockTransferConflict
 
-from helpers import keeping_rows
+from helpers import ReferenceLockManager, keeping_rows
 
 
 class TestLockManager:
@@ -77,16 +78,14 @@ class TestLockManager:
         """If any lock in the group is denied, none are retained."""
         locks = LockManager()
         locks.try_acquire("other", "y", LockMode.EXCLUSIVE)
-        granted = locks.acquire_all(
-            "t1", [("x", LockMode.EXCLUSIVE), ("y", LockMode.EXCLUSIVE)]
-        )
+        granted = locks.acquire_all("t1", ("x", "y"))
         assert not granted
         assert not locks.holds("t1", "x")
         assert not locks.holds("t1", "y")
 
     def test_acquire_all_success(self):
         locks = LockManager()
-        assert locks.acquire_all("t1", [("x", LockMode.SHARED), ("y", LockMode.EXCLUSIVE)])
+        assert locks.acquire_all("t1", ("y",), ("x",))
         assert locks.held_keys("t1") == {"x", "y"}
 
     def test_acquire_all_keeps_previously_held_locks_on_failure(self):
@@ -94,9 +93,7 @@ class TestLockManager:
         locks = LockManager()
         locks.try_acquire("t1", "x", LockMode.EXCLUSIVE)
         locks.try_acquire("other", "y", LockMode.EXCLUSIVE)
-        granted = locks.acquire_all(
-            "t1", [("x", LockMode.EXCLUSIVE), ("y", LockMode.EXCLUSIVE)]
-        )
+        granted = locks.acquire_all("t1", ("x", "y"))
         assert not granted
         assert locks.holds("t1", "x")
 
@@ -141,7 +138,7 @@ class TestLockTableResidue:
 
     def test_key_by_key_release_leaves_no_holder_entry(self):
         locks = LockManager()
-        locks.acquire_all("t1", [("x", LockMode.EXCLUSIVE), ("y", LockMode.SHARED)])
+        locks.acquire_all("t1", ("x",), ("y",))
         locks.release("t1", "x")
         assert not locks.is_quiescent
         locks.release("t1", "y")
@@ -151,7 +148,7 @@ class TestLockTableResidue:
     def test_denied_acquire_all_rolls_back_without_residue(self):
         locks = LockManager()
         locks.try_acquire("other", "y", LockMode.EXCLUSIVE)
-        assert not locks.acquire_all("t1", [("x", LockMode.EXCLUSIVE), ("y", LockMode.EXCLUSIVE)])
+        assert not locks.acquire_all("t1", ("x", "y"))
         locks.release_all("other")
         assert locks.is_quiescent
 
@@ -218,7 +215,10 @@ _modes = st.sampled_from(list(LockMode))
 _lock_calls = st.one_of(
     st.tuples(st.just("try_acquire"), _holders, _lock_keys, _modes),
     st.tuples(
-        st.just("acquire_all"), _holders, st.lists(st.tuples(_lock_keys, _modes), max_size=3)
+        st.just("acquire_all"),
+        _holders,
+        st.lists(_lock_keys, max_size=3),
+        st.lists(_lock_keys, max_size=3),
     ),
     st.tuples(st.just("acquire_exclusive"), _holders, st.lists(_lock_keys, max_size=3)),
     st.tuples(st.just("release"), _holders, _lock_keys, st.booleans()),
@@ -283,3 +283,54 @@ def test_average_hold_time_is_the_same_with_and_without_tenure_rows(time_type, c
         mean = sum(record.duration for record in records) / len(records) if records else 0.0
         assert with_rows.average_hold_time() == without.average_hold_time() == mean
         assert type(without.average_hold_time()) is float
+
+
+# -- the one grant loop against the per-key reference ---------------------------------
+_pool = st.sampled_from("abcdefgh")
+_grant_calls = st.one_of(
+    st.tuples(
+        st.just("acquire_all"),
+        _holders,
+        st.lists(_pool, max_size=5),
+        st.lists(_pool, max_size=5),
+    ),
+    st.tuples(st.just("try_acquire"), _holders, _pool, _modes),
+    st.tuples(st.just("release_all"), _holders),
+)
+
+
+def _state(manager):
+    return (
+        manager._table,
+        # Each holder's keys in iteration order: release_all adds in that order.
+        {holder: list(keys) for holder, keys in manager._held_by.items()},
+        manager._tenures,
+        manager._hold_total,
+        manager._hold_error,
+        Counter(manager.hold_records),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_grant_calls, _times), max_size=50))
+def test_the_grant_loop_matches_the_per_key_reference(calls):
+    """``acquire_all``'s one grant loop (and ``try_acquire`` through it, and
+    ``release_all`` ending its tenures inline) against the per-key
+    ``try_acquire`` loop with its key-by-key rollback, kept in
+    ``tests/helpers.py``: random holders over five keys, S/X mixes, S->X
+    upgrades, keys the holder already holds and denials midway.  After
+    every call both agree on the outcome, the lock table, every holder's
+    key set in iteration order, the tenure count, the hold total and the
+    tenures ended."""
+    with keeping_rows():
+        loop, reference = LockManager(), ReferenceLockManager()
+    for (name, *args), now in calls:
+        outcome = getattr(loop, name)(*args, now=now)
+        assert outcome == getattr(reference, name)(*args, now=now)
+        assert _state(loop) == _state(reference)
+    for holder in ("t1", "t2", "t3"):
+        loop.release_all(holder, now=2e6)
+        reference.release_all(holder, now=2e6)
+        assert _state(loop) == _state(reference)
+    assert loop.is_quiescent and reference.is_quiescent
+    assert loop.average_hold_time() == reference.average_hold_time()

@@ -273,3 +273,51 @@ class TestResharding:
             store.merge(0, 0)
         with pytest.raises(PartitionError):
             store.merge(5, 0)
+
+
+# -- the failure-abort rule of a section's lock pass --------------------------------
+def _keys_on(store: PartitionedStore, partition_id: int, count: int) -> list[str]:
+    keys = (f"key-{index}" for index in range(10_000))
+    return [key for key in keys if store.partition_for(key).partition_id == partition_id][:count]
+
+
+@pytest.mark.parametrize(
+    "order, failure_abort",
+    [
+        # (requests as exclusive / shared tuples of "free", "down", "locked")
+        ((("down", "locked"), ()), True),
+        ((("locked", "down"), ()), False),
+        ((("free", "down", "locked"), ()), True),
+        ((("free", "locked", "down"), ()), False),
+        ((("down",), ("locked",)), True),
+        ((("locked",), ("down",)), False),
+        ((("free",), ("locked", "down")), False),
+    ],
+)
+def test_a_denial_is_a_failure_abort_only_when_an_unavailable_partition_comes_first(
+    order, failure_abort
+):
+    """One partition is unavailable and a key on another is held
+    exclusively elsewhere: the pass is denied either way, and counts a
+    failure abort exactly when the first request that cannot be granted,
+    in request order (exclusive keys, then shared keys), sits on the
+    unavailable partition.  What it granted first is given back without a
+    hold record."""
+    store = PartitionedStore(num_partitions=3)
+    down, = _keys_on(store, 2, 1)
+    locked, free = _keys_on(store, 0, 1) + _keys_on(store, 1, 1)
+    names = {"down": down, "locked": locked, "free": free}
+    store.partition(0).locks.try_acquire("other", locked, LockMode.EXCLUSIVE)
+    store.partition(2).crash()
+
+    requests = tuple(tuple(names[name] for name in side) for side in order)
+    routes = SectionRoutes(store, "t1", requests, now=1.0)
+
+    assert not routes.granted
+    assert store.failure_aborts == int(failure_abort)
+    for partition_id in store.partition_ids():
+        locks = store.partition(partition_id).locks
+        assert locks.held_keys("t1") == frozenset()
+        assert locks.average_hold_time() == 0.0
+    assert store.partition(0).locks.held_keys("other") == {locked}
+    assert store.partition(1).locks.is_quiescent

@@ -41,6 +41,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.storage.partition as partition_module
+import repro.transactions.model as model_module
+import repro.transactions.ops as ops_module
 from repro.cluster.system import ClusterSystem, hotspot_bank_factory
 from repro.core.edge import EdgeNode, TriggeredTransaction
 from repro.core.system import CroesusSystem
@@ -161,11 +163,11 @@ class _CountingLockManager(LockManager):
         self.tenures_begun = 0
         self.unrecorded_releases = 0
 
-    def try_acquire(self, holder, key, mode, now=0.0):
-        already_held = self.holds(holder, key)
-        granted = super().try_acquire(holder, key, mode, now)
-        if granted and not already_held:
-            self.tenures_begun += 1
+    def acquire_all(self, holder, exclusive, shared=(), now=0.0):
+        held_before = self.held_keys(holder)
+        granted = super().acquire_all(holder, exclusive, shared, now)
+        if granted:
+            self.tenures_begun += len(self.held_keys(holder) - held_before)
         return granted
 
     def release(self, holder, key, now=0.0, record=True):
@@ -691,7 +693,9 @@ def test_an_admitted_draft_matches_its_materialised_twin(name, policy_name, data
     kind = data.draw(st.sampled_from(["hotspot", "ycsb"]))
     seed = data.draw(st.integers(0, 2**16))
     count = data.draw(st.integers(1, 8))
-    keys = sorted({key for draft in _drafts(kind, seed, count) for key, _ in draft.lock_requests()})
+    keys = sorted(
+        {key for draft in _drafts(kind, seed, count) for keys in draft.lock_requests() for key in keys}
+    )
     modes = st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE])
     holders = st.integers(0, 2)
     grants = data.draw(st.lists(st.tuples(st.sampled_from(keys), modes, holders), max_size=6))
@@ -801,6 +805,45 @@ def test_a_committed_transaction_builds_two_contexts_and_one_handoff(monkeypatch
         assert transaction.handoff == initial._handoff
         assert transaction.handoff is not initial._handoff
         assert final._handoff is transaction.handoff
+
+
+@pytest.mark.parametrize("scenario", ["fig4-ms-sr", "fig4-ms-ia"])
+def test_no_lock_request_is_built_on_the_admission_path(monkeypatch, scenario):
+    """A YCSB draft carries both sections' lock requests, built while its
+    keys were formatted: over a single-edge run no admission, final lock
+    pass or release builds a request (the lazy builder, counted through
+    ``lock_keys``, never runs), and every final section, which reads
+    nothing, shares the one empty tuple as its shared requests."""
+    built = []
+
+    def counting_lock_keys(reads, writes, _lock_keys=ops_module.lock_keys):
+        built.append(writes)
+        return _lock_keys(reads, writes)
+
+    monkeypatch.setattr(ops_module, "lock_keys", counting_lock_keys)
+    monkeypatch.setattr(model_module, "lock_keys", counting_lock_keys)
+    ReadWriteSet(reads=frozenset({"a"}), writes=frozenset({"b"})).lock_requests()
+    assert len(built) == 1  # the counter sees the lazy builder
+    built.clear()
+    materialised: list[MultiStageTransaction] = []
+    materialise = YCSBWorkload.materialise
+
+    def recording_materialise(self, draft):
+        transaction = materialise(self, draft)
+        materialised.append(transaction)
+        return transaction
+
+    monkeypatch.setattr(YCSBWorkload, "materialise", recording_materialise)
+    spec = get_scenario(scenario)
+    config = build_single_config(spec)
+    system = CroesusSystem(config)
+    system.run(make_video(spec.video, num_frames=spec.frames, seed=config.seed))
+
+    assert system.edge.policy.stats.final_commits == len(materialised) > 0
+    assert built == []
+    shared = {id(transaction.final.lock_requests()[1]) for transaction in materialised}
+    assert shared == {id(())}
+    assert built == []
 
 
 # -- the FNV-1a bucket ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.storage.locks import LockMode
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
 
-from helpers import operations_conflict
+from helpers import lock_mode, operations_conflict, rwset_from_operations
 
 
 class TestOperation:
@@ -33,8 +33,8 @@ class TestOperation:
         assert not a.conflicts_with(b)
 
     def test_lock_mode(self):
-        assert Operation(OperationKind.READ, "x").lock_mode is LockMode.SHARED
-        assert Operation(OperationKind.WRITE, "x").lock_mode is LockMode.EXCLUSIVE
+        assert lock_mode(Operation(OperationKind.READ, "x")) is LockMode.SHARED
+        assert lock_mode(Operation(OperationKind.WRITE, "x")) is LockMode.EXCLUSIVE
 
     def test_operations_conflict_helper(self):
         left = [Operation(OperationKind.READ, "a"), Operation(OperationKind.WRITE, "b")]
@@ -50,9 +50,7 @@ class TestReadWriteSet:
 
     def test_lock_requests_prefer_exclusive(self):
         rwset = ReadWriteSet(reads=frozenset({"a", "b"}), writes=frozenset({"b"}))
-        requests = dict(rwset.lock_requests())
-        assert requests["b"] is LockMode.EXCLUSIVE
-        assert requests["a"] is LockMode.SHARED
+        assert rwset.lock_requests() == (("b",), ("a",))
 
     def test_merged(self):
         left = ReadWriteSet(reads=frozenset({"a"}), writes=frozenset({"b"}))
@@ -78,7 +76,7 @@ class TestReadWriteSet:
             Operation(OperationKind.WRITE, "b", 1),
             Operation(OperationKind.READ, "b"),
         ]
-        rwset = ReadWriteSet.from_operations(operations)
+        rwset = rwset_from_operations(operations)
         assert rwset.reads == {"a", "b"}
         assert rwset.writes == {"b"}
 
@@ -122,7 +120,8 @@ class TestRowBackedReadWriteSet:
         derived = ReadWriteSet(reads, writes, row)
         declared = ReadWriteSet(reads=frozenset(row[reads]), writes=frozenset(row[writes]))
         assert derived.lock_requests() == declared.lock_requests()
-        assert derived.lock_requests() is derived.lock_requests()
+        exclusive, shared = derived.lock_requests()
+        assert all(a is b for a, b in zip(derived.lock_requests(), (exclusive, shared)))
         assert derived.key_count == declared.key_count == len(declared.keys)
         assert derived == declared and declared == derived
         assert (derived.reads, derived.writes, derived.keys) == (
@@ -138,18 +137,13 @@ class TestRowBackedReadWriteSet:
         span = slice(0, None)
         derived = ReadWriteSet(span, span, row)
         assert derived.reads is derived.writes is derived.keys
-        assert derived.lock_requests() == tuple(
-            (key, LockMode.EXCLUSIVE) for key in sorted(set(row))
-        )
+        assert derived.lock_requests() == (tuple(sorted(set(row))), ())
         assert derived.key_count == len(set(row))
 
     def test_nothing_is_built_before_it_is_asked_for(self):
         derived = ReadWriteSet(slice(0, 1), slice(1, 3), ("a", "b", "a"))
-        assert derived._reads is derived._writes is derived._requests is None
+        assert derived._reads is derived._writes is derived._exclusive is None
         assert derived.key_count == 2
         assert derived._reads is derived._writes is None
-        assert derived.lock_requests() == (
-            ("a", LockMode.EXCLUSIVE),
-            ("b", LockMode.EXCLUSIVE),
-        )
+        assert derived.lock_requests() == (("a", "b"), ())
         assert derived._reads is derived._writes is None

@@ -7,6 +7,7 @@ import pytest
 
 from repro.storage.kvstore import KeyValueStore
 from repro.transactions.ms_ia import MSIAController
+from repro.transactions.ops import ReadWriteSet
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
@@ -244,7 +245,58 @@ class TestHotspotWorkload:
         assert txn.initial_result == 3 and store.read("hot-0") == 3
         controller.process_final(txn)
         assert txn.final_result == 2 and store.read("hot-0") == 5
-        assert len(txn.initial.rwset.lock_requests()) == len(txn.combined_rwset().keys) == 1
+        assert txn.initial.rwset.lock_requests() == (("hot-0",), ())
+        assert len(txn.combined_rwset().keys) == 1
+
+
+# -- lock requests built with the draft ---------------------------------------------
+@pytest.mark.parametrize(
+    "operations, final_write_fraction, key_space",
+    [(6, 0.34, 100_000), (6, 0.34, 2), (8, 0.5, 3), (4, 0.0, 1), (5, 1.0, 2), (12, 0.2, 4)],
+)
+def test_drafted_requests_are_the_declared_requests(operations, final_write_fraction, key_space):
+    """A YCSB draft's section requests, built while its keys are formatted,
+    are what each section's declaration builds (sorted written keys, then
+    sorted keys only read) — tiny key spaces make reads hit the
+    transaction's own inserts and repeat — its ``key_count`` is its
+    distinct keys, and the built sections hand back the draft's tuples."""
+    workload = YCSBWorkload(
+        rng=np.random.default_rng(7),
+        operations_per_transaction=operations,
+        key_space=key_space,
+        final_write_fraction=final_write_fraction,
+    )
+    for frame in range(6):
+        count = frame % 4 + 1
+        ids = [f"t{frame}-{index}" for index in range(count)]
+        for draft in workload.draft_transactions([None] * count, ids):
+            transaction = draft.materialise()
+            for section, drafted in (
+                (transaction.initial, draft.initial_lock_requests()),
+                (transaction.final, (draft.final_exclusive, draft.final_shared)),
+            ):
+                declared = ReadWriteSet(
+                    reads=frozenset(section.read_keys), writes=frozenset(section.write_keys)
+                )
+                assert drafted == declared.lock_requests()
+                assert all(a is b for a, b in zip(section.lock_requests(), drafted))
+            assert draft.key_count == len(draft.keys)
+
+
+def test_a_hotspot_draft_builds_the_requests_it_is_asked_for_once():
+    """A hotspot draft builds no section requests up front: its initial
+    section's are built on the first ask and handed to the built section,
+    and the final section's are built by that section when asked."""
+    workload = HotspotWorkload(rng=np.random.default_rng(3), key_range=6, final_updates=2)
+    for draft in workload.draft_transactions(20):
+        assert draft.initial_exclusive is draft.final_exclusive is None
+        requests = draft.initial_lock_requests()
+        assert all(a is b for a, b in zip(draft.initial_lock_requests(), requests))
+        transaction = draft.materialise()
+        assert all(a is b for a, b in zip(transaction.initial.lock_requests(), requests))
+        assert requests == (tuple(sorted(set(draft.row[:3]))), ())
+        assert transaction.final.lock_requests() == (tuple(sorted(set(draft.row[3:]))), ())
+        assert draft.key_count == len(set(draft.row))
 
 
 # -- the NumPy fact the per-frame draws rest on ---------------------------------------
