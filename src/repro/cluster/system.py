@@ -1003,7 +1003,7 @@ class ClusterSystem:
             stats.initial_commits += replica.stats.initial_commits - initial0
             stats.final_commits += replica.stats.final_commits - final0
             stats.aborts += replica.stats.aborts - aborts0
-            policy_stats.merge(replica.policy.policy_stats.since(policy0))
+            policy_stats.accumulate(replica.policy.policy_stats.since(policy0))
             replica_total, replica_cross, replica_multi = (
                 replica.transaction_partition_counts(exclude=seen)
             )

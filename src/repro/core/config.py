@@ -46,7 +46,9 @@ class CroesusConfig:
         synchronously (the legacy behaviour), ``"batched-2pc"``
         amortises coordinator round trips over per-window batches, and
         ``"async-2pc"`` overlaps the prepare phase with cloud
-        validation.
+        validation.  One edge has no remote participant, so on this
+        deployment every policy runs as ``"immediate-2pc"`` does (see
+        :class:`~repro.core.system.CroesusSystem`).
     operations_per_transaction:
         YCSB-A transaction size (6 in the paper).
     enable_feedback:

@@ -6,8 +6,8 @@ The flow itself — edge detect → initial sections → threshold → cloud
 validate → final sections, plus the latency / bandwidth / F-score
 accounting — is the one frame pipeline of :mod:`repro.core.pipeline`,
 shared with the multi-edge cluster; this module only owns what a
-single deployment *is* (its edge node, channels, commit policy and
-transaction history) and drives the pipeline closed-loop over one lane.
+single deployment *is* (its edge node, channels and transaction
+history) and drives the pipeline closed-loop over one lane.
 """
 
 from __future__ import annotations
@@ -29,17 +29,10 @@ from repro.core.pipeline import (
 from repro.core.results import RunResult
 from repro.core.thresholds import ThresholdPolicy
 from repro.network.channel import Channel
-from repro.network.latency import SAME_REGION
 from repro.sim.engine import Engine, Server
 from repro.sim.rng import RngRegistry
-from repro.storage.partition import PartitionedStore
 from repro.transactions.bank import ANY_LABEL, TransactionBank
-from repro.transactions.distributed import (
-    DistributedMSIAController,
-    DistributedTwoStage2PL,
-)
 from repro.transactions.history import History
-from repro.transactions.policy import TransactionPolicy, make_policy
 from repro.video.synthetic import SyntheticVideo
 from repro.workloads.ycsb import YCSBWorkload
 
@@ -65,6 +58,13 @@ class CroesusSystem:
         ``(θL, θU)`` from its observed detection feedback; ``None`` (the
         default) keeps the static configured thresholds and builds no
         adaptation machinery at all.
+
+    Every ``config.transaction_policy`` runs the edge node's single-node
+    MS-SR / MS-IA controller behind the immediate policy.  A commit
+    policy only schedules the coordinator's messages to *remote*
+    participants, and one edge owns every key, so no round has one:
+    batched and async 2PC would report what immediate 2PC reports.  The
+    policy is still echoed in the report.
     """
 
     def __init__(
@@ -102,7 +102,6 @@ class CroesusSystem:
             consistency=consistency,
             history=self.history,
             enable_feedback=config.enable_feedback,
-            policy=self._build_policy(consistency),
         )
         self.cloud = CloudNode(
             profile=config.cloud_profile,
@@ -111,36 +110,6 @@ class CroesusSystem:
         )
         self.client_edge = Channel(config.topology.client_edge_link, self.rngs.stream("client-edge"))
         self.edge_cloud = Channel(config.topology.edge_cloud_link, self.rngs.stream("edge-cloud"))
-
-    def _build_policy(self, consistency: str) -> TransactionPolicy | None:
-        """Commit policy of this deployment, or ``None`` for the default.
-
-        Under the default ``"immediate-2pc"`` the edge node builds its
-        plain single-node controller exactly as it always has.  The
-        batched/async policies need a controller with coordinator
-        hooks, so they run the distributed controllers over a
-        one-partition store (sharing this system's transaction history,
-        so the MS-SR/MS-IA checkers still audit the run) — everything
-        stays local, which makes both policies well-defined (zero
-        remote participants) on a single-edge deployment.  Note the
-        node's committed state then lives in that partitioned store
-        (``system.edge.controller.store``), not in ``edge.store``.
-        """
-        if self.config.transaction_policy == "immediate-2pc":
-            return None
-        store = PartitionedStore(1)
-        if consistency == "ms-sr":
-            controller: DistributedMSIAController = DistributedTwoStage2PL(
-                store, history=self.history
-            )
-        else:
-            controller = DistributedMSIAController(store, history=self.history)
-        return make_policy(
-            self.config.transaction_policy,
-            controller,
-            owned_partitions=frozenset(range(store.num_partitions)),
-            channel=Channel(SAME_REGION, self.rngs.stream("txn-coordinator")),
-        )
 
     # -- public API ---------------------------------------------------------
     def run(self, video: SyntheticVideo, client: Client | None = None) -> RunResult:
@@ -184,8 +153,5 @@ class CroesusSystem:
         body = frame_pipeline(state, [lane], self.cloud, self.policy, self.config)
         engine.spawn(closed_loop_driver(body, video, result), name=f"video-{video.name}")
         start_adaptation(state)
-        makespan = drain(engine)
-        # Flush any coordinator work the commit policy deferred (a no-op
-        # under the default immediate policy).
-        self.edge.policy.commit(now=makespan)
+        drain(engine)
         return result

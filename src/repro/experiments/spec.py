@@ -151,7 +151,9 @@ class ScenarioSpec:
         axis): ``"immediate-2pc"`` (the default, synchronous and free),
         ``"batched-2pc"`` (coordinator round trips amortised per
         window), or ``"async-2pc"`` (prepare overlaps cloud
-        validation).  Applies to both deployments.
+        validation).  Both deployments take it; on a single edge no
+        commit has a remote participant, so every policy runs as
+        ``"immediate-2pc"`` does.
     edge_discipline:
         Cluster edge-server admission: ``"fifo"`` (default) or
         ``"priority"``, under which initial stages preempt queued final

@@ -2,12 +2,12 @@
 
 Croesus' evaluation is driven by latency: edge/cloud network transfers,
 model inference times and transaction processing times.  Instead of
-sleeping on a wall clock, every component in this reproduction charges
-time to a :class:`SimClock`.  This keeps experiments deterministic and
-lets the full benchmark suite run in seconds.
+sleeping on a wall clock, every component in this reproduction runs on
+the discrete-event :class:`Engine`'s simulated time.  This keeps
+experiments deterministic and lets the full benchmark suite run in
+seconds.
 """
 
-from repro.sim.clock import SimClock
 from repro.sim.engine import At, Engine, Process, Server, SimulationError
 from repro.sim.rng import RngRegistry
 
@@ -17,6 +17,5 @@ __all__ = [
     "Process",
     "RngRegistry",
     "Server",
-    "SimClock",
     "SimulationError",
 ]

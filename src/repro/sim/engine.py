@@ -1,6 +1,6 @@
 """A discrete-event simulation engine.
 
-The first reproduction iterations advanced a bare :class:`~repro.sim.clock.SimClock`
+The first reproduction iterations advanced a bare simulated clock
 through hand-rolled loops: the single-edge pipeline marched one frame at
 a time and the cluster kept a side-channel ``busy_until`` per edge.  That
 model cannot express the paper's queueing story — a finite-capacity

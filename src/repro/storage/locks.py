@@ -49,19 +49,6 @@ class LockRequestDenied(RuntimeError):
         self.requester = requester
 
 
-class LockTransferConflict(RuntimeError):
-    """A grant was moved onto a manager that already grants its key.
-
-    A key has one owning partition, so only one manager can grant it;
-    moving a second grant in would overwrite the first and strand its
-    holders' book-keeping.
-    """
-
-    def __init__(self, key: str) -> None:
-        super().__init__(f"cannot move the grant on {key!r}: the target already grants it")
-        self.key = key
-
-
 @dataclass(frozen=True)
 class LockHoldRecord:
     """A completed lock tenure, used for contention statistics."""
@@ -260,31 +247,6 @@ class LockManager:
                 holds += (key, holder, acquired_at, now)
         self._hold_total, self._hold_error = total, error
         self._tenures += len(keys)
-
-    def transfer_key(self, key: str, target: "LockManager") -> bool:
-        """Move the live grant on ``key`` (if any) to ``target``.
-
-        Used when a key changes partitions at runtime (re-sharding): the
-        grant — holders and acquire times — moves wholesale so in-flight
-        transactions keep their locks across the move.  Completed tenures
-        stay counted by this manager.  Returns ``True`` when a grant
-        was moved; raises :class:`LockTransferConflict`, moving nothing,
-        when ``target`` already grants ``key``.
-        """
-        entry = self._table.get(key)
-        if entry is None:
-            return False
-        if key in target._table:
-            raise LockTransferConflict(key)
-        del self._table[key]
-        target._table[key] = entry
-        for holder in entry[_HOLDERS]:
-            held = self._held_by[holder]
-            held.discard(key)
-            if not held:
-                del self._held_by[holder]
-            target._held_by.setdefault(holder, set()).add(key)
-        return True
 
     def holds(self, holder: str, key: str) -> bool:
         """True when ``holder`` currently holds a lock on ``key``."""

@@ -13,12 +13,11 @@ failure/recovery scenarios stand on:
   in-memory store (:meth:`Partition.commit_write`), so a crashed
   partition can always be rebuilt from its latest checkpoint plus the
   log tail (:meth:`Partition.crash` / :meth:`Partition.recover`);
-* keys route to partitions through a fixed hash-slot space with a
-  slot→partition indirection, which is what lets partitions split,
-  merge, and move between owners at runtime without rehashing the
-  world (:meth:`PartitionedStore.split`, :meth:`PartitionedStore.merge`,
-  :meth:`PartitionedStore.transfer_partition` — each a checkpoint-copy
-  plus a log-shipped tail);
+* each key routes to one of a fixed set of partitions by a stable
+  hash, for the store's whole life; a partition moves between owners
+  at runtime (:meth:`PartitionedStore.transfer_partition`, a
+  checkpoint-copy plus a log-shipped tail, or a standby's promotion) by
+  swapping its store in place, so no key changes partitions;
 * the :class:`TwoPhaseCommitCoordinator` implements prepare/commit/abort
   over the participating partitions, voting NO for partitions whose
   replica is currently failed.
@@ -52,7 +51,7 @@ class RecoveryOutcome:
 
 @dataclass(frozen=True)
 class ReshardOutcome:
-    """Data motion of one partition move/split/merge.
+    """Data motion of one partition move to a new replica.
 
     ``keys_copied`` is the checkpoint-copy half of the move and
     ``records_shipped`` the log tail replayed on top of it.
@@ -132,27 +131,21 @@ class Partition:
 class PartitionedStore:
     """Hash-partitioned collection of :class:`Partition` objects.
 
-    Keys hash into a *fixed* slot space (one slot per initial partition)
-    and slots map to partitions through an indirection table.  With no
-    re-sharding the mapping is the identity — routing is bit-for-bit the
-    original direct hash — while ``split``/``merge``/``transfer`` only
-    touch the indirection, so elasticity never reshuffles unrelated keys.
-
-    A key's slot is hashed once per store and kept (``_key_slot``): the
-    slot space is fixed at construction and re-sharding only rewrites
-    ``_slot_owner``, so the memo is never invalidated.
+    The partitions are a fixed tuple built with the store, and a key is
+    owned by partition ``_stable_bucket(key, num_partitions)`` for the
+    store's whole life.  Re-homing a partition to another replica
+    (:meth:`transfer_partition`, a promotion) swaps the partition's store
+    in place and keeps its :class:`Partition` object, locks and log, so a
+    key's owner never changes.  The memo (``_key_partition``) therefore
+    maps each key straight to its partition, hashed once per store and
+    never invalidated.
     """
 
     def __init__(self, num_partitions: int = 1) -> None:
         if num_partitions < 1:
             raise PartitionError("need at least one partition")
-        self._slot_count = num_partitions
-        self._partitions: dict[int, Partition] = {
-            i: Partition(partition_id=i) for i in range(num_partitions)
-        }
-        self._slot_owner: list[int] = list(range(num_partitions))
-        self._key_slot: dict[str, int] = {}
-        self._next_partition_id = num_partitions
+        self._partitions = tuple(Partition(partition_id=i) for i in range(num_partitions))
+        self._key_partition: dict[str, Partition] = {}
         #: Transactions aborted because they touched an unavailable
         #: (crashed) partition; the cluster reports the per-run delta as
         #: ``txns_aborted_by_failure``.
@@ -163,31 +156,23 @@ class PartitionedStore:
         return len(self._partitions)
 
     def partition_ids(self) -> tuple[int, ...]:
-        """Ids of the live partitions, ascending."""
-        return tuple(sorted(self._partitions))
+        """Ids of the partitions, ascending."""
+        return tuple(range(len(self._partitions)))
 
     def partition_for(self, key: str) -> Partition:
-        """Partition that owns ``key`` (stable hash-slot routing)."""
-        return self._partitions[self._slot_owner[self._slot_of(key)]]
-
-    def _slot_of(self, key: str) -> int:
-        slot = self._key_slot.get(key)
-        if slot is None:
-            slot = self._key_slot[key] = _stable_bucket(key, self._slot_count)
-        return slot
+        """Partition that owns ``key`` (stable hash routing)."""
+        partition = self._key_partition.get(key)
+        if partition is None:
+            partitions = self._partitions
+            partition = self._key_partition[key] = partitions[_stable_bucket(key, len(partitions))]
+        return partition
 
     def partition(self, partition_id: int) -> Partition:
         """Partition by id."""
-        try:
-            return self._partitions[partition_id]
-        except KeyError:
-            raise PartitionError(f"no partition {partition_id}") from None
-
-    def slots_of(self, partition_id: int) -> tuple[int, ...]:
-        """Hash slots currently routed to ``partition_id``."""
-        return tuple(
-            slot for slot, owner in enumerate(self._slot_owner) if owner == partition_id
-        )
+        partitions = self._partitions
+        if not 0 <= partition_id < len(partitions):
+            raise PartitionError(f"no partition {partition_id}")
+        return partitions[partition_id]
 
     def read(self, key: str, default: Any = ...) -> Any:
         return self.partition_for(key).store.read(key, default=default)
@@ -203,16 +188,16 @@ class PartitionedStore:
     def checkpoint_all(self) -> dict[int, Checkpoint]:
         """Checkpoint every available partition; returns the snapshots."""
         return {
-            pid: self._partitions[pid].take_checkpoint()
-            for pid in self.partition_ids()
-            if self._partitions[pid].available
+            partition.partition_id: partition.take_checkpoint()
+            for partition in self._partitions
+            if partition.available
         }
 
     def record_failure_abort(self) -> None:
         """Count one transaction aborted by partition unavailability."""
         self.failure_aborts += 1
 
-    # -- re-sharding ---------------------------------------------------------
+    # -- re-homing -----------------------------------------------------------
     def transfer_partition(self, partition_id: int) -> ReshardOutcome:
         """Move a partition's data to a new replica: checkpoint + log tail.
 
@@ -238,91 +223,20 @@ class PartitionedStore:
             checkpoint_lsn=checkpoint.lsn,
         )
 
-    def split(self, partition_id: int) -> Partition:
-        """Split a partition: the upper half of its slots move to a new one.
-
-        The new partition is seeded by checkpoint-copy (the moved slots'
-        live keys) plus the source log tail for those keys; moved keys
-        are tombstoned out of the source through its own log, and any
-        live lock grants move with their keys.  Returns the new partition.
-        """
-        source = self.partition(partition_id)
-        slots = self.slots_of(partition_id)
-        if len(slots) < 2:
-            raise PartitionError(
-                f"partition {partition_id} owns {len(slots)} slot(s); need at least 2 to split"
-            )
-        moved = frozenset(slots[len(slots) // 2 :])
-        new_id = self._next_partition_id
-        self._next_partition_id += 1
-        target = Partition(partition_id=new_id)
-
-        checkpoint = source.take_checkpoint()
-        moved_keys = sorted(
-            key
-            for key in checkpoint.state
-            if self._slot_of(key) in moved
-        )
-        for key in moved_keys:
-            target.commit_write(key, checkpoint.state[key], writer=f"split:{partition_id}")
-            source.commit_write(key, None, writer=f"split:{partition_id}")
-        # Every live grant on a moved key follows its key — including
-        # grants on keys with no committed write yet (MS-SR buffers
-        # writes while holding the locks), which the snapshot cannot see.
-        for key in sorted(source.locks.locked_keys()):
-            if self._slot_of(key) in moved:
-                source.locks.transfer_key(key, target.locks)
-        target.take_checkpoint()
-
-        for slot in moved:
-            self._slot_owner[slot] = new_id
-        self._partitions[new_id] = target
-        return target
-
-    def merge(self, source_id: int, target_id: int) -> ReshardOutcome:
-        """Merge ``source_id`` into ``target_id`` and drop the source.
-
-        The target absorbs the source's live state (checkpoint-copy of
-        its snapshot, written through the target's log so the merge is
-        itself durable), live lock grants move with their keys, and the
-        source's slots re-point at the target.
-        """
-        if source_id == target_id:
-            raise PartitionError("cannot merge a partition into itself")
-        source = self.partition(source_id)
-        target = self.partition(target_id)
-        checkpoint = source.take_checkpoint()
-        for key in sorted(checkpoint.state):
-            target.commit_write(key, checkpoint.state[key], writer=f"merge:{source_id}")
-        # All live grants move, not just those on checkpointed keys: a
-        # holder may lock a key whose write is still buffered (MS-SR).
-        for key in sorted(source.locks.locked_keys()):
-            source.locks.transfer_key(key, target.locks)
-        for slot, owner in enumerate(self._slot_owner):
-            if owner == source_id:
-                self._slot_owner[slot] = target_id
-        del self._partitions[source_id]
-        return ReshardOutcome(
-            partition_id=target_id,
-            keys_copied=checkpoint.num_keys,
-            records_shipped=0,
-            checkpoint_lsn=checkpoint.lsn,
-        )
-
 
 class SectionRoutes(dict):
     """``key -> Partition`` routes resolved while one section runs.
 
     A miss routes the key the way :meth:`PartitionedStore.partition_for`
-    does — slot memo, slot owner, partition — but in one place (the YCSB
+    does — through the store's memo, hashing a key it has not seen — and
+    keeps the answer, so a section's lock acquisition, reads, lock
+    release and 2PC grouping route each distinct key once.  The YCSB
     workloads mint fresh keys, so a section misses on nearly every key it
-    locks; the lock pass routes those inline, a later miss through
-    ``__missing__``) and keeps the answer: a section's lock acquisition,
-    reads, lock release and 2PC grouping route each distinct key once.
-    Build one per section execution and drop it with the section:
-    ``split`` / ``merge`` / ``transfer_partition`` / promotion re-home
-    slots between a transaction's sections, so a plan must never be kept
-    on a transaction, controller or store.
+    locks: the lock pass routes those inline, a later miss goes through
+    ``__missing__``.  A key's partition is fixed for the store's life, so
+    a plan stays right for as long as its holder keeps it: distributed
+    MS-SR keeps its admission's plan, which routed both sections' locks,
+    until the final section releases over it.
 
     Built with a ``holder`` and its lock ``requests``, the plan is filled
     by taking those locks, all or nothing (a distributed section's lock
@@ -346,21 +260,22 @@ class SectionRoutes(dict):
     ) -> None:
         self._store = store
         self.granted = True
-        key_slot, slot_owner, partitions = store._key_slot, store._slot_owner, store._partitions
+        key_partition, partitions = store._key_partition, store._partitions
+        count = len(partitions)
         exclusive, shared = requests
         for key in exclusive:
-            slot = key_slot.get(key)
-            if slot is None:
-                slot = key_slot[key] = _stable_bucket(key, store._slot_count)
-            partition = self[key] = partitions[slot_owner[slot]]
+            partition = key_partition.get(key)
+            if partition is None:
+                partition = key_partition[key] = partitions[_stable_bucket(key, count)]
+            self[key] = partition
             if not (partition.available and partition.locks.acquire_all(holder, (key,), (), now)):
                 self._deny(holder, key, partition, now)
                 return
         for key in shared:
-            slot = key_slot.get(key)
-            if slot is None:
-                slot = key_slot[key] = _stable_bucket(key, store._slot_count)
-            partition = self[key] = partitions[slot_owner[slot]]
+            partition = key_partition.get(key)
+            if partition is None:
+                partition = key_partition[key] = partitions[_stable_bucket(key, count)]
+            self[key] = partition
             if not (partition.available and partition.locks.acquire_all(holder, (), (key,), now)):
                 self._deny(holder, key, partition, now)
                 return
@@ -376,11 +291,7 @@ class SectionRoutes(dict):
         self.granted = False
 
     def __missing__(self, key: str) -> Partition:
-        store = self._store
-        slot = store._key_slot.get(key)
-        if slot is None:
-            slot = store._key_slot[key] = _stable_bucket(key, store._slot_count)
-        partition = self[key] = store._partitions[store._slot_owner[slot]]
+        partition = self[key] = self._store.partition_for(key)
         return partition
 
 

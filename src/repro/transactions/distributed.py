@@ -33,12 +33,16 @@ leaves the final pending, as a failed final commit does);
 MS-SR runs prepare, commit and release once, after the final body.  A key
 a section locks therefore leaves one hold record.
 
-Each ``admit`` / ``process_final`` call routes its keys through
-one :class:`~repro.storage.partition.SectionRoutes` plan — filled while
-the section's locks are taken, then shared by the body's reads, the 2PC
-grouping and the release — so a key is hashed once per section.  The
-plan dies with the call and is rebuilt for the next section: re-sharding
-or a promotion may re-home a slot between a transaction's two sections.
+Each lock pass routes its keys through one
+:class:`~repro.storage.partition.SectionRoutes` plan — filled while the
+locks are taken, then shared by the body's reads, the 2PC grouping and
+the release — so a key is routed once per plan.  A key's partition is
+fixed for the store's life (moving a partition to another replica keeps
+its :class:`~repro.storage.partition.Partition` object), so MS-SR keeps
+its admission's plan, which routed both sections' locks, next to the
+buffered writes: its final section reads, commits and releases over it,
+as does a failure abort of a pending final.  MS-IA takes its final locks
+in a lock pass of their own, with a plan of its own.
 The section context keeps executed operations as one flat ``kind, key,
 value, …`` row list; an attached :class:`History` folds each committed
 section's rows into its running MS-SR / MS-IA check, and keeps them (and
@@ -296,25 +300,18 @@ class DistributedTwoStage2PL(DistributedMSIAController):
 
     def __init__(self, store: PartitionedStore, history: History | None = None) -> None:
         super().__init__(store, history=history)
-        self._buffered_writes: dict[str, dict[str, Any]] = {}
+        #: holder -> (the admission's plan, the buffered writes) until the
+        #: final section commits them.
+        self._buffered: dict[str, tuple[SectionRoutes, dict[str, Any]]] = {}
 
     def _release_pending_state(
         self, holder: str, transaction: MultiStageTransaction, now: float
     ) -> None:
         """A failure-aborted MS-SR final releases the locks held since the
-        initial section and discards its buffered (never-applied) writes."""
-        release_routed(holder, self._held_routes(transaction), now)
-        self._buffered_writes.pop(holder, None)
-
-    def _held_routes(self, transaction: MultiStageTransaction) -> SectionRoutes:
-        """A fresh plan routing every key locked since the initial section
-        (a slot may have been re-homed since), so a release over it covers
-        each partition the transaction holds locks on."""
-        routes = SectionRoutes(self._store)
-        for keys in transaction.combined_rwset().lock_requests():
-            for key in keys:
-                routes[key]
-        return routes
+        initial section, over its admission's plan, and discards its
+        buffered (never-applied) writes."""
+        routes, _ = self._buffered.pop(holder)
+        release_routed(holder, routes, now)
 
     def admit(
         self, draft: Any, labels: Any = None, now: float = 0.0
@@ -337,7 +334,7 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         if self._history is not None:
             self._history.record_rows(holder, SectionKind.INITIAL, now, context.operation_rows)
         self._pending[holder] = (transaction, labels)
-        self._buffered_writes[holder] = context.pending_writes
+        self._buffered[holder] = (routes, context.pending_writes)
         return transaction
 
     def process_final(
@@ -348,13 +345,13 @@ class DistributedTwoStage2PL(DistributedMSIAController):
             raise SectionOrderError(f"transaction {holder} has no pending final section")
         _, initial_labels = self._pending.pop(holder)
 
-        routes = self._held_routes(transaction)
+        routes, buffered = self._buffered.pop(holder)
         context = _BufferedSectionContext(
             holder, SectionKind.FINAL, routes, labels, initial_labels, transaction.handoff
         )
         # Reads must observe the initial section's buffered writes; the
         # final section's writes land on top of them, in write order.
-        context.pending_writes = self._buffered_writes.pop(holder, {})
+        context.pending_writes = buffered
         result = transaction.final.body(context)
 
         # The locks for every touched key are already held, so prepare can

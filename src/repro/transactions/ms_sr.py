@@ -152,7 +152,6 @@ class TwoStage2PL(AdmittingController):
         locks = self._locks
         exclusive, shared = draft.initial_lock_requests()
         if not locks.acquire_all(holder, exclusive, shared, now):
-            locks.release_all(holder, now=now)
             self.stats.aborts += 1
             return None
 

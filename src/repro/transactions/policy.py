@@ -181,7 +181,7 @@ class PolicyStats:
             log_flushes=self.log_flushes - earlier.log_flushes,
         )
 
-    def merge(self, other: "PolicyStats") -> None:
+    def accumulate(self, other: "PolicyStats") -> None:
         """Accumulate ``other`` into this instance (cluster-wide totals)."""
         self.coordinator_round_trips += other.coordinator_round_trips
         self.cross_partition_commits += other.cross_partition_commits

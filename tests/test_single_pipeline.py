@@ -34,6 +34,9 @@ from repro.core.system import CroesusSystem
 from repro.experiments import get_scenario, run
 from repro.experiments.spec import build_single_config
 from repro.transactions.checker import check_ms_ia, check_ms_sr
+from repro.transactions.ms_ia import MSIAController
+from repro.transactions.ms_sr import TwoStage2PL
+from repro.transactions.policy import TXN_POLICIES, ImmediatePolicy
 from repro.video.library import make_video
 
 from helpers import run_summary
@@ -188,6 +191,25 @@ def test_one_stream_is_served_closed_loop(consistency, adaptation):
     assert (system.last_adaptation is not None) == (adaptation is not None)
     if adaptation is not None and adaptation.mode == "retune":
         assert system.last_adaptation.threshold_updates > 0
+
+
+# -- a commit policy on one edge ---------------------------------------------------------
+@pytest.mark.parametrize("consistency", ["ms-sr", "ms-ia"])
+def test_every_commit_policy_runs_the_single_node_controller(consistency):
+    """One edge owns every key, so no commit has a remote participant: every
+    policy runs the node's single-node controller behind the immediate
+    policy and reports what ``immediate-2pc`` reports, bar the echo."""
+    controller = TwoStage2PL if consistency == "ms-sr" else MSIAController
+    reports = []
+    for policy in TXN_POLICIES:
+        spec = _spec("fig4-ms-ia", consistency=consistency, frames=20, transaction_policy=policy)
+        system = CroesusSystem(build_single_config(spec))
+        assert type(system.edge.policy) is ImmediatePolicy
+        assert type(system.edge.controller) is controller
+        report = run(spec).to_dict()
+        assert report.pop("transaction_policy") == report["scenario"].pop("transaction_policy")
+        reports.append(report)
+    assert all(report == reports[0] for report in reports)
 
 
 # -- one call site per pipeline stage --------------------------------------------------

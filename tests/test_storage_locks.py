@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.kvstore import RowsNotKept
-from repro.storage.locks import LockHoldRecord, LockManager, LockMode, LockTransferConflict
+from repro.storage.locks import LockHoldRecord, LockManager, LockMode
 
 from helpers import ReferenceLockManager, keeping_rows
 
@@ -164,28 +164,6 @@ class TestLockTableResidue:
         locks.release("winner", "hot")
         assert locks.is_quiescent
 
-    @pytest.mark.usefixtures("rows_kept")
-    def test_transferred_grant_leaves_no_residue_at_the_source(self):
-        source, target = LockManager(), LockManager()
-        source.try_acquire("t1", "x", LockMode.EXCLUSIVE, now=1.0)
-        assert source.transfer_key("x", target)
-        assert source.is_quiescent
-        assert target.holds("t1", "x")
-        target.release("t1", "x", now=3.0)
-        assert target.is_quiescent
-        assert target.hold_records[0].duration == 2.0
-
-    def test_a_grant_is_not_moved_onto_a_manager_that_grants_the_key(self):
-        source, target = LockManager(), LockManager()
-        source.try_acquire("t1", "x", LockMode.SHARED, now=1.0)
-        target.try_acquire("t2", "x", LockMode.EXCLUSIVE, now=1.0)
-        with pytest.raises(LockTransferConflict, match="'x'"):
-            source.transfer_key("x", target)
-        assert source.holds("t1", "x") and source.held_keys("t1") == {"x"}
-        assert target.holds("t2", "x") and not target.holds("t1", "x")
-        assert target.held_keys("t1") == frozenset()
-        assert not source.transfer_key("y", target)  # nothing granted, nothing moved
-
 
 class TestTenuresNotKept:
     def test_a_manager_keeps_totals_not_rows_by_default(self):
@@ -223,27 +201,11 @@ _lock_calls = st.one_of(
     st.tuples(st.just("acquire_exclusive"), _holders, st.lists(_lock_keys, max_size=3)),
     st.tuples(st.just("release"), _holders, _lock_keys, st.booleans()),
     st.tuples(st.just("release_all"), _holders),
-    st.tuples(st.just("transfer_key"), _lock_keys),
 )
 _times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
-def _grants(manager):
-    return manager.locked_keys(), {h: frozenset(keys) for h, keys in manager._held_by.items()}
-
-
-def _call(manager, other, name, args, now):
-    if name == "transfer_key":
-        # A key has one owning partition: a grant moved onto another one is
-        # refused, and neither manager changes.
-        key = args[0]
-        if key in manager.locked_keys() and key in other.locked_keys():
-            tables = [_grants(m) for m in (manager, other)]
-            with pytest.raises(LockTransferConflict, match=repr(key)):
-                manager.transfer_key(key, other)
-            assert [_grants(m) for m in (manager, other)] == tables
-            return "refused"
-        return manager.transfer_key(key, other)
+def _call(manager, name, args, now):
     if name == "release":
         holder, key, record = args
         return manager.release(holder, key, now=now, record=record)
@@ -255,34 +217,28 @@ def _call(manager, other, name, args, now):
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([float, int]),
-    st.lists(st.tuples(_lock_calls, _times, st.booleans()), max_size=40),
+    st.lists(st.tuples(_lock_calls, _times), max_size=40),
 )
 def test_average_hold_time_is_the_same_with_and_without_tenure_rows(time_type, calls):
-    """Random acquisitions, releases and key transfers between two managers
-    (a transfer onto a manager that already grants the key is refused),
-    run on managers keeping tenure rows and on managers keeping totals
-    (times all ints or all floats): the same grants, and an
-    ``average_hold_time`` equal, bit for bit, to the mean of the rendered
-    records' durations as ``sum`` adds them."""
+    """Random acquisitions and releases, run on a manager keeping tenure
+    rows and on one keeping totals (times all ints or all floats): the
+    same grants, and an ``average_hold_time`` equal, bit for bit, to the
+    mean of the rendered records' durations as ``sum`` adds them."""
     with keeping_rows():
-        kept = [LockManager(), LockManager()]
-    totals = [LockManager(), LockManager()]
-    for (name, *args), now, side in calls:
+        with_rows = LockManager()
+    without = LockManager()
+    for (name, *args), now in calls:
         now = time_type(now)
-        outcomes = [
-            _call(managers[side], managers[not side], name, args, now)
-            for managers in (kept, totals)
-        ]
+        outcomes = [_call(manager, name, args, now) for manager in (with_rows, without)]
         assert outcomes[0] == outcomes[1]
 
-    for with_rows, without in zip(kept, totals):
-        assert with_rows.locked_keys() == without.locked_keys()
-        for holder in ("t1", "t2", "t3"):
-            assert with_rows.held_keys(holder) == without.held_keys(holder)
-        records = with_rows.hold_records
-        mean = sum(record.duration for record in records) / len(records) if records else 0.0
-        assert with_rows.average_hold_time() == without.average_hold_time() == mean
-        assert type(without.average_hold_time()) is float
+    assert with_rows.locked_keys() == without.locked_keys()
+    for holder in ("t1", "t2", "t3"):
+        assert with_rows.held_keys(holder) == without.held_keys(holder)
+    records = with_rows.hold_records
+    mean = sum(record.duration for record in records) / len(records) if records else 0.0
+    assert with_rows.average_hold_time() == without.average_hold_time() == mean
+    assert type(without.average_hold_time()) is float
 
 
 # -- the one grant loop against the per-key reference ---------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.storage.kvstore import KeyValueStore
 from repro.storage.locks import LockMode
 from repro.storage.partition import (
     PartitionedStore,
@@ -9,6 +10,7 @@ from repro.storage.partition import (
     SectionRoutes,
     TwoPhaseCommitCoordinator,
     VoteOutcome,
+    _stable_bucket,
 )
 
 
@@ -43,8 +45,25 @@ class TestPartitionedStore:
     def test_partition_lookup_by_id(self):
         store = PartitionedStore(num_partitions=2)
         assert store.partition(1).partition_id == 1
-        with pytest.raises(PartitionError):
-            store.partition(5)
+        for missing in (2, 5, -1):
+            with pytest.raises(PartitionError):
+                store.partition(missing)
+
+    @pytest.mark.parametrize("num_partitions", [1, 2, 3, 5, 8])
+    def test_a_key_is_owned_by_its_stable_bucket(self, num_partitions):
+        """Routing is the FNV bucket over a fixed set of partitions: a key's
+        owner is ``partition(_stable_bucket(key, n))``, the same object on
+        every lookup."""
+        store = PartitionedStore(num_partitions=num_partitions)
+        keys = [f"user:{index}" for index in range(64)]
+        for key in keys:
+            owner = store.partition_for(key)
+            assert owner is store.partition(_stable_bucket(key, num_partitions))
+            assert store.partition_for(key) is owner
+        assert store.partition_ids() == tuple(range(num_partitions))
+        assert store.partitions_touched(keys) == frozenset(
+            _stable_bucket(key, num_partitions) for key in keys
+        )
 
 
 class TestTwoPhaseCommit:
@@ -186,93 +205,81 @@ class TestResharding:
         outcome = store.transfer_partition(0)
         assert outcome.records_shipped == 1
 
-    def test_split_moves_slots_and_keys(self):
-        # A split needs a partition owning >= 2 hash slots, which only a
-        # previous merge produces: merge both slots onto partition 1,
-        # then split it back apart.
+    def test_transfer_refuses_an_unavailable_partition(self):
         store = PartitionedStore(num_partitions=2)
-        keys = self._spanning_keys(store)
-        before = {key: store.read(key) for key in keys}
-        store.merge(0, 1)
+        store.write("a", 1)
+        partition = store.partition_for("a")
+        partition.crash()
+        with pytest.raises(PartitionError):
+            store.transfer_partition(partition.partition_id)
+        partition.recover()
+        outcome = store.transfer_partition(partition.partition_id)
+        assert outcome.keys_copied == 1
+        assert store.read("a") == 1
 
-        new_partition = store.split(1)
-        assert store.num_partitions == 2
-        assert new_partition.partition_id == 2
-        assert store.slots_of(2)
-        assert store.slots_of(1)
-        # Every key still reads its value, wherever it landed.
-        assert {key: store.read(key) for key in keys} == before
-        # The split actually moved keys onto the new partition.
-        assert any(store.partition_for(k).partition_id == 2 for k in keys)
+    @pytest.mark.parametrize("how", ["transfer", "crash-recover", "promotion"])
+    def test_a_live_lock_stays_with_its_partition_across_rehoming(self, how):
+        """A partition keeps its lock table when it is re-homed: a grant
+        taken before the move, on a written key or on one only locked (MS-SR
+        buffers its writes), is still held after it and still excludes a
+        second holder."""
+        store = PartitionedStore(num_partitions=2)
+        written = self._spanning_keys(store)[0]
+        unwritten = "never-written-key"
+        for key in (written, unwritten):
+            assert store.partition_for(key).locks.try_acquire("t1", key, LockMode.EXCLUSIVE)
 
-    def test_a_section_plan_routes_like_partition_for_across_resharding(self):
-        """``SectionRoutes`` resolves a miss itself (memo, slot owner,
-        partition): a plan built after each re-homing must agree with the
-        store's one-key path, for keys the store has and has not seen."""
+        for pid in store.partition_ids():
+            partition = store.partition(pid)
+            if how == "transfer":
+                store.transfer_partition(pid)
+            elif how == "crash-recover":
+                partition.crash()
+                partition.recover()
+            else:
+                standby = KeyValueStore()
+                partition.wal.replay(standby)
+                partition.crash()
+                partition.promote(standby)
+
+        for key in (written, unwritten):
+            locks = store.partition_for(key).locks
+            assert locks.holds("t1", key)
+            assert not locks.try_acquire("t2", key, LockMode.EXCLUSIVE)
+        assert store.read(written) == written.upper()
+
+    def test_a_section_plan_routes_like_partition_for_across_rehoming(self):
+        """``SectionRoutes`` resolves a miss through the store's memo: a plan
+        built after each re-homing (a transfer, a crash and recovery, a
+        promotion) agrees with the store's one-key path and with a fresh
+        hash, for keys the store has and has not seen."""
         store = PartitionedStore(num_partitions=3)
         keys = self._spanning_keys(store) + [f"fresh-{i}" for i in range(20)]
+        partitions = [store.partition(pid) for pid in store.partition_ids()]
 
         def agree():
             routes = SectionRoutes(store)
             assert all(routes[key] is store.partition_for(key) for key in reversed(keys))
             assert set(routes) == set(keys)  # every miss was kept
+            assert all(
+                store.partition_for(key).partition_id == _stable_bucket(key, 3) for key in keys
+            )
+            # Re-homing swaps a partition's store, never the partition.
+            assert all(store.partition(pid) is partitions[pid] for pid in store.partition_ids())
 
-        agree()
-        store.merge(0, 1)
-        agree()
-        store.split(1)
         agree()
         store.transfer_partition(2)
         agree()
-
-    def test_split_requires_two_slots(self):
-        store = PartitionedStore(num_partitions=2)
-        with pytest.raises(PartitionError):
-            store.split(0)  # one slot per partition initially
-
-    def test_merge_absorbs_the_source(self):
-        store = PartitionedStore(num_partitions=2)
-        keys = self._spanning_keys(store)
-        before = {key: store.read(key) for key in keys}
-
-        outcome = store.merge(0, 1)
-        assert store.num_partitions == 1
-        assert store.partition_ids() == (1,)
-        assert outcome.keys_copied > 0
-        assert {key: store.read(key) for key in keys} == before
-        assert store.partitions_touched(keys) == frozenset({1})
-
-    def test_merge_moves_live_locks(self):
-        store = PartitionedStore(num_partitions=2)
-        keys = self._spanning_keys(store)
-        locked = next(k for k in keys if store.partition_for(k).partition_id == 0)
-        store.partition(0).locks.try_acquire("holder", locked, LockMode.EXCLUSIVE)
-
-        store.merge(0, 1)
-        assert store.partition(1).locks.holds("holder", locked)
-
-    def test_merge_moves_locks_on_unwritten_keys(self):
-        """MS-SR holds locks on keys whose writes are still buffered: a
-        grant with no committed write must survive the move too."""
-        store = PartitionedStore(num_partitions=2)
-        unwritten = "never-written-key"
-        owner = store.partition_for(unwritten).partition_id
-        other = 1 - owner
-        store.partition(owner).locks.try_acquire("t1", unwritten, LockMode.EXCLUSIVE)
-
-        store.merge(owner, other)
-        assert store.partition(other).locks.holds("t1", unwritten)
-        # No second exclusive grant is possible on the moved key.
-        assert not store.partition(other).locks.try_acquire(
-            "t2", unwritten, LockMode.EXCLUSIVE
-        )
-
-    def test_merge_rejects_self_and_unknown(self):
-        store = PartitionedStore(num_partitions=2)
-        with pytest.raises(PartitionError):
-            store.merge(0, 0)
-        with pytest.raises(PartitionError):
-            store.merge(5, 0)
+        store.partition(1).crash()
+        store.partition(1).recover()
+        agree()
+        standby = KeyValueStore()
+        store.partition(0).wal.replay_into(standby)
+        store.partition(0).promote(standby)
+        agree()
+        assert {key: store.read(key, default=None) for key in keys} == {
+            key: key.upper() if key.startswith("key-") else None for key in keys
+        }
 
 
 # -- the failure-abort rule of a section's lock pass --------------------------------

@@ -352,11 +352,12 @@ def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
     assert sum(sum(snapshot.values()) for snapshot in snapshots) == 4 * len(committed)
 
 
-def test_a_store_hashes_each_key_once_across_split_merge_and_transfer(monkeypatch):
-    """The slot space is fixed at construction and re-sharding only rewrites
-    the slot -> partition table, so the key -> slot memo is never stale:
-    after a split, a merge and a transfer every key still routes where a
-    fresh hash sends it, and none was hashed twice."""
+def test_a_store_hashes_each_key_once_across_transfer_recovery_and_promotion(monkeypatch):
+    """A key's partition is fixed for the store's life and re-homing swaps a
+    partition's store, never the partition, so the key -> partition memo is
+    never stale: after a transfer, a crash and recovery and a promotion
+    every key still routes where a fresh hash sends it, and none was
+    hashed twice."""
     fnv = partition_module._stable_bucket
     hashed = _record_fnv_evaluations(monkeypatch)
     store = PartitionedStore(num_partitions=4)
@@ -364,20 +365,21 @@ def test_a_store_hashes_each_key_once_across_split_merge_and_transfer(monkeypatc
 
     def routes_match_a_fresh_hash():
         for key in keys:
-            owner = store.partition_for(key)
-            assert fnv(key, 4) in store.slots_of(owner.partition_id)
+            assert store.partition_for(key).partition_id == fnv(key, 4)
             assert store.read(key, default=None) == (key.upper() if key in written else None)
 
     written = set(keys[::2])
     for key in sorted(written):
         store.write(key, key.upper())
     assert sorted(hashed) == sorted(written)  # half the keys routed so far, once each
-    store.merge(1, 0)  # partition 0 now owns two slots ...
+    store.transfer_partition(1)
     routes_match_a_fresh_hash()
-    target = store.split(0)  # ... and gives one away: split() scans through the memo
-    assert target.store.snapshot() and store.partition(0).store.snapshot()
+    store.partition(2).crash()
+    store.partition(2).recover()
     routes_match_a_fresh_hash()
-    store.transfer_partition(target.partition_id)
+    standby = KeyValueStore()
+    store.partition(3).wal.replay(standby)
+    store.partition(3).promote(standby)
     routes_match_a_fresh_hash()
     assert sorted(hashed) == sorted(keys)
 

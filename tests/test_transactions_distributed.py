@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.storage.kvstore import KeyValueStore
 from repro.storage.locks import LockMode
-from repro.storage.partition import PartitionedStore
+from repro.storage.partition import PartitionedStore, SectionRoutes
+from repro.transactions import distributed as distributed_module
 from repro.transactions.distributed import (
     DistributedMSIAController,
     DistributedTwoStage2PL,
 )
-from repro.transactions.checker import check_ms_ia, check_ms_sr
+from repro.transactions.checker import check_ms_sr
 from repro.transactions.exceptions import SectionOrderError, TransactionAborted
 from repro.transactions.history import History
 from repro.transactions.model import MultiStageTransaction, SectionSpec, TransactionStatus
@@ -214,58 +216,168 @@ class TestDistributedTwoStage2PL:
         assert observed["value"] == "from-initial"
 
 
-class TestRoutesNeverOutliveASection:
-    """A section routes its keys afresh: re-sharding between a transaction's
-    two sections must re-home the final section's locks, reads and writes."""
+class TestAPlanAcrossRehoming:
+    """A key's partition is fixed for the store's life, and re-homing a
+    partition (a transfer, a promotion) swaps its store in place: MS-SR's
+    final section reads, commits and releases over its admission's plan,
+    and MS-IA's final takes its locks through a plan of its own."""
 
-    @pytest.mark.parametrize(
-        "controller_cls, check",
-        [(DistributedMSIAController, check_ms_ia), (DistributedTwoStage2PL, check_ms_sr)],
-    )
-    def test_final_section_follows_a_rehomed_slot(self, controller_cls, check):
-        store = PartitionedStore(num_partitions=2)
-        key_of_slot: dict[int, str] = {}
-        index = 0
-        while len(key_of_slot) < 2:
-            key = f"key-{index}"
-            key_of_slot.setdefault(store.partition_for(key).partition_id, key)
-            index += 1
-        stay, moved = key_of_slot[0], key_of_slot[1]
-        keys = frozenset({stay, moved})
+    @staticmethod
+    def _transaction(store: PartitionedStore):
+        candidates = [f"key-{i}" for i in range(100)]
+        keys = tuple(
+            next(key for key in candidates if store.partition_for(key).partition_id == pid)
+            for pid in store.partition_ids()
+        )
 
         def initial(ctx):
-            for key in (stay, moved):
+            for key in keys:
                 ctx.write(key, (ctx.read(key, default=0) or 0) + 1)
 
         def final(ctx):
-            for key in (stay, moved):
+            for key in keys:
                 ctx.write(key, ctx.read(key) + 10)
 
-        rwset = ReadWriteSet(reads=keys, writes=keys)
+        rwset = ReadWriteSet(reads=frozenset(keys), writes=frozenset(keys))
         txn = MultiStageTransaction(
             transaction_id="t1",
             initial=SectionSpec(body=initial, rwset=rwset),
             final=SectionSpec(body=final, rwset=rwset),
         )
+        return keys, txn
+
+    @staticmethod
+    def _rehome(store: PartitionedStore, how: str) -> None:
+        for pid in store.partition_ids():
+            partition = store.partition(pid)
+            if how == "transfer":
+                store.transfer_partition(pid)
+            else:
+                standby = KeyValueStore()
+                partition.wal.replay(standby)
+                partition.crash()
+                partition.promote(standby)
+
+    @pytest.mark.parametrize("how", ["transfer", "promotion"])
+    def test_an_ms_sr_final_writes_into_the_current_store(self, how):
+        store = PartitionedStore(num_partitions=2)
+        keys, txn = self._transaction(store)
         history = History()
-        controller = controller_cls(store, history=history)
+        controller = DistributedTwoStage2PL(store, history=history)
         controller.process_initial(txn, now=1.0)
 
-        # Slot 0 folds into partition 1, then partition 1's upper slot (slot 1)
-        # splits off to a brand-new partition 2.
-        store.merge(0, 1)
-        new_partition = store.split(1)
-        assert new_partition.partition_id == 2
-        assert store.partition_for(stay).partition_id == 1
-        assert store.partition_for(moved).partition_id == 2
+        replaced = [store.partition(pid).store for pid in store.partition_ids()]
+        self._rehome(store, how)
+        current = [store.partition(pid).store for pid in store.partition_ids()]
+        assert all(new is not old for new, old in zip(current, replaced))
 
         controller.process_final(txn, now=2.0)
         assert txn.is_committed
-        assert new_partition.store.read(moved) == 11
-        assert store.partition(1).store.read(stay) == 11
-        assert ("t1", moved, 11) in [
-            (record.transaction_id, record.key, record.value)
-            for record in new_partition.wal.records()
-        ]
+        for pid, key in enumerate(keys):
+            assert current[pid].read(key) == 11
+            assert replaced[pid].read(key, default=None) is None
+            assert ("t1", key, 11) in [
+                (record.transaction_id, record.key, record.value)
+                for record in store.partition(pid).wal.records()
+            ]
         assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
-        assert check(history)
+        assert check_ms_sr(history)
+
+    @pytest.mark.parametrize("how", ["none", "transfer", "promotion", "crash"])
+    def test_an_aborted_ms_sr_final_releases_over_its_plan(self, how):
+        """``abort_pending`` (the replica-crash path) releases the locks an
+        MS-SR final has held since its admission over the admission's plan,
+        whatever happened to the partitions' stores in between, and none of
+        its buffered writes reaches a store or a log."""
+        store = PartitionedStore(num_partitions=2)
+        keys, txn = self._transaction(store)
+        controller = DistributedTwoStage2PL(store)
+        controller.process_initial(txn, now=1.0)
+        assert all(store.partition_for(key).locks.holds("t1", key) for key in keys)
+        if how == "crash":
+            for pid in store.partition_ids():
+                store.partition(pid).crash()
+        elif how != "none":
+            self._rehome(store, how)
+
+        assert controller.abort_pending(now=2.0) == ("t1",)
+        assert txn.is_aborted
+        assert controller.pending_finals == ()
+        assert controller.stats.aborts == 1
+        for pid, key in enumerate(keys):
+            partition = store.partition(pid)
+            assert partition.locks.is_quiescent
+            assert len(partition.wal) == 0
+            assert partition.store.read(key, default=None) is None
+        with pytest.raises(SectionOrderError):
+            controller.process_final(txn, now=3.0)
+
+    def test_an_ms_sr_final_on_a_crashed_partition_aborts_and_releases(self):
+        """A participant that fails between the sections votes NO in the
+        final's single 2PC round: nothing is applied on the live partition
+        either, and every lock the plan routed is released."""
+        store = PartitionedStore(num_partitions=2)
+        keys, txn = self._transaction(store)
+        controller = DistributedTwoStage2PL(store)
+        controller.process_initial(txn, now=1.0)
+        store.partition(1).crash()
+
+        with pytest.raises(TransactionAborted):
+            controller.process_final(txn, now=2.0)
+        assert store.failure_aborts == 1
+        assert controller.stats.aborts == 1
+        assert controller.pending_finals == ()
+        assert store.read(keys[0], default=None) is None
+        assert len(store.partition(0).wal) == 0
+        assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())
+
+    @pytest.mark.parametrize("cause", ["conflict", "unavailable"])
+    def test_a_denied_ms_sr_admission_keeps_no_plan(self, cause):
+        """A denied admission gives back what its lock pass granted, with no
+        tenure recorded, and keeps neither a plan nor buffered writes; it is
+        a failure abort only when a partition was unavailable."""
+        store = PartitionedStore(num_partitions=2)
+        keys, txn = self._transaction(store)
+        if cause == "conflict":
+            store.partition(1).locks.try_acquire("other", keys[1], LockMode.EXCLUSIVE)
+        else:
+            store.partition(1).crash()
+        controller = DistributedTwoStage2PL(store)
+
+        with pytest.raises(TransactionAborted):
+            controller.process_initial(txn, now=1.0)
+        assert txn.is_aborted
+        assert controller._buffered == {}
+        assert controller.pending_finals == ()
+        assert controller.stats.aborts == 1
+        assert store.failure_aborts == int(cause == "unavailable")
+        for pid in store.partition_ids():
+            locks = store.partition(pid).locks
+            assert locks.held_keys("t1") == frozenset()
+            assert locks.average_hold_time() == 0.0
+        assert store.partition(0).locks.is_quiescent
+
+    @pytest.mark.parametrize(
+        "controller_cls, plans",
+        [(DistributedMSIAController, 2), (DistributedTwoStage2PL, 1)],
+    )
+    def test_only_an_ms_ia_final_routes_afresh(self, monkeypatch, controller_cls, plans):
+        built: list[SectionRoutes] = []
+
+        class CountingRoutes(SectionRoutes):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(distributed_module, "SectionRoutes", CountingRoutes)
+        store = PartitionedStore(num_partitions=2)
+        keys, txn = self._transaction(store)
+        controller = controller_cls(store)
+        controller.process_initial(txn, now=1.0)
+        self._rehome(store, "transfer")
+        controller.process_final(txn, now=2.0)
+
+        assert txn.is_committed
+        assert len(built) == plans
+        assert all(store.read(key) == 11 for key in keys)
+        assert all(store.partition(pid).locks.is_quiescent for pid in store.partition_ids())

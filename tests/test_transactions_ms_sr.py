@@ -35,6 +35,13 @@ def _increment_transaction(txn_id: str, key: str = "x") -> MultiStageTransaction
     )
 
 
+def _lock_state(locks):
+    """A lock manager's grants, holders' key sets and tenure totals."""
+    table = {key: (entry[0], dict(entry[1])) for key, entry in locks._table.items()}
+    held_by = {holder: set(keys) for holder, keys in locks._held_by.items()}
+    return table, held_by, locks._tenures, locks._hold_total
+
+
 class TestTwoStage2PL:
     def test_full_lifecycle_commits(self, store):
         controller = TwoStage2PL(store)
@@ -50,11 +57,17 @@ class TestTwoStage2PL:
         first = _increment_transaction("t1")
         controller.process_initial(first, now=0.0)
 
-        # A conflicting transaction cannot even start its initial section.
+        # A conflicting transaction cannot even start its initial section,
+        # and its denied admission leaves the lock table, every holder's
+        # key set and the tenure totals as they were.
+        locks = controller.lock_manager
+        before = _lock_state(locks)
         second = _increment_transaction("t2")
         with pytest.raises(TransactionAborted):
             controller.process_initial(second, now=0.5)
         assert second.is_aborted
+        assert _lock_state(locks) == before
+        assert "t2" not in locks._held_by
 
         controller.process_final(first, now=1.0)
         # After t1's final commit the locks are free again.
