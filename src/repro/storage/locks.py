@@ -8,7 +8,10 @@ behind a sequencer (MS-IA, which the paper reports as abort-free).  A
 lock pass asks for ``(exclusive keys, shared keys)`` (:data:`LockRequests`)
 and :meth:`LockManager.acquire_all` grants it, all or nothing, in one loop:
 the only grant code, which ``try_acquire``, a 2PC prepare and a
-partitioned section's lock pass all go through.
+partitioned section's lock pass all go through.  :meth:`LockManager.grants`
+reads the same S/X rule for one request without granting it: a
+partitioned pass, whose requests span several managers, probes every
+request before it takes any lock.
 
 The manager also tracks, per holder, when each lock was acquired so the
 benchmark for Figure 6a can measure average lock-hold latency.  Every
@@ -188,6 +191,20 @@ class LockManager:
             for key in granted:
                 held.discard(key)  # not difference_update, which may resize
 
+    def grants(self, holder: str, key: str, exclusive: bool) -> bool:
+        """Whether :meth:`acquire_all` would grant ``holder`` an X (``exclusive``)
+        or S lock on ``key`` now: its S/X rule, read without granting.
+
+        A partitioned section's lock pass probes each request with it, so a
+        pass that would be denied takes no lock at all."""
+        entry = self._table.get(key)
+        if entry is None:
+            return True
+        holders = entry[_HOLDERS]
+        if exclusive:
+            return holder in holders and (entry[_MODE] is _EXCLUSIVE or len(holders) == 1)
+        return holder in holders or entry[_MODE] is _SHARED
+
     def acquire_exclusive(self, holder: str, keys: Iterable[str], now: float = 0.0) -> bool:
         """:meth:`acquire_all` of an X lock on every key of ``keys``, where a
         key ``holder`` already holds exclusively is no request (it would be
@@ -200,7 +217,7 @@ class LockManager:
                 requests.append(key)
         return not requests or self.acquire_all(holder, requests, (), now)
 
-    def release(self, holder: str, key: str, now: float = 0.0, record: bool = True) -> None:
+    def release(self, holder: str, key: str, now: float = 0.0) -> None:
         """Release ``holder``'s lock on ``key`` (no-op when not held)."""
         entry = self._table.get(key)
         if entry is None or holder not in entry[_HOLDERS]:
@@ -209,12 +226,7 @@ class LockManager:
         held.discard(key)
         if not held:
             del self._held_by[holder]
-        if record:
-            self._end_tenures(holder, (key,), now)
-            return
-        del entry[_HOLDERS][holder]
-        if not entry[_HOLDERS]:
-            del self._table[key]
+        self._end_tenures(holder, (key,), now)
 
     def release_all(self, holder: str, now: float = 0.0) -> None:
         """Release every lock held by ``holder``."""
@@ -256,10 +268,6 @@ class LockManager:
     def held_keys(self, holder: str) -> frozenset[str]:
         """Keys currently locked by ``holder``."""
         return frozenset(self._held_by.get(holder, _NO_KEYS))
-
-    def locked_keys(self) -> frozenset[str]:
-        """All keys currently locked by anyone."""
-        return frozenset(self._table.keys())
 
     @property
     def is_quiescent(self) -> bool:

@@ -8,16 +8,21 @@ end of the final section (MS-SR) or at the end of both sections (MS-IA).
 This module provides that extension plus the durability seam the
 failure/recovery scenarios stand on:
 
-* every *committed* write routes through the owning partition's redo
-  :class:`~repro.storage.wal.WriteAheadLog` before it lands in the
-  in-memory store (:meth:`Partition.commit_write`), so a crashed
-  partition can always be rebuilt from its latest checkpoint plus the
-  log tail (:meth:`Partition.crash` / :meth:`Partition.recover`);
 * each key routes to one of a fixed set of partitions by a stable
   hash, for the store's whole life; a partition moves between owners
   at runtime (:meth:`PartitionedStore.transfer_partition`, a
   checkpoint-copy plus a log-shipped tail, or a standby's promotion) by
   swapping its store in place, so no key changes partitions;
+* a section's lock pass (:func:`take_locks`) sends each request to
+  the owning partition's :class:`~repro.storage.locks.LockManager`, all
+  or nothing across partitions: it probes every request before it grants
+  any, so a denied pass takes no lock, and a request that finds its
+  partition unavailable is a failure abort;
+* every *committed* write routes through the owning partition's redo
+  :class:`~repro.storage.wal.WriteAheadLog` before it lands in the
+  in-memory store (:meth:`Partition.commit_write`), so a crashed
+  partition can always be rebuilt from its latest checkpoint plus the
+  log tail (:meth:`Partition.crash` / :meth:`Partition.recover`);
 * the :class:`TwoPhaseCommitCoordinator` implements prepare/commit/abort
   over the participating partitions, voting NO for partitions whose
   replica is currently failed.
@@ -185,14 +190,6 @@ class PartitionedStore:
         return frozenset(self.partition_for(key).partition_id for key in keys)
 
     # -- durability ----------------------------------------------------------
-    def checkpoint_all(self) -> dict[int, Checkpoint]:
-        """Checkpoint every available partition; returns the snapshots."""
-        return {
-            partition.partition_id: partition.take_checkpoint()
-            for partition in self._partitions
-            if partition.available
-        }
-
     def record_failure_abort(self) -> None:
         """Count one transaction aborted by partition unavailability."""
         self.failure_aborts += 1
@@ -230,69 +227,67 @@ class SectionRoutes(dict):
     A miss routes the key the way :meth:`PartitionedStore.partition_for`
     does — through the store's memo, hashing a key it has not seen — and
     keeps the answer, so a section's lock acquisition, reads, lock
-    release and 2PC grouping route each distinct key once.  The YCSB
-    workloads mint fresh keys, so a section misses on nearly every key it
-    locks: the lock pass routes those inline, a later miss goes through
-    ``__missing__``.  A key's partition is fixed for the store's life, so
-    a plan stays right for as long as its holder keeps it: distributed
-    MS-SR keeps its admission's plan, which routed both sections' locks,
-    until the final section releases over it.
-
-    Built with a ``holder`` and its lock ``requests``, the plan is filled
-    by taking those locks, all or nothing (a distributed section's lock
-    pass): each request is routed in order and granted by its partition's
-    :meth:`LockManager.acquire_all`, so the pass stops at the first request
-    that cannot be granted without routing the rest (on a contended store
-    most passes stop at their first or second request).  ``granted`` is
-    False when one was held elsewhere or its partition is unavailable (a
-    failure abort on the store); what was granted is given back with no
-    tenure recorded, since no body ran.
+    release and 2PC grouping route each distinct key once.  A section's
+    lock pass (:func:`take_locks`) fills the plan with the keys it locked;
+    a later miss goes through ``__missing__``.  A key's partition is fixed
+    for the store's life, so a plan stays right for as long as its holder
+    keeps it: distributed MS-SR keeps its admission's plan, which routed
+    both sections' locks, until the final section releases over it.
     """
 
-    __slots__ = ("_store", "granted")
+    __slots__ = ("_store",)
 
-    def __init__(
-        self,
-        store: PartitionedStore,
-        holder: str | None = None,
-        requests: LockRequests = ((), ()),
-        now: float = 0.0,
-    ) -> None:
+    def __init__(self, store: PartitionedStore) -> None:
         self._store = store
-        self.granted = True
-        key_partition, partitions = store._key_partition, store._partitions
-        count = len(partitions)
-        exclusive, shared = requests
-        for key in exclusive:
-            partition = key_partition.get(key)
-            if partition is None:
-                partition = key_partition[key] = partitions[_stable_bucket(key, count)]
-            self[key] = partition
-            if not (partition.available and partition.locks.acquire_all(holder, (key,), (), now)):
-                self._deny(holder, key, partition, now)
-                return
-        for key in shared:
-            partition = key_partition.get(key)
-            if partition is None:
-                partition = key_partition[key] = partitions[_stable_bucket(key, count)]
-            self[key] = partition
-            if not (partition.available and partition.locks.acquire_all(holder, (), (key,), now)):
-                self._deny(holder, key, partition, now)
-                return
-
-    def _deny(self, holder: str, key: str, partition: Partition, now: float) -> None:
-        """End a pass denied at ``key``: give back what it granted; a failure
-        abort when ``partition`` is unavailable."""
-        del self[key]
-        for granted_key, owner in self.items():
-            owner.locks.release(holder, granted_key, now, record=False)
-        if not partition.available:
-            self._store.record_failure_abort()
-        self.granted = False
 
     def __missing__(self, key: str) -> Partition:
         partition = self[key] = self._store.partition_for(key)
         return partition
+
+
+def take_locks(
+    store: PartitionedStore, holder: str, requests: LockRequests, now: float = 0.0
+) -> SectionRoutes | None:
+    """A distributed section's lock pass: ``holder``'s ``requests`` taken on
+    their partitions all or nothing, decided before any is granted.
+
+    Each request, in request order (exclusive keys, then shared ones), is
+    routed and probed: its partition must be available and its
+    :meth:`LockManager.grants` must say the lock would be granted.  The
+    first request that fails denies the pass (``None``), with no later
+    request routed and no lock taken; it is a failure abort on the store
+    when that request's partition is unavailable.  A pass whose every
+    request probes clean takes its locks key by key, in request order,
+    through each partition's :meth:`LockManager.acquire_all`, and returns
+    the plan that routed them.
+    """
+    key_partition, partitions = store._key_partition, store._partitions
+    count = len(partitions)
+    exclusive, shared = requests
+    for key in exclusive:
+        partition = key_partition.get(key)
+        if partition is None:
+            partition = key_partition[key] = partitions[_stable_bucket(key, count)]
+        if not (partition.available and partition.locks.grants(holder, key, True)):
+            if not partition.available:
+                store.record_failure_abort()
+            return None
+    for key in shared:
+        partition = key_partition.get(key)
+        if partition is None:
+            partition = key_partition[key] = partitions[_stable_bucket(key, count)]
+        if not (partition.available and partition.locks.grants(holder, key, False)):
+            if not partition.available:
+                store.record_failure_abort()
+            return None
+    routes = SectionRoutes(store)
+    for key in exclusive:
+        partition = routes[key] = key_partition[key]
+        partition.locks.acquire_all(holder, (key,), (), now)
+    for key in shared:
+        partition = routes[key] = key_partition[key]
+        partition.locks.acquire_all(holder, (), (key,), now)
+    return routes
 
 
 class VoteOutcome(Enum):

@@ -16,12 +16,13 @@ single-partition controllers' semantics, buffering each section's writes
 and applying them through the :class:`TwoPhaseCommitCoordinator`.
 
 A lock lives through one lifecycle, the same on both controllers.  It
-starts with the **admission**, a transaction's first lock pass:
-all-or-nothing, routed to the owning partitions while the section's
-:class:`SectionRoutes` plan is filled — the initial section's locks under
-MS-IA, both sections' under MS-SR.  A denied admission counts its abort
-(and a failure abort when a partition was unavailable) and gives back what
-it was granted without a hold record; ``admit`` then returns ``None``
+starts with the **admission**, a transaction's first lock pass
+(:func:`~repro.storage.partition.take_locks`): all-or-nothing, routed to
+the owning partitions — the initial section's locks under MS-IA, both
+sections' under MS-SR.  The pass probes every request before it grants
+any, so a denied admission takes no lock and builds no plan: it counts
+its abort (and a failure abort when the request that failed sits on an
+unavailable partition); ``admit`` then returns ``None``
 before the transaction is even built (the frame body hands over drafts),
 while ``process_initial`` raises, on top of the same pass.  A granted
 admission goes on: the section **body** → **prepare** on the locks still
@@ -33,8 +34,8 @@ leaves the final pending, as a failed final commit does);
 MS-SR runs prepare, commit and release once, after the final body.  A key
 a section locks therefore leaves one hold record.
 
-Each lock pass routes its keys through one
-:class:`~repro.storage.partition.SectionRoutes` plan — filled while the
+A granted lock pass returns a
+:class:`~repro.storage.partition.SectionRoutes` plan — filled as the
 locks are taken, then shared by the body's reads, the 2PC grouping and
 the release — so a key is routed once per plan.  A key's partition is
 fixed for the store's life (moving a partition to another replica keeps
@@ -63,6 +64,7 @@ from repro.storage.partition import (
     SectionRoutes,
     TwoPhaseCommitCoordinator,
     release_routed,
+    take_locks,
 )
 from repro.transactions.exceptions import SectionOrderError, TransactionAborted
 from repro.transactions.history import History
@@ -162,8 +164,8 @@ class DistributedMSIAController(AdmittingController):
         """Admission takes the initial section's locks; the section then
         commits through 2PC and releases them."""
         holder = draft.transaction_id
-        routes = SectionRoutes(self._store, holder, draft.initial_lock_requests(), now)
-        if not routes.granted:
+        routes = take_locks(self._store, holder, draft.initial_lock_requests(), now)
+        if routes is None:
             self.stats.aborts += 1
             return None
 
@@ -192,8 +194,8 @@ class DistributedMSIAController(AdmittingController):
             raise SectionOrderError(f"transaction {holder} has no pending final section")
         _, initial_labels = self._pending.pop(holder)
 
-        routes = SectionRoutes(self._store, holder, transaction.final.rwset.lock_requests(), now)
-        if not routes.granted:
+        routes = take_locks(self._store, holder, transaction.final.rwset.lock_requests(), now)
+        if routes is None:
             # Denied before the body ran: the final stays pending for a retry.
             self._pending[holder] = (transaction, initial_labels)
             raise TransactionAborted(holder, "final-section " + self.denial)
@@ -320,8 +322,8 @@ class DistributedTwoStage2PL(DistributedMSIAController):
         initial commit); the initial section's writes stay buffered until
         the final section's single 2PC round."""
         holder = draft.transaction_id
-        routes = SectionRoutes(self._store, holder, draft.lock_requests(), now)
-        if not routes.granted:
+        routes = take_locks(self._store, holder, draft.lock_requests(), now)
+        if routes is None:
             self.stats.aborts += 1
             return None
 

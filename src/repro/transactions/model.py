@@ -371,11 +371,12 @@ class TransactionDraft(ReadWriteSet):
     :class:`MultiStageTransaction` (its own draft).  Only a granted draft is
     :meth:`materialise`-d into its two :class:`RowSection` objects, keeping
     the draft as ``combined`` and handing each section the lock requests
-    the draft holds for it.  A workload that formats a section's requests
-    with its keys passes them in; those it does not are ``None`` until
-    asked for.  ``key_count`` (the distinct keys over ``row``, which the
-    workload counts as it drafts) is a slot, not the base's lazy property:
-    the edge charges every attempt by it, granted or denied.
+    the draft holds for it.  A workload that formats the union's requests
+    (``exclusive`` / ``shared``) or a section's with its keys passes them
+    in, by position; those it does not are ``None`` until asked for.
+    ``key_count`` (the distinct keys over ``row``, which the workload
+    counts as it drafts) is a slot, not the base's lazy property: the
+    edge charges every attempt by it, granted or denied.
     """
 
     __slots__ = (
@@ -396,6 +397,8 @@ class TransactionDraft(ReadWriteSet):
         writes: slice,
         builder: Any,
         key_count: int,
+        exclusive: tuple[str, ...] | None = None,
+        shared: tuple[str, ...] | None = None,
         initial_exclusive: tuple[str, ...] | None = None,
         initial_shared: tuple[str, ...] | None = None,
         final_exclusive: tuple[str, ...] | None = None,
@@ -406,7 +409,8 @@ class TransactionDraft(ReadWriteSet):
         self._read_keys = reads
         self._write_keys = writes
         self._reads = self._writes = self._keys = self._key_count = None
-        self._exclusive = self._shared = None
+        self._exclusive = exclusive
+        self._shared = shared
         self.transaction_id = transaction_id
         self.builder = builder
         self.initial_exclusive = initial_exclusive

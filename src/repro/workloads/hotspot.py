@@ -11,9 +11,9 @@ all their keys in one ``rng.integers`` call — exactly the keys, in the
 order one-at-a-time draws produce them, so the generator's state does not
 depend on how transactions are grouped (``tests/test_workload_pins.py``).
 The frame body admits :meth:`HotspotWorkload.draft_transactions`' drafts
-(id and row); only a granted one is built into sections.  A draft builds
-the lock requests its controller asks for (one section's, or both
-sections' union) on the first ask.
+(id, row and the union's lock requests, the row's sorted distinct keys,
+built once as the draft is); only a granted one is built into sections.
+A draft builds its initial section's requests on the first ask.
 """
 
 from __future__ import annotations
@@ -135,9 +135,10 @@ class HotspotWorkload:
         drafts = []
         for index, at in enumerate(range(0, count * updates, updates)):
             row = tuple(keys[at : at + updates])
-            drafts.append(
-                TransactionDraft(f"{id_prefix}{first + index}", row, span, span, self, len(set(row)))
-            )
+            # Every key is updated: the union's requests are the sorted keys, all X.
+            union = tuple(sorted(set(row)))
+            draft_id = f"{id_prefix}{first + index}"
+            drafts.append(TransactionDraft(draft_id, row, span, span, self, len(union), union, ()))
         return drafts
 
     def materialise(self, draft: TransactionDraft) -> MultiStageTransaction:

@@ -245,6 +245,8 @@ class YCSBWorkload:
                     write_span,
                     self,
                     key_count,
+                    None,  # the union's requests, built on first ask
+                    None,
                     tuple(initial),
                     tuple(sorted(only_read)),
                     tuple(final),

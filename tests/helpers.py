@@ -24,6 +24,8 @@ from repro.detection.matching import FrameOverlaps
 from repro.detection.metrics import AccuracyReport, aggregate_reports
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.locks import LockManager, LockMode
+from repro.storage.partition import PartitionedStore
+from repro.storage.wal import Checkpoint
 from repro.transactions.checker import CheckResult
 from repro.transactions.history import History, SectionRecord
 from repro.transactions.model import SectionKind
@@ -166,6 +168,38 @@ def rwset_from_operations(operations: Iterable[Operation]) -> ReadWriteSet:
         else:
             writes.add(operation.key)
     return ReadWriteSet(reads=frozenset(reads), writes=frozenset(writes))
+
+
+def locked_keys(locks: LockManager) -> frozenset[str]:
+    """Every key ``locks`` has granted to anyone."""
+    return frozenset(locks._table)
+
+
+def lock_state(locks: LockManager) -> tuple:
+    """The lock table and every holder's key set, each in iteration order
+    (``release_all`` ends tenures in key-set order), and the tenure totals."""
+    return (
+        [(key, entry[0], list(entry[1].items())) for key, entry in locks._table.items()],
+        {holder: list(keys) for holder, keys in locks._held_by.items()},
+        locks._tenures,
+        locks._hold_total,
+        locks._hold_error,
+    )
+
+
+def store_lock_state(store: PartitionedStore) -> list[tuple]:
+    """:func:`lock_state` of every partition of ``store``."""
+    return [lock_state(store.partition(pid).locks) for pid in store.partition_ids()]
+
+
+def checkpoint_all(store: PartitionedStore) -> dict[int, Checkpoint]:
+    """Checkpoint every available partition of ``store``; returns the snapshots."""
+    checkpoints = {}
+    for partition_id in store.partition_ids():
+        partition = store.partition(partition_id)
+        if partition.available:
+            checkpoints[partition_id] = partition.take_checkpoint()
+    return checkpoints
 
 
 class ReferenceLockManager(LockManager):

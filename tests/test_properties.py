@@ -21,6 +21,8 @@ from repro.transactions.exceptions import TransactionAborted
 from repro.transactions.ops import ReadWriteSet
 from repro.transactions.sequencer import Sequencer
 
+from helpers import checkpoint_all
+
 
 # -- geometry ----------------------------------------------------------------
 
@@ -264,7 +266,7 @@ def test_checkpoint_plus_replay_reconstructs_the_store_exactly(steps, partitions
     expected: dict[str, int] = {}
     for txn_index, step in enumerate(steps):
         if step is None:
-            store.checkpoint_all()
+            checkpoint_all(store)
             continue
         key, value = step
         store.write(key, value, writer=f"t{txn_index}")

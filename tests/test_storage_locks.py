@@ -1,5 +1,6 @@
 """Tests for the lock manager."""
 
+import copy
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from repro.storage.kvstore import RowsNotKept
 from repro.storage.locks import LockHoldRecord, LockManager, LockMode
+from repro.storage.partition import PartitionedStore, take_locks
 
-from helpers import ReferenceLockManager, keeping_rows
+from helpers import ReferenceLockManager, keeping_rows, lock_state, locked_keys, store_lock_state
 
 
 class TestLockManager:
@@ -72,7 +74,7 @@ class TestLockManager:
         locks.try_acquire("t1", "y", LockMode.SHARED)
         locks.release_all("t1")
         assert locks.held_keys("t1") == frozenset()
-        assert locks.locked_keys() == frozenset()
+        assert locked_keys(locks) == frozenset()
 
     def test_acquire_all_atomicity(self):
         """If any lock in the group is denied, none are retained."""
@@ -117,8 +119,11 @@ class TestLockManager:
         locks.try_acquire("t1", "x", LockMode.EXCLUSIVE, now=1.0)
         locks.try_acquire("t1", "y", LockMode.SHARED, now=1.5)
         locks.release("t1", "x", now=2.0)
-        locks.release("t1", "y", now=4.0, record=False)
-        assert locks.hold_records == (LockHoldRecord("x", "t1", 1.0, 2.0),)
+        locks.release("t1", "y", now=4.0)
+        assert locks.hold_records == (
+            LockHoldRecord("x", "t1", 1.0, 2.0),
+            LockHoldRecord("y", "t1", 1.5, 4.0),
+        )
         assert locks.hold_records == locks.hold_records
         with pytest.raises(FrozenInstanceError):
             locks.hold_records[0].key = "z"
@@ -199,16 +204,13 @@ _lock_calls = st.one_of(
         st.lists(_lock_keys, max_size=3),
     ),
     st.tuples(st.just("acquire_exclusive"), _holders, st.lists(_lock_keys, max_size=3)),
-    st.tuples(st.just("release"), _holders, _lock_keys, st.booleans()),
+    st.tuples(st.just("release"), _holders, _lock_keys),
     st.tuples(st.just("release_all"), _holders),
 )
 _times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 def _call(manager, name, args, now):
-    if name == "release":
-        holder, key, record = args
-        return manager.release(holder, key, now=now, record=record)
     if name == "release_all":
         return manager.release_all(args[0], now=now)
     return getattr(manager, name)(*args, now=now)
@@ -232,7 +234,7 @@ def test_average_hold_time_is_the_same_with_and_without_tenure_rows(time_type, c
         outcomes = [_call(manager, name, args, now) for manager in (with_rows, without)]
         assert outcomes[0] == outcomes[1]
 
-    assert with_rows.locked_keys() == without.locked_keys()
+    assert locked_keys(with_rows) == locked_keys(without)
     for holder in ("t1", "t2", "t3"):
         assert with_rows.held_keys(holder) == without.held_keys(holder)
     records = with_rows.hold_records
@@ -290,3 +292,98 @@ def test_the_grant_loop_matches_the_per_key_reference(calls):
         assert _state(loop) == _state(reference)
     assert loop.is_quiescent and reference.is_quiescent
     assert loop.average_hold_time() == reference.average_hold_time()
+
+
+# -- the probe a partitioned lock pass decides with ------------------------------------
+_table_setup = st.lists(
+    st.tuples(_holders, st.lists(_pool, max_size=3), st.lists(_pool, max_size=3)),
+    max_size=12,
+)
+_requesters = st.sampled_from(["t1", "t2", "t3", "fresh"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_setup)
+def test_the_probe_agrees_with_the_grant_loop(setup):
+    """On a random lock table, ``grants`` says yes to exactly the single
+    requests ``acquire_all`` grants: every holder (one holding nothing
+    among them), key and mode, each tried on a copy of the table, which
+    the probe itself leaves as it was."""
+    locks = LockManager()
+    for holder, exclusive, shared in setup:
+        locks.acquire_all(holder, exclusive, shared)
+    state = lock_state(locks)
+    for holder in ("t1", "t2", "t3", "fresh"):
+        for key in "abcdefgh":
+            for exclusive in (True, False):
+                request = ((key,), ()) if exclusive else ((), (key,))
+                granted = copy.deepcopy(locks).acquire_all(holder, *request)
+                assert locks.grants(holder, key, exclusive) is granted
+    assert lock_state(locks) == state
+
+
+def _partitioned(partitions, setup, down):
+    """A store over ``partitions`` partitions with each request of ``setup``
+    granted that can be on a partition of its own, then ``down`` crashed."""
+    store = PartitionedStore(num_partitions=partitions)
+    for holder, exclusive, shared in setup:
+        owners = store.partitions_touched(exclusive + shared)
+        if len(owners) == 1:
+            store.partition(*owners).locks.acquire_all(holder, exclusive, shared)
+    for partition_id in down:
+        if partition_id < partitions:
+            store.partition(partition_id).crash()
+    return store
+
+
+def _grant_then_roll_back(store, holder, requests, now):
+    """A lock pass granted request by request on its partition, stopping at
+    the first that cannot be granted: ``(granted, failure abort)``.  The
+    verdict a probing pass must reach (run on a twin store, whose locks a
+    denial leaves half-granted)."""
+    exclusive, shared = requests
+    for key, is_exclusive in [(key, True) for key in exclusive] + [(key, False) for key in shared]:
+        partition = store.partition_for(key)
+        if not partition.available:
+            return False, True
+        request = ((key,), ()) if is_exclusive else ((), (key,))
+        if not partition.locks.acquire_all(holder, *request, now=now):
+            return False, False
+    return True, False
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 3),
+    _table_setup,
+    st.sets(st.integers(0, 2)),
+    _requesters,
+    st.sets(_pool, max_size=5),
+    st.sets(_pool, max_size=5),
+)
+def test_a_probed_pass_reaches_the_grant_then_roll_back_verdict(
+    partitions, setup, down, holder, exclusive, shared
+):
+    """Random lock tables over up to three partitions, some unavailable,
+    and a random pass by a holder that may already hold locks: the probing
+    pass is granted exactly when granting request by request would be, and
+    counts a failure abort exactly when the first request that cannot be
+    granted sits on an unavailable partition.  A granted pass leaves every
+    lock table and key set (in iteration order) as the granting one does;
+    a denied pass leaves them as they were."""
+    # The reference store is built the same way, not copied: a copied set
+    # need not iterate in its original's order.
+    store, reference = (_partitioned(partitions, setup, down) for _ in range(2))
+    requests = (tuple(sorted(exclusive)), tuple(sorted(shared - exclusive)))
+    verdict, failure_abort = _grant_then_roll_back(reference, holder, requests, 1.0)
+    before = store_lock_state(store)
+
+    routes = take_locks(store, holder, requests, now=1.0)
+
+    assert (routes is not None) is verdict
+    assert store.failure_aborts == int(failure_abort)
+    if verdict:
+        assert store_lock_state(store) == store_lock_state(reference)
+        assert set(routes) == set(requests[0]) | set(requests[1])
+    else:
+        assert store_lock_state(store) == before

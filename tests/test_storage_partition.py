@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.kvstore import KeyValueStore
-from repro.storage.locks import LockMode
+from repro.storage.locks import LockManager, LockMode
 from repro.storage.partition import (
     PartitionedStore,
     PartitionError,
@@ -11,7 +11,10 @@ from repro.storage.partition import (
     TwoPhaseCommitCoordinator,
     VoteOutcome,
     _stable_bucket,
+    take_locks,
 )
+
+from helpers import checkpoint_all, store_lock_state
 
 
 class TestPartitionedStore:
@@ -173,7 +176,7 @@ class TestPartitionDurability:
     def test_checkpoint_all_skips_unavailable_partitions(self):
         store = PartitionedStore(num_partitions=2)
         store.partition(1).crash()
-        checkpoints = store.checkpoint_all()
+        checkpoints = checkpoint_all(store)
         assert set(checkpoints) == {0}
 
 
@@ -308,8 +311,7 @@ def test_a_denial_is_a_failure_abort_only_when_an_unavailable_partition_comes_fi
     exclusively elsewhere: the pass is denied either way, and counts a
     failure abort exactly when the first request that cannot be granted,
     in request order (exclusive keys, then shared keys), sits on the
-    unavailable partition.  What it granted first is given back without a
-    hold record."""
+    unavailable partition.  The pass takes no lock on the way."""
     store = PartitionedStore(num_partitions=3)
     down, = _keys_on(store, 2, 1)
     locked, free = _keys_on(store, 0, 1) + _keys_on(store, 1, 1)
@@ -318,9 +320,7 @@ def test_a_denial_is_a_failure_abort_only_when_an_unavailable_partition_comes_fi
     store.partition(2).crash()
 
     requests = tuple(tuple(names[name] for name in side) for side in order)
-    routes = SectionRoutes(store, "t1", requests, now=1.0)
-
-    assert not routes.granted
+    assert take_locks(store, "t1", requests, now=1.0) is None
     assert store.failure_aborts == int(failure_abort)
     for partition_id in store.partition_ids():
         locks = store.partition(partition_id).locks
@@ -328,3 +328,37 @@ def test_a_denial_is_a_failure_abort_only_when_an_unavailable_partition_comes_fi
         assert locks.average_hold_time() == 0.0
     assert store.partition(0).locks.held_keys("other") == {locked}
     assert store.partition(1).locks.is_quiescent
+
+
+@pytest.mark.parametrize("num_partitions", [1, 2, 3])
+def test_a_denied_pass_keeps_the_locks_its_holder_held_before_it(monkeypatch, num_partitions):
+    """``t`` holds S on ``a`` and has ended one tenure; ``other`` holds X on
+    ``b``.  A pass by ``t`` asking X on both is denied at ``b`` and leaves
+    every lock table, every holder's key set and the tenure totals as they
+    were: ``t`` still holds S on ``a``, and no lock was granted or released
+    on the way.  (Granting ``a`` first and giving back every routed key on
+    denial released the S lock ``t`` held before the pass.)"""
+    store = PartitionedStore(num_partitions=num_partitions)
+    store.partition_for("c").locks.try_acquire("t", "c", LockMode.EXCLUSIVE, now=0.5)
+    store.partition_for("c").locks.release_all("t", now=0.75)
+    store.partition_for("a").locks.try_acquire("t", "a", LockMode.SHARED, now=1.0)
+    store.partition_for("b").locks.try_acquire("other", "b", LockMode.EXCLUSIVE, now=1.0)
+    before = store_lock_state(store)
+    calls = []
+
+    def counted(name, method):
+        def call(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+
+        return call
+
+    for name in ("acquire_all", "release", "release_all"):
+        monkeypatch.setattr(LockManager, name, counted(name, getattr(LockManager, name)))
+
+    assert take_locks(store, "t", (("a", "b"), ()), now=2.0) is None
+    assert calls == []
+    assert store_lock_state(store) == before
+    assert store.partition_for("a").locks.holds("t", "a")
+    assert store.failure_aborts == 0
+

@@ -58,7 +58,7 @@ from repro.network.latency import SAME_REGION
 from repro.sim.rng import RngRegistry
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.locks import LockHoldRecord, LockManager, LockMode
-from repro.storage.partition import PartitionedStore, TwoPhaseCommitCoordinator
+from repro.storage.partition import PartitionedStore, SectionRoutes, TwoPhaseCommitCoordinator
 from repro.transactions.checker import check_ms_ia, check_ms_sr
 from repro.transactions.distributed import (
     DistributedCommitRecord,
@@ -156,12 +156,11 @@ def test_wal_and_controller_state_is_pinned(name, monkeypatch):
 
 # -- the four controllers under contention ------------------------------------
 class _CountingLockManager(LockManager):
-    """Counts tenures that must end in a hold record."""
+    """Counts the tenures its grants begin: each must end in a hold record."""
 
     def __init__(self) -> None:
         super().__init__()
         self.tenures_begun = 0
-        self.unrecorded_releases = 0
 
     def acquire_all(self, holder, exclusive, shared=(), now=0.0):
         held_before = self.held_keys(holder)
@@ -169,11 +168,6 @@ class _CountingLockManager(LockManager):
         if granted:
             self.tenures_begun += len(self.held_keys(holder) - held_before)
         return granted
-
-    def release(self, holder, key, now=0.0, record=True):
-        if not record and self.holds(holder, key):
-            self.unrecorded_releases += 1
-        super().release(holder, key, now=now, record=record)
 
 
 def _single_node(controller_cls):
@@ -327,10 +321,10 @@ def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
     with pytest.raises(FrozenInstanceError):
         record.operations[0].key = "other"
 
-    # Every lock tenure ended, and every recorded release left one hold record.
+    # Every lock tenure ended, and every tenure begun left one hold record.
     assert all(manager.is_quiescent for manager in managers)
     for manager in managers:
-        assert len(manager.hold_records) == manager.tenures_begun - manager.unrecorded_releases
+        assert len(manager.hold_records) == manager.tenures_begun
         assert all(isinstance(row, LockHoldRecord) for row in manager.hold_records)
 
     if store is None:
@@ -712,11 +706,17 @@ def test_an_admitted_draft_matches_its_materialised_twin(name, policy_name, data
 def test_a_denied_attempt_builds_nothing(monkeypatch):
     """On a replicated-failover-shaped hotspot cluster (MS-SR, four edges,
     sync shipping, a mid-run promotion), an attempt whose admission is
-    denied builds no transaction, section, ``TriggeredTransaction`` or
-    ``TransactionAborted``; a granted one builds what it always did — one
-    transaction, its two row sections and, in the initial stage, one entry."""
+    denied builds no routing plan, transaction, section,
+    ``TriggeredTransaction`` or ``TransactionAborted``; a granted one builds
+    one plan (its lock pass's) and what it always did — one transaction,
+    its two row sections and, in the initial stage, one entry."""
     built = count_constructions(
-        monkeypatch, MultiStageTransaction, RowSection, TriggeredTransaction, TransactionAborted
+        monkeypatch,
+        SectionRoutes,
+        MultiStageTransaction,
+        RowSection,
+        TriggeredTransaction,
+        TransactionAborted,
     )
     attempts = Counter()
     admit = TransactionPolicy.admit
@@ -731,6 +731,7 @@ def test_a_denied_attempt_builds_nothing(monkeypatch):
         else:
             attempts["granted"] += 1
             assert delta == {
+                "SectionRoutes": 1,
                 "MultiStageTransaction": 1,
                 "RowSection": 2,
                 "TriggeredTransaction": 0,

@@ -4,8 +4,8 @@ import pytest
 
 from repro.storage.kvstore import KeyValueStore
 from repro.storage.locks import LockMode
+from repro.storage import partition as partition_module
 from repro.storage.partition import PartitionedStore, SectionRoutes
-from repro.transactions import distributed as distributed_module
 from repro.transactions.distributed import (
     DistributedMSIAController,
     DistributedTwoStage2PL,
@@ -369,7 +369,7 @@ class TestAPlanAcrossRehoming:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        monkeypatch.setattr(distributed_module, "SectionRoutes", CountingRoutes)
+        monkeypatch.setattr(partition_module, "SectionRoutes", CountingRoutes)
         store = PartitionedStore(num_partitions=2)
         keys, txn = self._transaction(store)
         controller = controller_cls(store)
