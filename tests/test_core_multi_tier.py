@@ -1,5 +1,7 @@
 """Tests for the generalized multi-tier pipeline (paper §3.5)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.multi_tier import MultiTierPipeline, TierSpec
@@ -12,6 +14,68 @@ from repro.detection.profiles import (
 from repro.network.latency import CROSS_COUNTRY, SAME_REGION
 from repro.network.topology import CLOUD_XLARGE, EDGE_REGULAR, EDGE_SMALL
 from repro.video.library import make_video
+
+#: The two cascades ``examples/multi_tier_cascade.py`` compares.
+EXAMPLE_CASCADES = {
+    "two-tier": [
+        TierSpec(
+            name="edge",
+            model=EDGE_TINY_YOLOV3,
+            machine=EDGE_REGULAR,
+            policy=ThresholdPolicy(0.3, 0.7),
+        ),
+        TierSpec(name="cloud", model=CLOUD_YOLOV3_416, machine=CLOUD_XLARGE, uplink=CROSS_COUNTRY),
+    ],
+    "three-tier": [
+        TierSpec(
+            name="device",
+            model=EDGE_TINY_YOLOV3,
+            machine=EDGE_SMALL,
+            policy=ThresholdPolicy(0.3, 0.8),
+        ),
+        TierSpec(
+            name="edge",
+            model=CLOUD_YOLOV3_320,
+            machine=EDGE_REGULAR,
+            uplink=SAME_REGION,
+            policy=ThresholdPolicy(0.4, 0.7),
+        ),
+        TierSpec(name="cloud", model=CLOUD_YOLOV3_416, machine=CLOUD_XLARGE, uplink=CROSS_COUNTRY),
+    ],
+}
+
+#: sha256 prefix of every frame's tiers, latencies and accuracy counts for
+#: each example cascade on 20 frames of v2 (seed 7).
+CASCADE_PINS = {
+    "two-tier": "d0c48085576ac505",
+    "three-tier": "6320826895e4ac5c",
+}
+
+
+def _cascade_digest(name: str) -> str:
+    result = MultiTierPipeline(EXAMPLE_CASCADES[name], seed=7).run(
+        make_video("v2", num_frames=20, seed=7)
+    )
+    digest = hashlib.sha256()
+    for trace, report in zip(result.traces, result.accuracy_reports):
+        row = (
+            trace.frame_id,
+            [
+                (
+                    tier.tier,
+                    tier.forwarded,
+                    tier.corrections,
+                    repr(tier.detection_latency),
+                    repr(tier.transfer_latency),
+                )
+                for tier in trace.tiers
+            ],
+            repr(trace.initial_latency),
+            repr(trace.final_latency),
+            (report.true_positives, report.false_positives, report.false_negatives),
+        )
+        digest.update(repr(row).encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
 def _three_tiers(forward_everything: bool = False) -> list[TierSpec]:
@@ -32,6 +96,12 @@ def _three_tiers(forward_everything: bool = False) -> list[TierSpec]:
             uplink=CROSS_COUNTRY,
         ),
     ]
+
+
+@pytest.mark.parametrize("name", sorted(CASCADE_PINS))
+def test_example_cascade_pin(name):
+    """Each frame's tiers, forwarding, corrections, latencies and counts."""
+    assert _cascade_digest(name) == CASCADE_PINS[name]
 
 
 class TestMultiTierPipeline:
