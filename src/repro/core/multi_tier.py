@@ -4,33 +4,27 @@ The two-tier edge-cloud deployment generalises to ``m`` tiers — for
 example device → edge → regional cloud → central cloud — where each tier
 hosts a better (slower) detection model than the one below it.  A frame
 is processed tier by tier; after each tier, bandwidth thresholding
-decides whether the frame continues upward.  The transaction triggered by
-the frame has one section per tier (:class:`StagedTransaction`): the
-section at tier ``i`` runs with tier ``i``'s labels, matched against the
-previous tier's labels so it can correct them.
+decides whether the frame continues upward, and each tier above the
+first corrects the labels of the tier below it.
 
-The data store lives at the first tier, as in the paper ("the data
-storage is maintained by the node handling stage s0").
+The cascade models latency and accuracy only: it is a loop outside the
+simulation engine and runs no transactions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import Any, Callable
 
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.labels import LabelSet
 from repro.detection.matching import match_labels
-from repro.detection.metrics import aggregate_reports, evaluate_detections
+from repro.detection.metrics import AccuracyReport, aggregate_reports, evaluate_detections
 from repro.detection.models import SimulatedDetector
 from repro.detection.profiles import ModelProfile
 from repro.network.latency import LinkProfile
 from repro.network.topology import MachineProfile
 from repro.sim.rng import RngRegistry
-from repro.storage.kvstore import KeyValueStore
-from repro.transactions.model import SectionSpec
-from repro.transactions.staged import StagedController, StagedTransaction
 from repro.video.frames import Frame
 from repro.video.synthetic import SyntheticVideo
 
@@ -95,7 +89,7 @@ class MultiTierResult:
     """Aggregated outcome of a multi-tier run."""
 
     traces: list[MultiTierFrameTrace] = field(default_factory=list)
-    accuracy_reports: list = field(default_factory=list)
+    accuracy_reports: list[AccuracyReport] = field(default_factory=list)
 
     @property
     def num_frames(self) -> int:
@@ -129,10 +123,6 @@ class MultiTierResult:
         return forwarded / len(self.traces)
 
 
-#: Factory producing one section per tier for a triggered transaction.
-StagedTransactionFactory = Callable[[Any, str, int], StagedTransaction]
-
-
 class MultiTierPipeline:
     """Runs frames through an arbitrary number of detection tiers.
 
@@ -145,10 +135,6 @@ class MultiTierPipeline:
         Master seed for the per-tier detector streams.
     match_overlap:
         Overlap fraction for cross-tier label matching.
-    transaction_factory:
-        Optional factory building the staged transaction triggered by a
-        frame's first-tier labels; when omitted a bookkeeping-only
-        transaction is used (one no-op section per tier).
     """
 
     def __init__(
@@ -156,7 +142,6 @@ class MultiTierPipeline:
         tiers: list[TierSpec],
         seed: int = 0,
         match_overlap: float = 0.10,
-        transaction_factory: StagedTransactionFactory | None = None,
     ) -> None:
         if len(tiers) < 2:
             raise ValueError("a multi-tier pipeline needs at least two tiers")
@@ -171,10 +156,6 @@ class MultiTierPipeline:
             )
             for index, tier in enumerate(tiers)
         ]
-        self.store = KeyValueStore()
-        self.controller = StagedController(self.store)
-        self._transaction_factory = transaction_factory or self._default_factory
-        self._next_txn = 0
 
     # -- public API ---------------------------------------------------------
     def run(self, video: SyntheticVideo) -> MultiTierResult:
@@ -187,13 +168,12 @@ class MultiTierPipeline:
         return result
 
     # -- per-frame ------------------------------------------------------------
-    def _process_frame(self, frame: Frame) -> tuple[MultiTierFrameTrace, Any]:
+    def _process_frame(self, frame: Frame) -> tuple[MultiTierFrameTrace, AccuracyReport]:
         tier_traces: list[TierTrace] = []
         elapsed = 0.0
         initial_latency = 0.0
         previous_labels: LabelSet | None = None
         observed: LabelSet | None = None
-        transaction: StagedTransaction | None = None
 
         for index, tier in enumerate(self.tiers):
             transfer = 0.0
@@ -206,8 +186,6 @@ class MultiTierPipeline:
             corrections = 0
             if previous_labels is None:
                 observed = labels
-                transaction = self._transaction_factory(labels, self._new_txn_id(), len(self.tiers))
-                self.controller.process_stage(transaction, 0, labels=labels, now=elapsed)
                 initial_latency = elapsed
             else:
                 report = match_labels(previous_labels, labels, min_overlap=self._match_overlap)
@@ -217,7 +195,6 @@ class MultiTierPipeline:
                 ]
                 corrected.extend(report.unmatched_cloud)
                 observed = LabelSet(frame.frame_id, tuple(corrected), model_name=f"tier-{index}")
-                self.controller.process_stage(transaction, index, labels=observed, now=elapsed)
 
             is_last = index == len(self.tiers) - 1
             forward = False
@@ -236,8 +213,6 @@ class MultiTierPipeline:
             )
             previous_labels = labels
             if not is_last and not forward:
-                # The cascade stops here: run the remaining sections now.
-                self.controller.finish_remaining(transaction, labels=observed, now=elapsed)
                 break
 
         # Ground truth is the last tier's model applied to the frame (the
@@ -253,29 +228,3 @@ class MultiTierPipeline:
             initial_latency=initial_latency,
         )
         return trace, report
-
-    # -- helpers ----------------------------------------------------------------
-    def _new_txn_id(self) -> str:
-        self._next_txn += 1
-        return f"mt{self._next_txn}"
-
-    def _default_factory(self, labels: Any, txn_id: str, num_stages: int) -> StagedTransaction:
-        def make_section(stage: int) -> SectionSpec:
-            key = f"frame-log:{txn_id}"
-
-            def body(ctx, _stage=stage):
-                names = list(getattr(ctx.labels, "names", lambda: [])())
-                ctx.write(f"{key}:stage-{_stage}", names)
-                return names
-
-            from repro.transactions.ops import ReadWriteSet
-
-            return SectionSpec(
-                body=body, rwset=ReadWriteSet(writes=frozenset({f"{key}:stage-{stage}"}))
-            )
-
-        return StagedTransaction(
-            transaction_id=txn_id,
-            sections=tuple(make_section(stage) for stage in range(num_stages)),
-            trigger="multi-tier-frame",
-        )

@@ -53,7 +53,6 @@ from repro.transactions.policy import (
     make_policy,
 )
 from repro.transactions.sequencer import Sequencer
-from repro.transactions.staged import StagedController, StagedTransaction
 
 __all__ = [
     "MultiStageTransaction",
@@ -73,8 +72,6 @@ __all__ = [
     "TwoStage2PL",
     "MSIAController",
     "Sequencer",
-    "StagedTransaction",
-    "StagedController",
     "DistributedMSIAController",
     "DistributedTwoStage2PL",
     "TransactionPolicy",
