@@ -216,8 +216,13 @@ class MultiTierPipeline:
                 break
 
         # Ground truth is the last tier's model applied to the frame (the
-        # most accurate detector available), mirroring the two-tier system.
-        truth, _ = self._detectors[-1].detect(frame)
+        # most accurate detector available), mirroring the two-tier system:
+        # a frame that reached the last tier is scored against the labels
+        # it was corrected to, so each frame costs one last-tier draw.
+        if len(tier_traces) == len(self.tiers):
+            truth = tier_traces[-1].labels
+        else:
+            truth, _ = self._detectors[-1].detect(frame)
         report = evaluate_detections(observed, truth, min_overlap=self._match_overlap)
 
         trace = MultiTierFrameTrace(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.multi_tier import MultiTierPipeline, TierSpec
 from repro.core.thresholds import ThresholdPolicy
+from repro.detection.metrics import evaluate_detections
 from repro.detection.profiles import (
     CLOUD_YOLOV3_320,
     CLOUD_YOLOV3_416,
@@ -47,8 +48,8 @@ EXAMPLE_CASCADES = {
 #: sha256 prefix of every frame's tiers, latencies and accuracy counts for
 #: each example cascade on 20 frames of v2 (seed 7).
 CASCADE_PINS = {
-    "two-tier": "d0c48085576ac505",
-    "three-tier": "6320826895e4ac5c",
+    "two-tier": "a9df59ca44e2da62",
+    "three-tier": "67b381d8b3616dcd",
 }
 
 
@@ -151,6 +152,18 @@ class TestMultiTierPipeline:
         pipeline = MultiTierPipeline(_three_tiers(forward_everything=True), seed=3)
         result = pipeline.run(make_video("v3", num_frames=20, seed=3))
         assert 0.0 <= result.f_score <= 1.0
+
+    def test_frame_that_reached_the_last_tier_is_scored_against_its_labels(self):
+        pipeline = MultiTierPipeline(_three_tiers(), seed=3)
+        result = pipeline.run(make_video("v2", num_frames=30, seed=3))
+        full = [
+            (trace, report)
+            for trace, report in zip(result.traces, result.accuracy_reports)
+            if trace.tiers_visited == 3
+        ]
+        assert full
+        for trace, report in full:
+            assert report == evaluate_detections(trace.observed_labels, trace.tiers[-1].labels)
 
     def test_average_tiers_visited_between_bounds(self):
         pipeline = MultiTierPipeline(_three_tiers(), seed=3)
