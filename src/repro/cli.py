@@ -21,7 +21,7 @@ runner, and renders the returned
 axes are declared on the spec's own fields (their ``flag`` metadata):
 ``cluster`` and ``scenario`` generate their arguments from those
 declarations and apply them in one loop, ``run`` reads its
-``--consistency`` and ``--txn-policy`` off the same two, and the values
+``--consistency`` off the same two, and the values
 are validated by the spec (hence by the subsystem configs), never here.
 The text of an optional subsystem's report block is rendered by the code
 that builds the block.  Every command accepts
@@ -166,11 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(run_parser)
     run_parser.add_argument("--lower", type=float, default=0.3, help="lower threshold θL")
     run_parser.add_argument("--upper", type=float, default=0.7, help="upper threshold θU")
-    for name in ("consistency", "transaction_policy"):
-        flag = _AXIS_FLAGS[name]
-        run_parser.add_argument(
-            flag.option, choices=flag.choices, default=getattr(ScenarioSpec, name), help=flag.help
-        )
+    flag = _AXIS_FLAGS["consistency"]
+    run_parser.add_argument(
+        flag.option, choices=flag.choices, default=ScenarioSpec.consistency, help=flag.help
+    )
 
     tune_parser = subparsers.add_parser(
         "tune", parents=[output], help="find optimal bandwidth thresholds"
@@ -344,7 +343,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             lower_threshold=args.lower,
             upper_threshold=args.upper,
             consistency=args.consistency,
-            transaction_policy=args.txn_policy,
         )
     except ValueError as error:
         return _fail("run", str(error))

@@ -151,9 +151,9 @@ class ScenarioSpec:
         axis): ``"immediate-2pc"`` (the default, synchronous and free),
         ``"batched-2pc"`` (coordinator round trips amortised per
         window), or ``"async-2pc"`` (prepare overlaps cloud
-        validation).  Both deployments take it; on a single edge no
-        commit has a remote participant, so every policy runs as
-        ``"immediate-2pc"`` does.
+        validation).  Cluster only: on a single edge no commit has a
+        remote participant, so every policy runs as ``"immediate-2pc"``
+        does.
     edge_discipline:
         Cluster edge-server admission: ``"fifo"`` (default) or
         ``"priority"``, under which initial stages preempt queued final
@@ -301,6 +301,7 @@ class ScenarioSpec:
     transaction_policy: str = _axis(
         "immediate-2pc", "--txn-policy", "commit policy of the consistency layer",
         order=8, override="override the scenario's commit policy", choices=TXN_POLICIES,
+        cluster=True,
     )
     edge_discipline: str = _axis(
         "fifo", "--discipline",

@@ -74,6 +74,7 @@ CLUSTER_ONLY_VALUES = dict(
     hot_key_range=10,
     long_frames=20,
     num_long=1,
+    transaction_policy="batched-2pc",
     edge_discipline="priority",
     failure_schedule=((1, 0.1, 0.2),),
     checkpoint_interval_s=1.0,
@@ -117,6 +118,7 @@ class TestClusterOnlyFields:
     def single_report(self):
         report = run(get_scenario("fig4-ms-sr").with_(frames=10)).to_dict()
         report.pop("scenario")
+        report.pop("transaction_policy")
         return report
 
     @pytest.mark.parametrize("name", sorted(CLUSTER_ONLY_VALUES))
@@ -130,6 +132,7 @@ class TestClusterOnlyFields:
             return
         report = run(base.with_(**{name: value})).to_dict()
         assert report.pop("scenario")[name] != getattr(base, name)
+        report.pop("transaction_policy")
         assert report == single_report
 
 
