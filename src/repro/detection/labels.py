@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from repro.detection.geometry import BoundingBox
 
@@ -86,29 +86,6 @@ class LabelSet:
             return self
         kept = tuple(d for d in self.detections if d.confidence >= minimum)
         return LabelSet(self.frame_id, kept, self.model_name)
-
-    def filter_names(self, names: Iterable[str]) -> "LabelSet":
-        """Keep only detections whose name is in ``names``."""
-        allowed = set(names)
-        kept = tuple(d for d in self.detections if d.name in allowed)
-        return LabelSet(self.frame_id, kept, self.model_name)
-
-    def best_by_confidence(self) -> Detection | None:
-        """The highest-confidence detection, or ``None`` when empty."""
-        if not self.detections:
-            return None
-        return max(self.detections, key=lambda d: d.confidence)
-
-    def closest_to_center(self, width: float, height: float) -> Detection | None:
-        """Detection whose box center is closest to the frame center.
-
-        The paper's room-reservation task (Task 2) picks "the label that
-        is closest to the center of the frame".
-        """
-        if not self.detections:
-            return None
-        cx, cy = width / 2.0, height / 2.0
-        return min(self.detections, key=lambda d: d.box.distance_to_point(cx, cy))
 
 
 class LabelRow(NamedTuple):

@@ -99,11 +99,6 @@ class MatchReport:
         """Number of edge labels that turned out wrong (corrected or missing)."""
         return sum(1 for match in self.matches if not match.was_correct)
 
-    @property
-    def all_correct(self) -> bool:
-        """True when every edge label was confirmed and nothing was missed."""
-        return self.corrections_needed == 0 and not self.unmatched_cloud
-
 
 def _box_rows(detections: Sequence[Detection]) -> list[tuple]:
     """Unpack detections into ``(x_min, y_min, x_max, y_max, area, name)`` rows."""

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.detection.geometry import BoundingBox
-from repro.detection.labels import Detection, LabelSet
+from repro.detection.labels import LabelSet
 
 from helpers import make_detection, make_label_set
 
@@ -56,25 +55,3 @@ class TestLabelSet:
     def test_filter_confidence_keeps_boundary(self):
         labels = make_label_set(0, make_detection("a", confidence=0.5))
         assert labels.filter_confidence(0.5).names() == ["a"]
-
-    def test_filter_names(self):
-        labels = make_label_set(0, make_detection("dog"), make_detection("cat"))
-        assert labels.filter_names({"dog"}).names() == ["dog"]
-
-    def test_best_by_confidence(self):
-        labels = make_label_set(
-            0, make_detection("low", confidence=0.3), make_detection("high", confidence=0.8)
-        )
-        assert labels.best_by_confidence().name == "high"
-
-    def test_best_of_empty_is_none(self):
-        assert LabelSet(frame_id=0).best_by_confidence() is None
-
-    def test_closest_to_center(self):
-        centered = Detection("center", 0.5, BoundingBox(600, 330, 680, 390))
-        corner = Detection("corner", 0.5, BoundingBox(0, 0, 50, 50))
-        labels = make_label_set(0, corner, centered)
-        assert labels.closest_to_center(1280, 720).name == "center"
-
-    def test_closest_to_center_empty_is_none(self):
-        assert LabelSet(frame_id=0).closest_to_center(1280, 720) is None

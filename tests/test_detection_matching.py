@@ -17,7 +17,6 @@ class TestMatchLabels:
         assert match.outcome is MatchOutcome.CONFIRMED
         assert match.was_correct
         assert match.corrected_label is match.edge
-        assert report.all_correct
 
     def test_corrected_when_names_disagree(self):
         edge = make_label_set(0, make_detection("dog", x=100))
@@ -46,7 +45,6 @@ class TestMatchLabels:
         )
         report = match_labels(edge, cloud)
         assert len(report.unmatched_cloud) == 1
-        assert not report.all_correct
 
     def test_best_overlap_wins_when_multiple_candidates(self):
         edge = make_label_set(0, make_detection("person", x=100, y=100, size=50))
