@@ -21,8 +21,8 @@ runner, and renders the returned
 axes are declared on the spec's own fields (their ``flag`` metadata):
 ``cluster`` and ``scenario`` generate their arguments from those
 declarations and apply them in one loop, ``run`` reads its
-``--consistency`` off the same two, and the values
-are validated by the spec (hence by the subsystem configs), never here.
+``--consistency`` off the same declaration, and the values are
+validated by the spec (hence by the subsystem configs), never here.
 The text of an optional subsystem's report block is rendered by the code
 that builds the block.  Every command accepts
 ``--json`` (emit the machine-readable report instead of tables) and
