@@ -91,6 +91,17 @@ class TestParser:
         assert args.json is False
         assert args.output is None
 
+    def test_txn_policy_is_a_cluster_flag_only(self, capsys):
+        """The commit policy changes nothing a single-edge run reports, so
+        ``run`` refuses the flag while ``cluster`` and ``scenario`` take it."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--txn-policy", "batched-2pc"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --txn-policy" in capsys.readouterr().err
+        for command in ("cluster", "scenario"):
+            args = build_parser().parse_args([command, "--txn-policy", "batched-2pc"])
+            assert args.transaction_policy == "batched-2pc"
+
     def test_unknown_video_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--video", "v99"])

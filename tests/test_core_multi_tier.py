@@ -4,8 +4,9 @@ import hashlib
 
 import pytest
 
-from repro.core.multi_tier import MultiTierPipeline, TierSpec
+from repro.core.multi_tier import MultiTierPipeline, MultiTierResult, TierSpec
 from repro.core.thresholds import ThresholdPolicy
+from repro.detection.matching import match_labels
 from repro.detection.metrics import evaluate_detections
 from repro.detection.profiles import (
     CLOUD_YOLOV3_320,
@@ -53,10 +54,14 @@ CASCADE_PINS = {
 }
 
 
-def _cascade_digest(name: str) -> str:
-    result = MultiTierPipeline(EXAMPLE_CASCADES[name], seed=7).run(
+def _run_example(name: str, seed: int = 7):
+    return MultiTierPipeline(EXAMPLE_CASCADES[name], seed=seed).run(
         make_video("v2", num_frames=20, seed=7)
     )
+
+
+def _cascade_digest(name: str, seed: int = 7) -> str:
+    result = _run_example(name, seed)
     digest = hashlib.sha256()
     for trace, report in zip(result.traces, result.accuracy_reports):
         row = (
@@ -103,6 +108,55 @@ def _three_tiers(forward_everything: bool = False) -> list[TierSpec]:
 def test_example_cascade_pin(name):
     """Each frame's tiers, forwarding, corrections, latencies and counts."""
     assert _cascade_digest(name) == CASCADE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CASCADES))
+class TestExampleCascades:
+    def test_each_frame_draws_the_last_tier_once(self, name, monkeypatch):
+        pipeline = MultiTierPipeline(EXAMPLE_CASCADES[name], seed=7)
+        last = pipeline._detectors[-1]
+        draws = []
+        detect = last.detect
+
+        def counting_detect(frame):
+            draws.append(frame.frame_id)
+            return detect(frame)
+
+        monkeypatch.setattr(last, "detect", counting_detect)
+        result = pipeline.run(make_video("v2", num_frames=20, seed=7))
+        assert draws == [trace.frame_id for trace in result.traces]
+
+    def test_every_tier_but_the_last_visited_forwards(self, name):
+        for trace in _run_example(name).traces:
+            assert all(tier.forwarded for tier in trace.tiers[:-1])
+            assert not trace.tiers[-1].forwarded
+
+    def test_latencies_accumulate_tier_by_tier(self, name):
+        for trace in _run_example(name).traces:
+            assert trace.tiers[0].transfer_latency == 0.0
+            assert trace.initial_latency == trace.tiers[0].detection_latency
+            elapsed = 0.0
+            for tier in trace.tiers:
+                elapsed += tier.transfer_latency + tier.detection_latency
+            assert trace.final_latency == elapsed
+
+    def test_transfer_is_the_uplink_time_of_the_frame(self, name):
+        specs = EXAMPLE_CASCADES[name]
+        sizes = {
+            frame.frame_id: frame.size_bytes
+            for frame in make_video("v2", num_frames=20, seed=7).frames()
+        }
+        for trace in _run_example(name).traces:
+            for spec, tier in zip(specs[1:], trace.tiers[1:]):
+                assert tier.tier == spec.name
+                assert tier.transfer_latency == spec.uplink.transfer_time(sizes[trace.frame_id])
+
+    def test_corrections_count_the_mismatches_with_the_tier_below(self, name):
+        for trace in _run_example(name).traces:
+            assert trace.tiers[0].corrections == 0
+            for below, tier in zip(trace.tiers, trace.tiers[1:]):
+                expected = match_labels(below.labels, tier.labels, min_overlap=0.10)
+                assert tier.corrections == expected.corrections_needed
 
 
 class TestMultiTierPipeline:
@@ -164,6 +218,28 @@ class TestMultiTierPipeline:
         assert full
         for trace, report in full:
             assert report == evaluate_detections(trace.observed_labels, trace.tiers[-1].labels)
+
+    def test_a_frame_that_stops_at_the_first_tier_observes_its_labels(self):
+        result = MultiTierPipeline(_three_tiers(), seed=3).run(
+            make_video("v2", num_frames=30, seed=3)
+        )
+        stopped = [trace for trace in result.traces if trace.tiers_visited == 1]
+        assert stopped
+        for trace in stopped:
+            assert trace.observed_labels is trace.tiers[0].labels
+            assert trace.final_latency == trace.initial_latency
+
+    def test_the_seed_alone_decides_the_run(self):
+        assert _cascade_digest("three-tier", seed=11) == _cascade_digest("three-tier", seed=11)
+        assert _cascade_digest("three-tier", seed=11) != _cascade_digest("three-tier", seed=7)
+
+    def test_an_empty_result_reports_zero(self):
+        result = MultiTierResult()
+        assert result.num_frames == 0
+        assert result.average_initial_latency == 0.0
+        assert result.average_final_latency == 0.0
+        assert result.average_tiers_visited == 0.0
+        assert result.forwarding_ratio(0) == 0.0
 
     def test_average_tiers_visited_between_bounds(self):
         pipeline = MultiTierPipeline(_three_tiers(), seed=3)

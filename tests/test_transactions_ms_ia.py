@@ -69,6 +69,24 @@ class TestMSIAController:
         with pytest.raises(SectionOrderError):
             controller.process_final(_simple_transaction("t1"))
 
+    def test_cannot_process_initial_twice(self, store):
+        controller = MSIAController(store)
+        txn = _simple_transaction("t1")
+        controller.process_initial(txn)
+        with pytest.raises(SectionOrderError):
+            controller.process_initial(txn)
+        # The refused repeat did not increment the counter a second time.
+        assert store.read("x") == 1
+
+    def test_cannot_process_final_twice(self, store):
+        controller = MSIAController(store)
+        txn = _simple_transaction("t1")
+        controller.process_initial(txn)
+        controller.process_final(txn)
+        with pytest.raises(SectionOrderError):
+            controller.process_final(txn)
+        assert txn.is_committed
+
     def test_apology_recorded_on_transaction(self, store):
         controller = MSIAController(store)
 

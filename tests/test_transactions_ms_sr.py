@@ -148,6 +148,15 @@ class TestTwoStage2PL:
         with pytest.raises(SectionOrderError):
             controller.process_initial(txn)
 
+    def test_cannot_process_final_twice(self, store):
+        controller = TwoStage2PL(store)
+        txn = _increment_transaction("t1")
+        controller.process_initial(txn)
+        controller.process_final(txn)
+        with pytest.raises(SectionOrderError):
+            controller.process_final(txn)
+        assert store.read("x") == 1
+
     def test_history_satisfies_ms_sr(self, store):
         history = History()
         controller = TwoStage2PL(store, history=history)
