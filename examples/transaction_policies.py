@@ -21,7 +21,7 @@ Run with::
 """
 
 from repro.analysis.tables import format_table
-from repro.experiments import ScenarioSpec, Sweep, run
+from repro.experiments import ScenarioSpec, Sweep
 from repro.transactions.policy import TXN_POLICIES
 
 
@@ -87,12 +87,6 @@ def main() -> None:
     print(f"\nbatching cut coordinator round trips per cross-edge transaction by {saved:.0%};")
     print(f"async 2PC hid {async_2pc.overlap_saved_ms:.1f} ms of prepare latency "
           "under cloud validation.")
-
-    # The same policies also run on a single-edge deployment (where
-    # everything is local, so the coordinator has nothing to do).
-    single = run(ScenarioSpec(video="v1", frames=20, seed=7, transaction_policy="batched-2pc"))
-    print(f"\nsingle-edge sanity check under batched-2pc: F-score {single.f_score:.3f}, "
-          f"{single.coordinator_round_trips} coordinator round trips (all partitions local)")
 
 
 if __name__ == "__main__":

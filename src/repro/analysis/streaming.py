@@ -10,18 +10,15 @@ per-frame objects with plain counters and the accumulators below:
   configurable buffer size, then a deterministic log-spaced histogram
   with a bounded relative error.  Memory stays O(buffer + buckets)
   however many samples arrive.
-* :class:`RingBuffer` — a fixed-capacity ``array('d')`` window of the
-  most recent samples, for tail diagnostics that want raw values.
 
-Both are deterministic: identical sample sequences produce
-identical state, so seeded fast-path runs remain reproducible.
+It is deterministic: identical sample sequences produce identical
+state, so seeded fast-path runs remain reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable, Iterator
 
 
 class QuantileAccumulator:
@@ -134,50 +131,3 @@ class QuantileAccumulator:
                 value = math.exp((index + 1) * self._log_step)
                 return min(max(value, self._min), self._max)
         return self._max
-
-    @property
-    def is_exact(self) -> bool:
-        """True while percentiles are still exact (buffer not yet spilled)."""
-        return self._exact is not None
-
-
-class RingBuffer:
-    """Fixed-capacity window of the most recent float samples."""
-
-    __slots__ = ("capacity", "_buffer", "_next", "_full")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be at least 1, got {capacity}")
-        self.capacity = capacity
-        self._buffer = array("d")
-        self._next = 0
-        self._full = False
-
-    def append(self, value: float) -> None:
-        if self._full:
-            self._buffer[self._next] = value
-            self._next = (self._next + 1) % self.capacity
-        else:
-            self._buffer.append(value)
-            if len(self._buffer) == self.capacity:
-                self._full = True
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def __iter__(self) -> Iterator[float]:
-        """Samples in insertion order (oldest retained first)."""
-        if self._full:
-            yield from self._buffer[self._next :]
-            yield from self._buffer[: self._next]
-        else:
-            yield from self._buffer
-
-    def values(self) -> list[float]:
-        """The retained window as a list, oldest first."""
-        return list(self)
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.append(value)

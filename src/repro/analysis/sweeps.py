@@ -12,13 +12,8 @@ accessor style introduced here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.core.optimizer import ThresholdEvaluator, ThresholdScore
-
-#: Decimal places threshold grid values are rounded to for indexing;
-#: matches the evaluator's own cache-key rounding.
-_GRID_DECIMALS = 6
 
 
 @dataclass(frozen=True)
@@ -27,25 +22,6 @@ class ThresholdSweep:
 
     step: float
     scores: tuple[ThresholdScore, ...]
-
-    @cached_property
-    def _index(self) -> dict[tuple[float, float], ThresholdScore]:
-        """Scores keyed by rounded (lower, upper), so lookups are O(1)."""
-        return {
-            (round(score.lower, _GRID_DECIMALS), round(score.upper, _GRID_DECIMALS)): score
-            for score in self.scores
-        }
-
-    def grid_values(self) -> list[float]:
-        """Sorted distinct threshold values in the sweep."""
-        values = sorted({score.lower for score in self.scores} | {score.upper for score in self.scores})
-        return values
-
-    def score_at(self, lower: float, upper: float) -> ThresholdScore | None:
-        """Score of one pair, or None when the pair was not in the sweep."""
-        return self._index.get(
-            (round(lower, _GRID_DECIMALS), round(upper, _GRID_DECIMALS))
-        )
 
     def heatmap(self, metric: str) -> dict[tuple[float, float], float]:
         """Mapping of (θL, θU) to a metric (``"bu"`` or ``"f_score"``)."""

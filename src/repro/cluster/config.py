@@ -18,6 +18,7 @@ from repro.core.adaptive import ADAPTATION_MODES
 from repro.core.config import CroesusConfig
 from repro.geo.system import GeoConfig
 from repro.sim.engine import Server
+from repro.transactions.policy import TXN_POLICIES
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,14 @@ class ClusterConfig:
         Run every server on the preserved pre-optimization
         :class:`~repro.sim.engine.ReferenceServer` implementation.  The
         scale-stress benchmark's yardstick; requires ``record_frames``.
-
-    The commit policy of the consistency layer comes from
-    ``base.transaction_policy`` (see
-    :data:`repro.transactions.policy.TXN_POLICIES`).
+    transaction_policy:
+        Commit policy of every replica's consistency layer (see
+        :data:`repro.transactions.policy.TXN_POLICIES`): the default
+        ``"immediate-2pc"`` runs every atomic-commitment round
+        synchronously, ``"batched-2pc"`` amortises coordinator round
+        trips over per-window batches, and ``"async-2pc"`` overlaps the
+        prepare phase with cloud validation.  Only a cluster has remote
+        participants, so only a cluster has a commit policy.
     """
 
     base: CroesusConfig = field(default_factory=CroesusConfig)
@@ -135,6 +140,7 @@ class ClusterConfig:
     failure_outage_s: float = 1.0
     record_frames: bool = True
     reference_engine: bool = False
+    transaction_policy: str = "immediate-2pc"
     #: Replicas per partition: 1 (the default) keeps the single-owner
     #: behaviour bit-for-bit; ``k >= 2`` gives every partition ``k - 1``
     #: warm backups fed by log shipping, and a crashed primary's
@@ -167,6 +173,12 @@ class ClusterConfig:
             raise ValueError(
                 "reference_engine requires record_frames=True (the reference "
                 "implementation is the full-recording pre-optimization path)"
+            )
+        if self.transaction_policy not in TXN_POLICIES:
+            known = ", ".join(TXN_POLICIES)
+            raise ValueError(
+                f"unknown transaction_policy {self.transaction_policy!r}; "
+                f"known policies: {known}"
             )
         if self.num_edges < 1:
             raise ValueError("num_edges must be at least 1")
@@ -288,11 +300,10 @@ class ClusterConfig:
                     "regions > 1 places streams region-first, so the router must "
                     f"be 'round-robin'; got {self.router_policy!r}"
                 )
-            if self.base.transaction_policy != "immediate-2pc":
+            if self.transaction_policy != "immediate-2pc":
                 raise ValueError(
                     "regions > 1 stacks the cross-region commit variants on "
-                    "immediate-2pc; got transaction_policy="
-                    f"{self.base.transaction_policy!r}"
+                    f"immediate-2pc; got transaction_policy={self.transaction_policy!r}"
                 )
             if self.replication_factor > 1:
                 raise ValueError("regions > 1 does not replicate partitions yet")

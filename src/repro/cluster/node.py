@@ -13,8 +13,6 @@ implement.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.edge import EdgeNode
@@ -60,11 +58,9 @@ class EdgeReplica:
         :data:`repro.transactions.policy.TXN_POLICIES`).  The batched
         and async policies need ``coordinator_channel`` to draw their
         round-trip durations from.
-    server_factory:
-        Builds this replica's :class:`~repro.sim.engine.Server` (and the
-        fresh one of every :meth:`reset_run_state`): the cluster's one
-        choice of admission discipline, wait-statistics retention and
-        engine implementation.
+    server:
+        Finite-capacity server modelling this edge's processor: every
+        frame stage is admitted here and served for its measured cost.
     """
 
     def __init__(
@@ -83,15 +79,12 @@ class EdgeReplica:
         coordinator_channel: Channel | None = None,
         vote_channel_for=None,
         *,
-        server_factory: Callable[[], Server],
+        server: Server,
     ) -> None:
         self.edge_id = edge_id
         self.owned_partitions = frozenset(owned_partitions)
         self._store = store
-        self._server_factory = server_factory
-        #: Finite-capacity server modelling this edge's processor: every
-        #: frame stage is admitted here and served for its measured cost.
-        self.server = self._server_factory()
+        self.server = server
         self.streams: list[str] = []
 
         # The replica's consistency stack: a distributed controller over
@@ -141,15 +134,6 @@ class EdgeReplica:
         """Record that a stream was placed on this replica."""
         self.streams.append(stream_name)
 
-    def reset_run_state(self) -> None:
-        """Fresh server and stream assignments for a new cluster run."""
-        self.server = self._server_factory()
-        self.streams = []
-        # Discard frame charges, open batches, and issued prepares left
-        # over from an interrupted run; the new run must not be billed
-        # for them.
-        self.policy.reset()
-
     def remove_stream(self, stream_name: str) -> None:
         """Forget a stream that migrated away from this replica."""
         if stream_name in self.streams:
@@ -198,25 +182,20 @@ class EdgeReplica:
         self.owned_partitions = self.owned_partitions | {partition_id}
         self.policy.update_owned(self.owned_partitions)
 
-    def transaction_partition_counts(
-        self, exclude: frozenset[str] = frozenset()
-    ) -> tuple[int, int, int]:
+    def transaction_partition_counts(self) -> tuple[int, int, int]:
         """Partition-span accounting over this replica's transactions.
 
         Returns ``(total, cross_edge, multi_partition)`` where
         ``cross_edge`` counts transactions that touched at least one
         partition owned by another replica and ``multi_partition`` those
-        whose 2PC rounds spanned more than one partition.  Transaction
-        ids in ``exclude`` (e.g. from an earlier run) are skipped.
+        whose 2PC rounds spanned more than one partition.
         """
-        total = cross_edge = multi_partition = 0
+        touched_by_txn = self.controller.partitions_touched()
+        cross_edge = multi_partition = 0
         owned = self.owned_partitions
-        for txn_id, touched in self.controller.partitions_touched().items():
-            if txn_id in exclude:
-                continue
-            total += 1
+        for touched in touched_by_txn.values():
             if not touched <= owned:
                 cross_edge += 1
             if len(touched) > 1:
                 multi_partition += 1
-        return total, cross_edge, multi_partition
+        return len(touched_by_txn), cross_edge, multi_partition

@@ -237,13 +237,8 @@ class ReplicationManager:
         return tuple(self._groups[pid] for pid in sorted(self._groups))
 
     def begin_run(self, engine) -> None:
-        """Bind the run's engine and zero the per-run shipping stats."""
+        """Bind the run's engine."""
         self._engine = engine
-        self.records_shipped = 0
-        self.appends = 0
-        self.shipped_appends = 0
-        self.lag_s = 0.0
-        self.ack_wait_s = 0.0
 
     # -- shipping ------------------------------------------------------------
     def ship(self, partition_id: int, record: LogRecord, now: float) -> None:

@@ -159,8 +159,6 @@ class _RunState(PipelineState):
     (:class:`~repro.core.pipeline.PipelineState`) plus the cluster's own
     placement, failure and re-sharding bookkeeping."""
 
-    #: Controller/policy counters before the run (a run reports only its own work).
-    baseline: tuple = ()
     #: Placement-time home edge of every stream, in admission order.
     placements: dict[str, int] = field(default_factory=dict)
     #: The run's frame body (see :func:`~repro.core.pipeline.frame_pipeline`).
@@ -194,6 +192,7 @@ class ClusterSystem:
 
     def __init__(self, config: ClusterConfig, bank_factory: BankFactory | None = None) -> None:
         self.config = config
+        self._ran = False
         base = config.base
         self.rngs = RngRegistry(base.seed)
         self.policy = ThresholdPolicy(base.lower_threshold, base.upper_threshold)
@@ -246,14 +245,12 @@ class ClusterSystem:
                 consistency=consistency,
                 min_confidence=base.min_confidence,
                 match_overlap=base.match_overlap,
-                transaction_policy=base.transaction_policy,
+                transaction_policy=config.transaction_policy,
                 coordinator_channel=self._coordinator_channels[edge_id],
                 vote_channel_for=partial(
                     _vote_channel, self._partition_home, self._coordinator_channels
                 ),
-                server_factory=partial(
-                    _make_server, config, 1, f"edge-{edge_id}", config.edge_discipline
-                ),
+                server=_make_server(config, 1, f"edge-{edge_id}", config.edge_discipline),
             )
             self.replicas.append(replica)
             self._client_edge.append(
@@ -360,15 +357,8 @@ class ClusterSystem:
         Streams are placed on edges by the configured router and each
         gets one arrival driver, phase-shifted against the others (what
         a frame then does is :mod:`repro.core.pipeline`'s business).
-        Each call starts from fresh servers and reports only its own
-        transactions; note that reusing a system continues the random
-        streams, so build a fresh
-        :class:`ClusterSystem` when two runs must reproduce each other
-        bit for bit.  The *durable* state — the partitioned store and
-        its write-ahead logs — intentionally persists across runs: a
-        crash in a later run recovers everything earlier runs committed,
-        so that run's replay metrics cover the accumulated log tail, and
-        a re-shard that already ran is a no-op the second time.
+        A system runs once: a second :meth:`run` or :meth:`run_open_loop`
+        raises, so build a fresh :class:`ClusterSystem` for each run.
         """
         if not streams:
             raise ValueError("need at least one stream")
@@ -417,13 +407,14 @@ class ClusterSystem:
 
     # -- shared run setup ---------------------------------------------------
     def _begin_run(self, traffic: TrafficConfig | None = None) -> "_RunState":
-        """Fresh execution state over clean servers.
+        """The run's execution state (a system runs once).
 
         ``traffic`` switches on the open-loop controls (admission, the
         apology-budgeted shedder, offered/admitted accounting).
         """
-        for replica in self.replicas:
-            replica.reset_run_state()
+        if self._ran:
+            raise RuntimeError("a ClusterSystem runs once; build a fresh system for another run")
+        self._ran = True
         state = _RunState(
             engine=Engine(),
             cloud_server=_make_server(self.config, self.config.cloud_servers, "cloud"),
@@ -432,7 +423,6 @@ class ClusterSystem:
                 if self.config.record_frames
                 else StatsSink("croesus-cluster", FrameStatsAccumulator())
             ),
-            baseline=self._pre_snapshot(),
             frames_on_edge=[0] * len(self.replicas),
             failed=[False] * len(self.replicas),
             wake_at=[0.0] * len(self.replicas),
@@ -538,16 +528,6 @@ class ClusterSystem:
             base_policy=self.policy,
             match_overlap=config.base.match_overlap,
         )
-
-    def _pre_snapshot(self):
-        """Snapshot controller state so a run reports only its own work."""
-        pre_stats = [
-            (r.stats.initial_commits, r.stats.final_commits, r.stats.aborts)
-            for r in self.replicas
-        ]
-        pre_records = [frozenset(r.controller.partitions_touched()) for r in self.replicas]
-        pre_policy = [r.policy.policy_stats.snapshot() for r in self.replicas]
-        return pre_stats, pre_records, pre_policy, self.store.failure_aborts
 
     def _spawn_run_processes(self, state: "_RunState", horizon: float) -> None:
         """Spawn the failure/reshard/checkpoint/adaptation processes of one
@@ -992,21 +972,16 @@ class ClusterSystem:
 
     # -- result assembly ----------------------------------------------------
     def _collect(self, state: _RunState) -> ClusterRunResult:
-        pre_stats, pre_records, pre_policy, pre_failure_aborts = state.baseline
         stats = ControllerStats()
         policy_stats = PolicyStats()
         total = cross_edge = multi_partition = 0
         edges: list[EdgeMetrics] = []
-        for replica, (initial0, final0, aborts0), seen, policy0 in zip(
-            self.replicas, pre_stats, pre_records, pre_policy
-        ):
-            stats.initial_commits += replica.stats.initial_commits - initial0
-            stats.final_commits += replica.stats.final_commits - final0
-            stats.aborts += replica.stats.aborts - aborts0
-            policy_stats.accumulate(replica.policy.policy_stats.since(policy0))
-            replica_total, replica_cross, replica_multi = (
-                replica.transaction_partition_counts(exclude=seen)
-            )
+        for replica in self.replicas:
+            stats.initial_commits += replica.stats.initial_commits
+            stats.final_commits += replica.stats.final_commits
+            stats.aborts += replica.stats.aborts
+            policy_stats.accumulate(replica.policy.policy_stats)
+            replica_total, replica_cross, replica_multi = replica.transaction_partition_counts()
             total += replica_total
             cross_edge += replica_cross
             multi_partition += replica_multi
@@ -1051,8 +1026,7 @@ class ClusterSystem:
             recovery_time_s=replay,
             wal_records_replayed=records,
             transactions_replayed=transactions,
-            txns_aborted_by_failure=len(state.aborted_txns)
-            + (self.store.failure_aborts - pre_failure_aborts),
+            txns_aborted_by_failure=len(state.aborted_txns) + self.store.failure_aborts,
             checkpoints=state.checkpoints,
             traffic=state.traffic,
             batch_flushes=tuple(state.flushes),

@@ -46,10 +46,6 @@ class Client:
     def responses(self) -> tuple[ClientResponse, ...]:
         return tuple(self._responses)
 
-    def responses_for(self, frame_id: int) -> tuple[ClientResponse, ...]:
-        """Responses rendered for one frame, in arrival order."""
-        return tuple(r for r in self._responses if r.frame_id == frame_id)
-
     @property
     def apologies(self) -> tuple[str, ...]:
         """All apologies the client ever received."""

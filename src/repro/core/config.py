@@ -7,7 +7,6 @@ from enum import Enum
 
 from repro.detection.profiles import CLOUD_YOLOV3_416, EDGE_TINY_YOLOV3, ModelProfile
 from repro.network.topology import EdgeCloudTopology
-from repro.transactions.policy import TXN_POLICIES
 
 
 class ConsistencyLevel(Enum):
@@ -39,16 +38,6 @@ class CroesusConfig:
         for the F-score ground-truth matching (the paper's 10%).
     consistency:
         MS-SR or MS-IA (the default, as in the paper's experiments).
-    transaction_policy:
-        Commit policy of the consistency layer (see
-        :data:`repro.transactions.policy.TXN_POLICIES`): the default
-        ``"immediate-2pc"`` runs every atomic-commitment round
-        synchronously (the legacy behaviour), ``"batched-2pc"``
-        amortises coordinator round trips over per-window batches, and
-        ``"async-2pc"`` overlaps the prepare phase with cloud
-        validation.  One edge has no remote participant, so on this
-        deployment every policy runs as ``"immediate-2pc"`` does (see
-        :class:`~repro.core.system.CroesusSystem`).
     operations_per_transaction:
         YCSB-A transaction size (6 in the paper).
     enable_feedback:
@@ -67,7 +56,6 @@ class CroesusConfig:
     min_confidence: float = 0.05
     match_overlap: float = 0.10
     consistency: ConsistencyLevel = ConsistencyLevel.MS_IA
-    transaction_policy: str = "immediate-2pc"
     operations_per_transaction: int = 6
     enable_feedback: bool = False
     seed: int = 0
@@ -86,12 +74,6 @@ class CroesusConfig:
             raise ValueError("operations_per_transaction must be at least 2")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.transaction_policy not in TXN_POLICIES:
-            known = ", ".join(TXN_POLICIES)
-            raise ValueError(
-                f"unknown transaction_policy {self.transaction_policy!r}; "
-                f"known policies: {known}"
-            )
 
     def with_thresholds(self, lower: float, upper: float) -> "CroesusConfig":
         """Copy of this config with a different threshold pair."""

@@ -117,15 +117,17 @@ class EdgeNode:
         self._match_overlap = match_overlap
         self.feedback = CorrectionMemory() if enable_feedback else None
         self.smoother = TemporalSmoother() if enable_feedback else None
-        self.store = KeyValueStore()
-        self.locks = LockManager()
         # All transaction processing goes through the policy seam: when no
         # policy is given, the node builds the consistency level's plain
-        # controller behind the default immediate policy — bit-for-bit the
-        # legacy behaviour.  A caller-supplied policy (a distributed
-        # controller behind batched/async 2PC, say) replaces the whole
-        # stack; the node keeps delegating blindly either way.
+        # controller over its own store and lock manager behind the default
+        # immediate policy.  A caller-supplied policy (a cluster replica's
+        # distributed controller over the shared partitions) replaces the
+        # whole stack; the node keeps delegating blindly either way.
+        #: The node's own store and lock manager (``None`` under a supplied policy).
+        self.store: KeyValueStore | None = None
+        self.locks: LockManager | None = None
         if policy is None:
+            self.store, self.locks = KeyValueStore(), LockManager()
             if consistency == "ms-sr":
                 controller: TwoStage2PL | MSIAController = TwoStage2PL(
                     self.store, self.locks, history=history

@@ -156,6 +156,11 @@ class MultiTierPipeline:
             )
             for index, tier in enumerate(tiers)
         ]
+        #: The forwarding policy of every tier but the last (validate any
+        #: label below 0.999 when a tier names none).
+        self._forward_policies = [
+            tier.policy or ThresholdPolicy(0.0, 0.999) for tier in self.tiers[:-1]
+        ]
 
     # -- public API ---------------------------------------------------------
     def run(self, video: SyntheticVideo) -> MultiTierResult:
@@ -197,10 +202,7 @@ class MultiTierPipeline:
                 observed = LabelSet(frame.frame_id, tuple(corrected), model_name=f"tier-{index}")
 
             is_last = index == len(self.tiers) - 1
-            forward = False
-            if not is_last:
-                policy = tier.policy or ThresholdPolicy(0.0, 0.999)
-                forward = policy.should_validate(labels)
+            forward = not is_last and self._forward_policies[index].should_validate(labels)
             tier_traces.append(
                 TierTrace(
                     tier=tier.name,

@@ -253,10 +253,6 @@ class RunResult:
         return sum(1 for trace in self.traces if trace.sent_to_cloud) / len(self.traces)
 
     @property
-    def bytes_sent_to_cloud(self) -> int:
-        return sum(trace.frame_bytes_sent for trace in self.traces)
-
-    @property
     def accuracy(self) -> AccuracyReport:
         """Corpus-level precision/recall/F-score of the client's view."""
         return aggregate_reports([trace.accuracy for trace in self.traces])

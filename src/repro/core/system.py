@@ -59,12 +59,8 @@ class CroesusSystem:
         default) keeps the static configured thresholds and builds no
         adaptation machinery at all.
 
-    Every ``config.transaction_policy`` runs the edge node's single-node
-    MS-SR / MS-IA controller behind the immediate policy.  A commit
-    policy only schedules the coordinator's messages to *remote*
-    participants, and one edge owns every key, so no round has one:
-    batched and async 2PC would report what immediate 2PC reports.  The
-    policy is still echoed in the report.
+    A system runs once: a second :meth:`run` raises, so build a fresh
+    :class:`CroesusSystem` for each video.
     """
 
     def __init__(
@@ -75,8 +71,9 @@ class CroesusSystem:
     ) -> None:
         self.config = config
         self.adaptation_config = adaptation
-        #: Controllers of the most recent run (``None`` before the first
-        #: adaptive run, or when adaptation is off).
+        self._ran = False
+        #: Controllers of the run (``None`` before it, or when adaptation
+        #: is off).
         self.last_adaptation: AdaptationManager | None = None
         self.rngs = RngRegistry(config.seed)
         self.history = History()
@@ -122,13 +119,11 @@ class CroesusSystem:
         The client's initial and final responses are rendered to
         ``client`` when one is passed; by default none is built, since
         nothing would read them.
-
-        Each call starts from a clean slate: the transaction history is
-        cleared so repeated ``run()`` invocations on one system do not
-        accumulate records across runs.
         """
-        self.history.clear()
-        # Fresh per-run controllers, or none when adaptation is off.
+        if self._ran:
+            raise RuntimeError("a CroesusSystem runs once; build a fresh system for another run")
+        self._ran = True
+        # The run's threshold controllers, or none when adaptation is off.
         self.last_adaptation = (
             None
             if self.adaptation_config is None

@@ -55,17 +55,6 @@ class ThresholdPolicy:
             return ConfidenceInterval.KEEP
         return ConfidenceInterval.VALIDATE
 
-    def classify_labels(self, labels: LabelSet) -> dict[ConfidenceInterval, list[Detection]]:
-        """Partition a label set by interval."""
-        partition: dict[ConfidenceInterval, list[Detection]] = {
-            ConfidenceInterval.DISCARD: [],
-            ConfidenceInterval.VALIDATE: [],
-            ConfidenceInterval.KEEP: [],
-        }
-        for detection in labels:
-            partition[self.classify(detection.confidence)].append(detection)
-        return partition
-
     def partition(self, labels: LabelSet) -> tuple[Sequence[int], bool]:
         """Surviving rows and the sent bit from ONE pass over a frame's labels.
 
@@ -110,11 +99,3 @@ class ThresholdPolicy:
             if self.classify(detection.confidence) is not ConfidenceInterval.DISCARD
         )
         return LabelSet(labels.frame_id, kept, labels.model_name)
-
-    @property
-    def validate_width(self) -> float:
-        """Width of the validate interval."""
-        return self.upper - self.lower
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lower, self.upper)

@@ -8,11 +8,11 @@ the same code paths as with a real CNN.
 """
 
 from repro.detection.feedback import CorrectionMemory, TemporalSmoother
-from repro.detection.geometry import BoundingBox, iou, overlap_ratio
+from repro.detection.geometry import BoundingBox, overlap_ratio
 from repro.detection.labels import Detection, LabelSet
 from repro.detection.matching import LabelMatch, MatchOutcome, match_labels
 from repro.detection.metrics import AccuracyReport, evaluate_detections, f_score
-from repro.detection.models import DetectionModel, SimulatedDetector
+from repro.detection.models import SimulatedDetector
 from repro.detection.profiles import (
     CLOUD_YOLOV3_320,
     CLOUD_YOLOV3_416,
@@ -25,7 +25,6 @@ __all__ = [
     "CorrectionMemory",
     "TemporalSmoother",
     "BoundingBox",
-    "iou",
     "overlap_ratio",
     "Detection",
     "LabelSet",
@@ -35,7 +34,6 @@ __all__ = [
     "AccuracyReport",
     "evaluate_detections",
     "f_score",
-    "DetectionModel",
     "SimulatedDetector",
     "ModelProfile",
     "EDGE_TINY_YOLOV3",

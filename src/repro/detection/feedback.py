@@ -153,7 +153,3 @@ class TemporalSmoother:
             majority = max(dict.fromkeys(names), key=names.count)
             smoothed.append(detection.with_name(majority))
         return LabelSet(labels.frame_id, tuple(smoothed), labels.model_name)
-
-    def tracked_objects(self) -> int:
-        """Number of distinct objects seen so far."""
-        return len(self._history)

@@ -82,25 +82,6 @@ class BoundingBox:
             min(max(self.y_max, 0.0), height),
         )
 
-    def distance_to_point(self, x: float, y: float) -> float:
-        """Euclidean distance from the box center to ``(x, y)``.
-
-        Used by the room-reservation task to pick the label closest to the
-        center of the frame.
-        """
-        cx, cy = self.center
-        return ((cx - x) ** 2 + (cy - y) ** 2) ** 0.5
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes, in [0, 1]."""
-    inter = a.intersection(b)
-    if inter == 0.0:
-        return 0.0
-    union = a.area + b.area - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
 
 
 def overlap_ratio(a: BoundingBox, b: BoundingBox) -> float:

@@ -22,8 +22,6 @@ detector reproduces the accuracy/performance trade-off the paper studies.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
 
 from repro.detection.geometry import BoundingBox
@@ -32,17 +30,6 @@ from repro.detection.profiles import ModelProfile
 from repro.video.frames import Frame
 from repro.video.scene import SceneObject
 
-
-class DetectionModel(Protocol):
-    """Anything that can turn a frame into labels with a latency."""
-
-    @property
-    def name(self) -> str:  # pragma: no cover - protocol
-        ...
-
-    def detect(self, frame: Frame) -> tuple[LabelSet, float]:
-        """Return ``(labels, inference_latency_seconds)`` for a frame."""
-        ...  # pragma: no cover - protocol
 
 
 class SimulatedDetector:

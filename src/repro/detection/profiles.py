@@ -72,20 +72,6 @@ class ModelProfile:
         if self.false_positive_rate < 0:
             raise ValueError("false_positive_rate must be non-negative")
 
-    def scaled_latency(self, factor: float) -> "ModelProfile":
-        """Return a profile whose latency is multiplied by ``factor``.
-
-        Used to model weaker machines (t3a.small has 2 vCPUs instead of 4,
-        so edge inference roughly doubles).
-        """
-        if factor <= 0:
-            raise ValueError("latency scale factor must be positive")
-        return replace(
-            self,
-            inference_latency=self.inference_latency * factor,
-            latency_jitter=self.latency_jitter * factor,
-        )
-
     def with_name(self, name: str) -> "ModelProfile":
         """Return a copy renamed to ``name``."""
         return replace(self, name=name)

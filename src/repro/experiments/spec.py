@@ -479,7 +479,7 @@ class ScenarioSpec:
         )
         # Every subsystem axis is validated by the config that consumes it,
         # whether or not this deployment (or a feature's on-switch) uses it:
-        # thresholds and commit policy by CroesusConfig, topology, failures,
+        # thresholds by CroesusConfig, topology, commit policy, failures,
         # replication, adaptation and the geo tier's composition rules by
         # ClusterConfig (its geo axes by GeoConfig), the open-loop shape by
         # TrafficConfig.
@@ -599,7 +599,6 @@ def build_single_config(spec: ScenarioSpec) -> CroesusConfig:
         consistency=(
             ConsistencyLevel.MS_SR if spec.consistency == "ms-sr" else ConsistencyLevel.MS_IA
         ),
-        transaction_policy=spec.transaction_policy,
         edge_profile=MODEL_LIBRARY[spec.edge_model],
         cloud_profile=MODEL_LIBRARY[spec.cloud_model],
     )

@@ -148,7 +148,6 @@ class GeoTier:
             else None
         )
         self._ship_seq = 0
-        wan.reset()
 
     # -- geometry -----------------------------------------------------------
     def region_of_edge(self, edge_id: int) -> int:

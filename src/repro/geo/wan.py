@@ -85,8 +85,3 @@ class WanFabric:
     def transfer_count(self) -> int:
         """Transfers recorded over every WAN channel so far."""
         return sum(channel.transfer_count for channel in self._channels.values())
-
-    def reset(self) -> None:
-        """Forget the per-channel accounting (new run)."""
-        for channel in self._channels.values():
-            channel.reset()

@@ -97,10 +97,3 @@ class Channel:
     @property
     def transfer_count(self) -> int:
         return self._count
-
-    def reset(self) -> None:
-        """Forget recorded transfers (new experiment run)."""
-        if self._transfers is not None:
-            self._transfers.clear()
-        self._total_bytes = 0
-        self._count = 0

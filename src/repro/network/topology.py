@@ -114,16 +114,6 @@ class EdgeCloudTopology:
             edge_cloud_link=SAME_REGION,
         )
 
-    @classmethod
-    def all_setups(cls) -> tuple["EdgeCloudTopology", ...]:
-        """The four setups of Figure 4, in the paper's (a)-(d) order."""
-        return (
-            cls.small_edge_different_location(),
-            cls.small_edge_same_location(),
-            cls.regular_edge_different_location(),
-            cls.regular_edge_same_location(),
-        )
-
 
 @dataclass(frozen=True)
 class NetworkPath:

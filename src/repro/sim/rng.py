@@ -45,10 +45,6 @@ class RngRegistry:
             self._streams[name] = np.random.default_rng(seed_seq)
         return self._streams[name]
 
-    def reset(self) -> None:
-        """Forget all streams so the next access re-seeds them."""
-        self._streams.clear()
-
 
 def _stable_hash(name: str) -> int:
     """Hash a stream name into a non-negative 32-bit integer.

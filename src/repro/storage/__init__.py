@@ -11,7 +11,7 @@ runtime by a checkpoint-copy plus a log-shipped tail (paper §4.5).
 """
 
 from repro.storage.kvstore import KeyValueStore, RowsNotKept, Version
-from repro.storage.locks import LockManager, LockMode, LockRequestDenied
+from repro.storage.locks import LockManager, LockMode
 from repro.storage.partition import (
     Partition,
     PartitionedStore,
@@ -27,7 +27,6 @@ __all__ = [
     "Version",
     "LockManager",
     "LockMode",
-    "LockRequestDenied",
     "UndoLog",
     "UndoRecord",
     "WriteAheadLog",

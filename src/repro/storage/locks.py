@@ -42,15 +42,6 @@ class LockMode(Enum):
     EXCLUSIVE = "X"
 
 
-class LockRequestDenied(RuntimeError):
-    """Raised when a lock cannot be granted and the caller must abort/retry."""
-
-    def __init__(self, key: str, holder: str, requester: str) -> None:
-        super().__init__(f"{requester} denied lock on {key!r} held by {holder}")
-        self.key = key
-        self.holder = holder
-        self.requester = requester
-
 
 @dataclass(frozen=True)
 class LockHoldRecord:

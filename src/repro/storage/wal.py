@@ -152,15 +152,13 @@ class WriteAheadLog:
     it from the rows, and :meth:`append` builds one only for the ship
     hook (:attr:`on_append`).  :meth:`replay` replays without rendering.
 
-    Only the newest checkpoint is kept, with a count of every checkpoint
-    taken: a recovery never restores an older one, and each is a full
-    copy of the partition's state.
+    Only the newest checkpoint is kept: a recovery never restores an older
+    one, and each is a full copy of the partition's state.
     """
 
     def __init__(self) -> None:
         self._rows: list = []
         self._latest_checkpoint: Checkpoint | None = None
-        self._num_checkpoints = 0
         # Ship hook: replication (and group-commit accounting) observe every
         # append as a ``LogRecord`` without the log knowing who listens.
         # ``None`` means nobody does, which keeps the unreplicated path
@@ -205,7 +203,6 @@ class WriteAheadLog:
         """Snapshot ``state`` as covering everything up to the last LSN;
         it replaces the previous checkpoint."""
         checkpoint = self._latest_checkpoint = Checkpoint(lsn=self.last_lsn, state=dict(state))
-        self._num_checkpoints += 1
         return checkpoint
 
     # -- reading -------------------------------------------------------------
@@ -218,11 +215,6 @@ class WriteAheadLog:
     def latest_checkpoint(self) -> Checkpoint | None:
         """The newest checkpoint, or ``None`` if none was ever taken."""
         return self._latest_checkpoint
-
-    @property
-    def num_checkpoints(self) -> int:
-        """Checkpoints taken over the log's life (only the newest is kept)."""
-        return self._num_checkpoints
 
     def records_since(self, lsn: int) -> tuple[LogRecord, ...]:
         """Records with LSN strictly greater than ``lsn``, in log order.

@@ -29,7 +29,6 @@ from repro.traffic.arrivals import (
     DiurnalRate,
     FlashCrowdRate,
     TraceRate,
-    empirical_mean_interarrival,
     make_rate_curve,
     sample_stream_length,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "TrafficConfig",
     "TrafficSource",
     "TrafficStats",
-    "empirical_mean_interarrival",
     "make_admission",
     "make_rate_curve",
     "percentile",

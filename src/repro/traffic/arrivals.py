@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -262,9 +262,3 @@ def sample_stream_length(
         return max(1, int(rng.geometric(1.0 / mean_frames)))
     return int(rng.integers(1, 2 * mean_frames))
 
-
-def empirical_mean_interarrival(times: Sequence[float]) -> float:
-    """Mean gap between consecutive arrival instants (test helper)."""
-    if len(times) < 2:
-        return 0.0
-    return (times[-1] - times[0]) / (len(times) - 1)

@@ -81,7 +81,7 @@ class History:
     ``record_rows(transaction_id, section, commit_time, rows)`` records a
     committed section whose operations are flat ``kind, key, value, …``
     slots (a section context's ``operation_rows``).  It is an attribute,
-    set by :meth:`clear`: the running fold's
+    set when the history is built: the running fold's
     :meth:`~repro.transactions.checker.OrderFold.add` (a section committed
     before the last raises
     :class:`~repro.transactions.exceptions.CommitOutOfOrder`), or with rows
@@ -101,10 +101,15 @@ class History:
         #: Flat ``transaction_id, section, commit_time, end`` section rows,
         #: every committed operation flat (``kind, key, value, kind, …``) and
         #: the sections rendered so far (a prefix); ``None`` without rows.
-        self._rows: list | None = [] if self.keep_rows else None
+        self._rows: list | None = None
         self._operations: list | None = None
         self._rendered: list[SectionRecord] | None = None
-        self.clear()
+        if self.keep_rows:
+            self._rows, self._operations, self._rendered = [], [], []
+            self.record_rows = partial(_append_rows, self._rows, self._operations)
+        else:
+            self._fold = OrderFold()
+            self.record_rows = self._fold.add
 
     def fold(self) -> OrderFold:
         """The check over every committed section: the running one, or for a
@@ -164,20 +169,6 @@ class History:
     def __len__(self) -> int:
         fold = self._fold
         return len(self._rows) // 4 if fold is None else fold.sections
-
-    def clear(self) -> None:
-        """Drop all recorded sections and restart the sequence.
-
-        Controllers keep a reference to the history they were built with,
-        so clearing in place (rather than swapping in a new object) starts
-        a fresh history for every component at once.
-        """
-        if self._rows is None:
-            self._fold = OrderFold()
-            self.record_rows = self._fold.add
-        else:
-            self._rows, self._operations, self._rendered = [], [], []
-            self.record_rows = partial(_append_rows, self._rows, self._operations)
 
     def transaction_ids(self) -> list[str]:
         """Distinct transaction ids in first-commit order."""

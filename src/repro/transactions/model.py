@@ -208,11 +208,6 @@ class SectionSpec:
     body: SectionBody
     rwset: ReadWriteSet = field(default_factory=ReadWriteSet)
 
-    @classmethod
-    def noop(cls) -> "SectionSpec":
-        """A section that does nothing (e.g. 'terminate' final sections)."""
-        return cls(body=lambda ctx: None, rwset=ReadWriteSet())
-
 
 class RowSection(ReadWriteSet):
     """A section that is data: two spans of its transaction's key row.
@@ -340,10 +335,6 @@ class MultiStageTransaction:
     @property
     def is_committed(self) -> bool:
         return self.status is TransactionStatus.COMMITTED
-
-    @property
-    def is_aborted(self) -> bool:
-        return self.status is TransactionStatus.ABORTED
 
     def combined_rwset(self) -> ReadWriteSet:
         """Union of the declared initial and final read/write sets.

@@ -4,12 +4,12 @@ The two-stage consistency layer used to be hard-wired code paths — the
 single-node MS-SR / MS-IA controllers and the distributed 2PC
 controllers — each invoked ad hoc by whichever system needed it.  A
 :class:`TransactionPolicy` is the one seam over them: the two section
-calls the frame body makes (``admit`` on a drafted transaction —
-``process_initial`` on a built one — and ``process_final``) plus an
-end-of-run ``commit``, all driven by the discrete-event engine
-(every call receives the engine's ``now``), with adapters wrapping the
-existing controllers so both deployments select a policy *by name*
-instead of branching on controller classes.
+calls the frame body makes (``admit`` on a drafted transaction and
+``process_final``) plus an end-of-run ``commit``, all driven by the
+discrete-event engine (every call receives the engine's ``now``), with
+adapters wrapping the existing controllers so a cluster selects its
+policy *by name* instead of branching on controller classes (one edge
+runs its controller behind the immediate policy).
 
 Three commit policies are registered (:data:`TXN_POLICIES`):
 
@@ -45,7 +45,7 @@ differing only in latency and round-trip accounting.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.network.channel import Channel
@@ -54,7 +54,7 @@ from repro.transactions.model import MultiStageTransaction
 from repro.transactions.ms_sr import ControllerStats
 
 #: The registered commit-policy names, selectable by ``ScenarioSpec``,
-#: the CLI's ``--txn-policy`` and both systems' configurations.
+#: the CLI's ``--txn-policy`` and ``ClusterConfig``.
 TXN_POLICIES = ("immediate-2pc", "batched-2pc", "async-2pc")
 
 #: Default accumulation window (seconds) of the batched coordinator.
@@ -156,31 +156,6 @@ class PolicyStats:
     log_appends: int = 0
     log_flushes: int = 0
 
-    @property
-    def round_trips_per_cross_partition_commit(self) -> float:
-        if not self.cross_partition_commits:
-            return 0.0
-        return self.coordinator_round_trips / self.cross_partition_commits
-
-    def snapshot(self) -> "PolicyStats":
-        """Frozen copy, for before/after deltas across runs."""
-        return replace(self)
-
-    def since(self, earlier: "PolicyStats") -> "PolicyStats":
-        """Stats accumulated after ``earlier`` was snapshotted."""
-        return PolicyStats(
-            coordinator_round_trips=self.coordinator_round_trips
-            - earlier.coordinator_round_trips,
-            cross_partition_commits=self.cross_partition_commits
-            - earlier.cross_partition_commits,
-            commit_batches=self.commit_batches - earlier.commit_batches,
-            coordinator_time_s=self.coordinator_time_s - earlier.coordinator_time_s,
-            overlap_saved_s=self.overlap_saved_s - earlier.overlap_saved_s,
-            prepare_vote_time_s=self.prepare_vote_time_s - earlier.prepare_vote_time_s,
-            log_appends=self.log_appends - earlier.log_appends,
-            log_flushes=self.log_flushes - earlier.log_flushes,
-        )
-
     def accumulate(self, other: "PolicyStats") -> None:
         """Accumulate ``other`` into this instance (cluster-wide totals)."""
         self.coordinator_round_trips += other.coordinator_round_trips
@@ -200,13 +175,10 @@ class TransactionPolicy:
     ``_after_final`` hooks (all called with the engine's current time)
     and :meth:`commit`.  The base class is itself a complete adapter
     that delegates sections straight to the wrapped controller, so any
-    object with the ``admit`` / ``process_initial`` / ``process_final``
-    interface — the single-node MS-SR / MS-IA controllers or the
-    distributed 2PC controllers — plugs in unchanged.
-
-    Attribute access falls through to the wrapped controller
-    (``commit_records``, ``pending_finals``, ``lock_manager``, ...), so
-    a policy can stand wherever a bare controller used to.
+    object with the ``admit`` / ``process_final`` interface — the
+    single-node MS-SR / MS-IA controllers or the distributed 2PC
+    controllers — plugs in unchanged.  Everything else of the controller
+    is reached through :attr:`controller`.
     """
 
     name = "policy"
@@ -244,7 +216,7 @@ class TransactionPolicy:
         """
         return 0
 
-    # -- controller-compatible facade ---------------------------------------
+    # -- the section calls ----------------------------------------------------
     def admit(
         self, draft: Any, labels: Any = None, now: float = 0.0
     ) -> MultiStageTransaction | None:
@@ -260,14 +232,6 @@ class TransactionPolicy:
             self._after_initial(transaction, now)
         return transaction
 
-    def process_initial(
-        self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
-    ) -> Any:
-        self._before_stage(now)
-        result = self._controller.process_initial(transaction, labels=labels, now=now)
-        self._after_initial(transaction, now)
-        return result
-
     def process_final(
         self, transaction: MultiStageTransaction, labels: Any = None, now: float = 0.0
     ) -> Any:
@@ -278,11 +242,8 @@ class TransactionPolicy:
 
     def reset(self) -> None:
         """Discard in-flight coordinator state (frame charges, open
-        batches, issued prepares) without touching the cumulative stats.
-
-        Called between runs so work left hanging by an interrupted run
-        can never flush into — and be billed to — the next one.
-        """
+        batches) without touching the cumulative stats, so work left
+        hanging when the edge fails is never billed to a later frame."""
         self._frame_charge = 0.0
         self._frame_saving = 0.0
         self._wal_deadline = None
@@ -385,7 +346,7 @@ class TransactionPolicy:
     def _after_final(self, transaction: MultiStageTransaction, now: float) -> None:
         """Hook after a committed final section (async commit charge)."""
 
-    # -- passthrough ---------------------------------------------------------
+    # -- the wrapped controller ----------------------------------------------
     @property
     def controller(self) -> Any:
         """The wrapped concurrency controller."""
@@ -395,11 +356,6 @@ class TransactionPolicy:
     def stats(self) -> ControllerStats:
         """The wrapped controller's commit/abort counters."""
         return self._controller.stats
-
-    def __getattr__(self, item: str) -> Any:
-        if item.startswith("_"):
-            raise AttributeError(item)
-        return getattr(self._controller, item)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}({self._controller!r})"
@@ -610,10 +566,6 @@ class AsyncTwoPhasePolicy(TransactionPolicy):
         self._frame_charge = 0.0
         self._frame_saving = 0.0
         return ()
-
-    def reset(self) -> None:
-        super().reset()
-        self._prepared.clear()
 
 
 def make_policy(

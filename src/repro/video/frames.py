@@ -46,11 +46,3 @@ class Frame:
             raise ValueError("frame dimensions must be positive")
         if self.size_bytes <= 0:
             raise ValueError("frame size must be positive")
-
-    @property
-    def object_count(self) -> int:
-        return len(self.objects)
-
-    def objects_of_class(self, name: str) -> tuple[SceneObject, ...]:
-        """Ground-truth objects whose class matches ``name``."""
-        return tuple(obj for obj in self.objects if obj.name == name)

@@ -114,10 +114,6 @@ class HotspotWorkload:
         """Create one batch of hotspot transactions."""
         return self.build_transactions(self.batch_size)
 
-    def build_transaction(self) -> MultiStageTransaction:
-        """Create one transaction updating random keys in the hot spot."""
-        return self.build_transactions(1)[0]
-
     def build_transactions(self, count: int) -> list[MultiStageTransaction]:
         """Create ``count`` transactions (a frame's worth) from one key draw."""
         return [draft.materialise() for draft in self.draft_transactions(count)]

@@ -144,14 +144,6 @@ class YCSBWorkload:
         #: mask of its insert-number draws (frames repeat sizes).
         self._bounds: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def build_transaction(
-        self,
-        transaction_id: str,
-        detection: Detection | None = None,
-    ) -> MultiStageTransaction:
-        """Create one YCSB-A transaction triggered by ``detection``."""
-        return self.build_transactions([detection], [transaction_id])[0]
-
     def build_transactions(
         self,
         detections: Sequence[Detection | None],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.sweeps import ThresholdSweep
 from repro.cluster.results import ClusterRunResult
@@ -28,11 +28,19 @@ from repro.storage.partition import PartitionedStore
 from repro.storage.wal import Checkpoint
 from repro.transactions.checker import CheckResult
 from repro.transactions.history import History, SectionRecord
-from repro.transactions.model import SectionKind
+from repro.transactions.model import (
+    MultiStageTransaction,
+    SectionKind,
+    SectionSpec,
+    TransactionStatus,
+)
 from repro.transactions.ops import Operation, OperationKind, ReadWriteSet
+from repro.transactions.policy import TransactionPolicy
 from repro.video.frames import Frame
 from repro.video.library import make_video
 from repro.video.scene import SceneObject
+from repro.workloads.hotspot import HotspotWorkload
+from repro.workloads.ycsb import YCSBWorkload
 
 
 def cluster_summary(result: ClusterRunResult) -> dict[str, float]:
@@ -123,6 +131,60 @@ def make_frame(frame_id: int = 0, *objects: SceneObject, query: str = "person") 
         objects=tuple(objects),
         query_class=query,
     )
+
+
+def ycsb_transaction(
+    workload: YCSBWorkload, transaction_id: str, detection: Detection | None = None
+) -> MultiStageTransaction:
+    """One YCSB-A transaction triggered by ``detection``."""
+    return workload.build_transactions([detection], [transaction_id])[0]
+
+
+def hotspot_transaction(workload: HotspotWorkload) -> MultiStageTransaction:
+    """One transaction updating random keys in the hot spot."""
+    return workload.build_transactions(1)[0]
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection-over-union of two boxes, in [0, 1]."""
+    inter = a.intersection(b)
+    if inter == 0.0:
+        return 0.0
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def empirical_mean_interarrival(times: Sequence[float]) -> float:
+    """Mean gap between consecutive arrival instants."""
+    if len(times) < 2:
+        return 0.0
+    return (times[-1] - times[0]) / (len(times) - 1)
+
+
+def noop_section() -> SectionSpec:
+    """A section that does nothing (e.g. a 'terminate' final section)."""
+    return SectionSpec(body=lambda ctx: None, rwset=ReadWriteSet())
+
+
+def is_aborted(transaction: MultiStageTransaction) -> bool:
+    return transaction.status is TransactionStatus.ABORTED
+
+
+def process_initial(
+    policy: TransactionPolicy,
+    transaction: MultiStageTransaction,
+    labels=None,
+    now: float = 0.0,
+):
+    """A built transaction's initial section through ``policy``: the
+    controller's raising ``process_initial`` between the policy's stage
+    hooks, as the policy's ``admit`` runs a draft's."""
+    policy._before_stage(now)
+    result = policy.controller.process_initial(transaction, labels=labels, now=now)
+    policy._after_initial(transaction, now)
+    return result
 
 
 def count_constructions(monkeypatch, *classes) -> dict[str, int]:

@@ -40,10 +40,6 @@ class TestThresholdSweep:
     def test_scores_cover_grid(self, sweep):
         assert len(sweep.scores) == 15  # 5 grid values -> 5+4+3+2+1 pairs
 
-    def test_score_lookup(self, sweep):
-        assert sweep.score_at(0.2, 0.4) is not None
-        assert sweep.score_at(0.11, 0.42) is None
-
     def test_heatmap_metrics(self, sweep):
         bu = sweep.heatmap("bu")
         f1 = sweep.heatmap("f_score")
@@ -73,8 +69,3 @@ class TestThresholdSweep:
         assert first.f_score < best.f_score
         assert best.pair == (0.1, 0.1)
         assert best == brute_force_search(evaluator, 0.6, step=0.1).best
-
-    def test_grid_values_sorted(self, sweep):
-        values = sweep.grid_values()
-        assert values == sorted(values)
-

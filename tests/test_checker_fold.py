@@ -311,8 +311,8 @@ def test_a_history_without_rows_answers_counts_and_checks():
     with pytest.raises(RowsNotKept, match="keep_rows"):
         history.transaction_ids()
 
-    history.clear()
-    assert len(history) == history.operation_count == 0 and check_ms_sr(history)
+    empty = History()
+    assert len(empty) == empty.operation_count == 0 and check_ms_sr(empty)
 
 
 def test_an_out_of_order_append_without_rows_is_refused():

@@ -19,11 +19,7 @@ def failure_config(seed: int = 11, **overrides) -> ClusterConfig:
     overrides.setdefault("frame_interval", 0.2)
     overrides.setdefault("failure_schedule", ((1, 1.0, 2.0),))
     consistency = overrides.pop("consistency", ConsistencyLevel.MS_SR)
-    policy = overrides.pop("transaction_policy", "immediate-2pc")
-    return ClusterConfig(
-        base=CroesusConfig(seed=seed, consistency=consistency, transaction_policy=policy),
-        **overrides,
-    )
+    return ClusterConfig(base=CroesusConfig(seed=seed, consistency=consistency), **overrides)
 
 
 class TestFailureSpecs:

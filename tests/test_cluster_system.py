@@ -7,9 +7,11 @@ import pytest
 from repro.cluster import ClusterConfig, ClusterSystem, hotspot_bank_factory
 from repro.core.config import ConsistencyLevel, CroesusConfig
 from repro.experiments import get_scenario, run
+from repro.storage.kvstore import KeyValueStore
+from repro.storage.locks import LockManager
 from repro.video.library import make_camera_streams, make_uneven_camera_streams, make_video
 
-from helpers import cluster_summary
+from helpers import cluster_summary, count_constructions
 
 
 def make_streams(count: int, frames: int = 8, seed: int = 7):
@@ -119,18 +121,45 @@ class TestClusterRun:
         assert result.edges[0].frames_processed == 16
         assert all(edge.frames_processed == 0 for edge in result.edges[1:])
 
-    def test_repeated_runs_start_from_clean_queues(self):
-        """A second run() must not inherit the first run's backlog."""
-        system = ClusterSystem(cluster_config(num_edges=2))
-        system.run(make_streams(2, frames=4))
-        second = system.run(make_streams(2, frames=4, seed=20))
+    @staticmethod
+    def _second_run(system: ClusterSystem, entry: str):
+        from repro.traffic.source import TrafficConfig
 
-        assert second.num_frames == 2 * 4
-        # queue accounting covers only this run: two admissions per frame
-        assert sum(edge.queue_jobs for edge in second.edges) == 2 * second.num_frames
-        # stream assignments are not duplicated across runs
-        assert sum(len(edge.streams) for edge in second.edges) == 2
-        assert second.total_transactions > 0
+        if entry == "run":
+            return system.run(make_streams(2, frames=4, seed=20))
+        return system.run_open_loop(
+            TrafficConfig(offered_rate=2.0, duration_s=2.0, mean_frames=2, frame_interval=0.25)
+        )
+
+    @pytest.mark.parametrize("entry", ["run", "run_open_loop"])
+    def test_a_second_run_raises(self, entry):
+        """A system runs once: its run reports that run alone, and a second
+        run through either entry point raises."""
+        system = ClusterSystem(cluster_config(num_edges=2))
+        first = system.run(make_streams(2, frames=4))
+        assert first.num_frames == 2 * 4
+        # two admissions per frame, each stream placed once
+        assert sum(edge.queue_jobs for edge in first.edges) == 2 * first.num_frames
+        assert sum(len(edge.streams) for edge in first.edges) == 2
+        assert first.total_transactions > 0
+        with pytest.raises(RuntimeError, match="runs once; build a fresh system"):
+            self._second_run(system, entry)
+
+    @pytest.mark.parametrize("entry", ["run", "run_open_loop"])
+    def test_an_open_loop_system_runs_once(self, entry):
+        system = ClusterSystem(cluster_config(num_edges=2))
+        self._second_run(system, "run_open_loop")
+        with pytest.raises(RuntimeError, match="runs once; build a fresh system"):
+            self._second_run(system, entry)
+
+    def test_replicas_build_no_store_or_lock_manager_of_their_own(self, monkeypatch):
+        """A replica's node runs the distributed controller over the shared
+        partitions: the stores and lock managers built are the partitions'."""
+        built = count_constructions(monkeypatch, KeyValueStore, LockManager)
+        config = cluster_config(num_edges=4, partitions_per_edge=2)
+        system = ClusterSystem(config)
+        assert built == dict.fromkeys(("KeyValueStore", "LockManager"), config.num_partitions)
+        assert all(replica.node.store is replica.node.locks is None for replica in system.replicas)
 
     def test_rejects_empty_or_duplicate_streams(self):
         system = ClusterSystem(cluster_config())

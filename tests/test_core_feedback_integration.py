@@ -34,7 +34,7 @@ class TestFeedbackIntegration:
         config = CroesusConfig(seed=4).with_feedback()
         system = CroesusSystem(config)
         system.run(make_video("v1", num_frames=30, seed=4))
-        assert system.edge.smoother.tracked_objects() > 0
+        assert len(system.edge.smoother._history) > 0  # objects tracked
 
     def test_run_with_feedback_produces_comparable_accuracy(self):
         """Feedback is a refinement: it must not wreck the pipeline's accuracy."""

@@ -1,6 +1,7 @@
 """Tests for the generalized multi-tier pipeline (paper §3.5)."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.detection.profiles import (
 from repro.network.latency import CROSS_COUNTRY, SAME_REGION
 from repro.network.topology import CLOUD_XLARGE, EDGE_REGULAR, EDGE_SMALL
 from repro.video.library import make_video
+
+from helpers import count_constructions
 
 #: The two cascades ``examples/multi_tier_cascade.py`` compares.
 EXAMPLE_CASCADES = {
@@ -240,6 +243,21 @@ class TestMultiTierPipeline:
         assert result.average_final_latency == 0.0
         assert result.average_tiers_visited == 0.0
         assert result.forwarding_ratio(0) == 0.0
+
+    def test_a_tier_without_a_policy_gets_one_built_once(self, monkeypatch):
+        """A tier that names no policy forwards any label below 0.999, from
+        a policy the pipeline builds with itself, not one per frame."""
+        tiers = [replace(tier, policy=None) for tier in _three_tiers()]
+        pipeline = MultiTierPipeline(tiers, seed=3)
+        built = count_constructions(monkeypatch, ThresholdPolicy)
+        result = pipeline.run(make_video("v1", num_frames=15, seed=3))
+        assert built == {"ThresholdPolicy": 0}
+        explicit = MultiTierPipeline(_three_tiers(forward_everything=True), seed=3).run(
+            make_video("v1", num_frames=15, seed=3)
+        )
+        assert [trace.tiers_visited for trace in result.traces] == [
+            trace.tiers_visited for trace in explicit.traces
+        ]
 
     def test_average_tiers_visited_between_bounds(self):
         pipeline = MultiTierPipeline(_three_tiers(), seed=3)

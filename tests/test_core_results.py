@@ -96,7 +96,6 @@ class TestRunResult:
         assert run.total_transactions == 4
         assert run.total_corrections == 1
         assert run.total_apologies == 1
-        assert run.bytes_sent_to_cloud == 250_000
 
     def test_summary_keys(self):
         run = RunResult("croesus", "v1", [_trace(0, True)])

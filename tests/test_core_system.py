@@ -118,15 +118,14 @@ class TestCroesusSystem:
         # two transfers (uplink frame + downlink labels) per validated frame
         assert system.edge_cloud.transfer_count == 2 * sent_frames
 
-    def test_repeated_runs_do_not_accumulate_history(self):
+    def test_a_second_run_raises(self):
         system = CroesusSystem(CroesusConfig(seed=3))
         system.run(make_video("v1", num_frames=10, seed=3))
-        history_after_first = len(system.history)
-        system.run(make_video("v1", num_frames=10, seed=4))
-        # the history restarts (same order of magnitude as one run, not
-        # the concatenation of both)
-        assert history_after_first > 0
-        assert len(system.history) < 2 * history_after_first
+        sections = len(system.history)
+        assert sections > 0
+        with pytest.raises(RuntimeError, match="runs once; build a fresh system"):
+            system.run(make_video("v1", num_frames=10, seed=4))
+        assert len(system.history) == sections  # the refused run recorded nothing
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_each_frame_gets_an_initial_then_a_final_response(self, seed):
@@ -136,7 +135,7 @@ class TestCroesusSystem:
         result = system.run(video, client=client)
         previous_final = 0.0
         for trace in result.traces:
-            initial, final = client.responses_for(trace.frame_id)
+            initial, final = [r for r in client.responses if r.frame_id == trace.frame_id]
             assert (initial.stage, final.stage) == ("initial", "final")
             # Closed loop: a frame is captured once its predecessor's final
             # response is back.

@@ -27,19 +27,6 @@ class TestThresholdPolicy:
         assert policy.classify(0.5) is ConfidenceInterval.KEEP
         assert policy.classify(0.0) is ConfidenceInterval.VALIDATE
 
-    def test_classify_labels_partitions(self):
-        policy = ThresholdPolicy(0.3, 0.7)
-        labels = make_label_set(
-            0,
-            make_detection("low", confidence=0.1),
-            make_detection("mid", confidence=0.5),
-            make_detection("high", confidence=0.9),
-        )
-        partition = policy.classify_labels(labels)
-        assert [d.name for d in partition[ConfidenceInterval.DISCARD]] == ["low"]
-        assert [d.name for d in partition[ConfidenceInterval.VALIDATE]] == ["mid"]
-        assert [d.name for d in partition[ConfidenceInterval.KEEP]] == ["high"]
-
     def test_should_validate(self):
         policy = ThresholdPolicy(0.3, 0.7)
         assert policy.should_validate([make_detection(confidence=0.5)])
@@ -69,9 +56,6 @@ class TestThresholdPolicy:
             assert sent == policy.should_validate(labels)
         assert ThresholdPolicy(0.3, 0.7).partition(make_label_set(0)) == ((), False)
 
-    def test_validate_width(self):
-        assert ThresholdPolicy(0.2, 0.6).validate_width == pytest.approx(0.4)
-
     def test_wider_interval_validates_superset(self):
         narrow = ThresholdPolicy(0.4, 0.5)
         wide = ThresholdPolicy(0.2, 0.8)
@@ -79,6 +63,3 @@ class TestThresholdPolicy:
             detection = [make_detection(confidence=confidence)]
             if narrow.should_validate(detection):
                 assert wide.should_validate(detection)
-
-    def test_as_tuple(self):
-        assert ThresholdPolicy(0.2, 0.6).as_tuple() == (0.2, 0.6)

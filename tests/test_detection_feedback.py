@@ -131,4 +131,4 @@ class TestTemporalSmoother:
             )
         )
         assert [d.name for d in result] == ["dog", "cat"]
-        assert smoother.tracked_objects() == 2
+        assert len(smoother._history) == 2  # two objects tracked

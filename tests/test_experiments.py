@@ -136,6 +136,73 @@ class TestClusterOnlyFields:
         assert report == single_report
 
 
+#: One non-default value per single-deployment spec field: every field
+#: outside ``CLUSTER_FIELDS`` but ``deployment``.
+SINGLE_VALUES = dict(
+    system="edge-only",
+    video="v2",
+    frames=12,
+    seed=1,
+    lower_threshold=0.2,
+    upper_threshold=0.8,
+    consistency="ms-ia",
+    threshold_adaptation="feedback",
+    adaptation_interval_s=0.5,
+    adaptation_target_f=0.6,
+    edge_model="yolov3-320",
+    cloud_model="yolov3-608",
+)
+
+#: The knobs of threshold adaptation, varied over a base that adapts.
+ADAPTATION_KNOBS = {"adaptation_interval_s", "adaptation_target_f"}
+
+
+def _single_report(spec: ScenarioSpec) -> dict:
+    report = run(spec).to_dict()
+    report.pop("scenario")
+    return report
+
+
+class TestSingleDeploymentFields:
+    """The converse of :class:`TestClusterOnlyFields`: a field outside
+    ``CLUSTER_FIELDS`` is live on the single deployment, so a value it takes
+    changes what a ``fig4-ms-sr`` run reports (none is refused there)."""
+
+    BASE = get_scenario("fig4-ms-sr").with_(frames=10)
+
+    def test_every_single_deployment_field_has_a_value(self):
+        single = {spec_field.name for spec_field in fields(ScenarioSpec)} - CLUSTER_FIELDS
+        assert set(SINGLE_VALUES) == single - {"deployment"}
+
+    @pytest.fixture(scope="class")
+    def base_reports(self):
+        adaptive = self.BASE.with_(threshold_adaptation="feedback")
+        return {False: _single_report(self.BASE), True: _single_report(adaptive)}
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="one closed-loop stream never contends, so MS-SR and "
+                    "MS-IA report the same run",
+                ),
+            )
+            if name == "consistency"
+            else name
+            for name in sorted(SINGLE_VALUES)
+        ],
+    )
+    def test_a_single_deployment_field_changes_the_report(self, name, base_reports):
+        adapts = name in ADAPTATION_KNOBS
+        base = self.BASE.with_(threshold_adaptation="feedback") if adapts else self.BASE
+        value = SINGLE_VALUES[name]
+        assert value != getattr(base, name)
+        assert _single_report(base.with_(**{name: value})) != base_reports[adapts]
+
+
 class TestScenarioSpec:
     def test_round_trip_is_lossless(self):
         spec = ScenarioSpec(

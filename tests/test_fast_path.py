@@ -28,7 +28,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.analysis.streaming import QuantileAccumulator, RingBuffer
+from repro.analysis.streaming import QuantileAccumulator
 from repro.cluster.system import ClusterSystem
 from repro.detection.profiles import MODEL_LIBRARY
 from repro.experiments import ScenarioSpec, get_scenario, run
@@ -205,7 +205,7 @@ class TestQuantileAccumulator:
         accumulator = QuantileAccumulator(exact_limit=4096)
         for value in values:
             accumulator.add(value)
-        assert accumulator.is_exact
+        assert accumulator._exact is not None  # still exact
         for q in (0.0, 50.0, 90.0, 95.0, 99.0, 100.0):
             assert accumulator.percentile(q) == percentile(values, q)
 
@@ -215,7 +215,7 @@ class TestQuantileAccumulator:
         accumulator = QuantileAccumulator(exact_limit=1024, relative_error=0.01)
         for value in values:
             accumulator.add(value)
-        assert not accumulator.is_exact
+        assert accumulator._exact is None  # spilled
         for q in (50.0, 90.0, 95.0, 99.0):
             exact = percentile(values, q)
             estimate = accumulator.percentile(q)
@@ -235,7 +235,7 @@ class TestQuantileAccumulator:
         accumulator = QuantileAccumulator(exact_limit=4)
         for value in (-1.0, 0.0, -2.5, 3.0, 4.0, 5.0):
             accumulator.add(value)
-        assert not accumulator.is_exact
+        assert accumulator._exact is None  # spilled
         assert accumulator.percentile(25.0) == 0.0  # the largest non-positive
         assert accumulator.percentile(100.0) == 5.0
 
@@ -246,19 +246,6 @@ class TestQuantileAccumulator:
             QuantileAccumulator(relative_error=1.5)
         with pytest.raises(ValueError):
             QuantileAccumulator().percentile(101.0)
-
-
-class TestRingBuffer:
-    def test_keeps_most_recent_window(self):
-        ring = RingBuffer(4)
-        ring.extend(float(index) for index in range(10))
-        assert ring.values() == [6.0, 7.0, 8.0, 9.0]
-        assert len(ring) == 4
-
-    def test_partial_fill_in_order(self):
-        ring = RingBuffer(8)
-        ring.extend([1.0, 2.0, 3.0])
-        assert ring.values() == [1.0, 2.0, 3.0]
 
 
 # -- record_frames=False vs record_frames=True --------------------------------

@@ -21,7 +21,6 @@ from repro.cluster import (
     RoutingError,
     make_router,
 )
-from repro.core.config import CroesusConfig
 from repro.experiments import ScenarioSpec, get_scenario, run
 from repro.experiments.runner import build_cluster_config, build_streams
 from repro.geo import (
@@ -94,7 +93,7 @@ class TestGeoConfigValidation:
             ({"num_edges": 3}, "must split evenly into 2 regions"),
             ({"router_policy": "hotspot"}, "router must be 'round-robin'"),
             (
-                {"base": CroesusConfig(transaction_policy="batched-2pc")},
+                {"transaction_policy": "batched-2pc"},
                 "stacks the cross-region commit variants on immediate-2pc",
             ),
             ({"replication_factor": 2}, "does not replicate partitions"),
@@ -195,8 +194,6 @@ class TestWanFabric:
         fabric.channel(1, 0).send(500)
         assert fabric.total_bytes == 1500
         assert fabric.transfer_count == 2
-        fabric.reset()
-        assert fabric.total_bytes == 0
 
 
 class TestGeoRouter:
@@ -401,33 +398,27 @@ class TestCommitVariantConformance:
 
 
 class TestGeoBlockIsPerRun:
-    """A reused system's geo block covers its own run, like every other
-    block of the result."""
+    """The geo block covers its run, and a geo system runs once (the tier
+    is built per run over the system's one WAN fabric)."""
 
-    #: ``(total_txns, wan_round_trips, wan_bytes, apologies)`` of two
-    #: back-to-back runs of ``geo-baseline`` on one system (default bank).
-    #: Geo state kept across runs would read 4246 / 9756 / 4995072 / 0 on
-    #: the second global-2pc run, and 4246 / 3698 / 2840064 / 156 on the
-    #: second async one (a reconciler still holding the first run's later
-    #: stamps finds no new race).
+    #: ``(total_txns, wan_round_trips, wan_bytes, apologies)`` of one run
+    #: of ``geo-baseline`` (default bank).
     RUNS = {
-        "global-2pc": [(2129, 4876, 2496512, 0), (2117, 4880, 2498560, 0)],
-        "async-reconcile": [(2129, 1840, 1413120, 156), (2117, 1858, 1426944, 149)],
+        "global-2pc": (2129, 4876, 2496512, 0),
+        "async-reconcile": (2129, 1840, 1413120, 156),
     }
 
     @pytest.mark.parametrize("policy", sorted(RUNS))
-    def test_a_reused_system_reports_each_run_alone(self, policy):
+    def test_a_geo_system_reports_its_run_and_runs_once(self, policy):
         spec = get_scenario("geo-baseline").with_(cross_region_policy=policy)
         system = ClusterSystem(build_cluster_config(spec))
-        seen = []
-        for _ in range(2):
-            result = system.run(build_streams(spec))
-            geo = result.geo
-            assert geo["total_txns"] == result.total_transactions
-            seen.append(
-                (geo["total_txns"], geo["wan_round_trips"], geo["wan_bytes"], geo["apologies"])
-            )
+        result = system.run(build_streams(spec))
+        geo = result.geo
+        assert geo["total_txns"] == result.total_transactions
+        seen = (geo["total_txns"], geo["wan_round_trips"], geo["wan_bytes"], geo["apologies"])
         assert seen == self.RUNS[policy]
+        with pytest.raises(RuntimeError, match="runs once"):
+            system.run(build_streams(spec))
 
 
 class TestGeoDeterminism:

@@ -40,6 +40,7 @@ class TestEndToEndPipeline:
             config = CroesusConfig(seed=2, consistency=level)
             system = CroesusSystem(config)
             system.run(make_video("v1", num_frames=20, seed=2))
+            assert len(system.history) > 0  # a check over no section is vacuous
             result = checker(system.history)
             assert result, result.violations
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.detection.geometry import BoundingBox, iou, overlap_ratio
+from repro.detection.geometry import BoundingBox, overlap_ratio
 from repro.detection.metrics import AccuracyReport, f_score
 from repro.core.thresholds import ConfidenceInterval, ThresholdPolicy
 from repro.storage.kvstore import KeyValueStore
@@ -21,7 +21,7 @@ from repro.transactions.exceptions import TransactionAborted
 from repro.transactions.ops import ReadWriteSet
 from repro.transactions.sequencer import Sequencer
 
-from helpers import checkpoint_all
+from helpers import checkpoint_all, iou, noop_section
 
 
 # -- geometry ----------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_sequencer_waves_are_always_conflict_free(key_pairs):
             MultiStageTransaction(
                 transaction_id=f"t{index}",
                 initial=SectionSpec(body=lambda ctx: None, rwset=rwset),
-                final=SectionSpec.noop(),
+                final=noop_section(),
             )
         )
     waves = Sequencer().schedule(transactions)

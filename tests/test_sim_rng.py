@@ -34,12 +34,5 @@ class TestRngRegistry:
         values_after = interleaved.stream("edge").random(5)
         assert (values_before == values_after).all()
 
-    def test_reset_reseeds_streams(self):
-        rngs = RngRegistry(seed=4)
-        first = rngs.stream("edge").random(3)
-        rngs.reset()
-        second = rngs.stream("edge").random(3)
-        assert (first == second).all()
-
     def test_seed_property(self):
         assert RngRegistry(seed=11).seed == 11

@@ -32,13 +32,14 @@ from repro.traffic import (
     TraceRate,
     TrafficConfig,
     TrafficSource,
-    empirical_mean_interarrival,
     make_admission,
     make_rate_curve,
     percentile,
     sample_stream_length,
 )
 from repro.video.library import make_camera_streams
+
+from helpers import empirical_mean_interarrival
 
 
 # -- rate curves --------------------------------------------------------------

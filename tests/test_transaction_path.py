@@ -82,7 +82,7 @@ from repro.video.library import make_video
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
-from helpers import count_constructions, keeping_rows
+from helpers import count_constructions, is_aborted, keeping_rows, process_initial
 from helpers import section as section_of
 
 
@@ -243,18 +243,18 @@ def _record_fnv_evaluations(monkeypatch) -> list[str]:
 @pytest.mark.parametrize("name", sorted(CONTROLLERS))
 def test_pending_finals_is_a_property_through_a_policy(name):
     """One calling convention on all four controllers: a tuple, read
-    without a call, so ``if policy.pending_finals:`` is False when nothing
-    waits (a bound method would always be truthy)."""
+    without a call, so ``if controller.pending_finals:`` is False when
+    nothing waits (a bound method would always be truthy)."""
     build, _, _ = CONTROLLERS[name]
     controller, _, _ = build(None)
     policy = make_policy("immediate-2pc", controller)
-    assert policy.pending_finals == ()
-    assert not policy.pending_finals
+    assert controller.pending_finals == ()
+    assert not controller.pending_finals
     transaction = _hot_transaction("t1", random.Random(0), {})
-    policy.process_initial(transaction, now=1.0)
-    assert policy.pending_finals == ("t1",)
+    process_initial(policy, transaction, now=1.0)
+    assert controller.pending_finals == ("t1",)
     policy.process_final(transaction, now=2.0)
-    assert not policy.pending_finals
+    assert not controller.pending_finals
 
 
 @pytest.mark.usefixtures("rows_kept")
@@ -297,7 +297,7 @@ def test_contended_sections_keep_the_path_invariants(name, seed, monkeypatch):
             if run_section(controller.process_initial, transaction, locked, now):
                 in_flight.append(transaction)
             else:
-                assert transaction.is_aborted
+                assert is_aborted(transaction)
         else:
             transaction = in_flight.pop(rng.randrange(len(in_flight)))
             locked = (
@@ -466,7 +466,7 @@ def test_an_undeclared_write_still_votes_no_on_conflict(name, other_mode):
         controller = DISTRIBUTED[name](store)
         with pytest.raises(TransactionAborted, match="initial-section atomic commit failed"):
             controller.process_initial(transaction, now=1.0)
-        assert transaction.is_aborted
+        assert is_aborted(transaction)
     assert controller.stats.aborts == 1
     assert store.read(declared, default=None) is None  # atomic: nothing applied
     assert store.read(undeclared, default=None) is None
@@ -522,7 +522,7 @@ def test_a_denied_acquisition_records_no_tenure(name):
 
     with pytest.raises(TransactionAborted, match="remote lock denied"):
         controller.process_initial(transaction, now=1.0)
-    assert transaction.is_aborted and controller.stats.aborts == 1
+    assert is_aborted(transaction) and controller.stats.aborts == 1
     assert {pid: store.partition(pid).locks.hold_records for pid in store.partition_ids()} == before
     assert all(not store.partition(pid).locks.held_keys("t1") for pid in store.partition_ids())
     assert store.partition_for(contested).locks.held_keys("other") == {contested}
@@ -636,11 +636,11 @@ def _admission_run(name, policy_name, drafts, grants, down, through_drafts):
             else:
                 transaction = draft.materialise()
                 try:
-                    policy.process_initial(transaction, now=now)
+                    process_initial(policy, transaction, now=now)
                     outcome = "granted"
                 except TransactionAborted as aborted:
                     outcome = "denied" if aborted.reason == controller.denial else "raised"
-                    assert transaction.is_aborted
+                    assert is_aborted(transaction)
             outcomes.append(outcome)
             if outcome == "granted":
                 granted.append(transaction)

@@ -5,14 +5,14 @@ import pytest
 from repro.transactions.bank import ANY_LABEL, TransactionBank
 from repro.transactions.model import MultiStageTransaction, SectionSpec
 
-from helpers import make_detection
+from helpers import make_detection, noop_section
 
 
 def _factory(detection, txn_id) -> MultiStageTransaction:
     return MultiStageTransaction(
         transaction_id=txn_id,
-        initial=SectionSpec.noop(),
-        final=SectionSpec.noop(),
+        initial=noop_section(),
+        final=noop_section(),
         trigger=detection.name if detection is not None else "input",
     )
 

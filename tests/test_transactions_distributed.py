@@ -16,6 +16,8 @@ from repro.transactions.history import History
 from repro.transactions.model import MultiStageTransaction, SectionSpec, TransactionStatus
 from repro.transactions.ops import ReadWriteSet
 
+from helpers import is_aborted, noop_section
+
 
 def _spanning_keys(store: PartitionedStore, count: int) -> list[str]:
     """Pick keys that land on at least two different partitions."""
@@ -104,7 +106,7 @@ class TestDistributedMSIA:
         txn = _transfer_transaction("t1", source, target)
         with pytest.raises(TransactionAborted):
             controller.process_initial(txn)
-        assert txn.is_aborted
+        assert is_aborted(txn)
         # No partial writes anywhere.
         assert partitioned_store.read(source, default=None) is None
 
@@ -156,7 +158,7 @@ class TestDistributedMSIA:
         txn = MultiStageTransaction(
             transaction_id="t1",
             initial=SectionSpec(body=initial, rwset=ReadWriteSet(writes=frozenset({"x"}))),
-            final=SectionSpec.noop(),
+            final=noop_section(),
         )
         controller = DistributedMSIAController(partitioned_store)
         assert controller.process_initial(txn) == 5
@@ -192,7 +194,7 @@ class TestDistributedTwoStage2PL:
         controller.process_initial(first)
         with pytest.raises(TransactionAborted):
             controller.process_initial(second)
-        assert second.is_aborted
+        assert is_aborted(second)
         controller.process_final(first, labels=target)
         assert first.is_committed
 
@@ -301,7 +303,7 @@ class TestAPlanAcrossRehoming:
             self._rehome(store, how)
 
         assert controller.abort_pending(now=2.0) == ("t1",)
-        assert txn.is_aborted
+        assert is_aborted(txn)
         assert controller.pending_finals == ()
         assert controller.stats.aborts == 1
         for pid, key in enumerate(keys):
@@ -346,7 +348,7 @@ class TestAPlanAcrossRehoming:
 
         with pytest.raises(TransactionAborted):
             controller.process_initial(txn, now=1.0)
-        assert txn.is_aborted
+        assert is_aborted(txn)
         assert controller._buffered == {}
         assert controller.pending_finals == ()
         assert controller.stats.aborts == 1

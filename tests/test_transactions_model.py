@@ -14,6 +14,8 @@ from repro.transactions.model import (
 )
 from repro.transactions.ops import OperationKind, ReadWriteSet
 
+from helpers import is_aborted, noop_section
+
 
 def _transaction(txn_id: str = "t1", reads=(), writes=(), final_writes=()) -> MultiStageTransaction:
     return MultiStageTransaction(
@@ -127,7 +129,7 @@ class TestMultiStageTransactionLifecycle:
     def test_abort_before_initial_commit(self):
         txn = _transaction()
         txn.mark_aborted()
-        assert txn.is_aborted
+        assert is_aborted(txn)
 
     def test_cannot_abort_after_initial_commit(self):
         """The paper's guarantee: an initially committed transaction must finish."""
@@ -150,7 +152,7 @@ class TestMultiStageTransactionLifecycle:
         assert not first.conflicts_with(third)
 
     def test_noop_section(self, store):
-        spec = SectionSpec.noop()
+        spec = noop_section()
         assert spec.body(SectionContext("t", SectionKind.FINAL, store)) is None
         assert spec.rwset.keys == frozenset()
 

@@ -13,6 +13,8 @@ from repro.transactions.model import MultiStageTransaction, SectionSpec, Transac
 from repro.transactions.ms_ia import MSIAController
 from repro.transactions.ops import ReadWriteSet
 
+from helpers import is_aborted, noop_section
+
 
 def _simple_transaction(txn_id: str, key: str = "x") -> MultiStageTransaction:
     def initial(ctx):
@@ -137,7 +139,7 @@ class TestMSIAController:
         txn = MultiStageTransaction(
             transaction_id="t1",
             initial=SectionSpec(body=initial, rwset=ReadWriteSet(writes=frozenset({"x"}))),
-            final=SectionSpec.noop(),
+            final=noop_section(),
         )
         controller.process_initial(txn)
         controller.process_final(txn)
@@ -153,7 +155,7 @@ class TestMSIAController:
         txn = _simple_transaction("t1")
         with pytest.raises(TransactionAborted):
             controller.process_initial(txn)
-        assert txn.is_aborted
+        assert is_aborted(txn)
 
     def test_final_lock_denial_keeps_transaction_pending(self, store):
         from repro.storage.locks import LockMode

@@ -14,6 +14,8 @@ from repro.transactions.model import (
 from repro.transactions.ms_sr import TwoStage2PL
 from repro.transactions.ops import ReadWriteSet
 
+from helpers import is_aborted
+
 
 def _increment_transaction(txn_id: str, key: str = "x") -> MultiStageTransaction:
     """The §4.2 example: read in the initial section, write in the final."""
@@ -65,7 +67,7 @@ class TestTwoStage2PL:
         second = _increment_transaction("t2")
         with pytest.raises(TransactionAborted):
             controller.process_initial(second, now=0.5)
-        assert second.is_aborted
+        assert is_aborted(second)
         assert _lock_state(locks) == before
         assert "t2" not in locks._held_by
 
@@ -97,7 +99,7 @@ class TestTwoStage2PL:
         )
         with pytest.raises(TransactionAborted):
             controller.process_initial(txn, now=0.5)
-        assert txn.is_aborted
+        assert is_aborted(txn)
         assert controller.stats.aborts == 1
 
     def test_aborted_initial_section_writes_are_undone(self, store):

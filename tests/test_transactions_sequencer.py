@@ -9,13 +9,15 @@ from repro.transactions.ops import ReadWriteSet
 from repro.transactions.sequencer import Sequencer
 from repro.workloads.hotspot import HotspotWorkload
 
+from helpers import noop_section
+
 
 def _txn(txn_id: str, keys: set[str]) -> MultiStageTransaction:
     rwset = ReadWriteSet(reads=frozenset(keys), writes=frozenset(keys))
     return MultiStageTransaction(
         transaction_id=txn_id,
         initial=SectionSpec(body=lambda ctx: None, rwset=rwset),
-        final=SectionSpec.noop(),
+        final=noop_section(),
     )
 
 

@@ -53,13 +53,6 @@ class TestFrame:
         with pytest.raises(ValueError):
             Frame(frame_id=0, width=10, height=10, size_bytes=0)
 
-    def test_objects_of_class(self):
-        dog = SceneObject(0, "dog", BoundingBox(0, 0, 10, 10))
-        cat = SceneObject(1, "cat", BoundingBox(20, 20, 30, 30))
-        frame = Frame(frame_id=0, width=100, height=100, objects=(dog, cat))
-        assert frame.objects_of_class("dog") == (dog,)
-        assert frame.object_count == 2
-
 
 class TestSyntheticVideo:
     def _video(self, seed: int = 0, num_frames: int = 50) -> SyntheticVideo:
@@ -78,7 +71,7 @@ class TestSyntheticVideo:
 
     def test_objects_eventually_appear(self):
         frames = list(self._video().frames())
-        assert any(frame.object_count > 0 for frame in frames)
+        assert any(len(frame.objects) > 0 for frame in frames)
 
     def test_objects_persist_across_frames(self):
         """An object id seen in one frame should usually appear again."""
@@ -91,8 +84,8 @@ class TestSyntheticVideo:
         assert max(seen.values()) > 1
 
     def test_same_seed_reproduces_stream(self):
-        first = [(f.frame_id, f.object_count) for f in self._video(seed=3).frames()]
-        second = [(f.frame_id, f.object_count) for f in self._video(seed=3).frames()]
+        first = [(f.frame_id, len(f.objects)) for f in self._video(seed=3).frames()]
+        second = [(f.frame_id, len(f.objects)) for f in self._video(seed=3).frames()]
         assert first == second
 
     def test_requires_positive_frames(self):
@@ -123,7 +116,7 @@ class TestVideoLibrary:
     def test_stress_video_is_content_free(self):
         video = make_video("stress", num_frames=20, seed=3)
         frames = list(video.frames())
-        assert all(frame.object_count == 0 for frame in frames)
+        assert all(len(frame.objects) == 0 for frame in frames)
         assert all(not frame.auxiliary_input for frame in frames)
 
     def test_make_video_returns_stream(self):
@@ -147,6 +140,6 @@ class TestVideoLibrary:
         assert airport.size_fraction > mall.size_fraction
 
     def test_same_seed_same_video_reproducible(self):
-        first = [f.object_count for f in make_video("v2", num_frames=20, seed=5).frames()]
-        second = [f.object_count for f in make_video("v2", num_frames=20, seed=5).frames()]
+        first = [len(f.objects) for f in make_video("v2", num_frames=20, seed=5).frames()]
+        second = [len(f.objects) for f in make_video("v2", num_frames=20, seed=5).frames()]
         assert first == second

@@ -27,7 +27,7 @@ from repro.transactions.model import SectionContext, SectionKind
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
-from helpers import make_detection
+from helpers import hotspot_transaction, make_detection, ycsb_transaction
 
 TRANSACTIONS = 200
 LABELS = ("person", "car", "dog")
@@ -203,7 +203,7 @@ def test_ycsb_one_at_a_time_is_the_same_stream(pin):
     rng = np.random.default_rng(seed)
     workload = YCSBWorkload(rng=rng)
     transactions = [
-        workload.build_transaction(f"t{index + 1}", detection)
+        ycsb_transaction(workload, f"t{index + 1}", detection)
         for index, detection in enumerate(_detections(with_detection))
     ]
     assert declared_digest(transactions, rng) == YCSB_PINS[pin][0]
@@ -228,6 +228,6 @@ def test_hotspot_batches_and_single_builds_are_the_same_stream(pin):
     batches = [txn for _ in range(TRANSACTIONS // 50) for txn in batched.build_batch()]
     assert declared_digest(batches, rng) == HOTSPOT_PINS[pin][0]
     rng, single = workload()
-    singles = [single.build_transaction() for _ in range(TRANSACTIONS)]
+    singles = [hotspot_transaction(single) for _ in range(TRANSACTIONS)]
     assert declared_digest(singles, rng) == HOTSPOT_PINS[pin][0]
     assert executed_digest(singles) == HOTSPOT_PINS[pin][1]

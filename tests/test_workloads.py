@@ -11,7 +11,7 @@ from repro.transactions.ops import ReadWriteSet
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
-from helpers import make_detection
+from helpers import hotspot_transaction, make_detection, ycsb_transaction
 
 
 class _CountingRng:
@@ -33,21 +33,21 @@ class TestYCSBWorkload:
 
     def test_operation_count_matches_paper(self):
         """6 operations per transaction, half reads and half writes."""
-        txn = self._workload().build_transaction("t1", make_detection("person"))
+        txn = ycsb_transaction(self._workload(), "t1", make_detection("person"))
         reads = len(txn.initial.rwset.reads)
         writes = len(txn.initial.rwset.writes) + len(txn.final.rwset.writes)
         assert reads == 3
         assert writes == 3
 
     def test_final_section_has_at_least_one_write(self):
-        txn = self._workload().build_transaction("t1", make_detection("person"))
+        txn = ycsb_transaction(self._workload(), "t1", make_detection("person"))
         assert len(txn.final.rwset.writes) >= 1
 
     def test_transaction_runs_through_controller(self):
         store = KeyValueStore()
         controller = MSIAController(store)
         workload = self._workload()
-        txn = workload.build_transaction("t1", make_detection("dog"))
+        txn = ycsb_transaction(workload, "t1", make_detection("dog"))
         controller.process_initial(txn, labels=make_detection("dog"))
         controller.process_final(txn, labels=make_detection("dog"))
         assert txn.is_committed
@@ -56,7 +56,7 @@ class TestYCSBWorkload:
     def test_corrected_label_triggers_apology(self):
         store = KeyValueStore()
         controller = MSIAController(store)
-        txn = self._workload().build_transaction("t1", make_detection("dog"))
+        txn = ycsb_transaction(self._workload(), "t1", make_detection("dog"))
         controller.process_initial(txn, labels=make_detection("dog"))
         controller.process_final(txn, labels=make_detection("cat"))
         assert txn.apologies
@@ -68,8 +68,8 @@ class TestYCSBWorkload:
             self._workload(final_write_fraction=2.0)
 
     def test_custom_operation_count(self):
-        txn = self._workload(operations_per_transaction=10).build_transaction(
-            "t1", make_detection("x")
+        txn = ycsb_transaction(
+            self._workload(operations_per_transaction=10), "t1", make_detection("x")
         )
         total_ops = (
             len(txn.initial.rwset.reads)
@@ -79,13 +79,13 @@ class TestYCSBWorkload:
         assert total_ops == 10
 
     def test_handles_missing_detection(self):
-        txn = self._workload().build_transaction("t1", None)
+        txn = ycsb_transaction(self._workload(), "t1", None)
         assert txn.trigger == "ycsb:none"
 
     @pytest.mark.parametrize("fraction, final_writes", [(0.0, 1), (0.34, 1), (0.5, 2), (1.0, 3)])
     def test_final_write_fraction_keeps_a_floor_of_one_final_write(self, fraction, final_writes):
         """The fraction is rounded, and ``0.0`` still defers one insert."""
-        txn = self._workload(final_write_fraction=fraction).build_transaction("t1", None)
+        txn = ycsb_transaction(self._workload(final_write_fraction=fraction), "t1", None)
         assert len(txn.final.rwset.writes) == final_writes
         assert len(txn.initial.rwset.writes) == 3 - final_writes
 
@@ -159,7 +159,7 @@ class TestHotspotWorkload:
         assert len(batch) == 50
 
     def test_updates_per_transaction(self):
-        txn = self._workload(updates_per_transaction=5).build_transaction()
+        txn = hotspot_transaction(self._workload(updates_per_transaction=5))
         total_keys = len(txn.initial.rwset.writes) + len(txn.final.rwset.writes)
         # Random key collisions within a transaction can reduce the count,
         # but it can never exceed the requested number of updates.
@@ -167,7 +167,7 @@ class TestHotspotWorkload:
 
     def test_keys_restricted_to_hot_range(self):
         workload = self._workload(key_range=3)
-        txn = workload.build_transaction()
+        txn = hotspot_transaction(workload)
         for key in txn.combined_rwset().keys:
             index = int(key.split("-")[1])
             assert 0 <= index < 3
@@ -238,7 +238,7 @@ class TestHotspotWorkload:
 
     def test_a_section_updates_a_key_once_per_draw(self):
         """A key drawn twice is incremented twice but locked and declared once."""
-        txn = self._workload(key_range=1, final_updates=2).build_transaction()
+        txn = hotspot_transaction(self._workload(key_range=1, final_updates=2))
         store = KeyValueStore()
         controller = MSIAController(store)
         controller.process_initial(txn)
